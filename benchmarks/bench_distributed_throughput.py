@@ -11,23 +11,21 @@ phases on the same workload:
   public pieces);
 * **batched columnar path** — :meth:`DistributedKCover.run_from_columnar`
   over a memory-mapped columnar directory, no per-edge objects anywhere
-  (barrier reduce, serial mapper — the reference pipeline);
-* **streaming reduce × recompute jobs** — the same columnar workload under a
-  thread executor: every machine gets a zero-ship
-  :class:`~repro.distributed.worker.ShardRecomputeJob` and the coordinator
-  folds sketches into the incremental merge tree as they complete, holding
-  only O(log machines) sketches resident.
+  (serial mapper — the reference pipeline);
+* **threaded recompute jobs** — the same columnar workload under a thread
+  executor: every machine's zero-ship
+  :class:`~repro.distributed.worker.ShardRecomputeJob` runs on its own
+  thread and the coordinator folds sketches into the incremental merge tree
+  as they complete, holding only O(log machines) sketches resident.
 
 All paths produce byte-identical runs (asserted here and property-tested in
 ``tests/property/test_distributed_batching.py`` /
 ``tests/property/test_streaming_reduce.py``).  CI gates: the batched map
 phase must process edges at least ``MIN_SPEEDUP`` times faster than the
-scalar one; the streaming reduce must stay within ``MIN_STREAMING_RATIO``
-of a barrier reduce under the *same* executor and job type (no map-phase
-regression from the as-completed gather — the recompute-vs-ship trade is
-held fixed so only the reduce mode varies); and its peak resident sketch
-count must stay below the machine count once there are enough machines for
-the logarithm to bite (>= 4; a binary counter over 2 leaves still holds 2).
+scalar one; the merge tree must run ``machines - 1`` pairwise merges, and
+its peak resident sketch count must stay below the machine count once there
+are enough machines for the logarithm to bite (>= 4; a binary counter over
+2 leaves still holds 2).
 """
 
 from __future__ import annotations
@@ -62,10 +60,6 @@ SEED = 1700
 #: machine count.  Measured well above this on a laptop; 3x is the
 #: acceptance bar with CI headroom.
 MIN_SPEEDUP = 3.0
-#: Minimum (barrier seconds / streaming seconds) under the same thread
-#: executor and recompute jobs.  Measured at parity (~0.9-1.2); 0.6 is the
-#: loud-regression bar with CI noise headroom.
-MIN_STREAMING_RATIO = 0.6
 
 
 def _scalar_map_phase(edges, params, machines: int):
@@ -100,7 +94,6 @@ def _throughput_table(tmp_path) -> Table:
             "batched_edges_per_sec",
             "speedup",
             "streaming_edges_per_sec",
-            "streaming_vs_barrier",
             "peak_resident_sketches",
             "merge_count",
             "max_machine_load",
@@ -113,28 +106,23 @@ def _throughput_table(tmp_path) -> Table:
 
         runner = DistributedKCover(
             instance.n, instance.m, k=K, num_machines=machines,
-            strategy=STRATEGY, params=params, seed=SEED, reduce="barrier",
+            strategy=STRATEGY, params=params, seed=SEED,
         )
         start = time.perf_counter()
         report = runner.run_from_columnar(columnar_dir)
         batched_seconds = time.perf_counter() - start
 
-        # Streaming reduce over zero-ship recompute jobs: a thread executor
-        # makes run_from_columnar ship ShardRecomputeJobs (path + routing
-        # only) and the merge tree folds sketches in completion order.  The
-        # barrier twin runs the identical executor and job type, so the
-        # seconds ratio isolates the reduce mode.
-        seconds = {}
-        for reduce in ("barrier", "streaming"):
-            streaming_runner = DistributedKCover(
-                instance.n, instance.m, k=K, num_machines=machines,
-                strategy=STRATEGY, params=params, seed=SEED,
-                executor="thread", max_workers=machines, reduce=reduce,
-            )
-            start = time.perf_counter()
-            streaming_report = streaming_runner.run_from_columnar(columnar_dir)
-            seconds[reduce] = time.perf_counter() - start
-        streaming_seconds = seconds["streaming"]
+        # The same zero-ship ShardRecomputeJobs (path + routing only) on a
+        # thread per machine; the merge tree folds sketches in completion
+        # order.
+        streaming_runner = DistributedKCover(
+            instance.n, instance.m, k=K, num_machines=machines,
+            strategy=STRATEGY, params=params, seed=SEED,
+            executor="thread", max_workers=machines,
+        )
+        start = time.perf_counter()
+        streaming_report = streaming_runner.run_from_columnar(columnar_dir)
+        streaming_seconds = time.perf_counter() - start
 
         # Identical outcomes: both batched runs must land on the very greedy
         # solution the scalar map phase leads to.
@@ -154,7 +142,6 @@ def _throughput_table(tmp_path) -> Table:
             batched_edges_per_sec=len(edges) / batched_seconds,
             speedup=scalar_seconds / batched_seconds,
             streaming_edges_per_sec=len(edges) / streaming_seconds,
-            streaming_vs_barrier=seconds["barrier"] / streaming_seconds,
             peak_resident_sketches=streaming_report.peak_resident_sketches,
             merge_count=streaming_report.merge_count,
             max_machine_load=report.max_machine_load,
@@ -177,12 +164,9 @@ def test_batched_map_phase_beats_scalar(benchmark, tmp_path):
             "The batched columns time a full run_from_columnar (sharding, map, "
             "merge, greedy) against the scalar map phase alone, so the reported "
             "speedups are lower bounds on the map-phase gap.",
-            "The streaming columns run zero-ship ShardRecomputeJobs under a "
-            "thread executor with the incremental merge-tree reduce; "
-            "streaming_vs_barrier is barrier-seconds / streaming-seconds "
-            "under the same executor and jobs, and peak_resident_sketches "
-            "is the coordinator's sketch high-water mark (O(log machines) "
-            "vs the barrier's machines).",
+            "The streaming columns run the zero-ship ShardRecomputeJobs "
+            "under a thread executor; peak_resident_sketches is the merge "
+            "tree's sketch high-water mark (O(log machines)).",
             "All paths are byte-identical (asserted per row and property-tested).",
         ],
     )
@@ -198,21 +182,14 @@ def test_batched_map_phase_beats_scalar(benchmark, tmp_path):
                 # Top-level scalars (collect_results folds these into the
                 # trajectory), all at the largest machine count.
                 "batched_speedup": float(table.column("speedup")[-1]),
-                "streaming_vs_barrier": float(
-                    table.column("streaming_vs_barrier")[-1]
-                ),
                 "streaming_peak_resident_sketches": int(peaks[-1]),
                 "streaming_merge_count": int(merges[-1]),
-                "barrier_peak_resident_sketches": int(MACHINES[-1]),
             },
             indent=2,
         ),
         encoding="utf-8",
     )
     assert table.column("speedup")[-1] >= MIN_SPEEDUP
-    # The as-completed gather + merge tree must not cost map throughput
-    # (same executor and jobs as the barrier twin; only the reduce varies).
-    assert table.column("streaming_vs_barrier")[-1] >= MIN_STREAMING_RATIO
     # O(log M) residency: below the machine count wherever log2 can bite
     # (a binary counter over 2 leaves still holds both before carrying).
     for machines, peak, merge_count in zip(MACHINES, peaks, merges):

@@ -10,8 +10,9 @@ wall-clock roughly by the worker count.  This benchmark measures that curve:
   whole-array even at tens of millions of edges);
 * **executors** — ``serial`` (the reference), ``thread`` and ``process`` at
   worker counts {1, 2, 4}; under ``process`` every child receives only a
-  :class:`~repro.distributed.worker.ColumnarSliceJob` (path + row bounds)
-  and re-opens the mapped file itself, so zero edge data is pickled;
+  :class:`~repro.distributed.worker.ShardRecomputeJob` (path + routing
+  parameters) and maps its own row slice of the file, so zero edge data is
+  pickled;
 * **identity** — every cell must report exactly the serial run's solution,
   coverage estimate, merged threshold and per-machine loads (the executor
   subsystem's core contract, also property-tested in

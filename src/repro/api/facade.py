@@ -48,7 +48,6 @@ def _resolve_context(
     coverage_backend: str | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
-    reduce: str | None = None,
 ) -> ProblemContext:
     """Normalize the accepted problem descriptions into a ProblemContext."""
     if isinstance(problem, (str, Path)):
@@ -66,7 +65,6 @@ def _resolve_context(
             coverage_backend=coverage_backend,
             executor=executor,
             max_workers=max_workers,
-            reduce=reduce,
         )
         # Keep the mmap'd view: solvers with a batched map phase (the
         # distributed family) ingest the columns without re-materialising
@@ -94,7 +92,6 @@ def _resolve_context(
             max_workers=(
                 max_workers if max_workers is not None else problem.map_workers
             ),
-            reduce=reduce if reduce is not None else problem.reduce,
         )
     if isinstance(problem, CoverageInstance):
         kind = problem_kind or problem.kind.value
@@ -112,7 +109,6 @@ def _resolve_context(
             coverage_backend=coverage_backend,
             executor=executor,
             max_workers=max_workers,
-            reduce=reduce,
         )
     if isinstance(problem, BipartiteGraph):
         if problem_kind is None:
@@ -136,7 +132,6 @@ def _resolve_context(
             coverage_backend=coverage_backend,
             executor=executor,
             max_workers=max_workers,
-            reduce=reduce,
         )
     raise SpecError(
         "problem must be a CoverageInstance, a BipartiteGraph, a ProblemSpec, "
@@ -238,7 +233,6 @@ def _distributed_report(
             "merged_threshold": dist_report.merged_threshold,
             "executor": dist_report.executor,
             "map_workers": dist_report.map_workers,
-            "reduce_mode": dist_report.reduce_mode,
             "peak_resident_sketches": dist_report.peak_resident_sketches,
             "merge_count": dist_report.merge_count,
             **extra,
@@ -263,7 +257,6 @@ def solve(
     coverage_kernel: Any | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
-    reduce: str | None = None,
     # repro-lint: disable=knob-drift -- imperative-only escape hatch for solver-specific kwargs; RunSpecs express these via SolverSpec.options
     extra: Mapping[str, Any] | None = None,
 ) -> StreamingReport:
@@ -321,14 +314,6 @@ def solve(
         cores; results are byte-identical across backends.  Defaults to the
         problem spec's ``executor`` / ``map_workers`` when solving a
         :class:`ProblemSpec`; ``None`` keeps the serial loop.
-    reduce:
-        Optional distributed reduce mode (``"barrier"`` gathers every
-        machine sketch before one flat merge; ``"streaming"`` folds sketches
-        into an incremental merge tree as map jobs complete, keeping only
-        O(log machines) resident).  Byte-identical results either way; only
-        the distributed solver family consumes it.  Defaults to the problem
-        spec's ``reduce`` when solving a :class:`ProblemSpec`; ``None``
-        keeps the solver default (streaming).
     extra:
         Free-form values recorded on the report.
 
@@ -350,7 +335,6 @@ def solve(
         coverage_backend=coverage_backend,
         executor=executor,
         max_workers=max_workers,
-        reduce=reduce,
     )
     if coverage_kernel is not None:
         ctx.preset_kernel(coverage_kernel)
@@ -468,7 +452,6 @@ def run(spec: RunSpec, problem: Problem | None = None) -> list[StreamingReport]:
                 coverage_kernel=kernel,
                 executor=spec.problem.executor,
                 max_workers=spec.problem.map_workers,
-                reduce=spec.problem.reduce,
                 extra=extra,
             )
         )
@@ -498,7 +481,6 @@ class Session:
         coverage_backend: str | None = None,
         executor: str | None = None,
         max_workers: int | None = None,
-        reduce: str | None = None,
     ) -> None:
         if isinstance(problem, ProblemSpec):
             if coverage_backend is None:
@@ -507,8 +489,6 @@ class Session:
                 executor = problem.executor
             if max_workers is None:
                 max_workers = problem.map_workers
-            if reduce is None:
-                reduce = problem.reduce
             problem = problem.build_instance()
         if isinstance(problem, (str, Path)):
             problem = open_columnar(problem)
@@ -522,7 +502,6 @@ class Session:
         self.coverage_backend = coverage_backend
         self.executor = executor
         self.max_workers = max_workers
-        self.reduce = reduce
         self._kernel_cache: Any | None = None
         self._serve_engine: Any | None = None
         self._reference = reference_value
@@ -603,7 +582,6 @@ class Session:
             coverage_kernel=self._kernel() if needs_kernel else None,
             executor=self.executor,
             max_workers=self.max_workers,
-            reduce=self.reduce,
             extra=dict(extra or {}),
         )
         self._record_row(report, label)

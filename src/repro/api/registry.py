@@ -63,9 +63,6 @@ class ProblemContext:
     executor backend; builders whose solver has an embarrassingly parallel
     phase (the distributed map phase, the ensemble's per-replica greedy)
     default to them, with explicit solver options still winning.
-
-    ``reduce`` optionally picks the distributed coordinator's reduce mode
-    (``"barrier"`` / ``"streaming"``); ``None`` keeps the solver default.
     """
 
     graph: BipartiteGraph
@@ -78,7 +75,6 @@ class ProblemContext:
     columns: Any | None = None
     executor: str | None = None
     max_workers: int | None = None
-    reduce: str | None = None
 
     @property
     def n(self) -> int:

@@ -299,8 +299,6 @@ def _kcover_distributed(ctx: ProblemContext, **options: Any) -> tuple[str, Any]:
     kwargs.setdefault("coverage_backend", ctx.coverage_backend)
     kwargs.setdefault("executor", ctx.executor)
     kwargs.setdefault("max_workers", ctx.max_workers)
-    if ctx.reduce is not None:
-        kwargs.setdefault("reduce", ctx.reduce)
     algorithm = DistributedKCover(ctx.n, ctx.m, k=ctx.k, **kwargs)
     if ctx.columns is not None:
         # Column-backed problem: the map phase shards the memory-mapped

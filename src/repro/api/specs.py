@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.coverage.kernels import kernel_backend_choices
-from repro.distributed.coordinator import REDUCE_MODES
 from repro.errors import SpecError
 from repro.parallel import executor_choices
 from repro.streaming.stream import STREAM_ORDERS
@@ -115,13 +114,6 @@ class ProblemSpec:
     ``map_workers`` alone implies ``executor="auto"`` (asking for a worker
     count is asking for parallelism; see
     :class:`repro.parallel.ParallelMapper`).
-
-    ``reduce`` optionally picks the distributed coordinator's reduce mode
-    (:data:`repro.distributed.coordinator.REDUCE_MODES`): ``"streaming"``
-    merges machine sketches pairwise as they complete (O(log machines)
-    resident at the coordinator), ``"barrier"`` gathers them all first.
-    Byte-identical outcomes; ``None`` keeps the solver's default
-    (streaming).
     """
 
     problem: str = "k_cover"
@@ -134,7 +126,6 @@ class ProblemSpec:
     coverage_backend: str | None = None
     executor: str | None = None
     map_workers: int | None = None
-    reduce: str | None = None
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEM_KINDS:
@@ -182,11 +173,6 @@ class ProblemSpec:
                     f"map_workers must be a positive integer or None, "
                     f"got {self.map_workers!r}"
                 )
-        if self.reduce is not None and self.reduce not in REDUCE_MODES:
-            raise SpecError(
-                f"unknown reduce mode {self.reduce!r}; "
-                f"expected one of {REDUCE_MODES} or None"
-            )
         object.__setattr__(
             self, "dataset_args", _check_options_dict(self.dataset_args, "dataset_args")
         )
@@ -217,7 +203,6 @@ class ProblemSpec:
             "coverage_backend": self.coverage_backend,
             "executor": self.executor,
             "map_workers": self.map_workers,
-            "reduce": self.reduce,
         }
 
     @classmethod

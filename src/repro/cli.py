@@ -50,7 +50,6 @@ from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.io import open_columnar, read_edge_list, write_columnar, write_edge_list
 from repro.coverage.kernels import kernel_backend_choices
 from repro.datasets import get_dataset, iter_datasets, list_datasets
-from repro.distributed.coordinator import REDUCE_MODES
 from repro.distributed.partition import PARTITION_STRATEGIES
 from repro.lint import (
     iter_rule_metas,
@@ -174,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "round-2 greedy on the merged sketch")
     distributed.add_argument("--executor", choices=executor_choices(), default=None,
                              help="executor backend for the map phase: 'process' "
-                                  "runs the workers on real cores ('row_range' "
-                                  "over a columnar --edges directory ships only "
-                                  "path + row bounds to each child); 'auto' "
+                                  "runs the workers on real cores (a columnar "
+                                  "--edges directory ships only path + routing "
+                                  "parameters to each child); 'auto' "
                                   "picks process when more than one CPU is "
                                   "usable; default keeps the serial loop "
                                   "(results are byte-identical either way)")
@@ -185,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: the usable CPU count); given "
                                   "without --executor it implies "
                                   "--executor auto")
-    distributed.add_argument("--reduce", choices=REDUCE_MODES, default=None,
-                             help="reduce mode: 'streaming' folds machine "
-                                  "sketches into an incremental merge tree as "
-                                  "map jobs complete (O(log machines) resident "
-                                  "sketches); 'barrier' gathers all sketches "
-                                  "before one flat merge; results are "
-                                  "byte-identical (default: streaming)")
 
     serve = sub.add_parser(
         "serve", help="cached-sketch serving: one build, a concurrent query load"
@@ -423,7 +415,7 @@ def _cmd_distributed(args: argparse.Namespace, out) -> int:
     report = solve(
         problem, "kcover/distributed", problem_kind="k_cover", k=args.k,
         seed=args.seed, coverage_backend=args.coverage_backend,
-        executor=args.executor, max_workers=args.workers, reduce=args.reduce,
+        executor=args.executor, max_workers=args.workers,
         options={"epsilon": args.epsilon, "scale": args.scale,
                  "num_machines": args.machines, "strategy": args.strategy},
     )
@@ -432,7 +424,6 @@ def _cmd_distributed(args: argparse.Namespace, out) -> int:
     table.add_row(quantity="strategy", value=report.extra["strategy"])
     table.add_row(quantity="executor", value=report.extra["executor"])
     table.add_row(quantity="map_workers", value=report.extra["map_workers"])
-    table.add_row(quantity="reduce_mode", value=report.extra["reduce_mode"])
     table.add_row(quantity="peak_resident_sketches",
                   value=report.extra["peak_resident_sketches"])
     table.add_row(quantity="merge_count", value=report.extra["merge_count"])

@@ -8,18 +8,20 @@ per-machine space and communication both bounded by the sketch size.
 
 The pipeline is batched end to end: :class:`EdgePartitioner` shards whole
 columnar event batches in one vectorised assignment, workers ingest batches
-through the sketch builder's native path, and the coordinator's merge is one
-lexsort admission pass over the stacked shard columns — run either as one
-barrier merge or as a streaming binary merge tree that folds sketches in as
-they complete (:class:`StreamingMergeTree`, O(log machines) resident,
-byte-identical).  :meth:`DistributedKCover.run_from_columnar` ships zero
-edge bytes for every partition strategy: workers re-open the memory-mapped
-columnar directory themselves, via row bounds (:class:`ColumnarSliceJob`)
-or deterministic local re-routing (:class:`ShardRecomputeJob`).
+through the sketch builder's native path, and every entry point of
+:class:`DistributedKCover` ends in the same map/reduce: one job per machine
+handed to the :mod:`repro.parallel` mapper, each sketch folded into a
+streaming binary merge tree as it completes (:class:`StreamingMergeTree`,
+O(log machines) resident, byte-identical to the one-shot
+:func:`merge_machine_sketches`).  In-memory input is routed once into
+:class:`MachineShardJob` columns; :meth:`DistributedKCover.run_from_columnar`
+ships zero edge bytes for every partition strategy: each
+:class:`ShardRecomputeJob` carries path plus routing parameters, and its
+worker re-opens the memory-mapped columnar directory and reads only its own
+rows.
 """
 
 from repro.distributed.coordinator import (
-    REDUCE_MODES,
     DistributedKCover,
     DistributedRunReport,
     StreamingMergeTree,
@@ -34,7 +36,6 @@ from repro.distributed.partition import (
 )
 from repro.distributed.worker import (
     DEFAULT_MAP_BATCH,
-    ColumnarSliceJob,
     MachineShardJob,
     MachineSketch,
     ShardRecomputeJob,
@@ -44,7 +45,6 @@ from repro.distributed.worker import (
 )
 
 __all__ = [
-    "REDUCE_MODES",
     "DistributedKCover",
     "DistributedRunReport",
     "StreamingMergeTree",
@@ -57,7 +57,6 @@ __all__ = [
     "DEFAULT_MAP_BATCH",
     "MachineSketch",
     "MachineShardJob",
-    "ColumnarSliceJob",
     "ShardRecomputeJob",
     "execute_map_job",
     "build_all_machine_sketches",

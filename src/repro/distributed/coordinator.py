@@ -20,38 +20,38 @@ distributed k-cover: round 1 — machines sketch their shards; round 2 — the
 coordinator merges and runs the offline greedy (optionally on a packed
 coverage kernel, see ``coverage_backend``).
 
-Reduce modes
+One pipeline
 ------------
-The merge operator is associative and commutative (the admission pass
-depends only on the multiset of surviving ``(set, element, rank)`` rows, not
-on how they were grouped), so the reduce does not have to be a barrier.
-:class:`StreamingMergeTree` merges machine sketches pairwise **as they
-arrive** from :meth:`~repro.parallel.ParallelMapper.map_unordered` — a
-binary-counter tree that keeps at most ``O(log num_machines)`` sketches
-resident for *any* arrival order and produces the byte-identical final
-sketch the one-shot barrier merge produces (property-tested across
-executors, worker counts and adversarial arrival orders).  The ``reduce``
-knob selects the mode; ``streaming`` is the default.
+Every entry point of :class:`DistributedKCover` builds one list of picklable
+map jobs (:mod:`repro.distributed.worker`), hands it to
+:meth:`~repro.parallel.ParallelMapper.map_unordered` and folds each machine
+sketch into a :class:`StreamingMergeTree` **as it arrives**; the serial
+backend runs the same jobs in-process.  The merge operator is associative
+and commutative (the admission pass depends only on the multiset of
+surviving ``(set, element, rank)`` rows, not on how they were grouped), so
+the binary-counter tree keeps at most ``O(log num_machines)`` sketches
+resident for *any* arrival order and produces the byte-identical sketch the
+one-shot :func:`merge_machine_sketches` produces (property-tested across
+executors, worker counts and adversarial arrival orders).
 
-The whole pipeline is columnar: sharding decides whole
-:class:`~repro.streaming.batches.EventBatch` columns at a time
-(:class:`~repro.distributed.partition.EdgePartitioner`), workers ingest
-batches through the sketch builder's vectorised path, and the merge itself
-stacks the shard sketches' edge columns and runs one lexsort admission pass.
+The whole pipeline is columnar: in-memory input is routed once by
+:meth:`~repro.distributed.partition.EdgePartitioner.split` into one
+:class:`~repro.distributed.worker.MachineShardJob` per machine, workers
+ingest batches through the sketch builder's vectorised path, and each merge
+stacks two sketches' edge columns and runs one lexsort admission pass.
 :meth:`DistributedKCover.run_from_columnar` closes the loop for on-disk
-inputs: with a parallel executor **every** partition strategy ships only a
-job description — ``row_range`` slices carry path + row bounds
-(:class:`~repro.distributed.worker.ColumnarSliceJob`), every other strategy
-carries path + routing parameters and recomputes its shard locally
-(:class:`~repro.distributed.worker.ShardRecomputeJob`) — so the coordinator
-never materialises a single per-edge Python tuple and no edge bytes cross a
-process boundary.
+inputs: every machine gets a
+:class:`~repro.distributed.worker.ShardRecomputeJob` carrying only the path
+and the routing parameters, whose worker re-opens the memory-mapped columns
+and sketches its own rows — so the coordinator never materialises a single
+per-edge Python tuple and no edge bytes cross a process boundary, for every
+partition strategy and executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,11 +60,9 @@ from repro.coverage.bipartite import BipartiteGraph
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.streaming_sketch import StreamingSketchBuilder
-from repro.distributed.partition import EdgePartitioner, row_range_bounds
+from repro.distributed.partition import EdgePartitioner
 from repro.distributed.worker import (
     DEFAULT_MAP_BATCH,
-    ColumnarSliceJob,
     MachineShardJob,
     MachineSketch,
     MapJob,
@@ -78,17 +76,11 @@ from repro.streaming.stream import EdgeStream
 from repro.utils.validation import check_positive_int
 
 __all__ = [
-    "REDUCE_MODES",
     "merge_machine_sketches",
     "StreamingMergeTree",
     "DistributedRunReport",
     "DistributedKCover",
 ]
-
-#: How the coordinator gathers machine sketches: ``barrier`` holds all of
-#: them and merges once; ``streaming`` merges pairwise as they arrive,
-#: keeping O(log machines) resident.  Both produce byte-identical runs.
-REDUCE_MODES = ("barrier", "streaming")
 
 #: Reduce telemetry (process-global; the per-run truth stays in the report).
 #: Created once at import so :func:`repro.obs.MetricsRegistry.reset` between
@@ -158,7 +150,7 @@ def _merge_sketches(
     cap an element's owners to the smallest ``degree_cap`` set ids —
     smallest-of-union selection, which is associative.  Hash ties between
     distinct elements (probability ~2^-64) are the only caveat, the same
-    caveat the barrier merge already carries.
+    caveat the one-shot merge carries.
     """
     hash_fn = UniformHash(hash_seed)
     global_threshold = min(sketch.threshold for sketch in sketches)
@@ -238,7 +230,7 @@ class _MergeNode:
     degrees, so its own ``truncated_elements`` under-reports whenever the
     true union degree exceeded the cap at a lower level.  The propagation
     rule ``computed ∪ ((left ∪ right) ∩ admitted)`` restores exactly the
-    flat set (leaves carry nothing — the barrier merge ignores the machines'
+    flat set (leaves carry nothing — the one-shot merge ignores the machines'
     own shard-level flags the same way).
     """
 
@@ -257,8 +249,8 @@ class StreamingMergeTree:
     degrade to ``M/2`` resident under an adversarial order.  Because the
     merge operator is associative and commutative (see
     :func:`_merge_sketches`), the final sketch is byte-identical to the
-    one-shot barrier merge for every arrival order, even though the
-    intermediate groupings differ.
+    one-shot :func:`merge_machine_sketches` for every arrival order, even
+    though the intermediate groupings differ.
 
     ``peak_resident`` and ``merge_count`` feed the run report;
     :meth:`result` drains the remaining subtrees (total pairwise merges:
@@ -275,7 +267,7 @@ class StreamingMergeTree:
         #: Sketches currently held (slots plus the one being sifted in).
         self.resident = 0
         #: High-water mark of ``resident`` — the memory model the report and
-        #: the benchmark gate: O(log M) vs the barrier's M.
+        #: the benchmark gate: O(log M), never all M.
         self.peak_resident = 0
 
     def add(self, machine_sketch: MachineSketch) -> None:
@@ -324,7 +316,7 @@ class StreamingMergeTree:
         for other in nodes[1:]:
             node = self._merge_pair(node, other)
         if self.merge_count == 0:
-            # A single machine never pairs up, but the barrier merge still
+            # A single machine never pairs up, but the one-shot merge still
             # runs one admission pass over that lone sketch — match it.
             with obs.span("reduce.merge", machines=1):
                 merged = _merge_sketches(
@@ -353,13 +345,11 @@ class DistributedRunReport:
     coverage_backend: str | None = None
     executor: str = "serial"
     map_workers: int = 1
-    #: Which reduce gathered the machine sketches (see :data:`REDUCE_MODES`).
-    reduce_mode: str = "barrier"
-    #: Most machine sketches the coordinator held at once: ``num_machines``
-    #: for the barrier, O(log num_machines) for the streaming tree.
+    #: Most machine sketches the merge tree held at once
+    #: (at most ``floor(log2(num_machines)) + 2``).
     peak_resident_sketches: int = 0
-    #: Merge passes the reduce ran: 1 for the barrier, ``num_machines - 1``
-    #: pairwise passes for the streaming tree.
+    #: Merge passes the reduce ran: ``num_machines - 1`` pairwise passes
+    #: (one admission pass for a single machine).
     merge_count: int = 0
 
     @property
@@ -405,7 +395,6 @@ class DistributedRunReport:
             "coverage_backend": self.coverage_backend or "-",
             "executor": self.executor,
             "map_workers": self.map_workers,
-            "reduce_mode": self.reduce_mode,
             "peak_resident_sketches": self.peak_resident_sketches,
             "merge_count": self.merge_count,
         }
@@ -436,17 +425,12 @@ class DistributedKCover:
         Executor backend for the map phase (``"serial"``, ``"thread"``,
         ``"process"``, ``"auto"``, an
         :class:`~repro.parallel.ExecutorBackend` or a prebuilt
-        :class:`~repro.parallel.ParallelMapper`); ``None`` keeps the serial
-        loop.  Every backend produces byte-identical runs (property-tested).
+        :class:`~repro.parallel.ParallelMapper`); ``None`` runs the map jobs
+        in-process.  Every backend produces byte-identical runs
+        (property-tested).
     max_workers:
         Pool-size cap for the parallel executors (defaults to the usable
         CPU count).
-    reduce:
-        Reduce mode (see :data:`REDUCE_MODES`).  ``"streaming"`` (default)
-        merges machine sketches pairwise as they complete — overlapping the
-        reduce with the slowest mappers and holding O(log num_machines)
-        sketches instead of all of them — ``"barrier"`` gathers every sketch
-        first and merges once.  Byte-identical outcomes either way.
     """
 
     def __init__(
@@ -466,17 +450,12 @@ class DistributedKCover:
         batch_size: int = DEFAULT_MAP_BATCH,
         executor: str | ExecutorBackend | ParallelMapper | None = None,
         max_workers: int | None = None,
-        reduce: str = "streaming",
     ) -> None:
         from repro.core.kcover import default_kcover_params
 
         check_positive_int(num_machines, "num_machines")
         check_positive_int(k, "k")
         check_positive_int(batch_size, "batch_size")
-        if reduce not in REDUCE_MODES:
-            raise ValueError(
-                f"unknown reduce mode {reduce!r}; expected one of {REDUCE_MODES}"
-            )
         self.num_sets = num_sets
         self.num_elements = num_elements
         self.k = k
@@ -486,21 +465,20 @@ class DistributedKCover:
         self.seed = seed
         self.coverage_backend = coverage_backend
         self.batch_size = batch_size
-        self.reduce = reduce
         self.mapper = as_mapper(executor, max_workers)
         self.params = params or default_kcover_params(
             num_sets, num_elements, k, epsilon, mode=mode, scale=scale
         )
 
     # ------------------------------------------------------------------ #
-    # entry points
+    # entry points: each builds one job per machine
     # ------------------------------------------------------------------ #
     def run(self, edges: Iterable[tuple[int, int]]) -> DistributedRunReport:
         """Execute the two distributed rounds on an in-memory edge set.
 
-        The edges are packed into one columnar batch up front; sharding and
-        the map phase then run entirely on the batched engine (identical
-        results to per-edge sharding plus scalar workers, property-tested).
+        The edges are packed into one columnar batch up front and routed by
+        :meth:`run_batched` (identical results to per-edge sharding plus
+        scalar workers, property-tested).
         """
         batch = edges if isinstance(edges, EventBatch) else EventBatch.from_edges(edges)
         return self.run_batched([batch], total_edges=len(batch))
@@ -511,24 +489,17 @@ class DistributedKCover:
         *,
         total_edges: int | None = None,
     ) -> DistributedRunReport:
-        """Map a stream of edge batches across the machines and reduce.
+        """Route a stream of edge batches across the machines, map and reduce.
 
-        Each batch is routed in one vectorised assignment, each machine's
-        sub-batch goes through its sketch builder's native ``process_batch``,
-        and no per-edge Python objects are created anywhere.  ``total_edges``
-        is only needed by the ``row_range`` strategy.
-
-        With a parallel executor the sub-batches are first collected per
-        machine and then fanned out as one
-        :class:`~repro.distributed.worker.MachineShardJob` per machine —
-        batch boundaries do not change a builder's final state (property-
-        tested), so the collected feed is byte-identical to the serial
-        incremental one.  Collection holds the whole pass's columns in
-        coordinator memory (and the process backend additionally pickles
-        each shard to its child), where the serial loop holds one batch at
-        a time — the parallel win costs ``O(total_edges)`` resident.  For
-        on-disk workloads prefer :meth:`run_from_columnar`, whose jobs ship
-        no edge data for any strategy.
+        Each batch is routed in one vectorised assignment and the
+        sub-batches are collected per machine into one
+        :class:`~repro.distributed.worker.MachineShardJob` each — batch
+        boundaries do not change a builder's final state (property-tested),
+        and no per-edge Python objects are created anywhere.  Collection
+        holds the pass's columns in coordinator memory (and the process
+        backend pickles each shard to its child); for on-disk workloads
+        prefer :meth:`run_from_columnar`, whose jobs ship no edge data.
+        ``total_edges`` is only needed by the ``row_range`` strategy.
         """
         partitioner = EdgePartitioner(
             self.num_machines,
@@ -536,238 +507,94 @@ class DistributedKCover:
             seed=self.seed,
             total_edges=total_edges,
         )
-        if not self.mapper.is_serial:
-            return self._run_batched_parallel(batches, partitioner)
-        builders = [
-            StreamingSketchBuilder(self.params, hash_fn=UniformHash(self.seed))
-            for _ in range(self.num_machines)
-        ]
-        shard_edges = [0] * self.num_machines
+        shards: list[list[EventBatch]] = [[] for _ in range(self.num_machines)]
         for batch in batches:
             for machine, sub in enumerate(partitioner.split(batch)):
                 if len(sub):
-                    builders[machine].process_batch(sub)
-                    shard_edges[machine] += len(sub)
-        return self._reduce(self._drain_builders(builders), shard_edges)
-
-    @staticmethod
-    def _drain_builders(
-        builders: Sequence[StreamingSketchBuilder],
-    ) -> Iterator[MachineSketch]:
-        """Finalise the serial builders one at a time (lazily, in machine order).
-
-        Yielding lazily lets the streaming reduce fold machine ``i``'s
-        sketch into the merge tree before machine ``i+1``'s is even built,
-        so the serial path gets the same O(log M) resident-sketch bound as
-        the parallel one.
-        """
-        for machine_id, builder in enumerate(builders):
-            with obs.span("map.machine", machine=machine_id):
-                sketch = builder.sketch()
-            yield MachineSketch(
+                    shards[machine].append(sub)
+        jobs = [
+            MachineShardJob(
                 machine_id=machine_id,
-                sketch=sketch,
-                edges_processed=builder.edges_seen,
-                edges_stored=sketch.num_edges,
+                set_ids=_concat([sub.set_ids for sub in parts]),
+                elements=_concat([sub.elements for sub in parts]),
+                params=self.params,
+                hash_seed=self.seed,
+                batch_size=self.batch_size,
             )
-
-    def _run_batched_parallel(
-        self, batches: Iterable[EventBatch], partitioner: EdgePartitioner
-    ) -> DistributedRunReport:
-        """Route every batch, then fan the collected shards over the executor."""
-        chunks: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(self.num_machines)
+            for machine_id, parts in enumerate(shards)
         ]
-        for batch in batches:
-            for machine, sub in enumerate(partitioner.split(batch)):
-                if len(sub):
-                    chunks[machine].append((sub.set_ids, sub.elements))
-        jobs = []
-        for machine_id, parts in enumerate(chunks):
-            if parts:
-                set_ids = np.concatenate([p[0] for p in parts])
-                elements = np.concatenate([p[1] for p in parts])
-            else:
-                set_ids = np.empty(0, dtype=np.uint64)
-                elements = np.empty(0, dtype=np.uint64)
-            jobs.append(
-                MachineShardJob(
-                    machine_id=machine_id,
-                    set_ids=set_ids,
-                    elements=elements,
-                    params=self.params,
-                    hash_seed=self.seed,
-                    batch_size=self.batch_size,
-                    num_sets=self.params.num_sets,
-                )
-            )
-        shard_edges = [len(job.set_ids) for job in jobs]
-        return self._map_reduce(jobs, shard_edges)
+        return self._map_reduce(jobs)
 
     def run_from_columnar(self, source) -> DistributedRunReport:
         """Execute the rounds straight off a columnar directory (or view).
 
         ``source`` is a path written by
         :func:`repro.coverage.io.write_columnar` or an already-open
-        :class:`repro.coverage.io.ColumnarEdges`.  The coordinator touches
-        no edge data at all: with the ``row_range`` strategy each worker
-        streams its own contiguous row slice of the memory-mapped columns,
-        and under a parallel executor every *other* strategy ships a
+        :class:`repro.coverage.io.ColumnarEdges`.  Every machine gets one
         :class:`~repro.distributed.worker.ShardRecomputeJob` — path plus
-        routing parameters — whose worker re-opens the directory, re-runs
-        the deterministic partitioner locally and keeps only its own rows.
-        Either way **zero edge bytes** are pickled to workers for every
-        strategy.  Results are byte-identical to :meth:`run` on the same
-        edges in file order (property-tested per strategy).
+        routing parameters — whose worker re-opens the memory-mapped
+        directory and sketches only its own rows: a ``row_range`` job maps
+        its contiguous slice, every other strategy re-runs the
+        deterministic partitioner locally.  **Zero edge bytes** are pickled
+        for every strategy and executor; the serial backend runs the same
+        jobs in-process (one scan of the file per machine).  Results are
+        byte-identical to :meth:`run` on the same edges in file order
+        (property-tested per strategy).
 
-        A serial mapper routes non-``row_range`` strategies through
-        :meth:`run_batched` instead — one scan of the file feeding all the
-        builders beats ``num_machines`` redundant scans when there is no
-        parallelism to hide them — and an in-memory-only view (no backing
-        path) has nothing for a child to re-open, so it takes the same
-        routed path.
+        An in-memory-only view (no backing path) has nothing for a worker
+        to re-open, so it is routed by :meth:`run_batched` instead.
         """
         from repro.coverage.io import ColumnarEdges, open_columnar
 
         columns = source if isinstance(source, ColumnarEdges) else open_columnar(source)
-        if self.strategy != "row_range":
-            if self.mapper.is_serial or columns.path is None:
-                stream = EdgeStream.from_columnar(columns, order="given")
-                return self.run_batched(
-                    stream.iter_batches(self.batch_size), total_edges=stream.num_events
-                )
-            jobs: list[MapJob] = [
-                ShardRecomputeJob(
-                    machine_id=i,
-                    path=str(columns.path),
-                    strategy=self.strategy,
-                    seed=self.seed,
-                    num_machines=self.num_machines,
-                    params=self.params,
-                    hash_seed=self.seed,
-                    batch_size=self.batch_size,
-                )
-                for i in range(self.num_machines)
-            ]
-            # Shard sizes are discovered by the workers themselves (each
-            # job's edges_processed is its shard's row count).
-            return self._map_reduce(jobs, shard_edges=None)
-        bounds = row_range_bounds(columns.num_edges, self.num_machines)
-        ship_paths = (
-            self.mapper.backend.requires_pickling and columns.path is not None
-        )
-        slice_jobs: list[MapJob] = []
-        for i in range(self.num_machines):
-            if ship_paths:
-                slice_jobs.append(
-                    ColumnarSliceJob(
-                        machine_id=i,
-                        path=str(columns.path),
-                        row_start=int(bounds[i]),
-                        row_stop=int(bounds[i + 1]),
-                        params=self.params,
-                        hash_seed=self.seed,
-                        batch_size=self.batch_size,
-                    )
-                )
-            else:
-                slice_jobs.append(
-                    MachineShardJob(
-                        machine_id=i,
-                        set_ids=columns.set_ids[bounds[i] : bounds[i + 1]],
-                        elements=columns.elements[bounds[i] : bounds[i + 1]],
-                        params=self.params,
-                        hash_seed=self.seed,
-                        batch_size=self.batch_size,
-                        num_sets=max(1, columns.num_sets),
-                        num_elements_hint=columns.num_elements,
-                    )
-                )
-        shard_edges = [int(bounds[i + 1] - bounds[i]) for i in range(self.num_machines)]
-        return self._map_reduce(slice_jobs, shard_edges)
+        if columns.path is None:
+            stream = EdgeStream.from_columnar(columns, order="given")
+            return self.run_batched(
+                stream.iter_batches(self.batch_size), total_edges=stream.num_events
+            )
+        jobs = [
+            ShardRecomputeJob(
+                machine_id=machine_id,
+                path=str(columns.path),
+                strategy=self.strategy,
+                seed=self.seed,
+                num_machines=self.num_machines,
+                params=self.params,
+                hash_seed=self.seed,
+                batch_size=self.batch_size,
+            )
+            for machine_id in range(self.num_machines)
+        ]
+        return self._map_reduce(jobs)
 
     # ------------------------------------------------------------------ #
-    # round 1: map (executor fan-out)
+    # round 1 (map) feeding round 2 (streaming reduce), then the greedy
     # ------------------------------------------------------------------ #
-    def _map_reduce(
-        self, jobs: Sequence[MapJob], shard_edges: list[int] | None
-    ) -> DistributedRunReport:
-        """Fan the map jobs over the executor and reduce in the configured mode.
+    def _map_reduce(self, jobs: Sequence[MapJob]) -> DistributedRunReport:
+        """Fan the map jobs over the executor, fold each sketch in, solve.
 
-        One :meth:`~repro.parallel.ParallelMapper.pool_scope` wraps the whole
-        run, so the map fan-out and a streaming reduce's as-completed gather
-        share a single pool instead of paying worker start-up per call.  In
-        ``streaming`` mode sketches flow straight from
-        :meth:`~repro.parallel.ParallelMapper.map_unordered` into the merge
-        tree — the reduce overlaps the slowest mappers; in ``barrier`` mode
-        the ordered gather lands first and one flat merge follows.
-        """
-        with self.mapper.pool_scope():
-            if self.reduce == "streaming":
-                arrivals = (
-                    sketch
-                    for _, sketch in self.mapper.map_unordered(execute_map_job, jobs)
-                )
-                return self._reduce(arrivals, shard_edges)
-            return self._reduce(self._map_jobs(jobs), shard_edges)
-
-    def _map_jobs(self, jobs: Sequence[MapJob]) -> list[MachineSketch]:
-        """Fan the map jobs over the executor; gather in machine-id order.
-
-        The mapper already returns results in input order; the explicit sort
-        re-asserts the invariant the barrier merge's report depends on.
-        After the call, ``self.mapper.last_execution`` says what actually
-        ran (the sandbox fallback degrades to serial), and the report
-        records that truth.
-        """
-        machine_sketches = self.mapper.map(execute_map_job, jobs)
-        machine_sketches.sort(key=lambda ms: ms.machine_id)
-        return machine_sketches
-
-    # ------------------------------------------------------------------ #
-    # round 2: reduce
-    # ------------------------------------------------------------------ #
-    def _reduce(
-        self,
-        machine_sketches: Iterable[MachineSketch],
-        shard_edges: list[int] | None,
-    ) -> DistributedRunReport:
-        """Merge the machine sketches (barrier or streaming) and solve.
-
-        ``machine_sketches`` may arrive in any order — the streaming tree is
-        order-independent and the per-machine stats are keyed by machine id.
-        ``shard_edges=None`` means the callers didn't route the shards
-        themselves (shard-recompute jobs); each machine's ``edges_processed``
-        is then its shard size.  ``self.mapper.last_execution`` is read
-        *after* the sketches are drained, so it reflects what the map phase
+        One :meth:`~repro.parallel.ParallelMapper.pool_scope` wraps the
+        gather, so the whole map phase shares a single pool.  Sketches flow
+        from :meth:`~repro.parallel.ParallelMapper.map_unordered` straight
+        into the :class:`StreamingMergeTree` as they complete — the reduce
+        overlaps the slowest mappers and holds O(log num_machines) sketches.
+        Each machine's ``edges_processed`` is its shard size (the jobs feed
+        every routed edge to the builder).  ``self.mapper.last_execution``
+        is read after the gather, so the report records what the map phase
         actually ran on (including the sandbox fallback).
         """
-        stats: dict[int, tuple[int, int]] = {}
-        if self.reduce == "streaming":
-            tree = StreamingMergeTree(self.params, hash_seed=self.seed)
-            for ms in machine_sketches:
-                stats[ms.machine_id] = (ms.edges_processed, ms.edges_stored)
-                tree.add(ms)
-            merged = tree.result()
-            peak_resident, merge_count = tree.peak_resident, tree.merge_count
-        else:
-            gathered = sorted(machine_sketches, key=lambda ms: ms.machine_id)
-            stats = {
-                ms.machine_id: (ms.edges_processed, ms.edges_stored)
-                for ms in gathered
-            }
-            _RESIDENT.set(len(gathered))
-            with obs.span("reduce.merge", machines=len(gathered)):
-                merged = merge_machine_sketches(
-                    gathered, self.params, hash_seed=self.seed
+        tree = StreamingMergeTree(self.params, hash_seed=self.seed)
+        loads: dict[int, tuple[int, int]] = {}
+        with self.mapper.pool_scope():
+            for _, machine in self.mapper.map_unordered(execute_map_job, jobs):
+                loads[machine.machine_id] = (
+                    machine.edges_processed,
+                    machine.edges_stored,
                 )
-            _MERGES.inc()
-            _RESIDENT.set(1)
-            peak_resident, merge_count = len(gathered), 1
-        machine_ids = sorted(stats)
-        machine_stored_edges = [stats[i][1] for i in machine_ids]
-        if shard_edges is None:
-            shard_edges = [stats[i][0] for i in machine_ids]
+                tree.add(machine)
+        merged = tree.result()
+        machine_ids = sorted(loads)
+        machine_stored_edges = [loads[i][1] for i in machine_ids]
         execution = self.mapper.last_execution
 
         from repro.coverage.bitset import kernel_for
@@ -781,7 +608,7 @@ class DistributedKCover:
             num_machines=self.num_machines,
             strategy=self.strategy,
             rounds=2,
-            shard_edges=shard_edges,
+            shard_edges=[loads[i][0] for i in machine_ids],
             machine_stored_edges=machine_stored_edges,
             coordinator_edges=merged.num_edges,
             communication_edges=sum(machine_stored_edges),
@@ -789,7 +616,13 @@ class DistributedKCover:
             coverage_backend=kernel.backend.name if kernel is not None else None,
             executor=execution[0],
             map_workers=execution[1],
-            reduce_mode=self.reduce,
-            peak_resident_sketches=peak_resident,
-            merge_count=merge_count,
+            peak_resident_sketches=tree.peak_resident,
+            merge_count=tree.merge_count,
         )
+
+
+def _concat(columns: list[np.ndarray]) -> np.ndarray:
+    """One machine's routed column pieces as a single ``uint64`` column."""
+    if not columns:
+        return np.empty(0, dtype=np.uint64)
+    return np.concatenate(columns)

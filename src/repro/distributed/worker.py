@@ -19,30 +19,31 @@ A shard can be fed to a worker in any of three shapes:
 
 Job protocol
 ------------
-For the :mod:`repro.parallel` executor runtime the map phase is additionally
-expressed as picklable *jobs*: small frozen dataclasses describing one
-machine's work, executed by the top-level :func:`execute_map_job` (top-level
-so :class:`~concurrent.futures.ProcessPoolExecutor` can pickle it by
-reference).  A :class:`ColumnarSliceJob` carries only a columnar directory
-path, the machine's row bounds and the sketch parameters — the child process
-re-opens (memory-maps) the directory itself and maps its own slice, so **no
-edge data ever crosses the process boundary**.  A :class:`ShardRecomputeJob`
-extends the same zero-ship idea to every *non-contiguous* partition
-strategy: shard assignment is deterministic (see
-:mod:`repro.distributed.partition`), so the job carries only ``(path,
-strategy, seed, machine_id, params)`` — the child re-opens the columnar
-directory, re-runs the partitioner's routing locally, keeps its own
-machine's rows and sketches them.  A :class:`MachineShardJob` carries the
-shard's edge columns directly, for shards that only exist in memory
-(thread/serial backends read them zero-copy; the process backend pickles
-them, which is correct but pays the transfer).
+For the :mod:`repro.parallel` executor runtime the map phase is expressed as
+picklable *jobs*: small frozen dataclasses describing one machine's work,
+executed by the top-level :func:`execute_map_job` (top-level so
+:class:`~concurrent.futures.ProcessPoolExecutor` can pickle it by
+reference).  There are two job types, one per kind of input:
+
+* :class:`ShardRecomputeJob` describes a shard of an on-disk columnar
+  directory by ``(path, strategy, seed, num_machines, machine_id, params)``
+  alone.  Shard assignment is deterministic (see
+  :mod:`repro.distributed.partition`), so the executing worker re-opens
+  (memory-maps) the directory itself: a ``row_range`` job maps only its own
+  contiguous row slice, every other strategy re-runs the partitioner's
+  routing locally and keeps its own machine's rows.  **No edge data ever
+  crosses the process boundary**, for every strategy.
+* :class:`MachineShardJob` carries the shard's edge columns directly, for
+  shards that only exist in memory (thread/serial backends read them
+  zero-copy; the process backend pickles them, which is correct but pays
+  the transfer).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,14 +60,14 @@ __all__ = [
     "DEFAULT_MAP_BATCH",
     "MachineSketch",
     "MachineShardJob",
-    "ColumnarSliceJob",
     "ShardRecomputeJob",
     "execute_map_job",
     "build_machine_sketch",
     "build_all_machine_sketches",
 ]
 
-#: Batch size used when a worker drains an :class:`EdgeStream` shard.  Large
+#: Batch size a worker feeds its sketch builder (map jobs and
+#: :class:`EdgeStream` shards alike).  Large
 #: enough to amortise the per-batch numpy overhead, small enough that one
 #: batch of two uint64 columns stays cache-friendly.
 DEFAULT_MAP_BATCH = 65_536
@@ -174,7 +175,7 @@ class MachineShardJob:
 
     ``set_ids`` / ``elements`` are the shard's parallel ``uint64`` columns in
     arrival order.  Serial and thread backends read them zero-copy; the
-    process backend pickles them (prefer :class:`ColumnarSliceJob` when the
+    process backend pickles them (prefer :class:`ShardRecomputeJob` when the
     shard lives in a columnar directory).
     """
 
@@ -184,65 +185,12 @@ class MachineShardJob:
     params: SketchParams
     hash_seed: int = 0
     batch_size: int = DEFAULT_MAP_BATCH
-    num_sets: int = 1
-    num_elements_hint: int | None = None
 
     def run(self) -> MachineSketch:
         """Map this shard into its machine sketch."""
-        stream = EdgeStream(
-            columns=(self.set_ids, self.elements),
-            num_sets=max(1, self.num_sets),
-            num_elements_hint=self.num_elements_hint,
-            order="given",
-        )
         return build_machine_sketch(
             self.machine_id,
-            stream,
-            self.params,
-            hash_seed=self.hash_seed,
-            batch_size=self.batch_size,
-        )
-
-
-@dataclass(frozen=True)
-class ColumnarSliceJob:
-    """One machine's contiguous row slice of an on-disk columnar directory.
-
-    Only the path, the row bounds and the sketch parameters are pickled; the
-    executing process re-opens (memory-maps) the directory itself and maps
-    its own slice, so a process-backend map phase ships **zero edge data**.
-    """
-
-    machine_id: int
-    path: str
-    row_start: int
-    row_stop: int
-    params: SketchParams
-    hash_seed: int = 0
-    batch_size: int = DEFAULT_MAP_BATCH
-
-    def run(self) -> MachineSketch:
-        """Re-open the columnar directory and map this job's row slice."""
-        from repro.coverage.io import open_columnar
-
-        columns = open_columnar(Path(self.path))
-        if not 0 <= self.row_start <= self.row_stop <= columns.num_edges:
-            raise ValueError(
-                f"row slice [{self.row_start}, {self.row_stop}) is out of bounds "
-                f"for {columns.num_edges} edges in {self.path}"
-            )
-        stream = EdgeStream(
-            columns=(
-                columns.set_ids[self.row_start : self.row_stop],
-                columns.elements[self.row_start : self.row_stop],
-            ),
-            num_sets=max(1, columns.num_sets),
-            num_elements_hint=columns.num_elements,
-            order="given",
-        )
-        return build_machine_sketch(
-            self.machine_id,
-            stream,
+            _column_batches(self.set_ids, self.elements, self.batch_size),
             self.params,
             hash_seed=self.hash_seed,
             batch_size=self.batch_size,
@@ -257,12 +205,13 @@ class ShardRecomputeJob:
     pure function of ``(strategy, seed, num_machines)`` over the columns in
     file order — batch-boundary-invariant by contract
     (:class:`~repro.distributed.partition.EdgePartitioner`, property-tested)
-    — so the executing worker re-opens (memory-maps) the directory, re-runs
-    the routing locally and keeps only the rows assigned to
-    ``machine_id``.  Every partition strategy therefore ships **zero edge
-    bytes**, not just ``row_range``; the redundant routing work is the
-    classic recompute-over-communicate trade and is itself vectorised.
-    The resulting sketch is byte-identical to the shipped-columns path
+    — so the executing worker re-opens (memory-maps) the directory and
+    sketches only the rows assigned to ``machine_id``.  A ``row_range`` job
+    maps just its own :func:`~repro.distributed.partition.row_range_bounds`
+    slice; every other strategy re-runs the routing locally over the whole
+    file, the classic recompute-over-communicate trade, itself vectorised.
+    Every partition strategy therefore ships **zero edge bytes**, and the
+    resulting sketch is byte-identical to the shipped-columns path
     (property-tested per strategy).
     """
 
@@ -276,37 +225,58 @@ class ShardRecomputeJob:
     batch_size: int = DEFAULT_MAP_BATCH
 
     def run(self) -> MachineSketch:
-        """Re-open the columnar directory, route it, sketch this machine's rows."""
+        """Re-open the columnar directory and sketch this machine's rows."""
         from repro.coverage.io import open_columnar
-        from repro.distributed.partition import EdgePartitioner
 
         columns = open_columnar(Path(self.path))
+        return build_machine_sketch(
+            self.machine_id,
+            self._own_batches(columns),
+            self.params,
+            hash_seed=self.hash_seed,
+            batch_size=self.batch_size,
+        )
+
+    def _own_batches(self, columns) -> Iterator[EventBatch]:
+        """This machine's rows of the mapped columns, as batches in file order.
+
+        A ``row_range`` shard is one contiguous slice, so only that slice is
+        read; every other strategy routes the whole file batch by batch and
+        keeps the rows assigned to ``machine_id``.
+        """
+        from repro.distributed.partition import EdgePartitioner, row_range_bounds
+
+        if self.strategy == "row_range":
+            bounds = row_range_bounds(columns.num_edges, self.num_machines)
+            rows = slice(bounds[self.machine_id], bounds[self.machine_id + 1])
+            yield from _column_batches(
+                columns.set_ids[rows], columns.elements[rows], self.batch_size
+            )
+            return
         partitioner = EdgePartitioner(
             self.num_machines,
             strategy=self.strategy,
             seed=self.seed,
             total_edges=columns.num_edges,
         )
-        builder = StreamingSketchBuilder(
-            self.params, hash_fn=UniformHash(self.hash_seed)
-        )
-        stream = EdgeStream.from_columnar(columns, order="given")
-        for batch in stream.iter_batches(self.batch_size):
+        for batch in _column_batches(columns.set_ids, columns.elements, self.batch_size):
             assigned = partitioner.assign(batch.set_ids, batch.elements)
             rows = np.flatnonzero(assigned == self.machine_id)
             if len(rows):
-                builder.process_batch(batch.take(rows))
-        sketch = builder.sketch()
-        return MachineSketch(
-            machine_id=self.machine_id,
-            sketch=sketch,
-            edges_processed=builder.edges_seen,
-            edges_stored=sketch.num_edges,
-        )
+                yield batch.take(rows)
+
+
+def _column_batches(
+    set_ids: np.ndarray, elements: np.ndarray, batch_size: int
+) -> Iterator[EventBatch]:
+    """Parallel edge columns as batches of at most ``batch_size`` rows (views)."""
+    for start in range(0, len(set_ids), batch_size):
+        stop = start + batch_size
+        yield EventBatch(set_ids[start:stop], elements[start:stop])
 
 
 #: Any picklable description of one machine's map work.
-MapJob = MachineShardJob | ColumnarSliceJob | ShardRecomputeJob
+MapJob = MachineShardJob | ShardRecomputeJob
 
 
 def execute_map_job(job: MapJob) -> MachineSketch:

@@ -31,9 +31,6 @@ _MAPPER_RECEIVERS = re.compile(r"(mapper|pool|executor)s?$", re.IGNORECASE)
 #: Constructor/helper call names whose result is an executor object.
 _MAPPER_FACTORIES = frozenset({"ParallelMapper", "as_mapper"})
 
-#: Plain-name functions that fan a callable out over workers.
-_MAP_FUNCTIONS = frozenset({"parallel_map"})
-
 #: Type names that must never appear in a picklable job dataclass field:
 #: open handles, mmap views and live stream/column objects either fail to
 #: pickle or pickle as a copy of the data the job exists to avoid shipping.
@@ -46,8 +43,6 @@ _UNPICKLABLE_FIELD_TYPES = re.compile(
 def _is_executor_map(node: ast.Call) -> bool:
     """Whether ``node`` hands its first argument to an executor fan-out."""
     func = node.func
-    if isinstance(func, ast.Name):
-        return func.id in _MAP_FUNCTIONS
     if not isinstance(func, ast.Attribute):
         return False
     if func.attr == "submit":

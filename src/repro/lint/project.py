@@ -355,9 +355,6 @@ class ModuleFacts:
 #: Receivers whose ``.map``/``.map_unordered`` calls are executor fan-outs.
 _MAPPER_RECEIVERS = re.compile(r"(mapper|pool|executor)s?$", re.IGNORECASE)
 
-#: Plain-name functions that fan a callable out over workers.
-_MAP_FUNCTIONS = frozenset({"parallel_map"})
-
 #: Executor-object methods that take ``(fn, jobs)``.
 _FANOUT_METHODS = frozenset({"map", "map_unordered"})
 
@@ -493,8 +490,6 @@ def _registered_rule_name(node: ast.ClassDef) -> str | None:
 def _fanout_context(node: ast.Call) -> str | None:
     """A human label (``"mapper.map"``) if this call fans a callable out."""
     func = node.func
-    if isinstance(func, ast.Name):
-        return func.id if func.id in _MAP_FUNCTIONS else None
     if not isinstance(func, ast.Attribute):
         return None
     receiver = _dotted(func.value)

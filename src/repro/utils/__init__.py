@@ -1,7 +1,6 @@
-"""Shared utilities: RNG, validation, logging, timing, tables, parallel map."""
+"""Shared utilities: RNG, validation, logging, timing, tables."""
 
 from repro.utils.logging import configure, get_logger, kv
-from repro.utils.parallel import chunked, cpu_count, parallel_map
 from repro.utils.rng import (
     SplitMix64,
     derive_seed,
@@ -26,9 +25,6 @@ __all__ = [
     "configure",
     "get_logger",
     "kv",
-    "chunked",
-    "cpu_count",
-    "parallel_map",
     "SplitMix64",
     "derive_seed",
     "mix64",

@@ -40,9 +40,18 @@ class TestProblemSpec:
         with pytest.raises(SpecError):
             ProblemSpec(problem="set_cover_outliers")
 
-    def test_rejects_unknown_keys(self):
-        with pytest.raises(SpecError):
-            ProblemSpec.from_dict({"problem": "k_cover", "budget": 3})
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"problem": "k_cover", "budget": 3}, "budget"),
+            # A spec saved while the distributed reduce was a knob fails
+            # loudly instead of being silently reinterpreted.
+            ({"problem": "k_cover", "reduce": "barrier"}, "reduce"),
+        ],
+    )
+    def test_rejects_unknown_keys(self, data, field):
+        with pytest.raises(SpecError, match=field):
+            ProblemSpec.from_dict(data)
 
     def test_rejects_non_serializable_dataset_args(self):
         with pytest.raises(SpecError):

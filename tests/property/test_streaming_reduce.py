@@ -1,22 +1,24 @@
-"""Properties of the streaming reduce and the zero-ship recompute map jobs.
+"""Properties of the one distributed pipeline: map jobs into the merge tree.
 
 Two contracts pinned here:
 
-1. **Reduce-mode invariance** — the streaming merge tree is a *performance*
-   knob, never a semantics knob: for every executor backend, partition
-   strategy, machine count and (adversarial) arrival order, the streaming
-   reduce produces the byte-identical run a barrier reduce produces —
-   solution, coverage estimate, merged threshold, per-machine loads, the
-   merged sketch's edges, element hashes and truncation flags.  On top of
-   that the binary-counter tree keeps only O(log machines) sketches
-   resident while the barrier holds all of them.
+1. **Reference identity** — every :class:`DistributedKCover` entry point
+   builds map jobs, hands them to the executor and folds each machine
+   sketch into the :class:`StreamingMergeTree` as it arrives.  For every
+   executor backend, partition strategy, machine count and (adversarial)
+   arrival order, the run is byte-identical to the reference assembled from
+   the public pieces — :func:`partition_edges`,
+   :func:`build_all_machine_sketches`, the one-shot
+   :func:`merge_machine_sketches` and :func:`greedy_k_cover`: solution,
+   coverage estimate, merged threshold, per-machine loads, the merged
+   sketch's edges, element hashes and truncation flags.  On top of that the
+   binary-counter tree keeps only O(log machines) sketches resident.
 
-2. **Zero-ship map jobs** — for every non-contiguous partition strategy, a
-   columnar run under a parallel executor ships
-   :class:`~repro.distributed.worker.ShardRecomputeJob` descriptions whose
-   pickled payload is a small constant independent of the edge count (no
-   edge columns cross the process boundary), and the recomputed shards
-   yield the byte-identical run the shipped-columns path yields.
+2. **Zero-ship map jobs** — for every partition strategy, a columnar run
+   ships :class:`~repro.distributed.worker.ShardRecomputeJob` descriptions
+   whose pickled payload is a small constant independent of the edge count
+   (no edge columns cross the process boundary), and the recomputed shards
+   yield the byte-identical run the in-memory path yields.
 """
 
 from __future__ import annotations
@@ -26,20 +28,23 @@ import pickle
 
 import pytest
 
-from repro.api import ProblemSpec, solve
+from repro.api import solve
 from repro.core.params import SketchParams
 from repro.coverage.io import open_columnar, write_columnar
 from repro.datasets import planted_kcover_instance
 from repro.distributed import (
+    PARTITION_STRATEGIES,
     DistributedKCover,
     ShardRecomputeJob,
     StreamingMergeTree,
+    build_all_machine_sketches,
     build_machine_sketch,
     merge_machine_sketches,
+    partition_edges,
 )
+from repro.offline.greedy import greedy_k_cover
 
 EXECUTORS = ("serial", "thread", "process")
-NONCONTIGUOUS = ("random", "by_set", "by_element", "round_robin")
 K = 4
 
 
@@ -64,6 +69,23 @@ def _run_key(report):
     )
 
 
+def _reference_key(instance, edges, *, machines, strategy, seed=11):
+    """The run key rebuilt from the public pieces, one-shot merge included."""
+    params = _params(instance)
+    shards = partition_edges(edges, machines, strategy=strategy, seed=seed)
+    sketches = build_all_machine_sketches(shards, params, hash_seed=seed)
+    merged = merge_machine_sketches(sketches, params, hash_seed=seed)
+    solution = greedy_k_cover(merged.graph, K).selected
+    return (
+        solution,
+        merged.estimate_coverage(solution),
+        merged.threshold,
+        [len(shard) for shard in shards],
+        [ms.edges_stored for ms in sketches],
+        merged.num_edges,
+    )
+
+
 def _sketch_key(sketch):
     return (
         sorted(sketch.graph.edges()),
@@ -73,55 +95,66 @@ def _sketch_key(sketch):
     )
 
 
-def _kcover(instance, *, machines, strategy="random", executor=None, reduce, seed=11):
+def _kcover(instance, *, machines, strategy="random", executor=None, seed=11):
     return DistributedKCover(
         instance.n, instance.m, k=K, num_machines=machines, strategy=strategy,
-        params=_params(instance), seed=seed, executor=executor,
-        max_workers=3, reduce=reduce,
+        params=_params(instance), seed=seed, executor=executor, max_workers=3,
     )
 
 
-class TestReduceModeInvariance:
+def _assert_tree_bounds(peak_resident, merge_count, machines):
+    # Binary-counter bound: at most floor(log2(M)) + 1 resident subtrees
+    # (plus the one being sifted in), and one pairwise merge per extra leaf.
+    assert peak_resident <= int(math.log2(machines)) + 2
+    assert merge_count == max(1, machines - 1)
+    if machines >= 4:
+        assert peak_resident < machines
+
+
+class TestReferenceIdentity:
     @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("strategy", ["random", "by_set", "round_robin"])
-    def test_streaming_equals_barrier(self, executor, strategy):
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    def test_run_matches_reference(self, executor, strategy):
         instance = _instance()
         edges = list(instance.graph.edges())
-        reports = {
-            reduce: _kcover(
-                instance, machines=3, strategy=strategy,
-                executor=executor, reduce=reduce,
-            ).run(edges)
-            for reduce in ("barrier", "streaming")
-        }
-        assert _run_key(reports["streaming"]) == _run_key(reports["barrier"])
-        assert reports["streaming"].reduce_mode == "streaming"
-        assert reports["barrier"].reduce_mode == "barrier"
+        report = _kcover(
+            instance, machines=3, strategy=strategy, executor=executor
+        ).run(edges)
+        assert _run_key(report) == _reference_key(
+            instance, edges, machines=3, strategy=strategy
+        )
+        assert report.executor == executor
 
     @pytest.mark.parametrize("machines", [1, 2, 5, 8])
     def test_resident_sketches_logarithmic(self, machines):
         instance = _instance()
         edges = list(instance.graph.edges())
-        streaming = _kcover(instance, machines=machines, reduce="streaming").run(edges)
-        barrier = _kcover(instance, machines=machines, reduce="barrier").run(edges)
-        assert _run_key(streaming) == _run_key(barrier)
-        # Binary-counter bound: at most floor(log2(M)) + 1 resident subtrees
-        # (plus the one being sifted in); the barrier holds all M.
-        assert streaming.peak_resident_sketches <= int(math.log2(machines)) + 2
-        assert streaming.merge_count == max(1, machines - 1)
-        assert barrier.peak_resident_sketches == machines
-        assert barrier.merge_count == 1
-        if machines >= 4:
-            assert streaming.peak_resident_sketches < machines
+        report = _kcover(instance, machines=machines).run(edges)
+        assert _run_key(report) == _reference_key(
+            instance, edges, machines=machines, strategy="random"
+        )
+        _assert_tree_bounds(
+            report.peak_resident_sketches, report.merge_count, machines
+        )
 
-    def test_default_reduce_is_streaming(self):
-        instance = _instance()
-        algo = DistributedKCover(instance.n, instance.m, k=K)
-        assert algo.reduce == "streaming"
-
-    def test_unknown_reduce_rejected(self):
-        with pytest.raises(ValueError, match="reduce mode"):
-            DistributedKCover(10, 100, k=2, reduce="bogus")
+    @pytest.mark.parametrize("machines", [1, 2, 5, 8])
+    def test_solve_reports_tree_bounds(self, machines):
+        instance = _instance(seed=9)
+        report = solve(
+            instance, "kcover/distributed", k=K, seed=9,
+            options={"num_machines": machines, "edge_budget": 350, "degree_cap": 15},
+        )
+        reference = _reference_key(
+            instance, list(instance.graph.edges()),
+            machines=machines, strategy="random", seed=9,
+        )
+        assert list(report.solution) == reference[0]
+        assert report.extra["merged_threshold"] == reference[2]
+        _assert_tree_bounds(
+            report.extra["peak_resident_sketches"],
+            report.extra["merge_count"],
+            machines,
+        )
 
 
 class TestMergeTreeArrivalOrders:
@@ -138,9 +171,9 @@ class TestMergeTreeArrivalOrders:
         ]
 
     @pytest.mark.parametrize("machines", [1, 2, 3, 8])
-    def test_adversarial_orders_match_barrier(self, machines):
+    def test_adversarial_orders_match_one_shot_merge(self, machines):
         params, sketches = self._machine_sketches(machines)
-        barrier = merge_machine_sketches(sketches, params, hash_seed=11)
+        one_shot = merge_machine_sketches(sketches, params, hash_seed=11)
         orders = {
             "in_order": list(range(machines)),
             "reversed": list(reversed(range(machines))),
@@ -157,7 +190,7 @@ class TestMergeTreeArrivalOrders:
             for index in dict.fromkeys(order):
                 tree.add(sketches[index])
             merged = tree.result()
-            assert _sketch_key(merged) == _sketch_key(barrier), name
+            assert _sketch_key(merged) == _sketch_key(one_shot), name
             assert tree.merge_count == max(1, machines - 1), name
             assert tree.peak_resident <= int(math.log2(machines)) + 2, name
 
@@ -176,20 +209,23 @@ class TestShardRecomputeJobs:
         write_columnar(instance.graph.edges(), path, num_sets=instance.n)
         return instance, path
 
-    @pytest.mark.parametrize("strategy", NONCONTIGUOUS)
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_recompute_matches_serial_barrier(self, columnar, strategy, executor):
-        instance, path = columnar
-        reference = _kcover(
-            instance, machines=3, strategy=strategy, reduce="barrier"
-        ).run_from_columnar(path)
-        recomputed = _kcover(
-            instance, machines=3, strategy=strategy,
-            executor=executor, reduce="streaming",
-        ).run_from_columnar(path)
-        assert _run_key(recomputed) == _run_key(reference)
+    @staticmethod
+    def _file_order_edges(path):
+        columns = open_columnar(path)
+        return list(zip(columns.set_ids.tolist(), columns.elements.tolist()))
 
-    @pytest.mark.parametrize("strategy", NONCONTIGUOUS)
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_recompute_matches_reference(self, columnar, strategy, executor):
+        instance, path = columnar
+        recomputed = _kcover(
+            instance, machines=3, strategy=strategy, executor=executor,
+        ).run_from_columnar(path)
+        assert _run_key(recomputed) == _reference_key(
+            instance, self._file_order_edges(path), machines=3, strategy=strategy
+        )
+
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
     def test_pickled_job_ships_no_edge_bytes(self, columnar, tmp_path, strategy):
         """The job payload is a small constant, independent of edge count."""
         instance, path = columnar
@@ -216,62 +252,9 @@ class TestShardRecomputeJobs:
         # 10x the edges moves the payload only by the path-string length.
         assert abs(sizes[big_path] - sizes[path]) <= len(str(big_path))
 
-    def test_serial_mapper_keeps_single_scan_path(self, columnar):
-        """A serial mapper routes once instead of scanning per machine."""
+    def test_serial_columnar_equals_in_memory(self, columnar):
+        """Serial recompute jobs over the file match a run on its edges."""
         instance, path = columnar
-        algo = _kcover(instance, machines=3, reduce="streaming")
-        columnar_report = algo.run_from_columnar(path)
-        stream_order_edges = list(
-            zip(
-                open_columnar(path).set_ids.tolist(),
-                open_columnar(path).elements.tolist(),
-            )
-        )
-        in_memory = _kcover(instance, machines=3, reduce="streaming").run(
-            stream_order_edges
-        )
+        columnar_report = _kcover(instance, machines=3).run_from_columnar(path)
+        in_memory = _kcover(instance, machines=3).run(self._file_order_edges(path))
         assert _run_key(columnar_report) == _run_key(in_memory)
-
-
-class TestReduceKnobPlumbing:
-    def test_solve_threads_reduce_through(self):
-        instance = _instance(seed=9)
-        reports = {
-            reduce: solve(
-                instance, "kcover/distributed", k=K, seed=9, reduce=reduce,
-                options={"num_machines": 5, "edge_budget": 350, "degree_cap": 15},
-            )
-            for reduce in ("barrier", "streaming")
-        }
-        assert reports["streaming"].solution == reports["barrier"].solution
-        assert (
-            reports["streaming"].extra["merged_threshold"]
-            == reports["barrier"].extra["merged_threshold"]
-        )
-        assert reports["streaming"].extra["reduce_mode"] == "streaming"
-        assert reports["barrier"].extra["peak_resident_sketches"] == 5
-        assert reports["streaming"].extra["peak_resident_sketches"] < 5
-        assert reports["streaming"].extra["merge_count"] == 4
-
-    def test_spec_reduce_round_trips_and_drives_solve(self):
-        spec = ProblemSpec(
-            problem="k_cover",
-            k=K,
-            dataset="planted_kcover",
-            dataset_args={"num_sets": 40, "num_elements": 900, "k": K, "seed": 3},
-            reduce="barrier",
-        )
-        assert ProblemSpec.from_dict(spec.to_dict()) == spec
-        report = solve(
-            spec,
-            "kcover/distributed",
-            options={"num_machines": 3, "edge_budget": 350, "degree_cap": 15},
-        )
-        assert report.extra["reduce_mode"] == "barrier"
-
-    def test_spec_rejects_unknown_reduce(self):
-        from repro.errors import SpecError
-
-        with pytest.raises(SpecError, match="reduce"):
-            ProblemSpec(problem="k_cover", k=K, dataset="planted_kcover",
-                        reduce="bogus")
