@@ -36,14 +36,12 @@ import time
 import pytest
 
 from benchmarks.common import RESULTS_DIR, print_table, write_table
-from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
-from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.coverage.io import write_columnar
 from repro.datasets import planted_kcover_instance
 from repro.distributed import (
     DistributedKCover,
-    MachineSketch,
+    build_machine_sketch,
     merge_machine_sketches,
     partition_edges,
 )
@@ -63,18 +61,14 @@ MIN_SPEEDUP = 3.0
 
 
 def _scalar_map_phase(edges, params, machines: int):
-    """The historical tuple-based map phase: per-edge sharding consume."""
+    """The historical tuple-based map phase: per-edge sharding, then one
+    ``add_edge`` call per edge (a tuple shard takes the builder's scalar
+    path)."""
     shards = partition_edges(edges, machines, strategy=STRATEGY, seed=SEED)
-    machine_sketches = []
-    for machine_id, shard in enumerate(shards):
-        builder = StreamingSketchBuilder(params, hash_fn=UniformHash(SEED))
-        for set_id, element in shard:
-            builder.add_edge(set_id, element)
-        sketch = builder.sketch()
-        machine_sketches.append(
-            MachineSketch(machine_id, sketch, len(shard), sketch.num_edges)
-        )
-    return machine_sketches
+    return [
+        build_machine_sketch(machine_id, shard, params, hash_seed=SEED)
+        for machine_id, shard in enumerate(shards)
+    ]
 
 
 def _throughput_table(tmp_path) -> Table:

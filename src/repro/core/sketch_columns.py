@@ -1,0 +1,108 @@
+"""``H_{<=n}`` as rank-sorted columns — the form sketches travel in.
+
+Every machine of a distributed run ranks elements with the same hash, so a
+sketch is fully described by the ``(rank, element, set)`` rows it keeps, its
+threshold ``p*`` and the elements whose degree cap bit.  Merging two sketches
+never needs an adjacency graph: it is Algorithm 1's admission re-run over
+the union of their rows.  :class:`SketchColumns` holds exactly that state as
+three parallel numpy columns kept sorted by ``(rank, element, set)``
+(Algorithm 1's admission order), so a process pool pickles it as a few flat
+buffers and a fold is pure array work with no re-hash.
+:meth:`SketchColumns.to_sketch` builds the :class:`CoverageSketch` a
+consumer needs in one bulk :meth:`BipartiteGraph.from_columns` call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.coverage.bipartite import BipartiteGraph
+from repro.core.params import SketchParams
+from repro.core.sketch import CoverageSketch
+
+__all__ = ["SketchColumns", "element_starts"]
+
+
+def _no_elements() -> np.ndarray:
+    return np.empty(0, dtype=np.uint64)
+
+
+@dataclass(frozen=True, eq=False)
+class SketchColumns:
+    """One sketch's stored edges, sorted by ``(rank, element, set)``.
+
+    Attributes
+    ----------
+    ranks:
+        ``float64`` hash rank of each row's element.
+    elements, set_ids:
+        ``uint64`` edge endpoints; each element's rows are contiguous.
+    threshold:
+        The sketch's sampling threshold ``p*``.
+    truncated:
+        Sorted unique ``uint64`` ids of elements that lost edges to the
+        degree cap.
+    """
+
+    ranks: np.ndarray
+    elements: np.ndarray
+    set_ids: np.ndarray
+    threshold: float
+    truncated: np.ndarray = field(default_factory=_no_elements)
+
+    @classmethod
+    def from_rows(
+        cls,
+        ranks: np.ndarray,
+        elements: np.ndarray,
+        set_ids: np.ndarray,
+        threshold: float,
+        truncated: np.ndarray,
+    ) -> "SketchColumns":
+        """Columns from rows in any order (sorted here)."""
+        ranks = np.asarray(ranks, dtype=np.float64)
+        elements = np.asarray(elements, dtype=np.uint64)
+        set_ids = np.asarray(set_ids, dtype=np.uint64)
+        order = np.lexsort((set_ids, elements, ranks))
+        return cls(
+            ranks=ranks[order],
+            elements=elements[order],
+            set_ids=set_ids[order],
+            threshold=float(threshold),
+            truncated=np.unique(np.asarray(truncated, dtype=np.uint64)),
+        )
+
+    @property
+    def num_edges(self) -> int:
+        """Stored edges (rows)."""
+        return len(self.ranks)
+
+    def to_sketch(self, params: SketchParams) -> CoverageSketch:
+        """The :class:`CoverageSketch` of these rows, built in one bulk pass.
+
+        Equal to the sketch an :meth:`BipartiteGraph.add_edge` loop over the
+        rows in order would give: same graph, same ``elements()`` order,
+        ``element_hashes`` in rank order.
+        """
+        starts = element_starts(self.elements)
+        return CoverageSketch(
+            graph=BipartiteGraph.from_columns(
+                params.num_sets, self.set_ids, self.elements
+            ),
+            params=params,
+            threshold=self.threshold,
+            element_hashes=dict(
+                zip(self.elements[starts].tolist(), self.ranks[starts].tolist())
+            ),
+            truncated_elements=frozenset(self.truncated.tolist()),
+        )
+
+
+def element_starts(elements: np.ndarray) -> np.ndarray:
+    """Row index where each run of equal elements begins."""
+    if len(elements) == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(np.r_[True, elements[1:] != elements[:-1]])
+

@@ -44,6 +44,7 @@ from repro.coverage.bipartite import BipartiteGraph
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
+from repro.core.sketch_columns import SketchColumns
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
@@ -311,6 +312,33 @@ class StreamingSketchBuilder:
             element_hashes=dict(self._ranks),
             truncated_elements=frozenset(self._truncated),
         )
+
+    def columns(self) -> SketchColumns:
+        """The sketch built so far as rank-sorted columns, with no graph copy.
+
+        Holds what :meth:`sketch` holds — rows, ranks, threshold ``p*`` and
+        truncation flags, so ``columns().to_sketch(params)`` equals
+        ``sketch()`` — as flat numpy columns: the form a distributed map job
+        ships home (no Python sets to pickle).
+        """
+        set_ids, elements = self._graph.to_columns()
+        tracked = np.fromiter(self._ranks, dtype=np.uint64, count=len(self._ranks))
+        by_id = np.argsort(tracked)
+        tracked_ranks = np.fromiter(
+            self._ranks.values(), dtype=np.float64, count=len(self._ranks)
+        )[by_id]
+        ranks = tracked_ranks[np.searchsorted(tracked[by_id], elements)]
+        # p*, by the rule of sketch(): the largest retained rank once
+        # anything was rejected, 1.0 when the whole stream fit.
+        saw_rejection = self._evictions > 0 or self._admission_threshold < 1.0
+        if len(tracked_ranks) and saw_rejection:
+            threshold = float(tracked_ranks.max())
+        elif len(tracked_ranks):
+            threshold = 1.0
+        else:
+            threshold = self._admission_threshold
+        truncated = np.fromiter(self._truncated, dtype=np.uint64, count=len(self._truncated))
+        return SketchColumns.from_rows(ranks, elements, set_ids, threshold, truncated)
 
     def describe(self) -> dict[str, float | int | str]:
         """Diagnostics for logging and tests."""

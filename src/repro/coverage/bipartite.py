@@ -16,7 +16,10 @@ does not need to re-index them).  Label handling lives one level up in
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.errors import InvalidInstanceError
 from repro.utils.validation import check_non_negative_int, check_positive_int
@@ -82,6 +85,80 @@ class BipartiteGraph:
             for element in members:
                 graph.add_edge(set_id, element)
         return graph
+
+    @classmethod
+    def from_columns(
+        cls, num_sets: int, set_ids: np.ndarray, elements: np.ndarray
+    ) -> "BipartiteGraph":
+        """Build a graph from parallel ``(set_id, element)`` integer columns.
+
+        The bulk twin of an :meth:`add_edge` loop over the same rows, and
+        equal to it down to iteration order: ``elements()`` yields elements
+        in order of first appearance, every adjacency set is filled in row
+        order, and duplicate rows count once.  Set ids are validated once
+        for the whole column; an out-of-range id raises
+        :class:`~repro.errors.InvalidInstanceError`.
+        """
+        graph = cls(num_sets)
+        set_ids = np.asarray(set_ids)
+        elements = np.asarray(elements)
+        if set_ids.shape != elements.shape or set_ids.ndim != 1:
+            raise ValueError("set_ids and elements must be parallel 1-d columns")
+        if len(set_ids) == 0:
+            return graph
+        for name, column in (("set_id", set_ids), ("element", elements)):
+            if column.dtype == np.bool_ or column.dtype.kind not in "iu":
+                raise TypeError(f"{name} column must be integers, got {column.dtype}")
+        if elements.min() < 0:
+            raise ValueError(f"element must be >= 0, got {elements.min()}")
+        low, high = int(set_ids.min()), int(set_ids.max())
+        if low < 0 or high >= num_sets:
+            bad = low if low < 0 else high
+            raise InvalidInstanceError(f"set id {bad} out of range [0, {num_sets})")
+
+        # Set side: rows grouped by set id, row order kept inside each group.
+        by_set = np.argsort(set_ids, kind="stable")
+        bounds = np.zeros(num_sets + 1, dtype=np.intp)
+        np.cumsum(np.bincount(set_ids.astype(np.intp), minlength=num_sets), out=bounds[1:])
+        # Element side: the same grouping by element, with the groups taken
+        # in order of each element's first row.
+        by_element = np.argsort(elements, kind="stable")
+        grouped = elements[by_element]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        stops = np.r_[starts[1:], len(grouped)]
+        appearance = np.argsort(by_element[starts])
+        graph._set_adj = list(
+            _grouped_sets(elements[by_set].tolist(), bounds[:-1], bounds[1:])
+        )
+        graph._elem_adj = dict(
+            zip(
+                grouped[starts[appearance]].tolist(),
+                _grouped_sets(
+                    set_ids[by_element].tolist(),
+                    starts[appearance],
+                    stops[appearance],
+                ),
+            )
+        )
+        graph._num_edges = sum(map(len, graph._set_adj))
+        return graph
+
+    def to_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as parallel ``uint64`` ``(set_ids, elements)`` columns.
+
+        Rows are grouped by element in :meth:`elements` order.  The columns
+        are filled by C-level iteration over the adjacency, so exporting a
+        graph costs no per-edge Python bytecode.
+        """
+        count = len(self._elem_adj)
+        elements = np.fromiter(self._elem_adj, dtype=np.uint64, count=count)
+        degrees = np.fromiter(map(len, self._elem_adj.values()), dtype=np.intp, count=count)
+        set_ids = np.fromiter(
+            chain.from_iterable(self._elem_adj.values()),
+            dtype=np.uint64,
+            count=self._num_edges,
+        )
+        return set_ids, np.repeat(elements, degrees)
 
     def copy(self) -> "BipartiteGraph":
         """Return a deep copy (adjacency sets are copied)."""
@@ -275,3 +352,14 @@ class BipartiteGraph:
             raise InvalidInstanceError(
                 f"set id {set_id} out of range [0, {self._num_sets})"
             )
+
+
+def _grouped_sets(
+    values: list[int], starts: np.ndarray, stops: np.ndarray
+) -> Iterator[set[int]]:
+    """``set(values[a:b])`` for every ``(a, b)`` bound pair, lazily.
+
+    The maps run in C, so building one adjacency set per group costs no
+    Python bytecode per row.
+    """
+    return map(set, map(values.__getitem__, map(slice, starts.tolist(), stops.tolist())))

@@ -13,7 +13,9 @@ through the sketch builder's native path, and every entry point of
 handed to the :mod:`repro.parallel` mapper, each sketch folded into a
 streaming binary merge tree as it completes (:class:`StreamingMergeTree`,
 O(log machines) resident, byte-identical to the one-shot
-:func:`merge_machine_sketches`).  In-memory input is routed once into
+:func:`merge_machine_sketches`).  Sketches travel and fold as rank-sorted
+``(rank, element, set)`` columns; the reduce builds its only graph once, at
+the root.  In-memory input is routed once into
 :class:`MachineShardJob` columns; :meth:`DistributedKCover.run_from_columnar`
 ships zero edge bytes for every partition strategy: each
 :class:`ShardRecomputeJob` carries path plus routing parameters, and its

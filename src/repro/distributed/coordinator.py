@@ -28,24 +28,31 @@ map jobs (:mod:`repro.distributed.worker`), hands it to
 sketch into a :class:`StreamingMergeTree` **as it arrives**; the serial
 backend runs the same jobs in-process.  The merge operator is associative
 and commutative (the admission pass depends only on the multiset of
-surviving ``(set, element, rank)`` rows, not on how they were grouped), so
+surviving ``(rank, element, set)`` rows, not on how they were grouped), so
 the binary-counter tree keeps at most ``O(log num_machines)`` sketches
 resident for *any* arrival order and produces the byte-identical sketch the
 one-shot :func:`merge_machine_sketches` produces (property-tested across
 executors, worker counts and adversarial arrival orders).
 
-The whole pipeline is columnar: in-memory input is routed once by
+Columns all the way to the root
+-------------------------------
+In-memory input is routed once by
 :meth:`~repro.distributed.partition.EdgePartitioner.split` into one
-:class:`~repro.distributed.worker.MachineShardJob` per machine, workers
-ingest batches through the sketch builder's vectorised path, and each merge
-stacks two sketches' edge columns and runs one lexsort admission pass.
-:meth:`DistributedKCover.run_from_columnar` closes the loop for on-disk
-inputs: every machine gets a
+:class:`~repro.distributed.worker.MachineShardJob` per machine;
+:meth:`DistributedKCover.run_from_columnar` instead gives every machine a
 :class:`~repro.distributed.worker.ShardRecomputeJob` carrying only the path
-and the routing parameters, whose worker re-opens the memory-mapped columns
-and sketches its own rows — so the coordinator never materialises a single
-per-edge Python tuple and no edge bytes cross a process boundary, for every
-partition strategy and executor.
+and the routing parameters, so no edge bytes cross a process boundary.
+Either way a worker ingests batches through the sketch builder's vectorised
+path and ships its sketch home as
+:class:`~repro.core.sketch_columns.SketchColumns`: ``(rank, element, set)``
+rows sorted in Algorithm 1's admission order, plus threshold and truncation
+flags — flat numpy buffers, no Python sets.  Each fold of the tree
+concatenates two such runs, filters them by the global threshold, restores
+the order with one ``(rank, element, set)`` lexsort and runs the dedup /
+degree-cap / budget prefix as array operations on the carried ranks, with
+no re-hash and no graph.  The only :class:`~repro.coverage.bipartite.BipartiteGraph` of
+the reduce is built once, by :meth:`StreamingMergeTree.result`, in one bulk
+:meth:`~repro.coverage.bipartite.BipartiteGraph.from_columns` call.
 """
 
 from __future__ import annotations
@@ -56,10 +63,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.coverage.bipartite import BipartiteGraph
-from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
+from repro.core.sketch_columns import SketchColumns, element_starts
 from repro.distributed.partition import EdgePartitioner
 from repro.distributed.worker import (
     DEFAULT_MAP_BATCH,
@@ -69,6 +75,7 @@ from repro.distributed.worker import (
     ShardRecomputeJob,
     execute_map_job,
 )
+from repro.errors import SpecError
 from repro.offline.greedy import greedy_k_cover
 from repro.parallel import ExecutorBackend, ParallelMapper, as_mapper
 from repro.streaming.batches import EventBatch
@@ -93,21 +100,20 @@ _FOLD_HEIGHT = obs.global_metrics().histogram(
     buckets=obs.SIZE_BUCKETS,
     help="merge-tree subtree height at each streaming fold",
 )
+_FOLD_ROWS_IN = obs.global_metrics().histogram(
+    "distributed.fold_rows_in",
+    buckets=obs.SIZE_BUCKETS,
+    help="rows entering each streaming fold (both subtrees' stored edges)",
+)
+_FOLD_ROWS_OUT = obs.global_metrics().histogram(
+    "distributed.fold_rows_out",
+    buckets=obs.SIZE_BUCKETS,
+    help="rows each streaming fold keeps",
+)
 _RESIDENT = obs.global_metrics().gauge(
     "distributed.resident_sketches",
     help="machine sketches held by the coordinator right now (max = peak)",
 )
-
-
-def _sketch_columns(sketch: CoverageSketch) -> tuple[np.ndarray, np.ndarray]:
-    """One shard sketch's edges as parallel uint64 (set, element) columns."""
-    count = sketch.num_edges
-    sets = np.empty(count, dtype=np.uint64)
-    elements = np.empty(count, dtype=np.uint64)
-    for row, (set_id, element) in enumerate(sketch.graph.edges()):
-        sets[row] = set_id
-        elements[row] = element
-    return sets, elements
 
 
 def merge_machine_sketches(
@@ -118,139 +124,123 @@ def merge_machine_sketches(
 ) -> CoverageSketch:
     """Merge per-shard sketches into a sketch of the union of the shards.
 
-    The shard columns are stacked and the offline admission (rank order,
-    degree cap, edge budget) runs as one vectorised lexsort pass — the array
-    restatement of Algorithm 1, byte-identical to the per-element loop.  When
-    the union overflows the edge budget the merged threshold is the hash of
-    the last *admitted* element, matching
-    :func:`repro.core.sketch.build_h_leq_n` (the data-dependent ``p*``); a
-    union that fits keeps the global minimum of the machine thresholds.
+    One fold of every machine's columns through the admission pass the
+    merge tree runs (rank order, degree cap, edge budget — the array
+    restatement of Algorithm 1), then one graph build.  When the union
+    overflows the edge budget the merged threshold is the hash of the last
+    *admitted* element, matching :func:`repro.core.sketch.build_h_leq_n`
+    (the data-dependent ``p*``); a union that fits keeps the global minimum
+    of the machine thresholds.
     """
     if not machine_sketches:
         raise ValueError("need at least one machine sketch to merge")
-    return _merge_sketches(
-        [ms.sketch for ms in machine_sketches], params, hash_seed=hash_seed
-    )
+    leaves = [_leaf(machine, hash_seed) for machine in machine_sketches]
+    return _materialize(_fold(leaves, params), params)
 
 
-def _merge_sketches(
-    sketches: Sequence[CoverageSketch],
-    params: SketchParams,
-    *,
-    hash_seed: int = 0,
-) -> CoverageSketch:
-    """The admission pass over raw sketches (the associative merge operator).
+def _leaf(machine: MachineSketch, hash_seed: int) -> SketchColumns:
+    """A machine's columns as they enter the reduce.
 
-    Associativity/commutativity, which the streaming tree relies on: the
-    lexsort realises one global total order by ``(rank, element, set)``, so
-    the surviving rows depend only on the *multiset* of input rows.  An
-    intermediate merge can only (a) drop whole elements whose rank exceeds
-    its own admitted threshold — but that threshold is itself >= the final
-    one, so those elements would be dropped at the root anyway — and (b)
-    cap an element's owners to the smallest ``degree_cap`` set ids —
+    The machine's own truncation flags stay behind: the reduce recomputes
+    them from the union, exactly as a one-shot merge would.
+    """
+    if machine.hash_seed != hash_seed:
+        raise SpecError(
+            f"machine {machine.machine_id} ranked elements with hash seed "
+            f"{machine.hash_seed}, but the reduce merges hash seed {hash_seed}"
+        )
+    return replace(machine.columns, truncated=np.empty(0, dtype=np.uint64))
+
+
+def _fold(runs: Sequence[SketchColumns], params: SketchParams) -> SketchColumns:
+    """The admission pass over rank-sorted runs (the associative merge operator).
+
+    Pure array work on the carried ranks — no re-hash, no graph.  Why it is
+    associative and commutative, which the streaming tree relies on: the
+    rows are put in one global total order by ``(rank, element, set)``, so
+    the survivors depend only on the *multiset* of input rows.  An
+    intermediate fold can only (a) drop whole elements ranked above its own
+    admitted threshold — but that threshold is itself >= the final one, so
+    those elements would be dropped at the root anyway — and (b) cap an
+    element's owners to the smallest ``degree_cap`` set ids —
     smallest-of-union selection, which is associative.  Hash ties between
     distinct elements (probability ~2^-64) are the only caveat, the same
     caveat the one-shot merge carries.
+
+    Truncation flags: a fold sees already-capped input degrees, so the
+    flags it computes under-report whenever an element's union degree
+    exceeded the cap at a lower level.  The output therefore carries
+    ``computed ∪ (input flags ∩ admitted)``, which restores exactly the
+    flags of one flat fold over the leaves (leaves enter with none).
     """
-    hash_fn = UniformHash(hash_seed)
-    global_threshold = min(sketch.threshold for sketch in sketches)
-
-    # Stack the shard columns, restricted to globally-admitted elements.
-    columns = [_sketch_columns(sketch) for sketch in sketches]
-    sets = np.concatenate([c[0] for c in columns])
-    elements = np.concatenate([c[1] for c in columns])
-    merged = BipartiteGraph(params.num_sets)
-    if len(sets) == 0:
-        return CoverageSketch(
-            graph=merged, params=params, threshold=global_threshold
-        )
-    ranks = hash_fn.value_many(elements)
+    global_threshold = min(run.threshold for run in runs)
+    ranks = np.concatenate([run.ranks for run in runs])
+    elements = np.concatenate([run.elements for run in runs])
+    set_ids = np.concatenate([run.set_ids for run in runs])
     keep = ranks <= global_threshold
-    sets, elements, ranks = sets[keep], elements[keep], ranks[keep]
+    ranks, elements, set_ids = ranks[keep], elements[keep], set_ids[keep]
 
-    # One stable lexsort realises Algorithm 1's admission order: elements by
-    # (rank, id), each element's owners by ascending set id — so the degree
-    # cap keeps the same smallest-id owners the offline builder keeps.
-    order = np.lexsort((sets, elements, ranks))
-    sets, elements, ranks = sets[order], elements[order], ranks[order]
+    # Algorithm 1's admission order: elements by (rank, id), each element's
+    # owners by ascending set id — so the degree cap keeps the same
+    # smallest-id owners the offline builder keeps.
+    order = np.lexsort((set_ids, elements, ranks))
+    ranks, elements, set_ids = ranks[order], elements[order], set_ids[order]
     # Drop duplicate edges (the same input edge can only live in one shard,
     # but duplicate input edges may land in different shards).
-    fresh = np.ones(len(sets), dtype=bool)
-    fresh[1:] = (elements[1:] != elements[:-1]) | (sets[1:] != sets[:-1])
-    sets, elements, ranks = sets[fresh], elements[fresh], ranks[fresh]
+    fresh = np.ones(len(ranks), dtype=bool)
+    fresh[1:] = (elements[1:] != elements[:-1]) | (set_ids[1:] != set_ids[:-1])
+    ranks, elements, set_ids = ranks[fresh], elements[fresh], set_ids[fresh]
+    if len(ranks) == 0:
+        return SketchColumns(ranks, elements, set_ids, global_threshold)
 
-    if len(elements) == 0:
-        return CoverageSketch(
-            graph=merged, params=params, threshold=global_threshold
-        )
     # Element runs are contiguous after the sort; cap each run's degree and
     # admit runs while the stored-edge prefix is below the budget.
-    starts_mask = np.ones(len(elements), dtype=bool)
-    starts_mask[1:] = elements[1:] != elements[:-1]
-    run_starts = np.flatnonzero(starts_mask)
-    run_id = np.cumsum(starts_mask) - 1
-    degrees = np.diff(np.append(run_starts, len(elements)))
+    run_starts = element_starts(elements)
+    degrees = np.diff(np.r_[run_starts, len(elements)])
+    run_id = np.repeat(np.arange(len(run_starts)), degrees)
     within_run = np.arange(len(elements)) - run_starts[run_id]
-    capped = within_run < params.degree_cap
     capped_degrees = np.minimum(degrees, params.degree_cap)
-    edges_before = np.concatenate(([0], np.cumsum(capped_degrees)[:-1]))
+    edges_before = np.cumsum(capped_degrees) - capped_degrees
     admitted_runs = edges_before < params.edge_budget
+    stored = (within_run < params.degree_cap) & admitted_runs[run_id]
 
-    stored = capped & admitted_runs[run_id]
-    for set_id, element in zip(sets[stored].tolist(), elements[stored].tolist()):
-        merged.add_edge(set_id, element)
-    admitted_rows = run_starts[admitted_runs]
-    hashes = dict(
-        zip(elements[admitted_rows].tolist(), ranks[admitted_rows].tolist())
+    admitted = elements[run_starts[admitted_runs]]
+    carried = np.concatenate([run.truncated for run in runs])
+    truncated = np.union1d(
+        elements[run_starts[admitted_runs & (degrees > params.degree_cap)]],
+        carried[np.isin(carried, admitted)],
     )
-    truncated = frozenset(
-        elements[run_starts[admitted_runs & (degrees > params.degree_cap)]].tolist()
-    )
-    if bool(admitted_runs.all()) or len(admitted_rows) == 0:
+    if bool(admitted_runs.all()):
         threshold = global_threshold
     else:
         # Algorithm 1's convention: p* is the hash of the last admitted
-        # element (ranks are sorted, so that is the final admitted row).
-        threshold = float(ranks[admitted_rows[-1]])
-    return CoverageSketch(
-        graph=merged,
-        params=params,
-        threshold=threshold,
-        element_hashes=hashes,
-        truncated_elements=truncated,
+        # element (ranks are sorted, so that is the last admitted run).
+        threshold = float(ranks[run_starts[admitted_runs][-1]])
+    return SketchColumns(
+        ranks[stored], elements[stored], set_ids[stored], threshold, truncated
     )
 
 
-@dataclass
-class _MergeNode:
-    """One in-flight subtree of the streaming reduce.
-
-    ``carried`` accumulates the degree-cap truncation flags the *flat* merge
-    would have computed: an intermediate pass sees already-capped child
-    degrees, so its own ``truncated_elements`` under-reports whenever the
-    true union degree exceeded the cap at a lower level.  The propagation
-    rule ``computed ∪ ((left ∪ right) ∩ admitted)`` restores exactly the
-    flat set (leaves carry nothing — the one-shot merge ignores the machines'
-    own shard-level flags the same way).
-    """
-
-    height: int
-    sketch: CoverageSketch
-    carried: frozenset[int]
+def _materialize(columns: SketchColumns, params: SketchParams) -> CoverageSketch:
+    """The reduce's one graph build, from the root's columns."""
+    with obs.span("reduce.materialize", rows=columns.num_edges):
+        return columns.to_sketch(params)
 
 
 class StreamingMergeTree:
     """Incremental pairwise reduce of machine sketches, O(log M) resident.
 
-    Sketches enter as height-0 subtrees; whenever two subtrees of equal
-    height exist they merge immediately (a binary counter over subtree
-    heights), so at most ``log2(M) + 1`` sketches are ever resident at the
-    coordinator **regardless of arrival order** — a fixed-shape tree would
-    degrade to ``M/2`` resident under an adversarial order.  Because the
-    merge operator is associative and commutative (see
-    :func:`_merge_sketches`), the final sketch is byte-identical to the
-    one-shot :func:`merge_machine_sketches` for every arrival order, even
-    though the intermediate groupings differ.
+    Machine columns enter as height-0 subtrees; whenever two subtrees of
+    equal height exist they fold immediately (a binary counter over subtree
+    heights), so at most ``log2(M) + 1`` column sets are ever resident at
+    the coordinator **regardless of arrival order** — a fixed-shape tree
+    would degrade to ``M/2`` resident under an adversarial order.  Every
+    resident subtree is a :class:`~repro.core.sketch_columns.SketchColumns`
+    triple of at most ``edge_budget + degree_cap`` rows; no graph exists
+    until :meth:`result` builds the one the caller gets.  Because the fold
+    is associative and commutative (see :func:`_fold`), the final sketch is
+    byte-identical to the one-shot :func:`merge_machine_sketches` for every
+    arrival order, even though the intermediate groupings differ.
 
     ``peak_resident`` and ``merge_count`` feed the run report;
     :meth:`result` drains the remaining subtrees (total pairwise merges:
@@ -260,8 +250,8 @@ class StreamingMergeTree:
     def __init__(self, params: SketchParams, *, hash_seed: int = 0) -> None:
         self.params = params
         self.hash_seed = hash_seed
-        self._slots: list[_MergeNode | None] = []
-        self._added = 0
+        #: Slot ``h`` holds the pending subtree of height ``h``, if any.
+        self._slots: list[SketchColumns | None] = []
         #: Pairwise merge passes run so far (``M - 1`` after :meth:`result`).
         self.merge_count = 0
         #: Sketches currently held (slots plus the one being sifted in).
@@ -272,60 +262,53 @@ class StreamingMergeTree:
 
     def add(self, machine_sketch: MachineSketch) -> None:
         """Fold one arriving machine sketch into the tree (carry-merge)."""
-        node = _MergeNode(
-            height=0, sketch=machine_sketch.sketch, carried=frozenset()
-        )
-        self._added += 1
+        node = _leaf(machine_sketch, self.hash_seed)
         self.resident += 1
         self.peak_resident = max(self.peak_resident, self.resident)
         _RESIDENT.set(self.resident)
-        while node.height < len(self._slots) and self._slots[node.height] is not None:
-            other = self._slots[node.height]
-            self._slots[node.height] = None
-            node = self._merge_pair(other, node)
-        if node.height == len(self._slots):
+        height = 0
+        while height < len(self._slots) and self._slots[height] is not None:
+            other = self._slots[height]
+            self._slots[height] = None
+            height += 1
+            node = self._merge_pair(other, node, height)
+        if height == len(self._slots):
             self._slots.append(None)
-        self._slots[node.height] = node
+        self._slots[height] = node
 
-    def _merge_pair(self, left: _MergeNode, right: _MergeNode) -> _MergeNode:
-        """Merge two subtrees, propagating the carried truncation flags."""
-        height = max(left.height, right.height) + 1
+    def _merge_pair(
+        self, left: SketchColumns, right: SketchColumns, height: int
+    ) -> SketchColumns:
+        """Fold two subtrees into one of the given height."""
         with obs.span("reduce.fold", height=height):
-            merged = _merge_sketches(
-                [left.sketch, right.sketch], self.params, hash_seed=self.hash_seed
-            )
-        carried = frozenset(merged.truncated_elements) | frozenset(
-            element
-            for element in (left.carried | right.carried)
-            if element in merged.element_hashes
-        )
+            merged = _fold([left, right], self.params)
         self.merge_count += 1
         self.resident -= 1
         _MERGES.inc()
         _FOLD_HEIGHT.observe(height)
+        _FOLD_ROWS_IN.observe(left.num_edges + right.num_edges)
+        _FOLD_ROWS_OUT.observe(merged.num_edges)
         _RESIDENT.set(self.resident)
-        return _MergeNode(height=height, sketch=merged, carried=carried)
+        return merged
 
     def result(self) -> CoverageSketch:
         """Drain the remaining subtrees into the final merged sketch."""
-        nodes = [node for node in self._slots if node is not None]
-        if not nodes:
+        pending = [(h, node) for h, node in enumerate(self._slots) if node is not None]
+        if not pending:
             raise ValueError("no machine sketches were added to the merge tree")
         self._slots = []
-        node = nodes[0]
-        for other in nodes[1:]:
-            node = self._merge_pair(node, other)
+        height, node = pending[0]
+        for other_height, other in pending[1:]:
+            height = max(height, other_height) + 1
+            node = self._merge_pair(node, other, height)
         if self.merge_count == 0:
             # A single machine never pairs up, but the one-shot merge still
             # runs one admission pass over that lone sketch — match it.
             with obs.span("reduce.merge", machines=1):
-                merged = _merge_sketches(
-                    [node.sketch], self.params, hash_seed=self.hash_seed
-                )
+                node = _fold([node], self.params)
             self.merge_count += 1
             _MERGES.inc()
-            return merged
-        return replace(node.sketch, truncated_elements=node.carried)
+        return _materialize(node, self.params)
 
 
 @dataclass

@@ -37,11 +37,25 @@ reference).  There are two job types, one per kind of input:
   shards that only exist in memory (thread/serial backends read them
   zero-copy; the process backend pickles them, which is correct but pays
   the transfer).
+
+What travels home
+-----------------
+A job's result is a :class:`MachineSketch` whose sketch is a
+:class:`~repro.core.sketch_columns.SketchColumns`: the stored edges as
+``(rank, element, set)`` columns sorted in Algorithm 1's admission order,
+plus the threshold ``p*`` and the truncation flags, exported straight from
+the builder's state with no graph copy.  That is exactly what the
+coordinator's merge tree folds — it never needs the worker's adjacency
+graph — so a process pool pickles three flat numpy buffers (about 24 bytes
+per stored edge) instead of a dict of Python sets.  A
+:class:`~repro.core.sketch.CoverageSketch` view is still one attribute away
+(:attr:`MachineSketch.sketch`), built lazily and never pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -51,6 +65,7 @@ from repro import obs
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
+from repro.core.sketch_columns import SketchColumns
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
@@ -82,14 +97,40 @@ Shard = (
 )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MachineSketch:
-    """The outcome of one machine's local pass over its shard."""
+    """The outcome of one machine's local pass over its shard.
+
+    The sketch travels as :class:`~repro.core.sketch_columns.SketchColumns`
+    — rank-sorted ``(rank, element, set)`` rows plus threshold and
+    truncation flags — which is all the coordinator's reduce reads.
+    :attr:`sketch` is a lazily built :class:`CoverageSketch` view of the
+    same rows for callers that want a graph; it is never pickled, so a
+    process pool ships flat numpy buffers and no Python sets.
+    ``hash_seed`` names the hash every rank came from: sketches only merge
+    with sketches ranked by the same hash.
+    """
 
     machine_id: int
-    sketch: CoverageSketch
+    columns: SketchColumns
+    params: SketchParams
     edges_processed: int
-    edges_stored: int
+    hash_seed: int = 0
+
+    @property
+    def edges_stored(self) -> int:
+        """Edges the machine's sketch keeps."""
+        return self.columns.num_edges
+
+    @cached_property
+    def sketch(self) -> CoverageSketch:
+        """The machine's sketch as a :class:`CoverageSketch` (built on first use)."""
+        return self.columns.to_sketch(self.params)
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("sketch", None)
+        return state
 
     @property
     def compression(self) -> float:
@@ -136,12 +177,12 @@ def build_machine_sketch(
     """
     builder = StreamingSketchBuilder(params, hash_fn=UniformHash(hash_seed))
     _feed(builder, shard, batch_size)
-    sketch = builder.sketch()
     return MachineSketch(
         machine_id=machine_id,
-        sketch=sketch,
+        columns=builder.columns(),
+        params=params,
         edges_processed=builder.edges_seen,
-        edges_stored=sketch.num_edges,
+        hash_seed=hash_seed,
     )
 
 

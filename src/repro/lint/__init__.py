@@ -10,7 +10,8 @@ Per-file rules (one module at a time):
 * ``picklable-jobs`` — executor callables are module-level, job dataclasses
   carry plain data;
 * ``spec-roundtrip`` — frozen spec dataclasses serialize every field;
-* ``hot-path-hygiene`` — ``process_batch`` stays vectorised;
+* ``hot-path-hygiene`` — ``process_batch``, the kernels and the distributed
+  reduce stay vectorised;
 * ``registry-literal-names`` — registry keys are greppable literals;
 * ``no-silent-except`` — no handler swallows executor/mmap errors;
 * ``suppression-hygiene`` — suppressions name real rules and say why.

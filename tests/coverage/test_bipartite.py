@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.coverage.bipartite import BipartiteGraph
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, ReproError
+from repro.utils.rng import spawn_rng
 
 
 class TestConstruction:
@@ -150,3 +152,82 @@ class TestDerivedGraphs:
         mapping = tiny_graph.as_dict()
         assert mapping[0] == frozenset({0, 1, 2})
         assert mapping[3] == frozenset({5})
+
+
+def _add_edge_loop(num_sets, set_ids, elements):
+    graph = BipartiteGraph(num_sets)
+    for set_id, element in zip(set_ids.tolist(), elements.tolist()):
+        graph.add_edge(set_id, element)
+    return graph
+
+
+def _assert_identical(graph, reference):
+    """Equal adjacency, counts and iteration order on both sides."""
+    assert graph == reference
+    assert graph.num_edges == reference.num_edges
+    assert graph.num_elements == reference.num_elements
+    assert list(graph.elements()) == list(reference.elements())
+    # Set-side and element-side iteration orders (edges() walks the sets,
+    # to_columns() walks the elements).
+    assert list(graph.edges()) == list(reference.edges())
+    for built, expected in zip(graph.to_columns(), reference.to_columns()):
+        assert built.tolist() == expected.tolist()
+
+
+class TestFromColumns:
+    """``from_columns`` is the bulk twin of an ``add_edge`` loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rows_match_add_edge_loop(self, seed):
+        rng = spawn_rng(seed, "from-columns")
+        rows = int(rng.integers(1, 600))
+        num_sets = int(rng.integers(1, 40))
+        set_ids = rng.integers(0, num_sets, rows).astype(np.uint64)
+        # A narrow element range forces shared elements and duplicate rows;
+        # large ids check nothing is re-indexed.
+        elements = (rng.integers(0, 80, rows) * 1_000_003).astype(np.uint64)
+        graph = BipartiteGraph.from_columns(num_sets, set_ids, elements)
+        _assert_identical(graph, _add_edge_loop(num_sets, set_ids, elements))
+
+    def test_duplicate_rows_count_once(self):
+        set_ids = np.array([2, 0, 2, 2, 0, 1], dtype=np.uint64)
+        elements = np.array([7, 5, 7, 9, 5, 7], dtype=np.uint64)
+        graph = BipartiteGraph.from_columns(3, set_ids, elements)
+        _assert_identical(graph, _add_edge_loop(3, set_ids, elements))
+        assert graph.num_edges == 4
+        assert list(graph.elements()) == [7, 5, 9]
+
+    def test_empty_columns(self):
+        empty = np.empty(0, dtype=np.uint64)
+        graph = BipartiteGraph.from_columns(4, empty, empty)
+        assert graph == BipartiteGraph(4)
+        assert graph.num_edges == 0 and list(graph.elements()) == []
+
+    def test_single_set(self):
+        elements = np.array([3, 1, 3, 2], dtype=np.int64)
+        set_ids = np.zeros(4, dtype=np.int64)
+        graph = BipartiteGraph.from_columns(1, set_ids, elements)
+        _assert_identical(graph, _add_edge_loop(1, set_ids, elements))
+        assert graph.elements_of(0) == frozenset({1, 2, 3})
+
+    def test_to_columns_round_trip(self, tiny_graph):
+        rebuilt = BipartiteGraph.from_columns(tiny_graph.num_sets, *tiny_graph.to_columns())
+        assert rebuilt == tiny_graph
+        assert list(rebuilt.elements()) == list(tiny_graph.elements())
+
+    @pytest.mark.parametrize("bad_set", [3, -1], ids=["too-large", "negative"])
+    def test_out_of_range_set_id_is_a_repro_error(self, bad_set):
+        set_ids = np.array([0, bad_set], dtype=np.int64)
+        elements = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            BipartiteGraph.from_columns(3, set_ids, elements)
+        with pytest.raises(ReproError):
+            BipartiteGraph.from_columns(3, set_ids, elements)
+
+    def test_malformed_columns_rejected(self):
+        with pytest.raises(ValueError):
+            BipartiteGraph.from_columns(2, np.array([0, 1]), np.array([4]))
+        with pytest.raises(ValueError):
+            BipartiteGraph.from_columns(2, np.array([0]), np.array([-4]))
+        with pytest.raises(TypeError):
+            BipartiteGraph.from_columns(2, np.array([0.0]), np.array([4]))

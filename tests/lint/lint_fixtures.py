@@ -347,6 +347,52 @@ SUPPRESSED_HOT_PATH = clean(
     """
 )
 
+#: The reduce's graph round trip — linted as ``distributed/coordinator.py``.
+BAD_REDUCE_ADD_EDGE = clean(
+    """
+    def rebuild(rows, num_sets):
+        graph = BipartiteGraph(num_sets)
+        for set_id, element in rows:
+            graph.add_edge(set_id, element)
+        return graph
+    """
+)
+
+BAD_REDUCE_EDGES_LOOP = clean(
+    """
+    def sketch_columns(sketch):
+        sets = np.empty(sketch.num_edges, dtype=np.uint64)
+        for row, (set_id, _) in enumerate(sketch.graph.edges()):
+            sets[row] = set_id
+        return sets
+    """
+)
+
+BAD_REDUCE_EDGES_COMPREHENSION = clean(
+    """
+    def sketch_elements(sketch):
+        return [element for _, element in sketch.graph.edges()]
+    """
+)
+
+GOOD_REDUCE = clean(
+    """
+    def materialize(columns, num_sets):
+        return BipartiteGraph.from_columns(num_sets, columns.set_ids, columns.elements)
+    """
+)
+
+SUPPRESSED_REDUCE_ADD_EDGE = clean(
+    """
+    def rebuild(rows, num_sets):
+        graph = BipartiteGraph(num_sets)
+        for set_id, element in rows:
+            # repro-lint: disable=hot-path-hygiene -- a handful of rows in an error path
+            graph.add_edge(set_id, element)
+        return graph
+    """
+)
+
 
 # --------------------------------------------------------------------- #
 # registry-literal-names

@@ -182,6 +182,54 @@ class TestHotPathHygiene:
         assert_suppressed(fx.SUPPRESSED_HOT_PATH, "hot-path-hygiene")
 
 
+class TestHotPathHygieneReduce:
+    """The distributed reduce is hot end to end: no graph round trip."""
+
+    REDUCE = "src/repro/distributed/coordinator.py"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            fx.BAD_REDUCE_ADD_EDGE,
+            fx.BAD_REDUCE_EDGES_LOOP,
+            fx.BAD_REDUCE_EDGES_COMPREHENSION,
+        ],
+        ids=["add-edge", "edges-loop", "edges-comprehension"],
+    )
+    def test_graph_round_trip_flagged(self, source):
+        assert_flags(source, "hot-path-hygiene", self.REDUCE)
+
+    @pytest.mark.parametrize(
+        "display_path",
+        ["src/repro/core/sketch_columns.py", "src/repro/coverage/kernels.py"],
+        ids=["sketch-columns", "kernels"],
+    )
+    def test_every_hot_module_flags_add_edge(self, display_path):
+        assert_flags(fx.BAD_REDUCE_ADD_EDGE, "hot-path-hygiene", display_path)
+
+    def test_add_edge_in_process_batch_flagged(self):
+        source = fx.clean(
+            """
+            class Algo:
+                def process_batch(self, batch):
+                    for set_id, element in self._survivors(batch):
+                        self._graph.add_edge(set_id, element)
+            """
+        )
+        assert_flags(source, "hot-path-hygiene")
+
+    def test_bulk_build_clean(self):
+        assert_clean(fx.GOOD_REDUCE, "hot-path-hygiene", self.REDUCE)
+
+    def test_graph_code_outside_hot_scope_clean(self):
+        # Building graphs edge by edge is the normal API everywhere else.
+        assert_clean(fx.BAD_REDUCE_ADD_EDGE, "hot-path-hygiene")
+        assert_clean(fx.BAD_REDUCE_EDGES_LOOP, "hot-path-hygiene")
+
+    def test_suppression_honoured(self):
+        assert_suppressed(fx.SUPPRESSED_REDUCE_ADD_EDGE, "hot-path-hygiene", self.REDUCE)
+
+
 class TestRegistryLiteralNames:
     def test_computed_name_flagged(self):
         (finding,) = assert_flags(fx.BAD_REGISTRY_COMPUTED, "registry-literal-names")
