@@ -27,9 +27,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, Literal
 
+import numpy as np
+
 from repro.coverage.bipartite import BipartiteGraph
 from repro.core.setcover_outliers import StreamingSetCoverOutliers
 from repro.offline.greedy import greedy_set_cover
+from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
 from repro.utils.validation import check_open_unit, check_positive_int
@@ -115,6 +118,10 @@ class StreamingSetCover:
 
         self._covered: set[int] = set()
         self._solution: list[int] = []
+        self._chosen: set[int] = set()
+        # The covered elements as a column, for the batched sketch and
+        # collect passes (which never change them); set by start_pass.
+        self._covered_ids = np.empty(0, dtype=np.uint64)
         self._phases = self._build_phase_plan()
         self._phase_index = 0
         self._current_outliers: StreamingSetCoverOutliers | None = None
@@ -154,6 +161,10 @@ class StreamingSetCover:
     def start_pass(self, pass_index: int) -> None:
         """Prepare the state needed by the upcoming pass."""
         phase, iteration = self.current_phase()
+        if phase in ("sketch", "collect"):
+            self._covered_ids = np.fromiter(
+                self._covered, dtype=np.uint64, count=len(self._covered)
+            )
         if phase == "sketch":
             self._current_outliers = StreamingSetCoverOutliers(
                 self.num_sets,
@@ -176,7 +187,7 @@ class StreamingSetCover:
         phase, _ = self.current_phase()
         element_covered = event.element in self._covered
         if phase == "mark":
-            if not element_covered and event.set_id in self._chosen_set:
+            if not element_covered and event.set_id in self._chosen:
                 self._covered.add(event.element)
         elif phase == "sketch":
             if not element_covered:
@@ -187,6 +198,37 @@ class StreamingSetCover:
                 assert self._residual is not None
                 if self._residual.add_edge(event.set_id, event.element):
                     self.space.charge(1)
+
+    def process_batch(self, batch: EventBatch) -> None:
+        """Route one columnar edge batch according to the current phase.
+
+        Each phase is array work equal to :meth:`process` over the batch's
+        edges: the mark pass adds the elements of rows whose set is chosen,
+        in row order; the sketch pass hands the rows of uncovered elements
+        to Algorithm 5 as one sub-batch; the collect pass inserts them into
+        the residual graph in one :meth:`BipartiteGraph.add_columns` call.
+        """
+        if batch.offsets is not None:
+            raise TypeError("StreamingSetCover consumes edge batches, got a set batch")
+        phase, _ = self.current_phase()
+        if phase == "mark":
+            chosen = np.fromiter(self._chosen, dtype=np.uint64, count=len(self._chosen))
+            rows = np.flatnonzero(np.isin(batch.set_ids, chosen))
+            self._covered.update(batch.elements[rows].tolist())
+            return
+        if phase not in ("sketch", "collect"):
+            return
+        rows = np.flatnonzero(~np.isin(batch.elements, self._covered_ids))
+        if not len(rows):
+            return
+        uncovered = batch if len(rows) == len(batch) else batch.take(rows)
+        if phase == "sketch":
+            assert self._current_outliers is not None
+            self._current_outliers.process_batch(uncovered)
+        else:
+            assert self._residual is not None
+            added = self._residual.add_columns(uncovered.set_ids, uncovered.elements)
+            self.space.charge(int(added.sum()))
 
     def finish_pass(self, pass_index: int) -> None:
         """Close the current phase; solve when a sketch/collect pass ends."""
@@ -227,16 +269,11 @@ class StreamingSetCover:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    @property
-    def _chosen_set(self) -> set[int]:
-        return set(self._solution)
-
     def _extend_solution(self, selection: list[int]) -> None:
-        seen = self._chosen_set
-        for set_id in selection:
-            if set_id not in seen:
-                self._solution.append(int(set_id))
-                seen.add(int(set_id))
+        for set_id in map(int, selection):
+            if set_id not in self._chosen:
+                self._solution.append(set_id)
+                self._chosen.add(set_id)
 
     def describe(self) -> dict[str, object]:
         """Diagnostics for reports."""

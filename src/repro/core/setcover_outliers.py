@@ -32,6 +32,7 @@ from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.offline.greedy import greedy_k_cover
+from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
 from repro.utils.validation import check_in_range, check_open_unit, check_positive_int
@@ -159,6 +160,10 @@ class GuessChecker:
     def process(self, event: EdgeArrival) -> None:
         """Feed one edge into this guess's sketch."""
         self.builder.process(event)
+
+    def process_batch(self, batch: EventBatch) -> None:
+        """Feed a columnar edge batch into this guess's sketch."""
+        self.builder.process_batch(batch)
 
     def finalize(self) -> CoverageSketch:
         """Freeze the post-stream sketch (plus a kernel cache) for queries.
@@ -313,6 +318,28 @@ class StreamingSetCoverOutliers:
         """Feed one edge into every guess's sketch."""
         for checker in self._checkers:
             checker.process(event)
+
+    def process_batch(self, batch: EventBatch) -> None:
+        """Feed a columnar edge batch into every guess's sketch.
+
+        The guesses charge one shared space meter, whose peak depends on how
+        their admissions and evictions interleave.  When every guess can take
+        the whole batch without an eviction, each one's stored-edge count
+        only grows, so feeding the guesses one after another ends at the
+        scalar path's peak.  Otherwise the batch is fed edge by edge to all
+        guesses in turn, exactly as the scalar stream does; so is a batch
+        with an out-of-range set id, which then raises at the row (and
+        guess) the scalar stream raises at.
+        """
+        in_range = not len(batch) or int(batch.set_ids.max()) < self.num_sets
+        if in_range and all(
+            checker.builder.fits_in_bulk(len(batch)) for checker in self._checkers
+        ):
+            for checker in self._checkers:
+                checker.process_batch(batch)
+            return
+        for event in batch.iter_events():
+            self.process(event)
 
     def finish_pass(self, pass_index: int) -> None:
         """Nothing to do — checking happens lazily in :meth:`result`."""

@@ -36,11 +36,12 @@ randomness:
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bipartite import BipartiteGraph, first_occurrences, run_starts
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
@@ -90,8 +91,11 @@ class StreamingSketchBuilder:
         self.space = space if space is not None else SpaceMeter(unit="edges")
         self._graph = BipartiteGraph(params.num_sets)
         self._ranks: dict[int, float] = {}
-        # Max-heap over (negated rank, element) of currently tracked elements.
-        self._heap: list[tuple[float, int]] = []
+        # Max-heap over (negated rank, element) of currently tracked elements,
+        # built by one heapify of _ranks at the first eviction, so a sketch
+        # that never evicts never holds it.  The keys are unique, so the pop
+        # order is the same as pushing on every admission.
+        self._heap: list[tuple[float, int]] | None = None
         self._truncated: set[int] = set()
         self._admission_threshold = 1.0
         self._edges_seen = 0
@@ -211,11 +215,26 @@ class StreamingSketchBuilder:
             self.space.charge(1)
         else:
             self._ranks[element] = rank
-            heapq.heappush(self._heap, (-rank, element))
+            if self._heap is not None:
+                heapq.heappush(self._heap, (-rank, element))
             self._graph.add_edge(set_id, element)
             self.space.charge(1)
         self._evict_if_needed()
         return True
+
+    def fits_in_bulk(self, edges: int) -> bool:
+        """Whether ``edges`` more stored edges can never trigger an eviction.
+
+        True when the stored edges plus ``edges`` stay within
+        ``edge_budget + eviction_slack`` and the space meter enforces no
+        budget.  Then the admission threshold stays fixed and no charge can
+        trip the meter, so a batch of that many survivors is admitted in
+        bulk by :meth:`process_batch`.
+        """
+        return (
+            self.space.budget is None
+            and self._graph.num_edges + edges <= self.params.max_stored_edges
+        )
 
     def process(self, event: EdgeArrival) -> bool:
         """Process an :class:`EdgeArrival` event (same as :meth:`add_edge`)."""
@@ -229,10 +248,11 @@ class StreamingSketchBuilder:
         ``value_many`` otherwise — and edges whose rank already clears the
         current admission threshold are rejected wholesale; since the
         threshold only ever decreases, the scalar path would reject every
-        one of them too.  Survivors then go through the ordinary per-edge
-        admission (threshold re-check, degree cap, dedup, eviction), so the
-        builder state after a batch is byte-identical to feeding the same
-        edges one at a time.
+        one of them too.  When the survivors fit (:meth:`fits_in_bulk`) they
+        are admitted in bulk by array work; otherwise they go through the
+        ordinary per-edge admission (threshold re-check, degree cap, dedup,
+        eviction).  Either way the builder state after a batch is
+        byte-identical to feeding the same edges one at a time.
         """
         if batch.offsets is not None:
             raise TypeError("StreamingSketchBuilder consumes edge batches, got a set batch")
@@ -249,15 +269,85 @@ class StreamingSketchBuilder:
         survivors = np.flatnonzero(ranks < self._admission_threshold)
         self._edges_seen += count
         self._edges_discarded += count - len(survivors)
+        if not len(survivors):
+            return 0
+        set_ids, elements = batch.set_ids, batch.elements
+        if len(survivors) < count:
+            set_ids, elements, ranks = set_ids[survivors], elements[survivors], ranks[survivors]
+        # An out-of-range set id takes the per-edge path, which raises at
+        # exactly the row the scalar stream would.
+        if self.fits_in_bulk(len(survivors)) and set_ids.max() < self.params.num_sets:
+            element_ids = _pick(batch.element_ids, survivors)
+            stored = self._admit_bulk(set_ids, elements, ranks, element_ids)
+            self._edges_discarded += len(survivors) - stored
+            return stored
         stored = 0
-        if len(survivors):
-            set_ids = batch.set_ids[survivors].tolist()
-            elements = batch.elements[survivors].tolist()
-            survivor_ranks = ranks[survivors].tolist()
-            for set_id, element, rank in zip(set_ids, elements, survivor_ranks):
-                if self._admit(set_id, element, rank):
-                    stored += 1
+        for set_id, element, rank in zip(set_ids.tolist(), elements.tolist(), ranks.tolist()):
+            if self._admit(set_id, element, rank):
+                stored += 1
         return stored
+
+    def _admit_bulk(
+        self,
+        set_ids: np.ndarray,
+        elements: np.ndarray,
+        ranks: np.ndarray,
+        element_ids: list[int],
+    ) -> int:
+        """Admit below-threshold rows that fit the edge limit; return #stored.
+
+        No eviction can happen inside such a batch, so the threshold stays
+        fixed and each row's fate depends only on the rows before it.  A
+        row is stored when its ``(set, element)`` pair is new (not stored
+        yet, not an earlier row) and its element's degree is below the cap;
+        any arrival at the cap marks the element truncated.  The element's
+        degree before a row is its stored degree plus the new pairs among
+        its earlier rows, so the cap is a cumulative count per element.
+        ``element_ids`` holds the rows' elements as the batch's shared ints.
+        """
+        cap = self.params.degree_cap
+        # Rows grouped by element, each group in row order.
+        order = np.argsort(elements, kind="stable")
+        grouped = elements[order]
+        boundary = run_starts(grouped)
+        starts = boundary.nonzero()[0]
+        sorted_group = np.cumsum(boundary) - 1
+        group = np.empty_like(sorted_group)
+        group[order] = sorted_group
+        keys = grouped[starts].tolist()
+        known = np.fromiter(map(self._ranks.__contains__, keys), dtype=bool, count=len(keys))
+        new = first_occurrences(set_ids, elements)
+        degree = np.zeros(len(keys), dtype=np.int64)
+        if known.any():
+            # Only an already tracked element can have stored pairs.
+            rows = np.flatnonzero(known[group])
+            new[rows] &= ~self._graph.has_edges(set_ids[rows], elements[rows])
+            degree[known] = np.fromiter(
+                map(self._graph.element_degree, compress(keys, known.tolist())),
+                dtype=np.int64,
+                count=int(known.sum()),
+            )
+        # Degree before each row: stored degree plus new pairs on earlier
+        # rows of the same element (exclusive running count per group).
+        new_sorted = new[order].astype(np.int64)
+        running = np.cumsum(new_sorted) - new_sorted
+        before = np.empty(len(order), dtype=np.int64)
+        before[order] = running - running[starts][sorted_group]
+        level = degree[group] + before
+        stored = new & (level < cap)
+        self._truncated.update(_pick(element_ids, np.flatnonzero(level >= cap)))
+        # New elements enter _ranks in order of their first row.
+        fresh = np.sort(order[starts][~known])
+        fresh_elements = _pick(element_ids, fresh)
+        fresh_ranks = ranks[fresh].tolist()
+        self._ranks.update(zip(fresh_elements, fresh_ranks))
+        if self._heap is not None:
+            for rank, element in zip(fresh_ranks, fresh_elements):
+                heapq.heappush(self._heap, (-rank, element))
+        rows = np.flatnonzero(stored)
+        self._graph.add_columns(set_ids[rows], elements[rows], _pick(element_ids, rows))
+        self.space.charge(len(rows))
+        return len(rows)
 
     def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
         """Feed a whole iterable of edges / events through the builder."""
@@ -270,15 +360,13 @@ class StreamingSketchBuilder:
 
     def _evict_if_needed(self) -> None:
         """Evict highest-ranked elements while over the transient edge limit."""
-        limit = self.params.edge_budget + self.params.eviction_slack
+        limit = self.params.max_stored_edges
         while self._graph.num_edges > limit and len(self._ranks) > 1:
-            while self._heap:
-                neg_rank, element = self._heap[0]
-                if element in self._ranks and -neg_rank == self._ranks[element]:
-                    break
-                heapq.heappop(self._heap)  # stale entry
-            if not self._heap:
-                break
+            if self._heap is None:
+                self._heap = [(-rank, element) for element, rank in self._ranks.items()]
+                heapq.heapify(self._heap)
+            # The heap holds exactly the tracked elements: each admission
+            # pushes, each eviction pops, and nothing else leaves _ranks.
             neg_rank, element = heapq.heappop(self._heap)
             rank = -neg_rank
             del self._ranks[element]
@@ -352,3 +440,10 @@ class StreamingSketchBuilder:
             "admission_threshold": self._admission_threshold,
             "space_peak": self.space.peak,
         }
+
+
+def _pick(values: list[int], rows: np.ndarray) -> list[int]:
+    """``values`` at ascending distinct ``rows``, sharing the int objects."""
+    if len(rows) == len(values):
+        return values
+    return list(map(values.__getitem__, rows.tolist()))

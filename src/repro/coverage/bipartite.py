@@ -16,7 +16,7 @@ does not need to re-index them).  Label handling lives one level up in
 from __future__ import annotations
 
 import operator
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import InvalidInstanceError
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
-__all__ = ["BipartiteGraph"]
+__all__ = ["BipartiteGraph", "first_occurrences", "run_starts"]
 
 
 class BipartiteGraph:
@@ -92,55 +92,11 @@ class BipartiteGraph:
     ) -> "BipartiteGraph":
         """Build a graph from parallel ``(set_id, element)`` integer columns.
 
-        The bulk twin of an :meth:`add_edge` loop over the same rows, and
-        equal to it down to iteration order: ``elements()`` yields elements
-        in order of first appearance, every adjacency set is filled in row
-        order, and duplicate rows count once.  Set ids are validated once
-        for the whole column; an out-of-range id raises
-        :class:`~repro.errors.InvalidInstanceError`.
+        A new graph filled by one :meth:`add_columns` call, so it equals an
+        :meth:`add_edge` loop over the same rows down to iteration order.
         """
         graph = cls(num_sets)
-        set_ids = np.asarray(set_ids)
-        elements = np.asarray(elements)
-        if set_ids.shape != elements.shape or set_ids.ndim != 1:
-            raise ValueError("set_ids and elements must be parallel 1-d columns")
-        if len(set_ids) == 0:
-            return graph
-        for name, column in (("set_id", set_ids), ("element", elements)):
-            if column.dtype == np.bool_ or column.dtype.kind not in "iu":
-                raise TypeError(f"{name} column must be integers, got {column.dtype}")
-        if elements.min() < 0:
-            raise ValueError(f"element must be >= 0, got {elements.min()}")
-        low, high = int(set_ids.min()), int(set_ids.max())
-        if low < 0 or high >= num_sets:
-            bad = low if low < 0 else high
-            raise InvalidInstanceError(f"set id {bad} out of range [0, {num_sets})")
-
-        # Set side: rows grouped by set id, row order kept inside each group.
-        by_set = np.argsort(set_ids, kind="stable")
-        bounds = np.zeros(num_sets + 1, dtype=np.intp)
-        np.cumsum(np.bincount(set_ids.astype(np.intp), minlength=num_sets), out=bounds[1:])
-        # Element side: the same grouping by element, with the groups taken
-        # in order of each element's first row.
-        by_element = np.argsort(elements, kind="stable")
-        grouped = elements[by_element]
-        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-        stops = np.r_[starts[1:], len(grouped)]
-        appearance = np.argsort(by_element[starts])
-        graph._set_adj = list(
-            _grouped_sets(elements[by_set].tolist(), bounds[:-1], bounds[1:])
-        )
-        graph._elem_adj = dict(
-            zip(
-                grouped[starts[appearance]].tolist(),
-                _grouped_sets(
-                    set_ids[by_element].tolist(),
-                    starts[appearance],
-                    stops[appearance],
-                ),
-            )
-        )
-        graph._num_edges = sum(map(len, graph._set_adj))
+        graph.add_columns(set_ids, elements)
         return graph
 
     def to_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +142,100 @@ class BipartiteGraph:
         self._elem_adj.setdefault(element, set()).add(set_id)
         self._num_edges += 1
         return True
+
+    def add_columns(
+        self,
+        set_ids: np.ndarray,
+        elements: np.ndarray,
+        element_ids: list[int] | None = None,
+    ) -> np.ndarray:
+        """Add the edges of parallel ``(set_id, element)`` integer columns.
+
+        The bulk twin of an :meth:`add_edge` loop over the same rows, and
+        equal to it down to iteration order: new elements join
+        :meth:`elements` in order of their first row, every adjacency set
+        grows in row order, and a row already stored (in the graph or
+        earlier in the columns) counts once.  Returns a boolean mask of the
+        rows that were new, where the loop's ``add_edge`` returns ``True``.
+        The columns are validated before anything is inserted; an
+        out-of-range set id raises the
+        :class:`~repro.errors.InvalidInstanceError` the loop would raise at
+        its first offending row.
+
+        ``element_ids`` is ``elements.tolist()`` when the caller already
+        has it: the graph then stores those int objects, so graphs filled
+        from one batch share them, as graphs fed the batch's scalar events do.
+        """
+        set_ids = np.asarray(set_ids)
+        elements = np.asarray(elements)
+        if set_ids.shape != elements.shape or set_ids.ndim != 1:
+            raise ValueError("set_ids and elements must be parallel 1-d columns")
+        rows = len(set_ids)
+        if rows == 0:
+            return np.zeros(0, dtype=bool)
+        for name, column in (("set_id", set_ids), ("element", elements)):
+            if column.dtype == np.bool_ or column.dtype.kind not in "iu":
+                raise TypeError(f"{name} column must be integers, got {column.dtype}")
+        if elements.min() < 0:
+            raise ValueError(f"element must be >= 0, got {elements.min()}")
+        if set_ids.min() < 0 or set_ids.max() >= self._num_sets:
+            bad = int(set_ids[(set_ids < 0) | (set_ids >= self._num_sets)][0])
+            raise InvalidInstanceError(f"set id {bad} out of range [0, {self._num_sets})")
+        if element_ids is None:
+            element_ids = elements.tolist()
+        stored = self._stored(set_ids.tolist(), element_ids) if self._num_edges else None
+
+        # Set side: rows grouped by set id, row order kept inside each group
+        # (set.update adds a list's items in order, as add() calls would).
+        by_set = np.argsort(set_ids, kind="stable")
+        grouped = set_ids[by_set]
+        starts, stops = _runs(grouped)
+        targets = list(map(self._set_adj.__getitem__, grouped[starts].tolist()))
+        before = sum(map(len, targets))
+        members_by_set = list(map(element_ids.__getitem__, by_set.tolist()))
+        for members, chunk in zip(targets, _slices(members_by_set, starts, stops)):
+            members.update(chunk)
+        added = sum(map(len, targets)) - before
+        self._num_edges += added
+        # Element side: the same grouping by element, with the groups taken
+        # in order of each element's first row, so new elements join the
+        # dict in the order an add_edge loop would insert them.
+        by_element = np.argsort(elements, kind="stable")
+        grouped = elements[by_element]
+        starts, stops = _runs(grouped)
+        appearance = np.argsort(by_element[starts])
+        starts, stops = starts[appearance], stops[appearance]
+        keys = list(map(element_ids.__getitem__, by_element[starts].tolist()))
+        chunks = _slices(set_ids[by_element].tolist(), starts, stops)
+        if self._elem_adj:
+            chunks = list(chunks)
+            known = list(map(self._elem_adj.__contains__, keys))
+            for members, chunk in zip(
+                map(self._elem_adj.__getitem__, compress(keys, known)),
+                compress(chunks, known),
+            ):
+                members.update(chunk)
+            absent = list(map(operator.not_, known))
+            keys, chunks = list(compress(keys, absent)), compress(chunks, absent)
+        self._elem_adj.update(zip(keys, map(set, chunks)))
+
+        if added == rows:
+            return np.ones(rows, dtype=bool)
+        new = first_occurrences(set_ids, elements)
+        return new if stored is None else new & ~stored
+
+    def has_edges(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """Boolean mask of the ``(set_id, element)`` rows stored in the graph.
+
+        The set ids must be in range: the probe is not validated.
+        """
+        return self._stored(np.asarray(set_ids).tolist(), np.asarray(elements).tolist())
+
+    def _stored(self, set_ids: list[int], elements: list[int]) -> np.ndarray:
+        members = map(self._set_adj.__getitem__, set_ids)
+        return np.fromiter(
+            map(operator.contains, members, elements), dtype=bool, count=len(set_ids)
+        )
 
     def remove_element(self, element: int) -> int:
         """Remove an element vertex and all its edges; return #edges removed."""
@@ -354,12 +404,37 @@ class BipartiteGraph:
             )
 
 
-def _grouped_sets(
-    values: list[int], starts: np.ndarray, stops: np.ndarray
-) -> Iterator[set[int]]:
-    """``set(values[a:b])`` for every ``(a, b)`` bound pair, lazily.
+def run_starts(grouped: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows that begin a run of equal values."""
+    starts = np.empty(len(grouped), dtype=bool)
+    starts[:1] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
+    return starts
 
-    The maps run in C, so building one adjacency set per group costs no
+
+def _runs(grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop index of every run of equal values in a sorted column."""
+    starts = run_starts(grouped).nonzero()[0]
+    stops = np.empty_like(starts)
+    stops[:-1] = starts[1:]
+    stops[-1:] = len(grouped)
+    return starts, stops
+
+
+def _slices(values: list[int], starts: np.ndarray, stops: np.ndarray) -> Iterator[list[int]]:
+    """``values[a:b]`` for every ``(a, b)`` bound pair, lazily.
+
+    The maps run in C, so cutting one group per adjacency set costs no
     Python bytecode per row.
     """
-    return map(set, map(values.__getitem__, map(slice, starts.tolist(), stops.tolist())))
+    return map(values.__getitem__, map(slice, starts.tolist(), stops.tolist()))
+
+
+def first_occurrences(set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first row of each distinct ``(set_id, element)`` pair."""
+    order = np.lexsort((set_ids, elements))  # stable: equal pairs keep row order
+    pairs_set, pairs_element = set_ids[order], elements[order]
+    repeat = (pairs_set[1:] == pairs_set[:-1]) & (pairs_element[1:] == pairs_element[:-1])
+    first = np.ones(len(order), dtype=bool)
+    first[order[1:][repeat]] = False
+    return first

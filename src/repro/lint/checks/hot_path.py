@@ -109,8 +109,8 @@ class HotPathHygieneRule(Rule):
                 ctx,
                 node,
                 "per-edge .add_edge() in a hot path rebuilds a graph one "
-                "Python call per edge; keep the rows as columns and build "
-                "once with BipartiteGraph.from_columns",
+                "Python call per edge; keep the rows as columns and insert "
+                "them at once with BipartiteGraph.from_columns/add_columns",
             )
             return
         if not _method_call(node, "tolist"):

@@ -25,6 +25,7 @@ semantics every native ``process_batch`` implementation must match.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -124,6 +125,16 @@ class EventBatch:
         """Number of membership edges carried by the batch."""
         return len(self.elements)
 
+    @cached_property
+    def element_ids(self) -> list[int]:
+        """The element column as Python ints, made once per batch.
+
+        The scalar events and every sketch that stores the batch's elements
+        take these same int objects, so a batch fed to many sketches pays
+        for its ints once.
+        """
+        return self.elements.tolist()
+
     # ------------------------------------------------------------------ #
     # row selection
     # ------------------------------------------------------------------ #
@@ -151,7 +162,7 @@ class EventBatch:
         ``process`` one at a time.
         """
         set_ids = self.set_ids.tolist()
-        elements = self.elements.tolist()
+        elements = self.element_ids
         if self.offsets is None:
             for set_id, element in zip(set_ids, elements):
                 yield EdgeArrival(set_id, element)

@@ -231,3 +231,49 @@ class TestFromColumns:
             BipartiteGraph.from_columns(2, np.array([0]), np.array([-4]))
         with pytest.raises(TypeError):
             BipartiteGraph.from_columns(2, np.array([0.0]), np.array([4]))
+
+
+class TestAddColumns:
+    """``add_columns`` into a filled graph is an ``add_edge`` loop in bulk."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_rows_into_a_filled_graph(self, seed):
+        rng = spawn_rng(seed, "add-columns")
+        num_sets = int(rng.integers(1, 30))
+
+        def rows(count):
+            set_ids = rng.integers(0, num_sets, count).astype(np.uint64)
+            return set_ids, (rng.integers(0, 60, count) * 7919).astype(np.uint64)
+
+        graph = BipartiteGraph(num_sets)
+        reference = BipartiteGraph(num_sets)
+        for _ in range(3):
+            set_ids, elements = rows(int(rng.integers(0, 200)))
+            new = graph.add_columns(set_ids, elements)
+            expected = [
+                reference.add_edge(s, e) for s, e in zip(set_ids.tolist(), elements.tolist())
+            ]
+            assert new.tolist() == expected
+            _assert_identical(graph, reference)
+
+    def test_shared_element_ids_are_stored(self):
+        elements = np.array([10**6, 10**6 + 1, 10**6], dtype=np.uint64)
+        element_ids = elements.tolist()
+        graph = BipartiteGraph(2)
+        new = graph.add_columns(np.array([0, 0, 1], dtype=np.uint64), elements, element_ids)
+        assert new.tolist() == [True, True, True]
+        assert all(
+            any(stored is given for given in element_ids) for stored in graph.elements()
+        )
+
+    def test_out_of_range_names_the_first_offending_row(self):
+        graph = BipartiteGraph(3)
+        graph.add_edge(0, 1)
+        with pytest.raises(InvalidInstanceError, match="set id 7 out of range"):
+            graph.add_columns(np.array([1, 7, 9]), np.array([2, 3, 4]))
+        assert graph.num_edges == 1  # validated before anything is inserted
+
+    def test_has_edges(self, tiny_graph):
+        set_ids = np.array([0, 0, 3, 3], dtype=np.uint64)
+        elements = np.array([0, 5, 5, 0], dtype=np.uint64)
+        assert tiny_graph.has_edges(set_ids, elements).tolist() == [True, False, True, False]

@@ -8,12 +8,16 @@ degrade.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import StreamingKCover, StreamingSketchBuilder
 from repro.core.params import SketchParams
-from repro.errors import PassBudgetExceeded, SpaceBudgetExceeded
+from repro.core.setcover import StreamingSetCover
+from repro.core.setcover_outliers import StreamingSetCoverOutliers
+from repro.errors import InvalidInstanceError, PassBudgetExceeded, SpaceBudgetExceeded
 from repro.streaming import EdgeStream, SetStream, SpaceMeter, StreamingRunner
+from repro.streaming.batches import EventBatch
 from repro.streaming.passes import MultiPassDriver
 
 
@@ -48,6 +52,115 @@ class TestSpaceBudgetEnforcement:
         builder.consume(planted_kcover.graph.edges())
         assert meter.violations > 0
         assert not meter.within_budget
+
+
+def _feed_batches(builder, graph, batch_size=64):
+    """Feed a graph's edges to a builder as columnar batches, in edges() order."""
+    edges = EventBatch.from_edges(graph.edges())
+    for start in range(0, len(edges), batch_size):
+        builder.process_batch(edges.take(np.arange(start, min(start + batch_size, len(edges)))))
+
+
+class TestSpaceBudgetEnforcementBatched:
+    """The batched twins: a meter with a budget keeps per-edge admission, so
+    the failure surfaces at exactly the scalar path's usage."""
+
+    def test_builder_with_enforcing_meter_raises_when_budget_too_small(self, planted_kcover):
+        params = SketchParams.explicit(
+            planted_kcover.n, planted_kcover.m, 4, 0.2, edge_budget=200, degree_cap=10
+        )
+        meter = SpaceMeter(budget=50, enforce=True, unit="edges")
+        builder = StreamingSketchBuilder(params, seed=1, space=meter)
+        with pytest.raises(SpaceBudgetExceeded) as excinfo:
+            _feed_batches(builder, planted_kcover.graph)
+        assert excinfo.value.budget == 50
+        assert excinfo.value.used == 51
+
+    def test_builder_with_adequate_budget_does_not_raise(self, planted_kcover):
+        params = SketchParams.explicit(
+            planted_kcover.n, planted_kcover.m, 4, 0.2, edge_budget=200, degree_cap=10
+        )
+        meter = SpaceMeter(budget=params.max_stored_edges + 1, enforce=True, unit="edges")
+        builder = StreamingSketchBuilder(params, seed=1, space=meter)
+        _feed_batches(builder, planted_kcover.graph)
+        assert meter.within_budget
+
+    def test_non_enforcing_meter_records_violations(self, planted_kcover):
+        params = SketchParams.explicit(
+            planted_kcover.n, planted_kcover.m, 4, 0.2, edge_budget=400, degree_cap=20
+        )
+        scalar_meter = SpaceMeter(budget=100, enforce=False, unit="edges")
+        StreamingSketchBuilder(params, seed=2, space=scalar_meter).consume(
+            planted_kcover.graph.edges()
+        )
+        meter = SpaceMeter(budget=100, enforce=False, unit="edges")
+        _feed_batches(StreamingSketchBuilder(params, seed=2, space=meter), planted_kcover.graph)
+        scalar, batched = scalar_meter.as_dict(), meter.as_dict()
+        assert batched["violations"] > 0
+        assert not batched["within_budget"]
+        assert batched == scalar  # one violation per over-budget edge, as per edge
+
+
+class TestOutOfRangeSetIdBatched:
+    """An out-of-range set id in a batch raises what the scalar stream raises."""
+
+    def _same_error(self, make, num_sets, batch=None):
+        if batch is None:
+            batch = EventBatch(
+                np.array([0, 1, num_sets + 4, num_sets + 2, 2], dtype=np.uint64),
+                np.array([3, 4, 5, 6, 7], dtype=np.uint64),
+            )
+        with pytest.raises(InvalidInstanceError) as scalar:
+            algorithm = make()
+            for event in batch.iter_events():
+                algorithm.process(event)
+        with pytest.raises(InvalidInstanceError) as batched:
+            make().process_batch(batch)
+        assert str(batched.value) == str(scalar.value)
+        return str(scalar.value)
+
+    def test_sketch_builder(self, planted_kcover):
+        params = SketchParams.explicit(
+            planted_kcover.n, planted_kcover.m, 4, 0.2, edge_budget=200, degree_cap=10
+        )
+        self._same_error(lambda: StreamingSketchBuilder(params, seed=1), planted_kcover.n)
+
+    def test_setcover_outliers(self, planted_setcover):
+        n, m = planted_setcover.n, planted_setcover.m
+        self._same_error(lambda: StreamingSetCoverOutliers(n, m, 0.1, seed=3), n)
+
+    def test_setcover_outliers_when_one_guess_discards_the_bad_row(self, planted_setcover):
+        """Guess 0's threshold has dropped: it discards the first bad row and
+        keeps the second.  The scalar stream fails at the first bad row,
+        through guess 1, and so must the batch."""
+        n, m = planted_setcover.n, planted_setcover.m
+        probe = StreamingSetCoverOutliers(n, m, 0.1, seed=3)._checkers[0].builder
+        by_rank = sorted(range(100), key=probe._rank)
+        kept, dropped = by_rank[0], by_rank[-1]
+        threshold = (probe._rank(kept) + probe._rank(dropped)) / 2
+
+        def make():
+            algorithm = StreamingSetCoverOutliers(n, m, 0.1, seed=3)
+            algorithm._checkers[0].builder._admission_threshold = threshold
+            return algorithm
+
+        batch = EventBatch(
+            np.array([n + 4, n + 2], dtype=np.uint64),
+            np.array([dropped, kept], dtype=np.uint64),
+        )
+        assert f"set id {n + 4} " in self._same_error(make, n, batch)
+
+    @pytest.mark.parametrize("phase", ["sketch", "collect"])
+    def test_setcover_passes(self, planted_setcover, phase):
+        n, m = planted_setcover.n, planted_setcover.m
+
+        def make():
+            algorithm = StreamingSetCover(n, m, rounds=1 if phase == "collect" else 3)
+            algorithm.start_pass(0)
+            return algorithm
+
+        assert make().current_phase()[0] == phase
+        self._same_error(make, n)
 
 
 class TestPassBudgetEnforcement:

@@ -14,9 +14,16 @@ import pytest
 
 import repro.api  # noqa: F401 - populates the solver registry
 from repro.api import StreamSpec, list_solvers, solve
+from repro.core.params import SketchParams
+from repro.core.setcover import StreamingSetCover
+from repro.core.setcover_outliers import StreamingSetCoverOutliers
+from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
+from repro.streaming import EdgeStream, StreamingRunner
 
 BATCH_SIZES = (1, 7, 1024)
+#: Set-cover batch sizes: 4096 holds a whole pass of the instances below.
+SKETCH_BATCH_SIZES = (1, 7, 1024, 4096)
 SEEDS = (0, 3)
 
 #: Per-problem workload plus solve() kwargs keeping multi-pass solvers fast.
@@ -78,6 +85,86 @@ def test_every_streaming_solver_is_batch_invariant(problem, name, build, kwargs)
                 f"{name} diverged from the scalar path at batch_size={batch_size}, "
                 f"seed={seed}"
             )
+
+
+class _RecordingSetCover(StreamingSetCover):
+    """Algorithm 6 that keeps each sketch pass's guess sketches as columns."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.guess_sketches = []
+
+    def finish_pass(self, pass_index):
+        if self._current_outliers is not None:
+            self.guess_sketches.append(_guess_sketches(self._current_outliers))
+        super().finish_pass(pass_index)
+
+
+def _guess_sketches(outliers):
+    """Every guess builder's columns and counters."""
+    return [
+        (
+            columns.ranks.tolist(),
+            columns.elements.tolist(),
+            columns.set_ids.tolist(),
+            columns.threshold,
+            columns.truncated.tolist(),
+            checker.builder.describe(),
+        )
+        for checker in outliers._checkers
+        for columns in [checker.builder.columns()]
+    ]
+
+
+def _run(algorithm, instance, seed, batch_size):
+    stream = EdgeStream.from_graph(instance.graph, order="random", seed=seed)
+    report = StreamingRunner(instance.graph).run(algorithm, stream, batch_size=batch_size)
+    return _report_key(report)
+
+
+def test_setcover_sketch_state_is_batch_invariant():
+    instance = planted_setcover_instance(30, 500, cover_size=6, seed=22)
+    n, m = instance.graph.num_sets, instance.graph.num_elements
+
+    def run(batch_size):
+        algorithm = _RecordingSetCover(n, m, seed=5)
+        report = _run(algorithm, instance, 5, batch_size)
+        return report, list(algorithm._covered), algorithm.guess_sketches
+
+    scalar = run(None)
+    assert len(scalar[2]) == 2  # two sketch passes, every guess recorded
+    for batch_size in SKETCH_BATCH_SIZES:
+        assert run(batch_size) == scalar, f"batch_size={batch_size}"
+
+
+@pytest.mark.parametrize("evicting", [False, True], ids=["fit", "evict"])
+def test_outliers_sketch_state_is_batch_invariant(evicting):
+    """Algorithm 5's guesses share one space meter, so its peak depends on
+    how their admissions and evictions interleave.  With small budgets on
+    the last three guesses, those evict while the rest fit: fed one guess
+    after another, their eviction spikes would land on top of every other
+    guess's final count and raise the peak by one edge.  The batched pass
+    must still end at the scalar pass's peak."""
+    instance = planted_setcover_instance(30, 500, cover_size=6, seed=23)
+    n, m = instance.graph.num_sets, instance.graph.num_elements
+
+    def run(batch_size):
+        algorithm = StreamingSetCoverOutliers(n, m, 0.1, seed=4)
+        if evicting:
+            for index, checker in enumerate(algorithm._checkers[-3:]):
+                params = SketchParams.explicit(
+                    n, m, 2, 0.5, edge_budget=40 + 20 * index, degree_cap=4
+                )
+                checker.builder = StreamingSketchBuilder(
+                    params, seed=index, space=algorithm.space
+                )
+        report = _run(algorithm, instance, 4, batch_size)
+        return report, _guess_sketches(algorithm), algorithm.space.peak
+
+    scalar = run(None)
+    assert any(state[-1]["evictions"] for state in scalar[1]) == evicting
+    for batch_size in SKETCH_BATCH_SIZES:
+        assert run(batch_size) == scalar, f"batch_size={batch_size}"
 
 
 def test_registry_covers_all_three_problems():
