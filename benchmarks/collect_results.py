@@ -31,32 +31,24 @@ OUTPUT_STEM = "trajectory"
 def summarize_lint_report(payload: object) -> object:
     """Flatten a ``repro lint`` JSON report into trajectory-friendly scalars.
 
-    The raw report nests findings under ``report`` and engine telemetry
-    under ``stats``; the trajectory wants the headline numbers (finding
-    count, files analyzed, cache hit rate, wall time) at the top level so
-    they diff between commits like every other artifact.  Anything that
-    does not look like a lint report passes through untouched.
+    The raw report nests findings under ``report``; the trajectory wants the
+    headline numbers (finding count, files scanned, suppressions, rules) at
+    the top level so they diff between commits like every other artifact.
+    Anything that does not look like a lint report passes through untouched.
     """
     if not isinstance(payload, dict) or "report" not in payload:
         return payload
     report = payload.get("report")
     if not isinstance(report, dict):
         return payload
-    stats = payload.get("stats")
-    stats = stats if isinstance(stats, dict) else {}
     findings = report.get("findings")
-    summary: dict[str, object] = {
+    return {
         "version": payload.get("version"),
         "findings": len(findings) if isinstance(findings, list) else None,
         "files_scanned": report.get("files_scanned"),
         "suppressed": report.get("suppressed"),
         "rules": len(report.get("rules", [])),
     }
-    for key in ("files_analyzed", "files_from_cache", "cache_hit_rate",
-                "wall_seconds", "executor", "workers"):
-        if key in stats:
-            summary[key] = stats[key]
-    return summary
 
 
 def summarize_chrome_trace(payload: object) -> object:

@@ -25,17 +25,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.streaming.batches import EventBatch
-from repro.streaming.events import SetArrival
-from repro.streaming.space import SpaceMeter
-from repro.utils.validation import check_fraction, check_positive_int
+from repro.baselines.threshold_arrival import ThresholdSetArrivalCover
+from repro.utils.validation import check_fraction
 
 __all__ = ["ThresholdPartialSetCover"]
 
 
-class ThresholdPartialSetCover:
+class ThresholdPartialSetCover(ThresholdSetArrivalCover):
     """Multi-pass threshold-greedy set cover with outliers (set-arrival)."""
 
     def __init__(
@@ -44,21 +40,10 @@ class ThresholdPartialSetCover:
         outlier_fraction: float,
         passes: int = 3,
     ) -> None:
-        check_positive_int(num_elements_hint, "num_elements_hint")
+        super().__init__(num_elements_hint, passes)
         check_fraction(outlier_fraction, "outlier_fraction")
-        check_positive_int(passes, "passes")
         self.name = "threshold-partial-cover"
-        self.arrival_model = "set"
-        self.num_elements_hint = num_elements_hint
         self.outlier_fraction = outlier_fraction
-        self.passes = passes
-        self.space = SpaceMeter(unit="stored items")
-
-        self._universe: set[int] = set()
-        self._covered: set[int] = set()
-        self._selected: list[int] = []
-        self._witness: dict[int, int] = {}
-        self._pass_index = 0
         self._done = False
 
     # ------------------------------------------------------------------ #
@@ -71,6 +56,10 @@ class ThresholdPartialSetCover:
         ratio = top ** (1.0 / max(1, self.passes))
         return max(1.0, top / (ratio ** (pass_index + 1)))
 
+    def _acceptance_threshold(self) -> float:
+        """This pass's step of the schedule; the final pass still accepts."""
+        return self._threshold(self._pass_index)
+
     def _allowed_outliers(self) -> int:
         universe = len(self._universe) if self._universe else self.num_elements_hint
         return int(math.floor(self.outlier_fraction * universe))
@@ -78,110 +67,6 @@ class ThresholdPartialSetCover:
     # ------------------------------------------------------------------ #
     # StreamingAlgorithm protocol
     # ------------------------------------------------------------------ #
-    def start_pass(self, pass_index: int) -> None:
-        """Record the pass index used for the threshold schedule."""
-        self._pass_index = pass_index
-
-    def process(self, event: SetArrival) -> None:
-        """Accept the arriving set if it clears the current pass's threshold."""
-        self._process_members(event.set_id, event.elements)
-
-    def _process_members(self, set_id: int, elements) -> None:
-        """The exact per-set update, shared by the scalar and batched paths."""
-        members = set(int(element) for element in elements)
-        new_universe = members - self._universe
-        if new_universe:
-            self._universe |= new_universe
-            self.space.charge(len(new_universe))
-        gain = members - self._covered
-        if not gain:
-            return
-        if len(gain) >= self._threshold(self._pass_index):
-            self._selected.append(set_id)
-            self._covered |= gain
-            self.space.charge(1)
-        elif self._pass_index == self.passes - 1:
-            # Final pass: remember one witness set per still-uncovered element
-            # so leftovers (beyond the outlier budget) can be patched.
-            for element in gain:
-                if element not in self._witness:
-                    self._witness[element] = set_id
-                    self.space.charge(1)
-
-    def process_batch(self, batch: EventBatch) -> None:
-        """Consume a CSR set batch with a vectorised threshold prefilter.
-
-        ``|gain| <= member count``, so a set whose CSR run is shorter than
-        the current pass's threshold can never be accepted: only the
-        candidate sets that clear the count filter run the exact scalar
-        accept logic (in stream order, since each acceptance shrinks later
-        gains), and every run of skipped sets between candidates collapses
-        into whole-array observation — universe growth plus, on the final
-        pass, first-event witness recording.  Byte-identical to the scalar
-        path for every batch size (property-tested).
-        """
-        if batch.offsets is None:
-            raise TypeError(
-                "ThresholdPartialSetCover is a set-arrival algorithm and "
-                "cannot consume edge batches (offsets is None)"
-            )
-        offsets = batch.offsets
-        counts = np.diff(offsets)
-        threshold = self._threshold(self._pass_index)
-        candidates = np.flatnonzero(counts >= threshold)
-        num_events = len(batch.set_ids)
-        cursor = 0
-        for index in candidates.tolist():
-            if index > cursor:
-                self._observe_run(batch, cursor, index)
-            start = int(offsets[index])
-            stop = int(offsets[index + 1])
-            self._process_members(
-                int(batch.set_ids[index]), batch.elements[start:stop]
-            )
-            cursor = index + 1
-        if cursor < num_events:
-            self._observe_run(batch, cursor, num_events)
-
-    def _observe_run(self, batch: EventBatch, lo: int, hi: int) -> None:
-        """Observe a run of below-threshold sets without per-event loops.
-
-        No acceptance can happen inside the run, so ``_covered`` is constant
-        across it: universe growth reduces to one pass over the distinct
-        elements of the run's member slice, and final-pass witness recording
-        maps each new element to the set at its first occurrence — the same
-        first-event-wins outcome the scalar loop produces.  Space is charged
-        in run aggregates; the meter only ever grows here, so the recorded
-        peak is unchanged.
-        """
-        offsets = batch.offsets
-        start = int(offsets[lo])
-        stop = int(offsets[hi])
-        if start == stop:
-            return
-        segment = batch.elements[start:stop]
-        distinct, first_position = np.unique(segment, return_index=True)
-        fresh = [
-            element
-            for element in distinct.tolist()
-            if element not in self._universe
-        ]
-        if fresh:
-            self._universe.update(fresh)
-            self.space.charge(len(fresh))
-        if self._pass_index != self.passes - 1:
-            return
-        run_counts = np.diff(offsets[lo : hi + 1])
-        owners = np.repeat(batch.set_ids[lo:hi], run_counts)
-        witnessed = 0
-        for element, position in zip(distinct.tolist(), first_position.tolist()):
-            if element in self._covered or element in self._witness:
-                continue
-            self._witness[element] = int(owners[position])
-            witnessed += 1
-        if witnessed:
-            self.space.charge(witnessed)
-
     def finish_pass(self, pass_index: int) -> None:
         """After the final pass, patch uncovered elements beyond the budget."""
         if pass_index < self.passes - 1:
@@ -208,10 +93,6 @@ class ThresholdPartialSetCover:
     def wants_another_pass(self) -> bool:
         """Continue until the configured number of passes has run."""
         return not self._done and self._pass_index + 1 < self.passes
-
-    def result(self) -> list[int]:
-        """The accepted set ids."""
-        return list(dict.fromkeys(self._selected))
 
     # ------------------------------------------------------------------ #
     # extras

@@ -19,35 +19,22 @@ elements with witness sets.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from repro.streaming.batches import EventBatch
-from repro.streaming.events import SetArrival
-from repro.streaming.space import SpaceMeter
+from repro.baselines.threshold_arrival import ThresholdSetArrivalCover
 from repro.utils.validation import check_positive_int
 
 __all__ = ["HarPeledSetCover"]
 
 
-class HarPeledSetCover:
+class HarPeledSetCover(ThresholdSetArrivalCover):
     """p-pass guess-and-threshold streaming set cover (set-arrival)."""
 
     def __init__(self, num_elements_hint: int, passes: int = 4, *, initial_guess: int = 1) -> None:
-        check_positive_int(num_elements_hint, "num_elements_hint")
-        check_positive_int(passes, "passes")
+        super().__init__(num_elements_hint, passes)
         check_positive_int(initial_guess, "initial_guess")
         self.name = "har-peled-setcover"
-        self.arrival_model = "set"
-        self.num_elements_hint = num_elements_hint
-        self.passes = passes
-        self.space = SpaceMeter(unit="stored items")
-
         self._guess = initial_guess
-        self._universe: set[int] = set()
-        self._covered: set[int] = set()
-        self._selected: list[int] = []
-        self._witness: dict[int, int] = {}
-        self._pass_index = 0
         self._uncovered_at_pass_start = 0
 
     # ------------------------------------------------------------------ #
@@ -55,117 +42,15 @@ class HarPeledSetCover:
     # ------------------------------------------------------------------ #
     def start_pass(self, pass_index: int) -> None:
         """Snapshot the uncovered count used for this pass's threshold."""
-        self._pass_index = pass_index
+        super().start_pass(pass_index)
         uncovered = len(self._universe - self._covered)
         self._uncovered_at_pass_start = uncovered if uncovered else self.num_elements_hint
 
-    def _threshold(self) -> float:
+    def _acceptance_threshold(self) -> float:
+        """``|U_j| / (2·k̂)``; the final pass accepts nothing, only records witnesses."""
+        if self._final_pass():
+            return math.inf
         return max(1.0, self._uncovered_at_pass_start / (2.0 * self._guess))
-
-    def process(self, event: SetArrival) -> None:
-        """Accept arriving sets clearing the threshold; remember witnesses in the last pass."""
-        self._process_members(event.set_id, event.elements)
-
-    def _process_members(self, set_id: int, elements) -> None:
-        """The exact per-set update, shared by the scalar and batched paths."""
-        members = set(int(element) for element in elements)
-        new_elements = members - self._universe
-        if new_elements:
-            self._universe |= new_elements
-            self.space.charge(len(new_elements))
-        gain = members - self._covered
-        if not gain:
-            return
-        final_pass = self._pass_index >= self.passes - 1
-        if not final_pass:
-            if len(gain) >= self._threshold():
-                self._selected.append(set_id)
-                self._covered |= gain
-                self.space.charge(1)
-        else:
-            for element in gain:
-                if element not in self._witness:
-                    self._witness[element] = set_id
-                    self.space.charge(1)
-
-    def process_batch(self, batch: EventBatch) -> None:
-        """Consume a CSR set batch with a vectorised threshold prefilter.
-
-        The acceptance threshold is fixed for the whole pass (``|U_j|`` is
-        snapshotted at ``start_pass`` and the guess only doubles between
-        passes), and ``|gain| <= member count``, so any set whose CSR run is
-        shorter than the threshold can never be accepted: only the candidate
-        sets clearing the count filter run the exact scalar accept logic (in
-        stream order, since each acceptance shrinks later gains), and every
-        run of skipped sets between candidates collapses into whole-array
-        observation.  The final pass accepts nothing at all — the entire
-        batch collapses into one observation run that grows the universe and
-        records first-occurrence witnesses.  Byte-identical to the scalar
-        path for every batch size (property-tested).
-        """
-        if batch.offsets is None:
-            raise TypeError(
-                "HarPeledSetCover is a set-arrival algorithm and cannot "
-                "consume edge batches (offsets is None)"
-            )
-        num_events = len(batch.set_ids)
-        if self._pass_index >= self.passes - 1:
-            self._observe_run(batch, 0, num_events)
-            return
-        offsets = batch.offsets
-        counts = np.diff(offsets)
-        candidates = np.flatnonzero(counts >= self._threshold())
-        cursor = 0
-        for index in candidates.tolist():
-            if index > cursor:
-                self._observe_run(batch, cursor, index)
-            start = int(offsets[index])
-            stop = int(offsets[index + 1])
-            self._process_members(
-                int(batch.set_ids[index]), batch.elements[start:stop]
-            )
-            cursor = index + 1
-        if cursor < num_events:
-            self._observe_run(batch, cursor, num_events)
-
-    def _observe_run(self, batch: EventBatch, lo: int, hi: int) -> None:
-        """Observe a run of non-accepting sets without per-event loops.
-
-        No acceptance happens inside the run, so ``_covered`` is constant
-        across it: universe growth reduces to one pass over the distinct
-        elements of the run's member slice, and final-pass witness recording
-        maps each new element to the set at its first occurrence — the same
-        first-event-wins outcome the scalar loop produces.  Space is charged
-        in run aggregates; the meter only ever grows here, so the recorded
-        peak is unchanged.
-        """
-        offsets = batch.offsets
-        start = int(offsets[lo])
-        stop = int(offsets[hi])
-        if start == stop:
-            return
-        segment = batch.elements[start:stop]
-        distinct, first_position = np.unique(segment, return_index=True)
-        fresh = [
-            element
-            for element in distinct.tolist()
-            if element not in self._universe
-        ]
-        if fresh:
-            self._universe.update(fresh)
-            self.space.charge(len(fresh))
-        if self._pass_index < self.passes - 1:
-            return
-        run_counts = np.diff(offsets[lo : hi + 1])
-        owners = np.repeat(batch.set_ids[lo:hi], run_counts)
-        witnessed = 0
-        for element, position in zip(distinct.tolist(), first_position.tolist()):
-            if element in self._covered or element in self._witness:
-                continue
-            self._witness[element] = int(owners[position])
-            witnessed += 1
-        if witnessed:
-            self.space.charge(witnessed)
 
     def finish_pass(self, pass_index: int) -> None:
         """Double the guess when progress stalls; patch leftovers after the last pass."""
@@ -190,10 +75,6 @@ class HarPeledSetCover:
     def wants_another_pass(self) -> bool:
         """Run exactly ``passes`` passes."""
         return self._pass_index + 1 < self.passes
-
-    def result(self) -> list[int]:
-        """The accepted set ids."""
-        return list(dict.fromkeys(self._selected))
 
     def describe(self) -> dict[str, object]:
         """Diagnostics for reports."""

@@ -53,7 +53,7 @@ from repro.datasets import get_dataset, iter_datasets, list_datasets
 from repro.distributed.partition import PARTITION_STRATEGIES
 from repro.lint import (
     iter_rule_metas,
-    lint_paths_with_stats,
+    lint_paths,
     render_json,
     render_text,
     rule_choices,
@@ -235,21 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--rules", default=None,
                       help="comma-separated subset of rules to run, or 'all' "
                            "(default: every registered rule; see --list-rules)")
-    lint.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                      metavar="BASE",
-                      help="fast path: lint only files 'git diff --name-only "
-                           "BASE' reports dirty, plus their import-graph "
-                           "dependents (default BASE: HEAD); project rules "
-                           "still see facts for the whole tree")
-    lint.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="fan the per-file phase over N parallel workers "
-                           "(repro.parallel; report is byte-identical to "
-                           "serial; default: serial)")
-    lint.add_argument("--cache", nargs="?", const=".repro-lint-cache",
-                      default=None, type=Path, metavar="DIR",
-                      help="content-hash incremental cache: re-analyze only "
-                           "changed files plus dependents (default DIR: "
-                           ".repro-lint-cache; default: no cache)")
     lint.add_argument("--list-rules", action="store_true", dest="list_rules",
                       help="print the registered rules (generated from rule "
                            "metadata) and exit")
@@ -466,21 +451,10 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
             )
         if not selected:
             raise ValueError("--rules was given but names no rules")
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError(f"--jobs must be a positive integer, got {args.jobs}")
-    executor = "auto" if args.jobs is not None and args.jobs > 1 else None
-    report, stats = lint_paths_with_stats(
-        args.paths,
-        rules=selected,
-        executor=executor,
-        max_workers=args.jobs if executor is not None else None,
-        cache_dir=args.cache,
-        changed_base=args.changed,
-    )
+    report = lint_paths(args.paths, rules=selected)
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(render_json(report, stats=stats) + "\n",
-                               encoding="utf-8")
+        args.output.write_text(render_json(report) + "\n", encoding="utf-8")
     renderer = render_json if args.output_format == "json" else render_text
     print(renderer(report), file=out)
     return report.exit_code()

@@ -27,17 +27,15 @@ the engine assembles from every file):
 * ``export-hygiene`` — ``__all__`` entries exist, re-exports resolve,
   exports are used somewhere in the linted tree.
 
-Run it as ``repro lint src benchmarks tests`` (text or ``--format json``),
-list the rules with ``repro lint --list-rules``, and silence a deliberate
-exception inline::
+Run it as ``repro lint src benchmarks tests examples`` (text or
+``--format json``), list the rules with ``repro lint --list-rules``, and
+silence a deliberate exception inline::
 
     # repro-lint: disable=<rule>[,<rule>] -- justification
 
-The engine scales like the rest of the repo: ``--jobs N`` fans the
-per-file phase over :class:`repro.parallel.ParallelMapper` (byte-identical
-to serial), ``--cache`` re-analyzes only changed files plus their
-import-graph dependents, and ``--changed BASE`` lints just the files git
-reports dirty (plus dependents) for a fast pre-gate.
+:func:`lint_paths` is the one tree-wide entry point: a single serial pass
+parses each file once, runs the file rules and collects its facts, then
+runs the project rules over one index of the whole tree.
 
 New rules plug in exactly like solvers and kernels: subclass
 :class:`~repro.lint.rules.Rule` (or
@@ -47,18 +45,7 @@ it a :class:`~repro.lint.rules.RuleMeta`, decorate with
 """
 
 from repro.lint import checks  # noqa: F401  (registers the built-in rules)
-from repro.lint.cache import LintCache, load_cache
-from repro.lint.engine import (
-    FileAnalysis,
-    FileLintJob,
-    LintContext,
-    LintStats,
-    collect_files,
-    execute_lint_job,
-    lint_paths,
-    lint_paths_with_stats,
-    lint_source,
-)
+from repro.lint.engine import LintContext, collect_files, lint_paths, lint_source
 from repro.lint.findings import Finding, LintReport
 from repro.lint.project import ModuleFacts, ProjectIndex, collect_facts
 from repro.lint.reporters import render_json, render_text, report_from_json
@@ -75,13 +62,9 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "FileAnalysis",
-    "FileLintJob",
     "Finding",
-    "LintCache",
     "LintReport",
     "LintContext",
-    "LintStats",
     "ModuleFacts",
     "ProjectIndex",
     "ProjectRule",
@@ -89,14 +72,11 @@ __all__ = [
     "RuleMeta",
     "collect_facts",
     "collect_files",
-    "execute_lint_job",
     "get_rule",
     "iter_rule_metas",
     "lint_paths",
-    "lint_paths_with_stats",
     "lint_source",
     "list_rules",
-    "load_cache",
     "register_rule",
     "rule_choices",
     "render_json",

@@ -1,16 +1,19 @@
-"""The lint engine: file walker, shared AST walk, cache and fan-out.
+"""The lint engine: file walker, shared AST walk and the project phase.
 
 One :func:`lint_paths` call turns a set of files/directories into a
-:class:`~repro.lint.findings.LintReport`:
+:class:`~repro.lint.findings.LintReport`, serially and in sorted file order:
 
-* every ``*.py`` file under the given paths is parsed once;
+* every ``*.py`` file under the given paths is read as bytes, decoded with
+  its PEP 263 encoding (UTF-8 unless a coding cookie or BOM says otherwise)
+  and parsed once; a file that does not decode or parse becomes one
+  ``syntax-error`` finding instead of aborting the run;
 * one AST walk per module dispatches each node to every interested
   *file-scope* rule (rules declare ``visit_<NodeType>`` methods — see
   :class:`~repro.lint.rules.Rule`), with the enclosing function/class stack
   maintained in the shared :class:`LintContext`;
 * the same parse extracts the module's
   :class:`~repro.lint.project.ModuleFacts`; after the per-file phase the
-  facts of *every* file are assembled into a
+  facts of *every* file are assembled into one
   :class:`~repro.lint.project.ProjectIndex` and the *project-scope* rules
   (:class:`~repro.lint.rules.ProjectRule`) run over it — that is where the
   cross-module contracts (knob drift, transitive picklability, registry/docs
@@ -27,18 +30,6 @@ One :func:`lint_paths` call turns a set of files/directories into a
   suppressed by the very same comments — a finding is a ``path:line``
   wherever it was computed.
 
-The engine scales like the rest of the repo.  The per-file phase fans out
-over :class:`~repro.parallel.ParallelMapper` (each :class:`FileLintJob` is
-picklable; the ordered gather makes every backend byte-identical to the
-serial loop).  With a cache directory (:mod:`repro.lint.cache`), a file
-whose content hash is unchanged under the same rule set is served from
-cache; a changed file is re-analyzed *along with its import-graph
-dependents*, and the project rules always re-run over the merged index —
-so a warm report is byte-identical to a cold one.  ``changed_base`` narrows
-the per-file phase further to ``git diff --name-only <base>`` plus
-dependents (the CI pre-gate), while project rules still see facts for the
-whole tree.
-
 Results are deterministic: files are visited in sorted order and findings
 sort by (path, line, col, rule), so two runs over the same tree produce
 byte-identical reports.
@@ -47,35 +38,25 @@ byte-identical reports.
 from __future__ import annotations
 
 import ast
-import hashlib
+import io
 import os
 import re
-import subprocess
-import threading
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import SpecError
-from repro.obs import clock
-from repro.lint.cache import LintCache, load_cache
 from repro.lint.findings import Finding, LintReport
 from repro.lint.project import ModuleFacts, ProjectIndex, collect_facts, module_name_for
 from repro.lint.rules import Rule, get_rule, list_rules, walk_findings
-from repro.parallel import ParallelMapper
 
 __all__ = [
-    "Suppression",
     "LintContext",
-    "LintStats",
-    "FileLintJob",
-    "FileAnalysis",
     "parse_suppressions",
     "lint_source",
     "lint_paths",
-    "lint_paths_with_stats",
     "collect_files",
-    "execute_lint_job",
 ]
 
 #: Rules whose findings an inline suppression can never silence — the
@@ -102,25 +83,6 @@ class Suppression:
         """Whether this comment silences findings of ``rule``."""
         return rule not in UNSUPPRESSABLE_RULES and (
             "all" in self.rules or rule in self.rules
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable, for the incremental cache)."""
-        return {
-            "line": self.line,
-            "rules": sorted(self.rules),
-            "justification": self.justification,
-            "standalone": self.standalone,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Suppression":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            line=data["line"],
-            rules=frozenset(data["rules"]),
-            justification=data["justification"],
-            standalone=data["standalone"],
         )
 
 
@@ -243,7 +205,7 @@ def _resolve_rules(rule_names: Iterable[str] | None) -> list[Rule]:
 
 
 # --------------------------------------------------------------------------- #
-# per-file analysis (also the parallel job body)
+# per-file analysis
 # --------------------------------------------------------------------------- #
 
 
@@ -251,148 +213,53 @@ def _resolve_rules(rule_names: Iterable[str] | None) -> list[Rule]:
 class FileAnalysis:
     """Everything one file contributes to a lint run.
 
-    ``rules`` names the (sorted) file-scope rules the findings were computed
-    under — ``None`` marks a facts-only pass (no rule walk ran), which the
-    ``--changed`` fast path uses to give project rules whole-tree facts
-    without linting every file.  This object is what the parallel workers
-    return and what the incremental cache persists.
+    ``findings`` and ``suppressed`` come from the file-scope rules;
+    ``facts`` and ``suppressions`` feed the project phase.
     """
 
-    display_path: str
-    digest: str
     facts: ModuleFacts
-    suppressions: tuple[Suppression, ...] = ()
-    rules: tuple[str, ...] | None = None
+    suppressions: Mapping[int, Suppression]
     findings: tuple[Finding, ...] = ()
     suppressed: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable, the cache entry shape)."""
-        return {
-            "display_path": self.display_path,
-            "digest": self.digest,
-            "facts": self.facts.to_dict(),
-            "suppressions": [item.to_dict() for item in self.suppressions],
-            "rules": list(self.rules) if self.rules is not None else None,
-            "findings": [item.to_dict() for item in self.findings],
-            "suppressed": self.suppressed,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FileAnalysis":
-        """Inverse of :meth:`to_dict`; malformed input raises :class:`SpecError`."""
-        payload = dict(_require_mapping(data))
-        known = {
-            "display_path", "digest", "facts", "suppressions", "rules",
-            "findings", "suppressed",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise SpecError(f"FileAnalysis.from_dict got unknown field(s) {unknown}")
-        try:
-            facts = ModuleFacts.from_dict(payload["facts"])
-            suppressions = tuple(
-                Suppression.from_dict(item) for item in payload.get("suppressions", ())
-            )
-            findings = tuple(
-                Finding.from_dict(item) for item in payload.get("findings", ())
-            )
-            raw_rules = payload.get("rules")
-            rules = tuple(raw_rules) if raw_rules is not None else None
-            return cls(
-                display_path=payload["display_path"],
-                digest=payload["digest"],
-                facts=facts,
-                suppressions=suppressions,
-                rules=rules,
-                findings=findings,
-                suppressed=payload.get("suppressed", 0),
-            )
-        except (KeyError, TypeError) as error:
-            raise SpecError(f"malformed FileAnalysis payload: {error!r}") from None
-
-
-def _require_mapping(data: Any) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
-        raise SpecError(
-            f"FileAnalysis.from_dict expects a mapping, got {type(data).__name__}"
-        )
-    return data
-
-
-@dataclass(frozen=True)
-class FileLintJob:
-    """One picklable unit of per-file work for the parallel fan-out.
-
-    Carries the *source text* (not a live handle) so the worker analyzes
-    exactly the bytes the parent hashed — no read-twice races — and plain
-    rule names the worker re-resolves against its own registry after import.
-    ``rule_names=None`` requests a facts-only pass.
-    """
-
-    path: str
-    display_path: str
-    source: str
-    digest: str
-    rule_names: tuple[str, ...] | None
-
-
-def _empty_facts(display_path: str) -> ModuleFacts:
+def _unreadable(display_path: str, line: int, col: int, message: str) -> FileAnalysis:
+    """The analysis of a file that does not decode or parse: one finding."""
     name, is_package = module_name_for(display_path)
-    return ModuleFacts(display_path=display_path, module=name, is_package=is_package)
-
-
-#: CPython 3.11's AST constructor tracks recursion depth in shared state, so
-#: concurrent ``ast.parse`` calls from threads at different stack depths can
-#: raise ``SystemError: AST constructor recursion depth mismatch``.  The GIL
-#: already serializes the parse work, so taking a lock around it costs
-#: nothing under the thread backend (process workers each own a lock).
-_PARSE_LOCK = threading.Lock()
+    return FileAnalysis(
+        facts=ModuleFacts(display_path=display_path, module=name, is_package=is_package),
+        suppressions={},
+        findings=(
+            Finding(
+                path=display_path,
+                line=line,
+                col=col,
+                rule="syntax-error",
+                message=message,
+            ),
+        ),
+    )
 
 
 def _analyze_module(
     source: str,
     display_path: str,
     path: Path,
-    rule_names: tuple[str, ...] | None,
+    rule_names: Sequence[str],
 ) -> FileAnalysis:
-    """Parse once; collect facts, and (unless facts-only) run the file rules."""
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    """Parse once; collect facts and run the file-scope rules."""
     try:
-        with _PARSE_LOCK:
-            tree = ast.parse(source)
+        tree = ast.parse(source)
     except SyntaxError as error:
-        findings: tuple[Finding, ...] = ()
-        if rule_names is not None:
-            findings = (
-                Finding(
-                    path=display_path,
-                    line=error.lineno or 1,
-                    col=(error.offset or 1) - 1,
-                    rule="syntax-error",
-                    message=f"file does not parse: {error.msg}",
-                ),
-            )
-        return FileAnalysis(
-            display_path=display_path,
-            digest=digest,
-            facts=_empty_facts(display_path),
-            rules=rule_names,
-            findings=findings,
+        return _unreadable(
+            display_path,
+            error.lineno or 1,
+            (error.offset or 1) - 1,
+            f"file does not parse: {error.msg}",
         )
-    lines = source.splitlines()
-    suppression_map = parse_suppressions(lines)
     facts = collect_facts(tree, display_path)
-    ordered_suppressions = tuple(
-        suppression_map[line] for line in sorted(suppression_map)
-    )
-    if rule_names is None:
-        return FileAnalysis(
-            display_path=display_path,
-            digest=digest,
-            facts=facts,
-            suppressions=ordered_suppressions,
-        )
+    lines = source.splitlines()
+    suppressions = parse_suppressions(lines)
     active = [rule for rule in _resolve_rules(rule_names) if rule.scope == "file"]
     ctx = LintContext(
         path=path,
@@ -400,7 +267,7 @@ def _analyze_module(
         source=source,
         lines=lines,
         tree=tree,
-        suppressions=suppression_map,
+        suppressions=suppressions,
     )
     dispatch: dict[str, list] = {}
     for rule in active:
@@ -411,33 +278,13 @@ def _analyze_module(
     _walk(tree, ctx, dispatch, raw)
     for rule in active:
         raw.extend(walk_findings(rule.finish_module(ctx)))
-    kept: list[Finding] = []
-    suppressed = 0
-    for finding in raw:
-        if ctx.suppressed(finding):
-            suppressed += 1
-        else:
-            kept.append(finding)
+    kept = [finding for finding in raw if not ctx.suppressed(finding)]
     kept.sort()
     return FileAnalysis(
-        display_path=display_path,
-        digest=digest,
         facts=facts,
-        suppressions=ordered_suppressions,
-        rules=rule_names,
+        suppressions=suppressions,
         findings=tuple(kept),
-        suppressed=suppressed,
-    )
-
-
-def execute_lint_job(job: FileLintJob) -> FileAnalysis:
-    """The parallel job body: analyze one file from its shipped source."""
-    # A fresh worker process imports only this module when it unpickles the
-    # job; the built-in rules register on the package import, so force it.
-    from repro.lint import checks  # noqa: F401
-
-    return _analyze_module(
-        job.source, job.display_path, Path(job.path), job.rule_names
+        suppressed=len(raw) - len(kept),
     )
 
 
@@ -456,7 +303,7 @@ def lint_source(
     one broken file cannot abort a tree-wide run.  Project-scope rules need
     the whole-tree index and therefore only run under :func:`lint_paths`.
     """
-    rule_names = tuple(_normalize_rule_names(rules))
+    rule_names = _normalize_rule_names(rules)
     _resolve_rules(rule_names)  # validate names up front (did-you-mean hints)
     analysis = _analyze_module(
         source,
@@ -467,8 +314,26 @@ def lint_source(
     return list(analysis.findings), analysis.suppressed
 
 
+def _analyze_file(
+    path: Path, display_path: str, rule_names: Sequence[str]
+) -> FileAnalysis:
+    """Read, decode (PEP 263) and analyze one file.
+
+    An undecodable file — bad bytes for its encoding, or an unknown coding
+    cookie — is a ``syntax-error`` finding at line 1, like any other file
+    the interpreter would refuse to load.
+    """
+    raw = path.read_bytes()
+    try:
+        encoding, _ = tokenize.detect_encoding(io.BytesIO(raw).readline)
+        source = raw.decode(encoding)
+    except (SyntaxError, UnicodeDecodeError) as error:
+        return _unreadable(display_path, 1, 0, f"file does not decode: {error}")
+    return _analyze_module(source, display_path, path, rule_names)
+
+
 # --------------------------------------------------------------------------- #
-# file collection and git scoping
+# file collection
 # --------------------------------------------------------------------------- #
 
 
@@ -509,26 +374,6 @@ def _display_path(path: Path) -> str:
         return path.as_posix()
 
 
-def _git_changed_files(base: str) -> set[Path]:
-    """Resolved paths of files ``git diff --name-only <base>`` reports dirty."""
-    try:
-        toplevel = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as error:
-        stderr = (getattr(error, "stderr", "") or str(error)).strip()
-        raise SpecError(f"--changed could not diff against {base!r}: {stderr}") from None
-    root = Path(toplevel)
-    return {
-        (root / line.strip()).resolve() for line in diff.splitlines() if line.strip()
-    }
-
-
 def _locate_readme(files: Sequence[Path]) -> tuple[str | None, str | None]:
     """Find the README.md governing the linted tree (for registry-docs-sync).
 
@@ -556,301 +401,46 @@ def _locate_readme(files: Sequence[Path]) -> tuple[str | None, str | None]:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class LintStats:
-    """How a lint run executed (cache hits, fan-out, phases).
+def lint_paths(
+    paths: Iterable[Path | str], *, rules: Iterable[str] | None = None
+) -> LintReport:
+    """Lint every ``*.py`` file under ``paths`` into one report.
 
-    Deliberately *outside* :class:`~repro.lint.findings.LintReport`: the
-    report is byte-identical across cold/warm/parallel runs, while stats
-    (wall time, hit rate) legitimately differ run to run.
+    Each file is analyzed once, in :func:`collect_files` order; then the
+    project rules run over one :class:`~repro.lint.project.ProjectIndex`
+    built from every file's facts, obeying the same inline suppressions.
     """
-
-    files_in_scope: int
-    files_analyzed: int
-    files_from_cache: int
-    files_facts_only: int
-    analyzed_paths: tuple[str, ...]
-    wall_seconds: float
-    executor: str
-    workers: int
-    project_rules: tuple[str, ...]
-    project_rules_ran: bool
-    changed_base: str | None
-    cache_dir: str | None
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of in-scope files served from cache without a rule walk."""
-        denominator = self.files_analyzed + self.files_from_cache
-        return self.files_from_cache / denominator if denominator else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable; includes the derived hit rate)."""
-        return {
-            "files_in_scope": self.files_in_scope,
-            "files_analyzed": self.files_analyzed,
-            "files_from_cache": self.files_from_cache,
-            "files_facts_only": self.files_facts_only,
-            "analyzed_paths": list(self.analyzed_paths),
-            "wall_seconds": self.wall_seconds,
-            "executor": self.executor,
-            "workers": self.workers,
-            "project_rules": list(self.project_rules),
-            "project_rules_ran": self.project_rules_ran,
-            "changed_base": self.changed_base,
-            "cache_dir": self.cache_dir,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LintStats":
-        """Inverse of :meth:`to_dict` (the derived hit rate is recomputed)."""
-        payload = dict(data)
-        payload.pop("cache_hit_rate", None)
-        payload["analyzed_paths"] = tuple(payload.get("analyzed_paths", ()))
-        payload["project_rules"] = tuple(payload.get("project_rules", ()))
-        return cls(**payload)
-
-
-@dataclass(frozen=True)
-class _FileRecord:
-    """One in-scope file with everything the scheduling phase needs."""
-
-    path: Path
-    display_path: str
-    source: str
-    digest: str
-
-
-def _load_records(files: Sequence[Path]) -> list[_FileRecord]:
-    records = []
-    for file in files:
-        raw = file.read_bytes()
-        records.append(
-            _FileRecord(
-                path=file,
-                display_path=_display_path(file),
-                source=raw.decode("utf-8"),
-                digest=hashlib.sha256(raw).hexdigest(),
-            )
-        )
-    return records
-
-
-def _cached_analyses(
-    cache: LintCache, records: Sequence[_FileRecord]
-) -> tuple[dict[str, FileAnalysis], dict[str, ModuleFacts]]:
-    """Digest-matched cache entries, plus the *facts* of stale entries.
-
-    Stale facts are never reused for findings, but they still carry the
-    module's identity (display path, dotted name), which is exactly what the
-    dependents computation needs to resolve reverse import edges *into* a
-    changed file.
-    """
-    valid: dict[str, FileAnalysis] = {}
-    stale_facts: dict[str, ModuleFacts] = {}
-    for record in records:
-        entry = cache.get(record.display_path)
-        if entry is None:
-            continue
-        try:
-            analysis = FileAnalysis.from_dict(entry)
-        # repro-lint: disable=no-silent-except -- a malformed cache entry is a cache miss by design; re-analysis recomputes it
-        except SpecError:
-            continue
-        if analysis.digest == record.digest:
-            valid[record.display_path] = analysis
-        else:
-            stale_facts[record.display_path] = analysis.facts
-    return valid, stale_facts
-
-
-def lint_paths_with_stats(
-    paths: Iterable[Path | str],
-    *,
-    rules: Iterable[str] | None = None,
-    executor: str | None = None,
-    max_workers: int | None = None,
-    cache_dir: Path | str | None = None,
-    changed_base: str | None = None,
-) -> tuple[LintReport, LintStats]:
-    """Lint a tree and report how the run executed.
-
-    The report is independent of ``executor``, ``cache_dir`` and worker
-    count — byte-identical across serial/parallel and cold/warm runs.
-    ``changed_base`` switches to the fast path: only files dirty per
-    ``git diff --name-only <base>`` (plus their import-graph dependents) get
-    the rule walk, every other file contributes facts only, and
-    ``files_scanned`` counts just the walked files.
-    """
-    started = clock.perf_counter()
-    rule_names = tuple(_normalize_rule_names(rules))
+    rule_names = _normalize_rule_names(rules)
     instances = _resolve_rules(rule_names)  # validates (did-you-mean hints)
-    file_rule_canon = tuple(
-        sorted(rule.meta.name for rule in instances if rule.scope == "file")
-    )
-    project_rule_names = tuple(
-        sorted(rule.meta.name for rule in instances if rule.scope == "project")
-    )
     files = collect_files(paths)
-    records = _load_records(files)
-    by_display = {record.display_path: record for record in records}
-    cache = load_cache(cache_dir)
-    cached, stale_facts = _cached_analyses(cache, records)
+    analyses = [
+        _analyze_file(file, _display_path(file), rule_names) for file in files
+    ]
+    findings = [finding for analysis in analyses for finding in analysis.findings]
+    suppressed = sum(analysis.suppressed for analysis in analyses)
 
-    def findings_usable(display_path: str) -> bool:
-        analysis = cached.get(display_path)
-        return analysis is not None and analysis.rules == file_rule_canon
-
-    mapper = ParallelMapper(executor, max_workers=max_workers)
-    facts_only_jobs: list[FileLintJob] = []
-    fresh: dict[str, FileAnalysis] = {}
-    if changed_base is not None:
-        dirty_resolved = _git_changed_files(changed_base)
-        dirty = {
-            record.display_path
-            for record in records
-            if record.path.resolve() in dirty_resolved
-        }
-        # Dependents need the import graph of the *whole* tree, so fill the
-        # gaps the cache leaves with a cheap facts-only pass first (no rule
-        # walk); with a cold cache this is still far cheaper than full lint.
-        facts_only_jobs = [
-            _job(record, None)
-            for record in records
-            if record.display_path not in cached
-        ]
-        for analysis in mapper.map(execute_lint_job, facts_only_jobs):
-            fresh[analysis.display_path] = analysis
-        known = dict(cached)
-        known.update(fresh)
-        interim_facts = [known[record.display_path].facts for record in records]
-    else:
-        dirty = {
-            record.display_path
-            for record in records
-            if not findings_usable(record.display_path)
-        }
-        # Every un-cached file is already in the dirty set here; stale facts
-        # of the *changed* files keep reverse import edges into them
-        # resolvable, which is what pulls their importers into the walk.
-        interim_facts = [analysis.facts for analysis in cached.values()]
-        interim_facts.extend(stale_facts.values())
-
-    dependents = ProjectIndex(interim_facts).dependents_of(dirty) & set(by_display)
-    selected = sorted(dirty | dependents)
-    full_results = mapper.map(
-        execute_lint_job, [_job(by_display[name], rule_names) for name in selected]
-    )
-    for analysis in full_results:
-        fresh[analysis.display_path] = analysis
-
-    # Canonicalize the stored rule set so cache validity is order-independent.
-    fresh = {
-        name: _with_canonical_rules(analysis, file_rule_canon)
-        for name, analysis in fresh.items()
-    }
-
-    if changed_base is not None:
-        scanned = selected
-    else:
-        scanned = [record.display_path for record in records]
-    findings: list[Finding] = []
-    suppressed = 0
-    for name in scanned:
-        analysis = fresh.get(name)
-        if analysis is None or analysis.rules is None:
-            analysis = cached[name]
-        findings.extend(analysis.findings)
-        suppressed += analysis.suppressed
-
-    # Project phase: every file's facts, fresh results winning over cache.
-    all_analyses = dict(cached)
-    all_analyses.update(fresh)
-    project_ran = False
-    if project_rule_names and all(
-        record.display_path in all_analyses for record in records
-    ):
-        project_ran = True
+    project_rules = [rule for rule in instances if rule.scope == "project"]
+    if project_rules:
         readme_path, readme_text = _locate_readme(files)
         index = ProjectIndex(
-            [all_analyses[record.display_path].facts for record in records],
+            [analysis.facts for analysis in analyses],
             readme_path=readme_path,
             readme_text=readme_text,
         )
-        suppression_maps = {
-            name: {item.line: item for item in analysis.suppressions}
-            for name, analysis in all_analyses.items()
+        suppressions = {
+            analysis.facts.display_path: analysis.suppressions for analysis in analyses
         }
-        for rule in instances:
-            if rule.scope != "project":
-                continue
+        for rule in project_rules:
             for finding in walk_findings(rule.check_project(index)):
-                module_suppressions = suppression_maps.get(finding.path, {})
-                if suppression_covers(module_suppressions, finding):
+                if suppression_covers(suppressions.get(finding.path, {}), finding):
                     suppressed += 1
                 else:
                     findings.append(finding)
 
-    if cache.enabled:
-        for name, analysis in fresh.items():
-            cache.put(name, analysis.to_dict())
-        cache.save()
-
     findings.sort()
-    report = LintReport(
+    return LintReport(
         findings=tuple(findings),
-        files_scanned=len(scanned),
+        files_scanned=len(files),
         suppressed=suppressed,
-        rules=rule_names,
+        rules=tuple(rule_names),
     )
-    executed_backend, executed_workers = mapper.last_execution
-    stats = LintStats(
-        files_in_scope=len(records),
-        files_analyzed=len(selected),
-        files_from_cache=sum(1 for name in scanned if name not in fresh),
-        files_facts_only=len(facts_only_jobs),
-        analyzed_paths=tuple(selected),
-        wall_seconds=clock.perf_counter() - started,
-        executor=executed_backend,
-        workers=executed_workers,
-        project_rules=project_rule_names,
-        project_rules_ran=project_ran,
-        changed_base=changed_base,
-        cache_dir=str(cache_dir) if cache_dir is not None else None,
-    )
-    return report, stats
-
-
-def _job(record: _FileRecord, rule_names: tuple[str, ...] | None) -> FileLintJob:
-    return FileLintJob(
-        path=str(record.path),
-        display_path=record.display_path,
-        source=record.source,
-        digest=record.digest,
-        rule_names=rule_names,
-    )
-
-
-def _with_canonical_rules(
-    analysis: FileAnalysis, canon: tuple[str, ...]
-) -> FileAnalysis:
-    if analysis.rules is None:
-        return analysis
-    return FileAnalysis(
-        display_path=analysis.display_path,
-        digest=analysis.digest,
-        facts=analysis.facts,
-        suppressions=analysis.suppressions,
-        rules=canon,
-        findings=analysis.findings,
-        suppressed=analysis.suppressed,
-    )
-
-
-def lint_paths(
-    paths: Iterable[Path | str], *, rules: Iterable[str] | None = None
-) -> LintReport:
-    """Lint every ``*.py`` file under ``paths`` into one report."""
-    report, _ = lint_paths_with_stats(paths, rules=rules)
-    return report

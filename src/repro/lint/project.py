@@ -6,16 +6,12 @@ from the CLI, a callable that reaches a process pool through two aliases, a
 registered solver absent from the README table.  To check those, the engine
 extracts a :class:`ModuleFacts` summary from every file it parses (imports,
 module-level symbol table, function signatures, registration and executor
-call sites, ``__all__``) and assembles the summaries into a
-:class:`ProjectIndex`: import graph, dotted-module lookup, reverse
-dependents, and a cross-module callable resolver.
+call sites, ``__all__``) and assembles the summaries into one
+:class:`ProjectIndex`: import graph, dotted-module lookup and a
+cross-module callable resolver.
 
-Facts are deliberately *plain data* — frozen dataclasses of strings and
-ints that round-trip through ``to_dict`` / ``from_dict`` — for two reasons:
-the per-file analysis fans out over :class:`~repro.parallel.ParallelMapper`
-(facts must pickle), and the incremental cache persists them as JSON so an
-unchanged file's facts never need re-parsing.  The index itself is rebuilt
-from facts on every run; only facts are cached.
+Facts are plain frozen dataclasses of strings and ints, collected from the
+same parse the file rules walk, so the project phase never re-reads a file.
 """
 
 from __future__ import annotations
@@ -24,9 +20,8 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
-from repro.errors import SpecError
 from repro.lint.rules import attribute_chain
 
 __all__ = [
@@ -42,14 +37,6 @@ __all__ = [
     "collect_facts",
     "module_name_for",
 ]
-
-
-def _require_mapping(data: Any, cls: type) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
-        raise SpecError(
-            f"{cls.__name__}.from_dict expects a mapping, got {type(data).__name__}"
-        )
-    return data
 
 
 def module_name_for(display_path: str) -> tuple[str, bool]:
@@ -83,20 +70,6 @@ class ImportRecord:
     alias: str
     line: int
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "module": self.module,
-            "name": self.name,
-            "alias": self.alias,
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ImportRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**_require_mapping(data, cls))
-
 
 @dataclass(frozen=True)
 class FunctionFacts:
@@ -116,31 +89,6 @@ class FunctionFacts:
         """Positional and keyword-only parameter names together."""
         return self.params + self.kwonly
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": list(self.params),
-            "kwonly": list(self.kwonly),
-            "param_lines": dict(self.param_lines),
-            "has_kwargs": self.has_kwargs,
-            "returns_nested": self.returns_nested,
-            "returned_names": list(self.returned_names),
-            "calls": list(self.calls),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FunctionFacts":
-        """Inverse of :meth:`to_dict`."""
-        payload = dict(_require_mapping(data, cls))
-        for key in ("params", "kwonly", "returned_names", "calls"):
-            payload[key] = tuple(payload.get(key, ()))
-        payload["param_lines"] = {
-            str(name): int(line) for name, line in payload.get("param_lines", {}).items()
-        }
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class DataclassFacts:
@@ -151,25 +99,6 @@ class DataclassFacts:
     fields: tuple[str, ...]
     field_lines: dict[str, int]
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "name": self.name,
-            "line": self.line,
-            "fields": list(self.fields),
-            "field_lines": dict(self.field_lines),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DataclassFacts":
-        """Inverse of :meth:`to_dict`."""
-        payload = dict(_require_mapping(data, cls))
-        payload["fields"] = tuple(payload.get("fields", ()))
-        payload["field_lines"] = {
-            str(name): int(line) for name, line in payload.get("field_lines", {}).items()
-        }
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class CallArgRef:
@@ -179,20 +108,6 @@ class CallArgRef:
     target: str
     line: int
     col: int
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "context": self.context,
-            "target": self.target,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CallArgRef":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**_require_mapping(data, cls))
 
 
 @dataclass(frozen=True)
@@ -206,22 +121,6 @@ class JobCallableRef:
     line: int
     col: int
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "job_class": self.job_class,
-            "via": self.via,
-            "target": self.target,
-            "is_lambda": self.is_lambda,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobCallableRef":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**_require_mapping(data, cls))
-
 
 @dataclass(frozen=True)
 class RegistrationRecord:
@@ -231,20 +130,6 @@ class RegistrationRecord:
     name: str
     line: int
     col: int
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RegistrationRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**_require_mapping(data, cls))
 
 
 @dataclass(frozen=True)
@@ -283,69 +168,6 @@ class ModuleFacts:
     def in_src(self) -> bool:
         """Whether this module lives under a ``src`` component (public code)."""
         return "src" in PurePosixPath(self.display_path).parts
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "display_path": self.display_path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "imports": [record.to_dict() for record in self.imports],
-            "symbols": dict(self.symbols or {}),
-            "symbol_lines": dict(self.symbol_lines or {}),
-            "functions": {
-                name: facts.to_dict() for name, facts in (self.functions or {}).items()
-            },
-            "dataclasses": {
-                name: facts.to_dict() for name, facts in (self.dataclasses or {}).items()
-            },
-            "dunder_all": list(self.dunder_all) if self.dunder_all is not None else None,
-            "dunder_all_lines": dict(self.dunder_all_lines or {}),
-            "star_import": self.star_import,
-            "used_names": list(self.used_names),
-            "mapper_calls": [record.to_dict() for record in self.mapper_calls],
-            "job_refs": [record.to_dict() for record in self.job_refs],
-            "registrations": [record.to_dict() for record in self.registrations],
-            "cli_flags": dict(self.cli_flags or {}),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleFacts":
-        """Inverse of :meth:`to_dict`; malformed input raises :class:`SpecError`."""
-        payload = dict(_require_mapping(data, cls))
-        known = {
-            "display_path", "module", "is_package", "imports", "symbols",
-            "symbol_lines", "functions", "dataclasses", "dunder_all",
-            "dunder_all_lines", "star_import", "used_names", "mapper_calls",
-            "job_refs", "registrations", "cli_flags",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise SpecError(f"ModuleFacts.from_dict got unknown field(s) {unknown}")
-        payload["imports"] = tuple(
-            ImportRecord.from_dict(item) for item in payload.get("imports", ())
-        )
-        payload["functions"] = {
-            name: FunctionFacts.from_dict(item)
-            for name, item in payload.get("functions", {}).items()
-        }
-        payload["dataclasses"] = {
-            name: DataclassFacts.from_dict(item)
-            for name, item in payload.get("dataclasses", {}).items()
-        }
-        raw_all = payload.get("dunder_all")
-        payload["dunder_all"] = tuple(raw_all) if raw_all is not None else None
-        payload["used_names"] = tuple(payload.get("used_names", ()))
-        payload["mapper_calls"] = tuple(
-            CallArgRef.from_dict(item) for item in payload.get("mapper_calls", ())
-        )
-        payload["job_refs"] = tuple(
-            JobCallableRef.from_dict(item) for item in payload.get("job_refs", ())
-        )
-        payload["registrations"] = tuple(
-            RegistrationRecord.from_dict(item) for item in payload.get("registrations", ())
-        )
-        return cls(**payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -837,8 +659,7 @@ class ProjectIndex:
     """Cross-module view over a set of :class:`ModuleFacts`.
 
     Holds the import graph (display-path edges between project modules),
-    a dotted-module lookup, reverse-dependency closure for the incremental
-    engine, and the cross-module callable resolver the
+    a dotted-module lookup, and the cross-module callable resolver the
     ``transitive-picklability`` rule walks.
     """
 
@@ -862,7 +683,6 @@ class ProjectIndex:
         self.readme_path = readme_path
         self.readme_text = readme_text
         self._edges: dict[str, tuple[str, ...]] = {}
-        self._reverse: dict[str, set[str]] = {}
         for item in self.modules:
             targets: list[str] = []
             for record in item.imports:
@@ -870,10 +690,7 @@ class ProjectIndex:
                     resolved = self.by_module.get(candidate)
                     if resolved is not None and resolved is not item:
                         targets.append(resolved.display_path)
-            deduped = tuple(dict.fromkeys(targets))
-            self._edges[item.display_path] = deduped
-            for target in deduped:
-                self._reverse.setdefault(target, set()).add(item.display_path)
+            self._edges[item.display_path] = tuple(dict.fromkeys(targets))
 
     @staticmethod
     def _import_candidates(record: ImportRecord) -> tuple[str, ...]:
@@ -885,19 +702,6 @@ class ProjectIndex:
     def imported_paths(self, display_path: str) -> tuple[str, ...]:
         """Display paths of the project modules ``display_path`` imports."""
         return self._edges.get(display_path, ())
-
-    def dependents_of(self, display_paths: Iterable[str]) -> set[str]:
-        """Transitive reverse-import closure (the seeds themselves excluded)."""
-        seeds = set(display_paths)
-        dependents: set[str] = set()
-        frontier = list(seeds)
-        while frontier:
-            current = frontier.pop()
-            for importer in self._reverse.get(current, ()):
-                if importer not in dependents and importer not in seeds:
-                    dependents.add(importer)
-                    frontier.append(importer)
-        return dependents
 
     def find_module(self, *suffixes: str) -> ModuleFacts | None:
         """The first module (sorted by path) whose display path ends with a suffix."""

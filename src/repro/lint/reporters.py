@@ -11,7 +11,6 @@ offline.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from repro.errors import SpecError
 from repro.lint.findings import LintReport
@@ -42,23 +41,18 @@ def render_text(report: LintReport) -> str:
     return "\n".join(lines)
 
 
-def render_json(report: LintReport, stats: Any | None = None) -> str:
-    """Lossless JSON form of the report (sorted keys, stable across runs).
-
-    ``stats`` (a :class:`~repro.lint.engine.LintStats`, or anything with a
-    ``to_dict``) rides along under a separate ``"stats"`` key when given:
-    the *report* stays byte-identical across cold/warm/parallel runs, while
-    stats legitimately vary, and :func:`report_from_json` ignores the key —
-    no version bump needed.
-    """
-    payload: dict[str, Any] = {"version": REPORT_VERSION, "report": report.to_dict()}
-    if stats is not None:
-        payload["stats"] = stats.to_dict() if hasattr(stats, "to_dict") else stats
+def render_json(report: LintReport) -> str:
+    """Lossless JSON form of the report (sorted keys, stable across runs)."""
+    payload = {"version": REPORT_VERSION, "report": report.to_dict()}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def report_from_json(text: str) -> LintReport:
-    """Inverse of :func:`render_json`; malformed input raises :class:`SpecError`."""
+    """Inverse of :func:`render_json`; malformed input raises :class:`SpecError`.
+
+    Top-level keys other than ``version`` and ``report`` are ignored, so
+    archived reports that also carry a ``stats`` block still load.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:

@@ -12,25 +12,32 @@ from benchmarks.collect_results import (
 )
 
 from repro import obs
-from repro.lint import lint_paths_with_stats, render_json
+from repro.lint import lint_paths, render_json
 
 
 def make_report_json(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("import random\nx = random.random()\n", encoding="utf-8")
-    report, stats = lint_paths_with_stats([target])
-    return render_json(report, stats=stats)
+    return render_json(lint_paths([target]))
 
 
 def test_lint_report_is_flattened_to_scalars(tmp_path):
     payload = json.loads(make_report_json(tmp_path))
     summary = summarize_lint_report(payload)
-    assert summary["findings"] == 1
-    assert summary["files_scanned"] == 1
-    assert summary["files_analyzed"] == 1
-    assert summary["cache_hit_rate"] == 0.0
-    assert summary["wall_seconds"] > 0
-    assert summary["version"] == 1
+    assert summary == {
+        "version": 1,
+        "findings": 1,
+        "files_scanned": 1,
+        "suppressed": 0,
+        "rules": len(payload["report"]["rules"]),
+    }
+
+
+def test_archived_stats_block_is_dropped_from_the_summary(tmp_path):
+    payload = json.loads(make_report_json(tmp_path))
+    plain = summarize_lint_report(payload)
+    payload["stats"] = {"files_analyzed": 1, "cache_hit_rate": 0.0}
+    assert summarize_lint_report(payload) == plain
 
 
 def test_non_lint_payloads_pass_through_unchanged():

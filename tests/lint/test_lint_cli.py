@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.lint import list_rules, report_from_json
 
 CLEAN_SOURCE = "def identity(x):\n    return x\n"
@@ -43,6 +44,13 @@ class TestExitCodes:
     def test_findings_exit_one(self, dirty_file):
         code, output = run_cli("lint", dirty_file)
         assert code == 1
+        assert "no-raw-rng" in output
+
+    def test_undecodable_file_exits_one_with_the_rest_reported(self, dirty_file):
+        (dirty_file.parent / "bad.py").write_bytes(b'x = "\xff"\n')
+        code, output = run_cli("lint", dirty_file.parent)
+        assert code == 1
+        assert "syntax-error" in output
         assert "no-raw-rng" in output
 
     def test_no_paths_is_a_usage_error(self):
@@ -93,35 +101,26 @@ class TestEngineFlags:
         report = report_from_json(output)
         assert list(report.rules) == list_rules()
 
-    def test_jobs_zero_is_a_usage_error(self, clean_file):
-        code, _ = run_cli("lint", clean_file, "--jobs", "0")
-        assert code == 2
-
-    def test_jobs_fans_out_without_changing_the_report(self, tmp_path):
-        for index in range(4):
-            (tmp_path / f"mod_{index}.py").write_text(DIRTY_SOURCE)
-        serial_code, serial_output = run_cli("lint", tmp_path, "--format", "json")
-        parallel_code, parallel_output = run_cli(
-            "lint", tmp_path, "--format", "json", "--jobs", "3"
+    def test_overlapping_paths_scan_each_file_once(self, dirty_file, clean_file):
+        folder = dirty_file.parent
+        code, output = run_cli(
+            "lint", folder, dirty_file, clean_file, folder, "--format", "json"
         )
-        assert (serial_code, serial_output) == (parallel_code, parallel_output)
+        assert code == 1
+        report = report_from_json(output)
+        assert report.files_scanned == 2
+        assert report.by_rule() == {"no-raw-rng": 1}
 
-    def test_cache_warms_across_invocations(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "mod.py").write_text(CLEAN_SOURCE)
-        first_code, _ = run_cli("lint", "mod.py", "--cache")
-        assert first_code == 0
-        assert (tmp_path / ".repro-lint-cache" / "cache.json").exists()
-        artifact = tmp_path / "out.json"
-        second_code, _ = run_cli("lint", "mod.py", "--cache", "--output", artifact)
-        assert second_code == 0
-        stats = json.loads(artifact.read_text())["stats"]
-        assert stats["files_from_cache"] == 1
-        assert stats["cache_hit_rate"] == 1.0
-
-    def test_changed_against_bad_base_is_a_usage_error(self, clean_file):
-        code, _ = run_cli("lint", clean_file, "--changed", "no-such-ref^^")
-        assert code == 2
+    def test_lint_takes_only_its_documented_options(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        lint = subparsers.choices["lint"]
+        options = {
+            option for action in lint._actions for option in action.option_strings
+        }
+        assert options == {"-h", "--help", "--rules", "--list-rules", "--format", "--output"}
 
 
 class TestJsonOutput:

@@ -52,6 +52,18 @@ class TestJsonRoundTrip:
         assert render_json(report) == render_json(report)
 
 
+    def test_archived_report_with_a_stats_block_still_loads(self):
+        report = LintReport(
+            findings=(Finding("a.py", 3, 0, "no-raw-rng", "boom"),),
+            files_scanned=4,
+            suppressed=1,
+            rules=("no-raw-rng",),
+        )
+        payload = json.loads(render_json(report))
+        payload["stats"] = {"files_analyzed": 4, "cache_hit_rate": 0.5}
+        assert report_from_json(json.dumps(payload)) == report
+
+
 class TestReportFromJsonErrors:
     def test_invalid_json_rejected(self):
         with pytest.raises(SpecError, match="not valid JSON"):

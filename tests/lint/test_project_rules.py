@@ -336,6 +336,66 @@ class TestExportHygiene:
         assert report.clean
 
 
+PHANTOM_EXPORT = """\
+    __all__ = ["real", "phantom"]
+
+
+    def real():
+        return 1
+"""
+
+
+class TestProjectSuppressions:
+    """Project findings obey the same inline comments as file findings."""
+
+    def test_trailing_comment_silences_a_project_finding(self, tmp_path, monkeypatch):
+        write_tree(tmp_path, {
+            "src/app/mod.py": PHANTOM_EXPORT.replace(
+                '"phantom"]',
+                '"phantom"]  # repro-lint: disable=export-hygiene -- lazy attribute',
+            ),
+        })
+        report = lint_tree(tmp_path, monkeypatch, "export-hygiene")
+        assert report.clean
+        assert report.suppressed == 1
+
+    def test_standalone_comment_above_silences_a_project_finding(self, tmp_path, monkeypatch):
+        write_tree(tmp_path, {
+            "src/app/mod.py": (
+                "    # repro-lint: disable=export-hygiene -- lazy attribute\n"
+                + PHANTOM_EXPORT
+            ),
+        })
+        report = lint_tree(tmp_path, monkeypatch, "export-hygiene")
+        assert report.clean
+        assert report.suppressed == 1
+
+    def test_comment_for_another_rule_does_not_silence_it(self, tmp_path, monkeypatch):
+        write_tree(tmp_path, {
+            "src/app/mod.py": PHANTOM_EXPORT.replace(
+                '"phantom"]',
+                '"phantom"]  # repro-lint: disable=knob-drift -- wrong rule',
+            ),
+        })
+        report = lint_tree(tmp_path, monkeypatch, "export-hygiene")
+        assert [f.rule for f in report.findings] == ["export-hygiene"]
+        assert report.suppressed == 0
+
+    def test_broken_module_does_not_hide_project_findings_elsewhere(
+        self, tmp_path, monkeypatch
+    ):
+        write_tree(tmp_path, {
+            "src/app/broken.py": "def broken(:\n",
+            "src/app/mod.py": PHANTOM_EXPORT,
+        })
+        monkeypatch.chdir(tmp_path)
+        report = lint_paths(["src"])
+        assert report.by_rule() == {"export-hygiene": 1, "syntax-error": 1}
+        assert {f.path for f in report.findings} == {
+            "src/app/broken.py", "src/app/mod.py",
+        }
+
+
 class TestProjectIndexFacts:
     """The facts layer itself: what one parse distills for the project rules."""
 
@@ -362,6 +422,7 @@ class TestProjectIndexFacts:
                 return mapper.map(h, jobs)
         """)
         facts = collect_facts(ast.parse(source), "src/app/demo.py")
+        assert isinstance(facts, ModuleFacts)
         assert facts.module == "app.demo"
         assert ImportRecord(module="app.work", name="handler", alias="h", line=2) in facts.imports
         assert isinstance(facts.functions["make"], FunctionFacts)
@@ -374,8 +435,6 @@ class TestProjectIndexFacts:
             isinstance(ref, CallArgRef) and ref.target == "h"
             for ref in facts.mapper_calls
         )
-        roundtrip = ModuleFacts.from_dict(facts.to_dict())
-        assert roundtrip == facts
 
     def test_resolver_classifies_across_modules(self):
         work = collect_facts(
@@ -390,7 +449,7 @@ class TestProjectIndexFacts:
         assert resolution.is_violation
         assert "lambda" in resolution.detail
 
-    def test_job_refs_round_trip(self):
+    def test_lambda_job_field_is_collected(self):
         source = textwrap.dedent("""\
             from dataclasses import dataclass
 
@@ -403,15 +462,34 @@ class TestProjectIndexFacts:
         facts = collect_facts(ast.parse(source), "src/app/jobs.py")
         lambdas = [ref for ref in facts.job_refs if ref.is_lambda]
         assert lambdas and isinstance(lambdas[0], JobCallableRef)
-        assert JobCallableRef.from_dict(lambdas[0].to_dict()) == lambdas[0]
+        assert (lambdas[0].job_class, lambdas[0].via) == ("PackJob", "constructor")
 
-    def test_dependents_follow_reverse_imports(self):
+    def test_named_job_values_are_collected(self):
+        source = textwrap.dedent("""\
+            from dataclasses import dataclass
+            from app.work import handler
+
+            @dataclass(frozen=True)
+            class PackJob:
+                fn: object = handler
+
+            job = PackJob(fn=handler)
+        """)
+        facts = collect_facts(ast.parse(source), "src/app/jobs.py")
+        refs = {(ref.via, ref.target, ref.is_lambda) for ref in facts.job_refs}
+        assert refs == {
+            ("default", "handler", False),
+            ("constructor", "handler", False),
+        }
+
+    def test_import_graph_links_project_modules(self):
         a = collect_facts(ast.parse("def alpha():\n    return 1\n"), "src/app/a.py")
         b = collect_facts(ast.parse("from app.a import alpha\n"), "src/app/b.py")
         c = collect_facts(ast.parse("from app.b import alpha\n"), "src/app/c.py")
         index = ProjectIndex([a, b, c])
-        assert index.dependents_of({"src/app/a.py"}) == {"src/app/b.py", "src/app/c.py"}
         assert index.imported_paths("src/app/b.py") == ("src/app/a.py",)
+        assert index.imported_paths("src/app/c.py") == ("src/app/b.py",)
+        assert index.imported_paths("src/app/a.py") == ()
 
 
 @pytest.mark.parametrize("rule", [
