@@ -6,11 +6,12 @@ time.  The whole design rests on one promise: while the process-global
 switch is **off**, that instrumentation costs nothing measurable.  This
 benchmark turns the promise into a CI gate:
 
-* **kernel hot path** — the pack/popcount primitives are registered wrapped
-  in :func:`repro.coverage.kernels._timed_kernel_op`; with obs disabled the
-  wrapper is one ``enabled()`` check.  :func:`uninstrumented_backend`
-  recovers the raw primitives exactly as they were before wrapping
-  (via ``__wrapped__``), giving a true no-obs baseline in the same process.
+* **kernel hot path** — :func:`repro.coverage.bitset.pack_rows` and
+  :func:`~repro.coverage.bitset.popcount_rows` are the raw primitives
+  wrapped in an enabled-gated timer; with obs disabled the wrapper is one
+  ``enabled()`` check.  Each wrapper's ``__wrapped__`` is the raw primitive
+  exactly as it was before wrapping, giving a true no-obs baseline in the
+  same process.
   The gate: instrumented-disabled popcount+pack throughput within
   ``MAX_DISABLED_OVERHEAD`` of the raw baseline, min-of-``ROUNDS`` timing
   on realistic marginal-gain shaped arrays.
@@ -19,8 +20,8 @@ benchmark turns the promise into a CI gate:
   recorded (and sanity-bounded) so a regression that starts allocating on
   the disabled path shows up in the trajectory.
 
-Identity is asserted too: the instrumented backend's outputs are
-bit-identical to the raw primitives' (the full matrix is property-tested
+Identity is asserted too: the instrumented primitives' outputs are
+bit-identical to the raw ones' (the full matrix is property-tested
 in ``tests/property/test_obs_identity.py``).
 
 Results land in ``results/obs_overhead.json`` + ``.md`` and are folded
@@ -37,7 +38,7 @@ import pytest
 
 from benchmarks.common import RESULTS_DIR, print_table, write_table
 from repro import obs
-from repro.coverage.kernels import resolve_kernel_backend, uninstrumented_backend
+from repro.coverage.bitset import pack_rows, popcount_rows
 from repro.utils.rng import spawn_rng
 from repro.utils.tables import Table
 
@@ -63,37 +64,33 @@ def _dense_rows() -> np.ndarray:
     return rng.random((NUM_ROWS, NUM_ELEMENTS)) < 0.2
 
 
-def _kernel_loop(backend, dense, packed) -> float:
+def _kernel_loop(pack, popcount, dense, packed) -> float:
     """One timed loop of the greedy-shaped kernel mix; returns seconds."""
     start = time.perf_counter()
     for _ in range(PACKS_PER_LOOP):
-        backend.pack(dense)
+        pack(dense)
     for _ in range(POPCOUNTS_PER_LOOP):
-        backend.popcount(packed, 1)
+        popcount(packed, 1)
     return time.perf_counter() - start
 
 
 def _measure_kernels() -> dict[str, float]:
-    instrumented = resolve_kernel_backend("auto")
-    raw = uninstrumented_backend(instrumented.name)
+    raw_pack, raw_popcount = pack_rows.__wrapped__, popcount_rows.__wrapped__
     dense = _dense_rows()
-    packed = raw.pack(dense)
+    packed = raw_pack(dense)
 
     # Identity first: the wrapper must never change a result, only time it.
-    assert np.array_equal(instrumented.pack(dense), packed)
-    assert np.array_equal(
-        instrumented.popcount(packed, 1), raw.popcount(packed, 1)
-    )
+    assert np.array_equal(pack_rows(dense), packed)
+    assert np.array_equal(popcount_rows(packed, 1), raw_popcount(packed, 1))
 
     raw_best = float("inf")
     instrumented_best = float("inf")
     for _ in range(ROUNDS):
-        raw_best = min(raw_best, _kernel_loop(raw, dense, packed))
+        raw_best = min(raw_best, _kernel_loop(raw_pack, raw_popcount, dense, packed))
         instrumented_best = min(
-            instrumented_best, _kernel_loop(instrumented, dense, packed)
+            instrumented_best, _kernel_loop(pack_rows, popcount_rows, dense, packed)
         )
     return {
-        "backend": instrumented.name,
         "raw_seconds": raw_best,
         "instrumented_seconds": instrumented_best,
         "overhead_ratio": instrumented_best / raw_best,
@@ -127,7 +124,7 @@ def test_disabled_instrumentation_is_within_two_percent(benchmark):
 
     table = Table(["path", "baseline_ms", "instrumented_ms", "overhead"])
     table.add_row(
-        path=f"kernel pack+popcount ({kernel['backend']})",
+        path="kernel pack+popcount",
         baseline_ms=kernel["raw_seconds"] * 1e3,
         instrumented_ms=kernel["instrumented_seconds"] * 1e3,
         overhead=f"{(kernel['overhead_ratio'] - 1.0) * 100:+.2f}%",
@@ -147,8 +144,9 @@ def test_disabled_instrumentation_is_within_two_percent(benchmark):
             f"{NUM_ROWS}x{NUM_ELEMENTS} bool rows; "
             f"{PACKS_PER_LOOP} packs + {POPCOUNTS_PER_LOOP} row-popcounts "
             f"per loop, min of {ROUNDS} rounds per variant.",
-            "Baseline is uninstrumented_backend(): the primitives exactly as "
-            "registered, unwrapped via __wrapped__ — a true no-obs build.",
+            "Baseline is each primitive's __wrapped__: the raw pack/popcount "
+            "exactly as defined before timing was wrapped on — a true no-obs "
+            "build.",
             f"gate: instrumented/raw <= {MAX_DISABLED_OVERHEAD} "
             f"(measured {kernel['overhead_ratio']:.4f}).",
             f"disabled obs.span() costs {span['micros_per_call']:.3f} us/call "

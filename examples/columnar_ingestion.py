@@ -55,11 +55,11 @@ def main() -> None:
         )
 
         # Offline phase on the sketch, vectorised: word-packed lanes + lazy greedy.
-        sketch_kernel = BitsetCoverage(sketch.graph, backend="words")
+        sketch_kernel = BitsetCoverage(sketch.graph)
         sketch_pick = greedy_k_cover(sketch.graph, K, kernel=sketch_kernel)
 
         # Reference: the same kernel greedy on the full instance.
-        full_kernel = BitsetCoverage(graph, backend="words")
+        full_kernel = BitsetCoverage(graph)
         reference = greedy_k_cover(graph, K, kernel=full_kernel)
 
         achieved = graph.coverage(sketch_pick.selected)

@@ -296,9 +296,9 @@ def solve(
     seed:
         Seed forwarded to the solver constructor (and the default stream).
     coverage_backend:
-        Optional coverage kernel backend name (``"auto"``, ``"bytes"``,
-        ``"words"``); solvers that evaluate coverage offline (the greedy and
-        local-search references) then run on the packed-bitset kernel.
+        ``"auto"`` or ``"words"`` (the same packed layout); solvers that
+        evaluate coverage offline (the greedy and local-search references)
+        then run on the packed-bitset kernel.
         Defaults to the problem spec's ``coverage_backend`` when solving a
         :class:`ProblemSpec`; ``None`` keeps the default evaluation path.
     coverage_kernel:
@@ -429,7 +429,7 @@ def run(spec: RunSpec, problem: Problem | None = None) -> list[StreamingReport]:
         from repro.coverage.bitset import BitsetCoverage
 
         graph = target.graph if isinstance(target, CoverageInstance) else target
-        kernel = BitsetCoverage(graph, backend=spec.problem.coverage_backend)
+        kernel = BitsetCoverage(graph)
     reports = []
     for repetition in range(spec.repetitions):
         stream = StreamSpec(
@@ -522,8 +522,9 @@ class Session:
         if self.coverage_backend is None:
             return None
         if self._kernel_cache is None:
-            from repro.coverage.bitset import BitsetCoverage
+            from repro.coverage.bitset import BitsetCoverage, check_coverage_backend
 
+            check_coverage_backend(self.coverage_backend)
             graph = (
                 self.problem.graph
                 if isinstance(self.problem, CoverageInstance)
@@ -531,7 +532,7 @@ class Session:
             )
             if isinstance(graph, ColumnarEdges):
                 graph = graph.to_graph()
-            self._kernel_cache = BitsetCoverage(graph, backend=self.coverage_backend)
+            self._kernel_cache = BitsetCoverage(graph)
         return self._kernel_cache
 
     @property

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import LAYOUT, BitsetCoverage, check_coverage_backend
 from repro.coverage.instance import CoverageInstance
 from repro.errors import SpecError, UnknownSolverError
 from repro.utils.registry import NamedRegistry
@@ -99,9 +100,8 @@ class ProblemContext:
             return self._kernel
         if self.coverage_backend is None:
             return None
-        from repro.coverage.bitset import BitsetCoverage
-
-        self._kernel = BitsetCoverage(self.graph, backend=self.coverage_backend)
+        check_coverage_backend(self.coverage_backend)
+        self._kernel = BitsetCoverage(self.graph)
         return self._kernel
 
     def preset_kernel(self, kernel) -> None:
@@ -125,7 +125,7 @@ class ProblemContext:
             )
         self._kernel = kernel
         if self.coverage_backend is None:
-            self.coverage_backend = kernel.backend.name
+            self.coverage_backend = LAYOUT
 
 
 @dataclass

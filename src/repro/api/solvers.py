@@ -32,6 +32,7 @@ from repro.core import (
     StreamingSetCoverOutliers,
 )
 from repro.core.params import SketchParams
+from repro.coverage.bitset import LAYOUT
 from repro.distributed import DistributedKCover
 from repro.errors import SpecError
 from repro.offline.greedy import greedy_k_cover, greedy_partial_cover, greedy_set_cover
@@ -250,7 +251,7 @@ def _offline_greedy(ctx: ProblemContext, **options: Any) -> OfflineOutcome:
         result = greedy_partial_cover(ctx.graph, target, kernel=kernel, **options)
     extra: dict[str, Any] = {"evaluations": result.evaluations}
     if kernel is not None:
-        extra["coverage_backend"] = kernel.backend.name
+        extra["coverage_backend"] = LAYOUT
     return OfflineOutcome(
         algorithm="offline-greedy",
         solution=list(result.selected),
@@ -274,7 +275,7 @@ def _offline_local_search(ctx: ProblemContext, **options: Any) -> OfflineOutcome
         "improved_from": result.improved_from,
     }
     if kernel is not None:
-        extra["coverage_backend"] = kernel.backend.name
+        extra["coverage_backend"] = LAYOUT
     return OfflineOutcome(
         algorithm="offline-local-search",
         solution=list(result.selected),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.coverage.kernels import kernel_backend_choices
+from repro.coverage.bitset import check_coverage_backend
 from repro.errors import SpecError
 from repro.parallel import executor_choices
 from repro.streaming.stream import STREAM_ORDERS
@@ -96,18 +96,17 @@ class ProblemSpec:
     the :class:`repro.coverage.instance.CoverageInstance` from the spec
     alone, making a :class:`RunSpec` self-contained.
 
-    ``coverage_backend`` optionally names a registered coverage kernel
-    backend (``"auto"``, ``"bytes"``, ``"words"``, ...); solvers that
-    evaluate the coverage function offline then run on that packed-bitset
-    kernel instead of Python sets — the greedy / local-search references
-    pack the input graph, the streaming family packs its sketch for the
-    offline phase, and the distributed coordinator packs the merged sketch
-    for its round-2 greedy.  ``None`` keeps the solver's default evaluation
-    path.
+    ``coverage_backend`` (``"auto"`` or ``"words"``, which name the same
+    packed layout) makes solvers that evaluate the coverage function
+    offline run on the packed-bitset kernel instead of Python sets — the
+    greedy / local-search references pack the input graph, the streaming
+    family packs its sketch for the offline phase, and the distributed
+    coordinator packs the merged sketch for its round-2 greedy.  ``None``
+    keeps the solver's default evaluation path.
 
     ``executor`` / ``map_workers`` optionally name a :mod:`repro.parallel`
-    executor backend (``"auto"``, ``"serial"``, ``"thread"``,
-    ``"process"``, ...) and a pool-size cap; solvers with an embarrassingly
+    executor backend (``"auto"``, ``"serial"``, ``"thread"`` or
+    ``"process"``) and a pool-size cap; solvers with an embarrassingly
     parallel phase (the distributed map phase, the ensemble's per-replica
     greedy) then fan that phase over real cores — results are byte-identical
     across backends.  ``None`` keeps the serial loop, except that
@@ -149,13 +148,7 @@ class ProblemSpec:
             raise SpecError("set_cover_outliers requires outlier_fraction")
         if self.dataset is not None and not isinstance(self.dataset, str):
             raise SpecError(f"dataset must be a string or None, got {self.dataset!r}")
-        if self.coverage_backend is not None:
-            choices = kernel_backend_choices()
-            if self.coverage_backend not in choices:
-                raise SpecError(
-                    f"unknown coverage_backend {self.coverage_backend!r}; "
-                    f"expected one of {choices} or None"
-                )
+        check_coverage_backend(self.coverage_backend)
         if self.executor is not None:
             choices = executor_choices()
             if self.executor not in choices:
@@ -365,13 +358,7 @@ class QuerySpec:
             ids.append(int(item))
         object.__setattr__(self, "forbidden", tuple(sorted(set(ids))))
         object.__setattr__(self, "options", _check_options_dict(self.options, "options"))
-        if self.coverage_backend is not None:
-            choices = kernel_backend_choices()
-            if self.coverage_backend not in choices:
-                raise SpecError(
-                    f"unknown coverage_backend {self.coverage_backend!r}; "
-                    f"expected one of {choices} or None"
-                )
+        check_coverage_backend(self.coverage_backend)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-serializable)."""

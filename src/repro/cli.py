@@ -47,8 +47,8 @@ from typing import Sequence
 from repro import obs
 from repro.api import StreamSpec, iter_solvers, solve
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import COVERAGE_BACKENDS
 from repro.coverage.io import open_columnar, read_edge_list, write_columnar, write_edge_list
-from repro.coverage.kernels import kernel_backend_choices
 from repro.datasets import get_dataset, iter_datasets, list_datasets
 from repro.distributed.partition import PARTITION_STRATEGIES
 from repro.lint import (
@@ -59,6 +59,7 @@ from repro.lint import (
     rule_choices,
 )
 from repro.parallel import executor_choices
+from repro.serve.driver import SHARED_MEMORY_EXECUTORS
 from repro.utils.tables import Table
 
 __all__ = ["main", "build_parser"]
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", type=int, default=None,
                        help="drive the stream in columnar batches of this many "
                             "events (default: scalar events; results are identical)")
-        p.add_argument("--coverage-backend", choices=kernel_backend_choices(),
+        p.add_argument("--coverage-backend", choices=COVERAGE_BACKENDS,
                        default=None,
                        help="packed-bitset kernel for the offline coverage "
                             "evaluations (greedy reference rows); default keeps "
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="edge sharding strategy; 'row_range' maps each "
                                   "worker over a contiguous slice (for columnar "
                                   "--edges directories, its own mmap'd row range)")
-    distributed.add_argument("--coverage-backend", choices=kernel_backend_choices(),
+    distributed.add_argument("--coverage-backend", choices=COVERAGE_BACKENDS,
                              default=None,
                              help="packed-bitset kernel for the coordinator's "
                                   "round-2 greedy on the merged sketch")
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of queries in the driven load")
     serve.add_argument("--clients", type=int, default=8,
                        help="concurrent client threads")
-    serve.add_argument("--executor", choices=("serial", "thread"), default="thread",
+    serve.add_argument("--executor", choices=SHARED_MEMORY_EXECUTORS, default="thread",
                        help="request executor; only shared-memory backends are "
                             "allowed (a process pool would duplicate the cache)")
 

@@ -90,10 +90,9 @@ class StreamingKCover:
         lazy greedy; any α-approximation can be plugged in — Theorem 2.7 is
         exactly the statement that the composition stays ``(α − O(ε))``.
     coverage_backend:
-        Optional packed-bitset kernel backend name (``"auto"``, ``"bytes"``,
-        ``"words"``; see :mod:`repro.coverage.kernels`).  The default solver
-        then packs a :class:`~repro.coverage.bitset.BitsetCoverage` of the
-        *sketch* and runs the greedy on it — identical selections (the
+        ``"auto"`` or ``"words"`` (the same packed layout).  The default
+        solver then packs a :class:`~repro.coverage.bitset.BitsetCoverage`
+        of the *sketch* and runs the greedy on it — identical selections (the
         kernels share the greedy's tie-break, property-tested), much faster
         on dense sketches.  Ignored when an explicit ``solver`` is given.
     forbidden:

@@ -155,7 +155,7 @@ class GuessChecker:
             space=self.space,
         )
         self._final_sketch: CoverageSketch | None = None
-        self._kernels: "KernelCache | None" = None
+        self._kernel: "KernelCache | None" = None
 
     def process(self, event: EdgeArrival) -> None:
         """Feed one edge into this guess's sketch."""
@@ -171,13 +171,13 @@ class GuessChecker:
         Before finalization every :meth:`check` re-snapshots the builder (the
         pre-existing behaviour, correct while the stream is still being fed);
         after it, checks and queries share one immutable sketch and one
-        packed kernel per backend — the serving layer's repeat-query path.
+        packed kernel — the serving layer's repeat-query path.
         """
         if self._final_sketch is None:
             from repro.coverage.bitset import KernelCache
 
             self._final_sketch = self.builder.sketch()
-            self._kernels = KernelCache(self._final_sketch.graph)
+            self._kernel = KernelCache(self._final_sketch.graph)
         return self._final_sketch
 
     def check(
@@ -198,9 +198,9 @@ class GuessChecker:
         backend = (
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
-        if self._final_sketch is not None and self._kernels is not None:
+        if self._final_sketch is not None and self._kernel is not None:
             sketch = self._final_sketch
-            kernel = self._kernels.get(backend)  # type: ignore[arg-type]
+            kernel = self._kernel.get(backend)  # type: ignore[arg-type]
         else:
             sketch = self.builder.sketch()
             kernel = kernel_for(sketch.graph, backend)  # type: ignore[arg-type]

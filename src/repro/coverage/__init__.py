@@ -16,14 +16,6 @@ from repro.coverage.io import (
     write_columnar,
     write_edge_list,
 )
-from repro.coverage.kernels import (
-    KernelBackend,
-    get_kernel_backend,
-    kernel_backend_choices,
-    list_kernel_backends,
-    register_kernel_backend,
-    resolve_kernel_backend,
-)
 from repro.coverage.setsystem import SetSystem
 
 __all__ = [
@@ -32,18 +24,12 @@ __all__ = [
     "ColumnarEdges",
     "CoverageFunction",
     "CoverageInstance",
-    "KernelBackend",
     "ProblemKind",
     "SetSystem",
     "columnar_from_edge_list",
-    "get_kernel_backend",
-    "kernel_backend_choices",
-    "list_kernel_backends",
     "load_system",
     "open_columnar",
     "read_edge_list",
-    "register_kernel_backend",
-    "resolve_kernel_backend",
     "save_system",
     "system_from_json",
     "system_to_json",

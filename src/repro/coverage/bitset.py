@@ -11,11 +11,12 @@ membership into bit rows so that
 * coverage value     = popcount of the union,
 * marginal gain      = popcount of ``candidate AND NOT covered``,
 
-all as whole-array operations.  The packing layout and popcount strategy come
-from a pluggable :class:`~repro.coverage.kernels.KernelBackend` (``"bytes"``
-for the original ``uint8`` lanes, ``"words"`` for ``uint64`` lanes touching
-8x fewer lanes, ``"auto"`` to pick the fastest available); all backends are
-bit-for-bit identical on every query (property-tested).
+all as whole-array operations.  Rows are packed 64 elements per ``uint64``
+lane; popcounts use ``np.bitwise_count`` and fall back to a 256-entry byte
+table over a ``uint8`` view on numpy builds without it.  The layout is an
+implementation detail: every query is bit-for-bit identical to the
+set-based evaluation (property-tested), so ``coverage_backend`` only says
+*whether* a solver's offline phase runs on a kernel (:data:`COVERAGE_BACKENDS`).
 
 On top of the kernels, :meth:`greedy_k_cover` is *lazy* by default
 (CELF-style): a max-heap of stale upper bounds over the vectorised marginal
@@ -30,22 +31,113 @@ difference).
 
 from __future__ import annotations
 
+import functools
 import heapq
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.coverage.bipartite import BipartiteGraph
-from repro.coverage.kernels import (
-    KernelBackend,
-    canonical_backend_name,
-    resolve_kernel_backend,
+from repro.errors import SpecError
+from repro.obs import clock
+
+__all__ = [
+    "COVERAGE_BACKENDS",
+    "LAYOUT",
+    "BitsetCoverage",
+    "KernelCache",
+    "check_coverage_backend",
+    "kernel_for",
+    "pack_rows",
+    "popcount_rows",
+]
+
+#: The one packed layout (64 elements per ``uint64`` lane); reports record
+#: it as the ``coverage_backend`` a kernel run used.
+LAYOUT = "words"
+
+#: Valid non-``None`` ``coverage_backend`` values; ``"auto"`` names the same
+#: layout, and ``None`` keeps the set-based path.
+COVERAGE_BACKENDS = ("auto", LAYOUT)
+
+#: Lookup table with the popcount of every byte value (fallback path).
+_POPCOUNT_TABLE = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
+
+#: numpy >= 2.0 ships a native popcount ufunc; the byte table is the fallback.
+_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+
+
+def check_coverage_backend(backend: str | None) -> None:
+    """Raise :class:`SpecError` unless ``backend`` is ``None`` or a valid name."""
+    if backend is not None and backend not in COVERAGE_BACKENDS:
+        raise SpecError(
+            f"unknown coverage_backend {backend!r}; "
+            f"expected one of {COVERAGE_BACKENDS} or None"
+        )
+
+
+def _pack_words(dense: np.ndarray) -> np.ndarray:
+    packed = np.packbits(dense, axis=1)
+    byte_lanes = packed.shape[1]
+    word_lanes = -(-byte_lanes // 8)
+    if byte_lanes != word_lanes * 8:
+        padded = np.zeros((packed.shape[0], word_lanes * 8), dtype=np.uint8)
+        padded[:, :byte_lanes] = packed
+        packed = padded
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
+def _popcount_words(rows: np.ndarray, axis: int | None = None) -> np.ndarray | int:
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(rows).sum(axis=axis, dtype=np.int64)
+    # Byte-table fallback: reinterpret each word as its 8 bytes.  The view
+    # multiplies the last-axis length by 8, so per-row sums stay per-row.
+    bytes_view = np.ascontiguousarray(rows).view(np.uint8)
+    return _POPCOUNT_TABLE[bytes_view].sum(axis=axis)
+
+
+#: Kernel-primitive timings, observed only while tracing is enabled; the
+#: disabled path through :func:`_timed_kernel_op` is one enabled() check.
+_PACK_SECONDS = obs.global_metrics().histogram(
+    "kernel.pack_seconds", help="per-call packing time of bitset rows"
+)
+_POPCOUNT_SECONDS = obs.global_metrics().histogram(
+    "kernel.popcount_seconds", help="per-call popcount reduction time"
 )
 
-__all__ = ["BitsetCoverage", "KernelCache", "kernel_for"]
+
+def _timed_kernel_op(
+    fn: Callable[..., "np.ndarray | int"], histogram: "obs.Histogram"
+) -> Callable[..., "np.ndarray | int"]:
+    """Wrap a pack/popcount primitive with an enabled-gated timer.
+
+    ``functools.wraps`` keeps the raw callable reachable as ``__wrapped__``
+    (the overhead benchmark builds its no-obs baseline from it).
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args: object, **kwargs: object) -> "np.ndarray | int":
+        if not obs.enabled():
+            return fn(*args, **kwargs)
+        start = clock.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            histogram.observe(clock.perf_counter() - start)
+
+    return wrapper
 
 
-def kernel_for(graph: BipartiteGraph, backend: str | KernelBackend | None) -> "BitsetCoverage | None":
+#: ``(num_rows, num_elements) bool -> (num_rows, words) uint64`` packing.
+pack_rows = _timed_kernel_op(_pack_words, _PACK_SECONDS)
+
+#: ``(rows, axis) -> int64`` summed popcount of packed rows over ``axis``
+#: (or everything when ``axis`` is None).
+popcount_rows = _timed_kernel_op(_popcount_words, _POPCOUNT_SECONDS)
+
+
+def kernel_for(graph: BipartiteGraph, backend: str | None) -> "BitsetCoverage | None":
     """A packed kernel of ``graph``, or ``None`` when no backend is requested.
 
     The shared guard for solvers whose *offline phase* optionally runs on a
@@ -54,9 +146,10 @@ def kernel_for(graph: BipartiteGraph, backend: str | KernelBackend | None) -> "B
     path, and an empty graph skips packing — there is nothing to evaluate,
     and callers' greedy handles the graph directly.
     """
+    check_coverage_backend(backend)
     if backend is None or graph.num_edges == 0:
         return None
-    return BitsetCoverage(graph, backend=backend)
+    return BitsetCoverage(graph)
 
 #: How many stale heap entries the lazy greedy re-evaluates per vectorised
 #: :meth:`BitsetCoverage.gains_for` call.  Small enough that little work is
@@ -74,14 +167,9 @@ class BitsetCoverage:
     graph:
         The bipartite membership graph; it is snapshotted at construction
         (later mutations of the graph are not reflected).
-    backend:
-        A :class:`~repro.coverage.kernels.KernelBackend`, a registered
-        backend name (``"bytes"``, ``"words"``), or ``"auto"`` (default) to
-        pick the fastest available.
     """
 
-    def __init__(self, graph: BipartiteGraph, *, backend: str | KernelBackend = "auto") -> None:
-        self._backend = resolve_kernel_backend(backend)
+    def __init__(self, graph: BipartiteGraph) -> None:
         self._num_sets = graph.num_sets
         elements = np.fromiter(graph.elements(), dtype=np.int64, count=graph.num_elements)
         elements.sort()
@@ -97,9 +185,8 @@ class BitsetCoverage:
             ids = np.fromiter(members, dtype=np.int64, count=len(members))
             dense[set_id, np.searchsorted(elements, ids)] = True
             sizes[set_id] = len(members)
-        # Rows are packed along the element axis: shape (n, lanes) in the
-        # backend's lane dtype.
-        self._packed = self._backend.pack(dense)
+        # Rows are packed along the element axis: shape (n, words), uint64.
+        self._packed = pack_rows(dense)
         self._set_sizes = sizes
 
     # ------------------------------------------------------------------ #
@@ -115,11 +202,6 @@ class BitsetCoverage:
         """Number of elements in the snapshot."""
         return self._num_elements
 
-    @property
-    def backend(self) -> KernelBackend:
-        """The packing/popcount backend in use."""
-        return self._backend
-
     def set_size(self, set_id: int) -> int:
         """``|S|`` for one set."""
         return int(self._set_sizes[set_id])
@@ -132,8 +214,9 @@ class BitsetCoverage:
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
-    def _popcount(self, row: np.ndarray) -> int:
-        return int(self._backend.popcount(row, None))
+    def count_bits(self, bits: np.ndarray) -> int:
+        """Number of elements in a packed bit-row from this evaluator."""
+        return int(popcount_rows(bits, None))
 
     @staticmethod
     def _as_index(set_ids: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -148,7 +231,7 @@ class BitsetCoverage:
 
     def empty_bits(self) -> np.ndarray:
         """An all-zero packed bit-row (the union of no sets)."""
-        return self._backend.empty_row(self._packed.shape[1])
+        return np.zeros(self._packed.shape[1], dtype=np.uint64)
 
     def union_bits(self, set_ids: Iterable[int] | np.ndarray) -> np.ndarray:
         """The packed union bit-row of a family of sets."""
@@ -159,7 +242,7 @@ class BitsetCoverage:
 
     def coverage(self, set_ids: Iterable[int] | np.ndarray) -> int:
         """``C(S) = |∪ S|``."""
-        return self._popcount(self.union_bits(set_ids))
+        return self.count_bits(self.union_bits(set_ids))
 
     def coverage_fraction(self, set_ids: Iterable[int] | np.ndarray) -> float:
         """Fraction of the snapshot's elements covered."""
@@ -175,7 +258,7 @@ class BitsetCoverage:
         this evaluator (:meth:`union_bits` / :meth:`empty_bits`).
         """
         remaining = np.bitwise_and(self._packed, np.bitwise_not(covered_bits))
-        return self._backend.popcount(remaining, 1)
+        return popcount_rows(remaining, 1)
 
     def gains_for(
         self, set_ids: Iterable[int] | np.ndarray, covered_bits: np.ndarray
@@ -189,7 +272,7 @@ class BitsetCoverage:
         if ids.size == 0:
             return np.zeros(0, dtype=np.int64)
         remaining = np.bitwise_and(self._packed[ids], np.bitwise_not(covered_bits))
-        return self._backend.popcount(remaining, 1)
+        return popcount_rows(remaining, 1)
 
     # ------------------------------------------------------------------ #
     # greedy
@@ -315,7 +398,8 @@ class BitsetCoverage:
         candidates — the same policy as
         :func:`repro.offline.greedy.greedy_k_cover` — so all the greedy
         paths produce identical selections (property-tested), and switching
-        backends or laziness never changes a reported result.
+        between the kernel and the set-based path, or laziness, never changes
+        a reported result.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -340,62 +424,41 @@ class BitsetCoverage:
                 return [0] * families.shape[0]
             gathered = self._packed[families.astype(np.intp, copy=False)]
             unions = np.bitwise_or.reduce(gathered, axis=1)
-            return self._backend.popcount(unions, 1).tolist()
+            return popcount_rows(unions, 1).tolist()
         rows = [self._as_index(family) for family in families]
         lengths = {row.size for row in rows}
         if len(lengths) == 1 and lengths != {0}:
             gathered = self._packed[np.stack(rows)]
             unions = np.bitwise_or.reduce(gathered, axis=1)
-            return self._backend.popcount(unions, 1).tolist()
+            return popcount_rows(unions, 1).tolist()
         return [self.coverage(row) for row in rows]
 
 
 class KernelCache:
-    """Per-graph cache of packed kernels, one per *canonical* backend name.
+    """Per-graph cache of the packed kernel.
 
     The packing step is the expensive part of answering a query against an
     already-built sketch, and the packed rows are immutable — so a sketch
-    held by the serving layer keeps one :class:`BitsetCoverage` per backend
-    and every subsequent query (any ``k``, any forbidden set) reuses it.
-    ``"auto"`` and the concrete backend it resolves to share one slot, so a
-    client asking for ``"auto"`` and one asking for ``"words"`` never pack
-    the same graph twice.
+    held by the serving layer keeps one :class:`BitsetCoverage` and every
+    subsequent query (any ``k``, any forbidden set, ``"auto"`` or
+    ``"words"``) reuses it.
 
     Mirrors :func:`kernel_for`: ``backend=None`` and empty graphs yield
     ``None`` (the set-based path / nothing to evaluate).  Concurrent lookups
-    from the thread backend are safe — at worst two threads both pack the
-    same backend once and one dict assignment wins; both objects are
-    read-only and bit-identical.
+    from the thread executor are safe — at worst two threads both pack the
+    graph once and one assignment wins; both objects are read-only and
+    bit-identical.
     """
 
     def __init__(self, graph: BipartiteGraph) -> None:
         self._graph = graph
-        self._kernels: dict[str, BitsetCoverage] = {}
+        self._kernel: BitsetCoverage | None = None
 
-    @property
-    def graph(self) -> BipartiteGraph:
-        """The graph whose kernels are cached."""
-        return self._graph
-
-    def get(self, backend: str | KernelBackend | None) -> "BitsetCoverage | None":
-        """The cached kernel for ``backend``, packing on first use."""
+    def get(self, backend: str | None) -> "BitsetCoverage | None":
+        """The cached kernel, packing on first use."""
+        check_coverage_backend(backend)
         if backend is None or self._graph.num_edges == 0:
             return None
-        name = canonical_backend_name(backend)
-        kernel = self._kernels.get(name)
-        if kernel is None:
-            kernel = BitsetCoverage(self._graph, backend=name)
-            self._kernels[name] = kernel
-        return kernel
-
-    def __len__(self) -> int:
-        return len(self._kernels)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of packed rows across all cached backends."""
-        return sum(kernel.nbytes for kernel in self._kernels.values())
-
-    def backends(self) -> tuple[str, ...]:
-        """Canonical names of the backends packed so far (sorted)."""
-        return tuple(sorted(self._kernels))
+        if self._kernel is None:
+            self._kernel = BitsetCoverage(self._graph)
+        return self._kernel

@@ -399,9 +399,9 @@ class DistributedKCover:
     params:
         Explicit sketch budgets (defaults to Algorithm 3's choice).
     coverage_backend:
-        Optional packed-bitset kernel backend name (``"auto"``, ``"bytes"``,
-        ``"words"``); the coordinator's greedy then runs on a kernel packed
-        from the merged sketch (same selections, faster on dense merges).
+        ``"auto"`` or ``"words"`` (the same packed layout); the
+        coordinator's greedy then runs on a kernel packed from the merged
+        sketch (same selections, faster on dense merges).
     batch_size:
         Map-phase batch size for the columnar paths.
     executor:
@@ -580,7 +580,7 @@ class DistributedKCover:
         machine_stored_edges = [loads[i][1] for i in machine_ids]
         execution = self.mapper.last_execution
 
-        from repro.coverage.bitset import kernel_for
+        from repro.coverage.bitset import LAYOUT, kernel_for
 
         with obs.span("distributed.greedy", k=self.k):
             kernel = kernel_for(merged.graph, self.coverage_backend)
@@ -596,7 +596,7 @@ class DistributedKCover:
             coordinator_edges=merged.num_edges,
             communication_edges=sum(machine_stored_edges),
             merged_threshold=merged.threshold,
-            coverage_backend=kernel.backend.name if kernel is not None else None,
+            coverage_backend=LAYOUT if kernel is not None else None,
             executor=execution[0],
             map_workers=execution[1],
             peak_resident_sketches=tree.peak_resident,

@@ -37,7 +37,7 @@ silence a deliberate exception inline::
 parses each file once, runs the file rules and collects its facts, then
 runs the project rules over one index of the whole tree.
 
-New rules plug in exactly like solvers and kernels: subclass
+New rules plug in exactly like solvers and datasets: subclass
 :class:`~repro.lint.rules.Rule` (or
 :class:`~repro.lint.rules.ProjectRule` for cross-module contracts), give
 it a :class:`~repro.lint.rules.RuleMeta`, decorate with

@@ -33,11 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: Functions whose bodies are batched hot paths wherever they live.
 _HOT_FUNCTIONS = frozenset({"process_batch"})
 
-#: Modules that are hot paths end to end: the coverage kernel backends, and
+#: Modules that are hot paths end to end: the packed coverage kernel, and
 #: the distributed reduce (the coordinator's fold/admission and the columnar
 #: sketch form it folds).
 _HOT_MODULES = (
-    "coverage/kernels.py",
+    "coverage/bitset.py",
     "distributed/coordinator.py",
     "core/sketch_columns.py",
 )

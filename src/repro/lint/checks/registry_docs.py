@@ -1,20 +1,18 @@
 """``registry-docs-sync`` — registries and README tables agree, both ways.
 
 The self-lint test has long cross-checked the *rule* table in the README
-against ``--list-rules``; every other registry (solvers, datasets, kernel
-backends, executors) relied on authors remembering to edit docs.  This
-project rule generalizes the check: every registration site recorded in the
+against ``--list-rules``; the other registries (solvers, datasets) relied on
+authors remembering to edit docs.  This project rule generalizes the check:
+every registration site recorded in the
 :class:`~repro.lint.project.ProjectIndex` (``register_solver(name, ...)``,
-``register_kernel_backend(Entry(name=...))``, ``@register_rule`` classes,
-...) must have a row in the matching README table, and every table row must
-correspond to a registration — so docs cannot drift from the registries in
-either direction.
+``register_dataset(name, ...)``, ``@register_rule`` classes) must have a row
+in the matching README table, and every table row must correspond to a
+registration — so docs cannot drift from the registries in either
+direction.
 
 A README table is recognized by its first header cell (``solver``,
-``dataset``, ``executor``, ``kernel backend``, ``rule``); the first cell of
-each row, stripped of backticks, is the registered name.  Pseudo-choices
-that are deliberately *not* registry entries (the ``auto`` executor/kernel
-selector) are allowlisted.  Only registrations in ``src`` modules count —
+``dataset``, ``rule``); the first cell of each row, stripped of backticks,
+is the registered name.  Only registrations in ``src`` modules count —
 tests register throwaway names under fixtures all the time.
 """
 
@@ -35,25 +33,6 @@ _TABLE_KINDS = {
     "solver": "solver",
     "dataset": "dataset",
     "generator": "dataset",
-    "executor": "executor",
-    "kernel": "kernel",
-    "backend": "kernel",
-    "kernel backend": "kernel",
-}
-
-_KIND_LABELS = {
-    "rule": "rule",
-    "solver": "solver",
-    "dataset": "dataset",
-    "executor": "executor",
-    "kernel": "kernel backend",
-}
-
-#: Documented choices that are deliberately not registry entries: ``auto``
-#: is a selector resolved to a real backend at run time, not a backend.
-_PSEUDO_ENTRIES = {
-    "executor": frozenset({"auto"}),
-    "kernel": frozenset({"auto"}),
 }
 
 
@@ -125,12 +104,11 @@ class RegistryDocsSyncRule(ProjectRule):
             _readme_tables(index.readme_text) if index.readme_text is not None else {}
         )
         for kind in sorted(registered):
-            label = _KIND_LABELS.get(kind, kind)
             documented = tables.get(kind)
             if documented is None:
                 name, (path, line, col) = min(registered[kind].items())
                 missing = "no README.md was found" if index.readme_text is None else (
-                    f"the README has no {label} table"
+                    f"the README has no {kind} table"
                 )
                 yield Finding(
                     path=path,
@@ -138,7 +116,7 @@ class RegistryDocsSyncRule(ProjectRule):
                     col=col,
                     rule=self.meta.name,
                     message=(
-                        f"{len(registered[kind])} registered {label} name(s) "
+                        f"{len(registered[kind])} registered {kind} name(s) "
                         f"(e.g. {name!r}) are undocumented: {missing}"
                     ),
                 )
@@ -151,20 +129,19 @@ class RegistryDocsSyncRule(ProjectRule):
                         col=col,
                         rule=self.meta.name,
                         message=(
-                            f"{label} {name!r} is registered here but has no "
-                            f"row in the README {label} table"
+                            f"{kind} {name!r} is registered here but has no "
+                            f"row in the README {kind} table"
                         ),
                     )
-            pseudo = _PSEUDO_ENTRIES.get(kind, frozenset())
             for name, line in sorted(documented.items()):
-                if name not in registered[kind] and name not in pseudo:
+                if name not in registered[kind]:
                     yield Finding(
                         path=index.readme_path or "README.md",
                         line=line,
                         col=0,
                         rule=self.meta.name,
                         message=(
-                            f"README documents {label} {name!r} but no "
+                            f"README documents {kind} {name!r} but no "
                             "registration in the linted tree defines it"
                         ),
                     )

@@ -1,13 +1,12 @@
 """``registry-literal-names`` — registry keys are greppable string literals.
 
-Every registry in the library (solvers, datasets, kernel backends, executor
-backends, lint rules) is wired into user-facing choice lists: CLI
+Every registry in the library (solvers, datasets, lint rules) is wired into
+user-facing choice lists: CLI
 ``choices=``, spec validation, ``list-*`` commands and the docs.  A name
 computed at registration time (``register_solver(PREFIX + name)``) cannot be
 grepped, silently diverges from the choices plumbing, and makes
 ``did-you-mean`` hints useless.  This rule requires the name handed to a
-``register_*`` call — directly, or as the ``name=`` of an inline entry
-constructor — to be a non-empty string literal without whitespace.
+``register_*`` call to be a non-empty string literal without whitespace.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: (register_rule is absent on purpose: it takes a class, the key lives in
 #: the class's RuleMeta which validates itself at definition time.)
 _NAME_FIRST = frozenset({"register_solver", "register_dataset"})
-
-#: register_*(Entry(name=..., ...)) style — the entry object carries the key.
-_ENTRY_FIRST = frozenset({"register_kernel_backend", "register_executor"})
 
 
 def _literal_name_problem(node: ast.expr) -> str | None:
@@ -52,9 +48,7 @@ class RegistryLiteralNamesRule(Rule):
         rationale=(
             "Registry keys feed CLI choices, spec validation and "
             "did-you-mean hints; a name computed at registration time "
-            "cannot be grepped and silently diverges from that plumbing. "
-            "Passing an already-built entry variable is fine — the rule "
-            "only audits literal registration sites it can see."
+            "cannot be grepped and silently diverges from that plumbing."
         ),
         example_bad='register_solver(PREFIX + "/greedy", ...)',
         example_good='register_solver("offline/greedy", ...)',
@@ -65,33 +59,8 @@ class RegistryLiteralNamesRule(Rule):
         if chain is None:
             return
         callee = chain[-1]
-        if callee in _NAME_FIRST:
-            if not node.args:
-                return
-            problem = _literal_name_problem(node.args[0])
-            if problem is not None:
-                yield self.finding(
-                    ctx, node.args[0], f"name passed to {callee} {problem}"
-                )
-        elif callee in _ENTRY_FIRST:
-            if not node.args or not isinstance(node.args[0], ast.Call):
-                return  # a pre-built entry variable: nothing to audit here
-            entry = node.args[0]
-            name_kw = next(
-                (kw for kw in entry.keywords if kw.arg == "name"), None
-            )
-            if name_kw is None:
-                if entry.args:
-                    return  # positional construction: can't tell which is the name
-                yield self.finding(
-                    ctx,
-                    entry,
-                    f"entry constructed inline for {callee} has no name= "
-                    "keyword; give the registry key as a literal",
-                )
-                return
-            problem = _literal_name_problem(name_kw.value)
-            if problem is not None:
-                yield self.finding(
-                    ctx, name_kw.value, f"name passed to {callee} {problem}"
-                )
+        if callee not in _NAME_FIRST or not node.args:
+            return
+        problem = _literal_name_problem(node.args[0])
+        if problem is not None:
+            yield self.finding(ctx, node.args[0], f"name passed to {callee} {problem}")

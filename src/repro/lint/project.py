@@ -186,12 +186,6 @@ _JOB_CLASS = re.compile(r"^[A-Z]\w*Job$")
 #: ``register_*(name, ...)`` registration families, keyed by callee name.
 _NAME_FIRST_KINDS = {"register_solver": "solver", "register_dataset": "dataset"}
 
-#: ``register_*(Entry(name=..., ...))`` registration families.
-_ENTRY_FIRST_KINDS = {
-    "register_kernel_backend": "kernel",
-    "register_executor": "executor",
-}
-
 
 def _iter_scope(node: ast.AST) -> Iterable[ast.AST]:
     """Walk a function body without descending into nested defs/lambdas."""
@@ -516,23 +510,6 @@ class _FactsCollector:
                         col=node.col_offset,
                     )
                 )
-        elif callee in _ENTRY_FIRST_KINDS and node.args:
-            entry = node.args[0]
-            if isinstance(entry, ast.Call):
-                for keyword in entry.keywords:
-                    if (
-                        keyword.arg == "name"
-                        and isinstance(keyword.value, ast.Constant)
-                        and isinstance(keyword.value.value, str)
-                    ):
-                        self.registrations.append(
-                            RegistrationRecord(
-                                kind=_ENTRY_FIRST_KINDS[callee],
-                                name=keyword.value.value,
-                                line=node.lineno,
-                                col=node.col_offset,
-                            )
-                        )
         elif callee == "add_argument":
             for arg in node.args:
                 if (

@@ -8,12 +8,12 @@ that one shared walk serves every rule and each visit yields
 :class:`~repro.lint.findings.Finding` objects instead of mutating state.
 
 Rules register by name in a :class:`~repro.utils.registry.NamedRegistry`
-exactly like the solver, dataset, kernel and executor registries, so
-downstream code can plug its own contracts into ``repro lint`` with
-:func:`register_rule` and have them show up in ``--rules`` / ``--list-rules``
-automatically.  The registry stores rule *classes*; every lint run
-instantiates fresh instances, so rules may keep per-module scratch state
-between ``begin_module`` and ``finish_module`` without leaking across runs.
+exactly like the solver and dataset registries, so downstream code can
+plug its own contracts into ``repro lint`` with :func:`register_rule` and
+have them show up in ``--rules`` / ``--list-rules`` automatically.  The
+registry stores rule *classes*; every lint run instantiates fresh
+instances, so rules may keep per-module scratch state between
+``begin_module`` and ``finish_module`` without leaking across runs.
 """
 
 from __future__ import annotations

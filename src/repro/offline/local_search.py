@@ -101,7 +101,7 @@ def local_search_k_cover(
             base = set(current) - {removed}
             if kernel is not None:
                 base_bits = kernel.union_bits(np.fromiter(base, dtype=np.intp, count=len(base)))
-                base_value = int(kernel.backend.popcount(base_bits, None))
+                base_value = kernel.count_bits(base_bits)
                 candidates = np.asarray(outside, dtype=np.intp)
                 gains = kernel.gains_for(candidates, base_bits)
                 improving = np.flatnonzero(base_value + gains > value)

@@ -1,13 +1,11 @@
-"""Pluggable executor runtime for the embarrassingly parallel phases.
+"""Executor runtime for the embarrassingly parallel phases.
 
 The paper's distributed map phase, the ensemble's independent replicas and
 the benchmark sweeps all consist of jobs that share nothing until a final
-gather.  This subpackage makes running them on real cores a first-class,
-pluggable concern:
+gather.  This subpackage runs them on real cores:
 
-* :mod:`repro.parallel.executors` — the executor-backend registry
-  (``serial`` / ``thread`` / ``process`` plus ``auto`` selection), mirroring
-  the coverage-kernel registry so new backends drop in by name.
+* :mod:`repro.parallel.executors` — the fixed executor table
+  (``serial`` / ``thread`` / ``process`` plus ``auto`` selection).
 * :mod:`repro.parallel.mapper` — :class:`ParallelMapper`, the deterministic
   fan-out/gather primitive: results always come back in input order, so
   parallel runs stay byte-identical to serial ones.
@@ -18,24 +16,18 @@ crosses a process boundary — see :mod:`repro.distributed.worker`.
 """
 
 from repro.parallel.executors import (
+    EXECUTORS,
     ExecutorBackend,
     executor_choices,
-    get_executor,
-    list_executors,
-    register_executor,
     resolve_executor,
-    unregister_executor,
     usable_cpus,
 )
 from repro.parallel.mapper import ParallelMapper, as_mapper
 
 __all__ = [
+    "EXECUTORS",
     "ExecutorBackend",
-    "register_executor",
-    "unregister_executor",
-    "get_executor",
     "resolve_executor",
-    "list_executors",
     "executor_choices",
     "usable_cpus",
     "ParallelMapper",

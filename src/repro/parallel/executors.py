@@ -1,10 +1,11 @@
-"""Pluggable executor backends for fanning independent jobs over real cores.
+"""The fixed set of executor backends for fanning independent jobs over cores.
 
 The paper's distributed map phase is embarrassingly parallel: every machine
 sketches its own shard with a shared hash function and never talks to the
 others until the reduce.  Simulating the machines sequentially therefore
 leaves real hardware on the table.  An :class:`ExecutorBackend` encapsulates
-*how* a list of independent jobs is mapped:
+*how* a list of independent jobs is mapped, and :data:`EXECUTORS` holds the
+three the library ships:
 
 * ``"serial"`` — a plain comprehension in the calling thread.  Zero overhead
   and no pickling requirements; the default, and the reference semantics the
@@ -18,12 +19,6 @@ leaves real hardware on the table.  An :class:`ExecutorBackend` encapsulates
   row bounds) instead of edge data.
 * ``"auto"`` — resolves to ``"process"`` when more than one CPU is usable
   and to ``"serial"`` otherwise.
-
-Backends register by name in a :class:`~repro.utils.registry.NamedRegistry`,
-mirroring :mod:`repro.coverage.kernels`: an accelerator- or cluster-backed
-executor can plug in with :func:`register_executor` and immediately be
-selectable through ``DistributedKCover(executor=...)``,
-``ProblemSpec.executor`` and the CLI's ``--executor``.
 """
 
 from __future__ import annotations
@@ -31,18 +26,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from repro.errors import SpecError
-from repro.utils.registry import NamedRegistry
 
 __all__ = [
+    "EXECUTORS",
     "ExecutorBackend",
-    "register_executor",
-    "unregister_executor",
-    "get_executor",
     "resolve_executor",
-    "list_executors",
     "executor_choices",
     "usable_cpus",
 ]
@@ -68,16 +60,10 @@ class ExecutorBackend:
     Attributes
     ----------
     name:
-        Registry key (``"serial"``, ``"thread"``, ``"process"``, ...).
+        The name reports record (``"serial"``, ``"thread"``, ``"process"``).
     parallel:
         Whether the backend can overlap jobs at all (``False`` for serial;
         used by callers to skip fan-out set-up costs).
-    requires_pickling:
-        Whether jobs and results cross a process boundary; callers use this
-        to choose a zero-copy job encoding (e.g. path + row bounds instead
-        of edge columns).
-    summary:
-        One-line description for tables and diagnostics.
     make_pool:
         ``max_workers -> Executor`` factory, or ``None`` for backends that
         run inline (serial).  Pools are created per :meth:`ParallelMapper.map
@@ -86,37 +72,21 @@ class ExecutorBackend:
 
     name: str
     parallel: bool
-    requires_pickling: bool
-    summary: str
     make_pool: Callable[[int], Executor] | None
 
 
-_REGISTRY: NamedRegistry[ExecutorBackend] = NamedRegistry(
-    "executor backend", SpecError, "repro.parallel.list_executors()"
-)
+#: The executor backends by name (read-only); ``"auto"`` is a selector, not
+#: an entry.
+EXECUTORS: Mapping[str, ExecutorBackend] = MappingProxyType({
+    "process": ExecutorBackend("process", parallel=True, make_pool=ProcessPoolExecutor),
+    "serial": ExecutorBackend("serial", parallel=False, make_pool=None),
+    "thread": ExecutorBackend("thread", parallel=True, make_pool=ThreadPoolExecutor),
+})
 
 
-def register_executor(backend: ExecutorBackend) -> ExecutorBackend:
-    """Register a backend under its name; duplicates raise :class:`SpecError`."""
-    if backend.name == "auto":
-        raise SpecError("'auto' is reserved for executor auto-selection")
-    _REGISTRY.add(backend.name, backend)
-    return backend
-
-
-def unregister_executor(name: str) -> None:
-    """Remove a registered backend (mainly for tests and plugins)."""
-    _REGISTRY.remove(name)
-
-
-def get_executor(name: str) -> ExecutorBackend:
-    """Look up a backend by exact name (``"auto"`` is not a concrete backend)."""
-    return _REGISTRY.get(name)
-
-
-def list_executors() -> list[str]:
-    """Sorted names of the registered backends (excluding ``"auto"``)."""
-    return _REGISTRY.names()
+def executor_choices() -> tuple[str, ...]:
+    """Valid values for user-facing executor options (CLI, specs)."""
+    return ("auto", *EXECUTORS)
 
 
 def resolve_executor(executor: str | ExecutorBackend | None = "auto") -> ExecutorBackend:
@@ -130,43 +100,12 @@ def resolve_executor(executor: str | ExecutorBackend | None = "auto") -> Executo
     if isinstance(executor, ExecutorBackend):
         return executor
     if executor is None:
-        return get_executor("serial")
-    if executor == "auto":
-        return get_executor("process" if usable_cpus() > 1 else "serial")
-    return get_executor(executor)
-
-
-register_executor(
-    ExecutorBackend(
-        name="serial",
-        parallel=False,
-        requires_pickling=False,
-        summary="in-thread loop (zero overhead, the reference semantics)",
-        make_pool=None,
-    )
-)
-
-register_executor(
-    ExecutorBackend(
-        name="thread",
-        parallel=True,
-        requires_pickling=False,
-        summary="ThreadPoolExecutor (shared memory; overlaps GIL-releasing work)",
-        make_pool=lambda max_workers: ThreadPoolExecutor(max_workers=max_workers),
-    )
-)
-
-register_executor(
-    ExecutorBackend(
-        name="process",
-        parallel=True,
-        requires_pickling=True,
-        summary="ProcessPoolExecutor (real cores; jobs/results must pickle)",
-        make_pool=lambda max_workers: ProcessPoolExecutor(max_workers=max_workers),
-    )
-)
-
-
-def executor_choices() -> tuple[str, ...]:
-    """Valid values for user-facing executor options (CLI, specs)."""
-    return ("auto", *list_executors())
+        executor = "serial"
+    elif executor == "auto":
+        executor = "process" if usable_cpus() > 1 else "serial"
+    try:
+        return EXECUTORS[executor]
+    except KeyError:
+        raise SpecError(
+            f"unknown executor {executor!r}; expected one of {executor_choices()} or None"
+        ) from None

@@ -26,6 +26,7 @@ from repro.parallel import ParallelMapper
 from repro.streaming.runner import StreamingReport
 
 __all__ = [
+    "SHARED_MEMORY_EXECUTORS",
     "QueryJob",
     "LoadReport",
     "drive_queries",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 #: Executor backends that keep every client on the shared engine.
-_SHARED_MEMORY_EXECUTORS = ("serial", "thread")
+SHARED_MEMORY_EXECUTORS = ("serial", "thread")
 
 #: Process-lifetime latency distribution across every driven batch; the
 #: per-batch exact distribution lives on each :class:`LoadReport`.
@@ -147,9 +148,9 @@ def drive_queries(
     Latency is measured per query inside the worker; ``wall_seconds``
     covers the whole batch, so ``qps`` reflects real concurrency.
     """
-    if executor not in _SHARED_MEMORY_EXECUTORS:
+    if executor not in SHARED_MEMORY_EXECUTORS:
         raise SpecError(
-            f"drive_queries supports executors {_SHARED_MEMORY_EXECUTORS}, "
+            f"drive_queries supports executors {SHARED_MEMORY_EXECUTORS}, "
             f"got {executor!r}: a process pool would pickle a private engine "
             "copy per worker and benchmark cold caches instead of the shared "
             "warm one"

@@ -15,7 +15,7 @@ and a query for any ``k``/``forbidden``/backend whose derived budgets
 coincide re-runs just the offline greedy on the cached sketch — through
 the same :func:`~repro.offline.greedy.greedy_k_cover` the solver's own
 offline phase uses, with a :class:`~repro.coverage.bitset.KernelCache`
-sharing one packed kernel per backend across queries.
+sharing one packed kernel across queries.
 
 **set cover** (``setcover/sketch``).  Genuinely multi-pass: every option
 (including ``forbidden``, which constrains each iteration's selection)
@@ -30,7 +30,7 @@ post-stream algorithm with its guess sketches finalized
 so varying ``forbidden`` and the backend re-runs only the offline checks.
 The backend is *excluded* from the set-cover and outliers keys: kernel
 and set-based evaluation select identically (a property the test suite
-enforces for every registered backend), so one entry serves them all.
+enforces for every accepted backend value), so one entry serves them all.
 
 Identity contract: for every query shape, the served report carries the
 same solution/coverage/space/pass numbers a fresh ``solve()`` with the
@@ -86,10 +86,10 @@ _RESERVED_OPTIONS = ("forbidden", "coverage_backend")
 
 @dataclass
 class _CachedSketch:
-    """k-cover entry: the built sketch, shared kernels, and the build report."""
+    """k-cover entry: the built sketch, its shared kernel, and the build report."""
 
     sketch: CoverageSketch
-    kernels: KernelCache
+    kernel: KernelCache
     base: StreamingReport
 
 
@@ -286,7 +286,7 @@ class QueryEngine:
             base = self._drive(algorithm)
             sketch = algorithm.sketch()
             return _CachedSketch(
-                sketch=sketch, kernels=KernelCache(sketch.graph), base=base
+                sketch=sketch, kernel=KernelCache(sketch.graph), base=base
             )
 
         entry, hit = self.store.get_or_build(key, build)
@@ -294,7 +294,7 @@ class QueryEngine:
             entry.sketch.graph,
             spec.k,
             forbidden=spec.forbidden,
-            kernel=entry.kernels.get(backend),
+            kernel=entry.kernel.get(backend),
         )
         # Mirror StreamingKCover.result()'s normalization exactly.
         selection = list(result.selected)[: spec.k]

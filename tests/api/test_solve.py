@@ -340,12 +340,13 @@ class TestCoverageBackendPlumbing:
 
     def test_offline_greedy_on_kernel_matches_default(self, kcover_instance):
         default = solve(kcover_instance, "offline/greedy", seed=13)
-        for backend in ("auto", "bytes", "words"):
+        for backend in ("auto", "words"):
             fast = solve(
                 kcover_instance, "offline/greedy", seed=13, coverage_backend=backend
             )
+            assert fast.solution == default.solution
             assert fast.coverage == default.coverage
-            assert fast.extra["coverage_backend"] in ("bytes", "words")
+            assert fast.extra["coverage_backend"] == "words"
         assert "coverage_backend" not in default.extra
 
     def test_offline_local_search_accepts_backend(self, kcover_instance):
@@ -379,14 +380,20 @@ class TestCoverageBackendPlumbing:
             k=4,
             dataset="planted_kcover",
             dataset_args={"num_sets": 25, "num_elements": 300, "k": 4, "seed": 3},
-            coverage_backend="bytes",
         )
-        report = solve(spec, "offline/greedy", seed=3, coverage_backend="words")
+        assert "coverage_backend" not in solve(spec, "offline/greedy", seed=3).extra
+        report = solve(spec, "offline/greedy", seed=3, coverage_backend="auto")
         assert report.extra["coverage_backend"] == "words"
 
-    def test_spec_rejects_unknown_backend(self):
+    @pytest.mark.parametrize("backend", ["nibbles", "bytes"])
+    def test_spec_rejects_unknown_backend(self, backend):
         with pytest.raises(SpecError, match="coverage_backend"):
-            ProblemSpec(problem="k_cover", k=4, coverage_backend="nibbles")
+            ProblemSpec(problem="k_cover", k=4, coverage_backend=backend)
+
+    def test_session_rejects_unknown_backend(self, kcover_instance):
+        session = Session(kcover_instance, seed=13, coverage_backend="bytes")
+        with pytest.raises(SpecError, match="'auto', 'words'"):
+            session.run("offline/greedy")
 
     def test_streaming_solvers_ignore_backend(self, kcover_instance):
         plain = solve(kcover_instance, "kcover/sketch", seed=13, options={"scale": 0.2})
@@ -412,9 +419,9 @@ class TestCoverageBackendPlumbing:
         calls = []
         original_init = bitset_module.BitsetCoverage.__init__
 
-        def counting_init(self, graph, *, backend="auto"):
-            calls.append(backend)
-            original_init(self, graph, backend=backend)
+        def counting_init(self, graph):
+            calls.append(graph)
+            original_init(self, graph)
 
         monkeypatch.setattr(bitset_module.BitsetCoverage, "__init__", counting_init)
         session = Session(kcover_instance, seed=13, coverage_backend="words")

@@ -182,7 +182,7 @@ class TestQuerySpec:
             k=5,
             forbidden=(3, 1),
             options={"scale": 0.1},
-            coverage_backend="bytes",
+            coverage_backend="words",
         )
         data = spec.to_dict()
         json.dumps(data)
@@ -232,15 +232,36 @@ class TestCoverageBackendField:
         assert ProblemSpec(problem="set_cover").coverage_backend is None
         assert ProblemSpec.from_dict({"problem": "set_cover"}).coverage_backend is None
 
-    def test_accepts_every_registered_choice(self):
-        from repro.coverage.kernels import kernel_backend_choices
+    def test_accepts_every_valid_choice(self):
+        from repro.coverage.bitset import COVERAGE_BACKENDS
 
-        for choice in kernel_backend_choices():
+        assert COVERAGE_BACKENDS == ("auto", "words")
+        for choice in (None, *COVERAGE_BACKENDS):
             assert ProblemSpec(problem="k_cover", k=1, coverage_backend=choice)
+            assert QuerySpec(problem="k_cover", k=1, coverage_backend=choice)
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SpecError, match="coverage_backend"):
             ProblemSpec(problem="k_cover", k=1, coverage_backend="trits")
+
+    # The byte layout is gone: "bytes" is now an unknown backend, and the
+    # error lists the values that remain.
+    def test_problem_spec_from_dict_rejects_bytes(self):
+        with pytest.raises(SpecError, match=r"'bytes'.*\('auto', 'words'\)"):
+            ProblemSpec.from_dict({"problem": "k_cover", "k": 2, "coverage_backend": "bytes"})
+
+    def test_query_spec_from_dict_rejects_bytes(self):
+        with pytest.raises(SpecError, match=r"'bytes'.*\('auto', 'words'\)"):
+            QuerySpec.from_dict({"problem": "k_cover", "k": 2, "coverage_backend": "bytes"})
+
+    def test_run_spec_from_dict_rejects_bytes(self):
+        data = RunSpec(
+            problem=ProblemSpec(problem="k_cover", k=2, coverage_backend="words"),
+            solver=SolverSpec("offline/greedy"),
+        ).to_dict()
+        data["problem"]["coverage_backend"] = "bytes"
+        with pytest.raises(SpecError, match=r"'bytes'.*\('auto', 'words'\)"):
+            RunSpec.from_dict(data)
 
 
 class TestExecutorFields:

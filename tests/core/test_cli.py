@@ -226,6 +226,26 @@ class TestCoverageBackendAndColumnar:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kcover", "--coverage-backend", "nibbles"])
 
+    @pytest.mark.parametrize(
+        "command", ["kcover", "setcover", "outliers", "distributed", "serve", "query"]
+    )
+    def test_removed_byte_layout_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--coverage-backend", "bytes"])
+        assert excinfo.value.code == 2
+        assert "'auto', 'words'" in capsys.readouterr().err
+
+    def test_serve_executor_choices_come_from_the_driver(self, capsys):
+        from repro.serve.driver import SHARED_MEMORY_EXECUTORS
+
+        for executor in SHARED_MEMORY_EXECUTORS:
+            args = build_parser().parse_args(["serve", "--executor", executor])
+            assert args.executor == executor
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--executor", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_generate_columnar_then_consume_directory(self, tmp_path):
         columnar_dir = tmp_path / "workload.cols"
         code, message = _run(

@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coverage.bitset import BitsetCoverage
-from repro.coverage.kernels import list_kernel_backends
+import repro.coverage.bitset as bitset_module
+from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import (
+    COVERAGE_BACKENDS,
+    BitsetCoverage,
+    KernelCache,
+    check_coverage_backend,
+    kernel_for,
+)
 from repro.datasets import uniform_random_instance, zipf_instance
+from repro.errors import SpecError
 from repro.offline.greedy import greedy_k_cover
 from repro.utils.rng import spawn_rng
-
-BACKENDS = list_kernel_backends()
 
 
 class TestBasics:
@@ -49,27 +55,56 @@ class TestBasics:
         fast = BitsetCoverage(tiny_graph)
         assert fast.evaluate_many([[0], [2], [0, 2]]) == [3, 3, 6]
 
-    def test_unknown_backend_rejected(self, tiny_graph):
-        with pytest.raises(Exception, match="kernel backend"):
-            BitsetCoverage(tiny_graph, backend="nibbles")
+    def test_count_bits_is_the_coverage_of_a_union(self, tiny_graph):
+        fast = BitsetCoverage(tiny_graph)
+        for family in ([], [0], [1, 3], [0, 1, 2, 3]):
+            assert fast.count_bits(fast.union_bits(family)) == tiny_graph.coverage(family)
+
+
+class TestBackendChoices:
+    def test_accepted_values(self):
+        assert COVERAGE_BACKENDS == ("auto", "words")
+        for value in (None, *COVERAGE_BACKENDS):
+            check_coverage_backend(value)
+
+    @pytest.mark.parametrize("bad", ["bytes", "nibbles", "WORDS", ""])
+    def test_unknown_backend_rejected_everywhere(self, tiny_graph, bad):
+        with pytest.raises(SpecError, match="'auto', 'words'"):
+            check_coverage_backend(bad)
+        with pytest.raises(SpecError, match="unknown coverage_backend"):
+            kernel_for(tiny_graph, bad)
+        with pytest.raises(SpecError, match="unknown coverage_backend"):
+            KernelCache(tiny_graph).get(bad)
+
+    def test_kernel_for_skips_none_and_empty_graphs(self, tiny_graph):
+        assert kernel_for(tiny_graph, None) is None
+        assert kernel_for(BipartiteGraph(num_sets=3), "words") is None
+        assert isinstance(kernel_for(tiny_graph, "auto"), BitsetCoverage)
+
+    def test_cache_packs_once_for_auto_and_words(self, tiny_graph):
+        cache = KernelCache(tiny_graph)
+        assert cache.get(None) is None
+        kernel = cache.get("auto")
+        assert isinstance(kernel, BitsetCoverage)
+        assert cache.get("words") is kernel
+        assert cache.get("auto") is kernel
+        assert KernelCache(BipartiteGraph(num_sets=2)).get("auto") is None
 
 
 class TestAgreementOnRandomInstances:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_set_based_coverage(self, seed, backend):
+    def test_matches_set_based_coverage(self, seed):
         instance = uniform_random_instance(25, 120, density=0.1, seed=seed)
-        fast = BitsetCoverage(instance.graph, backend=backend)
+        fast = BitsetCoverage(instance.graph)
         rng = spawn_rng(seed, "bitset-agreement-queries")
         for _ in range(30):
             size = int(rng.integers(0, 10))
             family = list(rng.choice(25, size=size, replace=False)) if size else []
             assert fast.coverage(family) == instance.graph.coverage(family)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_marginal_gains_vector(self, backend):
+    def test_marginal_gains_vector(self):
         instance = uniform_random_instance(15, 80, density=0.15, seed=3)
-        fast = BitsetCoverage(instance.graph, backend=backend)
+        fast = BitsetCoverage(instance.graph)
         covered_sets = [0, 1]
         covered_bits = fast.union_bits(covered_sets)
         gains = fast.marginal_gains(covered_bits)
@@ -78,10 +113,9 @@ class TestAgreementOnRandomInstances:
             expected = len(instance.graph.elements_of(set_id) - covered)
             assert gains[set_id] == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_gains_for_subset_matches_full_vector(self, backend):
+    def test_gains_for_subset_matches_full_vector(self):
         instance = uniform_random_instance(20, 100, density=0.12, seed=5)
-        fast = BitsetCoverage(instance.graph, backend=backend)
+        fast = BitsetCoverage(instance.graph)
         covered_bits = fast.union_bits(np.array([4, 9]))
         gains = fast.marginal_gains(covered_bits)
         subset = np.array([0, 7, 13, 19], dtype=np.intp)
@@ -92,14 +126,14 @@ class TestAgreementOnRandomInstances:
 
 
 class TestVectorisedGreedy:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("lazy", [False, True])
-    def test_matches_reference_greedy_value(self, backend, lazy):
+    def test_matches_reference_greedy(self, lazy):
         for seed in range(3):
             instance = zipf_instance(30, 400, edges_per_set=25, k=5, seed=seed)
-            fast = BitsetCoverage(instance.graph, backend=backend)
+            fast = BitsetCoverage(instance.graph)
             selection, coverage = fast.greedy_k_cover(5, lazy=lazy)
             reference = greedy_k_cover(instance.graph, 5)
+            assert selection == reference.selected
             assert coverage == reference.coverage
             assert instance.graph.coverage(selection) == coverage
 
@@ -143,43 +177,25 @@ class TestVectorisedGreedy:
             BitsetCoverage(tiny_graph).greedy_k_cover(0)
 
 
-class TestPopcountBackends:
-    def test_table_fallback_matches_native(self, tiny_graph):
+class TestPackedRows:
+    def test_table_fallback_matches_native(self, tiny_graph, monkeypatch):
         """The byte-table fallback and np.bitwise_count agree everywhere."""
-        import repro.coverage.kernels as kernels_module
+        fast = BitsetCoverage(tiny_graph)
+        families = [[0], [1, 3], [0, 1, 2, 3]]
+        native = [fast.coverage(f) for f in families]
+        monkeypatch.setattr(bitset_module, "_HAS_BITWISE_COUNT", False)
+        assert [fast.coverage(f) for f in families] == native
+        gains = fast.marginal_gains(fast.empty_bits())
+        assert gains.tolist() == [fast.set_size(s) for s in range(fast.num_sets)]
 
-        for backend in BACKENDS:
-            fast = BitsetCoverage(tiny_graph, backend=backend)
-            families = [[0], [1, 3], [0, 1, 2, 3]]
-            native = [fast.coverage(f) for f in families]
-            original = kernels_module._HAS_BITWISE_COUNT
-            kernels_module._HAS_BITWISE_COUNT = False
-            try:
-                fallback = [fast.coverage(f) for f in families]
-                gains = fast.marginal_gains(fast.empty_bits())
-            finally:
-                kernels_module._HAS_BITWISE_COUNT = original
-            assert fallback == native
-            assert gains.tolist() == [fast.set_size(s) for s in range(fast.num_sets)]
-
-    def test_backends_bit_identical(self, tiny_graph):
-        byte_eval = BitsetCoverage(tiny_graph, backend="bytes")
-        word_eval = BitsetCoverage(tiny_graph, backend="words")
-        for family in ([], [0], [1, 3], [0, 1, 2, 3]):
-            assert byte_eval.coverage(family) == word_eval.coverage(family)
-        assert (
-            byte_eval.marginal_gains(byte_eval.empty_bits()).tolist()
-            == word_eval.marginal_gains(word_eval.empty_bits()).tolist()
-        )
-
-    def test_word_rows_use_8x_fewer_lanes(self):
+    def test_rows_are_whole_uint64_words(self):
         instance = uniform_random_instance(10, 640, density=0.05, seed=1)
-        byte_eval = BitsetCoverage(instance.graph, backend="bytes")
-        word_eval = BitsetCoverage(instance.graph, backend="words")
-        assert word_eval._packed.dtype == np.uint64
-        assert byte_eval._packed.dtype == np.uint8
-        assert word_eval._packed.shape[1] * 8 >= byte_eval._packed.shape[1]
-        assert word_eval._packed.shape[1] <= -(-byte_eval._packed.shape[1] // 8)
+        fast = BitsetCoverage(instance.graph)
+        assert fast._packed.dtype == np.uint64
+        assert fast._packed.shape == (10, -(-fast.num_elements // 64))
+        assert fast.empty_bits().dtype == np.uint64
+        assert fast.empty_bits().shape == (fast._packed.shape[1],)
+        assert fast.nbytes == fast._packed.shape[1] * 8 * 10
 
 
 class TestEvaluateManyVectorised:

@@ -1,115 +1,45 @@
-"""Unit tests for the coverage kernel backend registry."""
+"""Unit tests for the packed-row primitives behind the bitset coverage kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.coverage.kernels import (
-    KernelBackend,
-    get_kernel_backend,
-    kernel_backend_choices,
-    list_kernel_backends,
-    register_kernel_backend,
-    resolve_kernel_backend,
-    unregister_kernel_backend,
-)
-from repro.errors import SpecError
+import repro.coverage.bitset as bitset_module
+from repro.coverage.bitset import pack_rows, popcount_rows
 from repro.utils.rng import spawn_rng
 
 
-class TestRegistry:
-    def test_shipped_backends_registered(self):
-        assert "bytes" in list_kernel_backends()
-        assert "words" in list_kernel_backends()
-
-    def test_choices_include_auto(self):
-        choices = kernel_backend_choices()
-        assert choices[0] == "auto"
-        assert set(choices[1:]) == set(list_kernel_backends())
-
-    def test_auto_resolves_to_registered_backend(self):
-        backend = resolve_kernel_backend("auto")
-        assert backend.name in list_kernel_backends()
-
-    def test_resolve_passes_instances_through(self):
-        backend = get_kernel_backend("words")
-        assert resolve_kernel_backend(backend) is backend
-
-    def test_unknown_backend_has_hints(self):
-        with pytest.raises(SpecError, match="kernel backend"):
-            get_kernel_backend("word")
-
-    def test_auto_is_reserved(self):
-        with pytest.raises(SpecError, match="reserved"):
-            register_kernel_backend(
-                KernelBackend(
-                    name="auto",
-                    dtype=np.dtype(np.uint8),
-                    elements_per_lane=8,
-                    summary="",
-                    pack=lambda dense: dense,
-                    popcount=lambda rows, axis: 0,
-                )
-            )
-
-    def test_register_and_unregister_custom_backend(self):
-        custom = KernelBackend(
-            name="custom-test-backend",
-            dtype=np.dtype(np.uint8),
-            elements_per_lane=8,
-            summary="test only",
-            pack=lambda dense: np.packbits(dense, axis=1),
-            popcount=lambda rows, axis: np.bitwise_count(rows).sum(axis=axis, dtype=np.int64),
-        )
-        register_kernel_backend(custom)
-        try:
-            assert "custom-test-backend" in list_kernel_backends()
-            assert resolve_kernel_backend("custom-test-backend") is custom
-        finally:
-            unregister_kernel_backend("custom-test-backend")
-        assert "custom-test-backend" not in list_kernel_backends()
-
-
-class TestBackendPrimitives:
-    @pytest.mark.parametrize("name", ["bytes", "words"])
-    def test_pack_popcount_round_trip(self, name):
-        backend = get_kernel_backend(name)
+class TestPrimitives:
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 100, 640])
+    def test_pack_popcount_round_trip(self, width):
         rng = spawn_rng(7, "kernel-pack-round-trip")
-        dense = rng.random((5, 100)) < 0.3
-        packed = backend.pack(dense)
-        assert packed.dtype == backend.dtype
-        per_row = backend.popcount(packed, 1)
-        assert per_row.tolist() == dense.sum(axis=1).tolist()
-        assert int(backend.popcount(packed, None)) == int(dense.sum())
+        dense = rng.random((5, width)) < 0.3
+        packed = pack_rows(dense)
+        assert packed.dtype == np.uint64
+        assert packed.shape == (5, -(-width // 64))
+        assert popcount_rows(packed, 1).tolist() == dense.sum(axis=1).tolist()
+        assert int(popcount_rows(packed, None)) == int(dense.sum())
 
-    @pytest.mark.parametrize("name", ["bytes", "words"])
-    def test_empty_row_matches_packed_width(self, name):
-        backend = get_kernel_backend(name)
-        packed = backend.pack(np.zeros((1, 100), dtype=bool))
-        row = backend.empty_row(packed.shape[1])
-        assert row.dtype == backend.dtype
-        assert row.shape == (packed.shape[1],)
-        assert int(backend.popcount(row, None)) == 0
-
-    def test_word_packing_pads_to_whole_words(self):
-        backend = get_kernel_backend("words")
+    def test_packing_pads_to_whole_words(self):
         dense = np.ones((2, 9), dtype=bool)  # 9 bits -> 2 bytes -> 1 word
-        packed = backend.pack(dense)
+        packed = pack_rows(dense)
         assert packed.shape == (2, 1)
-        assert backend.popcount(packed, 1).tolist() == [9, 9]
+        assert popcount_rows(packed, 1).tolist() == [9, 9]
 
-    def test_word_fallback_popcount_matches_native(self):
-        import repro.coverage.kernels as kernels_module
-
-        backend = get_kernel_backend("words")
+    def test_fallback_popcount_matches_native(self, monkeypatch):
         rng = spawn_rng(11, "kernel-fallback-popcount")
         rows = rng.integers(0, 2**63, size=(4, 6), dtype=np.uint64)
-        native = backend.popcount(rows, 1)
-        original = kernels_module._HAS_BITWISE_COUNT
-        kernels_module._HAS_BITWISE_COUNT = False
-        try:
-            fallback = backend.popcount(rows, 1)
-        finally:
-            kernels_module._HAS_BITWISE_COUNT = original
-        assert fallback.tolist() == native.tolist()
+        native = popcount_rows(rows, 1)
+        monkeypatch.setattr(bitset_module, "_HAS_BITWISE_COUNT", False)
+        assert popcount_rows(rows, 1).tolist() == native.tolist()
+        assert int(popcount_rows(rows, None)) == int(native.sum())
+
+    def test_wrappers_expose_the_raw_primitives(self):
+        dense = spawn_rng(3, "kernel-raw-primitives").random((3, 70)) < 0.5
+        packed = pack_rows.__wrapped__(dense)
+        assert np.array_equal(packed, pack_rows(dense))
+        assert (
+            popcount_rows.__wrapped__(packed, 1).tolist()
+            == popcount_rows(packed, 1).tolist()
+        )

@@ -415,28 +415,15 @@ BAD_REGISTRY_WHITESPACE = clean(
     """
 )
 
-BAD_REGISTRY_ENTRY_NAME = clean(
-    """
-    NAME = "plugin"
-
-    register_executor(ExecutorBackend(name=NAME, parallel=False))
-    """
-)
-
 GOOD_REGISTRY = clean(
     """
     @register_solver("kcover/mine", problems=("k_cover",), arrival="edge")
     def _build(ctx):
         return None
 
-    register_executor(ExecutorBackend(name="plugin", parallel=False))
-    """
-)
-
-GOOD_REGISTRY_PREBUILT_VARIABLE = clean(
-    """
-    backend = make_backend()
-    register_executor(backend)
+    @register_dataset("mine", summary="a fixture workload")
+    def _make(seed):
+        return None
     """
 )
 

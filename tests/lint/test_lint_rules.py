@@ -171,11 +171,11 @@ class TestHotPathHygiene:
         assert_clean(fx.GOOD_HOT_PATH_OUTSIDE, "hot-path-hygiene")
 
     def test_kernel_modules_are_hot_everywhere(self):
-        # In a kernel-backend module even top-level helpers are hot path.
+        # In the packed-kernel module even top-level helpers are hot path.
         assert_flags(
             fx.GOOD_HOT_PATH_OUTSIDE,
             "hot-path-hygiene",
-            "src/repro/coverage/kernels.py",
+            "src/repro/coverage/bitset.py",
         )
 
     def test_suppression_honoured(self):
@@ -201,8 +201,8 @@ class TestHotPathHygieneReduce:
 
     @pytest.mark.parametrize(
         "display_path",
-        ["src/repro/core/sketch_columns.py", "src/repro/coverage/kernels.py"],
-        ids=["sketch-columns", "kernels"],
+        ["src/repro/core/sketch_columns.py", "src/repro/coverage/bitset.py"],
+        ids=["sketch-columns", "bitset"],
     )
     def test_every_hot_module_flags_add_edge(self, display_path):
         assert_flags(fx.BAD_REDUCE_ADD_EDGE, "hot-path-hygiene", display_path)
@@ -239,14 +239,8 @@ class TestRegistryLiteralNames:
         (finding,) = assert_flags(fx.BAD_REGISTRY_WHITESPACE, "registry-literal-names")
         assert "whitespace" in finding.message
 
-    def test_computed_entry_name_flagged(self):
-        assert_flags(fx.BAD_REGISTRY_ENTRY_NAME, "registry-literal-names")
-
     def test_literal_names_clean(self):
         assert_clean(fx.GOOD_REGISTRY, "registry-literal-names")
-
-    def test_prebuilt_entry_variable_not_audited(self):
-        assert_clean(fx.GOOD_REGISTRY_PREBUILT_VARIABLE, "registry-literal-names")
 
     def test_suppression_honoured(self):
         assert_suppressed(fx.SUPPRESSED_REGISTRY, "registry-literal-names")

@@ -126,10 +126,10 @@ class TestGreedyOrder:
 class TestKernelPath:
     """Every greedy entry point accepts a packed-bitset kernel."""
 
-    def _kernel(self, graph, backend="words"):
+    def _kernel(self, graph):
         from repro.coverage.bitset import BitsetCoverage
 
-        return BitsetCoverage(graph, backend=backend)
+        return BitsetCoverage(graph)
 
     def test_k_cover_matches(self, tiny_graph):
         kernel = self._kernel(tiny_graph)
@@ -169,10 +169,7 @@ class TestKernelPath:
         for seed in (6, 0, 3, 11):
             graph = zipf_instance(40, 500, edges_per_set=30, k=6, seed=seed).graph
             plain = greedy_k_cover(graph, 6)
-            for backend in ("bytes", "words"):
-                kernel_result = greedy_k_cover(
-                    graph, 6, kernel=self._kernel(graph, backend=backend)
-                )
-                assert kernel_result.selected == plain.selected
-                assert kernel_result.coverage == plain.coverage
-                assert kernel_result.gains == plain.gains
+            kernel_result = greedy_k_cover(graph, 6, kernel=self._kernel(graph))
+            assert kernel_result.selected == plain.selected
+            assert kernel_result.coverage == plain.coverage
+            assert kernel_result.gains == plain.gains

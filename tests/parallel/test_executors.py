@@ -1,77 +1,74 @@
-"""Unit tests for the repro.parallel executor registry and mapper."""
+"""Unit tests for the repro.parallel executor table and mapper."""
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import SpecError
 from repro.parallel import (
+    EXECUTORS,
     ExecutorBackend,
     ParallelMapper,
     as_mapper,
     executor_choices,
-    get_executor,
-    list_executors,
-    register_executor,
     resolve_executor,
-    unregister_executor,
     usable_cpus,
 )
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert list_executors() == ["process", "serial", "thread"]
+class TestExecutorTable:
+    def test_the_three_backends(self):
+        assert sorted(EXECUTORS) == ["process", "serial", "thread"]
+        for name, backend in EXECUTORS.items():
+            assert backend.name == name
 
     def test_choices_lead_with_auto(self):
         assert executor_choices() == ("auto", "process", "serial", "thread")
 
-    def test_unknown_backend_raises_with_hint(self):
-        with pytest.raises(SpecError, match="procss.*did you mean.*process"):
-            get_executor("procss")
+    def test_unknown_backend_lists_the_choices(self):
+        with pytest.raises(SpecError, match="procss.*'auto', 'process', 'serial', 'thread'"):
+            resolve_executor("procss")
 
-    def test_auto_is_not_a_concrete_backend(self):
-        with pytest.raises(SpecError):
-            get_executor("auto")
+    def test_auto_is_a_selector_not_an_entry(self):
+        assert "auto" not in EXECUTORS
+        assert resolve_executor("auto") in EXECUTORS.values()
 
-    def test_duplicate_registration_rejected(self):
-        backend = ExecutorBackend(
-            name="serial", parallel=False, requires_pickling=False,
-            summary="dup", make_pool=None,
-        )
-        with pytest.raises(SpecError, match="already registered"):
-            register_executor(backend)
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            EXECUTORS["plugin"] = EXECUTORS["serial"]  # type: ignore[index]
 
-    def test_auto_name_is_reserved(self):
-        backend = ExecutorBackend(
-            name="auto", parallel=False, requires_pickling=False,
-            summary="nope", make_pool=None,
-        )
-        with pytest.raises(SpecError, match="reserved"):
-            register_executor(backend)
+    def test_serial_runs_inline(self):
+        serial = EXECUTORS["serial"]
+        assert not serial.parallel
+        assert serial.make_pool is None
 
-    def test_plugin_backend_registers_and_unregisters(self):
-        backend = ExecutorBackend(
-            name="plugin-test", parallel=False, requires_pickling=False,
-            summary="test-only", make_pool=None,
-        )
-        register_executor(backend)
+    @pytest.mark.parametrize(
+        "name, pool_type", [("thread", ThreadPoolExecutor), ("process", ProcessPoolExecutor)]
+    )
+    def test_parallel_backends_make_capped_pools(self, name, pool_type):
+        backend = EXECUTORS[name]
+        assert backend.parallel
+        pool = backend.make_pool(2)
         try:
-            assert resolve_executor("plugin-test") is backend
-            assert "plugin-test" in executor_choices()
+            assert isinstance(pool, pool_type)
+            assert pool._max_workers == 2
         finally:
-            unregister_executor("plugin-test")
-        assert "plugin-test" not in list_executors()
+            pool.shutdown()
 
 
 class TestResolution:
     def test_none_resolves_to_serial(self):
-        assert resolve_executor(None).name == "serial"
+        assert resolve_executor(None) is EXECUTORS["serial"]
+
+    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    def test_names_resolve_to_table_entries(self, name):
+        assert resolve_executor(name) is EXECUTORS[name]
 
     def test_instance_passes_through(self):
-        backend = get_executor("thread")
+        backend = EXECUTORS["thread"]
         assert resolve_executor(backend) is backend
 
     def test_auto_matches_cpu_availability(self):
@@ -196,14 +193,7 @@ class TestLastExecution:
         def broken_pool(max_workers):
             raise OSError("no fork for you")
 
-        backend = ExecutorBackend(
-            name="broken-test", parallel=True, requires_pickling=False,
-            summary="always fails", make_pool=broken_pool,
-        )
-        register_executor(backend)
-        try:
-            mapper = ParallelMapper("broken-test", max_workers=2)
-            assert mapper.map(_sleep_and_echo, [0.0, 0.0]) == [0.0, 0.0]
-            assert mapper.last_execution == ("serial", 1)
-        finally:
-            unregister_executor("broken-test")
+        backend = ExecutorBackend(name="broken-test", parallel=True, make_pool=broken_pool)
+        mapper = ParallelMapper(backend, max_workers=2)
+        assert mapper.map(_sleep_and_echo, [0.0, 0.0]) == [0.0, 0.0]
+        assert mapper.last_execution == ("serial", 1)

@@ -26,13 +26,7 @@ def _counting_thread_backend(counter: list[int]) -> ExecutorBackend:
         counter.append(max_workers)
         return ThreadPoolExecutor(max_workers=max_workers)
 
-    return ExecutorBackend(
-        name="thread",
-        parallel=True,
-        requires_pickling=False,
-        summary="counting test backend",
-        make_pool=make_pool,
-    )
+    return ExecutorBackend(name="thread", parallel=True, make_pool=make_pool)
 
 
 class TestMapUnordered:

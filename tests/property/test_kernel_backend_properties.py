@@ -1,9 +1,10 @@
-"""Property tests for the coverage-kernel backends and the columnar format.
+"""Property tests for the packed coverage kernel and the columnar format.
 
 Three contracts from the perf pass:
 
-* the ``words`` and ``bytes`` backends are bit-for-bit identical on every
-  query (coverage, marginal gains, subset gains, greedy) on random *and*
+* the packed kernel is bit-for-bit identical to the set-based evaluation on
+  every query (coverage, marginal gains, subset gains) and its greedy
+  selects exactly the sets the set-based greedy selects, on random *and*
   adversarial instances;
 * the lazy (CELF) greedy matches the eager full-rescan greedy — on one fixed
   kernel the two select identical sequences, because a fresh heap top
@@ -30,6 +31,7 @@ from repro.coverage.io import (
 )
 from repro.datasets.adversarial import uniform_sampling_trap
 from repro.datasets.random_instances import planted_kcover_instance
+from repro.offline.greedy import greedy_k_cover
 
 set_systems = st.lists(
     st.frozensets(st.integers(min_value=0, max_value=80), max_size=16),
@@ -49,67 +51,60 @@ def _adversarial_graphs():
     yield planted_kcover_instance(30, 500, k=5, seed=6).graph
 
 
+def _set_gains(graph: BipartiteGraph, covered_sets) -> list[int]:
+    covered = graph.neighbors(covered_sets)
+    return [len(graph.elements_of(s) - covered) for s in range(graph.num_sets)]
+
+
 @given(sets=set_systems, family=families)
 @settings(max_examples=60, deadline=None)
-def test_backends_bit_identical_on_queries(sets, family):
+def test_kernel_queries_match_set_based(sets, family):
     graph = _graph(sets)
-    byte_eval = BitsetCoverage(graph, backend="bytes")
-    word_eval = BitsetCoverage(graph, backend="words")
+    kernel = BitsetCoverage(graph)
     family = np.array([f % len(sets) for f in family], dtype=np.intp)
-    assert byte_eval.coverage(family) == word_eval.coverage(family)
-    byte_bits = byte_eval.union_bits(family)
-    word_bits = word_eval.union_bits(family)
-    assert (
-        byte_eval.marginal_gains(byte_bits).tolist()
-        == word_eval.marginal_gains(word_bits).tolist()
-    )
+    assert kernel.coverage(family) == graph.coverage(family.tolist())
+    bits = kernel.union_bits(family)
+    expected = _set_gains(graph, family.tolist())
+    assert kernel.marginal_gains(bits).tolist() == expected
     subset = np.arange(graph.num_sets, dtype=np.intp)[::2]
-    assert (
-        byte_eval.gains_for(subset, byte_bits).tolist()
-        == word_eval.gains_for(subset, word_bits).tolist()
-    )
+    assert kernel.gains_for(subset, bits).tolist() == expected[::2]
 
 
 @given(sets=set_systems, k=st.integers(min_value=1, max_value=5))
 @settings(max_examples=50, deadline=None)
-def test_backends_select_identical_greedy_solutions(sets, k):
+def test_kernel_greedy_selects_like_set_based_greedy(sets, k):
     graph = _graph(sets)
-    byte_eval = BitsetCoverage(graph, backend="bytes")
-    word_eval = BitsetCoverage(graph, backend="words")
-    assert byte_eval.greedy_k_cover(k) == word_eval.greedy_k_cover(k)
+    reference = greedy_k_cover(graph, k)
+    assert BitsetCoverage(graph).greedy_k_cover(k) == (
+        list(reference.selected),
+        reference.coverage,
+    )
 
 
 @given(sets=set_systems, k=st.integers(min_value=1, max_value=5))
 @settings(max_examples=50, deadline=None)
 def test_lazy_greedy_matches_eager_greedy(sets, k):
     graph = _graph(sets)
-    for backend in ("bytes", "words"):
-        kernel = BitsetCoverage(graph, backend=backend)
-        lazy_sel, lazy_cov = kernel.greedy_k_cover(k, lazy=True)
-        eager_sel, eager_cov = kernel.greedy_k_cover(k, lazy=False)
-        # A fresh heap top dominates every remaining upper bound, so lazy
-        # resolves ties exactly like argmax: identical selections, not just
-        # identical coverage.
-        assert lazy_sel == eager_sel
-        assert lazy_cov == eager_cov
-        assert graph.coverage(lazy_sel) == lazy_cov
+    kernel = BitsetCoverage(graph)
+    lazy_sel, lazy_cov = kernel.greedy_k_cover(k, lazy=True)
+    eager_sel, eager_cov = kernel.greedy_k_cover(k, lazy=False)
+    # A fresh heap top dominates every remaining upper bound, so lazy
+    # resolves ties exactly like argmax: identical selections, not just
+    # identical coverage.
+    assert lazy_sel == eager_sel
+    assert lazy_cov == eager_cov
+    assert graph.coverage(lazy_sel) == lazy_cov
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
-def test_backends_agree_on_adversarial_instances(k):
+def test_kernel_matches_set_based_on_adversarial_instances(k):
     for graph in _adversarial_graphs():
-        byte_eval = BitsetCoverage(graph, backend="bytes")
-        word_eval = BitsetCoverage(graph, backend="words")
-        assert byte_eval.greedy_k_cover(k) == word_eval.greedy_k_cover(k)
-        assert byte_eval.greedy_k_cover(k, lazy=False) == word_eval.greedy_k_cover(
-            k, lazy=False
-        )
-        bits_b = byte_eval.empty_bits()
-        bits_w = word_eval.empty_bits()
-        assert (
-            byte_eval.marginal_gains(bits_b).tolist()
-            == word_eval.marginal_gains(bits_w).tolist()
-        )
+        kernel = BitsetCoverage(graph)
+        reference = greedy_k_cover(graph, k)
+        expected = (list(reference.selected), reference.coverage)
+        assert kernel.greedy_k_cover(k) == expected
+        assert kernel.greedy_k_cover(k, lazy=False) == expected
+        assert kernel.marginal_gains(kernel.empty_bits()).tolist() == _set_gains(graph, [])
 
 
 edge_lists = st.lists(

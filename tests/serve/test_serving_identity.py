@@ -1,8 +1,8 @@
 """Property tests: served answers are byte-identical to fresh ``solve()``.
 
 The serving layer's whole contract is that the cache is invisible: for every
-query shape — k sweeps, varying budgets, forbidden sets, every registered
-kernel backend, and after eviction + re-admission — the report a
+query shape — k sweeps, varying budgets, forbidden sets, every accepted
+``coverage_backend`` value, and after eviction + re-admission — the report a
 :class:`~repro.serve.QueryEngine` returns must match a from-scratch
 ``solve()`` with the engine's stream settings on everything except timings
 and the serve markers.
@@ -13,13 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import QuerySpec, Session, StreamSpec, solve
-from repro.coverage.kernels import kernel_backend_choices
+from repro.coverage.bitset import COVERAGE_BACKENDS
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
 from repro.errors import SpecError
 from repro.serve import SERVE_EXTRA_KEYS, QueryEngine, SketchStore
 
-#: Every registered kernel backend plus the set-based default path.
-BACKENDS = (None,) + tuple(kernel_backend_choices())
+#: Every accepted coverage_backend value, including the set-based None.
+BACKENDS = (None, *COVERAGE_BACKENDS)
 
 SEED = 0
 BATCH = 256
