@@ -99,6 +99,8 @@ class StreamingSetCover:
         check_positive_int(num_elements, "num_elements")
         check_open_unit(epsilon, "epsilon")
         check_positive_int(rounds, "rounds")
+        if max_guesses is not None:
+            check_positive_int(max_guesses, "max_guesses")
         self.name = "bateni-sketch-setcover"
         self.arrival_model = "edge"
         self.num_sets = num_sets

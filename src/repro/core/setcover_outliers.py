@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
@@ -230,6 +230,8 @@ class StreamingSetCoverOutliers:
     sketches are maintained simultaneously during the single pass ("run
     these in parallel" in the paper's pseudocode); afterwards the guesses
     are checked in increasing order and the first accepted solution wins.
+    :meth:`result` stops checking at that first accept, so the guesses after
+    it are never checked and their sketches never build a graph.
 
     Parameters
     ----------
@@ -284,7 +286,7 @@ class StreamingSetCoverOutliers:
         self.space = SpaceMeter(unit="edges")
         guesses = guess_schedule(num_sets, epsilon)
         if max_guesses is not None:
-            guesses = guesses[:max_guesses]
+            guesses = guesses[: check_positive_int(max_guesses, "max_guesses")]
         self._checkers = [
             GuessChecker(
                 guess,
@@ -303,7 +305,8 @@ class StreamingSetCoverOutliers:
         ]
         self.coverage_backend = coverage_backend
         self.forbidden = frozenset(int(s) for s in forbidden)
-        self._outcomes: list[GuessOutcome] | None = None
+        # Outcomes of the guesses checked so far, a prefix of the schedule.
+        self._checked: list[GuessOutcome] = []
         self._solution: list[int] | None = None
 
     # ------------------------------------------------------------------ #
@@ -351,22 +354,30 @@ class StreamingSetCoverOutliers:
     def result(self) -> list[int]:
         """The solution of the smallest accepted guess (or the last guess)."""
         if self._solution is None:
-            outcomes = self.outcomes()
-            accepted = next((o for o in outcomes if o.accepted), None)
-            chosen = accepted if accepted is not None else outcomes[-1]
+            accepted = self._first_accepted()
+            chosen = accepted if accepted is not None else self._checked[-1]
             self._solution = list(dict.fromkeys(chosen.solution))
         return self._solution
+
+    def _cascade(self) -> Iterator[GuessOutcome]:
+        """Outcomes in guess order, checking each guess once, on demand."""
+        for index, checker in enumerate(self._checkers):
+            if index == len(self._checked):
+                self._checked.append(checker.check(forbidden=self.forbidden))
+            yield self._checked[index]
+
+    def _first_accepted(self) -> GuessOutcome | None:
+        """The first accepted outcome, checking no guess after it."""
+        return next((outcome for outcome in self._cascade() if outcome.accepted), None)
 
     # ------------------------------------------------------------------ #
     # extras
     # ------------------------------------------------------------------ #
     def outcomes(self) -> list[GuessOutcome]:
-        """Per-guess Algorithm 4 outcomes (computed once, cached)."""
-        if self._outcomes is None:
-            self._outcomes = [
-                checker.check(forbidden=self.forbidden) for checker in self._checkers
-            ]
-        return self._outcomes
+        """Per-guess Algorithm 4 outcomes of every guess (computed once, cached)."""
+        for _ in self._cascade():
+            pass
+        return self._checked
 
     def query(
         self,
@@ -401,18 +412,18 @@ class StreamingSetCoverOutliers:
 
     def accepted_guess(self) -> int | None:
         """The smallest accepted guess (``None`` if every guess was rejected)."""
-        for outcome in self.outcomes():
-            if outcome.accepted:
-                return outcome.guess
-        return None
+        accepted = self._first_accepted()
+        return None if accepted is None else accepted.guess
 
     def describe(self) -> dict[str, object]:
         """Diagnostics for reports."""
+        accepted_guess = self.accepted_guess()
         return {
             "algorithm": self.name,
             "lambda": self.outlier_fraction,
             "epsilon": self.epsilon,
             "num_guesses": len(self._checkers),
             "space_peak": self.space.peak,
-            "accepted_guess": self.accepted_guess(),
+            "accepted_guess": accepted_guess,
+            "guesses_checked": len(self._checked),
         }

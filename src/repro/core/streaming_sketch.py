@@ -36,7 +36,7 @@ randomness:
 from __future__ import annotations
 
 import heapq
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable
 
 import numpy as np
@@ -90,6 +90,12 @@ class StreamingSketchBuilder:
         self.seed = seed
         self.space = space if space is not None else SpaceMeter(unit="edges")
         self._graph = BipartiteGraph(params.num_sets)
+        # Rows stored by _admit_bulk but not yet inserted into _graph, as
+        # (set_ids, elements, element_ids) columns.  _flush inserts them in
+        # one add_columns call before anything reads the adjacency, so a
+        # sketch that is never read never builds its graph.
+        self._pending: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
+        self._pending_edges = 0
         self._ranks: dict[int, float] = {}
         # Max-heap over (negated rank, element) of currently tracked elements,
         # built by one heapify of _ranks at the first eviction, so a sketch
@@ -171,7 +177,7 @@ class StreamingSketchBuilder:
     @property
     def stored_edges(self) -> int:
         """Number of edges currently stored."""
-        return self._graph.num_edges
+        return self._graph.num_edges + self._pending_edges
 
     @property
     def evictions(self) -> int:
@@ -203,6 +209,7 @@ class StreamingSketchBuilder:
         if rank >= self._admission_threshold:
             self._edges_discarded += 1
             return False
+        self._flush()
         tracked = element in self._ranks
         if tracked:
             if self._graph.element_degree(element) >= self.params.degree_cap:
@@ -233,7 +240,7 @@ class StreamingSketchBuilder:
         """
         return (
             self.space.budget is None
-            and self._graph.num_edges + edges <= self.params.max_stored_edges
+            and self.stored_edges + edges <= self.params.max_stored_edges
         )
 
     def process(self, event: EdgeArrival) -> bool:
@@ -304,6 +311,7 @@ class StreamingSketchBuilder:
         degree before a row is its stored degree plus the new pairs among
         its earlier rows, so the cap is a cumulative count per element.
         ``element_ids`` holds the rows' elements as the batch's shared ints.
+        The stored rows join the pending list; :meth:`_flush` inserts them.
         """
         cap = self.params.degree_cap
         # Rows grouped by element, each group in row order.
@@ -320,6 +328,7 @@ class StreamingSketchBuilder:
         degree = np.zeros(len(keys), dtype=np.int64)
         if known.any():
             # Only an already tracked element can have stored pairs.
+            self._flush()
             rows = np.flatnonzero(known[group])
             new[rows] &= ~self._graph.has_edges(set_ids[rows], elements[rows])
             degree[known] = np.fromiter(
@@ -345,9 +354,26 @@ class StreamingSketchBuilder:
             for rank, element in zip(fresh_ranks, fresh_elements):
                 heapq.heappush(self._heap, (-rank, element))
         rows = np.flatnonzero(stored)
-        self._graph.add_columns(set_ids[rows], elements[rows], _pick(element_ids, rows))
+        if len(rows):
+            self._pending.append((set_ids[rows], elements[rows], _pick(element_ids, rows)))
+            self._pending_edges += len(rows)
         self.space.charge(len(rows))
         return len(rows)
+
+    def _flush(self) -> None:
+        """Insert the rows pending from bulk admissions into the graph.
+
+        One :meth:`BipartiteGraph.add_columns` call over their concatenation
+        equals the per-batch calls it replaces, down to iteration order.
+        """
+        if not self._pending:
+            return
+        set_ids, elements, element_ids = zip(*self._pending)
+        self._pending = []
+        self._pending_edges = 0
+        self._graph.add_columns(
+            np.concatenate(set_ids), np.concatenate(elements), list(chain(*element_ids))
+        )
 
     def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
         """Feed a whole iterable of edges / events through the builder."""
@@ -359,7 +385,10 @@ class StreamingSketchBuilder:
                 self.add_edge(set_id, element)
 
     def _evict_if_needed(self) -> None:
-        """Evict highest-ranked elements while over the transient edge limit."""
+        """Evict highest-ranked elements while over the transient edge limit.
+
+        Runs only after :meth:`_admit`, which has flushed the pending rows.
+        """
         limit = self.params.max_stored_edges
         while self._graph.num_edges > limit and len(self._ranks) > 1:
             if self._heap is None:
@@ -386,6 +415,7 @@ class StreamingSketchBuilder:
         any eviction (or admission rejection) occurred, and 1.0 when the
         whole stream fit in the budget — mirroring the offline convention.
         """
+        self._flush()
         saw_rejection = self._evictions > 0 or self._admission_threshold < 1.0
         if self._ranks and saw_rejection:
             threshold = max(self._ranks.values())
@@ -409,6 +439,7 @@ class StreamingSketchBuilder:
         ``sketch()`` — as flat numpy columns: the form a distributed map job
         ships home (no Python sets to pickle).
         """
+        self._flush()
         set_ids, elements = self._graph.to_columns()
         tracked = np.fromiter(self._ranks, dtype=np.uint64, count=len(self._ranks))
         by_id = np.argsort(tracked)

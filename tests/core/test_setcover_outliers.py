@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.core.setcover_outliers import (
     StreamingSetCoverOutliers,
     guess_schedule,
 )
+from repro.core.setcover import StreamingSetCover
+from repro.coverage.bipartite import BipartiteGraph
 from repro.datasets import planted_setcover_instance
 from repro.streaming.events import EdgeArrival
 from repro.streaming.runner import StreamingRunner
@@ -137,6 +140,14 @@ class TestStreamingSetCoverOutliers:
         )
         assert len(algo.guesses()) == 3
 
+    @pytest.mark.parametrize("max_guesses", [0, -1])
+    @pytest.mark.parametrize("cls", [StreamingSetCoverOutliers, StreamingSetCover])
+    def test_max_guesses_must_be_positive(self, cls, max_guesses):
+        # 0 used to build no guesses (result() hit an IndexError) and -1
+        # silently dropped the last guess.
+        with pytest.raises(ValueError, match="max_guesses"):
+            cls(40, 600, 0.1, max_guesses=max_guesses)
+
     def test_outcomes_cached(self, planted_setcover):
         algo, _ = self._run(planted_setcover)
         assert algo.outcomes() is algo.outcomes()
@@ -154,9 +165,76 @@ class TestStreamingSetCoverOutliers:
         info = algo.describe()
         assert info["algorithm"] == "bateni-sketch-setcover-outliers"
         assert info["num_guesses"] == len(algo.guesses())
+        # describe() walks the cascade only up to the first accept.
+        accepted_index = list(algo.guesses()).index(info["accepted_guess"])
+        assert info["guesses_checked"] == accepted_index + 1 < info["num_guesses"]
 
     def test_larger_lambda_allows_fewer_sets(self):
         instance = planted_setcover_instance(50, 900, cover_size=10, seed=4)
         _, strict = self._run(instance, lam=0.05, epsilon=0.5, seed=4)
         _, loose = self._run(instance, lam=0.3, epsilon=0.5, seed=4)
         assert loose.solution_size <= strict.solution_size
+
+
+class TestLazyCascade:
+    """Algorithm 5 checks guesses only up to the first accept."""
+
+    def _run(self, instance, seed=1, batch_size=None, **kwargs):
+        algo = StreamingSetCoverOutliers(
+            instance.n, instance.m, outlier_fraction=0.1, epsilon=0.5, seed=seed, **kwargs
+        )
+        stream = EdgeStream.from_graph(instance.graph, order="random", seed=seed)
+        StreamingRunner(instance.graph).run(algo, stream, batch_size=batch_size)
+        return algo
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_result_is_the_first_accepted_outcome(self, seed):
+        instance = planted_setcover_instance(40, 600, cover_size=6, seed=seed)
+        algo = self._run(instance, seed=seed)
+        solution, guess = algo.result(), algo.accepted_guess()
+        first = next(o for o in algo.outcomes() if o.accepted)
+        assert guess == first.guess
+        assert solution == list(dict.fromkeys(first.solution))
+        assert algo.query()[0] == solution
+
+    def test_all_rejected_falls_back_to_the_last_guess(self):
+        # Twenty disjoint sets: covering 90% takes 18 of them, more than
+        # the greedy budget of any of the first three guesses.
+        graph = BipartiteGraph.from_sets([range(10 * s, 10 * s + 10) for s in range(20)])
+        instance = SimpleNamespace(graph=graph, n=20, m=200)
+        algo = self._run(instance, max_guesses=3)
+        assert algo.accepted_guess() is None
+        assert algo.describe()["guesses_checked"] == 3
+        outcomes = algo.outcomes()
+        assert not any(o.accepted for o in outcomes)
+        assert algo.result() == list(dict.fromkeys(outcomes[-1].solution))
+
+    def test_checks_stop_at_the_first_accept(self, planted_setcover, monkeypatch):
+        checks = []
+        check = GuessChecker.check
+
+        def counted(checker, **kwargs):
+            checks.append(checker.guess)
+            return check(checker, **kwargs)
+
+        monkeypatch.setattr(GuessChecker, "check", counted)
+        algo = self._run(planted_setcover)  # the runner reads result()
+        accepted_index = list(algo.guesses()).index(algo.accepted_guess())
+        assert len(checks) == accepted_index + 1 < len(algo.guesses())
+        algo.outcomes()
+        assert checks == list(algo.guesses())  # each guess checked once
+
+    def test_unchecked_guesses_never_build_a_graph(self, planted_setcover, monkeypatch):
+        inserts = []
+        add_columns = BipartiteGraph.add_columns
+
+        def counted(graph, *args, **kwargs):
+            inserts.append(len(args[0]))
+            return add_columns(graph, *args, **kwargs)
+
+        monkeypatch.setattr(BipartiteGraph, "add_columns", counted)
+        # One batch holds the whole instance, so each guess admits it in bulk
+        # and its graph is built by one insert when its check reads it.
+        algo = self._run(planted_setcover, batch_size=4096)  # reads result()
+        checked = algo.describe()["guesses_checked"]
+        assert len(inserts) == checked < len(algo.guesses())

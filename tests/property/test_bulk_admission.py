@@ -55,6 +55,7 @@ def _count_bulk(builder, monkeypatch):
 
 
 def _state(builder):
+    builder._flush()  # insert the rows that bulk admission left pending
     graph = builder._graph
     return {
         "edges_by_set": list(graph.edges()),
@@ -106,8 +107,8 @@ def _rows(rng, count, num_sets, num_elements):
     return set_ids, elements
 
 
-@pytest.mark.parametrize("seed", range(300))
-def test_random_batches_match_per_edge_admission(seed):
+def _random_case(seed):
+    """Seeded ``(params, batches, rank_source)`` for the random trials."""
     rng = spawn_rng(seed, "bulk-admission")
     num_sets = int(rng.integers(1, 12))
     # A narrow element range forces shared elements, duplicate pairs and
@@ -126,7 +127,28 @@ def test_random_batches_match_per_edge_admission(seed):
         for _ in range(int(rng.integers(1, 7)))
     ]
     rank_source = "permutation" if seed % 3 == 0 else "hash"
+    return params, batches, rank_source
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_random_batches_match_per_edge_admission(seed):
+    params, batches, rank_source = _random_case(seed)
     _assert_same_after_each_batch(params, batches, seed=seed, rank_source=rank_source)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_random_batches_match_when_read_only_at_the_end(seed):
+    # Nothing reads the graph between batches, so the rows of one bulk
+    # batch are still pending when a later batch probes its elements.
+    params, batches, rank_source = _random_case(seed)
+    bulk = _builder(params, seed=seed, rank_source=rank_source)
+    scalar = _builder(params, seed=seed, rank_source=rank_source)
+    for set_ids, elements in batches:
+        stored = bulk.process_batch(EventBatch(set_ids, elements))
+        added = sum(map(scalar.add_edge, set_ids.tolist(), elements.tolist()))
+        assert stored == added
+        assert bulk.stored_edges == scalar.stored_edges
+    assert _state(bulk) == _state(scalar)
 
 
 class TestBulkBoundary:
@@ -167,6 +189,34 @@ class TestBulkBoundary:
         builder.process_batch(EventBatch(*self._distinct(30, offset=15)))
         assert builder._heap is not None
         assert sorted(element for _, element in builder._heap) == sorted(builder._ranks)
+
+
+class TestPendingRows:
+    def test_batches_admitted_in_bulk_are_inserted_in_one_call(self, monkeypatch):
+        params = _params(4, 1000, edge_budget=200, degree_cap=3, slack=3)
+        rng = spawn_rng(0, "bulk-pending")
+        # Disjoint element ranges: no batch probes an element already tracked,
+        # so every batch's rows stay pending until the sketch is read.
+        batches = [_rows(rng, 30, 4, 20) for _ in range(4)]
+        batches = [(set_ids, elements + 100 * b) for b, (set_ids, elements) in enumerate(batches)]
+        bulk, scalar = _builder(params, seed=6), _builder(params, seed=6)
+        inserts = []
+        add_columns = bulk._graph.add_columns
+
+        def counted(*args):
+            inserts.append(len(args[0]))
+            return add_columns(*args)
+
+        monkeypatch.setattr(bulk._graph, "add_columns", counted)
+        for set_ids, elements in batches:
+            bulk.process_batch(EventBatch(set_ids, elements))
+            for set_id, element in zip(set_ids.tolist(), elements.tolist()):
+                scalar.add_edge(set_id, element)
+        assert inserts == []
+        assert bulk.stored_edges == scalar.stored_edges
+        assert bulk.sketch().graph == scalar.sketch().graph
+        assert len(inserts) == 1
+        assert _state(bulk) == _state(scalar)
 
 
 class TestBulkCases:
