@@ -23,7 +23,13 @@ from repro import obs
 from repro.analysis.experiments import ExperimentSuite
 from repro.analysis.metrics import approximation_ratio, kcover_reference_value
 from repro.api.registry import ProblemContext, SolverInfo, get_solver
-from repro.api.specs import ProblemSpec, RunSpec, SolverSpec, StreamSpec
+from repro.api.specs import (
+    ProblemSpec,
+    RunSpec,
+    SolverSpec,
+    StreamSpec,
+    check_optional_positive_int,
+)
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.instance import CoverageInstance, ProblemKind
 from repro.coverage.io import ColumnarEdges, open_columnar
@@ -45,7 +51,6 @@ def _resolve_context(
     outlier_fraction: float | None = None,
     problem_kind: str | None = None,
     seed: int = 0,
-    coverage_backend: str | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
 ) -> ProblemContext:
@@ -62,7 +67,6 @@ def _resolve_context(
             outlier_fraction=outlier_fraction,
             problem_kind=problem_kind,
             seed=seed,
-            coverage_backend=coverage_backend,
             executor=executor,
             max_workers=max_workers,
         )
@@ -83,11 +87,6 @@ def _resolve_context(
             ),
             problem_kind=problem_kind or problem.problem,
             seed=seed,
-            coverage_backend=(
-                coverage_backend
-                if coverage_backend is not None
-                else problem.coverage_backend
-            ),
             executor=executor if executor is not None else problem.executor,
             max_workers=(
                 max_workers if max_workers is not None else problem.map_workers
@@ -106,7 +105,6 @@ def _resolve_context(
             ),
             seed=seed,
             instance=problem,
-            coverage_backend=coverage_backend,
             executor=executor,
             max_workers=max_workers,
         )
@@ -129,7 +127,6 @@ def _resolve_context(
             k=k if k is not None else 1,
             outlier_fraction=outlier_fraction or 0.0,
             seed=seed,
-            coverage_backend=coverage_backend,
             executor=executor,
             max_workers=max_workers,
         )
@@ -250,11 +247,7 @@ def solve(
     options: Mapping[str, Any] | None = None,
     stream: StreamSpec | EdgeStream | SetStream | None = None,
     max_passes: int | None = None,
-    batch_size: int | None = None,
     seed: int = 0,
-    coverage_backend: str | None = None,
-    # repro-lint: disable=knob-drift -- imperative-only: injects a live kernel object (tests/benchmarks); specs name backends by string instead
-    coverage_kernel: Any | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
     # repro-lint: disable=knob-drift -- imperative-only escape hatch for solver-specific kwargs; RunSpecs express these via SolverSpec.options
@@ -278,6 +271,11 @@ def solve(
         Problem parameters; default to the instance's own when available.
     options:
         Extra constructor options merged over the solver spec's options.
+        Solvers that run an offline greedy (``kcover/sketch``,
+        ``kcover/ensemble``, ``kcover/distributed``, ``setcover/sketch``,
+        ``outliers/sketch``, ``offline/greedy``, ``offline/local-search``)
+        take ``coverage_backend="words"`` here to run that greedy on the
+        packed-bitset kernel; the selections are identical.
     stream:
         A :class:`StreamSpec` (order/seed/arrival), an already-built stream,
         or ``None`` for the solver's native arrival model seeded by ``seed``.
@@ -285,27 +283,11 @@ def solve(
         offline/distributed solvers (so mixed comparisons can share one
         spec), but passing them a concrete stream object is an error.
     max_passes:
-        Pass budget enforced by the runner; rejected for offline and
-        distributed solvers, which take no passes over a stream.
-    batch_size:
-        Columnar drive mode: ``None`` feeds scalar events, a positive
-        integer feeds :class:`~repro.streaming.batches.EventBatch` chunks of
-        that size (identical reports, higher throughput).  Overrides the
-        stream spec's ``batch_size``; rejected for offline and distributed
-        solvers.
+        Pass budget enforced by the runner: a positive integer or ``None``.
+        Rejected for offline and distributed solvers, which take no passes
+        over a stream.
     seed:
         Seed forwarded to the solver constructor (and the default stream).
-    coverage_backend:
-        ``"auto"`` or ``"words"`` (the same packed layout); solvers that
-        evaluate coverage offline (the greedy and local-search references)
-        then run on the packed-bitset kernel.
-        Defaults to the problem spec's ``coverage_backend`` when solving a
-        :class:`ProblemSpec`; ``None`` keeps the default evaluation path.
-    coverage_kernel:
-        An already-packed :class:`repro.coverage.bitset.BitsetCoverage` of
-        the problem graph; skips re-packing when the caller runs many
-        solvers against one graph (:class:`Session` does this).  Implies
-        its own backend when ``coverage_backend`` is not given.
     executor / max_workers:
         Optional :mod:`repro.parallel` executor backend name (``"auto"``,
         ``"serial"``, ``"thread"``, ``"process"``) and pool-size cap.
@@ -324,6 +306,7 @@ def solve(
         distributed solvers are wrapped into it (``arrival_model`` is then
         ``"offline"`` / ``"distributed"`` and ``passes`` counts rounds).
     """
+    check_optional_positive_int(max_passes, "max_passes")
     spec = _resolve_solver(solver, options)
     info = get_solver(spec.name)
     ctx = _resolve_context(
@@ -332,12 +315,9 @@ def solve(
         outlier_fraction=outlier_fraction,
         problem_kind=problem_kind,
         seed=seed,
-        coverage_backend=coverage_backend,
         executor=executor,
         max_workers=max_workers,
     )
-    if coverage_kernel is not None:
-        ctx.preset_kernel(coverage_kernel)
     if not info.solves(ctx.problem):
         raise SpecError(
             f"solver {info.name!r} solves {info.problems}, not {ctx.problem!r}; "
@@ -345,9 +325,7 @@ def solve(
         )
     extra_dict = dict(extra or {})
     with obs.span("solve", solver=info.name, problem=ctx.problem):
-        report = _run_solver(
-            info, spec, ctx, stream, max_passes, batch_size, extra_dict
-        )
+        report = _run_solver(info, spec, ctx, stream, max_passes, extra_dict)
     if obs.enabled():
         # Only while tracing: disabled runs stay byte-identical to the
         # pre-instrumentation library (comparison code strips "obs" the way
@@ -362,7 +340,6 @@ def _run_solver(
     ctx: ProblemContext,
     stream: StreamSpec | EdgeStream | SetStream | None,
     max_passes: int | None,
-    batch_size: int | None,
     extra_dict: dict[str, Any],
 ) -> StreamingReport:
     """Dispatch one resolved solver run (the body of :func:`solve`)."""
@@ -371,25 +348,19 @@ def _run_solver(
         stream_obj, effective_order = _build_stream(info, algorithm, ctx, stream)
         if effective_order is not None:
             extra_dict.setdefault("stream_order", effective_order)
-        effective_batch = batch_size
-        if effective_batch is None and isinstance(stream, StreamSpec):
-            effective_batch = stream.batch_size
-        if effective_batch is not None:
-            extra_dict.setdefault("batch_size", effective_batch)
+        batch_size = stream.batch_size if isinstance(stream, StreamSpec) else None
+        if batch_size is not None:
+            extra_dict.setdefault("batch_size", batch_size)
         return StreamingRunner(ctx.graph).run(
             algorithm,
             stream_obj,
             max_passes=max_passes,
-            batch_size=effective_batch,
+            batch_size=batch_size,
             extra=extra_dict,
         )
     if max_passes is not None:
         raise SpecError(
             f"max_passes does not apply to {info.kind} solver {info.name!r}"
-        )
-    if batch_size is not None:
-        raise SpecError(
-            f"batch_size does not apply to {info.kind} solver {info.name!r}"
         )
     if isinstance(stream, (EdgeStream, SetStream)):
         raise SpecError(
@@ -418,18 +389,6 @@ def run(spec: RunSpec, problem: Problem | None = None) -> list[StreamingReport]:
     """
     target = problem if problem is not None else spec.problem.build_instance()
     extra = {"label": spec.label} if spec.label else None
-    # Offline repetitions all evaluate on the same graph: pack the coverage
-    # kernel once for the whole sweep instead of once per repetition.
-    kernel = None
-    if (
-        spec.problem.coverage_backend is not None
-        and get_solver(spec.solver.name).kind == "offline"
-        and isinstance(target, (CoverageInstance, BipartiteGraph))
-    ):
-        from repro.coverage.bitset import BitsetCoverage
-
-        graph = target.graph if isinstance(target, CoverageInstance) else target
-        kernel = BitsetCoverage(graph)
     reports = []
     for repetition in range(spec.repetitions):
         stream = StreamSpec(
@@ -448,8 +407,6 @@ def run(spec: RunSpec, problem: Problem | None = None) -> list[StreamingReport]:
                 stream=stream,
                 max_passes=spec.max_passes,
                 seed=stream.seed,
-                coverage_backend=spec.problem.coverage_backend,
-                coverage_kernel=kernel,
                 executor=spec.problem.executor,
                 max_workers=spec.problem.map_workers,
                 extra=extra,
@@ -478,13 +435,10 @@ class Session:
         seed: int = 0,
         reference_value: float | None = None,
         suite: ExperimentSuite | None = None,
-        coverage_backend: str | None = None,
         executor: str | None = None,
         max_workers: int | None = None,
     ) -> None:
         if isinstance(problem, ProblemSpec):
-            if coverage_backend is None:
-                coverage_backend = problem.coverage_backend
             if executor is None:
                 executor = problem.executor
             if max_workers is None:
@@ -499,10 +453,8 @@ class Session:
         self._k = k
         self._outlier_fraction = outlier_fraction
         self._problem_kind = problem_kind
-        self.coverage_backend = coverage_backend
         self.executor = executor
         self.max_workers = max_workers
-        self._kernel_cache: Any | None = None
         self._serve_engine: Any | None = None
         self._reference = reference_value
         # A default reference only makes sense for k-cover (Opt_k); computing
@@ -513,40 +465,11 @@ class Session:
             and ProblemKind(problem_kind or problem.kind) is ProblemKind.K_COVER
         )
 
-    def _kernel(self) -> Any | None:
-        """The session-wide packed kernel (one packing per Session), or None.
-
-        Shared by the greedy reference and every offline solver run, so a
-        sweep over many solvers/seeds pays the O(n·m) packing cost once.
-        """
-        if self.coverage_backend is None:
-            return None
-        if self._kernel_cache is None:
-            from repro.coverage.bitset import BitsetCoverage, check_coverage_backend
-
-            check_coverage_backend(self.coverage_backend)
-            graph = (
-                self.problem.graph
-                if isinstance(self.problem, CoverageInstance)
-                else self.problem
-            )
-            if isinstance(graph, ColumnarEdges):
-                graph = graph.to_graph()
-            self._kernel_cache = BitsetCoverage(graph)
-        return self._kernel_cache
-
     @property
     def reference_value(self) -> float | None:
         """The reference Opt_k rows are normalized against (None if not k-cover)."""
         if self._reference is None and self._auto_reference:
-            # Packing is only worth paying when the reference actually runs a
-            # greedy; a planted value short-circuits before touching it.
-            kernel = (
-                self._kernel()
-                if getattr(self.problem, "planted_value", None) is None
-                else None
-            )
-            self._reference = kcover_reference_value(self.problem, kernel=kernel)
+            self._reference = kcover_reference_value(self.problem)
             self._auto_reference = False
         return self._reference
 
@@ -565,10 +488,6 @@ class Session:
         run_seed = self.seed if seed is None else seed
         if stream is None:
             stream = StreamSpec(seed=run_seed)
-        # Only offline solvers evaluate through the kernel; pack it once per
-        # session and only when a run actually consumes it.
-        solver_spec = _resolve_solver(solver, None)
-        needs_kernel = get_solver(solver_spec.name).kind == "offline"
         report = solve(
             self.problem,
             solver,
@@ -579,8 +498,6 @@ class Session:
             stream=stream,
             max_passes=max_passes,
             seed=run_seed,
-            coverage_backend=self.coverage_backend,
-            coverage_kernel=self._kernel() if needs_kernel else None,
             executor=self.executor,
             max_workers=self.max_workers,
             extra=dict(extra or {}),
@@ -597,10 +514,10 @@ class Session:
         """The session's serving engine (built lazily, one per session).
 
         The engine is configured to match :meth:`run`'s defaults — stream
-        order ``"random"`` seeded by the session seed, the session's
-        coverage backend — so ``session.query(QuerySpec(...))`` answers
-        with the same solution ``session.run(solver, options=...)`` would
-        compute, while repeat queries skip ingestion entirely.  ``store``
+        order ``"random"`` seeded by the session seed — so
+        ``session.query(QuerySpec(...))`` answers with the same solution
+        ``session.run(solver, options=...)`` would compute, while repeat
+        queries skip ingestion entirely.  ``store``
         and ``batch_size`` only take effect on the first call (they shape
         the engine being created); later calls return the cached engine.
         """
@@ -614,7 +531,6 @@ class Session:
                 order="random",
                 stream_seed=self.seed,
                 batch_size=batch_size,
-                coverage_backend=self.coverage_backend,
             )
         return self._serve_engine
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.coverage.bipartite import BipartiteGraph
-from repro.coverage.bitset import LAYOUT, BitsetCoverage, check_coverage_backend
 from repro.coverage.instance import CoverageInstance
 from repro.errors import SpecError, UnknownSolverError
 from repro.utils.registry import NamedRegistry
@@ -49,9 +48,7 @@ class ProblemContext:
 
     ``m`` mirrors the historical call sites (``max(1, num_elements)``) so
     solvers built through the registry see exactly the arguments the
-    hand-wired entry points used to pass.  ``coverage_backend`` optionally
-    names a packed-bitset kernel backend; builders that evaluate the
-    coverage function offline fetch a shared snapshot via :meth:`kernel`.
+    hand-wired entry points used to pass.
 
     ``columns`` marks a **column-backed** context: when the problem arrived
     as a memory-mapped columnar directory
@@ -72,7 +69,6 @@ class ProblemContext:
     outlier_fraction: float = 0.0
     seed: int = 0
     instance: CoverageInstance | None = None
-    coverage_backend: str | None = None
     columns: Any | None = None
     executor: str | None = None
     max_workers: int | None = None
@@ -86,46 +82,6 @@ class ProblemContext:
     def m(self) -> int:
         """Number of elements (at least 1, as the constructors require)."""
         return max(1, self.graph.num_elements)
-
-    def kernel(self):
-        """The packed-bitset kernel for ``graph``, or None if not requested.
-
-        Built once per context on first use (packing is the one-off cost the
-        vectorised evaluations amortise) and shared by every consumer of the
-        context.  Callers that already hold a kernel of the same graph (e.g.
-        a :class:`~repro.api.facade.Session` sweeping many solvers) can
-        preseed it via :meth:`preset_kernel` to skip re-packing.
-        """
-        if getattr(self, "_kernel", None) is not None:
-            return self._kernel
-        if self.coverage_backend is None:
-            return None
-        check_coverage_backend(self.coverage_backend)
-        self._kernel = BitsetCoverage(self.graph)
-        return self._kernel
-
-    def preset_kernel(self, kernel) -> None:
-        """Install an already-packed kernel of ``graph`` for :meth:`kernel`.
-
-        The kernel must snapshot this context's graph; a mismatched kernel
-        would silently evaluate coverage on the wrong bit rows, so the
-        shape is checked up front.
-        """
-        if kernel is None:
-            return
-        if (
-            kernel.num_sets != self.graph.num_sets
-            or kernel.num_elements != self.graph.num_elements
-        ):
-            raise SpecError(
-                f"coverage kernel snapshots a ({kernel.num_sets} sets, "
-                f"{kernel.num_elements} elements) graph, but the problem graph "
-                f"has ({self.graph.num_sets} sets, {self.graph.num_elements} "
-                "elements); pack the kernel from the same graph"
-            )
-        self._kernel = kernel
-        if self.coverage_backend is None:
-            self.coverage_backend = LAYOUT
 
 
 @dataclass

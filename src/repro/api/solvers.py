@@ -9,7 +9,9 @@ Builders forward ``seed`` from the problem context but let explicit options
 win, so a spec can pin any constructor argument.  The sketch builders accept
 ``edge_budget`` / ``degree_cap`` options and turn them into an explicit
 :class:`SketchParams`, keeping specs JSON-serializable even for ablations
-that pin the budgets directly.
+that pin the budgets directly.  Every builder whose solver runs an offline
+greedy takes a ``coverage_backend`` option (``"words"`` runs that greedy on
+the packed-bitset kernel, with identical selections).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.core import (
     StreamingSetCoverOutliers,
 )
 from repro.core.params import SketchParams
-from repro.coverage.bitset import LAYOUT
+from repro.coverage.bitset import LAYOUT, kernel_for
 from repro.distributed import DistributedKCover
 from repro.errors import SpecError
 from repro.offline.greedy import greedy_k_cover, greedy_partial_cover, greedy_set_cover
@@ -87,7 +89,6 @@ def _require_outliers(ctx: ProblemContext, name: str) -> float:
 )
 def _kcover_sketch(ctx: ProblemContext, **options: Any) -> StreamingKCover:
     kwargs = _explicit_params(ctx, _seeded(ctx, options))
-    kwargs.setdefault("coverage_backend", ctx.coverage_backend)
     return StreamingKCover(ctx.n, ctx.m, k=ctx.k, **kwargs)
 
 
@@ -102,7 +103,6 @@ def _kcover_sketch(ctx: ProblemContext, **options: Any) -> StreamingKCover:
 )
 def _kcover_ensemble(ctx: ProblemContext, **options: Any) -> EnsembleKCover:
     kwargs = _explicit_params(ctx, _seeded(ctx, options))
-    kwargs.setdefault("coverage_backend", ctx.coverage_backend)
     kwargs.setdefault("executor", ctx.executor)
     kwargs.setdefault("max_workers", ctx.max_workers)
     return EnsembleKCover(ctx.n, ctx.m, k=ctx.k, **kwargs)
@@ -161,7 +161,6 @@ def _kcover_mcgregor_vu(ctx: ProblemContext, **options: Any) -> McGregorVuKCover
 )
 def _setcover_sketch(ctx: ProblemContext, **options: Any) -> StreamingSetCover:
     kwargs = _seeded(ctx, options)
-    kwargs.setdefault("coverage_backend", ctx.coverage_backend)
     return StreamingSetCover(ctx.n, ctx.m, **kwargs)
 
 
@@ -206,7 +205,6 @@ def _setcover_harpeled(ctx: ProblemContext, **options: Any) -> HarPeledSetCover:
 def _outliers_sketch(ctx: ProblemContext, **options: Any) -> StreamingSetCoverOutliers:
     outlier_fraction = _require_outliers(ctx, "outliers/sketch")
     kwargs = _seeded(ctx, options)
-    kwargs.setdefault("coverage_backend", ctx.coverage_backend)
     return StreamingSetCoverOutliers(
         ctx.n, ctx.m, outlier_fraction=outlier_fraction, **kwargs
     )
@@ -238,7 +236,7 @@ def _outliers_emek_rosen(ctx: ProblemContext, **options: Any) -> ThresholdPartia
     summary="Offline lazy greedy (1-1/e for k-cover, H_m for set cover)",
 )
 def _offline_greedy(ctx: ProblemContext, **options: Any) -> OfflineOutcome:
-    kernel = ctx.kernel()
+    kernel = kernel_for(ctx.graph, options.pop("coverage_backend", None))
     if ctx.problem == "k_cover":
         result = greedy_k_cover(ctx.graph, ctx.k, kernel=kernel, **options)
     elif ctx.problem == "set_cover":
@@ -268,7 +266,7 @@ def _offline_greedy(ctx: ProblemContext, **options: Any) -> OfflineOutcome:
     summary="Single-swap local search for k-cover",
 )
 def _offline_local_search(ctx: ProblemContext, **options: Any) -> OfflineOutcome:
-    kernel = ctx.kernel()
+    kernel = kernel_for(ctx.graph, options.pop("coverage_backend", None))
     result = local_search_k_cover(ctx.graph, ctx.k, kernel=kernel, **_seeded(ctx, options))
     extra: dict[str, Any] = {
         "iterations": result.iterations,
@@ -297,7 +295,6 @@ def _offline_local_search(ctx: ProblemContext, **options: Any) -> OfflineOutcome
 )
 def _kcover_distributed(ctx: ProblemContext, **options: Any) -> tuple[str, Any]:
     kwargs = _explicit_params(ctx, _seeded(ctx, options))
-    kwargs.setdefault("coverage_backend", ctx.coverage_backend)
     kwargs.setdefault("executor", ctx.executor)
     kwargs.setdefault("max_workers", ctx.max_workers)
     algorithm = DistributedKCover(ctx.n, ctx.m, k=ctx.k, **kwargs)

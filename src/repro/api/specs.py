@@ -60,6 +60,14 @@ def _check_json_value(value: Any, where: str) -> None:
     )
 
 
+def check_optional_positive_int(value: Any, name: str) -> None:
+    """Raise :class:`SpecError` unless ``value`` is ``None`` or an int >= 1."""
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 1
+    ):
+        raise SpecError(f"{name} must be a positive integer or None, got {value!r}")
+
+
 def _check_options_dict(options: Any, where: str) -> dict[str, Any]:
     if options is None:
         return {}
@@ -96,14 +104,6 @@ class ProblemSpec:
     the :class:`repro.coverage.instance.CoverageInstance` from the spec
     alone, making a :class:`RunSpec` self-contained.
 
-    ``coverage_backend`` (``"auto"`` or ``"words"``, which name the same
-    packed layout) makes solvers that evaluate the coverage function
-    offline run on the packed-bitset kernel instead of Python sets — the
-    greedy / local-search references pack the input graph, the streaming
-    family packs its sketch for the offline phase, and the distributed
-    coordinator packs the merged sketch for its round-2 greedy.  ``None``
-    keeps the solver's default evaluation path.
-
     ``executor`` / ``map_workers`` optionally name a :mod:`repro.parallel`
     executor backend (``"auto"``, ``"serial"``, ``"thread"`` or
     ``"process"``) and a pool-size cap; solvers with an embarrassingly
@@ -122,7 +122,6 @@ class ProblemSpec:
     dataset: str | None = None
     # repro-lint: disable=knob-drift -- spec-only: generator kwargs have no flat CLI/kwarg syntax; RunSpecs carry them as a dict
     dataset_args: dict[str, Any] = field(default_factory=dict)
-    coverage_backend: str | None = None
     executor: str | None = None
     map_workers: int | None = None
 
@@ -131,9 +130,7 @@ class ProblemSpec:
             raise SpecError(
                 f"unknown problem {self.problem!r}; expected one of {PROBLEM_KINDS}"
             )
-        if self.k is not None:
-            if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-                raise SpecError(f"k must be a positive integer or None, got {self.k!r}")
+        check_optional_positive_int(self.k, "k")
         if self.outlier_fraction is not None:
             if (
                 isinstance(self.outlier_fraction, bool)
@@ -148,7 +145,6 @@ class ProblemSpec:
             raise SpecError("set_cover_outliers requires outlier_fraction")
         if self.dataset is not None and not isinstance(self.dataset, str):
             raise SpecError(f"dataset must be a string or None, got {self.dataset!r}")
-        check_coverage_backend(self.coverage_backend)
         if self.executor is not None:
             choices = executor_choices()
             if self.executor not in choices:
@@ -156,16 +152,7 @@ class ProblemSpec:
                     f"unknown executor {self.executor!r}; "
                     f"expected one of {choices} or None"
                 )
-        if self.map_workers is not None:
-            if (
-                isinstance(self.map_workers, bool)
-                or not isinstance(self.map_workers, int)
-                or self.map_workers < 1
-            ):
-                raise SpecError(
-                    f"map_workers must be a positive integer or None, "
-                    f"got {self.map_workers!r}"
-                )
+        check_optional_positive_int(self.map_workers, "map_workers")
         object.__setattr__(
             self, "dataset_args", _check_options_dict(self.dataset_args, "dataset_args")
         )
@@ -193,7 +180,6 @@ class ProblemSpec:
             "outlier_fraction": self.outlier_fraction,
             "dataset": self.dataset,
             "dataset_args": dict(self.dataset_args),
-            "coverage_backend": self.coverage_backend,
             "executor": self.executor,
             "map_workers": self.map_workers,
         }
@@ -263,15 +249,7 @@ class StreamSpec:
             raise SpecError(
                 f"arrival must be one of {_ARRIVALS} or None, got {self.arrival!r}"
             )
-        if self.batch_size is not None:
-            if (
-                isinstance(self.batch_size, bool)
-                or not isinstance(self.batch_size, int)
-                or self.batch_size < 1
-            ):
-                raise SpecError(
-                    f"batch_size must be a positive integer or None, got {self.batch_size!r}"
-                )
+        check_optional_positive_int(self.batch_size, "batch_size")
 
     @property
     def set_order(self) -> str:
@@ -325,9 +303,7 @@ class QuerySpec:
             raise SpecError(
                 f"unknown problem {self.problem!r}; expected one of {PROBLEM_KINDS}"
             )
-        if self.k is not None:
-            if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-                raise SpecError(f"k must be a positive integer or None, got {self.k!r}")
+        check_optional_positive_int(self.k, "k")
         if self.problem == "k_cover" and self.k is None:
             raise SpecError("k_cover queries require k")
         if self.outlier_fraction is not None:
@@ -402,15 +378,7 @@ class RunSpec:
             raise SpecError("solver must be a SolverSpec")
         if not isinstance(self.stream, StreamSpec):
             raise SpecError("stream must be a StreamSpec")
-        if self.max_passes is not None:
-            if (
-                isinstance(self.max_passes, bool)
-                or not isinstance(self.max_passes, int)
-                or self.max_passes < 1
-            ):
-                raise SpecError(
-                    f"max_passes must be a positive integer or None, got {self.max_passes!r}"
-                )
+        check_optional_positive_int(self.max_passes, "max_passes")
         if (
             isinstance(self.repetitions, bool)
             or not isinstance(self.repetitions, int)

@@ -26,7 +26,8 @@ workflows without writing any Python:
 Every command is a thin lookup into the :mod:`repro.api` solver registry and
 the :mod:`repro.datasets` dataset registry — algorithms and workloads
 registered by downstream code show up here automatically.  Commands print a
-small aligned table and exit with a non-zero status on invalid input, so the
+small aligned table; invalid input (a bad value or any
+:class:`~repro.errors.ReproError`) prints ``error: ...`` and exits 2, so the
 CLI is scriptable in pipelines.
 
 Solver commands additionally take ``--trace FILE`` (Chrome trace-event JSON
@@ -51,6 +52,7 @@ from repro.coverage.bitset import COVERAGE_BACKENDS
 from repro.coverage.io import open_columnar, read_edge_list, write_columnar, write_edge_list
 from repro.datasets import get_dataset, iter_datasets, list_datasets
 from repro.distributed.partition import PARTITION_STRATEGIES
+from repro.errors import ReproError
 from repro.lint import (
     iter_rule_metas,
     lint_paths,
@@ -100,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "events (default: scalar events; results are identical)")
         p.add_argument("--coverage-backend", choices=COVERAGE_BACKENDS,
                        default=None,
-                       help="packed-bitset kernel for the offline coverage "
-                            "evaluations (greedy reference rows); default keeps "
-                            "the set-based path")
+                       help="run the offline greedy (the reference row, the "
+                            "outliers checks, each query's answer) on the "
+                            "packed-bitset kernel; selections are identical, "
+                            "default keeps the set-based path")
 
     kcover = sub.add_parser("kcover", help="single-pass streaming k-cover (Algorithm 3)")
     add_instance_options(kcover)
@@ -170,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "--edges directories, its own mmap'd row range)")
     distributed.add_argument("--coverage-backend", choices=COVERAGE_BACKENDS,
                              default=None,
-                             help="packed-bitset kernel for the coordinator's "
-                                  "round-2 greedy on the merged sketch")
+                             help="run the coordinator's round-2 greedy on "
+                                  "the packed-bitset kernel of the merged "
+                                  "sketch; selections are identical")
     distributed.add_argument("--executor", choices=executor_choices(), default=None,
                              help="executor backend for the map phase: 'process' "
                                   "runs the workers on real cores (a columnar "
@@ -295,7 +299,8 @@ def _cmd_kcover(args: argparse.Namespace, out) -> int:
             table.add_row(algorithm=name, coverage=rep.coverage, fraction=rep.coverage_fraction,
                           size=rep.solution_size, passes=rep.passes, space=rep.space_peak)
     greedy = solve(graph, "offline/greedy", problem_kind="k_cover", k=args.k,
-                   seed=args.seed, coverage_backend=args.coverage_backend)
+                   seed=args.seed,
+                   options={"coverage_backend": args.coverage_backend})
     table.add_row(algorithm="offline-greedy", coverage=greedy.coverage,
                   fraction=greedy.coverage_fraction,
                   size=greedy.solution_size, passes="-", space=greedy.space_peak)
@@ -312,8 +317,8 @@ def _cmd_setcover(args: argparse.Namespace, out) -> int:
         stream=StreamSpec(order="random", seed=args.seed, batch_size=args.batch_size),
     )
     greedy = solve(graph, "offline/greedy", problem_kind="set_cover", seed=args.seed,
-                   options={"allow_partial": True},
-                   coverage_backend=args.coverage_backend)
+                   options={"allow_partial": True,
+                            "coverage_backend": args.coverage_backend})
     table = Table(["algorithm", "cover_size", "fraction", "passes", "space"])
     table.add_row(algorithm="sketch-setcover", cover_size=report.solution_size,
                   fraction=report.coverage_fraction, passes=report.passes,
@@ -329,9 +334,9 @@ def _cmd_outliers(args: argparse.Namespace, out) -> int:
     report = solve(
         graph, "outliers/sketch", problem_kind="set_cover_outliers",
         outlier_fraction=args.outlier_fraction, seed=args.seed,
-        options={"epsilon": args.epsilon, "scale": args.scale, "max_guesses": 16},
+        options={"epsilon": args.epsilon, "scale": args.scale, "max_guesses": 16,
+                 "coverage_backend": args.coverage_backend},
         stream=StreamSpec(order="random", seed=args.seed, batch_size=args.batch_size),
-        coverage_backend=args.coverage_backend,
     )
     table = Table(["algorithm", "cover_size", "fraction", "target", "passes", "space"])
     table.add_row(algorithm="sketch-outliers", cover_size=report.solution_size,
@@ -400,10 +405,10 @@ def _cmd_distributed(args: argparse.Namespace, out) -> int:
         problem = _load_graph(args)
     report = solve(
         problem, "kcover/distributed", problem_kind="k_cover", k=args.k,
-        seed=args.seed, coverage_backend=args.coverage_backend,
-        executor=args.executor, max_workers=args.workers,
+        seed=args.seed, executor=args.executor, max_workers=args.workers,
         options={"epsilon": args.epsilon, "scale": args.scale,
-                 "num_machines": args.machines, "strategy": args.strategy},
+                 "num_machines": args.machines, "strategy": args.strategy,
+                 "coverage_backend": args.coverage_backend},
     )
     table = Table(["quantity", "value"])
     table.add_row(quantity="machines", value=report.extra["num_machines"])
@@ -464,12 +469,7 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
 def _serve_engine(args: argparse.Namespace):
     from repro.serve import QueryEngine
 
-    engine = QueryEngine(
-        _load_graph(args),
-        seed=args.seed,
-        batch_size=args.batch_size,
-        coverage_backend=args.coverage_backend,
-    )
+    engine = QueryEngine(_load_graph(args), seed=args.seed, batch_size=args.batch_size)
     # Remembered on the namespace so --metrics can fold the store's private
     # registry (hits/misses/builds/evictions) into the exported snapshot.
     args.serve_store = engine.store
@@ -483,7 +483,8 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     engine = _serve_engine(args)
     options = {"epsilon": args.epsilon, "scale": args.scale}
     specs = [
-        QuerySpec(problem="k_cover", k=1 + (i % max(1, args.k)), options=options)
+        QuerySpec(problem="k_cover", k=1 + (i % max(1, args.k)), options=options,
+                  coverage_backend=args.coverage_backend)
         for i in range(args.queries)
     ]
     # Warm the cache first so the driven numbers measure *serving*; the
@@ -525,6 +526,7 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
         ),
         forbidden=forbidden,
         options=options,
+        coverage_backend=args.coverage_backend,
     )
     table = Table(["call", "cache_hit", "coverage", "fraction", "size", "solve_seconds"])
     for call in range(max(1, args.repeat)):
@@ -595,7 +597,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch_with_obs(args, out)
-    except (ValueError, OSError) as error:
+    except (ReproError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

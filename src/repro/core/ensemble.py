@@ -27,6 +27,7 @@ import statistics
 from typing import Iterable, Sequence
 
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import check_coverage_backend, kernel_for
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
@@ -44,8 +45,6 @@ __all__ = ["SketchEnsemble", "EnsembleKCover"]
 
 def _replica_greedy_job(job: tuple[BipartiteGraph, int, str | None]) -> list[int]:
     """Greedy on one replica sketch (top-level so process pools can ship it)."""
-    from repro.coverage.bitset import kernel_for
-
     graph, k, coverage_backend = job
     return greedy_k_cover(graph, k, kernel=kernel_for(graph, coverage_backend)).selected
 
@@ -89,6 +88,7 @@ class SketchEnsemble:
         max_workers: int | None = None,
     ) -> None:
         check_positive_int(replicas, "replicas")
+        check_coverage_backend(coverage_backend)
         self.params = params
         self.replicas = replicas
         self.coverage_backend = coverage_backend

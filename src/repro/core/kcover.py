@@ -17,6 +17,7 @@ import math
 from typing import Callable, Iterable
 
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import check_coverage_backend, kernel_for
 from repro.core.hashing import HashFamily
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
@@ -90,7 +91,7 @@ class StreamingKCover:
         lazy greedy; any α-approximation can be plugged in — Theorem 2.7 is
         exactly the statement that the composition stays ``(α − O(ε))``.
     coverage_backend:
-        ``"auto"`` or ``"words"`` (the same packed layout).  The default
+        ``"words"`` (the one packed layout) or ``None``.  The default
         solver then packs a :class:`~repro.coverage.bitset.BitsetCoverage`
         of the *sketch* and runs the greedy on it — identical selections (the
         kernels share the greedy's tie-break, property-tested), much faster
@@ -123,6 +124,7 @@ class StreamingKCover:
     ) -> None:
         check_positive_int(k, "k")
         check_open_unit(epsilon, "epsilon")
+        check_coverage_backend(coverage_backend)
         self.name = "bateni-sketch-kcover"
         self.arrival_model = "edge"
         self.k = k
@@ -151,8 +153,6 @@ class StreamingKCover:
 
     def _kernel_greedy_solver(self, graph: BipartiteGraph, k: int) -> list[int]:
         """Default offline phase: greedy on the sketch, kernel-backed on request."""
-        from repro.coverage.bitset import kernel_for
-
         return greedy_k_cover(
             graph,
             k,

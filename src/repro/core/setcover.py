@@ -30,6 +30,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import check_coverage_backend, kernel_for
 from repro.core.setcover_outliers import StreamingSetCoverOutliers
 from repro.offline.greedy import greedy_set_cover
 from repro.streaming.batches import EventBatch
@@ -99,6 +100,7 @@ class StreamingSetCover:
         check_positive_int(num_elements, "num_elements")
         check_open_unit(epsilon, "epsilon")
         check_positive_int(rounds, "rounds")
+        check_coverage_backend(coverage_backend)
         if max_guesses is not None:
             check_positive_int(max_guesses, "max_guesses")
         self.name = "bateni-sketch-setcover"
@@ -247,8 +249,6 @@ class StreamingSetCover:
             self._extend_solution(selection)
             self._current_outliers = None
         elif phase == "collect":
-            from repro.coverage.bitset import kernel_for
-
             assert self._residual is not None
             result = greedy_set_cover(
                 self._residual,

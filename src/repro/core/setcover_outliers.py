@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.hashing import HashFamily, UniformHash
+from repro.coverage.bitset import KernelCache, check_coverage_backend, kernel_for
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.streaming_sketch import StreamingSketchBuilder
@@ -36,9 +37,6 @@ from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
 from repro.utils.validation import check_in_range, check_open_unit, check_positive_int
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.coverage.bitset import KernelCache
 
 __all__ = ["GuessChecker", "GuessOutcome", "StreamingSetCoverOutliers", "guess_schedule"]
 
@@ -155,7 +153,7 @@ class GuessChecker:
             space=self.space,
         )
         self._final_sketch: CoverageSketch | None = None
-        self._kernel: "KernelCache | None" = None
+        self._kernel: KernelCache | None = None
 
     def process(self, event: EdgeArrival) -> None:
         """Feed one edge into this guess's sketch."""
@@ -174,8 +172,6 @@ class GuessChecker:
         packed kernel — the serving layer's repeat-query path.
         """
         if self._final_sketch is None:
-            from repro.coverage.bitset import KernelCache
-
             self._final_sketch = self.builder.sketch()
             self._kernel = KernelCache(self._final_sketch.graph)
         return self._final_sketch
@@ -193,8 +189,6 @@ class GuessChecker:
         affects the sketch itself, so one stream pass supports arbitrarily
         many differently-constrained checks.
         """
-        from repro.coverage.bitset import kernel_for
-
         backend = (
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
@@ -271,6 +265,7 @@ class StreamingSetCoverOutliers:
         check_positive_int(num_sets, "num_sets")
         check_open_unit(epsilon, "epsilon")
         check_in_range(outlier_fraction, 1e-9, 1.0 / math.e, "outlier_fraction")
+        check_coverage_backend(coverage_backend)
         self.name = "bateni-sketch-setcover-outliers"
         self.arrival_model = "edge"
         self.num_sets = num_sets

@@ -57,9 +57,9 @@ __all__ = [
 #: it as the ``coverage_backend`` a kernel run used.
 LAYOUT = "words"
 
-#: Valid non-``None`` ``coverage_backend`` values; ``"auto"`` names the same
-#: layout, and ``None`` keeps the set-based path.
-COVERAGE_BACKENDS = ("auto", LAYOUT)
+#: Valid non-``None`` ``coverage_backend`` values; ``None`` keeps the
+#: set-based path.
+COVERAGE_BACKENDS = (LAYOUT,)
 
 #: Lookup table with the popcount of every byte value (fallback path).
 _POPCOUNT_TABLE = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
@@ -440,8 +440,7 @@ class KernelCache:
     The packing step is the expensive part of answering a query against an
     already-built sketch, and the packed rows are immutable — so a sketch
     held by the serving layer keeps one :class:`BitsetCoverage` and every
-    subsequent query (any ``k``, any forbidden set, ``"auto"`` or
-    ``"words"``) reuses it.
+    subsequent query (any ``k``, any forbidden set) reuses it.
 
     Mirrors :func:`kernel_for`: ``backend=None`` and empty graphs yield
     ``None`` (the set-based path / nothing to evaluate).  Concurrent lookups

@@ -66,7 +66,8 @@ from repro import obs
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.sketch_columns import SketchColumns, element_starts
-from repro.distributed.partition import EdgePartitioner
+from repro.coverage.bitset import LAYOUT, check_coverage_backend, kernel_for
+from repro.distributed.partition import PARTITION_STRATEGIES, EdgePartitioner
 from repro.distributed.worker import (
     DEFAULT_MAP_BATCH,
     MachineShardJob,
@@ -399,7 +400,7 @@ class DistributedKCover:
     params:
         Explicit sketch budgets (defaults to Algorithm 3's choice).
     coverage_backend:
-        ``"auto"`` or ``"words"`` (the same packed layout); the
+        ``"words"`` (the one packed layout) or ``None``; the
         coordinator's greedy then runs on a kernel packed from the merged
         sketch (same selections, faster on dense merges).
     batch_size:
@@ -439,6 +440,11 @@ class DistributedKCover:
         check_positive_int(num_machines, "num_machines")
         check_positive_int(k, "k")
         check_positive_int(batch_size, "batch_size")
+        if strategy not in PARTITION_STRATEGIES:
+            raise SpecError(
+                f"unknown strategy {strategy!r}; expected one of {PARTITION_STRATEGIES}"
+            )
+        check_coverage_backend(coverage_backend)
         self.num_sets = num_sets
         self.num_elements = num_elements
         self.k = k
@@ -579,9 +585,6 @@ class DistributedKCover:
         machine_ids = sorted(loads)
         machine_stored_edges = [loads[i][1] for i in machine_ids]
         execution = self.mapper.last_execution
-
-        from repro.coverage.bitset import LAYOUT, kernel_for
-
         with obs.span("distributed.greedy", k=self.k):
             kernel = kernel_for(merged.graph, self.coverage_backend)
             solution = greedy_k_cover(merged.graph, self.k, kernel=kernel).selected

@@ -138,9 +138,6 @@ class QueryEngine:
     batch_size:
         Columnar ingestion batch for builds (reports record it, results
         are batch-invariant).  ``None`` feeds scalar events.
-    coverage_backend:
-        Default kernel backend for queries that leave
-        ``QuerySpec.coverage_backend`` unset.
     """
 
     def __init__(
@@ -152,7 +149,6 @@ class QueryEngine:
         order: str = "random",
         stream_seed: int | None = None,
         batch_size: int | None = 1024,
-        coverage_backend: str | None = None,
     ) -> None:
         if isinstance(problem, (str, Path)):
             problem = open_columnar(problem)
@@ -183,7 +179,6 @@ class QueryEngine:
         self.order = order
         self.stream_seed = self.seed if stream_seed is None else int(stream_seed)
         self.batch_size = batch_size
-        self.coverage_backend = coverage_backend
 
     # ------------------------------------------------------------------ #
     # public surface
@@ -219,18 +214,13 @@ class QueryEngine:
                     f"pass {reserved!r} as a QuerySpec field, not inside options: "
                     "the engine applies it at query time against the cached build"
                 )
-        backend = (
-            spec.coverage_backend
-            if spec.coverage_backend is not None
-            else self.coverage_backend
-        )
         start = clock.perf_counter()
         with obs.span("serve.query", problem=spec.problem):
             if spec.problem == "k_cover":
-                return self._query_kcover(spec, backend, start)
+                return self._query_kcover(spec, start)
             if spec.problem == "set_cover":
-                return self._query_setcover(spec, backend, start)
-            return self._query_outliers(spec, backend, start)
+                return self._query_setcover(spec, start)
+            return self._query_outliers(spec, start)
 
     def describe(self) -> dict[str, Any]:
         """Diagnostics for the CLI and reports."""
@@ -243,18 +233,15 @@ class QueryEngine:
             "order": self.order,
             "stream_seed": self.stream_seed,
             "batch_size": self.batch_size,
-            "coverage_backend": self.coverage_backend,
             **{f"store_{k}": v for k, v in self.store.stats().items()},
         }
 
     # ------------------------------------------------------------------ #
     # per-kind query paths
     # ------------------------------------------------------------------ #
-    def _query_kcover(
-        self, spec: QuerySpec, backend: str | None, start: float
-    ) -> StreamingReport:
+    def _query_kcover(self, spec: QuerySpec, start: float) -> StreamingReport:
         options = dict(spec.options)
-        ctx = self._context(spec, backend)
+        ctx = self._context(spec)
         info = get_solver("kcover/sketch")
         rank_source = str(options.get("rank_source", "hash"))
         # A probe construction resolves the derived budgets exactly the way
@@ -294,16 +281,14 @@ class QueryEngine:
             entry.sketch.graph,
             spec.k,
             forbidden=spec.forbidden,
-            kernel=entry.kernel.get(backend),
+            kernel=entry.kernel.get(spec.coverage_backend),
         )
         # Mirror StreamingKCover.result()'s normalization exactly.
         selection = list(result.selected)[: spec.k]
         solution = tuple(dict.fromkeys(int(s) for s in selection))
         return self._served_report(entry.base, solution, hit, start)
 
-    def _query_setcover(
-        self, spec: QuerySpec, backend: str | None, start: float
-    ) -> StreamingReport:
+    def _query_setcover(self, spec: QuerySpec, start: float) -> StreamingReport:
         options = dict(spec.options)
         if spec.forbidden:
             # Multi-pass: the constraint shapes every iteration's selection,
@@ -322,16 +307,15 @@ class QueryEngine:
         )
 
         def build() -> _CachedRun:
-            ctx = self._context(spec, backend)
-            algorithm = get_solver("setcover/sketch").builder(ctx, **options)
+            algorithm = get_solver("setcover/sketch").builder(
+                self._context(spec), **options, coverage_backend=spec.coverage_backend
+            )
             return _CachedRun(base=self._drive(algorithm))
 
         entry, hit = self.store.get_or_build(key, build)
         return self._served_report(entry.base, entry.base.solution, hit, start)
 
-    def _query_outliers(
-        self, spec: QuerySpec, backend: str | None, start: float
-    ) -> StreamingReport:
+    def _query_outliers(self, spec: QuerySpec, start: float) -> StreamingReport:
         options = dict(spec.options)
         key = SketchKey(
             fingerprint=self._fingerprint,
@@ -347,16 +331,15 @@ class QueryEngine:
         )
 
         def build() -> _CachedAlgorithm:
-            ctx = self._context(spec, backend)
-            algorithm = get_solver("outliers/sketch").builder(ctx, **options)
+            algorithm = get_solver("outliers/sketch").builder(
+                self._context(spec), **options
+            )
             base = self._drive(algorithm)
             return _CachedAlgorithm(algorithm=algorithm, base=base)
 
         entry, hit = self.store.get_or_build(key, build)
-        # query() always receives the backend explicitly, so the entry's own
-        # construction-time default (whichever query built it) never leaks.
         solution_list, _outcomes = entry.algorithm.query(
-            forbidden=spec.forbidden, coverage_backend=backend
+            forbidden=spec.forbidden, coverage_backend=spec.coverage_backend
         )
         solution = tuple(dict.fromkeys(int(s) for s in solution_list))
         return self._served_report(entry.base, solution, hit, start)
@@ -364,7 +347,7 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # shared plumbing
     # ------------------------------------------------------------------ #
-    def _context(self, spec: QuerySpec, backend: str | None) -> ProblemContext:
+    def _context(self, spec: QuerySpec) -> ProblemContext:
         """The ProblemContext a ``solve()`` with the engine's settings builds."""
         return ProblemContext(
             graph=self._graph,
@@ -373,7 +356,6 @@ class QueryEngine:
             outlier_fraction=spec.outlier_fraction or 0.0,
             seed=self.seed,
             instance=self._instance,
-            coverage_backend=backend,
         )
 
     def _drive(self, algorithm: Any) -> StreamingReport:

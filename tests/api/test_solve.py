@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -203,9 +205,14 @@ class TestErrorPaths:
         with pytest.raises(SpecError, match="max_passes"):
             solve(kcover_instance, "offline/greedy", max_passes=1)
 
-    def test_offline_solver_rejects_batch_size(self, kcover_instance):
-        with pytest.raises(SpecError, match="batch_size"):
-            solve(kcover_instance, "offline/greedy", batch_size=64)
+    @pytest.mark.parametrize("bad", [True, 1.5, "2", 0, -2])
+    def test_max_passes_validated_like_run_spec(self, kcover_instance, bad):
+        with pytest.raises(SpecError, match="max_passes must be a positive integer"):
+            solve(kcover_instance, "kcover/sketch", max_passes=bad)
+
+    def test_bad_partition_strategy_is_a_spec_error(self, kcover_instance):
+        with pytest.raises(SpecError, match="unknown strategy 'bad'"):
+            solve(kcover_instance, "kcover/distributed", options={"strategy": "bad"})
 
     def test_offline_solver_ignores_spec_batch_size(self, kcover_instance):
         # Mixed comparisons share one StreamSpec; offline solvers ignore it.
@@ -222,15 +229,6 @@ class TestErrorPaths:
         assert batched.extra["batch_size"] == 128
         assert batched.solution == scalar.solution
         assert batched.space_peak == scalar.space_peak
-
-    def test_explicit_batch_size_overrides_spec(self, kcover_instance):
-        report = solve(
-            kcover_instance,
-            "kcover/sketch",
-            stream=StreamSpec(seed=3, batch_size=8),
-            batch_size=256,
-        )
-        assert report.extra["batch_size"] == 256
 
     def test_non_streaming_solver_rejects_stream_object(self, kcover_instance):
         stream = SetStream.from_graph(kcover_instance.graph)
@@ -335,108 +333,6 @@ class TestSession:
         assert session.suite.rows[0].as_dict()["n"] == tiny_graph.num_sets
 
 
-class TestCoverageBackendPlumbing:
-    """coverage_backend reaches the offline kernels through every entry."""
-
-    def test_offline_greedy_on_kernel_matches_default(self, kcover_instance):
-        default = solve(kcover_instance, "offline/greedy", seed=13)
-        for backend in ("auto", "words"):
-            fast = solve(
-                kcover_instance, "offline/greedy", seed=13, coverage_backend=backend
-            )
-            assert fast.solution == default.solution
-            assert fast.coverage == default.coverage
-            assert fast.extra["coverage_backend"] == "words"
-        assert "coverage_backend" not in default.extra
-
-    def test_offline_local_search_accepts_backend(self, kcover_instance):
-        report = solve(
-            kcover_instance,
-            "offline/local-search",
-            seed=13,
-            options={"start_from_greedy": True},
-            coverage_backend="words",
-        )
-        assert report.extra["coverage_backend"] == "words"
-        assert report.coverage > 0
-
-    def test_problem_spec_carries_backend(self):
-        spec = ProblemSpec(
-            problem="k_cover",
-            k=4,
-            dataset="planted_kcover",
-            dataset_args={"num_sets": 25, "num_elements": 300, "k": 4, "seed": 3},
-            coverage_backend="words",
-        )
-        report = solve(spec, "offline/greedy", seed=3)
-        assert report.extra["coverage_backend"] == "words"
-        # Round-trips through RunSpec execution too.
-        reports = run(RunSpec(problem=spec, solver=SolverSpec("offline/greedy")))
-        assert reports[0].extra["coverage_backend"] == "words"
-
-    def test_explicit_backend_overrides_spec(self):
-        spec = ProblemSpec(
-            problem="k_cover",
-            k=4,
-            dataset="planted_kcover",
-            dataset_args={"num_sets": 25, "num_elements": 300, "k": 4, "seed": 3},
-        )
-        assert "coverage_backend" not in solve(spec, "offline/greedy", seed=3).extra
-        report = solve(spec, "offline/greedy", seed=3, coverage_backend="auto")
-        assert report.extra["coverage_backend"] == "words"
-
-    @pytest.mark.parametrize("backend", ["nibbles", "bytes"])
-    def test_spec_rejects_unknown_backend(self, backend):
-        with pytest.raises(SpecError, match="coverage_backend"):
-            ProblemSpec(problem="k_cover", k=4, coverage_backend=backend)
-
-    def test_session_rejects_unknown_backend(self, kcover_instance):
-        session = Session(kcover_instance, seed=13, coverage_backend="bytes")
-        with pytest.raises(SpecError, match="'auto', 'words'"):
-            session.run("offline/greedy")
-
-    def test_streaming_solvers_ignore_backend(self, kcover_instance):
-        plain = solve(kcover_instance, "kcover/sketch", seed=13, options={"scale": 0.2})
-        kernelled = solve(
-            kcover_instance,
-            "kcover/sketch",
-            seed=13,
-            options={"scale": 0.2},
-            coverage_backend="words",
-        )
-        assert kernelled.solution == plain.solution
-
-    def test_session_backend_matches_default_reference(self, kcover_instance):
-        fast = Session(kcover_instance, seed=13, coverage_backend="words")
-        slow = Session(kcover_instance, seed=13)
-        assert fast.reference_value == slow.reference_value
-        report = fast.run("offline/greedy")
-        assert report.extra["coverage_backend"] == "words"
-
-    def test_session_packs_the_kernel_once(self, kcover_instance, monkeypatch):
-        import repro.coverage.bitset as bitset_module
-
-        calls = []
-        original_init = bitset_module.BitsetCoverage.__init__
-
-        def counting_init(self, graph):
-            calls.append(graph)
-            original_init(self, graph)
-
-        monkeypatch.setattr(bitset_module.BitsetCoverage, "__init__", counting_init)
-        session = Session(kcover_instance, seed=13, coverage_backend="words")
-        session.run("offline/greedy")
-        session.run("offline/local-search")
-        session.run("offline/greedy", seed=14)
-        assert len(calls) == 1  # one packing serves every offline run
-        # A streaming run packs its own *sketch* (a different graph) once;
-        # the session's problem-graph kernel is still not re-packed.
-        session.run("kcover/sketch", options={"scale": 0.2})
-        assert len(calls) == 2
-        session.run("offline/greedy", seed=15)
-        assert len(calls) == 2
-
-
 class TestColumnarProblems:
     """solve() accepts columnar workloads and keeps them column-backed."""
 
@@ -485,17 +381,6 @@ class TestColumnarProblems:
         )
         assert 0.0 < report.extra["merged_threshold"] <= 1.0
 
-    def test_distributed_coverage_backend_via_spec_kwarg(self, kcover_instance):
-        plain = solve(
-            kcover_instance, "kcover/distributed", seed=13, options=self.DIST_OPTIONS
-        )
-        kernelled = solve(
-            kcover_instance, "kcover/distributed", seed=13,
-            options=self.DIST_OPTIONS, coverage_backend="words",
-        )
-        assert kernelled.solution == plain.solution
-        assert kernelled.coverage == plain.coverage
-
     def test_streaming_solver_on_columnar_problem(self, kcover_instance, columnar_dir):
         from_graph = solve(
             kcover_instance.graph, "kcover/sketch", k=4, seed=13,
@@ -511,8 +396,27 @@ class TestColumnarProblems:
             solve(tmp_path / "missing", "kcover/sketch", k=2)
 
 
-class TestStreamingKernelPostProcessing:
-    """coverage_backend reaches the streaming family's offline phase."""
+#: The solvers that run an offline greedy, so take ``coverage_backend``.
+GREEDY_SOLVERS = [
+    ("kcover/sketch", {"options": {"scale": 0.3}}),
+    ("kcover/ensemble", {"options": {"scale": 0.3, "replicas": 3}}),
+    ("setcover/sketch", {"problem_kind": "set_cover",
+                         "options": {"rounds": 2, "max_guesses": 6},
+                         "max_passes": 40}),
+    ("outliers/sketch", {"problem_kind": "set_cover_outliers",
+                         "outlier_fraction": 0.1,
+                         "options": {"max_guesses": 6}}),
+    ("kcover/distributed", {"options": {"scale": 0.3, "num_machines": 3}}),
+    ("offline/greedy", {}),
+    ("offline/local-search", {"options": {"start_from_greedy": True}}),
+]
+
+
+class TestCoverageBackendOption:
+    """``coverage_backend`` is a solver option of every offline-greedy solver."""
+
+    #: Solvers that record the backend their greedy ran on in ``extra``.
+    RECORDS_BACKEND = ("offline/greedy", "offline/local-search")
 
     @pytest.fixture(scope="class")
     def kcover_instance(self):
@@ -520,31 +424,48 @@ class TestStreamingKernelPostProcessing:
 
         return planted_kcover_instance(40, 900, k=5, planted_coverage=0.85, seed=31)
 
-    @pytest.mark.parametrize(
-        "solver,kwargs",
-        [
-            ("kcover/sketch", {"options": {"scale": 0.3}}),
-            ("kcover/ensemble", {"options": {"scale": 0.3, "replicas": 3}}),
-            ("setcover/sketch", {"problem_kind": "set_cover",
-                                 "options": {"rounds": 2, "max_guesses": 6},
-                                 "max_passes": 40}),
-            ("outliers/sketch", {"problem_kind": "set_cover_outliers",
-                                 "outlier_fraction": 0.1,
-                                 "options": {"max_guesses": 6}}),
-        ],
-    )
+    @pytest.mark.parametrize("solver,kwargs", GREEDY_SOLVERS)
     def test_kernel_backed_result_matches_set_based(self, kcover_instance, solver, kwargs):
-        from repro.api import StreamSpec
-
         stream = StreamSpec(order="random", seed=7)
-        plain = solve(kcover_instance, solver, seed=7, stream=stream, **kwargs)
+        kwargs = dict(kwargs)
+        options = kwargs.pop("options", {})
+        plain = solve(
+            kcover_instance, solver, seed=7, stream=stream, options=options, **kwargs
+        )
         kernelled = solve(
             kcover_instance, solver, seed=7, stream=stream,
-            coverage_backend="words", **kwargs,
+            options={**options, "coverage_backend": "words"}, **kwargs,
         )
         assert kernelled.solution == plain.solution
         assert kernelled.coverage == plain.coverage
         assert kernelled.space_peak == plain.space_peak
+        assert "coverage_backend" not in plain.extra
+        recorded = kernelled.extra.get("coverage_backend")
+        assert recorded == ("words" if solver in self.RECORDS_BACKEND else None)
+
+    def test_run_spec_with_backend_option_round_trips_and_runs(self):
+        spec = RunSpec(
+            problem=ProblemSpec(
+                problem="k_cover",
+                k=4,
+                dataset="planted_kcover",
+                dataset_args={"num_sets": 25, "num_elements": 300, "k": 4, "seed": 3},
+            ),
+            solver=SolverSpec("offline/greedy", {"coverage_backend": "words"}),
+        )
+        replayed = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert replayed == spec
+        (report,) = run(replayed)
+        assert report.extra["coverage_backend"] == "words"
+        plain = solve(spec.problem, "offline/greedy", seed=0)
+        assert report.solution == plain.solution
+
+    @pytest.mark.parametrize("solver,kwargs", GREEDY_SOLVERS)
+    def test_auto_is_rejected_before_the_run(self, kcover_instance, solver, kwargs):
+        kwargs = dict(kwargs)
+        options = {**kwargs.pop("options", {}), "coverage_backend": "auto"}
+        with pytest.raises(SpecError, match=r"'auto'.*\('words',\)"):
+            solve(kcover_instance, solver, options=options, **kwargs)
 
     def test_streaming_kcover_records_backend(self, kcover_instance):
         from repro.core.kcover import StreamingKCover

@@ -222,46 +222,26 @@ class TestQuerySpec:
 
 
 class TestCoverageBackendField:
-    def test_round_trip(self):
-        spec = ProblemSpec(problem="k_cover", k=3, coverage_backend="words")
-        data = spec.to_dict()
-        assert data["coverage_backend"] == "words"
-        assert ProblemSpec.from_dict(data) == spec
+    """Only QuerySpec carries a backend; solve() takes it as a solver option."""
 
-    def test_defaults_to_none(self):
-        assert ProblemSpec(problem="set_cover").coverage_backend is None
-        assert ProblemSpec.from_dict({"problem": "set_cover"}).coverage_backend is None
+    def test_problem_spec_has_no_backend_field(self):
+        assert "coverage_backend" not in ProblemSpec(problem="k_cover", k=3).to_dict()
+        with pytest.raises(SpecError, match="unknown field"):
+            ProblemSpec.from_dict({"problem": "k_cover", "k": 2, "coverage_backend": "words"})
 
-    def test_accepts_every_valid_choice(self):
+    def test_query_spec_accepts_every_valid_choice(self):
         from repro.coverage.bitset import COVERAGE_BACKENDS
 
-        assert COVERAGE_BACKENDS == ("auto", "words")
+        assert COVERAGE_BACKENDS == ("words",)
         for choice in (None, *COVERAGE_BACKENDS):
-            assert ProblemSpec(problem="k_cover", k=1, coverage_backend=choice)
             assert QuerySpec(problem="k_cover", k=1, coverage_backend=choice)
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(SpecError, match="coverage_backend"):
-            ProblemSpec(problem="k_cover", k=1, coverage_backend="trits")
-
-    # The byte layout is gone: "bytes" is now an unknown backend, and the
-    # error lists the values that remain.
-    def test_problem_spec_from_dict_rejects_bytes(self):
-        with pytest.raises(SpecError, match=r"'bytes'.*\('auto', 'words'\)"):
-            ProblemSpec.from_dict({"problem": "k_cover", "k": 2, "coverage_backend": "bytes"})
-
-    def test_query_spec_from_dict_rejects_bytes(self):
-        with pytest.raises(SpecError, match=r"'bytes'.*\('auto', 'words'\)"):
-            QuerySpec.from_dict({"problem": "k_cover", "k": 2, "coverage_backend": "bytes"})
-
-    def test_run_spec_from_dict_rejects_bytes(self):
-        data = RunSpec(
-            problem=ProblemSpec(problem="k_cover", k=2, coverage_backend="words"),
-            solver=SolverSpec("offline/greedy"),
-        ).to_dict()
-        data["problem"]["coverage_backend"] = "bytes"
-        with pytest.raises(SpecError, match=r"'bytes'.*\('auto', 'words'\)"):
-            RunSpec.from_dict(data)
+    # "bytes" (a removed layout) and "auto" (a removed synonym) are unknown
+    # backends, and the error lists the one value that remains.
+    @pytest.mark.parametrize("backend", ["bytes", "auto"])
+    def test_query_spec_from_dict_rejects_removed_names(self, backend):
+        with pytest.raises(SpecError, match=rf"'{backend}'.*\('words',\)"):
+            QuerySpec.from_dict({"problem": "k_cover", "k": 2, "coverage_backend": backend})
 
 
 class TestExecutorFields:

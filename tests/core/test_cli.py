@@ -101,6 +101,24 @@ class TestCommands:
         code, _ = _run(["kcover", "--edges", str(tmp_path / "missing.tsv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kcover", "--num-sets", "5", "--num-elements", "10"],
+            ["query", "--problem", "set_cover", "--num-sets", "5",
+             "--num-elements", "10"],
+        ],
+    )
+    def test_library_error_exits_2_without_traceback(self, argv, capsys):
+        # The default --k 10 exceeds the 5 generated sets: the generator
+        # raises InvalidInstanceError, a ReproError that is no ValueError.
+        code, output = _run(argv)
+        assert code == 2
+        assert output == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestRegistryCommands:
     def test_list_solvers(self):
@@ -222,6 +240,36 @@ class TestCoverageBackendAndColumnar:
         # what it finds: identical tables.
         assert words_output == default_output
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["setcover", "--generator", "planted_setcover", "--rounds", "2"],
+            ["outliers", "--generator", "planted_setcover"],
+            ["distributed", "--machines", "3"],
+        ],
+    )
+    def test_backend_matches_default_table(self, command):
+        args = command + ["--num-sets", "30", "--num-elements", "400", "--k", "4",
+                          "--seed", "2"]
+        code_default, default_output = _run(args)
+        code_words, words_output = _run(args + ["--coverage-backend", "words"])
+        assert code_default == code_words == 0
+        assert words_output == default_output
+
+    @pytest.mark.parametrize("problem", ["k_cover", "set_cover_outliers"])
+    def test_query_backend_matches_default_answer(self, problem):
+        args = ["query", "--problem", problem, "--num-sets", "40",
+                "--num-elements", "800", "--k", "5", "--repeat", "1"]
+
+        def answer(output):
+            # Drop the timing column; every other cell must agree.
+            return [line.split()[:-1] for line in output.splitlines()]
+
+        code_default, default_output = _run(args)
+        code_words, words_output = _run(args + ["--coverage-backend", "words"])
+        assert code_default == code_words == 0
+        assert answer(words_output) == answer(default_output)
+
     def test_backend_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kcover", "--coverage-backend", "nibbles"])
@@ -233,7 +281,7 @@ class TestCoverageBackendAndColumnar:
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--coverage-backend", "bytes"])
         assert excinfo.value.code == 2
-        assert "'auto', 'words'" in capsys.readouterr().err
+        assert "(choose from 'words')" in capsys.readouterr().err
 
     def test_serve_executor_choices_come_from_the_driver(self, capsys):
         from repro.serve.driver import SHARED_MEMORY_EXECUTORS

@@ -17,6 +17,7 @@ from repro.distributed import (
     row_range_bounds,
     shard_sizes,
 )
+from repro.errors import SpecError
 from repro.offline.greedy import greedy_k_cover
 from repro.streaming.batches import EventBatch
 
@@ -265,6 +266,14 @@ class TestDistributedKCover:
         assert kernel.coverage_backend == "words"
         assert plain.coverage_backend is None
         assert kernel.as_dict()["coverage_backend"] == "words"
+
+    @pytest.mark.parametrize(
+        "bad", [{"strategy": "bad"}, {"coverage_backend": "auto"}]
+    )
+    def test_bad_options_rejected_at_construction(self, bad):
+        # Rejected before any edge is read, as a ReproError.
+        with pytest.raises(SpecError, match=repr(next(iter(bad.values())))):
+            DistributedKCover(10, 100, k=2, **bad)
 
     def test_run_accepts_iterables_and_batches(self, planted_kcover):
         edges = list(planted_kcover.graph.edges())

@@ -63,13 +63,13 @@ class TestBasics:
 
 class TestBackendChoices:
     def test_accepted_values(self):
-        assert COVERAGE_BACKENDS == ("auto", "words")
+        assert COVERAGE_BACKENDS == ("words",)
         for value in (None, *COVERAGE_BACKENDS):
             check_coverage_backend(value)
 
-    @pytest.mark.parametrize("bad", ["bytes", "nibbles", "WORDS", ""])
+    @pytest.mark.parametrize("bad", ["auto", "bytes", "nibbles", "WORDS", ""])
     def test_unknown_backend_rejected_everywhere(self, tiny_graph, bad):
-        with pytest.raises(SpecError, match="'auto', 'words'"):
+        with pytest.raises(SpecError, match=r"\('words',\)"):
             check_coverage_backend(bad)
         with pytest.raises(SpecError, match="unknown coverage_backend"):
             kernel_for(tiny_graph, bad)
@@ -79,16 +79,15 @@ class TestBackendChoices:
     def test_kernel_for_skips_none_and_empty_graphs(self, tiny_graph):
         assert kernel_for(tiny_graph, None) is None
         assert kernel_for(BipartiteGraph(num_sets=3), "words") is None
-        assert isinstance(kernel_for(tiny_graph, "auto"), BitsetCoverage)
+        assert isinstance(kernel_for(tiny_graph, "words"), BitsetCoverage)
 
-    def test_cache_packs_once_for_auto_and_words(self, tiny_graph):
+    def test_cache_packs_once(self, tiny_graph):
         cache = KernelCache(tiny_graph)
         assert cache.get(None) is None
-        kernel = cache.get("auto")
+        kernel = cache.get("words")
         assert isinstance(kernel, BitsetCoverage)
         assert cache.get("words") is kernel
-        assert cache.get("auto") is kernel
-        assert KernelCache(BipartiteGraph(num_sets=2)).get("auto") is None
+        assert KernelCache(BipartiteGraph(num_sets=2)).get("words") is None
 
 
 class TestAgreementOnRandomInstances:

@@ -90,8 +90,11 @@ class TestKCoverServing:
                         "kcover/sketch",
                         problem_kind="k_cover",
                         k=k,
-                        coverage_backend=backend,
-                        options={**KCOVER_OPTIONS, "forbidden": list(forbidden)},
+                        options={
+                            **KCOVER_OPTIONS,
+                            "forbidden": list(forbidden),
+                            "coverage_backend": backend,
+                        },
                     )
                     assert _identity_key(served) == _identity_key(fresh), (
                         k,
@@ -155,7 +158,7 @@ class TestKCoverServing:
         with pytest.raises(SpecError):
             engine.query(
                 QuerySpec(
-                    problem="k_cover", k=3, options={"coverage_backend": "auto"}
+                    problem="k_cover", k=3, options={"coverage_backend": "words"}
                 )
             )
 
@@ -186,8 +189,11 @@ class TestSetCoverServing:
             setcover_instance,
             "setcover/sketch",
             problem_kind="set_cover",
-            coverage_backend=backend,
-            options={**self.OPTIONS, "forbidden": list(forbidden)},
+            options={
+                **self.OPTIONS,
+                "forbidden": list(forbidden),
+                "coverage_backend": backend,
+            },
         )
         assert _identity_key(served) == _identity_key(fresh)
 
@@ -232,8 +238,11 @@ class TestOutliersServing:
             "outliers/sketch",
             problem_kind="set_cover_outliers",
             outlier_fraction=self.FRACTION,
-            coverage_backend=backend,
-            options={**self.OPTIONS, "forbidden": list(forbidden)},
+            options={
+                **self.OPTIONS,
+                "forbidden": list(forbidden),
+                "coverage_backend": backend,
+            },
         )
         assert _identity_key(served) == _identity_key(fresh)
 
