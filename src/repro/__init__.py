@@ -58,6 +58,7 @@ from repro.core import (
 )
 from repro.coverage import BipartiteGraph, CoverageFunction, CoverageInstance, SetSystem
 from repro.errors import (
+    CorruptInputError,
     InfeasibleError,
     InvalidInstanceError,
     PassBudgetExceeded,
@@ -127,6 +128,7 @@ __all__ = [
     # errors
     "ReproError",
     "InvalidInstanceError",
+    "CorruptInputError",
     "SpaceBudgetExceeded",
     "PassBudgetExceeded",
     "InfeasibleError",

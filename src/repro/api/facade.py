@@ -59,22 +59,6 @@ def _resolve_context(
         # A path is taken to mean a columnar edge directory (the on-disk
         # workload format); anything else should be loaded explicitly.
         problem = open_columnar(problem)
-    if isinstance(problem, ColumnarEdges):
-        columns = problem
-        ctx = _resolve_context(
-            columns.to_graph(),
-            k=k,
-            outlier_fraction=outlier_fraction,
-            problem_kind=problem_kind,
-            seed=seed,
-            executor=executor,
-            max_workers=max_workers,
-        )
-        # Keep the mmap'd view: solvers with a batched map phase (the
-        # distributed family) ingest the columns without re-materialising
-        # the edges the graph above was built from.
-        ctx.columns = columns
-        return ctx
     if isinstance(problem, ProblemSpec):
         instance = problem.build_instance()
         return _resolve_context(
@@ -108,7 +92,7 @@ def _resolve_context(
             executor=executor,
             max_workers=max_workers,
         )
-    if isinstance(problem, BipartiteGraph):
+    if isinstance(problem, (BipartiteGraph, ColumnarEdges)):
         if problem_kind is None:
             if outlier_fraction:
                 problem_kind = "set_cover_outliers"
@@ -121,8 +105,12 @@ def _resolve_context(
                 "k_cover on a bare graph requires k=...; only a CoverageInstance "
                 "carries a default cardinality budget"
             )
+        # A columnar problem stays column-backed: the context builds its
+        # graph only for solvers that read it.
+        column_backed = isinstance(problem, ColumnarEdges)
         return ProblemContext(
-            graph=problem,
+            graph=None if column_backed else problem,
+            columns=problem if column_backed else None,
             problem=problem_kind,
             k=k if k is not None else 1,
             outlier_fraction=outlier_fraction or 0.0,
@@ -178,8 +166,8 @@ def _offline_report(
     ctx: ProblemContext, outcome: Any, solve_seconds: float, extra: dict[str, Any]
 ) -> StreamingReport:
     solution = tuple(dict.fromkeys(int(s) for s in outcome.solution))
-    coverage = ctx.graph.coverage(solution)
-    total = ctx.graph.num_elements
+    coverage = ctx.coverage(solution)
+    total = ctx.num_elements
     return StreamingReport(
         algorithm=outcome.algorithm,
         arrival_model="offline",
@@ -204,8 +192,8 @@ def _distributed_report(
     extra: dict[str, Any],
 ) -> StreamingReport:
     solution = tuple(dict.fromkeys(int(s) for s in dist_report.solution))
-    coverage = ctx.graph.coverage(solution)
-    total = ctx.graph.num_elements
+    coverage = ctx.coverage(solution)
+    total = ctx.num_elements
     return StreamingReport(
         algorithm=algorithm_name,
         arrival_model="distributed",
@@ -263,8 +251,9 @@ def solve(
         workload — a :class:`repro.coverage.io.ColumnarEdges` view or the
         path of a directory written by
         :func:`repro.coverage.io.write_columnar`.  Columnar problems stay
-        column-backed: solvers with a batched map phase (the distributed
-        family) ingest the memory-mapped columns directly.
+        column-backed: the distributed family shards the memory-mapped
+        columns and scores its answer on them, never building a graph;
+        streaming and offline solvers build the graph once, in bulk.
     solver:
         A registry name (``"kcover/sketch"``) or a :class:`SolverSpec`.
     k / outlier_fraction / problem_kind:

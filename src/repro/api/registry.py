@@ -17,7 +17,7 @@ CLI, the benchmarks and the analysis layer by registering themselves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.instance import CoverageInstance
@@ -42,7 +42,6 @@ __all__ = [
 SOLVER_KINDS = ("streaming", "offline", "distributed")
 
 
-@dataclass
 class ProblemContext:
     """The resolved problem a builder constructs its solver for.
 
@@ -50,12 +49,14 @@ class ProblemContext:
     solvers built through the registry see exactly the arguments the
     hand-wired entry points used to pass.
 
-    ``columns`` marks a **column-backed** context: when the problem arrived
-    as a memory-mapped columnar directory
-    (:class:`repro.coverage.io.ColumnarEdges`), the view is kept alongside
-    the materialised graph so solvers with a batched ingestion path (the
-    distributed map phase) can consume the mmap'd columns directly instead
-    of re-materialising per-edge tuples from ``graph``.
+    ``columns`` marks a **column-backed** context: the problem arrived as a
+    memory-mapped columnar directory
+    (:class:`repro.coverage.io.ColumnarEdges`) and no ``graph`` was given.
+    Such a context answers ``n``, ``m`` and :meth:`coverage` from the
+    columns and builds ``graph`` only when a solver reads it (streaming and
+    offline solvers do; the distributed family shards the columns and never
+    does).  Its set ids are checked against ``num_sets`` up front, with the
+    error the graph build would raise.
 
     ``executor`` / ``max_workers`` optionally name a :mod:`repro.parallel`
     executor backend; builders whose solver has an embarrassingly parallel
@@ -63,25 +64,63 @@ class ProblemContext:
     default to them, with explicit solver options still winning.
     """
 
-    graph: BipartiteGraph
-    problem: str = "k_cover"
-    k: int = 1
-    outlier_fraction: float = 0.0
-    seed: int = 0
-    instance: CoverageInstance | None = None
-    columns: Any | None = None
-    executor: str | None = None
-    max_workers: int | None = None
+    def __init__(
+        self,
+        graph: BipartiteGraph | None = None,
+        problem: str = "k_cover",
+        k: int = 1,
+        outlier_fraction: float = 0.0,
+        seed: int = 0,
+        instance: CoverageInstance | None = None,
+        columns: Any | None = None,
+        executor: str | None = None,
+        max_workers: int | None = None,
+    ) -> None:
+        if graph is None:
+            if columns is None:
+                raise SpecError("ProblemContext needs a graph or columns")
+            columns.check_set_ids()
+        self._graph = graph
+        self.problem = problem
+        self.k = k
+        self.outlier_fraction = outlier_fraction
+        self.seed = seed
+        self.instance = instance
+        self.columns = columns
+        self.executor = executor
+        self.max_workers = max_workers
+
+    @property
+    def graph(self) -> BipartiteGraph:
+        """The input graph (built from ``columns`` on first read)."""
+        if self._graph is None:
+            self._graph = self.columns.to_graph()
+        return self._graph
 
     @property
     def n(self) -> int:
         """Number of sets."""
+        if self.columns is not None:
+            return max(1, self.columns.num_sets)
         return self.graph.num_sets
+
+    @property
+    def num_elements(self) -> int:
+        """Distinct elements of the input (may be 0)."""
+        if self.columns is not None:
+            return self.columns.num_distinct_elements
+        return self.graph.num_elements
 
     @property
     def m(self) -> int:
         """Number of elements (at least 1, as the constructors require)."""
-        return max(1, self.graph.num_elements)
+        return max(1, self.num_elements)
+
+    def coverage(self, set_ids: Iterable[int]) -> int:
+        """``C(S)`` on the input, from the columns of a column-backed context."""
+        if self.columns is not None:
+            return self.columns.coverage(set_ids)
+        return self.graph.coverage(set_ids)
 
 
 @dataclass

@@ -395,10 +395,10 @@ def _cmd_sketch(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_distributed(args: argparse.Namespace, out) -> int:
-    # A columnar --edges directory is handed to solve() as the column view,
-    # so the map phase shards the memory-mapped file instead of edge tuples.
-    # (solve() still materialises the graph once to evaluate the solution's
-    # exact coverage; only the sharding/sketching avoids it.)
+    # A columnar --edges directory is handed to solve() as the column view:
+    # the map phase shards the memory-mapped file, the round-2 greedy runs on
+    # the merged sketch's columns and the answer is scored on the file's
+    # columns, so no input graph is ever built.
     if args.edges is not None and args.edges.is_dir():
         problem = open_columnar(args.edges)
     else:

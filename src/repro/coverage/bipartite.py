@@ -24,7 +24,12 @@ import numpy as np
 from repro.errors import InvalidInstanceError
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
-__all__ = ["BipartiteGraph", "first_occurrences", "run_starts"]
+__all__ = [
+    "BipartiteGraph",
+    "check_set_column",
+    "first_occurrences",
+    "run_starts",
+]
 
 
 class BipartiteGraph:
@@ -178,9 +183,7 @@ class BipartiteGraph:
                 raise TypeError(f"{name} column must be integers, got {column.dtype}")
         if elements.min() < 0:
             raise ValueError(f"element must be >= 0, got {elements.min()}")
-        if set_ids.min() < 0 or set_ids.max() >= self._num_sets:
-            bad = int(set_ids[(set_ids < 0) | (set_ids >= self._num_sets)][0])
-            raise InvalidInstanceError(f"set id {bad} out of range [0, {self._num_sets})")
+        check_set_column(set_ids, self._num_sets)
         if element_ids is None:
             element_ids = elements.tolist()
         stored = self._stored(set_ids.tolist(), element_ids) if self._num_edges else None
@@ -438,3 +441,13 @@ def first_occurrences(set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
     first = np.ones(len(order), dtype=bool)
     first[order[1:][repeat]] = False
     return first
+
+
+def check_set_column(set_ids: np.ndarray, num_sets: int) -> None:
+    """Raise the :class:`InvalidInstanceError` an :meth:`BipartiteGraph.add_edge`
+    loop over the column would raise at its first set id outside
+    ``[0, num_sets)``."""
+    if len(set_ids) and (int(set_ids.min()) < 0 or int(set_ids.max()) >= num_sets):
+        bad = int(set_ids[(set_ids < 0) | (set_ids >= num_sets)][0])
+        raise InvalidInstanceError(f"set id {bad} out of range [0, {num_sets})")
+

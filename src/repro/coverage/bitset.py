@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bipartite import BipartiteGraph, check_set_column
 from repro.errors import SpecError
 from repro.obs import clock
 
@@ -170,24 +170,35 @@ class BitsetCoverage:
     """
 
     def __init__(self, graph: BipartiteGraph) -> None:
-        self._num_sets = graph.num_sets
-        elements = np.fromiter(graph.elements(), dtype=np.int64, count=graph.num_elements)
-        elements.sort()
-        self._elements = elements
-        self._num_elements = len(elements)
-        width = max(1, self._num_elements)
-        dense = np.zeros((graph.num_sets, width), dtype=bool)
-        sizes = np.zeros(graph.num_sets, dtype=np.int64)
-        for set_id in graph.set_ids():
-            members = graph.elements_of(set_id)
-            if not members:
-                continue
-            ids = np.fromiter(members, dtype=np.int64, count=len(members))
-            dense[set_id, np.searchsorted(elements, ids)] = True
-            sizes[set_id] = len(members)
+        self._pack(graph.num_sets, *graph.to_columns())
+
+    @classmethod
+    def from_columns(
+        cls, num_sets: int, set_ids: np.ndarray, elements: np.ndarray
+    ) -> "BitsetCoverage":
+        """The evaluator of the graph of ``(set_id, element)`` columns.
+
+        Equal to ``BitsetCoverage(BipartiteGraph.from_columns(num_sets,
+        set_ids, elements))`` without building the graph; duplicate rows
+        count once.
+        """
+        kernel = cls.__new__(cls)
+        kernel._pack(num_sets, set_ids, elements)
+        return kernel
+
+    def _pack(self, num_sets: int, set_ids: np.ndarray, elements: np.ndarray) -> None:
+        """The one packing routine: bit ``r`` of row ``s`` is set when set
+        ``s`` holds the element of rank ``r`` among the distinct elements."""
+        set_ids = np.asarray(set_ids)
+        check_set_column(set_ids, num_sets)
+        distinct, ranks = np.unique(np.asarray(elements), return_inverse=True)
+        dense = np.zeros((num_sets, max(1, len(distinct))), dtype=bool)
+        dense[set_ids.astype(np.intp), ranks] = True
+        self._num_sets = num_sets
+        self._num_elements = len(distinct)
         # Rows are packed along the element axis: shape (n, words), uint64.
         self._packed = pack_rows(dense)
-        self._set_sizes = sizes
+        self._set_sizes = _popcount_words(self._packed, 1)
 
     # ------------------------------------------------------------------ #
     # basic facts

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bipartite import BipartiteGraph, check_set_column
 from repro.coverage.setsystem import SetSystem
+from repro.errors import CorruptInputError
 
 __all__ = [
     "write_edge_list",
@@ -159,22 +161,44 @@ class ColumnarEdges:
                 self.set_ids[start:stop].tolist(), self.elements[start:stop].tolist()
             )
 
+    @cached_property
+    def num_distinct_elements(self) -> int:
+        """Distinct element ids in the column (the graph's ``num_elements``).
+
+        Unlike the ``num_elements`` metadata, which a writer may override,
+        this is what :meth:`to_graph` would count.
+        """
+        return len(np.unique(self.elements))
+
+    def check_set_ids(self) -> None:
+        """Raise the :class:`~repro.errors.InvalidInstanceError` that
+        :meth:`to_graph` raises for a set id outside ``[0, max(1, num_sets))``,
+        naming the first offending row, without building the graph."""
+        check_set_column(self.set_ids, max(1, self.num_sets))
+
+    def coverage(self, set_ids: Iterable[int]) -> int:
+        """``C(S)``: distinct elements of the rows whose set is in ``set_ids``.
+
+        Equal to ``to_graph().coverage(set_ids)`` for in-range ids, computed
+        on the columns.
+        """
+        chosen = np.asarray(list(set_ids), dtype=np.uint64)
+        return len(np.unique(self.elements[np.isin(self.set_ids, chosen)]))
+
     def to_graph(self) -> BipartiteGraph:
         """Materialise the columns as a :class:`BipartiteGraph`.
 
-        This is the *evaluation* view of a columnar workload (exact coverage
-        of a candidate solution, offline references); the streaming/batched
-        consumers go through
-        :meth:`repro.streaming.stream.EdgeStream.from_columnar` instead and
-        never materialise per-edge objects.  The O(edges) build runs once
-        per view: repeated callers (e.g. a :class:`repro.api.Session`
-        sweeping many solvers over one columnar problem) share the cached
-        graph.
+        The adjacency view of a columnar workload, for the solvers that walk
+        it (streaming and offline); the distributed family and the
+        evaluation of its answer use the columns directly.  The build is one
+        bulk :meth:`BipartiteGraph.from_columns` call and runs once per
+        view: repeated callers (e.g. a :class:`repro.api.Session` sweeping
+        many solvers over one columnar problem) share the cached graph.
         """
         if self._graph_cache is None:
-            graph = BipartiteGraph(max(1, self.num_sets))
-            for set_id, element in self.pairs():
-                graph.add_edge(set_id, element)
+            graph = BipartiteGraph.from_columns(
+                max(1, self.num_sets), self.set_ids, self.elements
+            )
             object.__setattr__(self, "_graph_cache", graph)
         return self._graph_cache
 
@@ -321,32 +345,74 @@ def write_columnar(
     )
 
 
-def open_columnar(path: str | Path) -> ColumnarEdges:
-    """Open a columnar directory with the columns memory-mapped read-only."""
-    path = Path(path)
+def _read_meta(path: Path, kind: str, expected_format: str) -> dict:
+    """A columnar directory's ``meta.json``, checked for the format marker."""
     meta_path = path / "meta.json"
     if not meta_path.is_file():
-        raise ValueError(f"{path} is not a columnar edge directory (no meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format") != COLUMNAR_FORMAT:
-        raise ValueError(f"{path} is not a {COLUMNAR_FORMAT} directory")
-    # Zero-length arrays cannot be memory-mapped (mmap rejects empty files),
-    # so degenerate workloads load eagerly; everything else maps lazily.
-    mmap_mode = "r" if meta.get("num_edges") else None
-    set_ids = np.load(path / "set_ids.npy", mmap_mode=mmap_mode)
-    elements = np.load(path / "elements.npy", mmap_mode=mmap_mode)
-    if len(set_ids) != len(elements) or len(set_ids) != meta["num_edges"]:
-        raise ValueError(
+        raise CorruptInputError(f"{path} is not a {kind} directory (no meta.json)")
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CorruptInputError(f"{meta_path}: unreadable metadata ({exc})") from exc
+    if not isinstance(meta, dict) or meta.get("format") != expected_format:
+        raise CorruptInputError(f"{path} is not a {expected_format} directory")
+    return meta
+
+
+def _meta_count(meta: dict, key: str, path: Path) -> int:
+    """A non-negative integer field of ``meta.json``."""
+    if key not in meta:
+        raise CorruptInputError(f"{path}: meta.json has no {key!r}")
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise CorruptInputError(
+            f"{path}: meta.json {key!r} must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
+def _load_column(path: Path, name: str, *, mmap: bool = False) -> np.ndarray:
+    """One integer ``.npy`` column of a columnar directory.
+
+    Zero-length arrays cannot be memory-mapped (mmap rejects empty files),
+    so callers map only columns they know to be non-empty.
+    """
+    column_path = path / f"{name}.npy"
+    try:
+        column = np.load(column_path, mmap_mode="r" if mmap else None)
+    except (OSError, ValueError, EOFError) as exc:
+        raise CorruptInputError(f"{column_path}: unreadable column ({exc})") from exc
+    if column.ndim != 1 or column.dtype.kind not in "iu":
+        raise CorruptInputError(
+            f"{column_path}: expected a 1-d integer column, "
+            f"got shape {column.shape} dtype {column.dtype}"
+        )
+    return column
+
+
+def open_columnar(path: str | Path) -> ColumnarEdges:
+    """Open a columnar directory with the columns memory-mapped read-only.
+
+    A missing or malformed file raises :class:`~repro.errors.CorruptInputError`
+    naming the path.
+    """
+    path = Path(path)
+    meta = _read_meta(path, "columnar edge", COLUMNAR_FORMAT)
+    num_edges = _meta_count(meta, "num_edges", path)
+    set_ids = _load_column(path, "set_ids", mmap=num_edges > 0)
+    elements = _load_column(path, "elements", mmap=num_edges > 0)
+    if len(set_ids) != len(elements) or len(set_ids) != num_edges:
+        raise CorruptInputError(
             f"{path}: column lengths ({len(set_ids)}, {len(elements)}) do not "
-            f"match meta num_edges={meta['num_edges']}"
+            f"match meta num_edges={num_edges}"
         )
     set_labels = meta.get("set_labels")
     element_labels = meta.get("element_labels")
     return ColumnarEdges(
         set_ids=set_ids,
         elements=elements,
-        num_sets=int(meta["num_sets"]),
-        num_elements=int(meta["num_elements"]),
+        num_sets=_meta_count(meta, "num_sets", path),
+        num_elements=_meta_count(meta, "num_elements", path),
         set_labels=tuple(set_labels) if set_labels is not None else None,
         element_labels=tuple(element_labels) if element_labels is not None else None,
         path=path,
@@ -446,12 +512,16 @@ class ColumnarSets:
             yield set_id, self.members[bounds[row] : bounds[row + 1]].tolist()
 
     def to_graph(self) -> BipartiteGraph:
-        """Materialise the family as a :class:`BipartiteGraph` (evaluation view)."""
-        graph = BipartiteGraph(max(1, self.num_sets))
-        for set_id, members in self.sets():
-            for element in members:
-                graph.add_edge(set_id, element)
-        return graph
+        """Materialise the family as a :class:`BipartiteGraph` (evaluation view).
+
+        One bulk :meth:`BipartiteGraph.from_columns` call over the rows in
+        stored order.
+        """
+        return BipartiteGraph.from_columns(
+            max(1, self.num_sets),
+            np.repeat(self.set_ids, np.diff(self.offsets)),
+            self.members,
+        )
 
 
 def write_columnar_sets(
@@ -504,26 +574,29 @@ def write_columnar_sets(
 
 
 def open_columnar_sets(path: str | Path) -> ColumnarSets:
-    """Open a CSR set directory with the columns memory-mapped read-only."""
+    """Open a CSR set directory with the columns memory-mapped read-only.
+
+    A missing or malformed file raises :class:`~repro.errors.CorruptInputError`
+    naming the path.
+    """
     path = Path(path)
-    meta_path = path / "meta.json"
-    if not meta_path.is_file():
-        raise ValueError(f"{path} is not a columnar set directory (no meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format") != COLUMNAR_SETS_FORMAT:
-        raise ValueError(f"{path} is not a {COLUMNAR_SETS_FORMAT} directory")
-    set_ids = np.load(path / "set_ids.npy", mmap_mode="r" if meta["num_stored_sets"] else None)
-    offsets = np.load(path / "offsets.npy")
-    members = np.load(path / "members.npy", mmap_mode="r" if meta["num_memberships"] else None)
-    if len(set_ids) != meta["num_stored_sets"] or len(members) != meta["num_memberships"]:
-        raise ValueError(
+    meta = _read_meta(path, "columnar set", COLUMNAR_SETS_FORMAT)
+    num_stored_sets = _meta_count(meta, "num_stored_sets", path)
+    num_memberships = _meta_count(meta, "num_memberships", path)
+    set_ids = _load_column(path, "set_ids", mmap=num_stored_sets > 0)
+    offsets = _load_column(path, "offsets")
+    members = _load_column(path, "members", mmap=num_memberships > 0)
+    if len(set_ids) != num_stored_sets or len(members) != num_memberships:
+        raise CorruptInputError(
             f"{path}: column lengths ({len(set_ids)} sets, {len(members)} members) "
-            f"do not match meta ({meta['num_stored_sets']}, {meta['num_memberships']})"
+            f"do not match meta ({num_stored_sets}, {num_memberships})"
         )
     if len(offsets) != len(set_ids) + 1 or (len(offsets) and offsets[-1] != len(members)):
-        raise ValueError(f"{path}: offsets column is inconsistent with the member column")
+        raise CorruptInputError(
+            f"{path}: offsets column is inconsistent with the member column"
+        )
     if len(offsets) and (offsets[0] != 0 or bool(np.any(np.diff(offsets) < 0))):
-        raise ValueError(
+        raise CorruptInputError(
             f"{path}: offsets must start at 0 and be non-decreasing "
             "(corrupt CSR row bounds would silently yield wrong families)"
         )
@@ -533,8 +606,8 @@ def open_columnar_sets(path: str | Path) -> ColumnarSets:
         set_ids=set_ids,
         offsets=offsets,
         members=members,
-        num_sets=int(meta["num_sets"]),
-        num_elements=int(meta["num_elements"]),
+        num_sets=_meta_count(meta, "num_sets", path),
+        num_elements=_meta_count(meta, "num_elements", path),
         set_labels=tuple(set_labels) if set_labels is not None else None,
         element_labels=tuple(element_labels) if element_labels is not None else None,
         path=path,

@@ -17,8 +17,8 @@ The merge rule exploits the structure of ``H_{<=n}``:
 This is the composability property the companion paper builds its MapReduce
 algorithms on; :class:`DistributedKCover` packages it into a two-round
 distributed k-cover: round 1 — machines sketch their shards; round 2 — the
-coordinator merges and runs the offline greedy (optionally on a packed
-coverage kernel, see ``coverage_backend``).
+coordinator merges and runs the offline greedy on the merged columns
+(optionally on a packed coverage kernel, see ``coverage_backend``).
 
 One pipeline
 ------------
@@ -50,9 +50,14 @@ flags — flat numpy buffers, no Python sets.  Each fold of the tree
 concatenates two such runs, filters them by the global threshold, restores
 the order with one ``(rank, element, set)`` lexsort and runs the dedup /
 degree-cap / budget prefix as array operations on the carried ranks, with
-no re-hash and no graph.  The only :class:`~repro.coverage.bipartite.BipartiteGraph` of
-the reduce is built once, by :meth:`StreamingMergeTree.result`, in one bulk
-:meth:`~repro.coverage.bipartite.BipartiteGraph.from_columns` call.
+no re-hash and no graph.  Round 2 reads the root's columns too:
+:func:`~repro.offline.greedy.greedy_k_cover_columns` (or, with
+``coverage_backend``, :meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`)
+picks the sets and the greedy's sketch coverage gives the estimate, so a
+:class:`DistributedKCover` run builds no
+:class:`~repro.coverage.bipartite.BipartiteGraph` at all.
+:meth:`StreamingMergeTree.result` still returns the merged
+:class:`~repro.core.sketch.CoverageSketch` for callers that want one.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from repro import obs
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.sketch_columns import SketchColumns, element_starts
-from repro.coverage.bitset import LAYOUT, check_coverage_backend, kernel_for
+from repro.coverage.bitset import LAYOUT, BitsetCoverage, check_coverage_backend
 from repro.distributed.partition import PARTITION_STRATEGIES, EdgePartitioner
 from repro.distributed.worker import (
     DEFAULT_MAP_BATCH,
@@ -77,7 +82,7 @@ from repro.distributed.worker import (
     execute_map_job,
 )
 from repro.errors import SpecError
-from repro.offline.greedy import greedy_k_cover
+from repro.offline.greedy import greedy_k_cover_columns
 from repro.parallel import ExecutorBackend, ParallelMapper, as_mapper
 from repro.streaming.batches import EventBatch
 from repro.streaming.stream import EdgeStream
@@ -223,7 +228,7 @@ def _fold(runs: Sequence[SketchColumns], params: SketchParams) -> SketchColumns:
 
 
 def _materialize(columns: SketchColumns, params: SketchParams) -> CoverageSketch:
-    """The reduce's one graph build, from the root's columns."""
+    """The merged :class:`CoverageSketch`, built from the root's columns."""
     with obs.span("reduce.materialize", rows=columns.num_edges):
         return columns.to_sketch(params)
 
@@ -238,14 +243,15 @@ class StreamingMergeTree:
     would degrade to ``M/2`` resident under an adversarial order.  Every
     resident subtree is a :class:`~repro.core.sketch_columns.SketchColumns`
     triple of at most ``edge_budget + degree_cap`` rows; no graph exists
-    until :meth:`result` builds the one the caller gets.  Because the fold
+    unless :meth:`result` builds one for the caller
+    (:meth:`result_columns` returns the root's columns).  Because the fold
     is associative and commutative (see :func:`_fold`), the final sketch is
     byte-identical to the one-shot :func:`merge_machine_sketches` for every
     arrival order, even though the intermediate groupings differ.
 
     ``peak_resident`` and ``merge_count`` feed the run report;
-    :meth:`result` drains the remaining subtrees (total pairwise merges:
-    ``M - 1``) and may be called once.
+    :meth:`result` / :meth:`result_columns` drain the remaining subtrees
+    (total pairwise merges: ``M - 1``); call one of them, once.
     """
 
     def __init__(self, params: SketchParams, *, hash_seed: int = 0) -> None:
@@ -294,6 +300,10 @@ class StreamingMergeTree:
 
     def result(self) -> CoverageSketch:
         """Drain the remaining subtrees into the final merged sketch."""
+        return _materialize(self.result_columns(), self.params)
+
+    def result_columns(self) -> SketchColumns:
+        """Drain the remaining subtrees into the root's columns (no graph)."""
         pending = [(h, node) for h, node in enumerate(self._slots) if node is not None]
         if not pending:
             raise ValueError("no machine sketches were added to the merge tree")
@@ -309,7 +319,7 @@ class StreamingMergeTree:
                 node = _fold([node], self.params)
             self.merge_count += 1
             _MERGES.inc()
-        return _materialize(node, self.params)
+        return node
 
 
 @dataclass
@@ -581,25 +591,36 @@ class DistributedKCover:
                     machine.edges_stored,
                 )
                 tree.add(machine)
-        merged = tree.result()
+        root = tree.result_columns()
         machine_ids = sorted(loads)
         machine_stored_edges = [loads[i][1] for i in machine_ids]
         execution = self.mapper.last_execution
-        with obs.span("distributed.greedy", k=self.k):
-            kernel = kernel_for(merged.graph, self.coverage_backend)
-            solution = greedy_k_cover(merged.graph, self.k, kernel=kernel).selected
+        with obs.span("distributed.greedy", k=self.k, rows=root.num_edges):
+            packed = self.coverage_backend is not None and root.num_edges > 0
+            if packed:
+                kernel = BitsetCoverage.from_columns(
+                    self.params.num_sets, root.set_ids, root.elements
+                )
+                solution, sketch_coverage, _, _ = kernel.greedy(max_sets=self.k)
+            else:
+                result = greedy_k_cover_columns(
+                    root.set_ids, root.elements, self.params.num_sets, self.k
+                )
+                solution, sketch_coverage = result.selected, result.coverage
+        # Theorem 2.7's estimate |Γ(H, S)| / p*, as CoverageSketch computes it.
+        estimate = sketch_coverage / root.threshold if root.threshold > 0.0 else 0.0
         return DistributedRunReport(
             solution=solution,
-            coverage_estimate=merged.estimate_coverage(solution),
+            coverage_estimate=estimate,
             num_machines=self.num_machines,
             strategy=self.strategy,
             rounds=2,
             shard_edges=[loads[i][0] for i in machine_ids],
             machine_stored_edges=machine_stored_edges,
-            coordinator_edges=merged.num_edges,
+            coordinator_edges=root.num_edges,
             communication_edges=sum(machine_stored_edges),
-            merged_threshold=merged.threshold,
-            coverage_backend=LAYOUT if kernel is not None else None,
+            merged_threshold=root.threshold,
+            coverage_backend=LAYOUT if packed else None,
             executor=execution[0],
             map_workers=execution[1],
             peak_resident_sketches=tree.peak_resident,

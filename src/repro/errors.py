@@ -11,6 +11,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "InvalidInstanceError",
+    "CorruptInputError",
     "SpaceBudgetExceeded",
     "PassBudgetExceeded",
     "InfeasibleError",
@@ -27,6 +28,15 @@ class ReproError(Exception):
 
 class InvalidInstanceError(ReproError):
     """A coverage instance is malformed (e.g. empty ground set, bad ids)."""
+
+
+class CorruptInputError(ReproError, ValueError):
+    """An on-disk input is missing a file, unreadable or inconsistent.
+
+    Raised by the columnar readers with the offending path in the message.
+    Subclasses :class:`ValueError` so it surfaces as a usage error, like
+    :class:`SpecError`.
+    """
 
 
 class SpaceBudgetExceeded(ReproError):

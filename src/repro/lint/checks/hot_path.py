@@ -12,8 +12,8 @@ inside ``process_batch`` methods and the hot modules.  Converting a
 vectorised prefilter has already done the per-event work.
 
 The distributed reduce is hot end to end: machine sketches travel and fold
-as rank-sorted columns, and the one graph of the reduce is built in bulk at
-the root.  Its regression is the graph round trip — walking
+as rank-sorted columns, and the round-2 greedy reads the root's columns, so
+the reduce builds no graph.  Its regression is the graph round trip — walking
 ``graph.edges()`` to rebuild columns, or re-assembling a graph with one
 ``add_edge`` per stored edge — so in a hot scope the rule also flags every
 ``.add_edge(`` call and every loop or comprehension over ``X.edges()``.

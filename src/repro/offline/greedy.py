@@ -12,7 +12,10 @@ These are the classical algorithms the paper composes with its sketch:
 
 All functions operate directly on a :class:`BipartiteGraph` — the same code
 path is used whether the graph is a full instance or one of the paper's
-sketches (that composability is precisely Theorem 2.7's point).  Every entry
+sketches (that composability is precisely Theorem 2.7's point).
+:func:`greedy_k_cover_columns` is the same k-cover greedy over
+``(set_id, element)`` columns, for callers that hold edges as arrays (the
+distributed coordinator's merged sketch) and never build a graph.  Every entry
 point also accepts ``kernel=``, a :class:`repro.coverage.bitset.BitsetCoverage`
 snapshot of the same graph: the selection loop then runs on the kernel's
 packed bit rows (vectorised subset-gain re-evaluation under the same lazy
@@ -27,7 +30,9 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.coverage.bipartite import BipartiteGraph
+import numpy as np
+
+from repro.coverage.bipartite import BipartiteGraph, check_set_column, run_starts
 from repro.errors import InfeasibleError
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -37,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard import
 __all__ = [
     "GreedyResult",
     "greedy_k_cover",
+    "greedy_k_cover_columns",
     "greedy_set_cover",
     "greedy_partial_cover",
     "greedy_order",
@@ -176,6 +182,77 @@ def greedy_k_cover(
         )
     return _lazy_greedy(
         graph, max_sets=k, target_coverage=None, forbidden=frozenset(forbidden)
+    )
+
+
+def _set_major_csr(
+    num_sets: int, set_ids: np.ndarray, elements: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct edges of ``(set_id, element)`` columns as a CSR by set.
+
+    Elements are replaced by their dense rank among the distinct elements.
+    Returns ``(offsets, ranks, num_elements)``: the members of set ``s`` are
+    ``ranks[offsets[s]:offsets[s + 1]]``, ascending and without repeats, and
+    ``num_elements`` is the number of distinct elements.  A set id outside
+    ``[0, num_sets)`` raises :class:`~repro.errors.InvalidInstanceError`.
+    """
+    set_ids = np.asarray(set_ids)
+    check_set_column(set_ids, num_sets)
+    distinct, ranks = np.unique(np.asarray(elements), return_inverse=True)
+    order = np.lexsort((ranks, set_ids))
+    owners, ranks = set_ids[order].astype(np.intp), ranks[order]
+    fresh = run_starts(owners) | run_starts(ranks)
+    offsets = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners[fresh], minlength=num_sets), out=offsets[1:])
+    return offsets, ranks[fresh], len(distinct)
+
+
+def greedy_k_cover_columns(
+    set_ids: np.ndarray,
+    elements: np.ndarray,
+    num_sets: int,
+    k: int,
+    *,
+    forbidden: Iterable[int] = (),
+) -> GreedyResult:
+    """:func:`greedy_k_cover` on the graph of ``(set_id, element)`` columns.
+
+    Returns what ``greedy_k_cover(BipartiteGraph.from_columns(num_sets,
+    set_ids, elements), k)`` returns — same selection, coverage, gains and
+    evaluation count — without building the graph: the edges become a CSR
+    by set over dense element ranks, coverage a boolean mask, and the lazy
+    heap is the same ``(-gain, set_id, version)`` heap, so ties still go to
+    the smallest set id.
+    """
+    check_positive_int(k, "k")
+    offsets, members, num_elements = _set_major_csr(num_sets, set_ids, elements)
+    bounds = offsets.tolist()
+    blocked = frozenset(forbidden)
+    heap = [
+        (-(bounds[set_id + 1] - bounds[set_id]), set_id, 0)
+        for set_id in range(num_sets)
+        if set_id not in blocked
+    ]
+    heapq.heapify(heap)
+    evaluations = len(heap)
+    covered = np.zeros(num_elements, dtype=bool)
+    selected: list[int] = []
+    gains: list[int] = []
+    while heap and len(selected) < k:
+        neg_gain, set_id, version = heapq.heappop(heap)
+        rows = members[bounds[set_id] : bounds[set_id + 1]]
+        if version != len(selected):
+            gain = len(rows) - int(np.count_nonzero(covered[rows]))
+            evaluations += 1
+            heapq.heappush(heap, (-gain, set_id, len(selected)))
+            continue
+        if neg_gain >= 0:
+            break
+        selected.append(set_id)
+        gains.append(-neg_gain)
+        covered[rows] = True
+    return GreedyResult(
+        selected=selected, coverage=sum(gains), gains=gains, evaluations=evaluations
     )
 
 

@@ -334,6 +334,27 @@ class TestCoverageBackendAndColumnar:
         assert code_text == code_cols == 0
         assert from_cols == from_text
 
+    @pytest.mark.parametrize("broken", ["meta-key", "column"])
+    def test_distributed_on_corrupt_columnar_dir_exits_2(self, tmp_path, capsys, broken):
+        import json
+
+        from repro.coverage.io import write_columnar
+
+        cols = tmp_path / "cols"
+        write_columnar(planted_kcover_instance(20, 250, k=3, seed=9).graph.edges(), cols)
+        if broken == "meta-key":
+            meta = json.loads((cols / "meta.json").read_text())
+            del meta["num_edges"]
+            (cols / "meta.json").write_text(json.dumps(meta))
+        else:
+            (cols / "elements.npy").unlink()
+        code, output = _run(["distributed", "--edges", str(cols), "--k", "3"])
+        assert code == 2
+        assert output == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cols) in err
+        assert "Traceback" not in err
+
     def test_distributed_strategy_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["distributed", "--strategy", "hash-ring"])

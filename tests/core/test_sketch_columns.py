@@ -184,9 +184,7 @@ class TestHashSeedGuard:
 
 
 class TestReduceTelemetry:
-    def test_fold_rows_are_recorded_and_the_root_build_has_its_own_span(
-        self, instance
-    ):
+    def test_fold_rows_are_recorded_and_the_greedy_reads_the_root(self, instance):
         from repro import obs
         from repro.distributed import DistributedKCover
 
@@ -204,6 +202,8 @@ class TestReduceTelemetry:
         rows_out = metrics["distributed.fold_rows_out"]
         assert rows_in["count"] == rows_out["count"] == report.merge_count
         assert 0 < rows_out["sum"] <= rows_in["sum"]
-        (root,) = [r for r in records if r.name == "reduce.materialize"]
-        assert root.attrs_dict() == {"rows": report.coordinator_edges}
-        assert root.start >= max(fold.start + fold.duration for fold in folds)
+        # Round 2 runs on the root's columns: no graph is built.
+        assert not [r for r in records if r.name == "reduce.materialize"]
+        (greedy,) = [r for r in records if r.name == "distributed.greedy"]
+        assert greedy.attrs_dict() == {"k": 4, "rows": report.coordinator_edges}
+        assert greedy.start >= max(fold.start + fold.duration for fold in folds)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ class TestColumnarSets:
         graph = open_columnar_sets(tmp_path / "sets").to_graph()
         for set_id, members in self.FAMILY:
             assert graph.elements_of(set_id) == set(members)
+        # The bulk build equals an add_edge loop down to iteration order.
+        from repro.coverage.bipartite import BipartiteGraph
+
+        expected = BipartiteGraph(graph.num_sets)
+        for set_id, members in self.FAMILY:
+            for element in members:
+                expected.add_edge(set_id, element)
+        assert list(graph.elements()) == list(expected.elements())
+        assert list(graph.edges()) == list(expected.edges())
 
     def test_string_labels_get_a_vocab(self, tmp_path):
         write_columnar_sets([("alpha", ["x", "y"]), ("beta", ["y"])], tmp_path / "sets")
@@ -275,3 +285,133 @@ class TestColumnarSetsOffsetsValidation:
         )
         with pytest.raises(ValueError, match="non-decreasing"):
             open_columnar_sets(tmp_path / "sets")
+
+
+def _corrupt_bad_json(path):
+    (path / "meta.json").write_text("{not json")
+
+
+def _corrupt_missing_key(key):
+    def corrupt(path):
+        meta = json.loads((path / "meta.json").read_text())
+        del meta[key]
+        (path / "meta.json").write_text(json.dumps(meta))
+
+    return corrupt
+
+
+def _corrupt_missing_column(name):
+    def corrupt(path):
+        (path / f"{name}.npy").unlink()
+
+    return corrupt
+
+
+def _corrupt_truncated_column(name):
+    def corrupt(path):
+        column = path / f"{name}.npy"
+        column.write_bytes(column.read_bytes()[:-8])
+
+    return corrupt
+
+
+#: The four ways a columnar edge directory breaks, each once.
+EDGE_CORRUPTIONS = {
+    "bad-json": _corrupt_bad_json,
+    "missing-num-edges": _corrupt_missing_key("num_edges"),
+    "missing-elements": _corrupt_missing_column("elements"),
+    "truncated-elements": _corrupt_truncated_column("elements"),
+}
+
+SET_CORRUPTIONS = {
+    "bad-json": _corrupt_bad_json,
+    "missing-num-memberships": _corrupt_missing_key("num_memberships"),
+    "missing-members": _corrupt_missing_column("members"),
+    "truncated-members": _corrupt_truncated_column("members"),
+}
+
+
+class TestCorruptColumnar:
+    """A broken directory raises a CorruptInputError naming its path."""
+
+    @pytest.fixture
+    def edge_dir(self, tmp_path, tiny_graph):
+        write_columnar(tiny_graph.edges(), tmp_path / "cols")
+        return tmp_path / "cols"
+
+    @pytest.mark.parametrize("corrupt", EDGE_CORRUPTIONS.values(), ids=EDGE_CORRUPTIONS)
+    def test_open_columnar(self, edge_dir, corrupt):
+        from repro.errors import CorruptInputError, ReproError
+
+        corrupt(edge_dir)
+        with pytest.raises(CorruptInputError, match=re.escape(str(edge_dir))) as caught:
+            open_columnar(edge_dir)
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("corrupt", EDGE_CORRUPTIONS.values(), ids=EDGE_CORRUPTIONS)
+    def test_distributed_solve(self, edge_dir, corrupt):
+        from repro.api import solve
+        from repro.errors import CorruptInputError
+
+        corrupt(edge_dir)
+        with pytest.raises(CorruptInputError, match=re.escape(str(edge_dir))):
+            solve(edge_dir, "kcover/distributed", k=2)
+
+    @pytest.mark.parametrize("corrupt", SET_CORRUPTIONS.values(), ids=SET_CORRUPTIONS)
+    def test_open_columnar_sets(self, tmp_path, corrupt):
+        from repro.errors import CorruptInputError
+
+        path = tmp_path / "sets"
+        write_columnar_sets(TestColumnarSets.FAMILY, path)
+        corrupt(path)
+        with pytest.raises(CorruptInputError, match=re.escape(str(path))):
+            open_columnar_sets(path)
+
+    def test_non_integer_metadata_is_rejected(self, edge_dir):
+        from repro.errors import CorruptInputError
+
+        meta = json.loads((edge_dir / "meta.json").read_text())
+        meta["num_sets"] = "many"
+        (edge_dir / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptInputError, match="num_sets"):
+            open_columnar(edge_dir)
+
+
+class TestColumnarEvaluation:
+    """What a column-backed solve reads instead of the graph."""
+
+    def test_to_graph_equals_the_add_edge_loop(self, tmp_path):
+        from repro.coverage.bipartite import BipartiteGraph
+
+        edges = [(2, 9), (0, 4), (2, 4), (1, 7), (0, 4), (2, 1)]
+        write_columnar(edges, tmp_path / "cols", num_sets=4)
+        graph = open_columnar(tmp_path / "cols").to_graph()
+        expected = BipartiteGraph(4)
+        for set_id, element in edges:
+            expected.add_edge(set_id, element)
+        assert list(graph.elements()) == list(expected.elements())
+        assert list(graph.edges()) == list(expected.edges())
+
+    def test_coverage_and_distinct_count_match_the_graph(self, tmp_path, tiny_graph):
+        write_columnar(tiny_graph.edges(), tmp_path / "cols", num_elements=999)
+        columns = open_columnar(tmp_path / "cols")
+        graph = columns.to_graph()
+        assert columns.num_elements == 999
+        assert columns.num_distinct_elements == graph.num_elements
+        for family in ([], [0], [1, 2], list(graph.set_ids())):
+            assert columns.coverage(family) == graph.coverage(family)
+
+    def test_check_set_ids_raises_what_to_graph_raises(self, tmp_path):
+        from repro.errors import InvalidInstanceError
+
+        write_columnar([(0, 1), (3, 2), (4, 2)], tmp_path / "cols")
+        meta_path = tmp_path / "cols" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["num_sets"] = 3
+        meta_path.write_text(json.dumps(meta))
+        columns = open_columnar(tmp_path / "cols")
+        with pytest.raises(InvalidInstanceError, match=re.escape("set id 3 out of range [0, 3)")):
+            columns.check_set_ids()
+        with pytest.raises(InvalidInstanceError, match=re.escape("set id 3 out of range [0, 3)")):
+            columns.to_graph()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,3 +61,31 @@ def test_vectorised_greedy_satisfies_greedy_guarantee(sets, k):
     assert len(selection) <= k
     _, optimum = exact_k_cover(graph, k)
     assert coverage >= (1 - 1 / 2.718281828) * optimum - 1e-9
+
+
+@given(
+    sets=set_systems,
+    extra_rows=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=9), st.integers(0, 40)),
+        max_size=10,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_from_columns_packs_what_the_graph_packs(sets, extra_rows):
+    """One packing routine: the columns' kernel equals the graph's, repeated
+    rows counting once."""
+    graph = _graph(sets)
+    set_ids, elements = graph.to_columns()
+    rows = [(s, e) for s, e in extra_rows if s < graph.num_sets]
+    for set_id, element in rows:
+        graph.add_edge(set_id, element)
+    set_ids = np.concatenate([set_ids, np.array([s for s, _ in rows], dtype=np.uint64)])
+    elements = np.concatenate([elements, np.array([e for _, e in rows], dtype=np.uint64)])
+    from_graph = BitsetCoverage(graph)
+    from_columns = BitsetCoverage.from_columns(graph.num_sets, set_ids, elements)
+    assert np.array_equal(from_columns._packed, from_graph._packed)
+    assert from_columns.num_elements == from_graph.num_elements == graph.num_elements
+    assert [from_columns.set_size(s) for s in graph.set_ids()] == [
+        graph.set_degree(s) for s in graph.set_ids()
+    ]
+    assert from_columns.greedy() == from_graph.greedy()

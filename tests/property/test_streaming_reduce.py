@@ -194,11 +194,24 @@ class TestMergeTreeArrivalOrders:
             assert tree.merge_count == max(1, machines - 1), name
             assert tree.peak_resident <= int(math.log2(machines)) + 2, name
 
+    @pytest.mark.parametrize("machines", [1, 3])
+    def test_result_is_the_root_columns_materialised(self, machines):
+        params, sketches = self._machine_sketches(machines)
+        trees = [StreamingMergeTree(params, hash_seed=11) for _ in range(2)]
+        for tree in trees:
+            for sketch in sketches:
+                tree.add(sketch)
+        root = trees[1].result_columns()
+        assert _sketch_key(root.to_sketch(params)) == _sketch_key(trees[0].result())
+        assert trees[0].merge_count == trees[1].merge_count
+
     def test_empty_tree_rejected(self):
         instance = _instance()
         tree = StreamingMergeTree(_params(instance))
         with pytest.raises(ValueError, match="no machine sketches"):
             tree.result()
+        with pytest.raises(ValueError, match="no machine sketches"):
+            tree.result_columns()
 
 
 class TestShardRecomputeJobs:
