@@ -136,18 +136,18 @@ def test_process_executor_scales_the_map_phase(benchmark, tmp_path):
     cpus = usable_cpus()
     gate_armed = cpus >= max(WORKER_COUNTS)
 
-    # Byte-identity across executors also holds through the solve() facade
-    # (executor/max_workers threaded via ProblemContext to the builder) — on
-    # a small instance, since the facade materialises an evaluation graph.
+    # Byte-identity across executors also holds through the solve() facade,
+    # where executor/max_workers are plain solver options — on a small
+    # instance, to keep the three extra runs cheap.
     from repro.api import solve
 
     tiny_path = _write_instance(tmp_path, "tiny", 200_000)
     facade_reports = parallel_sweep(
         lambda executor: solve(
             tiny_path, "kcover/distributed", k=K, seed=SEED,
-            executor=executor, max_workers=2,
             options={"num_machines": MACHINES, "strategy": "row_range",
-                     "edge_budget": 6 * N, "degree_cap": 40},
+                     "edge_budget": 6 * N, "degree_cap": 40,
+                     "executor": executor, "max_workers": 2},
         ),
         ["serial", "thread", "process"],
     )

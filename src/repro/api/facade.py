@@ -23,13 +23,7 @@ from repro import obs
 from repro.analysis.experiments import ExperimentSuite
 from repro.analysis.metrics import approximation_ratio, kcover_reference_value
 from repro.api.registry import ProblemContext, SolverInfo, get_solver
-from repro.api.specs import (
-    ProblemSpec,
-    RunSpec,
-    SolverSpec,
-    StreamSpec,
-    check_optional_positive_int,
-)
+from repro.api.specs import ProblemSpec, RunSpec, SolverSpec, StreamSpec
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.instance import CoverageInstance, ProblemKind
 from repro.coverage.io import ColumnarEdges, open_columnar
@@ -38,6 +32,7 @@ from repro.streaming.runner import StreamingReport, StreamingRunner
 from repro.streaming.stream import EdgeStream, SetStream
 from repro.utils.tables import Table
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_optional_positive_int
 
 __all__ = ["solve", "run", "Session"]
 
@@ -51,8 +46,6 @@ def _resolve_context(
     outlier_fraction: float | None = None,
     problem_kind: str | None = None,
     seed: int = 0,
-    executor: str | None = None,
-    max_workers: int | None = None,
 ) -> ProblemContext:
     """Normalize the accepted problem descriptions into a ProblemContext."""
     if isinstance(problem, (str, Path)):
@@ -71,10 +64,6 @@ def _resolve_context(
             ),
             problem_kind=problem_kind or problem.problem,
             seed=seed,
-            executor=executor if executor is not None else problem.executor,
-            max_workers=(
-                max_workers if max_workers is not None else problem.map_workers
-            ),
         )
     if isinstance(problem, CoverageInstance):
         kind = problem_kind or problem.kind.value
@@ -89,8 +78,6 @@ def _resolve_context(
             ),
             seed=seed,
             instance=problem,
-            executor=executor,
-            max_workers=max_workers,
         )
     if isinstance(problem, (BipartiteGraph, ColumnarEdges)):
         if problem_kind is None:
@@ -115,8 +102,6 @@ def _resolve_context(
             k=k if k is not None else 1,
             outlier_fraction=outlier_fraction or 0.0,
             seed=seed,
-            executor=executor,
-            max_workers=max_workers,
         )
     raise SpecError(
         "problem must be a CoverageInstance, a BipartiteGraph, a ProblemSpec, "
@@ -134,6 +119,18 @@ def _resolve_solver(solver: str | SolverSpec, options: Mapping[str, Any] | None)
     if isinstance(solver, str):
         return SolverSpec(solver, dict(options or {}))
     raise SpecError(f"solver must be a registry name or SolverSpec, got {solver!r}")
+
+
+def _with_execution(spec: SolverSpec, **execution: Any) -> SolverSpec:
+    """Fold :func:`solve`'s ``executor`` / ``max_workers`` into the options."""
+    given = {key: value for key, value in execution.items() if value is not None}
+    for key, value in given.items():
+        if spec.options.get(key) not in (None, value):
+            raise SpecError(
+                f"{key}={value!r} conflicts with solver option "
+                f"{key}={spec.options[key]!r}; give it in one place"
+            )
+    return SolverSpec(spec.name, {**spec.options, **given}) if given else spec
 
 
 def _build_stream(
@@ -238,7 +235,6 @@ def solve(
     seed: int = 0,
     executor: str | None = None,
     max_workers: int | None = None,
-    # repro-lint: disable=knob-drift -- imperative-only escape hatch for solver-specific kwargs; RunSpecs express these via SolverSpec.options
     extra: Mapping[str, Any] | None = None,
 ) -> StreamingReport:
     """Run any registered solver on a coverage problem and report the outcome.
@@ -278,13 +274,14 @@ def solve(
     seed:
         Seed forwarded to the solver constructor (and the default stream).
     executor / max_workers:
-        Optional :mod:`repro.parallel` executor backend name (``"auto"``,
-        ``"serial"``, ``"thread"``, ``"process"``) and pool-size cap.
-        Solvers with an embarrassingly parallel phase — the distributed map
-        phase, the ensemble's per-replica greedy — fan that phase over real
-        cores; results are byte-identical across backends.  Defaults to the
-        problem spec's ``executor`` / ``map_workers`` when solving a
-        :class:`ProblemSpec`; ``None`` keeps the serial loop.
+        Shorthand for the ``executor`` / ``max_workers`` solver options of
+        ``kcover/distributed`` and ``kcover/ensemble``: a
+        :mod:`repro.parallel` backend name (``"auto"``, ``"serial"``,
+        ``"thread"``, ``"process"``) and pool-size cap for their parallel
+        phase; results are byte-identical across backends.  Merged into the
+        solver options, so other solvers reject them like any unknown
+        option, and a different value for the same key in ``options`` is a
+        :class:`SpecError`.
     extra:
         Free-form values recorded on the report.
 
@@ -296,7 +293,9 @@ def solve(
         ``"offline"`` / ``"distributed"`` and ``passes`` counts rounds).
     """
     check_optional_positive_int(max_passes, "max_passes")
-    spec = _resolve_solver(solver, options)
+    spec = _with_execution(
+        _resolve_solver(solver, options), executor=executor, max_workers=max_workers
+    )
     info = get_solver(spec.name)
     ctx = _resolve_context(
         problem,
@@ -304,8 +303,6 @@ def solve(
         outlier_fraction=outlier_fraction,
         problem_kind=problem_kind,
         seed=seed,
-        executor=executor,
-        max_workers=max_workers,
     )
     if not info.solves(ctx.problem):
         raise SpecError(
@@ -396,8 +393,6 @@ def run(spec: RunSpec, problem: Problem | None = None) -> list[StreamingReport]:
                 stream=stream,
                 max_passes=spec.max_passes,
                 seed=stream.seed,
-                executor=spec.problem.executor,
-                max_workers=spec.problem.map_workers,
                 extra=extra,
             )
         )
@@ -424,14 +419,8 @@ class Session:
         seed: int = 0,
         reference_value: float | None = None,
         suite: ExperimentSuite | None = None,
-        executor: str | None = None,
-        max_workers: int | None = None,
     ) -> None:
         if isinstance(problem, ProblemSpec):
-            if executor is None:
-                executor = problem.executor
-            if max_workers is None:
-                max_workers = problem.map_workers
             problem = problem.build_instance()
         if isinstance(problem, (str, Path)):
             problem = open_columnar(problem)
@@ -442,8 +431,6 @@ class Session:
         self._k = k
         self._outlier_fraction = outlier_fraction
         self._problem_kind = problem_kind
-        self.executor = executor
-        self.max_workers = max_workers
         self._serve_engine: Any | None = None
         self._reference = reference_value
         # A default reference only makes sense for k-cover (Opt_k); computing
@@ -487,8 +474,6 @@ class Session:
             stream=stream,
             max_passes=max_passes,
             seed=run_seed,
-            executor=self.executor,
-            max_workers=self.max_workers,
             extra=dict(extra or {}),
         )
         self._record_row(report, label)
@@ -551,18 +536,22 @@ class Session:
     def _record_row(self, report: StreamingReport, label: str | None) -> None:
         """Append one report to the suite with the session-level metrics."""
         metrics: dict[str, Any] = {}
-        graph = (
-            self.problem.graph
-            if isinstance(self.problem, CoverageInstance)
-            else self.problem
-        )
         reference = self.reference_value
         if reference is not None:
             metrics["reference_value"] = reference
             metrics["approx_ratio"] = approximation_ratio(report.coverage, reference)
-        metrics["n"] = graph.num_sets
-        metrics["m"] = graph.num_elements
-        metrics["input_edges"] = graph.num_edges
+        problem = self.problem
+        if isinstance(problem, ColumnarEdges):
+            # The counts the solvers and the report's coverage_fraction use,
+            # not the metadata a writer may have overridden.
+            metrics["n"] = max(1, problem.num_sets)
+            metrics["m"] = problem.num_distinct_elements
+            metrics["input_edges"] = problem.num_distinct_edges
+        else:
+            graph = problem.graph if isinstance(problem, CoverageInstance) else problem
+            metrics["n"] = graph.num_sets
+            metrics["m"] = graph.num_elements
+            metrics["input_edges"] = graph.num_edges
         self.suite.add_report(
             label or report.algorithm, self.instance_name, report, extra=metrics
         )

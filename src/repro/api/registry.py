@@ -57,11 +57,6 @@ class ProblemContext:
     offline solvers do; the distributed family shards the columns and never
     does).  Its set ids are checked against ``num_sets`` up front, with the
     error the graph build would raise.
-
-    ``executor`` / ``max_workers`` optionally name a :mod:`repro.parallel`
-    executor backend; builders whose solver has an embarrassingly parallel
-    phase (the distributed map phase, the ensemble's per-replica greedy)
-    default to them, with explicit solver options still winning.
     """
 
     def __init__(
@@ -73,8 +68,6 @@ class ProblemContext:
         seed: int = 0,
         instance: CoverageInstance | None = None,
         columns: Any | None = None,
-        executor: str | None = None,
-        max_workers: int | None = None,
     ) -> None:
         if graph is None:
             if columns is None:
@@ -87,8 +80,6 @@ class ProblemContext:
         self.seed = seed
         self.instance = instance
         self.columns = columns
-        self.executor = executor
-        self.max_workers = max_workers
 
     @property
     def graph(self) -> BipartiteGraph:

@@ -11,7 +11,11 @@ win, so a spec can pin any constructor argument.  The sketch builders accept
 :class:`SketchParams`, keeping specs JSON-serializable even for ablations
 that pin the budgets directly.  Every builder whose solver runs an offline
 greedy takes a ``coverage_backend`` option (``"words"`` runs that greedy on
-the packed-bitset kernel, with identical selections).
+the packed-bitset kernel, with identical selections).  The two solvers with
+a parallel phase, ``kcover/distributed`` (the map phase) and
+``kcover/ensemble`` (the per-replica greedy), take ``executor`` /
+``max_workers`` options naming a :mod:`repro.parallel` backend and pool
+cap; results are byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -103,8 +107,6 @@ def _kcover_sketch(ctx: ProblemContext, **options: Any) -> StreamingKCover:
 )
 def _kcover_ensemble(ctx: ProblemContext, **options: Any) -> EnsembleKCover:
     kwargs = _explicit_params(ctx, _seeded(ctx, options))
-    kwargs.setdefault("executor", ctx.executor)
-    kwargs.setdefault("max_workers", ctx.max_workers)
     return EnsembleKCover(ctx.n, ctx.m, k=ctx.k, **kwargs)
 
 
@@ -295,8 +297,6 @@ def _offline_local_search(ctx: ProblemContext, **options: Any) -> OfflineOutcome
 )
 def _kcover_distributed(ctx: ProblemContext, **options: Any) -> tuple[str, Any]:
     kwargs = _explicit_params(ctx, _seeded(ctx, options))
-    kwargs.setdefault("executor", ctx.executor)
-    kwargs.setdefault("max_workers", ctx.max_workers)
     algorithm = DistributedKCover(ctx.n, ctx.m, k=ctx.k, **kwargs)
     if ctx.columns is not None:
         # Column-backed problem: the map phase shards the memory-mapped

@@ -23,8 +23,8 @@ from typing import Any, Mapping
 
 from repro.coverage.bitset import check_coverage_backend
 from repro.errors import SpecError
-from repro.parallel import executor_choices
 from repro.streaming.stream import STREAM_ORDERS
+from repro.utils.validation import check_optional_positive_int
 
 __all__ = [
     "PROBLEM_KINDS",
@@ -58,14 +58,6 @@ def _check_json_value(value: Any, where: str) -> None:
     raise SpecError(
         f"{where} holds a non-serializable value of type {type(value).__name__}: {value!r}"
     )
-
-
-def check_optional_positive_int(value: Any, name: str) -> None:
-    """Raise :class:`SpecError` unless ``value`` is ``None`` or an int >= 1."""
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, int) or value < 1
-    ):
-        raise SpecError(f"{name} must be a positive integer or None, got {value!r}")
 
 
 def _check_options_dict(options: Any, where: str) -> dict[str, Any]:
@@ -103,27 +95,13 @@ class ProblemSpec:
     :mod:`repro.datasets` registry; :meth:`build_instance` then materializes
     the :class:`repro.coverage.instance.CoverageInstance` from the spec
     alone, making a :class:`RunSpec` self-contained.
-
-    ``executor`` / ``map_workers`` optionally name a :mod:`repro.parallel`
-    executor backend (``"auto"``, ``"serial"``, ``"thread"`` or
-    ``"process"``) and a pool-size cap; solvers with an embarrassingly
-    parallel phase (the distributed map phase, the ensemble's per-replica
-    greedy) then fan that phase over real cores — results are byte-identical
-    across backends.  ``None`` keeps the serial loop, except that
-    ``map_workers`` alone implies ``executor="auto"`` (asking for a worker
-    count is asking for parallelism; see
-    :class:`repro.parallel.ParallelMapper`).
     """
 
     problem: str = "k_cover"
     k: int | None = None
     outlier_fraction: float | None = None
-    # repro-lint: disable=knob-drift -- spec-only: solve()/Session take a materialized problem; the CLI binds datasets via --generator and per-generator flags
     dataset: str | None = None
-    # repro-lint: disable=knob-drift -- spec-only: generator kwargs have no flat CLI/kwarg syntax; RunSpecs carry them as a dict
     dataset_args: dict[str, Any] = field(default_factory=dict)
-    executor: str | None = None
-    map_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEM_KINDS:
@@ -145,14 +123,6 @@ class ProblemSpec:
             raise SpecError("set_cover_outliers requires outlier_fraction")
         if self.dataset is not None and not isinstance(self.dataset, str):
             raise SpecError(f"dataset must be a string or None, got {self.dataset!r}")
-        if self.executor is not None:
-            choices = executor_choices()
-            if self.executor not in choices:
-                raise SpecError(
-                    f"unknown executor {self.executor!r}; "
-                    f"expected one of {choices} or None"
-                )
-        check_optional_positive_int(self.map_workers, "map_workers")
         object.__setattr__(
             self, "dataset_args", _check_options_dict(self.dataset_args, "dataset_args")
         )
@@ -180,8 +150,6 @@ class ProblemSpec:
             "outlier_fraction": self.outlier_fraction,
             "dataset": self.dataset,
             "dataset_args": dict(self.dataset_args),
-            "executor": self.executor,
-            "map_workers": self.map_workers,
         }
 
     @classmethod
@@ -231,10 +199,8 @@ class StreamSpec:
     modes produce identical reports; batches are faster).
     """
 
-    # repro-lint: disable=knob-drift -- the bench harness sweeps stream orders programmatically; no CLI flag by design
     order: str = "random"
     seed: int = 0
-    # repro-lint: disable=knob-drift -- arrival forcing is a test/bench knob for the runner's model check, not a CLI surface
     arrival: str | None = None
     batch_size: int | None = None
 
@@ -294,7 +260,6 @@ class QuerySpec:
     k: int | None = None
     outlier_fraction: float | None = None
     forbidden: tuple[int, ...] = ()
-    # repro-lint: disable=knob-drift -- per-query solver options are a dict with no flat CLI syntax; the query subcommand exposes the common ones (--epsilon, --scale) directly
     options: dict[str, Any] = field(default_factory=dict)
     coverage_backend: str | None = None
 

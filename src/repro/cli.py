@@ -405,10 +405,11 @@ def _cmd_distributed(args: argparse.Namespace, out) -> int:
         problem = _load_graph(args)
     report = solve(
         problem, "kcover/distributed", problem_kind="k_cover", k=args.k,
-        seed=args.seed, executor=args.executor, max_workers=args.workers,
+        seed=args.seed,
         options={"epsilon": args.epsilon, "scale": args.scale,
                  "num_machines": args.machines, "strategy": args.strategy,
-                 "coverage_backend": args.coverage_backend},
+                 "coverage_backend": args.coverage_backend,
+                 "executor": args.executor, "max_workers": args.workers},
     )
     table = Table(["quantity", "value"])
     table.add_row(quantity="machines", value=report.extra["num_machines"])

@@ -170,6 +170,12 @@ class ColumnarEdges:
         """
         return len(np.unique(self.elements))
 
+    @cached_property
+    def num_distinct_edges(self) -> int:
+        """Distinct ``(set_id, element)`` rows (the graph's ``num_edges``)."""
+        rows = np.stack([self.set_ids, self.elements], axis=1)
+        return len(np.unique(rows, axis=0))
+
     def check_set_ids(self) -> None:
         """Raise the :class:`~repro.errors.InvalidInstanceError` that
         :meth:`to_graph` raises for a set id outside ``[0, max(1, num_sets))``,

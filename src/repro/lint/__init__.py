@@ -19,8 +19,6 @@ Per-file rules (one module at a time):
 Project rules (whole-program, over the :class:`~repro.lint.project.ProjectIndex`
 the engine assembles from every file):
 
-* ``knob-drift`` — spec fields, ``solve()``/``Session`` kwargs and CLI
-  flags stay in sync, both directions;
 * ``transitive-picklability`` — callables reaching executors resolve to
   module-level defs through any chain of aliases/imports/factories;
 * ``registry-docs-sync`` — registered names and README tables agree;

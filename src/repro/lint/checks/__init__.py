@@ -4,15 +4,13 @@ Importing this package registers every built-in rule in the rule registry
 (the same import-for-side-effect convention the solver and dataset
 registries use).  Each rule lives in its own module, named after the
 contract it defends.  Per-file rules see one AST at a time; the project
-rules (knob drift, transitive picklability, registry/docs sync, export
-hygiene) run after every file over the assembled
-:class:`~repro.lint.project.ProjectIndex`.
+rules (transitive picklability, registry/docs sync, export hygiene) run
+after every file over the assembled :class:`~repro.lint.project.ProjectIndex`.
 """
 
 from repro.lint.checks import (  # noqa: F401  (imported for registration)
     export_hygiene,
     hot_path,
-    knob_drift,
     picklable_jobs,
     raw_rng,
     raw_timing,
@@ -27,7 +25,6 @@ from repro.lint.checks import (  # noqa: F401  (imported for registration)
 __all__ = [
     "export_hygiene",
     "hot_path",
-    "knob_drift",
     "picklable_jobs",
     "raw_rng",
     "raw_timing",

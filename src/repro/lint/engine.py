@@ -16,8 +16,8 @@ One :func:`lint_paths` call turns a set of files/directories into a
   facts of *every* file are assembled into one
   :class:`~repro.lint.project.ProjectIndex` and the *project-scope* rules
   (:class:`~repro.lint.rules.ProjectRule`) run over it — that is where the
-  cross-module contracts (knob drift, transitive picklability, registry/docs
-  sync, export hygiene) are checked;
+  cross-module contracts (transitive picklability, registry/docs sync,
+  export hygiene) are checked;
 * inline suppression comments silence findings line by line::
 
       rng = np.random.default_rng(7)  # repro-lint: disable=no-raw-rng -- literal seed, test fixture

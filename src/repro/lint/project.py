@@ -1,11 +1,11 @@
 """The whole-program side of :mod:`repro.lint`: module facts and the index.
 
 Per-file rules see one AST at a time; the contracts that cost the most
-review time span *files* — a knob present in ``ProblemSpec`` but missing
-from the CLI, a callable that reaches a process pool through two aliases, a
-registered solver absent from the README table.  To check those, the engine
-extracts a :class:`ModuleFacts` summary from every file it parses (imports,
-module-level symbol table, function signatures, registration and executor
+review time span *files* — a callable that reaches a process pool through
+two aliases, a registered solver absent from the README table, an
+``__all__`` entry nothing defines.  To check those, the engine extracts a
+:class:`ModuleFacts` summary from every file it parses (imports,
+module-level symbol table, what functions return, registration and executor
 call sites, ``__all__``) and assembles the summaries into one
 :class:`ProjectIndex`: import graph, dotted-module lookup and a
 cross-module callable resolver.
@@ -27,7 +27,6 @@ from repro.lint.rules import attribute_chain
 __all__ = [
     "ImportRecord",
     "FunctionFacts",
-    "DataclassFacts",
     "CallArgRef",
     "JobCallableRef",
     "RegistrationRecord",
@@ -73,31 +72,12 @@ class ImportRecord:
 
 @dataclass(frozen=True)
 class FunctionFacts:
-    """Signature and body summary of one module-level function or method."""
+    """What one module-level function or method returns."""
 
     qualname: str
     line: int
-    params: tuple[str, ...]
-    kwonly: tuple[str, ...]
-    param_lines: dict[str, int]
-    has_kwargs: bool
     returns_nested: bool
     returned_names: tuple[str, ...]
-    calls: tuple[str, ...]
-
-    def all_params(self) -> tuple[str, ...]:
-        """Positional and keyword-only parameter names together."""
-        return self.params + self.kwonly
-
-
-@dataclass(frozen=True)
-class DataclassFacts:
-    """Field inventory of one ``@dataclass``-decorated class."""
-
-    name: str
-    line: int
-    fields: tuple[str, ...]
-    field_lines: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -149,7 +129,6 @@ class ModuleFacts:
     symbols: dict[str, str] | None = None
     symbol_lines: dict[str, int] | None = None
     functions: dict[str, FunctionFacts] | None = None
-    dataclasses: dict[str, DataclassFacts] | None = None
     dunder_all: tuple[str, ...] | None = None
     dunder_all_lines: dict[str, int] | None = None
     star_import: bool = False
@@ -157,11 +136,9 @@ class ModuleFacts:
     mapper_calls: tuple[CallArgRef, ...] = ()
     job_refs: tuple[JobCallableRef, ...] = ()
     registrations: tuple[RegistrationRecord, ...] = ()
-    cli_flags: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
-        for label in ("symbols", "symbol_lines", "functions", "dataclasses",
-                      "dunder_all_lines", "cli_flags"):
+        for label in ("symbols", "symbol_lines", "functions", "dunder_all_lines"):
             if getattr(self, label) is None:
                 object.__setattr__(self, label, {})
 
@@ -204,13 +181,8 @@ def _dotted(node: ast.AST) -> str | None:
 
 
 def _function_facts(
-    node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str, is_method: bool
+    node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
 ) -> FunctionFacts:
-    args = node.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if is_method and positional and positional[0].arg in ("self", "cls"):
-        positional = positional[1:]
-    param_lines = {arg.arg: arg.lineno for arg in positional + list(args.kwonlyargs)}
     nested = {
         inner.name
         for inner in ast.walk(node)
@@ -218,7 +190,6 @@ def _function_facts(
     }
     returns_nested = False
     returned_names: list[str] = []
-    calls: list[str] = []
     for child in _iter_scope(node):
         if isinstance(child, ast.Return) and child.value is not None:
             if isinstance(child.value, ast.Lambda):
@@ -228,20 +199,11 @@ def _function_facts(
                     returns_nested = True
                 else:
                     returned_names.append(child.value.id)
-        elif isinstance(child, ast.Call):
-            name = _dotted(child.func)
-            if name is not None:
-                calls.append(name)
     return FunctionFacts(
         qualname=qualname,
         line=node.lineno,
-        params=tuple(arg.arg for arg in positional),
-        kwonly=tuple(arg.arg for arg in args.kwonlyargs),
-        param_lines=param_lines,
-        has_kwargs=args.kwarg is not None,
         returns_nested=returns_nested,
         returned_names=tuple(dict.fromkeys(returned_names)),
-        calls=tuple(dict.fromkeys(calls)),
     )
 
 
@@ -253,27 +215,6 @@ def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
         if chain is not None and chain[-1] == "dataclass":
             return True
     return False
-
-
-def _dataclass_facts(node: ast.ClassDef) -> DataclassFacts:
-    fields: list[str] = []
-    field_lines: dict[str, int] = {}
-    for statement in node.body:
-        if not isinstance(statement, ast.AnnAssign):
-            continue
-        if not isinstance(statement.target, ast.Name):
-            continue
-        annotation = ast.unparse(statement.annotation)
-        if "ClassVar" in annotation or "InitVar" in annotation:
-            continue
-        name = statement.target.id
-        if name.startswith("_"):
-            continue
-        fields.append(name)
-        field_lines[name] = statement.lineno
-    return DataclassFacts(
-        name=node.name, line=node.lineno, fields=tuple(fields), field_lines=field_lines
-    )
 
 
 def _registered_rule_name(node: ast.ClassDef) -> str | None:
@@ -340,14 +281,12 @@ class _FactsCollector:
         self.symbols: dict[str, str] = {}
         self.symbol_lines: dict[str, int] = {}
         self.functions: dict[str, FunctionFacts] = {}
-        self.dataclasses: dict[str, DataclassFacts] = {}
         self.dunder_all: list[str] | None = None
         self.dunder_all_lines: dict[str, int] = {}
         self.star_import = False
         self.mapper_calls: list[CallArgRef] = []
         self.job_refs: list[JobCallableRef] = []
         self.registrations: list[RegistrationRecord] = []
-        self.cli_flags: dict[str, int] = {}
 
     def collect(self, tree: ast.Module) -> ModuleFacts:
         self._module_scope(tree.body)
@@ -369,7 +308,6 @@ class _FactsCollector:
             symbols=self.symbols,
             symbol_lines=self.symbol_lines,
             functions=self.functions,
-            dataclasses=self.dataclasses,
             dunder_all=tuple(self.dunder_all) if self.dunder_all is not None else None,
             dunder_all_lines=self.dunder_all_lines,
             star_import=self.star_import,
@@ -377,7 +315,6 @@ class _FactsCollector:
             mapper_calls=tuple(self.mapper_calls),
             job_refs=tuple(self.job_refs),
             registrations=tuple(self.registrations),
-            cli_flags=self.cli_flags,
         )
 
     # -- module scope ---------------------------------------------------- #
@@ -385,19 +322,13 @@ class _FactsCollector:
         for statement in body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._bind(statement.name, "def", statement.lineno)
-                self.functions[statement.name] = _function_facts(
-                    statement, statement.name, is_method=False
-                )
+                self.functions[statement.name] = _function_facts(statement, statement.name)
             elif isinstance(statement, ast.ClassDef):
                 self._bind(statement.name, "class", statement.lineno)
                 for inner in statement.body:
                     if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         qualname = f"{statement.name}.{inner.name}"
-                        self.functions[qualname] = _function_facts(
-                            inner, qualname, is_method=True
-                        )
-                if _is_dataclass_decorated(statement):
-                    self.dataclasses[statement.name] = _dataclass_facts(statement)
+                        self.functions[qualname] = _function_facts(inner, qualname)
             elif isinstance(statement, ast.Import):
                 self._collect_import(statement)
             elif isinstance(statement, ast.ImportFrom):
@@ -510,14 +441,6 @@ class _FactsCollector:
                         col=node.col_offset,
                     )
                 )
-        elif callee == "add_argument":
-            for arg in node.args:
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value.startswith("--")
-                ):
-                    self.cli_flags.setdefault(arg.value, node.lineno)
         context = _fanout_context(node)
         if context is not None and node.args:
             target = _dotted(node.args[0])

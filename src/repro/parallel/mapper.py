@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar
 from repro import obs
 from repro.obs import clock
 from repro.parallel.executors import ExecutorBackend, resolve_executor, usable_cpus
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_optional_positive_int
 
 __all__ = ["ParallelMapper", "as_mapper"]
 
@@ -95,14 +95,16 @@ class ParallelMapper:
         (serial) or an :class:`~repro.parallel.executors.ExecutorBackend`
         instance.  ``None`` *with* an explicit ``max_workers`` resolves to
         ``"auto"`` — asking for a worker count is asking for parallelism,
-        and the serial backend has no pool to cap, so every layer
-        (``DistributedKCover``, ``ProblemSpec.map_workers``, ``solve()``,
-        the CLI) honours a bare worker count the same way instead of
-        silently running serial.
+        and the serial backend has no pool to cap, so every caller
+        (``DistributedKCover``, ``EnsembleKCover``, ``solve()``, the CLI)
+        honours a bare worker count the same way instead of silently
+        running serial.
     max_workers:
         Pool size cap for the parallel backends; defaults to
         :func:`~repro.parallel.executors.usable_cpus`.  The effective pool
-        never exceeds the number of jobs.
+        never exceeds the number of jobs.  Like an unknown backend name, a
+        value that is not a positive integer raises
+        :class:`~repro.errors.SpecError`.
     """
 
     def __init__(
@@ -111,10 +113,9 @@ class ParallelMapper:
         *,
         max_workers: int | None = None,
     ) -> None:
-        if max_workers is not None:
-            check_positive_int(max_workers, "max_workers")
-            if executor is None:
-                executor = "auto"
+        check_optional_positive_int(max_workers, "max_workers")
+        if max_workers is not None and executor is None:
+            executor = "auto"
         self.backend = resolve_executor(executor)
         self.max_workers = max_workers
         #: What the most recent :meth:`map` / :meth:`map_unordered` call

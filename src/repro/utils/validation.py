@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.errors import SpecError
+
 __all__ = [
     "check_positive_int",
+    "check_optional_positive_int",
     "check_non_negative_int",
     "check_fraction",
     "check_open_unit",
@@ -27,6 +30,14 @@ def check_positive_int(value: Any, name: str) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def check_optional_positive_int(value: Any, name: str) -> None:
+    """Raise :class:`SpecError` unless ``value`` is ``None`` or an int >= 1."""
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 1
+    ):
+        raise SpecError(f"{name} must be a positive integer or None, got {value!r}")
 
 
 def check_non_negative_int(value: Any, name: str) -> int:

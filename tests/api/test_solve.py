@@ -395,6 +395,89 @@ class TestColumnarProblems:
         with pytest.raises(ValueError):
             solve(tmp_path / "missing", "kcover/sketch", k=2)
 
+    def test_session_row_counts_match_the_report(self, tmp_path):
+        # The metadata claims 5000 elements; the rows hold 200 distinct
+        # ones (one row repeated), which is what coverage_fraction divides by.
+        from repro.coverage.io import write_columnar
+
+        edges = [(i % 40, (7 * i + i // 200) % 200) for i in range(500)] + [(0, 0)]
+        path = tmp_path / "override.cols"
+        write_columnar(edges, path, num_sets=40, num_elements=5000)
+        session = Session(path, k=3)
+        report = session.run("kcover/sketch")
+        row = session.suite.rows[0].as_dict()
+        graph = session.problem.to_graph()
+        assert (row["n"], row["m"], row["input_edges"]) == (
+            graph.num_sets, graph.num_elements, graph.num_edges
+        ) == (40, 200, 500)
+        assert report.coverage_fraction == report.coverage / row["m"]
+
+
+#: The two solvers with a parallel phase, so take ``executor`` / ``max_workers``.
+PARALLEL_SOLVERS = [
+    ("kcover/distributed", {"scale": 0.3, "num_machines": 3}),
+    ("kcover/ensemble", {"scale": 0.3, "replicas": 2}),
+]
+
+
+class TestExecutionOptions:
+    """``executor`` / ``max_workers`` are solver options, validated as SpecErrors."""
+
+    @pytest.mark.parametrize("solver,options", PARALLEL_SOLVERS)
+    def test_every_executor_choice_is_accepted(self, kcover_instance, solver, options):
+        from repro.parallel import executor_choices
+
+        reference = solve(kcover_instance, solver, seed=3, options=options)
+        for choice in executor_choices():
+            report = solve(
+                kcover_instance, solver, seed=3,
+                options={**options, "executor": choice, "max_workers": 2},
+            )
+            assert report.solution == reference.solution
+
+    @pytest.mark.parametrize("solver,options", PARALLEL_SOLVERS)
+    def test_rejects_unknown_executor(self, kcover_instance, solver, options):
+        with pytest.raises(SpecError, match="gpu-cluster"):
+            solve(kcover_instance, solver, options={**options, "executor": "gpu-cluster"})
+
+    @pytest.mark.parametrize("bad", [0, -2, True, 1.5, "four"])
+    @pytest.mark.parametrize("solver,options", PARALLEL_SOLVERS)
+    def test_rejects_bad_max_workers(self, kcover_instance, solver, options, bad):
+        with pytest.raises(SpecError, match="max_workers"):
+            solve(kcover_instance, solver, options={**options, "max_workers": bad})
+
+    @pytest.mark.parametrize("solver,options", PARALLEL_SOLVERS)
+    def test_keywords_merge_into_the_options(self, kcover_instance, solver, options):
+        given = {**options, "executor": "thread", "max_workers": 2}
+        via_options = solve(kcover_instance, solver, seed=3, options=given)
+        via_keywords = solve(
+            kcover_instance, solver, seed=3, options=options,
+            executor="thread", max_workers=2,
+        )
+        # The same value in both places is not a conflict.
+        via_both = solve(
+            kcover_instance, solver, seed=3, options=given, executor="thread"
+        )
+        assert via_keywords.solution == via_options.solution == via_both.solution
+
+    @pytest.mark.parametrize("key,value,other", [
+        ("executor", "thread", "process"), ("max_workers", 2, 3),
+    ])
+    def test_conflicting_keyword_and_option_is_an_error(
+        self, kcover_instance, key, value, other
+    ):
+        with pytest.raises(SpecError, match=key):
+            solve(
+                kcover_instance,
+                SolverSpec("kcover/distributed", {key: value}),
+                **{key: other},
+            )
+
+    def test_solver_without_a_parallel_phase_rejects_the_keyword(self, kcover_instance):
+        # Before the executor became a solver option this was silently ignored.
+        with pytest.raises(TypeError, match="executor"):
+            solve(kcover_instance, "kcover/sketch", executor="thread")
+
 
 #: The solvers that run an offline greedy, so take ``coverage_backend``.
 GREEDY_SOLVERS = [

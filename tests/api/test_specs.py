@@ -47,6 +47,9 @@ class TestProblemSpec:
             # A spec saved while the distributed reduce was a knob fails
             # loudly instead of being silently reinterpreted.
             ({"problem": "k_cover", "reduce": "barrier"}, "reduce"),
+            # The executor is a solver option now (SolverSpec.options).
+            ({"problem": "k_cover", "k": 3, "executor": "process"}, "executor"),
+            ({"problem": "k_cover", "k": 3, "map_workers": 4}, "map_workers"),
         ],
     )
     def test_rejects_unknown_keys(self, data, field):
@@ -242,31 +245,3 @@ class TestCoverageBackendField:
     def test_query_spec_from_dict_rejects_removed_names(self, backend):
         with pytest.raises(SpecError, match=rf"'{backend}'.*\('words',\)"):
             QuerySpec.from_dict({"problem": "k_cover", "k": 2, "coverage_backend": backend})
-
-
-class TestExecutorFields:
-    def test_round_trip(self):
-        spec = ProblemSpec(problem="k_cover", k=3, executor="process", map_workers=4)
-        data = spec.to_dict()
-        assert data["executor"] == "process"
-        assert data["map_workers"] == 4
-        assert ProblemSpec.from_dict(data) == spec
-
-    def test_defaults_to_none(self):
-        spec = ProblemSpec(problem="set_cover")
-        assert spec.executor is None and spec.map_workers is None
-
-    def test_accepts_every_registered_choice(self):
-        from repro.parallel import executor_choices
-
-        for choice in executor_choices():
-            assert ProblemSpec(problem="k_cover", k=1, executor=choice)
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(SpecError, match="executor"):
-            ProblemSpec(problem="k_cover", k=1, executor="gpu-cluster")
-
-    @pytest.mark.parametrize("bad", [0, -2, True, 1.5, "four"])
-    def test_rejects_bad_map_workers(self, bad):
-        with pytest.raises(SpecError, match="map_workers"):
-            ProblemSpec(problem="k_cover", k=1, map_workers=bad)

@@ -355,6 +355,32 @@ class TestCoverageBackendAndColumnar:
         assert err.startswith("error: ") and str(cols) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["distributed", "run"])
+    def test_executor_flags_reach_the_map_phase(self, command):
+        from repro.parallel import resolve_executor
+
+        args = [command, "--num-sets", "30", "--num-elements", "400", "--k", "3",
+                "--machines", "3", "--seed", "5", "--scale", "0.3"]
+        rows = {}
+        for flags in ([], ["--executor", "thread", "--workers", "2"], ["--workers", "2"]):
+            code, output = _run(args + flags)
+            assert code == 0
+            rows[tuple(flags)] = dict(
+                line.split(None, 1) for line in output.splitlines()[2:]
+            )
+        serial, thread, bare = rows.values()
+        assert (serial["executor"].strip(), serial["map_workers"].strip()) == ("serial", "1")
+        assert (thread["executor"].strip(), thread["map_workers"].strip()) == ("thread", "2")
+        # --workers alone implies --executor auto.
+        assert bare["executor"].strip() == resolve_executor("auto").name
+        assert serial["coverage"] == thread["coverage"] == bare["coverage"]
+
+    def test_bad_worker_count_exits_2(self, capsys):
+        code, output = _run(["distributed", "--num-sets", "30", "--num-elements", "400",
+                             "--k", "3", "--workers", "0"])
+        assert code == 2 and output == ""
+        assert "max_workers" in capsys.readouterr().err
+
     def test_distributed_strategy_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["distributed", "--strategy", "hash-ring"])

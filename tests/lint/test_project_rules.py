@@ -1,4 +1,4 @@
-"""The four cross-module rules, each against a seeded synthetic violation.
+"""The three cross-module rules, each against a seeded synthetic violation.
 
 Every test builds a miniature project tree under ``tmp_path`` (the same
 ``src/<pkg>/...`` layout the real repo uses, so module names resolve), lints
@@ -18,7 +18,6 @@ from repro.lint import lint_paths
 from repro.lint.project import (
     CallArgRef,
     CallableResolution,
-    DataclassFacts,
     FunctionFacts,
     ImportRecord,
     JobCallableRef,
@@ -39,86 +38,6 @@ def write_tree(root, files):
 def lint_tree(tmp_path, monkeypatch, rule, *paths):
     monkeypatch.chdir(tmp_path)
     return lint_paths(list(paths) or ["src"], rules=[rule])
-
-
-SPECS_MODULE = """\
-    from dataclasses import dataclass
-
-
-    @dataclass(frozen=True)
-    class ProblemSpec:
-        k: int = 1
-        reduce: str | None = None
-"""
-
-FACADE_MODULE = """\
-    def solve(problem, *, k=None, reduce=None):
-        return (problem, k, reduce)
-
-
-    class Session:
-        def __init__(self, *, k=None, reduce=None):
-            self.k = k
-            self.reduce = reduce
-"""
-
-CLI_WITHOUT_REDUCE = """\
-    import argparse
-
-
-    def build_parser():
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--k", type=int)
-        return parser
-"""
-
-CLI_WITH_REDUCE = CLI_WITHOUT_REDUCE.replace(
-    'parser.add_argument("--k", type=int)',
-    'parser.add_argument("--k", type=int)\n'
-    '        parser.add_argument("--reduce", default=None)',
-)
-
-
-class TestKnobDrift:
-    def test_knob_missing_from_exactly_one_layer_is_caught(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/api/specs.py": SPECS_MODULE,
-            "src/app/api/facade.py": FACADE_MODULE,
-            "src/app/cli.py": CLI_WITHOUT_REDUCE,
-        })
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.path == "src/app/api/specs.py"
-        assert "ProblemSpec.reduce" in finding.message
-        assert "CLI flag" in finding.message  # names the missing layer
-
-    def test_threaded_knob_is_clean(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/api/specs.py": SPECS_MODULE,
-            "src/app/api/facade.py": FACADE_MODULE,
-            "src/app/cli.py": CLI_WITH_REDUCE,
-        })
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert report.clean
-
-    def test_facade_knob_without_spec_field_is_caught(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/api/specs.py": SPECS_MODULE,
-            "src/app/api/facade.py": FACADE_MODULE.replace(
-                "def solve(problem, *, k=None, reduce=None):",
-                "def solve(problem, *, k=None, reduce=None, turbo=False):",
-            ),
-            "src/app/cli.py": CLI_WITH_REDUCE,
-        })
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert [f.path for f in report.findings] == ["src/app/api/facade.py"]
-        assert "'turbo'" in report.findings[0].message
-
-    def test_tree_without_spec_layer_is_silent(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {"src/app/util.py": "def helper():\n    return 1\n"})
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert report.clean
 
 
 FACTORY_MODULE = """\
@@ -374,7 +293,7 @@ class TestProjectSuppressions:
         write_tree(tmp_path, {
             "src/app/mod.py": PHANTOM_EXPORT.replace(
                 '"phantom"]',
-                '"phantom"]  # repro-lint: disable=knob-drift -- wrong rule',
+                '"phantom"]  # repro-lint: disable=registry-docs-sync -- wrong rule',
             ),
         })
         report = lint_tree(tmp_path, monkeypatch, "export-hygiene")
@@ -427,9 +346,6 @@ class TestProjectIndexFacts:
         assert ImportRecord(module="app.work", name="handler", alias="h", line=2) in facts.imports
         assert isinstance(facts.functions["make"], FunctionFacts)
         assert facts.functions["make"].returns_nested
-        assert facts.dataclasses["ShardJob"] == DataclassFacts(
-            name="ShardJob", line=8, fields=("path",), field_lines={"path": 9}
-        )
         assert RegistrationRecord(kind="solver", name="alpha/one", line=16, col=0) in facts.registrations
         assert any(
             isinstance(ref, CallArgRef) and ref.target == "h"
@@ -493,7 +409,7 @@ class TestProjectIndexFacts:
 
 
 @pytest.mark.parametrize("rule", [
-    "knob-drift", "transitive-picklability", "registry-docs-sync", "export-hygiene",
+    "transitive-picklability", "registry-docs-sync", "export-hygiene",
 ])
 def test_project_rules_skip_per_file_runs(rule):
     # lint_source has no whole-tree index; project rules must not crash it.

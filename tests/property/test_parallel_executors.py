@@ -10,14 +10,17 @@ instances for
 2. the columnar ``row_range`` path, where process workers re-open the mapped
    file from only (path, row bounds) — the zero-pickled-edge-data protocol,
 3. the ensemble's best-of-R selection, and
-4. the ``solve()`` facade with ``executor=`` threaded through a spec.
+4. the ``solve()`` facade, where ``executor`` / ``max_workers`` are solver
+   options of ``kcover/distributed`` and ``kcover/ensemble`` (given through
+   ``options=``, a spec's ``SolverSpec.options`` or the ``solve()``
+   shorthand keywords).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import ProblemSpec, solve
+from repro.api import ProblemSpec, RunSpec, SolverSpec, run, solve
 from repro.core.ensemble import SketchEnsemble
 from repro.core.params import SketchParams
 from repro.coverage.io import write_columnar
@@ -129,19 +132,45 @@ def test_solve_facade_threads_executor_through(executor):
 
 
 def test_spec_executor_round_trips_and_drives_solve():
-    spec = ProblemSpec(
-        problem="k_cover",
-        k=K,
-        dataset="planted_kcover",
-        dataset_args={"num_sets": 40, "num_elements": 900, "k": K, "seed": 3},
-        executor="thread",
-        map_workers=2,
+    spec = RunSpec(
+        problem=ProblemSpec(
+            problem="k_cover",
+            k=K,
+            dataset="planted_kcover",
+            dataset_args={"num_sets": 40, "num_elements": 900, "k": K, "seed": 3},
+        ),
+        solver=SolverSpec(
+            "kcover/distributed",
+            {
+                "num_machines": 3,
+                "edge_budget": 350,
+                "degree_cap": 15,
+                "executor": "thread",
+                "max_workers": 2,
+            },
+        ),
     )
-    assert ProblemSpec.from_dict(spec.to_dict()) == spec
-    report = solve(
-        spec,
-        "kcover/distributed",
-        options={"num_machines": 3, "edge_budget": 350, "degree_cap": 15},
-    )
+    assert RunSpec.from_dict(spec.to_dict()) == spec
+    (report,) = run(spec)
     assert report.extra["executor"] == "thread"
     assert report.extra["map_workers"] == 2
+
+
+@pytest.mark.parametrize("executor", EXECUTORS[1:])
+def test_solve_ensemble_is_executor_invariant(executor):
+    instance = planted_kcover_instance(40, 900, k=K, planted_coverage=0.85, seed=21)
+    options = {"replicas": 3, "edge_budget": 350, "degree_cap": 15}
+    serial, parallel = (
+        solve(
+            instance,
+            "kcover/ensemble",
+            k=K,
+            seed=21,
+            options={**options, "executor": backend, "max_workers": 2},
+        )
+        for backend in ("serial", executor)
+    )
+    assert parallel.solution == serial.solution
+    assert parallel.coverage == serial.coverage
+    assert parallel.space_peak == serial.space_peak
+    assert parallel.extra == serial.extra
