@@ -132,7 +132,6 @@ __all__ = [
     "SpaceBudgetExceeded",
     "PassBudgetExceeded",
     "InfeasibleError",
-    # repro-lint: disable=export-hygiene -- public exception hierarchy: raised by replay-safe stream wrappers for downstream callers to catch
     "StreamExhausted",
     "SpecError",
     "UnknownSolverError",

@@ -18,10 +18,10 @@ carries justified suppressions.
 from __future__ import annotations
 
 import ast
+from pathlib import PurePosixPath
 from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.project import module_name_for
 from repro.lint.rules import Rule, RuleMeta, attribute_chain, register_rule
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -43,9 +43,22 @@ _BANNED_READERS = frozenset(
 )
 
 
+def module_name_for(display_path: str) -> str:
+    """Dotted module name for a display path.
+
+    Anything after the last ``src`` component is the import root (the layout
+    this repo and the synthetic test trees share); paths without a ``src``
+    component (``tests/...``, ``benchmarks/...``) use the path as-is.
+    """
+    parts = [p for p in PurePosixPath(display_path).parts if p not in ("/", "\\")]
+    if "src" in parts:
+        parts = parts[len(parts) - parts[::-1].index("src") :]
+    return ".".join(parts).removesuffix(".py")
+
+
 def _in_library(ctx: "LintContext") -> bool:
     """Whether the module under inspection is repro library code."""
-    module, _ = module_name_for(ctx.display_path)
+    module = module_name_for(ctx.display_path)
     return module == "repro" or module.startswith("repro.")
 
 

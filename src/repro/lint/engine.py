@@ -1,4 +1,4 @@
-"""The lint engine: file walker, shared AST walk and the project phase.
+"""The lint engine: file walker, shared AST walk and inline suppressions.
 
 One :func:`lint_paths` call turns a set of files/directories into a
 :class:`~repro.lint.findings.LintReport`, serially and in sorted file order:
@@ -7,17 +7,10 @@ One :func:`lint_paths` call turns a set of files/directories into a
   its PEP 263 encoding (UTF-8 unless a coding cookie or BOM says otherwise)
   and parsed once; a file that does not decode or parse becomes one
   ``syntax-error`` finding instead of aborting the run;
-* one AST walk per module dispatches each node to every interested
-  *file-scope* rule (rules declare ``visit_<NodeType>`` methods — see
+* one AST walk per module dispatches each node to every interested rule
+  (rules declare ``visit_<NodeType>`` methods — see
   :class:`~repro.lint.rules.Rule`), with the enclosing function/class stack
   maintained in the shared :class:`LintContext`;
-* the same parse extracts the module's
-  :class:`~repro.lint.project.ModuleFacts`; after the per-file phase the
-  facts of *every* file are assembled into one
-  :class:`~repro.lint.project.ProjectIndex` and the *project-scope* rules
-  (:class:`~repro.lint.rules.ProjectRule`) run over it — that is where the
-  cross-module contracts (transitive picklability, registry/docs sync,
-  export hygiene) are checked;
 * inline suppression comments silence findings line by line::
 
       rng = np.random.default_rng(7)  # repro-lint: disable=no-raw-rng -- literal seed, test fixture
@@ -26,9 +19,7 @@ One :func:`lint_paths` call turns a set of files/directories into a
   too, for statements too long to share a line with a comment.  The text
   after ``--`` is the mandatory justification; the ``suppression-hygiene``
   rule flags comments without one (and suppression can't silence that rule,
-  otherwise ``disable=all`` would justify itself).  Project findings are
-  suppressed by the very same comments — a finding is a ``path:line``
-  wherever it was computed.
+  otherwise ``disable=all`` would justify itself).
 
 Results are deterministic: files are visited in sorted order and findings
 sort by (path, line, col, rule), so two runs over the same tree produce
@@ -39,16 +30,14 @@ from __future__ import annotations
 
 import ast
 import io
-import os
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import SpecError
 from repro.lint.findings import Finding, LintReport
-from repro.lint.project import ModuleFacts, ProjectIndex, collect_facts, module_name_for
 from repro.lint.rules import Rule, get_rule, list_rules, walk_findings
 
 __all__ = [
@@ -144,22 +133,11 @@ class LintContext:
 
     def suppressed(self, finding: Finding) -> bool:
         """Whether an inline comment silences ``finding``."""
-        return suppression_covers(self.suppressions, finding)
-
-
-def suppression_covers(
-    suppressions: Mapping[int, Suppression], finding: Finding
-) -> bool:
-    """Whether one module's suppression comments silence ``finding``.
-
-    Shared by the per-file walk and the project phase, so cross-module
-    findings obey exactly the same inline-comment semantics.
-    """
-    candidates = [suppressions.get(finding.line)]
-    above = suppressions.get(finding.line - 1)
-    if above is not None and above.standalone:
-        candidates.append(above)
-    return any(s is not None and s.covers(finding.rule) for s in candidates)
+        candidates = [self.suppressions.get(finding.line)]
+        above = self.suppressions.get(finding.line - 1)
+        if above is not None and above.standalone:
+            candidates.append(above)
+        return any(s is not None and s.covers(finding.rule) for s in candidates)
 
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -209,36 +187,18 @@ def _resolve_rules(rule_names: Iterable[str] | None) -> list[Rule]:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class FileAnalysis:
-    """Everything one file contributes to a lint run.
-
-    ``findings`` and ``suppressed`` come from the file-scope rules;
-    ``facts`` and ``suppressions`` feed the project phase.
-    """
-
-    facts: ModuleFacts
-    suppressions: Mapping[int, Suppression]
-    findings: tuple[Finding, ...] = ()
-    suppressed: int = 0
+#: What one file contributes to a lint run: the findings that survived its
+#: inline suppressions, in (line, col, rule) order, and how many were
+#: suppressed.
+FileAnalysis = tuple[list[Finding], int]
 
 
 def _unreadable(display_path: str, line: int, col: int, message: str) -> FileAnalysis:
     """The analysis of a file that does not decode or parse: one finding."""
-    name, is_package = module_name_for(display_path)
-    return FileAnalysis(
-        facts=ModuleFacts(display_path=display_path, module=name, is_package=is_package),
-        suppressions={},
-        findings=(
-            Finding(
-                path=display_path,
-                line=line,
-                col=col,
-                rule="syntax-error",
-                message=message,
-            ),
-        ),
+    finding = Finding(
+        path=display_path, line=line, col=col, rule="syntax-error", message=message
     )
+    return [finding], 0
 
 
 def _analyze_module(
@@ -247,7 +207,7 @@ def _analyze_module(
     path: Path,
     rule_names: Sequence[str],
 ) -> FileAnalysis:
-    """Parse once; collect facts and run the file-scope rules."""
+    """Parse once and run the rules over the module."""
     try:
         tree = ast.parse(source)
     except SyntaxError as error:
@@ -257,17 +217,15 @@ def _analyze_module(
             (error.offset or 1) - 1,
             f"file does not parse: {error.msg}",
         )
-    facts = collect_facts(tree, display_path)
     lines = source.splitlines()
-    suppressions = parse_suppressions(lines)
-    active = [rule for rule in _resolve_rules(rule_names) if rule.scope == "file"]
+    active = _resolve_rules(rule_names)
     ctx = LintContext(
         path=path,
         display_path=display_path,
         source=source,
         lines=lines,
         tree=tree,
-        suppressions=suppressions,
+        suppressions=parse_suppressions(lines),
     )
     dispatch: dict[str, list] = {}
     for rule in active:
@@ -278,14 +236,8 @@ def _analyze_module(
     _walk(tree, ctx, dispatch, raw)
     for rule in active:
         raw.extend(walk_findings(rule.finish_module(ctx)))
-    kept = [finding for finding in raw if not ctx.suppressed(finding)]
-    kept.sort()
-    return FileAnalysis(
-        facts=facts,
-        suppressions=suppressions,
-        findings=tuple(kept),
-        suppressed=len(raw) - len(kept),
-    )
+    kept = sorted(finding for finding in raw if not ctx.suppressed(finding))
+    return kept, len(raw) - len(kept)
 
 
 def lint_source(
@@ -295,23 +247,21 @@ def lint_source(
     rules: Iterable[str] | None = None,
     path: Path | None = None,
 ) -> tuple[list[Finding], int]:
-    """Lint one module's source text (file-scope rules only).
+    """Lint one module's source text.
 
     Returns ``(findings, suppressed_count)`` — findings that survived the
     inline suppressions, in (line, col, rule) order.  A module that does not
     parse produces a single ``syntax-error`` finding instead of raising, so
-    one broken file cannot abort a tree-wide run.  Project-scope rules need
-    the whole-tree index and therefore only run under :func:`lint_paths`.
+    one broken file cannot abort a tree-wide run.
     """
     rule_names = _normalize_rule_names(rules)
     _resolve_rules(rule_names)  # validate names up front (did-you-mean hints)
-    analysis = _analyze_module(
+    return _analyze_module(
         source,
         display_path,
         path if path is not None else Path(display_path),
         rule_names,
     )
-    return list(analysis.findings), analysis.suppressed
 
 
 def _analyze_file(
@@ -374,28 +324,6 @@ def _display_path(path: Path) -> str:
         return path.as_posix()
 
 
-def _locate_readme(files: Sequence[Path]) -> tuple[str | None, str | None]:
-    """Find the README.md governing the linted tree (for registry-docs-sync).
-
-    Walks up from the deepest common ancestor of the linted files, a bounded
-    number of levels, and returns ``(display_path, text)`` — or ``(None,
-    None)`` when no README exists (synthetic trees without docs).
-    """
-    if not files:
-        return None, None
-    common = Path(os.path.commonpath([file.resolve() for file in files]))
-    if common.is_file():
-        common = common.parent
-    for _ in range(6):
-        candidate = common / "README.md"
-        if candidate.is_file():
-            return _display_path(candidate), candidate.read_text(encoding="utf-8")
-        if common.parent == common:
-            break
-        common = common.parent
-    return None, None
-
-
 # --------------------------------------------------------------------------- #
 # the tree-wide run
 # --------------------------------------------------------------------------- #
@@ -406,41 +334,18 @@ def lint_paths(
 ) -> LintReport:
     """Lint every ``*.py`` file under ``paths`` into one report.
 
-    Each file is analyzed once, in :func:`collect_files` order; then the
-    project rules run over one :class:`~repro.lint.project.ProjectIndex`
-    built from every file's facts, obeying the same inline suppressions.
+    Each file is analyzed once, in :func:`collect_files` order.
     """
     rule_names = _normalize_rule_names(rules)
-    instances = _resolve_rules(rule_names)  # validates (did-you-mean hints)
+    _resolve_rules(rule_names)  # validates (did-you-mean hints)
     files = collect_files(paths)
     analyses = [
         _analyze_file(file, _display_path(file), rule_names) for file in files
     ]
-    findings = [finding for analysis in analyses for finding in analysis.findings]
-    suppressed = sum(analysis.suppressed for analysis in analyses)
-
-    project_rules = [rule for rule in instances if rule.scope == "project"]
-    if project_rules:
-        readme_path, readme_text = _locate_readme(files)
-        index = ProjectIndex(
-            [analysis.facts for analysis in analyses],
-            readme_path=readme_path,
-            readme_text=readme_text,
-        )
-        suppressions = {
-            analysis.facts.display_path: analysis.suppressions for analysis in analyses
-        }
-        for rule in project_rules:
-            for finding in walk_findings(rule.check_project(index)):
-                if suppression_covers(suppressions.get(finding.path, {}), finding):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-
-    findings.sort()
+    findings = sorted(finding for kept, _ in analyses for finding in kept)
     return LintReport(
         findings=tuple(findings),
         files_scanned=len(files),
-        suppressed=suppressed,
+        suppressed=sum(suppressed for _, suppressed in analyses),
         rules=tuple(rule_names),
     )

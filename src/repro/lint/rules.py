@@ -6,6 +6,9 @@ good example) and ``visit_<NodeType>`` methods the engine dispatches AST
 nodes to — the same visitor convention as :class:`ast.NodeVisitor`, except
 that one shared walk serves every rule and each visit yields
 :class:`~repro.lint.findings.Finding` objects instead of mutating state.
+A rule sees one module at a time; contracts that span modules (what
+reaches a process pool, what the README and ``__all__`` promise) are
+checked on the live objects by the test suite instead.
 
 Rules register by name in a :class:`~repro.utils.registry.NamedRegistry`
 exactly like the solver and dataset registries, so downstream code can
@@ -28,12 +31,10 @@ from repro.utils.registry import NamedRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.lint.engine import LintContext
-    from repro.lint.project import ProjectIndex
 
 __all__ = [
     "RuleMeta",
     "Rule",
-    "ProjectRule",
     "register_rule",
     "unregister_rule",
     "get_rule",
@@ -105,12 +106,6 @@ class Rule:
 
     meta: RuleMeta
 
-    #: Which phase of the engine runs this rule: ``"file"`` rules see one
-    #: module at a time through the shared AST walk; ``"project"`` rules
-    #: (see :class:`ProjectRule`) run once, after every file, over the
-    #: assembled :class:`~repro.lint.project.ProjectIndex`.
-    scope: str = "file"
-
     def begin_module(self, ctx: "LintContext") -> None:
         """Hook: called before the walk of each module."""
 
@@ -138,24 +133,6 @@ class Rule:
             if attr.startswith("visit_"):
                 methods[attr[len("visit_"):]] = getattr(self, attr)
         return methods
-
-
-class ProjectRule(Rule):
-    """Base class for cross-module rules.
-
-    Project rules run *after* the per-file walk, over the
-    :class:`~repro.lint.project.ProjectIndex` the engine assembled from
-    every linted file's :class:`~repro.lint.project.ModuleFacts`.  They
-    register, select and suppress exactly like per-file rules — a project
-    finding anchored at ``path:line`` is silenced by the same inline
-    ``# repro-lint: disable=...`` comment a per-file finding would be.
-    """
-
-    scope = "project"
-
-    def check_project(self, index: "ProjectIndex") -> Iterable[Finding]:
-        """Emit findings computed from the whole-program index."""
-        return ()
 
 
 _REGISTRY: NamedRegistry[type[Rule]] = NamedRegistry(

@@ -24,11 +24,14 @@ Robustness: pool creation can fail in restricted sandboxes (no ``/dev/shm``,
 seccomp-filtered ``fork``); the mapper degrades to the serial loop in that
 case rather than crashing, because every backend computes the same results.
 Job *exceptions* are never swallowed — they propagate to the caller exactly
-as the serial loop would raise them.
+as the serial loop would raise them.  A callable the process backend cannot
+pickle (a lambda, a closure) raises :class:`~repro.errors.SpecError` before
+any pool is created.
 """
 
 from __future__ import annotations
 
+import pickle
 from concurrent.futures import BrokenExecutor, Executor, Future, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,6 +39,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro import obs
+from repro.errors import SpecError
 from repro.obs import clock
 from repro.parallel.executors import ExecutorBackend, resolve_executor, usable_cpus
 from repro.utils.validation import check_optional_positive_int
@@ -69,8 +73,8 @@ def _run_instrumented(
 ) -> _InstrumentedOutcome:
     """Run one job under a span capture, timing it on the worker's clock.
 
-    Module-level on purpose (the ``picklable-jobs`` contract): this is what
-    actually crosses into process-pool workers when tracing is on.
+    Module-level on purpose: this is what actually crosses into
+    process-pool workers when tracing is on, so it must pickle by reference.
     """
     index, job = indexed_job
     started = clock.perf_counter()
@@ -82,6 +86,24 @@ def _run_instrumented(
         execute_seconds=clock.perf_counter() - started,
         spans=tuple(captured.records()),
     )
+
+
+def _check_picklable(fn: Callable[..., Any]) -> None:
+    """Refuse a callable a process pool cannot ship, before any pool exists.
+
+    Lambdas and closures fail to pickle; handed to a live
+    :class:`~concurrent.futures.ProcessPoolExecutor` they surface from the
+    pool's feeder thread, and the pool shutdown that follows can hang.
+    Pickling up front turns that into a :class:`~repro.errors.SpecError`
+    naming the callable, at the one choke point every fan-out passes.
+    """
+    try:
+        pickle.dumps(fn)
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        raise SpecError(
+            f"the process executor cannot pickle {fn!r} ({error}); "
+            "hand the mapper a module-level function"
+        ) from error
 
 
 class ParallelMapper:
@@ -276,6 +298,8 @@ class ParallelMapper:
         if workers == 1 or self.backend.make_pool is None:
             self.last_execution = (self.backend.name, 1)
             return [fn(job) for job in jobs]
+        if self.backend.name == "process":
+            _check_picklable(fn)
         self.last_execution = (self.backend.name, workers)
         pool, owned = self._acquire_pool(workers)
         if pool is None:
@@ -348,6 +372,8 @@ class ParallelMapper:
             for index, job in enumerate(jobs):
                 yield index, fn(job)
             return
+        if self.backend.name == "process":
+            _check_picklable(fn)
         self.last_execution = (self.backend.name, workers)
         pool, owned = self._acquire_pool(workers)
         if pool is None:

@@ -31,7 +31,6 @@ from repro.serve.fingerprint import (
 from repro.serve.store import SketchKey, SketchStore
 
 __all__ = [
-    # repro-lint: disable=export-hygiene -- public constant: downstream services validate query kinds against it before hitting the engine
     "SERVABLE_PROBLEMS",
     "SERVE_EXTRA_KEYS",
     "QueryEngine",

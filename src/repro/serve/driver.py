@@ -56,8 +56,8 @@ def run_query_job(job: QueryJob) -> tuple[StreamingReport, float]:
     """Execute one request, returning ``(report, latency_seconds)``.
 
     Module-level on purpose: it is the function handed to
-    ``ParallelMapper.map``, and jobs must stay importable descriptions of
-    work (see the ``picklable-jobs`` lint contract).
+    ``ParallelMapper.map``, which refuses a callable a process pool cannot
+    pickle.
     """
     start = clock.perf_counter()
     report = job.engine.query(job.spec)

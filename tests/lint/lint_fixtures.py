@@ -132,84 +132,6 @@ SUPPRESSED_RAW_TIMING = clean(
 
 
 # --------------------------------------------------------------------- #
-# picklable-jobs
-# --------------------------------------------------------------------- #
-BAD_PICKLABLE_LAMBDA = clean(
-    """
-    def fan_out(mapper, jobs):
-        return mapper.map(lambda job: job.run(), jobs)
-    """
-)
-
-BAD_PICKLABLE_CLOSURE = clean(
-    """
-    def fan_out(mapper, jobs):
-        def helper(job):
-            return job.run()
-
-        return mapper.map(helper, jobs)
-    """
-)
-
-BAD_PICKLABLE_BOUND_METHOD = clean(
-    """
-    class Coordinator:
-        def fan_out(self, mapper, jobs):
-            return mapper.map(self.execute, jobs)
-    """
-)
-
-BAD_PICKLABLE_SUBMIT = clean(
-    """
-    def fan_out(pool, jobs):
-        return [pool.submit(lambda: job.run()) for job in jobs]
-    """
-)
-
-BAD_PICKLABLE_JOB_FIELD = clean(
-    """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class LeakyShardJob:
-        machine_id: int
-        stream: EdgeStream
-    """
-)
-
-GOOD_PICKLABLE = clean(
-    """
-    def execute_map_job(job):
-        return job.run()
-
-    def fan_out(mapper, jobs):
-        return mapper.map(execute_map_job, jobs)
-    """
-)
-
-GOOD_PICKLABLE_JOB_FIELD = clean(
-    """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class SliceJob:
-        machine_id: int
-        path: str
-        row_start: int
-        row_stop: int
-    """
-)
-
-SUPPRESSED_PICKLABLE = clean(
-    """
-    def fan_out(mapper, jobs):
-        # repro-lint: disable=picklable-jobs -- serial-only helper, never reaches a process pool
-        return mapper.map(lambda job: job.run(), jobs)
-    """
-)
-
-
-# --------------------------------------------------------------------- #
 # spec-roundtrip
 # --------------------------------------------------------------------- #
 BAD_SPEC_DROPPED_FIELD = clean(

@@ -30,8 +30,9 @@ SUPPRESSED_RNG = (
 )
 FILE_RULES = ["no-raw-rng", "no-silent-except"]
 
-#: Snippet pool for the property test: clean code, per-file violations,
-#: suppressed violations, a syntax error and project-rule drift.
+#: Snippet pool for the property test: per-file violations, suppressed
+#: violations, a syntax error, and clean code — including a phantom
+#: ``__all__`` entry and an out-of-tree import, which no rule flags.
 SNIPPETS = (
     "def ok():\n    return 1\n",
     "import random\n\n\ndef roll():\n    return random.random()\n",

@@ -98,45 +98,6 @@ class TestRawTiming:
         assert "repro.obs.clock" in finding.message
 
 
-class TestPicklableJobs:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            fx.BAD_PICKLABLE_LAMBDA,
-            fx.BAD_PICKLABLE_CLOSURE,
-            fx.BAD_PICKLABLE_BOUND_METHOD,
-            fx.BAD_PICKLABLE_SUBMIT,
-        ],
-        ids=["lambda", "closure", "bound-method", "submit-lambda"],
-    )
-    def test_bad_callables_flagged(self, source):
-        assert_flags(source, "picklable-jobs")
-
-    def test_unpicklable_job_field_flagged_in_distributed(self):
-        assert_flags(
-            fx.BAD_PICKLABLE_JOB_FIELD,
-            "picklable-jobs",
-            "src/repro/distributed/jobs.py",
-        )
-
-    def test_job_field_rule_scoped_to_distributed(self):
-        # The same class outside repro/distributed/ is someone else's concern.
-        assert_clean(fx.BAD_PICKLABLE_JOB_FIELD, "picklable-jobs")
-
-    def test_module_level_function_clean(self):
-        assert_clean(fx.GOOD_PICKLABLE, "picklable-jobs")
-
-    def test_plain_data_job_clean(self):
-        assert_clean(
-            fx.GOOD_PICKLABLE_JOB_FIELD,
-            "picklable-jobs",
-            "src/repro/distributed/jobs.py",
-        )
-
-    def test_suppression_honoured(self):
-        assert_suppressed(fx.SUPPRESSED_PICKLABLE, "picklable-jobs")
-
-
 class TestSpecRoundtrip:
     def test_to_dict_dropping_a_field_flagged(self):
         (finding,) = assert_flags(fx.BAD_SPEC_DROPPED_FIELD, "spec-roundtrip")

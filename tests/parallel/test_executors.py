@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
+from repro import obs
 from repro.errors import SpecError
 from repro.parallel import (
     EXECUTORS,
@@ -93,7 +95,6 @@ class TestParallelMapper:
         mapper = ParallelMapper("serial")
         assert mapper.is_serial
         assert mapper.workers_for(100) == 1
-        # repro-lint: disable=picklable-jobs -- serial backend runs inline; the lambda never meets a pickle
         assert mapper.map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
@@ -131,7 +132,6 @@ class TestParallelMapper:
 
         mapper = ParallelMapper("thread", max_workers=3)
         with pytest.raises(FileNotFoundError, match="gone"):
-            # repro-lint: disable=picklable-jobs -- thread backend shares memory; the closure over `calls` is the point of the test
             mapper.map(job, [1, 2, 3])
         assert sorted(calls) == [1, 2, 3]  # each job ran exactly once
 
@@ -148,6 +148,54 @@ class TestParallelMapper:
         info = ParallelMapper("thread", max_workers=2).describe()
         assert info["executor"] == "thread"
         assert info["max_workers"] == 2
+
+
+def _make_closure(offset: int):
+    def add(value: int) -> int:
+        return value + offset
+
+    return add
+
+
+#: Callables a process pool cannot pickle, and what their error names.
+UNPICKLABLE = [
+    pytest.param(lambda value: value + 1, "<lambda>", id="lambda"),
+    pytest.param(_make_closure(1), "_make_closure.<locals>.add", id="closure"),
+]
+
+
+class TestUnpicklableCallables:
+    """A process map refuses an unpicklable callable before any pool exists.
+
+    Handed to a live process pool, such a callable fails in the pool's
+    feeder thread and the shutdown that follows can hang; the mapper must
+    raise a typed error instead.
+    """
+
+    @pytest.mark.parametrize("fn, name", UNPICKLABLE)
+    def test_process_map_raises_spec_error(self, fn, name):
+        mapper = ParallelMapper("process", max_workers=2)
+        with pytest.raises(SpecError, match=re.escape(name)):
+            mapper.map(fn, [1, 2])
+
+    @pytest.mark.parametrize("fn, name", UNPICKLABLE)
+    def test_process_map_unordered_raises_spec_error(self, fn, name):
+        mapper = ParallelMapper("process", max_workers=2)
+        with pytest.raises(SpecError, match=re.escape(name)):
+            list(mapper.map_unordered(fn, [1, 2]))
+
+    @pytest.mark.parametrize("fn, name", UNPICKLABLE)
+    def test_traced_process_map_raises_spec_error(self, fn, name):
+        mapper = ParallelMapper("process", max_workers=2)
+        with obs.tracing(), pytest.raises(SpecError, match=re.escape(name)):
+            mapper.map(fn, [1, 2])
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("fn, name", UNPICKLABLE)
+    def test_in_process_backends_still_run_them(self, executor, fn, name):
+        mapper = ParallelMapper(executor, max_workers=2)
+        assert mapper.map(fn, [1, 2]) == [2, 3]
+        assert sorted(mapper.map_unordered(fn, [1, 2])) == [(0, 2), (1, 3)]
 
 
 class TestAsMapper:

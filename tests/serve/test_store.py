@@ -87,3 +87,33 @@ class TestSketchStore:
         # behind one build instead of duplicating it.
         assert len(builds) == 1
         assert store.stats()["hits"] == 7
+
+    def test_failing_build_leaves_no_poisoned_entry(self):
+        store = SketchStore(capacity=4)
+
+        class BuildFailed(RuntimeError):
+            pass
+
+        def failing_build():
+            raise BuildFailed("sketch build failed")
+
+        with pytest.raises(BuildFailed, match="sketch build failed"):
+            store.get_or_build(_key("a"), failing_build)
+        assert len(store) == 0
+        stats = store.stats()
+        assert (stats["misses"], stats["builds"]) == (1, 0)
+
+        # The lock was released: another thread's lookup completes.
+        results = []
+        other = threading.Thread(
+            target=lambda: results.append(store.get_or_build(_key("b"), lambda: "B"))
+        )
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert results == [("B", False)]
+
+        # The failed key was never admitted, so the next call rebuilds it.
+        assert store.get_or_build(_key("a"), lambda: "A") == ("A", False)
+        stats = store.stats()
+        assert (stats["misses"], stats["builds"], stats["hits"]) == (3, 2, 0)
