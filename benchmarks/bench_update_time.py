@@ -6,12 +6,8 @@ number of edges grows while the sketch budget does not) through the streaming
 sketch and reports the amortised time per edge.  Expected shape: the per-edge
 cost is flat (it does not grow with the stream length or with m).
 
-On top of the paper's claim, the benchmark measures what the batched columnar
-engine buys: the same runs driven scalar (one Python call per edge) versus in
-``EventBatch`` chunks, reported as events/sec straight from
-``StreamingReport.events_per_second``.  The batched path must beat scalar by
-a wide margin — a regression here means the vectorised pipeline fell off the
-fast path.
+The runs are driven in ``EventBatch`` chunks, the runner's only drive mode,
+and the rate comes straight from ``StreamingReport.events_per_second``.
 """
 
 from __future__ import annotations
@@ -28,9 +24,6 @@ from repro.utils.tables import Table
 K = 10
 M_SWEEP = (2000, 8000, 32_000)
 BATCH_SIZE = 1024
-#: Minimum batched-over-scalar events/sec ratio on the largest instance.
-#: Measured ~7-9x on a laptop; 3x is the acceptance bar with CI headroom.
-MIN_SPEEDUP = 3.0
 
 
 def _instances():
@@ -49,55 +42,42 @@ def _throughput_table() -> Table:
             "m",
             "stream_edges",
             "space_peak",
-            "scalar_events_per_sec",
-            "batched_events_per_sec",
-            "speedup",
-            "microseconds_per_edge_scalar",
+            "events_per_sec",
+            "microseconds_per_edge",
         ]
     )
     for index, instance in _instances():
-        scalar = solve(
-            instance,
-            "kcover/sketch",
-            options=_options(instance),
-            stream=StreamSpec(order="random", seed=index),
-        )
-        batched = solve(
+        report = solve(
             instance,
             "kcover/sketch",
             options=_options(instance),
             stream=StreamSpec(order="random", seed=index, batch_size=BATCH_SIZE),
         )
-        assert batched.solution == scalar.solution
-        assert batched.space_peak == scalar.space_peak
         table.add_row(
             n=instance.n,
             m=instance.m,
-            stream_edges=scalar.stream_events,
-            space_peak=scalar.space_peak,
-            scalar_events_per_sec=scalar.events_per_second,
-            batched_events_per_sec=batched.events_per_second,
-            speedup=batched.events_per_second / scalar.events_per_second,
-            microseconds_per_edge_scalar=1e6 / scalar.events_per_second,
+            stream_edges=report.stream_events,
+            space_peak=report.space_peak,
+            events_per_sec=report.events_per_second,
+            microseconds_per_edge=1e6 / report.events_per_second,
         )
     return table
 
 
 @pytest.mark.benchmark(group="update-time")
-def test_amortised_update_time_is_flat_and_batching_wins(benchmark):
-    """Per-edge time does not grow with the stream; batches beat scalar >= 3x."""
+def test_amortised_update_time_is_flat(benchmark):
+    """Per-edge time does not grow with the stream length."""
     table = benchmark.pedantic(_throughput_table, rounds=1, iterations=1)
-    print_table("Amortised update time per edge arrival (scalar vs batched)", table)
+    print_table("Amortised update time per edge arrival", table)
     write_table(
         "update_time",
-        "Section 3 — O~(1) amortised update time, scalar vs batched drive",
+        "Section 3 — O~(1) amortised update time",
         table,
         notes=[
             "n = 80 fixed, sketch budget 6·n edges; the stream grows 16x across the sweep.",
-            f"Batched drive uses EventBatch chunks of {BATCH_SIZE} edges; reports are "
-            "byte-identical to the scalar run (asserted).",
-            "Timing noise of a few x is expected on shared machines; the claims are the "
-            "absence of growth proportional to the stream length, and the batched/scalar gap.",
+            f"Driven in EventBatch chunks of {BATCH_SIZE} edges.",
+            "Timing noise of a few x is expected on shared machines; the claim is the "
+            "absence of growth proportional to the stream length.",
         ],
     )
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -105,13 +85,11 @@ def test_amortised_update_time_is_flat_and_batching_wins(benchmark):
         json.dumps({"batch_size": BATCH_SIZE, "rows": table.rows}, indent=2),
         encoding="utf-8",
     )
-    # The paper's O~(1) claim is about the scalar per-event path: flat within
-    # generous noise bounds — the longest stream costs at most a small
-    # constant factor more per edge than the shortest.
-    per_edge = table.column("microseconds_per_edge_scalar")
+    # The paper's O~(1) claim: flat within generous noise bounds — the
+    # longest stream costs at most a small constant factor more per edge
+    # than the shortest.
+    per_edge = table.column("microseconds_per_edge")
     assert max(per_edge) <= 5.0 * min(per_edge)
     # The sketch stays budget-bound throughout the sweep (edge budget 6n plus
     # one degree-cap worth of transient slack).
     assert max(table.column("space_peak")) <= 6 * 80 + 40 + 1
-    # The columnar engine must deliver its headline win on the largest stream.
-    assert table.column("speedup")[-1] >= MIN_SPEEDUP

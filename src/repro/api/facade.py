@@ -28,11 +28,12 @@ from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.instance import CoverageInstance, ProblemKind
 from repro.coverage.io import ColumnarEdges, open_columnar
 from repro.errors import SpecError
+from repro.streaming.batches import DEFAULT_BATCH_SIZE
 from repro.streaming.runner import StreamingReport, StreamingRunner
 from repro.streaming.stream import EdgeStream, SetStream
 from repro.utils.tables import Table
 from repro.utils.timer import Stopwatch
-from repro.utils.validation import check_optional_positive_int
+from repro.utils.validation import check_optional_open_fraction, check_optional_positive_int
 
 __all__ = ["solve", "run", "Session"]
 
@@ -48,6 +49,8 @@ def _resolve_context(
     seed: int = 0,
 ) -> ProblemContext:
     """Normalize the accepted problem descriptions into a ProblemContext."""
+    check_optional_positive_int(k, "k")
+    check_optional_open_fraction(outlier_fraction, "outlier_fraction")
     if isinstance(problem, (str, Path)):
         # A path is taken to mean a columnar edge directory (the on-disk
         # workload format); anything else should be loaded explicitly.
@@ -254,6 +257,9 @@ def solve(
         A registry name (``"kcover/sketch"``) or a :class:`SolverSpec`.
     k / outlier_fraction / problem_kind:
         Problem parameters; default to the instance's own when available.
+        ``k`` must be a positive integer and ``outlier_fraction`` lie
+        strictly between 0 and 1, as in :class:`ProblemSpec`; anything else
+        raises :class:`SpecError`.
     options:
         Extra constructor options merged over the solver spec's options.
         Solvers that run an offline greedy (``kcover/sketch``,
@@ -262,11 +268,15 @@ def solve(
         take ``coverage_backend="words"`` here to run that greedy on the
         packed-bitset kernel; the selections are identical.
     stream:
-        A :class:`StreamSpec` (order/seed/arrival), an already-built stream,
-        or ``None`` for the solver's native arrival model seeded by ``seed``.
-        Only streaming solvers consume a stream: a StreamSpec is ignored by
-        offline/distributed solvers (so mixed comparisons can share one
-        spec), but passing them a concrete stream object is an error.
+        A :class:`StreamSpec` (order/seed/arrival/batch size), an
+        already-built stream, or ``None`` for the solver's native arrival
+        model seeded by ``seed``.  Streams are always driven in columnar
+        batches, of :data:`~repro.streaming.DEFAULT_BATCH_SIZE` events
+        unless a StreamSpec says otherwise; the report records the size in
+        ``extra["batch_size"]``.  Only streaming solvers consume a stream: a
+        StreamSpec is ignored by offline/distributed solvers (so mixed
+        comparisons can share one spec), but passing them a concrete stream
+        object is an error.
     max_passes:
         Pass budget enforced by the runner: a positive integer or ``None``.
         Rejected for offline and distributed solvers, which take no passes
@@ -334,9 +344,10 @@ def _run_solver(
         stream_obj, effective_order = _build_stream(info, algorithm, ctx, stream)
         if effective_order is not None:
             extra_dict.setdefault("stream_order", effective_order)
-        batch_size = stream.batch_size if isinstance(stream, StreamSpec) else None
-        if batch_size is not None:
-            extra_dict.setdefault("batch_size", batch_size)
+        batch_size = (
+            stream.batch_size if isinstance(stream, StreamSpec) else DEFAULT_BATCH_SIZE
+        )
+        extra_dict.setdefault("batch_size", batch_size)
         return StreamingRunner(ctx.graph).run(
             algorithm,
             stream_obj,
@@ -483,7 +494,7 @@ class Session:
         self,
         *,
         store: Any | None = None,
-        batch_size: int | None = 1024,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> Any:
         """The session's serving engine (built lazily, one per session).
 

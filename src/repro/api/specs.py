@@ -7,7 +7,8 @@ A run is fully described by four small frozen dataclasses:
   bound to a named dataset from the :mod:`repro.datasets` registry so the
   spec alone can materialize the instance.
 * :class:`SolverSpec` — a solver registry name plus constructor options.
-* :class:`StreamSpec` — how the input is streamed (order, seed, arrival).
+* :class:`StreamSpec` — how the input is streamed (order, seed, arrival,
+  batch size).
 * :class:`RunSpec` — the bundle of the three plus run-level knobs.
 
 Every spec validates its fields on construction (raising
@@ -23,8 +24,9 @@ from typing import Any, Mapping
 
 from repro.coverage.bitset import check_coverage_backend
 from repro.errors import SpecError
+from repro.streaming.batches import DEFAULT_BATCH_SIZE, check_batch_size
 from repro.streaming.stream import STREAM_ORDERS
-from repro.utils.validation import check_optional_positive_int
+from repro.utils.validation import check_optional_open_fraction, check_optional_positive_int
 
 __all__ = [
     "PROBLEM_KINDS",
@@ -109,16 +111,7 @@ class ProblemSpec:
                 f"unknown problem {self.problem!r}; expected one of {PROBLEM_KINDS}"
             )
         check_optional_positive_int(self.k, "k")
-        if self.outlier_fraction is not None:
-            if (
-                isinstance(self.outlier_fraction, bool)
-                or not isinstance(self.outlier_fraction, (int, float))
-                or not 0.0 < float(self.outlier_fraction) < 1.0
-            ):
-                raise SpecError(
-                    "outlier_fraction must lie strictly between 0 and 1, "
-                    f"got {self.outlier_fraction!r}"
-                )
+        check_optional_open_fraction(self.outlier_fraction, "outlier_fraction")
         if self.problem == "set_cover_outliers" and self.outlier_fraction is None:
             raise SpecError("set_cover_outliers requires outlier_fraction")
         if self.dataset is not None and not isinstance(self.dataset, str):
@@ -193,16 +186,16 @@ class StreamSpec:
     runner's model check for mismatched solvers.  ``order`` must be one of
     :data:`repro.streaming.stream.STREAM_ORDERS`; set-arrival streams only
     distinguish ``given`` from shuffled orders, so anything else degrades to
-    ``random`` for them.  ``batch_size`` selects the drive mode: ``None``
-    feeds scalar events, a positive integer feeds columnar
-    :class:`~repro.streaming.batches.EventBatch` chunks of that size (the two
-    modes produce identical reports; batches are faster).
+    ``random`` for them.  ``batch_size`` is the number of events per
+    columnar :class:`~repro.streaming.batches.EventBatch` the runner feeds;
+    reports are identical at every size.  Batches are the only drive mode, so
+    it must be a positive integer (``None`` raises :class:`SpecError`).
     """
 
     order: str = "random"
     seed: int = 0
     arrival: str | None = None
-    batch_size: int | None = None
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if self.order not in STREAM_ORDERS:
@@ -215,7 +208,7 @@ class StreamSpec:
             raise SpecError(
                 f"arrival must be one of {_ARRIVALS} or None, got {self.arrival!r}"
             )
-        check_optional_positive_int(self.batch_size, "batch_size")
+        check_batch_size(self.batch_size)
 
     @property
     def set_order(self) -> str:
@@ -271,16 +264,7 @@ class QuerySpec:
         check_optional_positive_int(self.k, "k")
         if self.problem == "k_cover" and self.k is None:
             raise SpecError("k_cover queries require k")
-        if self.outlier_fraction is not None:
-            if (
-                isinstance(self.outlier_fraction, bool)
-                or not isinstance(self.outlier_fraction, (int, float))
-                or not 0.0 < float(self.outlier_fraction) < 1.0
-            ):
-                raise SpecError(
-                    "outlier_fraction must lie strictly between 0 and 1, "
-                    f"got {self.outlier_fraction!r}"
-                )
+        check_optional_open_fraction(self.outlier_fraction, "outlier_fraction")
         if self.problem == "set_cover_outliers" and self.outlier_fraction is None:
             raise SpecError("set_cover_outliers queries require outlier_fraction")
         forbidden = self.forbidden

@@ -62,6 +62,7 @@ from repro.lint import (
 )
 from repro.parallel import executor_choices
 from repro.serve.driver import SHARED_MEMORY_EXECUTORS
+from repro.streaming import DEFAULT_BATCH_SIZE
 from repro.utils.tables import Table
 
 __all__ = ["main", "build_parser"]
@@ -97,9 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "otherwise JSON); also enables tracing")
 
     def add_stream_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--batch-size", type=int, default=None,
-                       help="drive the stream in columnar batches of this many "
-                            "events (default: scalar events; results are identical)")
+        p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
+                       help="events per columnar batch the stream is driven in "
+                            "(default: %(default)s; results are identical at "
+                            "every size)")
         p.add_argument("--coverage-backend", choices=COVERAGE_BACKENDS,
                        default=None,
                        help="run the offline greedy (the reference row, the "

@@ -59,9 +59,9 @@ from repro.obs import clock
 from repro.offline.greedy import greedy_k_cover
 from repro.serve.fingerprint import fingerprint_problem
 from repro.serve.store import SketchKey, SketchStore
+from repro.streaming.batches import DEFAULT_BATCH_SIZE, check_batch_size
 from repro.streaming.runner import StreamingReport, StreamingRunner
 from repro.streaming.stream import STREAM_ORDERS, EdgeStream
-from repro.utils.validation import check_positive_int
 
 __all__ = ["QueryEngine", "SERVABLE_PROBLEMS", "SERVE_EXTRA_KEYS"]
 
@@ -136,8 +136,9 @@ class QueryEngine:
         ``StreamSpec(order=..., seed=...)``.  ``stream_seed`` defaults to
         ``seed``, which is ``solve()``'s own default coupling.
     batch_size:
-        Columnar ingestion batch for builds (reports record it, results
-        are batch-invariant).  ``None`` feeds scalar events.
+        Columnar ingestion batch for builds, a positive integer validated
+        like :attr:`StreamSpec.batch_size` (reports record it, results are
+        batch-invariant).
     """
 
     def __init__(
@@ -148,7 +149,7 @@ class QueryEngine:
         seed: int = 0,
         order: str = "random",
         stream_seed: int | None = None,
-        batch_size: int | None = 1024,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if isinstance(problem, (str, Path)):
             problem = open_columnar(problem)
@@ -156,8 +157,7 @@ class QueryEngine:
             raise SpecError(
                 f"unknown stream order {order!r}; expected one of {STREAM_ORDERS}"
             )
-        if batch_size is not None:
-            check_positive_int(batch_size, "batch_size")
+        check_batch_size(batch_size)
         if isinstance(problem, ColumnarEdges):
             self._graph = problem.to_graph()
             self._instance: CoverageInstance | None = None
@@ -368,9 +368,7 @@ class QueryEngine:
         stream = EdgeStream.from_graph(
             self._graph, order=self.order, seed=self.stream_seed
         )
-        extra: dict[str, Any] = {"stream_order": self.order}
-        if self.batch_size is not None:
-            extra["batch_size"] = self.batch_size
+        extra = {"stream_order": self.order, "batch_size": self.batch_size}
         return StreamingRunner(self._graph).run(
             algorithm, stream, batch_size=self.batch_size, extra=extra
         )

@@ -1,4 +1,4 @@
-"""Streaming substrate: streams, events, space metering, pass management."""
+"""Streaming substrate: streams, events, columnar batches, space metering, the runner."""
 
 from repro.streaming.adapters import (
     edge_events_to_set_events,
@@ -7,9 +7,8 @@ from repro.streaming.adapters import (
     set_events_to_edge_events,
     set_stream_from_edge_stream,
 )
-from repro.streaming.batches import EventBatch
+from repro.streaming.batches import DEFAULT_BATCH_SIZE, EventBatch
 from repro.streaming.events import EdgeArrival, SetArrival
-from repro.streaming.passes import MultiPassDriver
 from repro.streaming.runner import (
     StreamingAlgorithm,
     StreamingReport,
@@ -23,11 +22,11 @@ __all__ = [
     "EdgeArrival",
     "SetArrival",
     "EventBatch",
+    "DEFAULT_BATCH_SIZE",
     "EdgeStream",
     "SetStream",
     "STREAM_ORDERS",
     "SpaceMeter",
-    "MultiPassDriver",
     "StreamingAlgorithm",
     "StreamingReport",
     "StreamingRunner",

@@ -26,13 +26,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.errors import SpecError
 from repro.streaming.events import EdgeArrival, SetArrival
 
-__all__ = ["EventBatch"]
+__all__ = ["DEFAULT_BATCH_SIZE", "EventBatch", "check_batch_size"]
+
+#: Events per batch wherever the caller does not choose (``StreamSpec``,
+#: ``StreamingRunner.run``, ``QueryEngine``, the CLI); results are identical
+#: at every batch size, only the speed differs.
+DEFAULT_BATCH_SIZE = 4096
+
+
+def check_batch_size(value: Any) -> None:
+    """Raise :class:`SpecError` unless ``value`` is an int >= 1 (``None`` included)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SpecError(
+            "batch_size must be a positive integer (columnar batches are the "
+            f"only drive mode), got {value!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)

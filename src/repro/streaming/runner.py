@@ -3,18 +3,18 @@
 A *streaming algorithm* in this library is any object implementing the small
 protocol below (``start_pass`` / ``process`` / ``finish_pass`` / ``result`` /
 ``wants_another_pass`` and a ``space`` meter).  :class:`StreamingRunner`
-drives such an algorithm over a replayable stream, collects the pass count
-and space usage, evaluates the returned solution on the *original* instance
-and packages everything into a :class:`StreamingReport` — the unit of data
-the analysis layer and the benchmarks consume.
+drives such an algorithm over a replayable stream, counts passes against an
+optional budget, records space usage, evaluates the returned solution on the
+*original* instance and packages everything into a :class:`StreamingReport` —
+the unit of data the analysis layer and the benchmarks consume.
 
-Algorithms may additionally implement the optional ``process_batch`` method,
-which receives a columnar :class:`~repro.streaming.batches.EventBatch`
-covering many events at once.  When the runner is asked to drive batches
-(``batch_size=...``) it calls ``process_batch`` where available and otherwise
-falls back to :func:`process_event_batch`'s unrolling shim, so every existing
-scalar algorithm works unchanged under either drive mode — and batched versus
-scalar equivalence is directly testable.
+The runner always feeds columnar
+:class:`~repro.streaming.batches.EventBatch` chunks.  Algorithms may
+implement the optional ``process_batch`` method to take a batch at once;
+everything else goes through :func:`process_event_batch`'s unrolling shim,
+which calls ``process`` once per event in stream order.  ``process`` stays
+the reference semantics: a native ``process_batch`` must match feeding the
+same events one at a time.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from typing import Any, Iterable, Protocol, runtime_checkable
 
 from repro import obs
 from repro.coverage.bipartite import BipartiteGraph
-from repro.errors import PassBudgetExceeded, ReproError
-from repro.streaming.batches import EventBatch
-from repro.streaming.passes import MultiPassDriver
+from repro.errors import PassBudgetExceeded, SpecError
+from repro.streaming.batches import DEFAULT_BATCH_SIZE, EventBatch, check_batch_size
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import EdgeStream, SetStream
 from repro.utils.timer import Stopwatch
@@ -72,7 +71,7 @@ class StreamingAlgorithm(Protocol):
         """Called before each pass with the zero-based pass index."""
 
     def process(self, event: Any) -> None:
-        """Called once per stream event."""
+        """Handles one stream event (the reference semantics of a batch)."""
 
     def finish_pass(self, pass_index: int) -> None:
         """Called after each pass."""
@@ -179,62 +178,49 @@ class StreamingRunner:
         stream: EdgeStream | SetStream,
         *,
         max_passes: int | None = None,
-        batch_size: int | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         extra: dict[str, Any] | None = None,
     ) -> StreamingReport:
         """Drive ``algorithm`` over ``stream`` until it stops asking for passes.
 
-        ``batch_size=None`` (the default) feeds scalar events through
-        ``process``; a positive ``batch_size`` feeds columnar batches through
-        ``process_batch`` where the algorithm provides it and the unrolling
-        shim otherwise — the two drive modes produce identical reports (up to
-        timings).
+        Each pass is fed as columnar batches of at most ``batch_size``
+        events: through ``process_batch`` where the algorithm provides it
+        and the unrolling shim otherwise.  Reports do not depend on
+        ``batch_size`` (up to timings); ``None`` or a non-positive value
+        raises :class:`repro.errors.SpecError`.
 
         Raises :class:`repro.errors.PassBudgetExceeded` as soon as the
         algorithm asks for a pass the ``max_passes`` budget cannot grant, so
         budget exhaustion surfaces as an error instead of a silently
-        truncated run, and cross-checks the driver's pass accounting against
-        the runner's own count to catch duplicate or skipped passes.
+        truncated run.
         """
         self._check_model(algorithm, stream)
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
-        driver = MultiPassDriver(stream, max_passes=max_passes)
+        check_batch_size(batch_size)
         stopwatch = Stopwatch()
         events = 0
-        pass_index = 0
+        passes = 0
         while True:
+            if max_passes is not None and passes >= max_passes:
+                raise PassBudgetExceeded(passes + 1, max_passes)
             observing = obs.enabled()
             events_before = events
             with stopwatch.section("stream"), obs.span(
-                "stream.pass", index=pass_index, algorithm=algorithm.name
+                "stream.pass", index=passes, algorithm=algorithm.name
             ):
-                algorithm.start_pass(pass_index)
-                if batch_size is None:
-                    for event in driver.new_pass():
-                        algorithm.process(event)
-                        events += 1
-                else:
-                    for batch in driver.new_batch_pass(batch_size):
-                        process_event_batch(algorithm, batch)
-                        events += len(batch)
-                        if observing:
-                            _BATCHES.inc()
-                            _BATCH_SIZE.observe(len(batch))
-                algorithm.finish_pass(pass_index)
+                algorithm.start_pass(passes)
+                for batch in stream.iter_batches(batch_size):
+                    process_event_batch(algorithm, batch)
+                    events += len(batch)
+                    if observing:
+                        _BATCHES.inc()
+                        _BATCH_SIZE.observe(len(batch))
+                algorithm.finish_pass(passes)
             if observing:
                 _PASSES.inc()
                 _EVENTS.inc(events - events_before)
-            pass_index += 1
-            if driver.passes_used != pass_index:
-                raise ReproError(
-                    f"pass accounting mismatch: runner completed {pass_index} "
-                    f"pass(es) but the driver counted {driver.passes_used}"
-                )
+            passes += 1
             if not algorithm.wants_another_pass():
                 break
-            if driver.remaining_passes() == 0:
-                raise PassBudgetExceeded(pass_index + 1, driver.max_passes)
         with stopwatch.section("solve"), obs.span(
             "stream.solve", algorithm=algorithm.name
         ):
@@ -248,7 +234,7 @@ class StreamingRunner:
             coverage=coverage,
             coverage_fraction=(coverage / total_elements) if total_elements else 1.0,
             solution_size=len(solution),
-            passes=driver.passes_used,
+            passes=passes,
             space_peak=algorithm.space.peak,
             space_budget=algorithm.space.budget,
             stream_events=events,
@@ -267,10 +253,10 @@ class StreamingRunner:
     def _check_model(algorithm: StreamingAlgorithm, stream: EdgeStream | SetStream) -> None:
         is_edge_stream = isinstance(stream, EdgeStream)
         if algorithm.arrival_model == "edge" and not is_edge_stream:
-            raise TypeError(
+            raise SpecError(
                 f"{algorithm.name} consumes edge arrivals but was given a set stream"
             )
         if algorithm.arrival_model == "set" and is_edge_stream:
-            raise TypeError(
+            raise SpecError(
                 f"{algorithm.name} consumes set arrivals but was given an edge stream"
             )

@@ -14,6 +14,7 @@ from repro.errors import SpecError
 __all__ = [
     "check_positive_int",
     "check_optional_positive_int",
+    "check_optional_open_fraction",
     "check_non_negative_int",
     "check_fraction",
     "check_open_unit",
@@ -38,6 +39,16 @@ def check_optional_positive_int(value: Any, name: str) -> None:
         isinstance(value, bool) or not isinstance(value, int) or value < 1
     ):
         raise SpecError(f"{name} must be a positive integer or None, got {value!r}")
+
+
+def check_optional_open_fraction(value: Any, name: str) -> None:
+    """Raise :class:`SpecError` unless ``value`` is ``None`` or a real in ``(0, 1)``."""
+    if value is not None and (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0.0 < float(value) < 1.0
+    ):
+        raise SpecError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
 
 def check_non_negative_int(value: Any, name: str) -> int:

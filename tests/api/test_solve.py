@@ -19,7 +19,7 @@ from repro.api import (
 )
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
 from repro.errors import SpaceBudgetExceeded, SpecError
-from repro.streaming import SetStream, SpaceMeter, StreamingReport
+from repro.streaming import DEFAULT_BATCH_SIZE, SetStream, SpaceMeter, StreamingReport
 
 KCOVER_SOLVERS = [
     ("kcover/sketch", {"scale": 0.2}),
@@ -188,7 +188,7 @@ class TestErrorPaths:
     def test_arrival_model_mismatch_surfaces_check_model(self, kcover_instance):
         # Forcing a set stream onto the edge-arrival sketch must trip the
         # runner's _check_model, not silently feed wrong events.
-        with pytest.raises(TypeError, match="edge arrivals"):
+        with pytest.raises(SpecError, match="edge arrivals"):
             solve(
                 kcover_instance,
                 "kcover/sketch",
@@ -196,10 +196,31 @@ class TestErrorPaths:
                 stream=StreamSpec(arrival="set"),
             )
 
+    def test_edge_stream_forced_on_a_set_arrival_solver(self, kcover_instance):
+        with pytest.raises(SpecError, match="set arrivals"):
+            solve(kcover_instance, "kcover/sieve", stream=StreamSpec(arrival="edge"))
+
     def test_explicit_stream_object_mismatch(self, kcover_instance):
         stream = SetStream.from_graph(kcover_instance.graph)
-        with pytest.raises(TypeError):
+        with pytest.raises(SpecError, match="edge arrivals"):
             solve(kcover_instance, "kcover/sketch", options={"scale": 0.2}, stream=stream)
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
+    def test_k_override_validated_like_problem_spec(self, kcover_instance, bad):
+        with pytest.raises(SpecError, match="k must be a positive integer"):
+            solve(kcover_instance, "kcover/sketch", k=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 2.0, -0.1, True, "0.1"])
+    def test_outlier_fraction_override_validated_like_problem_spec(
+        self, setcover_instance, bad
+    ):
+        with pytest.raises(SpecError, match="outlier_fraction must lie strictly"):
+            solve(
+                setcover_instance,
+                "outliers/sketch",
+                problem_kind="set_cover_outliers",
+                outlier_fraction=bad,
+            )
 
     def test_offline_solver_rejects_max_passes(self, kcover_instance):
         with pytest.raises(SpecError, match="max_passes"):
@@ -226,6 +247,7 @@ class TestErrorPaths:
         batched = solve(
             kcover_instance, "kcover/sketch", stream=StreamSpec(seed=3, batch_size=128)
         )
+        assert scalar.extra["batch_size"] == DEFAULT_BATCH_SIZE
         assert batched.extra["batch_size"] == 128
         assert batched.solution == scalar.solution
         assert batched.space_peak == scalar.space_peak

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import ProblemSpec, QuerySpec, RunSpec, SolverSpec, StreamSpec
 from repro.errors import SpecError
+from repro.streaming import DEFAULT_BATCH_SIZE
 
 
 class TestProblemSpec:
@@ -120,12 +121,18 @@ class TestStreamSpec:
         spec = StreamSpec(order="random", seed=1, batch_size=256)
         assert spec.to_dict()["batch_size"] == 256
         assert StreamSpec.from_dict(spec.to_dict()) == spec
-        assert StreamSpec().batch_size is None
+        assert StreamSpec().batch_size == DEFAULT_BATCH_SIZE
 
     def test_rejects_bad_batch_size(self):
-        for bad in (0, -4, True, 2.5):
+        for bad in (0, -4, True, 2.5, None):
             with pytest.raises(SpecError, match="batch_size"):
                 StreamSpec(batch_size=bad)
+
+    def test_saved_null_batch_size_is_rejected(self):
+        saved = StreamSpec().to_dict()
+        saved["batch_size"] = None
+        with pytest.raises(SpecError, match="only drive mode"):
+            StreamSpec.from_dict(saved)
 
 
 class TestRunSpec:

@@ -11,6 +11,8 @@ from repro.streaming.events import SetArrival
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import SetStream
 
+from per_event import drive
+
 
 class TestDemaineSetCover:
     def test_produces_full_cover(self, planted_setcover):
@@ -88,8 +90,11 @@ class TestDemaineBatchedPath:
         sets = self._family()
         stream = SetStream(sets, order="random", seed=13)
         algo = DemaineSetCover(10, rounds=2)
-        report = StreamingRunner(stream.to_graph()).run(
-            algo, SetStream(sets, order="random", seed=13), batch_size=batch_size
+        report = drive(
+            StreamingRunner(stream.to_graph()),
+            algo,
+            SetStream(sets, order="random", seed=13),
+            batch_size=batch_size,
         )
         return (
             report.solution,
@@ -109,7 +114,8 @@ class TestDemaineBatchedPath:
         reports = []
         for batch_size in (None, 1, 7, 1024):
             algo = DemaineSetCover(planted_setcover.m, rounds=3)
-            report = StreamingRunner(planted_setcover.graph).run(
+            report = drive(
+                StreamingRunner(planted_setcover.graph),
                 algo,
                 SetStream.from_graph(planted_setcover.graph, order="random", seed=6),
                 batch_size=batch_size,
@@ -148,8 +154,11 @@ class TestDemaineSparseIds:
     def _run(self, batch_size):
         sets = self._family()
         algo = DemaineSetCover(10, rounds=2)
-        report = StreamingRunner(SetStream(sets).to_graph()).run(
-            algo, SetStream(sets, order="random", seed=2), batch_size=batch_size
+        report = drive(
+            StreamingRunner(SetStream(sets).to_graph()),
+            algo,
+            SetStream(sets, order="random", seed=2),
+            batch_size=batch_size,
         )
         assert algo._flags.nbytes < 10_000_000  # bounded despite huge ids
         return (report.solution, report.coverage, report.space_peak,

@@ -11,6 +11,8 @@ from repro.streaming.batches import EventBatch
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import SetStream
 
+from per_event import drive
+
 
 class TestThresholdPartialSetCover:
     def test_reaches_outlier_target(self, planted_setcover):
@@ -99,7 +101,7 @@ class TestProcessBatchEquivalence:
             max(1, graph.num_elements), outlier_fraction, passes=passes
         )
         stream = SetStream.from_graph(graph, order="random", seed=seed)
-        report = StreamingRunner(graph).run(algo, stream, batch_size=batch_size)
+        report = drive(StreamingRunner(graph), algo, stream, batch_size=batch_size)
         return report, algo
 
     def test_rejects_edge_batches(self):

@@ -11,6 +11,8 @@ from repro.streaming.batches import EventBatch
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import SetStream
 
+from per_event import drive
+
 
 class TestHarPeledSetCover:
     def test_produces_full_cover(self, planted_setcover):
@@ -92,7 +94,7 @@ class TestProcessBatchEquivalence:
     def _run(self, graph, batch_size, *, passes=4, seed=7):
         algo = HarPeledSetCover(max(1, graph.num_elements), passes=passes)
         stream = SetStream.from_graph(graph, order="random", seed=seed)
-        report = StreamingRunner(graph).run(algo, stream, batch_size=batch_size)
+        report = drive(StreamingRunner(graph), algo, stream, batch_size=batch_size)
         return report, algo
 
     def test_rejects_edge_batches(self):

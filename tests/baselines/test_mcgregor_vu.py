@@ -12,6 +12,8 @@ from repro.offline.greedy import greedy_k_cover
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import EdgeStream
 
+from per_event import drive
+
 
 class TestMcGregorVu:
     def test_single_pass_edge_arrival(self, planted_kcover):
@@ -71,7 +73,8 @@ class TestNativeBatchPath:
     def test_batched_run_is_byte_identical(self, planted_kcover, batch_size):
         def run(batch):
             algo = McGregorVuKCover(planted_kcover.n, planted_kcover.m, k=4, seed=2)
-            report = StreamingRunner(planted_kcover.graph).run(
+            report = drive(
+                StreamingRunner(planted_kcover.graph),
                 algo,
                 EdgeStream.from_graph(planted_kcover.graph, order="random", seed=3),
                 batch_size=batch,

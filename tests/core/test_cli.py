@@ -9,6 +9,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.coverage.io import write_edge_list
 from repro.datasets import planted_kcover_instance
+from repro.streaming import DEFAULT_BATCH_SIZE
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -27,6 +28,10 @@ class TestParser:
         assert args.command == "kcover"
         assert args.k == 10
         assert args.generator == "planted_kcover"
+
+    @pytest.mark.parametrize("command", ["kcover", "setcover", "outliers", "serve", "query"])
+    def test_batch_size_defaults_to_the_shared_default(self, command):
+        assert build_parser().parse_args([command]).batch_size == DEFAULT_BATCH_SIZE
 
     def test_unknown_generator_rejected(self):
         with pytest.raises(SystemExit):
@@ -96,6 +101,13 @@ class TestCommands:
         code, output = _run(["sketch", "--edges", str(path), "--k", "3"])
         assert code == 0
         assert str(instance.num_edges) in output
+
+    @pytest.mark.parametrize("command", ["kcover", "query"])
+    def test_non_positive_batch_size_exits_2(self, command, capsys):
+        code, _ = _run([command, "--num-sets", "20", "--num-elements", "200",
+                        "--batch-size", "0"])
+        assert code == 2
+        assert "only drive mode" in capsys.readouterr().err
 
     def test_error_exit_code_on_missing_file(self, tmp_path):
         code, _ = _run(["kcover", "--edges", str(tmp_path / "missing.tsv")])

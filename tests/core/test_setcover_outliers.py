@@ -19,6 +19,8 @@ from repro.streaming.events import EdgeArrival
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import EdgeStream
 
+from per_event import drive
+
 
 class TestGuessSchedule:
     def test_starts_at_one_and_ends_at_n(self):
@@ -184,7 +186,7 @@ class TestLazyCascade:
             instance.n, instance.m, outlier_fraction=0.1, epsilon=0.5, seed=seed, **kwargs
         )
         stream = EdgeStream.from_graph(instance.graph, order="random", seed=seed)
-        StreamingRunner(instance.graph).run(algo, stream, batch_size=batch_size)
+        drive(StreamingRunner(instance.graph), algo, stream, batch_size=batch_size)
         return algo
 
     @pytest.mark.parametrize("seed", range(5))

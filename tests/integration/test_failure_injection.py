@@ -18,7 +18,6 @@ from repro.core.setcover_outliers import StreamingSetCoverOutliers
 from repro.errors import InvalidInstanceError, PassBudgetExceeded, SpaceBudgetExceeded
 from repro.streaming import EdgeStream, SetStream, SpaceMeter, StreamingRunner
 from repro.streaming.batches import EventBatch
-from repro.streaming.passes import MultiPassDriver
 
 
 class TestSpaceBudgetEnforcement:
@@ -187,12 +186,11 @@ class TestPassBudgetEnforcement:
                 max_passes=2,
             )
 
-    def test_driver_reports_exact_violation(self, planted_kcover):
-        driver = MultiPassDriver(
-            EdgeStream.from_graph(planted_kcover.graph, order="given"), max_passes=1
-        )
-        list(driver.new_pass())
+    def test_runner_reports_exact_violation(self, planted_setcover):
+        algo = StreamingSetCover(planted_setcover.n, planted_setcover.m, rounds=2)
+        stream = EdgeStream.from_graph(planted_setcover.graph, order="given")
         with pytest.raises(PassBudgetExceeded) as excinfo:
-            driver.new_pass()
+            StreamingRunner(planted_setcover.graph).run(algo, stream, max_passes=1)
         assert excinfo.value.budget == 1
         assert excinfo.value.used == 2
+        assert stream.passes_taken == 1

@@ -1,11 +1,13 @@
-"""Batched-vs-scalar equivalence across the whole solver registry.
+"""Batched-vs-per-event equivalence across the whole solver registry.
 
-The batched streaming engine's contract is that driving any registered
-streaming solver with columnar batches — native ``process_batch`` or the
-unrolling shim alike — produces a report byte-identical to the scalar event
-path: same solution, coverage, pass count and space peak.  This property is
-what lets benchmarks use batches while every correctness claim is made about
-the scalar reference semantics.
+The runner only feeds columnar batches.  Its contract is that driving any
+registered streaming solver with batches of any size — native
+``process_batch`` or the unrolling shim alike — produces a report
+byte-identical to the per-event reference (:class:`per_event.PerEvent`, which
+hides ``process_batch`` so every batch is unrolled into ``process()`` calls):
+same solution, coverage, pass count and space peak.  This property is what
+lets every run use batches while every correctness claim is made about the
+per-event reference semantics.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from repro.core.setcover_outliers import StreamingSetCoverOutliers
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
 from repro.streaming import EdgeStream, StreamingRunner
+
+from per_event import drive, per_event_twin
 
 BATCH_SIZES = (1, 7, 1024)
 #: Set-cover batch sizes: 4096 holds a whole pass of the instances below.
@@ -64,13 +68,18 @@ def _cases():
 def test_every_streaming_solver_is_batch_invariant(problem, name, build, kwargs):
     instance = build()
     for seed in SEEDS:
-        scalar = solve(
-            instance,
-            name,
-            problem_kind=problem,
-            stream=StreamSpec(order="random", seed=seed),
-            seed=seed,
-            **kwargs,
+        with per_event_twin(name) as reference:
+            scalar = solve(
+                instance,
+                reference,
+                problem_kind=problem,
+                stream=StreamSpec(order="random", seed=seed),
+                seed=seed,
+                **kwargs,
+            )
+        default = solve(instance, name, problem_kind=problem, seed=seed, **kwargs)
+        assert _report_key(default) == _report_key(scalar), (
+            f"{name}'s default solve() diverged from the per-event path, seed={seed}"
         )
         for batch_size in BATCH_SIZES:
             batched = solve(
@@ -82,7 +91,7 @@ def test_every_streaming_solver_is_batch_invariant(problem, name, build, kwargs)
                 **kwargs,
             )
             assert _report_key(batched) == _report_key(scalar), (
-                f"{name} diverged from the scalar path at batch_size={batch_size}, "
+                f"{name} diverged from the per-event path at batch_size={batch_size}, "
                 f"seed={seed}"
             )
 
@@ -117,8 +126,10 @@ def _guess_sketches(outliers):
 
 
 def _run(algorithm, instance, seed, batch_size):
+    """One run's report key; ``batch_size=None`` drives the per-event reference."""
     stream = EdgeStream.from_graph(instance.graph, order="random", seed=seed)
-    report = StreamingRunner(instance.graph).run(algorithm, stream, batch_size=batch_size)
+    runner = StreamingRunner(instance.graph)
+    report = drive(runner, algorithm, stream, batch_size=batch_size)
     return _report_key(report)
 
 

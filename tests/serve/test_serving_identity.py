@@ -17,6 +17,7 @@ from repro.coverage.bitset import COVERAGE_BACKENDS
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
 from repro.errors import SpecError
 from repro.serve import SERVE_EXTRA_KEYS, QueryEngine, SketchStore
+from repro.streaming import DEFAULT_BATCH_SIZE
 
 #: Every accepted coverage_backend value, including the set-based None.
 BACKENDS = (None, *COVERAGE_BACKENDS)
@@ -30,11 +31,10 @@ def _identity_key(report):
     """Everything the served-vs-fresh contract covers.
 
     Timings differ by construction; the serve markers are additions the
-    engine documents; ``batch_size`` is recorded only when a drive is
-    batched and batch-invariance is property-tested separately.
+    engine documents.  ``batch_size`` stays in: every drive records it, and
+    the engines below use the fresh runs' size.
     """
-    stripped = ("batch_size",) + SERVE_EXTRA_KEYS
-    extra = {k: v for k, v in report.extra.items() if k not in stripped}
+    extra = {k: v for k, v in report.extra.items() if k not in SERVE_EXTRA_KEYS}
     return (
         report.algorithm,
         report.arrival_model,
@@ -258,6 +258,25 @@ class TestOutliersServing:
                 )
             )
         assert engine.store.stats()["builds"] == 1
+
+
+class TestEngineSettings:
+    @pytest.mark.parametrize("bad", [0, True, 1.5, None])
+    def test_batch_size_validated_like_stream_spec(self, kcover_instance, bad):
+        with pytest.raises(SpecError, match="only drive mode"):
+            QueryEngine(kcover_instance.graph, batch_size=bad)
+
+    def test_default_engine_matches_default_solve(self, kcover_instance):
+        engine = QueryEngine(kcover_instance.graph, seed=SEED)
+        served = engine.query(
+            QuerySpec(problem="k_cover", k=4, options=dict(KCOVER_OPTIONS))
+        )
+        fresh = solve(
+            kcover_instance, "kcover/sketch", k=4, seed=SEED,
+            options=dict(KCOVER_OPTIONS),
+        )
+        assert engine.batch_size == DEFAULT_BATCH_SIZE
+        assert _identity_key(served) == _identity_key(fresh)
 
 
 class TestSessionServing:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.coverage.bipartite import BipartiteGraph
 from repro.errors import PassBudgetExceeded
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival, SetArrival
-from repro.streaming.passes import MultiPassDriver
+from repro.streaming.runner import StreamingRunner
+from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import STREAM_ORDERS, EdgeStream, SetStream
 
 EDGES = [(0, 3), (1, 3), (0, 5), (2, 1), (1, 4), (2, 2), (0, 1), (3, 3)]
@@ -121,12 +123,45 @@ class TestSetStreamBatches:
         assert stream.passes_taken == 1
 
 
-class TestDriverBatchPasses:
-    def test_batch_pass_counts_against_budget(self):
+class _WantsPasses:
+    """Edge algorithm that asks for a fixed number of passes and stores nothing."""
+
+    name = "wants-passes"
+    arrival_model = "edge"
+
+    def __init__(self, passes: int) -> None:
+        self.space = SpaceMeter(unit="edges")
+        self.passes_left = passes
+
+    def start_pass(self, pass_index: int) -> None:
+        pass
+
+    def process(self, event) -> None:
+        pass
+
+    def finish_pass(self, pass_index: int) -> None:
+        self.passes_left -= 1
+
+    def wants_another_pass(self) -> bool:
+        return self.passes_left > 0
+
+    def result(self) -> list[int]:
+        return []
+
+
+class TestBatchPassCounting:
+    def test_batch_pass_counts_like_an_event_pass(self):
         stream = EdgeStream(EDGES, num_sets=4, order="given")
-        driver = MultiPassDriver(stream, max_passes=2)
-        list(driver.new_batch_pass(4))
-        list(driver.new_pass())
-        assert driver.passes_used == 2
-        with pytest.raises(PassBudgetExceeded):
-            driver.new_batch_pass(4)
+        list(stream.iter_batches(4))
+        list(stream)
+        assert stream.passes_taken == 2
+
+    def test_runner_stops_before_the_pass_over_budget(self):
+        stream = EdgeStream(EDGES, num_sets=4, order="given")
+        with pytest.raises(PassBudgetExceeded) as excinfo:
+            StreamingRunner(BipartiteGraph(4)).run(
+                _WantsPasses(3), stream, max_passes=2, batch_size=4
+            )
+        assert (excinfo.value.used, excinfo.value.budget) == (3, 2)
+        # The third pass was refused, not started.
+        assert stream.passes_taken == 2

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PassBudgetExceeded, ReproError
+from repro.errors import PassBudgetExceeded, SpecError
 from repro.streaming.events import EdgeArrival
 from repro.streaming.runner import StreamingAlgorithm, StreamingReport, StreamingRunner
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import EdgeStream, SetStream
+
+from per_event import PerEvent
 
 
 class CountingEdgeAlgorithm:
@@ -65,7 +67,7 @@ class TestRunner:
     def test_model_mismatch_rejected(self, tiny_graph):
         runner = StreamingRunner(tiny_graph)
         algo = CountingEdgeAlgorithm()
-        with pytest.raises(TypeError):
+        with pytest.raises(SpecError, match="consumes edge arrivals"):
             runner.run(algo, SetStream.from_graph(tiny_graph))
 
     def test_report_as_dict(self, tiny_graph):
@@ -119,28 +121,6 @@ class TestPassBudget:
         assert excinfo.value.budget == 2
         assert algo.passes_done == 2
 
-    def test_duplicate_pass_accounting_detected(self, tiny_graph):
-        stream = EdgeStream.from_graph(tiny_graph, order="given")
-        algo = CountingEdgeAlgorithm(passes=2)
-
-        # Simulate a driver whose accounting drifts: patch MultiPassDriver to
-        # double-charge the pass counter.
-        import repro.streaming.runner as runner_module
-
-        class DriftingDriver(runner_module.MultiPassDriver):
-            def new_pass(self):
-                iterator = super().new_pass()
-                self._passes_used += 1  # corrupt the count on purpose
-                return iterator
-
-        original = runner_module.MultiPassDriver
-        runner_module.MultiPassDriver = DriftingDriver
-        try:
-            with pytest.raises(ReproError, match="pass accounting mismatch"):
-                StreamingRunner(tiny_graph).run(algo, stream)
-        finally:
-            runner_module.MultiPassDriver = original
-
 
 class BatchCountingAlgorithm(CountingEdgeAlgorithm):
     """Edge algorithm with a native process_batch, for dispatch tests."""
@@ -157,10 +137,12 @@ class BatchCountingAlgorithm(CountingEdgeAlgorithm):
 
 class TestBatchedDrive:
     def test_shim_unrolls_batches_for_scalar_algorithms(self, tiny_graph):
-        scalar = CountingEdgeAlgorithm()
+        scalar = BatchCountingAlgorithm()
         batched = CountingEdgeAlgorithm()
         runner = StreamingRunner(tiny_graph)
-        ref = runner.run(scalar, EdgeStream.from_graph(tiny_graph, order="given"))
+        ref = runner.run(
+            PerEvent(scalar), EdgeStream.from_graph(tiny_graph, order="given")
+        )
         rep = runner.run(
             batched, EdgeStream.from_graph(tiny_graph, order="given"), batch_size=3
         )
@@ -168,6 +150,8 @@ class TestBatchedDrive:
         assert rep.stream_events == ref.stream_events
         assert rep.space_peak == ref.space_peak
         assert batched.events == scalar.events
+        # The proxy hides process_batch: every event went through process().
+        assert scalar.batches == 0
 
     def test_native_process_batch_preferred(self, tiny_graph):
         algo = BatchCountingAlgorithm()
@@ -187,13 +171,22 @@ class TestBatchedDrive:
                 batch_size=2,
             )
 
-    def test_invalid_batch_size(self, tiny_graph):
-        with pytest.raises(ValueError, match="batch_size"):
+    @pytest.mark.parametrize("batch_size", [0, None, True, 1.5])
+    def test_invalid_batch_size(self, tiny_graph, batch_size):
+        with pytest.raises(SpecError, match="only drive mode"):
             StreamingRunner(tiny_graph).run(
                 CountingEdgeAlgorithm(),
                 EdgeStream.from_graph(tiny_graph, order="given"),
-                batch_size=0,
+                batch_size=batch_size,
             )
+
+    def test_default_drive_is_batched(self, tiny_graph):
+        algo = BatchCountingAlgorithm()
+        report = StreamingRunner(tiny_graph).run(
+            algo, EdgeStream.from_graph(tiny_graph, order="given")
+        )
+        assert algo.batches == 1  # 9 edges fit one default-size batch
+        assert report.stream_events == tiny_graph.num_edges
 
 
 class TestReportDerivedFields:
