@@ -121,6 +121,19 @@ class BipartiteGraph:
         )
         return set_ids, np.repeat(elements, degrees)
 
+    def to_set_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as parallel ``uint64`` ``(set_ids, elements)`` columns,
+        in exactly :meth:`edges` order (grouped by set, ascending set id).
+
+        The set-major twin of :meth:`to_columns`, filled the same way by
+        C-level iteration over the adjacency.
+        """
+        degrees = np.fromiter(map(len, self._set_adj), dtype=np.intp, count=self._num_sets)
+        elements = np.fromiter(
+            chain.from_iterable(self._set_adj), dtype=np.uint64, count=self._num_edges
+        )
+        return np.repeat(np.arange(self._num_sets, dtype=np.uint64), degrees), elements
+
     def copy(self) -> "BipartiteGraph":
         """Return a deep copy (adjacency sets are copied)."""
         clone = BipartiteGraph(self._num_sets)

@@ -9,13 +9,18 @@ global threshold/budget.
 
 A shard can be fed to a worker in any of three shapes:
 
-* a plain sequence of ``(set_id, element)`` tuples (the historical path);
+* a plain sequence of ``(set_id, element)`` tuples or
+  :class:`~repro.streaming.events.EdgeArrival` events, fed one edge at a time;
 * an :class:`~repro.streaming.batches.EventBatch` or an iterable of batches —
   each batch goes through the sketch builder's native vectorised
-  ``process_batch`` (byte-identical to the scalar feed, much faster);
+  ``process_batch`` (byte-identical to the per-edge feed, much faster);
 * an :class:`~repro.streaming.stream.EdgeStream` — one pass is consumed as
-  columnar batches, so a memory-mapped columnar slice flows from disk pages
-  into the sketch with no per-edge Python objects anywhere.
+  the stream's own batches, so a memory-mapped columnar slice flows from
+  disk pages into the sketch with no per-edge Python objects anywhere.
+
+The map jobs below cut their shard columns into batches with
+:meth:`~repro.streaming.batches.EventBatch.chunks`, the same helper the
+streams use.
 
 Job protocol
 ------------
@@ -81,14 +86,14 @@ __all__ = [
     "build_all_machine_sketches",
 ]
 
-#: Batch size a worker feeds its sketch builder (map jobs and
-#: :class:`EdgeStream` shards alike).  Large
-#: enough to amortise the per-batch numpy overhead, small enough that one
-#: batch of two uint64 columns stays cache-friendly.
+#: Events per batch a worker feeds its sketch builder: the chunk size of the
+#: map jobs' shard columns and of one pass over an :class:`EdgeStream`
+#: shard.  Large enough to amortise the per-batch numpy overhead, small
+#: enough that one batch of two uint64 columns stays cache-friendly.
 DEFAULT_MAP_BATCH = 65_536
 
-#: A worker input: tuples, scalar events, batches, a batch iterable, or a
-#: replayable stream of a columnar slice.
+#: A worker input: edge tuples or events (fed one edge at a time), one batch,
+#: an iterable of batches, or an :class:`EdgeStream` (fed as its batches).
 Shard = (
     Sequence[tuple[int, int]]
     | Iterable[tuple[int, int] | EdgeArrival | EventBatch]
@@ -231,7 +236,7 @@ class MachineShardJob:
         """Map this shard into its machine sketch."""
         return build_machine_sketch(
             self.machine_id,
-            _column_batches(self.set_ids, self.elements, self.batch_size),
+            EventBatch(self.set_ids, self.elements).chunks(self.batch_size),
             self.params,
             hash_seed=self.hash_seed,
             batch_size=self.batch_size,
@@ -290,9 +295,8 @@ class ShardRecomputeJob:
         if self.strategy == "row_range":
             bounds = row_range_bounds(columns.num_edges, self.num_machines)
             rows = slice(bounds[self.machine_id], bounds[self.machine_id + 1])
-            yield from _column_batches(
-                columns.set_ids[rows], columns.elements[rows], self.batch_size
-            )
+            shard = EventBatch(columns.set_ids[rows], columns.elements[rows])
+            yield from shard.chunks(self.batch_size)
             return
         partitioner = EdgePartitioner(
             self.num_machines,
@@ -300,20 +304,12 @@ class ShardRecomputeJob:
             seed=self.seed,
             total_edges=columns.num_edges,
         )
-        for batch in _column_batches(columns.set_ids, columns.elements, self.batch_size):
+        whole = EventBatch(columns.set_ids, columns.elements)
+        for batch in whole.chunks(self.batch_size):
             assigned = partitioner.assign(batch.set_ids, batch.elements)
             rows = np.flatnonzero(assigned == self.machine_id)
             if len(rows):
                 yield batch.take(rows)
-
-
-def _column_batches(
-    set_ids: np.ndarray, elements: np.ndarray, batch_size: int
-) -> Iterator[EventBatch]:
-    """Parallel edge columns as batches of at most ``batch_size`` rows (views)."""
-    for start in range(0, len(set_ids), batch_size):
-        stop = start + batch_size
-        yield EventBatch(set_ids[start:stop], elements[start:stop])
 
 
 #: Any picklable description of one machine's map work.

@@ -318,13 +318,13 @@ class ParallelMapper:
             else:
                 try:
                     return [future.result() for future in futures]
-                except BrokenExecutor:  # pragma: no cover - pool died mid-run
+                except BrokenExecutor:  # pool died mid-run
                     broken = True
         finally:
             for future in futures:
                 future.cancel()
             self._release_pool(pool, owned, broken)
-        return self._fallback(fn, jobs)  # pragma: no cover - sandbox fallback
+        return self._fallback(fn, jobs)
 
     # ------------------------------------------------------------------ #
     # as-completed gather
@@ -394,13 +394,13 @@ class ParallelMapper:
                         result = future.result()
                         done.add(index)
                         yield index, result
-                except BrokenExecutor:  # pragma: no cover - pool died mid-run
+                except BrokenExecutor:  # pool died mid-run
                     broken = True
         finally:
             for future in futures:
                 future.cancel()
             self._release_pool(pool, owned, broken)
-        if broken:  # pragma: no cover - sandbox fallback
+        if broken:
             yield from self._fallback_unordered(fn, jobs, done)
 
     def _fallback(self, fn: Callable[[Job], Result], jobs: list[Job]) -> list[Result]:

@@ -1,12 +1,5 @@
 """Streaming substrate: streams, events, columnar batches, space metering, the runner."""
 
-from repro.streaming.adapters import (
-    edge_events_to_set_events,
-    edge_stream_from_set_stream,
-    interleave_edges,
-    set_events_to_edge_events,
-    set_stream_from_edge_stream,
-)
 from repro.streaming.batches import DEFAULT_BATCH_SIZE, EventBatch
 from repro.streaming.events import EdgeArrival, SetArrival
 from repro.streaming.runner import (
@@ -31,9 +24,4 @@ __all__ = [
     "StreamingReport",
     "StreamingRunner",
     "process_event_batch",
-    "edge_events_to_set_events",
-    "edge_stream_from_set_stream",
-    "interleave_edges",
-    "set_events_to_edge_events",
-    "set_stream_from_edge_stream",
 ]

@@ -1,11 +1,11 @@
-"""Columnar event batches for the vectorized streaming path.
+"""Columnar event batches: the one form streams store and algorithms consume.
 
-A scalar stream hands algorithms one :class:`~repro.streaming.events.EdgeArrival`
-or :class:`~repro.streaming.events.SetArrival` per Python call, which makes
-update throughput interpreter-bound.  :class:`EventBatch` is the columnar
-alternative: a contiguous chunk of one pass, stored as numpy ``uint64``
-columns so a whole batch can be hashed, threshold-filtered or scattered with
-whole-array operations.
+:class:`EventBatch` holds stream events as numpy ``uint64`` columns, so a
+whole batch can be hashed, threshold-filtered or scattered with whole-array
+operations.  A stream (:mod:`repro.streaming.stream`) stores its entire input
+as one batch, reorders it once per pass with :meth:`EventBatch.take` and
+hands it out cut into chunks by :meth:`EventBatch.chunks`; the map jobs of
+the distributed workers chunk their shard columns the same way.
 
 Two layouts share the one class, mirroring the two arrival models:
 
@@ -20,20 +20,28 @@ accounting is layout-independent.  :meth:`EventBatch.iter_events` unrolls a
 batch back into the scalar event objects — that is the compatibility shim the
 runner uses for algorithms that only implement ``process``, and the reference
 semantics every native ``process_batch`` implementation must match.
+
+Every id column is made by one checked conversion: ``uint64`` arrays pass
+without a scan, other integer arrays must be ``>= 0``, Python ints must fit
+in ``[0, 2**64)``, and anything else raises
+:class:`~repro.errors.InvalidInstanceError` instead of being cast into a
+silently different id.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import SpecError
+from repro.errors import InvalidInstanceError, SpecError
 from repro.streaming.events import EdgeArrival, SetArrival
 
-__all__ = ["DEFAULT_BATCH_SIZE", "EventBatch", "check_batch_size"]
+__all__ = ["DEFAULT_BATCH_SIZE", "EventBatch", "check_batch_size", "id_column"]
 
 #: Events per batch wherever the caller does not choose (``StreamSpec``,
 #: ``StreamingRunner.run``, ``QueryEngine``, the CLI); results are identical
@@ -48,6 +56,31 @@ def check_batch_size(value: Any) -> None:
             "batch_size must be a positive integer (columnar batches are the "
             f"only drive mode), got {value!r}"
         )
+
+
+def id_column(values: Any, what: str) -> np.ndarray:
+    """``values`` as a checked ``uint64`` id column (see module docstring).
+
+    ``what`` names the ids in the :class:`~repro.errors.InvalidInstanceError`.
+    """
+    if isinstance(values, np.ndarray):
+        # A plain ndarray view: a memory-mapped column stays mapped, but
+        # slices and results skip the np.memmap subclass machinery.
+        values = np.asarray(values)
+        if values.dtype == np.uint64:
+            return values
+        if values.dtype.kind in "iu":
+            if values.size and values.min() < 0:
+                raise InvalidInstanceError(f"{what} must be >= 0, got {values.min()}")
+        elif values.size:
+            raise InvalidInstanceError(f"{what} must be integers, got dtype {values.dtype}")
+        return values.astype(np.uint64)
+    try:
+        return np.fromiter(map(operator.index, values), dtype=np.uint64)
+    except (TypeError, OverflowError) as error:
+        raise InvalidInstanceError(
+            f"{what} must be integers in [0, 2**64) ({error})"
+        ) from error
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +109,14 @@ class EventBatch:
     offsets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "set_ids", np.asarray(self.set_ids, dtype=np.uint64))
-        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=np.uint64))
+        object.__setattr__(self, "set_ids", id_column(self.set_ids, "set ids"))
+        object.__setattr__(self, "elements", id_column(self.elements, "elements"))
         if self.set_ids.ndim != 1 or self.elements.ndim != 1:
-            raise ValueError("set_ids and elements must be one-dimensional arrays")
+            raise SpecError("set_ids and elements must be one-dimensional arrays")
         if self.offsets is None:
             if len(self.set_ids) != len(self.elements):
-                raise ValueError(
-                    "edge batch requires parallel columns: "
+                raise SpecError(
+                    "edge batch requires parallel columns of equal length: "
                     f"{len(self.set_ids)} set ids vs {len(self.elements)} elements"
                 )
             return
@@ -106,22 +139,17 @@ class EventBatch:
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "EventBatch":
         """Build an edge batch from ``(set_id, element)`` pairs."""
         pairs = list(edges)
-        set_ids = np.fromiter((s for s, _ in pairs), dtype=np.uint64, count=len(pairs))
-        elements = np.fromiter((e for _, e in pairs), dtype=np.uint64, count=len(pairs))
-        return cls(set_ids, elements)
+        return cls([s for s, _ in pairs], [e for _, e in pairs])
 
     @classmethod
-    def from_sets(cls, sets: Sequence[tuple[int, Sequence[int]]]) -> "EventBatch":
+    def from_sets(cls, sets: Iterable[tuple[int, Iterable[int]]]) -> "EventBatch":
         """Build a set batch from ``(set_id, members)`` pairs."""
-        set_ids = np.fromiter((s for s, _ in sets), dtype=np.uint64, count=len(sets))
-        lengths = np.fromiter(
-            (len(members) for _, members in sets), dtype=np.int64, count=len(sets)
-        )
-        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+        rows = [(set_id, tuple(members)) for set_id, members in sets]
+        lengths = np.array([len(members) for _, members in rows], dtype=np.int64)
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        flat = [int(e) for _, members in sets for e in members]
-        elements = np.array(flat, dtype=np.uint64)
-        return cls(set_ids, elements, offsets)
+        members = chain.from_iterable(members for _, members in rows)
+        return cls([set_id for set_id, _ in rows], members, offsets)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -151,20 +179,45 @@ class EventBatch:
         return self.elements.tolist()
 
     # ------------------------------------------------------------------ #
-    # row selection
+    # row selection and chunking
     # ------------------------------------------------------------------ #
     def take(self, rows: np.ndarray | Sequence[int]) -> "EventBatch":
-        """An edge sub-batch of the given rows, in the given order.
+        """The sub-batch of the given rows (events), in the given order.
 
-        This is the routing primitive of the distributed map phase: a
-        partitioner groups one batch's rows by machine and hands each worker
-        ``take(rows)`` — plain numpy fancy indexing, no per-edge tuples.
-        Only edge batches support it (a set batch row is a whole CSR run).
+        A stream reorders its stored batch for a pass with one ``take``, and
+        a partitioner hands each machine ``take(rows)`` of one batch — plain
+        numpy fancy indexing, no per-edge tuples.  A set-layout row is a
+        whole CSR run: the member runs are gathered with one vectorised
+        index and the offsets rebuilt from the run lengths.
         """
-        if self.offsets is not None:
-            raise TypeError("take() slices edge batches, got a set batch")
         rows = np.asarray(rows, dtype=np.int64)
-        return EventBatch(self.set_ids[rows], self.elements[rows])
+        if self.offsets is None:
+            return EventBatch(self.set_ids[rows], self.elements[rows])
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        # Output member p of run j comes from starts[j] + (p - offsets[j]).
+        gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return EventBatch(self.set_ids[rows], self.elements[gather], offsets)
+
+    def chunks(self, size: int) -> Iterator["EventBatch"]:
+        """The batch cut into consecutive sub-batches of at most ``size`` events.
+
+        Each chunk's columns are views of this batch's; a set-layout chunk
+        gets its offsets rebased to start at 0.
+        """
+        for start in range(0, len(self), size):
+            stop = start + size
+            if self.offsets is None:
+                yield EventBatch(self.set_ids[start:stop], self.elements[start:stop])
+                continue
+            bounds = self.offsets[start : stop + 1]
+            yield EventBatch(
+                self.set_ids[start:stop],
+                self.elements[bounds[0] : bounds[-1]],
+                bounds - bounds[0],
+            )
 
     # ------------------------------------------------------------------ #
     # scalar compatibility shim

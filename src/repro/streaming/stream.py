@@ -1,10 +1,15 @@
 """Replayable edge-arrival and set-arrival streams.
 
-A stream wraps a coverage instance (or an explicit edge list) and yields its
-events in a chosen order.  Streams are *replayable*: iterating again yields a
-fresh pass, which is what the multi-pass algorithms (Algorithm 6, Demaine- and
-Har-Peled-style baselines) need.  The number of passes taken is tracked so
-experiments can report it.
+A stream stores its whole input as one columnar
+:class:`~repro.streaming.batches.EventBatch` — the edge layout for
+:class:`EdgeStream`, the CSR set layout for :class:`SetStream` — and replays
+it in a chosen order.  Each pass reorders the stored batch once with
+:meth:`~repro.streaming.batches.EventBatch.take`; ``iter_batches`` cuts that
+reordered batch into chunks and ``__iter__`` unrolls it into scalar events,
+so both views of a pass are event-for-event identical.  Iterating again
+yields a fresh pass, which is what the multi-pass algorithms (Algorithm 6,
+Demaine- and Har-Peled-style baselines) need; the number of passes taken is
+tracked so experiments can report it.
 
 Orders
 ------
@@ -25,12 +30,14 @@ Orders
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.coverage.bipartite import BipartiteGraph
-from repro.streaming.batches import EventBatch
+from repro.errors import InvalidInstanceError, SpecError
+from repro.streaming.batches import EventBatch, check_batch_size, id_column
 from repro.streaming.events import EdgeArrival, SetArrival
 from repro.utils.rng import spawn_rng
 
@@ -45,20 +52,75 @@ STREAM_ORDERS = (
 )
 
 
-class EdgeStream:
+class _ReplayableStream:
+    """One stored :class:`EventBatch`, an arrival order and a pass counter."""
+
+    def __init__(self, batch: EventBatch, order: str, seed: int) -> None:
+        self._batch = batch
+        self._order = order
+        self._seed = int(seed)
+        self._passes = 0
+
+    @property
+    def num_events(self) -> int:
+        """Length of one pass of the stream (edges, or set arrivals)."""
+        return len(self._batch)
+
+    @property
+    def passes_taken(self) -> int:
+        """How many passes have been fully or partially consumed so far."""
+        return self._passes
+
+    def reset_pass_count(self) -> None:
+        """Reset the pass counter (e.g. between benchmark repetitions)."""
+        self._passes = 0
+
+    def _pass(self) -> EventBatch:
+        """The stored batch in the next pass's order (counts as a pass).
+
+        Subclasses define ``_ordered_indices(pass_index)``, the row
+        permutation of every order but ``given``.
+        """
+        pass_index = self._passes
+        self._passes += 1
+        if self._order == "given":
+            return self._batch
+        return self._batch.take(self._ordered_indices(pass_index))
+
+    def __iter__(self) -> Iterator[EdgeArrival | SetArrival]:
+        yield from self._pass().iter_events()
+
+    def iter_batches(self, batch_size: int) -> Iterator[EventBatch]:
+        """Yield one pass as columnar batches of at most ``batch_size`` events.
+
+        Counts as one pass (like ``__iter__``) and visits the events in
+        exactly the same order as ``__iter__`` for the same pass index.
+        """
+        check_batch_size(batch_size)
+        yield from self._pass().chunks(batch_size)
+
+
+class EdgeStream(_ReplayableStream):
     """A replayable stream of :class:`EdgeArrival` events.
+
+    The edges are stored as one edge-layout :class:`EventBatch`.
 
     Parameters
     ----------
     edges:
         The membership edges as (set_id, element) pairs.
+    columns:
+        Instead of ``edges``: parallel ``(set_ids, elements)`` integer
+        columns, stored as they are when already ``uint64`` (no copy, no
+        scan — e.g. memory-mapped off disk).
     num_sets:
         Number of set vertices ``n`` (known to the algorithm up front, as the
         paper assumes — space bounds are stated in terms of ``n``).
     num_elements_hint:
         Optional upper bound on the number of distinct elements ``m``.  The
         paper's algorithms only need ``m`` up to a constant factor (it enters
-        through ``log m``); generators provide the exact value.
+        through ``log m``); generators provide the exact value.  Defaults to
+        the distinct element count, computed on first access.
     order:
         One of :data:`STREAM_ORDERS`.
     seed:
@@ -66,7 +128,8 @@ class EdgeStream:
         from (seed, pass index).
     favored_sets:
         For ``adversarial_tail``: the set ids whose edges are moved to the
-        end of the stream (defaults to the largest set).
+        end of the stream (defaults to the largest set, ties to the
+        smallest id).
     """
 
     def __init__(
@@ -81,45 +144,25 @@ class EdgeStream:
         favored_sets: Sequence[int] | None = None,
     ) -> None:
         if order not in STREAM_ORDERS:
-            raise ValueError(f"unknown order {order!r}; expected one of {STREAM_ORDERS}")
+            raise SpecError(f"unknown order {order!r}; expected one of {STREAM_ORDERS}")
         if (edges is None) == (columns is None):
-            raise ValueError("provide exactly one of edges= or columns=")
-        if columns is not None:
-            # Column-backed stream (e.g. memory-mapped off disk): no per-edge
-            # Python tuples exist anywhere; the batched path slices the
-            # arrays directly.
+            raise SpecError("provide exactly one of edges= or columns=")
+        num_sets = operator.index(num_sets)
+        if num_sets < 0:
+            raise InvalidInstanceError(f"num_sets must be >= 0, got {num_sets}")
+        if edges is not None:
+            batch = EventBatch.from_edges(edges)
+        else:
             set_column, element_column = columns
-            self._edges: list[tuple[int, int]] | None = None
-            self._columns: tuple[np.ndarray, np.ndarray] | None = (
-                np.asarray(set_column, dtype=np.uint64),
-                np.asarray(element_column, dtype=np.uint64),
-            )
-            if len(self._columns[0]) != len(self._columns[1]):
-                raise ValueError("set and element columns must have equal length")
-            self._num_events = len(self._columns[0])
-        else:
-            self._edges = [(int(s), int(e)) for s, e in edges]
-            # Columnar mirror of the edge list (built lazily so purely scalar
-            # consumers never pay for it): the batched path and the
-            # sort-based orders slice and hash these whole arrays instead of
-            # Python tuples.
-            self._columns = None
-            self._num_events = len(self._edges)
-        self._num_sets = int(num_sets)
-        self._order = order
-        self._seed = int(seed)
-        self._passes = 0
-        self._favored_sets = tuple(favored_sets) if favored_sets is not None else None
-        # For column-backed streams the default hint (a full-column unique
-        # count) is deferred to first access, so merely opening a large
-        # memory-mapped stream never scans the file.
-        self._num_elements_hint: int | None
-        if num_elements_hint is not None:
-            self._num_elements_hint = int(num_elements_hint)
-        elif self._edges is not None:
-            self._num_elements_hint = len({e for _, e in self._edges})
-        else:
-            self._num_elements_hint = None
+            batch = EventBatch(set_column, element_column)
+        super().__init__(batch, order, seed)
+        self._num_sets = num_sets
+        self._num_elements_hint = (
+            int(num_elements_hint) if num_elements_hint is not None else None
+        )
+        self._favored_sets = (
+            id_column(favored_sets, "favored set ids") if favored_sets is not None else None
+        )
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -133,9 +176,9 @@ class EdgeStream:
         seed: int = 0,
         favored_sets: Sequence[int] | None = None,
     ) -> "EdgeStream":
-        """Build a stream from a bipartite graph."""
+        """Build a stream from a bipartite graph, stored in ``graph.edges()`` order."""
         return cls(
-            graph.edges(),
+            columns=graph.to_set_columns(),
             num_sets=graph.num_sets,
             num_elements_hint=graph.num_elements,
             order=order,
@@ -156,10 +199,9 @@ class EdgeStream:
 
         ``source`` is a :class:`repro.coverage.io.ColumnarEdges` (or a path
         to a directory written by :func:`repro.coverage.io.write_columnar`).
-        The mapped ``uint64`` columns back the stream as-is: batches are
-        sliced straight from disk pages and no per-edge Python objects are
-        ever constructed on the batched path, which is what makes this the
-        fast ingestion route for large workloads.
+        The stream stores the mapped ``uint64`` columns unchanged — no copy
+        and no scan — so ``given``-order batches are views of disk pages and
+        no per-edge Python objects are built on the batched path.
         """
         from repro.coverage.io import ColumnarEdges, open_columnar
 
@@ -185,18 +227,8 @@ class EdgeStream:
     def num_elements_hint(self) -> int:
         """Upper bound on the number of distinct elements ``m``."""
         if self._num_elements_hint is None:
-            self._num_elements_hint = len(np.unique(self._edge_columns()[1]))
+            self._num_elements_hint = len(np.unique(self._batch.elements))
         return self._num_elements_hint
-
-    @property
-    def num_events(self) -> int:
-        """Length of one pass of the stream (number of edges)."""
-        return self._num_events
-
-    @property
-    def passes_taken(self) -> int:
-        """How many passes have been fully or partially consumed so far."""
-        return self._passes
 
     @property
     def order(self) -> str:
@@ -206,53 +238,22 @@ class EdgeStream:
     # ------------------------------------------------------------------ #
     # iteration
     # ------------------------------------------------------------------ #
-    def _edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (set_ids, elements) uint64 columns, built on first use."""
-        if self._columns is None:
-            self._columns = (
-                np.fromiter(
-                    (s for s, _ in self._edges), dtype=np.uint64, count=len(self._edges)
-                ),
-                np.fromiter(
-                    (e for _, e in self._edges), dtype=np.uint64, count=len(self._edges)
-                ),
-            )
-        return self._columns
-
-    def _pairs(self, pass_index: int):
-        """Yield the (set_id, element) int pairs of one pass, in order."""
-        indices = self._ordered_indices(pass_index)
-        if self._edges is not None:
-            for index in indices:
-                yield self._edges[index]
-            return
-        sets, elements = self._edge_columns()
-        yield from zip(sets[indices].tolist(), elements[indices].tolist())
-
     def _ordered_indices(self, pass_index: int) -> np.ndarray:
-        """Index permutation realising the configured order for one pass.
+        """Edge permutation realising the configured order for one pass.
 
-        The scalar iterator and the batched iterator share this permutation,
-        which is what makes them event-for-event identical.  The sort-based
-        orders use stable ``np.lexsort``, matching the stable ``sorted`` the
-        scalar path historically used.
+        The sort-based orders use stable ``np.lexsort``, so edges with equal
+        keys keep their stored order.
         """
-        count = self._num_events
-        if self._order == "given":
-            return np.arange(count, dtype=np.int64)
+        sets, elements = self._batch.set_ids, self._batch.elements
         if self._order == "random":
             rng = spawn_rng(self._seed, f"edge-stream-pass-{pass_index}")
-            return rng.permutation(count)
+            return rng.permutation(len(sets))
         if self._order == "set_grouped":
-            sets, elements = self._edge_columns()
             return np.lexsort((elements, sets))
         if self._order == "element_grouped":
-            sets, elements = self._edge_columns()
             return np.lexsort((sets, elements))
         if self._order == "adversarial_tail":
-            favored = self._favored_tail()
-            sets, _ = self._edge_columns()
-            mask = np.isin(sets, np.array(sorted(favored), dtype=np.uint64))
+            mask = np.isin(sets, self._favored_tail())
             head = np.flatnonzero(~mask)
             tail = np.flatnonzero(mask)
             rng = spawn_rng(self._seed, f"edge-stream-adv-{pass_index}")
@@ -260,156 +261,66 @@ class EdgeStream:
             return np.concatenate([head[head_order], tail])
         raise AssertionError(f"unhandled order {self._order}")  # pragma: no cover
 
-    def _favored_tail(self) -> frozenset[int]:
+    def _favored_tail(self) -> np.ndarray:
+        """The set ids held back by ``adversarial_tail``."""
         if self._favored_sets is not None:
-            return frozenset(self._favored_sets)
-        # Default: hold back the single largest set.
-        if self._edges is None:
-            sets, _ = self._edge_columns()
-            if len(sets) == 0:
-                return frozenset()
-            ids, counts = np.unique(sets, return_counts=True)
-            # ids are sorted ascending and argmax returns the first maximum,
-            # so ties go to the smallest id — like the scalar reduction below.
-            return frozenset({int(ids[np.argmax(counts)])})
-        sizes: dict[int, int] = {}
-        for set_id, _ in self._edges:
-            sizes[set_id] = sizes.get(set_id, 0) + 1
-        if not sizes:
-            return frozenset()
-        largest = max(sizes, key=lambda s: (sizes[s], -s))
-        return frozenset({largest})
-
-    def __iter__(self) -> Iterator[EdgeArrival]:
-        pass_index = self._passes
-        self._passes += 1
-        for set_id, element in self._pairs(pass_index):
-            yield EdgeArrival(set_id, element)
-
-    def iter_batches(self, batch_size: int) -> Iterator[EventBatch]:
-        """Yield one pass as columnar edge batches of at most ``batch_size``.
-
-        Counts as one pass (like ``__iter__``) and visits the edges in
-        exactly the same order as the scalar iterator for the same pass
-        index, so batched and scalar consumers see identical streams.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        pass_index = self._passes
-        self._passes += 1
-        indices = self._ordered_indices(pass_index)
-        col_sets, col_elements = self._edge_columns()
-        sets = col_sets[indices]
-        elements = col_elements[indices]
-        for start in range(0, len(indices), batch_size):
-            stop = start + batch_size
-            yield EventBatch(sets[start:stop], elements[start:stop])
-
-    def pass_events(self) -> list[EdgeArrival]:
-        """Materialise one pass as a list (counts as a pass)."""
-        return list(iter(self))
-
-    def reset_pass_count(self) -> None:
-        """Reset the pass counter (e.g. between benchmark repetitions)."""
-        self._passes = 0
+            return self._favored_sets
+        ids, counts = np.unique(self._batch.set_ids, return_counts=True)
+        # ids ascend and argmax returns the first maximum, so the largest
+        # set wins and ties go to the smallest id.
+        return ids[np.argmax(counts)][None] if len(ids) else ids
 
     def to_graph(self) -> BipartiteGraph:
         """Materialise the full underlying graph (for offline reference runs)."""
-        graph = BipartiteGraph(self._num_sets)
-        if self._edges is not None:
-            for set_id, element in self._edges:
-                graph.add_edge(set_id, element)
-        else:
-            sets, elements = self._edge_columns()
-            for set_id, element in zip(sets.tolist(), elements.tolist()):
-                graph.add_edge(set_id, element)
-        return graph
+        return BipartiteGraph.from_columns(
+            self._num_sets, self._batch.set_ids, self._batch.elements
+        )
 
 
-class SetStream:
+class SetStream(_ReplayableStream):
     """A replayable stream of :class:`SetArrival` events (set-arrival model).
 
     Used by the prior-work baselines (Saha–Getoor, sieve-streaming, ...),
-    which assume each set arrives intact with its member list.
+    which assume each set arrives intact with its member list.  The sets are
+    stored as one CSR set-layout :class:`EventBatch`; ``sets`` is a list
+    (position = set id), a dict of set id → members (stored in ascending id
+    order), or such a batch itself.  :attr:`num_sets` is the largest stored
+    set id plus one.
     """
 
     def __init__(
         self,
-        sets: Sequence[Sequence[int]] | dict[int, Sequence[int]],
+        sets: Sequence[Sequence[int]] | dict[int, Sequence[int]] | EventBatch,
         *,
         order: str = "given",
         seed: int = 0,
     ) -> None:
         if order not in ("given", "random"):
-            raise ValueError("SetStream supports orders 'given' and 'random'")
-        if isinstance(sets, dict):
-            items = sorted(sets.items())
-            self._sets: list[tuple[int, tuple[int, ...]]] | None = [
-                (int(set_id), tuple(int(e) for e in members)) for set_id, members in items
-            ]
-            self._num_sets = (max(sets) + 1) if sets else 0
+            raise SpecError("SetStream supports orders 'given' and 'random'")
+        if isinstance(sets, EventBatch):
+            if sets.kind != "set":
+                raise SpecError("SetStream stores a set-layout batch, got an edge batch")
+            batch = sets
+        elif isinstance(sets, dict):
+            batch = EventBatch.from_sets(sorted(sets.items()))
         else:
-            self._sets = [
-                (set_id, tuple(int(e) for e in members)) for set_id, members in enumerate(sets)
-            ]
-            self._num_sets = len(self._sets)
-        self._num_events = len(self._sets)
-        self._order = order
-        self._seed = int(seed)
-        self._passes = 0
-        # Columnar mirror (CSR layout over the stored set order) backing the
-        # batched iterator; built lazily so scalar consumers never pay for
-        # it.  A column-backed stream (:meth:`from_columnar`) starts from
-        # the CSR instead and materialises ``_sets`` lazily, so the batched
-        # path slices disk pages without per-set Python objects.
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def _csr_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (set_ids, offsets, elements) CSR columns, built on first use."""
-        if self._csr is None:
-            set_ids = np.fromiter(
-                (set_id for set_id, _ in self._sets), dtype=np.uint64, count=len(self._sets)
-            )
-            lengths = np.fromiter(
-                (len(members) for _, members in self._sets),
-                dtype=np.int64,
-                count=len(self._sets),
-            )
-            offsets = np.zeros(len(self._sets) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            elements = np.fromiter(
-                (e for _, members in self._sets for e in members),
-                dtype=np.uint64,
-                count=int(offsets[-1]),
-            )
-            self._csr = (set_ids, offsets, elements)
-        return self._csr
-
-    def _set_tuples(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The scalar ``(set_id, members)`` view, built on first use.
-
-        Column-backed streams only pay this conversion when a *scalar*
-        consumer (``__iter__``, :meth:`to_graph`, ...) actually asks for it;
-        the batched path never does.
-        """
-        if self._sets is None:
-            set_ids, offsets, elements = self._csr
-            bounds = offsets.tolist()
-            self._sets = [
-                (int(set_id), tuple(elements[bounds[row] : bounds[row + 1]].tolist()))
-                for row, set_id in enumerate(set_ids.tolist())
-            ]
-        return self._sets
+            batch = EventBatch.from_sets(enumerate(sets))
+        super().__init__(batch, order, seed)
+        self._num_sets = int(batch.set_ids.max()) + 1 if len(batch) else 0
 
     @classmethod
     def from_graph(
         cls, graph: BipartiteGraph, *, order: str = "random", seed: int = 0
     ) -> "SetStream":
-        """Build a set-arrival stream from a bipartite graph."""
-        sets = {set_id: sorted(graph.elements_of(set_id)) for set_id in graph.set_ids()}
-        stream = cls(sets, order=order, seed=seed)
-        stream._num_sets = graph.num_sets
-        return stream
+        """Build a set-arrival stream from a bipartite graph.
+
+        Every set id arrives, in ascending order, with its members sorted.
+        """
+        set_ids, elements = graph.to_set_columns()
+        members = elements[np.lexsort((elements, set_ids))]
+        bounds = np.arange(graph.num_sets + 1, dtype=np.uint64)
+        offsets = np.searchsorted(set_ids, bounds)
+        return cls(EventBatch(bounds[:-1], members, offsets), order=order, seed=seed)
 
     @classmethod
     def from_columnar(
@@ -419,107 +330,38 @@ class SetStream:
 
         ``source`` is a :class:`repro.coverage.io.ColumnarSets` (or a path
         to a directory written by
-        :func:`repro.coverage.io.write_columnar_sets`).  The mapped columns
-        back the stream as-is — mirroring
-        :meth:`EdgeStream.from_columnar` — so set batches are sliced
-        straight from disk pages and per-set Python tuples are only built
-        if a scalar consumer iterates the stream.
+        :func:`repro.coverage.io.write_columnar_sets`).  The stream stores
+        the mapped columns unchanged — mirroring
+        :meth:`EdgeStream.from_columnar` — so ``given``-order set batches
+        are views of disk pages.
         """
         from repro.coverage.io import ColumnarSets, open_columnar_sets
 
         columns = source if isinstance(source, ColumnarSets) else open_columnar_sets(source)
-        stream = cls.__new__(cls)
-        if order not in ("given", "random"):
-            raise ValueError("SetStream supports orders 'given' and 'random'")
-        stream._sets = None
-        stream._csr = (
-            np.asarray(columns.set_ids, dtype=np.uint64),
-            np.asarray(columns.offsets, dtype=np.int64),
-            np.asarray(columns.members, dtype=np.uint64),
+        return cls(
+            EventBatch(columns.set_ids, columns.members, columns.offsets),
+            order=order,
+            seed=seed,
         )
-        stream._num_sets = max(1, columns.num_sets)
-        stream._num_events = columns.num_stored_sets
-        stream._order = order
-        stream._seed = int(seed)
-        stream._passes = 0
-        return stream
 
     @property
     def num_sets(self) -> int:
         """Number of sets in the stream."""
         return self._num_sets
 
-    @property
-    def num_events(self) -> int:
-        """Number of set arrivals in one pass."""
-        return self._num_events
-
-    @property
-    def passes_taken(self) -> int:
-        """How many passes have been started so far."""
-        return self._passes
-
     def _ordered_indices(self, pass_index: int) -> np.ndarray:
-        if self._order == "random":
-            rng = spawn_rng(self._seed, f"set-stream-pass-{pass_index}")
-            return rng.permutation(self._num_events)
-        return np.arange(self._num_events, dtype=np.int64)
-
-    def __iter__(self) -> Iterator[SetArrival]:
-        pass_index = self._passes
-        self._passes += 1
-        sets = self._set_tuples()
-        for index in self._ordered_indices(pass_index):
-            set_id, members = sets[index]
-            yield SetArrival(set_id=set_id, elements=members)
-
-    def iter_batches(self, batch_size: int) -> Iterator[EventBatch]:
-        """Yield one pass as columnar set batches of at most ``batch_size`` sets.
-
-        Counts as one pass and preserves the scalar iteration order, with
-        each batch carrying its sets' members in CSR layout.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        pass_index = self._passes
-        self._passes += 1
-        order = self._ordered_indices(pass_index)
-        col_set_ids, col_offsets, col_elements = self._csr_columns()
-        starts = col_offsets[:-1]
-        ends = col_offsets[1:]
-        for begin in range(0, len(order), batch_size):
-            chunk = order[begin : begin + batch_size]
-            lengths = ends[chunk] - starts[chunk]
-            offsets = np.zeros(len(chunk) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            elements = (
-                np.concatenate([col_elements[starts[i] : ends[i]] for i in chunk])
-                if len(chunk)
-                else np.empty(0, dtype=np.uint64)
-            )
-            yield EventBatch(col_set_ids[chunk], elements, offsets)
-
-    def reset_pass_count(self) -> None:
-        """Reset the pass counter."""
-        self._passes = 0
+        rng = spawn_rng(self._seed, f"set-stream-pass-{pass_index}")
+        return rng.permutation(len(self._batch))
 
     def to_graph(self) -> BipartiteGraph:
         """Materialise the full underlying graph."""
-        graph = BipartiteGraph(max(1, self._num_sets))
-        for set_id, members in self._set_tuples():
-            for element in members:
-                graph.add_edge(set_id, element)
-        return graph
+        return self.to_edge_stream(order="given").to_graph()
 
     def to_edge_stream(self, *, order: str = "random", seed: int = 0) -> EdgeStream:
-        """Convert to the edge-arrival model (see also :mod:`repro.streaming.adapters`)."""
-        edges = [
-            (set_id, element)
-            for set_id, members in self._set_tuples()
-            for element in members
-        ]
+        """Convert to the edge-arrival model: each set's edges, consecutively."""
+        batch = self._batch
         return EdgeStream(
-            edges,
+            columns=(np.repeat(batch.set_ids, np.diff(batch.offsets)), batch.elements),
             num_sets=max(1, self._num_sets),
             order=order,
             seed=seed,

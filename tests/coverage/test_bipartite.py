@@ -172,6 +172,8 @@ def _assert_identical(graph, reference):
     assert list(graph.edges()) == list(reference.edges())
     for built, expected in zip(graph.to_columns(), reference.to_columns()):
         assert built.tolist() == expected.tolist()
+    set_ids, elements = graph.to_set_columns()
+    assert list(zip(set_ids.tolist(), elements.tolist())) == list(reference.edges())
 
 
 class TestFromColumns:

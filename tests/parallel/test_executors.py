@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -224,6 +226,46 @@ def _raise_on_three(value: int) -> int:
     if value == 3:
         raise ValueError(f"boom {value}")
     return value
+
+
+def _die_in_worker(value: int) -> int:
+    """Kill the pool worker that runs it; compute normally in the main process."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return value * value
+
+
+def _fail_in_worker(value: int) -> int:
+    """Raise in a pool worker; succeed in the main process (where a retry runs)."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError(f"worker refused {value}")
+    return value
+
+
+class TestWorkerKilledMidMap:
+    """A process-pool worker dying mid-map breaks the pool; the mapper
+    drains it and reruns the jobs serially, recording that it did."""
+
+    JOBS = [1, 2, 3, 4]
+
+    def test_map_reruns_serially(self):
+        mapper = ParallelMapper("process", max_workers=2)
+        expected = [_die_in_worker(job) for job in self.JOBS]
+        assert mapper.map(_die_in_worker, self.JOBS) == expected
+        assert mapper.last_execution == ("serial", 1)
+
+    def test_map_unordered_yields_each_job_once(self):
+        mapper = ParallelMapper("process", max_workers=2)
+        pairs = list(mapper.map_unordered(_die_in_worker, self.JOBS))
+        assert sorted(pairs) == [(i, _die_in_worker(job)) for i, job in enumerate(self.JOBS)]
+        assert mapper.last_execution == ("serial", 1)
+
+    @pytest.mark.parametrize("method", ["map", "map_unordered"])
+    def test_job_error_is_not_retried(self, method):
+        mapper = ParallelMapper("process", max_workers=2)
+        with pytest.raises(ValueError, match="worker refused"):
+            list(getattr(mapper, method)(_fail_in_worker, self.JOBS))
+        assert mapper.last_execution == ("process", 2)
 
 
 class TestLastExecution:

@@ -46,6 +46,29 @@ class TestEventBatch:
         assert type(event.set_id) is int
         assert type(event.element) is int
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[2, 0, 1], [1, 1, 3, 0], [], [3]],
+        ids=["permutation", "repeats", "none", "empty-run"],
+    )
+    def test_take_gathers_rows_in_order(self, rows):
+        sets = [(2, (5, 1, 7)), (0, ()), (1, (4,)), (6, ())]
+        for batch in (EventBatch.from_sets(sets), EventBatch.from_edges(EDGES)):
+            events = list(batch.iter_events())
+            taken = batch.take(np.array(rows, dtype=np.int64))
+            assert taken.kind == batch.kind
+            assert list(taken.iter_events()) == [events[row] for row in rows]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 10])
+    def test_chunks_cut_consecutive_events(self, size):
+        sets = [(2, (5, 1, 7)), (0, ()), (1, (4,)), (6, (8, 9))]
+        for batch in (EventBatch.from_sets(sets), EventBatch.from_edges(EDGES)):
+            chunks = list(batch.chunks(size))
+            assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert all(chunk.kind == batch.kind for chunk in chunks)
+            unrolled = [event for chunk in chunks for event in chunk.iter_events()]
+            assert unrolled == list(batch.iter_events())
+
     def test_mismatched_edge_columns_rejected(self):
         with pytest.raises(ValueError, match="parallel columns"):
             EventBatch(np.array([1, 2], dtype=np.uint64), np.array([1], dtype=np.uint64))

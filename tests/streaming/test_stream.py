@@ -2,10 +2,45 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.coverage.bipartite import BipartiteGraph
+from repro.errors import InvalidInstanceError, SpecError
+from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival, SetArrival
 from repro.streaming.stream import STREAM_ORDERS, EdgeStream, SetStream
+
+
+def _scrambled_graph() -> BipartiteGraph:
+    """A graph filled out of set order, with tied largest sets (0, 1, 3) and
+    a set ({2, 40}) that Python iterates out of ascending order."""
+    graph = BipartiteGraph(5)
+    for set_id, element in [
+        (3, 7), (0, 2), (1, 7), (4, 9), (0, 5), (2, 2),
+        (1, 11), (3, 5), (0, 9), (2, 40), (1, 2), (3, 1),
+    ]:  # fmt: skip
+        graph.add_edge(set_id, element)
+    return graph
+
+
+def _batch_rows(stream, batch_size):
+    """One pass of ``iter_batches`` as plain lists, batch boundaries kept."""
+    return [
+        (
+            batch.set_ids.tolist(),
+            batch.elements.tolist(),
+            None if batch.offsets is None else batch.offsets.tolist(),
+        )
+        for batch in stream.iter_batches(batch_size)
+    ]
+
+
+def _add_edge_loop(num_sets: int, edges) -> BipartiteGraph:
+    reference = BipartiteGraph(num_sets)
+    for set_id, element in edges:
+        reference.add_edge(set_id, element)
+    return reference
 
 
 class TestEdgeStream:
@@ -156,44 +191,50 @@ class TestColumnBackedEdgeStream:
         assert stream.order == "given"
 
     @pytest.mark.parametrize("order", STREAM_ORDERS)
-    def test_scalar_iteration_matches_tuple_stream(self, columnar_path, tiny_graph, order):
-        tuple_stream = EdgeStream.from_graph(tiny_graph, order=order, seed=7)
-        column_stream = EdgeStream.from_columnar(columnar_path, order=order, seed=7)
-        expected = sorted(e.as_tuple() for e in tuple_stream)
-        got = [e.as_tuple() for e in column_stream]
-        assert sorted(got) == expected
-        if order == "given":
-            assert got == list(tiny_graph.edges())
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4096])
+    def test_scalar_iteration_matches_tuple_stream(self, tmp_path, order, seed, batch_size):
+        """edges=, from_graph and from_columnar streams over one graph are
+        the same stream: same events, same batches, same graph back."""
+        from repro.coverage.io import write_columnar
 
-    @pytest.mark.parametrize("order", STREAM_ORDERS)
-    def test_batches_match_scalar_order(self, columnar_path, order):
-        scalar = EdgeStream.from_columnar(columnar_path, order=order, seed=3)
-        batched = EdgeStream.from_columnar(columnar_path, order=order, seed=3)
-        scalar_events = [e.as_tuple() for e in scalar]
-        batch_events = [
-            (int(s), int(e))
-            for batch in batched.iter_batches(4)
-            for s, e in zip(batch.set_ids.tolist(), batch.elements.tolist())
+        graph = _scrambled_graph()
+        write_columnar(graph.edges(), tmp_path / "cols", num_sets=graph.num_sets)
+        sources = [
+            lambda: EdgeStream(
+                list(graph.edges()), num_sets=graph.num_sets, order=order, seed=seed
+            ),
+            lambda: EdgeStream.from_graph(graph, order=order, seed=seed),
+            lambda: EdgeStream.from_columnar(tmp_path / "cols", order=order, seed=seed),
         ]
-        assert batch_events == scalar_events
-
-    def test_no_tuple_materialisation_on_batched_path(self, columnar_path):
-        stream = EdgeStream.from_columnar(columnar_path)
-        list(stream.iter_batches(4))
-        assert stream._edges is None  # the batched path never builds tuples
+        reference = _add_edge_loop(graph.num_sets, graph.edges())
+        passes = []
+        for make in sources:
+            # Two passes each way: per-pass shuffles must line up pass by pass.
+            stream, batched = make(), make()
+            events = [[e.as_tuple() for e in stream] for _ in range(2)]
+            batches = [_batch_rows(batched, batch_size) for _ in range(2)]
+            for pass_events, pass_batches in zip(events, batches):
+                unrolled = [
+                    pair for sets, elements, _ in pass_batches for pair in zip(sets, elements)
+                ]
+                assert unrolled == pass_events
+            passes.append((events, batches))
+            assert stream.passes_taken == batched.passes_taken == 2
+            rebuilt = stream.to_graph()
+            assert rebuilt == graph
+            for column, expected in zip(rebuilt.to_columns(), reference.to_columns()):
+                assert column.tolist() == expected.tolist()
+            assert stream.num_elements_hint == graph.num_elements
+        assert passes[0] == passes[1] == passes[2]
+        if order == "given":
+            assert passes[0][0][0] == list(graph.edges())
 
     def test_accepts_open_columnar_object(self, columnar_path, tiny_graph):
         from repro.coverage.io import open_columnar
 
         stream = EdgeStream.from_columnar(open_columnar(columnar_path))
         assert stream.to_graph() == tiny_graph
-
-    def test_adversarial_tail_defaults_to_largest_set(self, columnar_path, tiny_graph):
-        tuple_stream = EdgeStream.from_graph(tiny_graph, order="adversarial_tail", seed=1)
-        column_stream = EdgeStream.from_columnar(
-            columnar_path, order="adversarial_tail", seed=1
-        )
-        assert column_stream._favored_tail() == tuple_stream._favored_tail()
 
     def test_pass_counting_and_replay(self, columnar_path):
         stream = EdgeStream.from_columnar(columnar_path, order="random", seed=2)
@@ -248,32 +289,51 @@ class TestColumnBackedSetStream:
         write_columnar_sets(sorted(self.FAMILY.items()), path)
         return path
 
-    def test_scalar_events_match_in_memory_stream(self, columnar_sets_path):
-        memory = SetStream(self.FAMILY, order="random", seed=4)
-        columnar = SetStream.from_columnar(columnar_sets_path, order="random", seed=4)
-        assert [(e.set_id, tuple(e.elements)) for e in memory] == [
-            (e.set_id, tuple(e.elements)) for e in columnar
-        ]
+    @pytest.mark.parametrize("order", ["given", "random"])
+    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4096])
+    def test_scalar_events_match_in_memory_stream(self, tmp_path, order, seed, batch_size):
+        """In-memory, from_graph and from_columnar set streams over one
+        family are the same stream, and to_edge_stream unrolls it."""
+        from repro.coverage.io import write_columnar_sets
 
-    def test_batches_match_in_memory_stream(self, columnar_sets_path):
-        memory = SetStream(self.FAMILY, order="given")
-        columnar = SetStream.from_columnar(columnar_sets_path, order="given")
-        memory_batches = [
-            (b.set_ids.tolist(), b.elements.tolist(), b.offsets.tolist())
-            for b in memory.iter_batches(2)
+        graph = _scrambled_graph()
+        family = {s: sorted(graph.elements_of(s)) for s in graph.set_ids()}
+        write_columnar_sets(sorted(family.items()), tmp_path / "sets")
+        sources = [
+            lambda: SetStream(family, order=order, seed=seed),
+            lambda: SetStream([family[s] for s in graph.set_ids()], order=order, seed=seed),
+            lambda: SetStream.from_graph(graph, order=order, seed=seed),
+            lambda: SetStream.from_columnar(tmp_path / "sets", order=order, seed=seed),
         ]
-        columnar_batches = [
-            (b.set_ids.tolist(), b.elements.tolist(), b.offsets.tolist())
-            for b in columnar.iter_batches(2)
-        ]
-        assert memory_batches == columnar_batches
-
-    def test_batched_path_defers_scalar_materialisation(self, columnar_sets_path):
-        stream = SetStream.from_columnar(columnar_sets_path)
-        list(stream.iter_batches(3))
-        assert stream._sets is None  # no per-set tuples for batched consumers
-        list(stream)
-        assert stream._sets is not None
+        reference = _add_edge_loop(
+            graph.num_sets, [(s, e) for s, members in family.items() for e in members]
+        )
+        passes = []
+        for make in sources:
+            stream, batched = make(), make()
+            assert stream.num_sets == graph.num_sets
+            events = [list(stream) for _ in range(2)]
+            batches = [_batch_rows(batched, batch_size) for _ in range(2)]
+            for pass_events, pass_batches in zip(events, batches):
+                unrolled = [
+                    (set_id, tuple(elements[offsets[row] : offsets[row + 1]]))
+                    for set_ids, elements, offsets in pass_batches
+                    for row, set_id in enumerate(set_ids)
+                ]
+                assert unrolled == [(e.set_id, e.elements) for e in pass_events]
+            passes.append((events, batches))
+            rebuilt = stream.to_graph()
+            assert rebuilt == graph
+            for column, expected in zip(rebuilt.to_columns(), reference.to_columns()):
+                assert column.tolist() == expected.tolist()
+            given = SetStream(family, order="given")
+            edges = stream.to_edge_stream(order="given", seed=seed)
+            assert [e.as_tuple() for e in edges] == [
+                edge.as_tuple() for event in given for edge in event.edges()
+            ]
+            assert edges.num_sets == graph.num_sets
+        assert passes[0] == passes[1] == passes[2] == passes[3]
 
     def test_metadata_and_graph(self, columnar_sets_path):
         stream = SetStream.from_columnar(columnar_sets_path)
@@ -291,3 +351,72 @@ class TestColumnBackedSetStream:
         assert stream.num_events == 4
         with pytest.raises(ValueError, match="given.*random|orders"):
             SetStream.from_columnar(columns, order="element_grouped")
+
+
+_U64 = np.uint64
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (
+            lambda: EdgeStream(columns=(np.array([0, 1]), np.array([0.2, 0.9])), num_sets=2),
+            InvalidInstanceError,
+        ),
+        (lambda: EventBatch(np.array([-1]), np.array([2])), InvalidInstanceError),
+        (lambda: EdgeStream([(0, -1)], num_sets=1), InvalidInstanceError),
+        (lambda: EdgeStream([(0, 0.5)], num_sets=1), InvalidInstanceError),
+        (
+            lambda: list(
+                EdgeStream([(0, 1)], num_sets=1, order="adversarial_tail", favored_sets=[-1])
+            ),
+            InvalidInstanceError,
+        ),
+        (lambda: list(SetStream([[-1]]).iter_batches(2)), InvalidInstanceError),
+        (lambda: list(SetStream([[-1]])), InvalidInstanceError),
+        (lambda: SetStream({-2: [1]}), InvalidInstanceError),
+        (lambda: EdgeStream([], num_sets=-3), InvalidInstanceError),
+        (lambda: EdgeStream([(0, 1)], num_sets=1, order="bogus"), SpecError),
+        (lambda: SetStream([[0]], order="set_grouped"), SpecError),
+        (
+            lambda: EdgeStream(
+                [(0, 1)], columns=(np.zeros(1, dtype=_U64), np.zeros(1, dtype=_U64)), num_sets=1
+            ),
+            SpecError,
+        ),
+        (lambda: EdgeStream(num_sets=1), SpecError),
+        (
+            lambda: EdgeStream(
+                columns=(np.zeros(2, dtype=_U64), np.zeros(3, dtype=_U64)), num_sets=1
+            ),
+            SpecError,
+        ),
+        (lambda: list(EdgeStream([(0, 1)], num_sets=1).iter_batches(0)), SpecError),
+        (lambda: list(SetStream([[0]]).iter_batches(0)), SpecError),
+        (lambda: SetStream(EventBatch.from_edges([(0, 1)])), SpecError),
+    ],
+    ids=[
+        "float-element-column",
+        "negative-batch-id",
+        "negative-element",
+        "float-element",
+        "negative-favored-set",
+        "negative-member-batched",
+        "negative-member-scalar",
+        "negative-set-key",
+        "negative-num-sets",
+        "unknown-edge-order",
+        "unknown-set-order",
+        "edges-and-columns",
+        "neither-edges-nor-columns",
+        "ragged-columns",
+        "zero-edge-batch-size",
+        "zero-set-batch-size",
+        "edge-batch-as-sets",
+    ],
+)
+def test_bad_stream_input_raises_typed_error(build, error):
+    """Bad ids and counts are instance errors, bad arguments spec errors —
+    never a silent cast or a bare OverflowError."""
+    with pytest.raises(error):
+        build()
