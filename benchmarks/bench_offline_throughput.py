@@ -5,13 +5,12 @@ run any offline coverage algorithm on the sketch" (Theorem 2.7), so once the
 streaming side is vectorised the end-to-end cost is bounded by two things
 this file measures and guards:
 
-* **Greedy k-cover kernel** — the set-based lazy greedy unions Python sets;
-  the packed kernel evaluates the same greedy on ``uint64`` word rows, and
-  its CELF-style lazy loop re-evaluates only candidates whose stale upper
-  bound still competes.  The benchmark times the set-based greedy and the
-  kernel's eager and lazy loops on a size sweep, asserts all three select
-  identically, and asserts the lazy kernel greedy beats the set-based one
-  by ≥ 3x on the largest instance.
+* **Greedy k-cover kernel** — the one lazy greedy, ``greedy_k_cover``, either
+  unions Python sets or, given ``kernel=``, evaluates gains on the packed
+  ``uint64`` word rows, refreshing a chunk of stale candidates per
+  vectorised call.  The benchmark times both on a size sweep, asserts they
+  select identically, and asserts the kernel run beats the set-based one by
+  ≥ 3x on the largest instance.
 * **Disk ingestion** — ``read_edge_list`` parses text into Python tuples
   before a stream ever sees an edge; the columnar loader memory-maps uint64
   columns and feeds ``EventBatch`` chunks straight into the sketch builder.
@@ -85,7 +84,6 @@ def _greedy_table() -> Table:
             "edges",
             "pack_seconds",
             "set_greedy_s",
-            "kernel_eager_s",
             "kernel_lazy_s",
             "speedup_lazy_kernel_vs_set_greedy",
         ]
@@ -100,10 +98,10 @@ def _greedy_table() -> Table:
         selections = {}
         timings["set_greedy_s"], reference = _best_of(lambda: greedy_k_cover(graph, K))
         selections["set_greedy_s"] = (list(reference.selected), reference.coverage)
-        for label, lazy in (("kernel_eager_s", False), ("kernel_lazy_s", True)):
-            timings[label], selections[label] = _best_of(
-                lambda lazy=lazy: kernel.greedy_k_cover(K, lazy=lazy)
-            )
+        timings["kernel_lazy_s"], packed_run = _best_of(
+            lambda: greedy_k_cover(graph, K, kernel=kernel)
+        )
+        selections["kernel_lazy_s"] = (list(packed_run.selected), packed_run.coverage)
         # Theorem 2.7 only needs *a* greedy: the kernel must pick the same sets.
         assert len({repr(picked) for picked in selections.values()}) == 1, selections
         table.add_row(
@@ -131,10 +129,8 @@ def test_lazy_kernel_greedy_speedup(benchmark):
         notes=[
             f"k = {K}; zipf instances; times are best-of-3 wall clock for one "
             "full greedy_k_cover call (packing cost reported separately).",
-            "The set-based greedy and both kernel loops select identical sets "
-            "(asserted).",
-            "The speedup column is the set-based lazy greedy over the lazy "
-            "kernel greedy.",
+            "The set-based and kernel greedy select identical sets (asserted).",
+            "The speedup column is the set-based greedy over the kernel greedy.",
         ],
     )
     _merge_results(

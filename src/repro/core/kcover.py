@@ -93,8 +93,8 @@ class StreamingKCover:
     coverage_backend:
         ``"words"`` (the one packed layout) or ``None``.  The default
         solver then packs a :class:`~repro.coverage.bitset.BitsetCoverage`
-        of the *sketch* and runs the greedy on it — identical selections (the
-        kernels share the greedy's tie-break, property-tested), much faster
+        of the *sketch* and the one greedy loop reads its gains from the
+        packed rows — identical selections (property-tested), much faster
         on dense sketches.  Ignored when an explicit ``solver`` is given.
     forbidden:
         Set ids the offline phase may not select.  The sketch construction is

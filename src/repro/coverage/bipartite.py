@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import operator
 from itertools import chain, compress
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, SpecError
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = [
     "BipartiteGraph",
+    "check_parallel_columns",
     "check_set_column",
     "first_occurrences",
     "run_starts",
@@ -175,7 +176,8 @@ class BipartiteGraph:
         grows in row order, and a row already stored (in the graph or
         earlier in the columns) counts once.  Returns a boolean mask of the
         rows that were new, where the loop's ``add_edge`` returns ``True``.
-        The columns are validated before anything is inserted; an
+        The columns are validated before anything is inserted: columns of
+        unequal length raise :class:`~repro.errors.SpecError`, and an
         out-of-range set id raises the
         :class:`~repro.errors.InvalidInstanceError` the loop would raise at
         its first offending row.
@@ -184,10 +186,7 @@ class BipartiteGraph:
         has it: the graph then stores those int objects, so graphs filled
         from one batch share them, as graphs fed the batch's scalar events do.
         """
-        set_ids = np.asarray(set_ids)
-        elements = np.asarray(elements)
-        if set_ids.shape != elements.shape or set_ids.ndim != 1:
-            raise ValueError("set_ids and elements must be parallel 1-d columns")
+        set_ids, elements = check_parallel_columns(set_ids, elements)
         rows = len(set_ids)
         if rows == 0:
             return np.zeros(0, dtype=bool)
@@ -323,6 +322,11 @@ class BipartiteGraph:
         """Size of one set (its degree on the set side)."""
         self._check_set_id(set_id)
         return len(self._set_adj[set_id])
+
+    def marginal_gain(self, set_id: int, covered: AbstractSet[int]) -> int:
+        """``|S − covered|``: how many elements of one set ``covered`` lacks."""
+        self._check_set_id(set_id)
+        return len(self._set_adj[set_id] - covered)
 
     def element_degree(self, element: int) -> int:
         """Number of sets containing the element (0 if absent)."""
@@ -464,3 +468,16 @@ def check_set_column(set_ids: np.ndarray, num_sets: int) -> None:
         bad = int(set_ids[(set_ids < 0) | (set_ids >= num_sets)][0])
         raise InvalidInstanceError(f"set id {bad} out of range [0, {num_sets})")
 
+
+def check_parallel_columns(
+    set_ids: np.ndarray, elements: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(set_ids, elements)`` as arrays, or :class:`SpecError` unless they
+    are one-dimensional columns of equal length."""
+    set_ids, elements = np.asarray(set_ids), np.asarray(elements)
+    if set_ids.ndim != 1 or set_ids.shape != elements.shape:
+        raise SpecError(
+            "set_ids and elements must be parallel 1-d columns, "
+            f"got shapes {set_ids.shape} and {elements.shape}"
+        )
+    return set_ids, elements

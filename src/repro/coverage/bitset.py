@@ -18,27 +18,26 @@ implementation detail: every query is bit-for-bit identical to the
 set-based evaluation (property-tested), so ``coverage_backend`` only says
 *whether* a solver's offline phase runs on a kernel (:data:`COVERAGE_BACKENDS`).
 
-On top of the kernels, :meth:`greedy_k_cover` is *lazy* by default
-(CELF-style): a max-heap of stale upper bounds over the vectorised marginal
-gains means each selection step re-evaluates only the candidates whose bound
-still beats the current best, via the :meth:`gains_for` subset kernel —
-instead of recomputing all ``n`` gains per step as the eager path does.  The
-evaluator is a drop-in read-only companion to a :class:`BipartiteGraph`:
-results are bit-for-bit identical (property-tested) and substantially faster
-on dense instances (``benchmarks/bench_offline_throughput.py`` quantifies the
+The kernel holds no selection logic.  The one lazy greedy in
+:mod:`repro.offline.greedy` runs on it when given ``kernel=``: it reads the
+:attr:`~BitsetCoverage.set_sizes`, refreshes a chunk of stale candidates per
+:meth:`~BitsetCoverage.gains_for` call and ORs each chosen :meth:`~BitsetCoverage.row`
+into a covered row of its own.  A kernel is read-only after packing, so one
+cached kernel can serve concurrent queries; it selects exactly what the
+set-based greedy selects (property-tested), substantially faster on dense
+instances (``benchmarks/bench_offline_throughput.py`` quantifies the
 difference).
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.coverage.bipartite import BipartiteGraph, check_set_column
+from repro.coverage.bipartite import BipartiteGraph, check_parallel_columns, check_set_column
 from repro.errors import SpecError
 from repro.obs import clock
 
@@ -151,13 +150,6 @@ def kernel_for(graph: BipartiteGraph, backend: str | None) -> "BitsetCoverage | 
         return None
     return BitsetCoverage(graph)
 
-#: How many stale heap entries the lazy greedy re-evaluates per vectorised
-#: :meth:`BitsetCoverage.gains_for` call.  Small enough that little work is
-#: wasted when the refreshed top stays on top (the common CELF case), large
-#: enough to amortise the per-call numpy overhead (measured best around 32
-#: on zipf-heavy workloads whose gains decay fast between steps).
-_LAZY_CHUNK = 32
-
 
 class BitsetCoverage:
     """Packed-bitset evaluator of the coverage function of a fixed graph.
@@ -189,16 +181,19 @@ class BitsetCoverage:
     def _pack(self, num_sets: int, set_ids: np.ndarray, elements: np.ndarray) -> None:
         """The one packing routine: bit ``r`` of row ``s`` is set when set
         ``s`` holds the element of rank ``r`` among the distinct elements."""
-        set_ids = np.asarray(set_ids)
+        set_ids, elements = check_parallel_columns(set_ids, elements)
         check_set_column(set_ids, num_sets)
-        distinct, ranks = np.unique(np.asarray(elements), return_inverse=True)
+        distinct, ranks = np.unique(elements, return_inverse=True)
         dense = np.zeros((num_sets, max(1, len(distinct))), dtype=bool)
         dense[set_ids.astype(np.intp), ranks] = True
         self._num_sets = num_sets
         self._num_elements = len(distinct)
         # Rows are packed along the element axis: shape (n, words), uint64.
+        # Both arrays are read-only: one kernel serves concurrent queries.
         self._packed = pack_rows(dense)
         self._set_sizes = _popcount_words(self._packed, 1)
+        self._packed.flags.writeable = False
+        self._set_sizes.flags.writeable = False
 
     # ------------------------------------------------------------------ #
     # basic facts
@@ -213,9 +208,14 @@ class BitsetCoverage:
         """Number of elements in the snapshot."""
         return self._num_elements
 
-    def set_size(self, set_id: int) -> int:
-        """``|S|`` for one set."""
-        return int(self._set_sizes[set_id])
+    @property
+    def set_sizes(self) -> np.ndarray:
+        """``|S|`` of every set, as a read-only ``int64`` array."""
+        return self._set_sizes
+
+    def row(self, set_id: int) -> np.ndarray:
+        """The read-only packed bit-row of one set."""
+        return self._packed[set_id]
 
     @property
     def nbytes(self) -> int:
@@ -264,9 +264,9 @@ class BitsetCoverage:
     def marginal_gains(self, covered_bits: np.ndarray) -> np.ndarray:
         """Marginal gain of *every* set against an already-covered bit-row.
 
-        This is the vectorised inner step of eager greedy: one call evaluates
-        all ``n`` candidates.  ``covered_bits`` must be a packed row from
-        this evaluator (:meth:`union_bits` / :meth:`empty_bits`).
+        One call evaluates all ``n`` candidates.  ``covered_bits`` must be a
+        packed row from this evaluator (:meth:`union_bits` /
+        :meth:`empty_bits`).
         """
         remaining = np.bitwise_and(self._packed, np.bitwise_not(covered_bits))
         return popcount_rows(remaining, 1)
@@ -274,7 +274,7 @@ class BitsetCoverage:
     def gains_for(
         self, set_ids: Iterable[int] | np.ndarray, covered_bits: np.ndarray
     ) -> np.ndarray:
-        """Marginal gains of an index subset of sets (the lazy-greedy kernel).
+        """Marginal gains of an index subset of sets (the lazy greedy's refresh).
 
         Re-evaluates only the ``set_ids`` rows instead of all ``n``; the
         result is aligned with the input order.
@@ -284,140 +284,6 @@ class BitsetCoverage:
             return np.zeros(0, dtype=np.int64)
         remaining = np.bitwise_and(self._packed[ids], np.bitwise_not(covered_bits))
         return popcount_rows(remaining, 1)
-
-    # ------------------------------------------------------------------ #
-    # greedy
-    # ------------------------------------------------------------------ #
-    def greedy(
-        self,
-        *,
-        max_sets: int | None = None,
-        target_coverage: int | None = None,
-        forbidden: Iterable[int] = (),
-        lazy: bool = True,
-    ) -> tuple[list[int], int, list[int], int]:
-        """Greedy selection loop on the packed rows.
-
-        Runs until ``max_sets`` sets are chosen, ``target_coverage`` elements
-        are covered, or no remaining set has positive marginal gain —
-        mirroring :func:`repro.offline.greedy._lazy_greedy` so the same
-        vectorised path serves k-cover, set cover and partial cover, on full
-        instances and sketches alike.
-
-        Returns ``(selected, coverage, gains, evaluations)`` where ``gains``
-        is the realised marginal gain per step and ``evaluations`` counts
-        marginal-gain evaluations (a proxy for time).
-        """
-        if lazy:
-            return self._greedy_lazy(max_sets, target_coverage, frozenset(forbidden))
-        return self._greedy_eager(max_sets, target_coverage, frozenset(forbidden))
-
-    def _limit(self, max_sets: int | None) -> int:
-        return self._num_sets if max_sets is None else min(max_sets, self._num_sets)
-
-    def _greedy_eager(
-        self, max_sets: int | None, target_coverage: int | None, forbidden: frozenset[int]
-    ) -> tuple[list[int], int, list[int], int]:
-        covered = self.empty_bits()
-        chosen: list[int] = []
-        gains_log: list[int] = []
-        covered_count = 0
-        evaluations = 0
-        available = np.ones(self._num_sets, dtype=bool)
-        for set_id in forbidden:
-            # Ids outside the snapshot are ignored, matching the graph-based
-            # greedy (a forbidden id that cannot be selected anyway is a
-            # no-op, not a mask of some other row).
-            if 0 <= set_id < self._num_sets:
-                available[set_id] = False
-        limit = self._limit(max_sets)
-        while len(chosen) < limit and (
-            target_coverage is None or covered_count < target_coverage
-        ):
-            gains = self.marginal_gains(covered)
-            evaluations += self._num_sets
-            gains[~available] = -1
-            best = int(np.argmax(gains))
-            gain = int(gains[best])
-            if gain <= 0:
-                break
-            chosen.append(best)
-            gains_log.append(gain)
-            available[best] = False
-            covered = np.bitwise_or(covered, self._packed[best])
-            covered_count += gain
-        return chosen, covered_count, gains_log, evaluations
-
-    def _greedy_lazy(
-        self, max_sets: int | None, target_coverage: int | None, forbidden: frozenset[int]
-    ) -> tuple[list[int], int, list[int], int]:
-        covered = self.empty_bits()
-        chosen: list[int] = []
-        gains_log: list[int] = []
-        covered_count = 0
-        limit = self._limit(max_sets)
-
-        # Max-heap of (-upper_bound, set_id, version): ``version`` is the
-        # number of selections made when the bound was computed.  Set sizes
-        # are the exact gains at version 0, so initialisation is free of any
-        # per-row popcount — but counts as one evaluation per set to stay
-        # comparable with the heap greedy's accounting.
-        heap: list[tuple[int, int, int]] = [
-            (-int(self._set_sizes[set_id]), set_id, 0)
-            for set_id in range(self._num_sets)
-            if set_id not in forbidden
-        ]
-        heapq.heapify(heap)
-        evaluations = len(heap)
-
-        while heap and len(chosen) < limit and (
-            target_coverage is None or covered_count < target_coverage
-        ):
-            version = len(chosen)
-            if heap[0][2] != version:
-                # Refresh a small chunk of stale tops in one vectorised
-                # subset-gain call; fresh entries caught in the chunk go
-                # straight back unchanged.
-                stale: list[int] = []
-                while heap and len(stale) < _LAZY_CHUNK and heap[0][2] != version:
-                    stale.append(heapq.heappop(heap)[1])
-                fresh_gains = self.gains_for(
-                    np.asarray(stale, dtype=np.intp), covered
-                )
-                evaluations += len(stale)
-                for set_id, gain in zip(stale, fresh_gains.tolist()):
-                    heapq.heappush(heap, (-gain, set_id, version))
-                continue
-            neg_gain, set_id, _ = heapq.heappop(heap)
-            gain = -neg_gain
-            if gain <= 0:
-                break
-            chosen.append(set_id)
-            gains_log.append(gain)
-            covered = np.bitwise_or(covered, self._packed[set_id])
-            covered_count += gain
-        return chosen, covered_count, gains_log, evaluations
-
-    def greedy_k_cover(
-        self, k: int, *, lazy: bool = True, forbidden: Iterable[int] = ()
-    ) -> tuple[list[int], int]:
-        """Vectorised greedy k-cover; returns (selection, coverage).
-
-        ``lazy=True`` (default) uses the CELF max-heap of stale upper bounds;
-        ``lazy=False`` recomputes all ``n`` marginal gains every step.  Both
-        resolve ties to the smallest set id among the maximal-gain
-        candidates — the same policy as
-        :func:`repro.offline.greedy.greedy_k_cover` — so all the greedy
-        paths produce identical selections (property-tested), and switching
-        between the kernel and the set-based path, or laziness, never changes
-        a reported result.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        selected, covered_count, _, _ = self.greedy(
-            max_sets=k, target_coverage=None, forbidden=forbidden, lazy=lazy
-        )
-        return selected, covered_count
 
     def evaluate_many(
         self, families: Sequence[Iterable[int] | np.ndarray] | np.ndarray

@@ -51,9 +51,10 @@ concatenates two such runs, filters them by the global threshold, restores
 the order with one ``(rank, element, set)`` lexsort and runs the dedup /
 degree-cap / budget prefix as array operations on the carried ranks, with
 no re-hash and no graph.  Round 2 reads the root's columns too:
-:func:`~repro.offline.greedy.greedy_k_cover_columns` (or, with
-``coverage_backend``, :meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`)
-picks the sets and the greedy's sketch coverage gives the estimate, so a
+:func:`~repro.offline.greedy.greedy_k_cover_columns` picks the sets (with
+``coverage_backend``, on a kernel packed by
+:meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`) and the greedy's
+sketch coverage gives the estimate, so a
 :class:`DistributedKCover` run builds no
 :class:`~repro.coverage.bipartite.BipartiteGraph` at all.
 :meth:`StreamingMergeTree.result` still returns the merged
@@ -597,16 +598,15 @@ class DistributedKCover:
         execution = self.mapper.last_execution
         with obs.span("distributed.greedy", k=self.k, rows=root.num_edges):
             packed = self.coverage_backend is not None and root.num_edges > 0
-            if packed:
-                kernel = BitsetCoverage.from_columns(
-                    self.params.num_sets, root.set_ids, root.elements
-                )
-                solution, sketch_coverage, _, _ = kernel.greedy(max_sets=self.k)
-            else:
-                result = greedy_k_cover_columns(
-                    root.set_ids, root.elements, self.params.num_sets, self.k
-                )
-                solution, sketch_coverage = result.selected, result.coverage
+            kernel = (
+                BitsetCoverage.from_columns(self.params.num_sets, root.set_ids, root.elements)
+                if packed
+                else None
+            )
+            result = greedy_k_cover_columns(
+                root.set_ids, root.elements, self.params.num_sets, self.k, kernel=kernel
+            )
+            solution, sketch_coverage = result.selected, result.coverage
         # Theorem 2.7's estimate |Γ(H, S)| / p*, as CoverageSketch computes it.
         estimate = sketch_coverage / root.threshold if root.threshold > 0.0 else 0.0
         return DistributedRunReport(

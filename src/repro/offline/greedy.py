@@ -3,24 +3,26 @@
 These are the classical algorithms the paper composes with its sketch:
 
 * :func:`greedy_k_cover` — the ``1 − 1/e`` greedy for maximum coverage
-  (Nemhauser–Wolsey–Fisher), implemented lazily with a max-heap so each set's
-  marginal gain is re-evaluated only when it might be the best.
+  (Nemhauser–Wolsey–Fisher).
 * :func:`greedy_set_cover` — the ``ln m`` greedy for set cover.
 * :func:`greedy_partial_cover` — greedy until a ``1 − λ`` fraction of
   elements is covered (the paper's ``Greedy(k log(1/λ), G)`` covering at
   least ``(1 − λ) Opt_k``).
 
-All functions operate directly on a :class:`BipartiteGraph` — the same code
-path is used whether the graph is a full instance or one of the paper's
-sketches (that composability is precisely Theorem 2.7's point).
-:func:`greedy_k_cover_columns` is the same k-cover greedy over
-``(set_id, element)`` columns, for callers that hold edges as arrays (the
-distributed coordinator's merged sketch) and never build a graph.  Every entry
-point also accepts ``kernel=``, a :class:`repro.coverage.bitset.BitsetCoverage`
-snapshot of the same graph: the selection loop then runs on the kernel's
-packed bit rows (vectorised subset-gain re-evaluation under the same lazy
-max-heap policy), which is substantially faster on dense instances while
-achieving the same coverage up to tie-breaking.
+All of them run one lazy selection loop, :func:`_select`: a max-heap of
+stale gains in which only a fresh top is taken, so ties go to the smallest
+set id.  The loop owns that policy and the stop rules; what it asks of the
+coverage format — each set's size, the gains of some stale sets, and taking
+a set — comes from a small evaluator.  :class:`_GraphGains` reads a
+:class:`BipartiteGraph` (a full instance or one of the paper's sketches —
+that composability is precisely Theorem 2.7's point);
+:class:`_ColumnGains` reads ``(set_id, element)`` columns through a CSR by
+set, for callers that hold edges as arrays (the distributed coordinator's
+merged sketch, :func:`greedy_k_cover_columns`); :class:`_KernelGains` reads
+a :class:`repro.coverage.bitset.BitsetCoverage` snapshot passed as
+``kernel=``, refreshing up to ``_LAZY_CHUNK`` stale tops per vectorised
+call, which is substantially faster on dense instances.  Every evaluator
+selects the same sets, so ``kernel=`` never changes a result.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph, check_set_column, run_starts
+from repro.coverage.bipartite import (
+    BipartiteGraph,
+    check_parallel_columns,
+    check_set_column,
+    run_starts,
+)
 from repro.errors import InfeasibleError
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -47,6 +54,14 @@ __all__ = [
     "greedy_partial_cover",
     "greedy_order",
 ]
+
+#: How many stale heap tops the kernel evaluator re-evaluates per vectorised
+#: :meth:`~repro.coverage.bitset.BitsetCoverage.gains_for` call.  Small
+#: enough that little work is wasted when the refreshed top stays on top (the
+#: common CELF case), large enough to amortise the per-call numpy overhead
+#: (measured best around 32 on zipf-heavy workloads whose gains decay fast
+#: between steps).
+_LAZY_CHUNK = 32
 
 
 @dataclass
@@ -76,79 +91,127 @@ class GreedyResult:
         return len(self.selected)
 
 
-def _kernel_greedy(
-    kernel: "BitsetCoverage",
+class _GraphGains:
+    """Gains over a graph's Python sets, one stale set per refresh."""
+
+    width = 1
+
+    def __init__(self, graph: BipartiteGraph) -> None:
+        self._graph = graph
+        self._covered: set[int] = set()
+        self.sizes = [graph.set_degree(set_id) for set_id in graph.set_ids()]
+
+    def refresh(self, stale: list[int]) -> list[int]:
+        return [self._graph.marginal_gain(set_id, self._covered) for set_id in stale]
+
+    def take(self, set_id: int) -> None:
+        self._covered |= self._graph.elements_of(set_id)
+
+
+class _ColumnGains:
+    """Gains over ``(set_id, element)`` columns: a CSR by set and a boolean
+    mask of the covered element ranks, one stale set per refresh."""
+
+    width = 1
+
+    def __init__(self, num_sets: int, set_ids: np.ndarray, elements: np.ndarray) -> None:
+        offsets, self._members, num_elements = _set_major_csr(num_sets, set_ids, elements)
+        self._bounds = offsets.tolist()
+        self._covered = np.zeros(num_elements, dtype=bool)
+        self.sizes = np.diff(offsets).tolist()
+
+    def _rows(self, set_id: int) -> np.ndarray:
+        return self._members[self._bounds[set_id] : self._bounds[set_id + 1]]
+
+    def refresh(self, stale: list[int]) -> list[int]:
+        return [
+            len(rows) - int(np.count_nonzero(self._covered[rows]))
+            for rows in map(self._rows, stale)
+        ]
+
+    def take(self, set_id: int) -> None:
+        self._covered[self._rows(set_id)] = True
+
+
+class _KernelGains:
+    """Gains over a packed kernel's bit rows, up to ``_LAZY_CHUNK`` stale
+    sets per vectorised refresh.  The covered row is this run's own, so a
+    cached kernel stays read-only and can be shared across threads."""
+
+    width = _LAZY_CHUNK
+
+    def __init__(self, kernel: "BitsetCoverage") -> None:
+        self._kernel = kernel
+        self._covered = kernel.empty_bits()
+        self.sizes = kernel.set_sizes.tolist()
+
+    def refresh(self, stale: list[int]) -> list[int]:
+        ids = np.asarray(stale, dtype=np.intp)
+        return self._kernel.gains_for(ids, self._covered).tolist()
+
+    def take(self, set_id: int) -> None:
+        np.bitwise_or(self._covered, self._kernel.row(set_id), out=self._covered)
+
+
+def _gains(
+    graph: BipartiteGraph, kernel: "BitsetCoverage | None"
+) -> _GraphGains | _KernelGains:
+    """The kernel's evaluator when one is given, else the graph's."""
+    return _GraphGains(graph) if kernel is None else _KernelGains(kernel)
+
+
+def _select(
+    gains: _GraphGains | _ColumnGains | _KernelGains,
     *,
     max_sets: int | None,
     target_coverage: int | None,
-    forbidden: frozenset[int] = frozenset(),
+    forbidden: Iterable[int] = (),
 ) -> GreedyResult:
-    """Run the greedy loop on a packed-bitset kernel instead of the graph."""
-    selected, coverage, gains, evaluations = kernel.greedy(
-        max_sets=max_sets, target_coverage=target_coverage, forbidden=forbidden
-    )
-    return GreedyResult(
-        selected=selected, coverage=coverage, gains=gains, evaluations=evaluations
-    )
-
-
-def _lazy_greedy(
-    graph: BipartiteGraph,
-    *,
-    max_sets: int | None,
-    target_coverage: int | None,
-    forbidden: frozenset[int] = frozenset(),
-) -> GreedyResult:
-    """Core lazy-greedy loop shared by the public greedy entry points.
+    """The lazy-greedy selection loop every greedy entry point runs.
 
     Runs until either ``max_sets`` sets are chosen, ``target_coverage``
     elements are covered, or no remaining set has positive marginal gain.
     """
-    covered: set[int] = set()
+    blocked = frozenset(forbidden)
+    limit = math.inf if max_sets is None else max_sets
+    target = math.inf if target_coverage is None else target_coverage
     selected: list[int] = []
-    gains: list[int] = []
-    evaluations = 0
+    realised: list[int] = []
+    covered = 0
 
     # Max-heap of (-cached_gain, set_id, version). Python's heapq is a
     # min-heap, hence the negation. ``version`` is the number of selections
-    # made when the gain was computed; a stale entry is re-evaluated lazily.
-    # Only *fresh* tops are ever selected: a refreshed entry always goes back
-    # through the heap, so ties resolve to the smallest set id among the
-    # maximal-gain candidates — exactly the argmax tie-break of the eager
-    # and kernel (BitsetCoverage) greedy paths, keeping the achieved
-    # selection independent of which implementation evaluates it.
-    heap: list[tuple[int, int, int]] = []
-    for set_id in graph.set_ids():
-        if set_id in forbidden:
-            continue
-        gain = graph.set_degree(set_id)
-        evaluations += 1
-        heap.append((-gain, set_id, 0))
+    # made when the gain was computed; set sizes are the exact gains at
+    # version 0.  A stale top is re-evaluated (with up to ``gains.width - 1``
+    # further stale tops) and pushed back; only a *fresh* top is ever taken,
+    # so ties resolve to the smallest set id among the maximal-gain
+    # candidates, whatever the refresh width.
+    heap = [
+        (-size, set_id, 0) for set_id, size in enumerate(gains.sizes) if set_id not in blocked
+    ]
     heapq.heapify(heap)
+    evaluations = len(heap)
 
-    def done() -> bool:
-        if max_sets is not None and len(selected) >= max_sets:
-            return True
-        if target_coverage is not None and len(covered) >= target_coverage:
-            return True
-        return False
-
-    while heap and not done():
-        neg_gain, set_id, version = heapq.heappop(heap)
-        if version != len(selected):
-            gain = len(graph.elements_of(set_id) - covered)
-            evaluations += 1
-            heapq.heappush(heap, (-gain, set_id, len(selected)))
+    while heap and len(selected) < limit and covered < target:
+        version = len(selected)
+        neg_gain, set_id, stamp = heapq.heappop(heap)
+        if stamp != version:
+            stale = [set_id]
+            while len(stale) < gains.width and heap and heap[0][2] != version:
+                stale.append(heapq.heappop(heap)[1])
+            evaluations += len(stale)
+            for set_id, gain in zip(stale, gains.refresh(stale)):
+                heapq.heappush(heap, (-gain, set_id, version))
             continue
-        gain = -neg_gain
-        if gain <= 0:
+        if neg_gain >= 0:
             break
         selected.append(set_id)
-        gains.append(gain)
-        covered |= graph.elements_of(set_id)
+        realised.append(-neg_gain)
+        covered -= neg_gain
+        gains.take(set_id)
 
     return GreedyResult(
-        selected=selected, coverage=len(covered), gains=gains, evaluations=evaluations
+        selected=selected, coverage=covered, gains=realised, evaluations=evaluations
     )
 
 
@@ -171,17 +234,13 @@ def greedy_k_cover(
         Set ids the greedy is not allowed to pick (used by tests and by
         residual constructions).
     kernel:
-        Optional packed-bitset snapshot of ``graph``; when given the
-        selection runs on its vectorised lazy path (same coverage up to
-        tie-breaking, much faster on dense instances).
+        Optional packed-bitset snapshot of ``graph``; when given the gains
+        are evaluated on its bit rows (same selection, much faster on dense
+        instances).
     """
     check_positive_int(k, "k")
-    if kernel is not None:
-        return _kernel_greedy(
-            kernel, max_sets=k, target_coverage=None, forbidden=frozenset(forbidden)
-        )
-    return _lazy_greedy(
-        graph, max_sets=k, target_coverage=None, forbidden=frozenset(forbidden)
+    return _select(
+        _gains(graph, kernel), max_sets=k, target_coverage=None, forbidden=forbidden
     )
 
 
@@ -193,12 +252,13 @@ def _set_major_csr(
     Elements are replaced by their dense rank among the distinct elements.
     Returns ``(offsets, ranks, num_elements)``: the members of set ``s`` are
     ``ranks[offsets[s]:offsets[s + 1]]``, ascending and without repeats, and
-    ``num_elements`` is the number of distinct elements.  A set id outside
-    ``[0, num_sets)`` raises :class:`~repro.errors.InvalidInstanceError`.
+    ``num_elements`` is the number of distinct elements.  Columns of unequal
+    length raise :class:`~repro.errors.SpecError`, and a set id outside
+    ``[0, num_sets)`` :class:`~repro.errors.InvalidInstanceError`.
     """
-    set_ids = np.asarray(set_ids)
+    set_ids, elements = check_parallel_columns(set_ids, elements)
     check_set_column(set_ids, num_sets)
-    distinct, ranks = np.unique(np.asarray(elements), return_inverse=True)
+    distinct, ranks = np.unique(elements, return_inverse=True)
     order = np.lexsort((ranks, set_ids))
     owners, ranks = set_ids[order].astype(np.intp), ranks[order]
     fresh = run_starts(owners) | run_starts(ranks)
@@ -214,46 +274,21 @@ def greedy_k_cover_columns(
     k: int,
     *,
     forbidden: Iterable[int] = (),
+    kernel: "BitsetCoverage | None" = None,
 ) -> GreedyResult:
     """:func:`greedy_k_cover` on the graph of ``(set_id, element)`` columns.
 
     Returns what ``greedy_k_cover(BipartiteGraph.from_columns(num_sets,
-    set_ids, elements), k)`` returns — same selection, coverage, gains and
-    evaluation count — without building the graph: the edges become a CSR
-    by set over dense element ranks, coverage a boolean mask, and the lazy
-    heap is the same ``(-gain, set_id, version)`` heap, so ties still go to
-    the smallest set id.
+    set_ids, elements), k, kernel=kernel)`` returns — same selection,
+    coverage, gains and evaluation count — without building the graph.
+    ``kernel`` is an optional packed snapshot of the same columns
+    (:meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`).
     """
     check_positive_int(k, "k")
-    offsets, members, num_elements = _set_major_csr(num_sets, set_ids, elements)
-    bounds = offsets.tolist()
-    blocked = frozenset(forbidden)
-    heap = [
-        (-(bounds[set_id + 1] - bounds[set_id]), set_id, 0)
-        for set_id in range(num_sets)
-        if set_id not in blocked
-    ]
-    heapq.heapify(heap)
-    evaluations = len(heap)
-    covered = np.zeros(num_elements, dtype=bool)
-    selected: list[int] = []
-    gains: list[int] = []
-    while heap and len(selected) < k:
-        neg_gain, set_id, version = heapq.heappop(heap)
-        rows = members[bounds[set_id] : bounds[set_id + 1]]
-        if version != len(selected):
-            gain = len(rows) - int(np.count_nonzero(covered[rows]))
-            evaluations += 1
-            heapq.heappush(heap, (-gain, set_id, len(selected)))
-            continue
-        if neg_gain >= 0:
-            break
-        selected.append(set_id)
-        gains.append(-neg_gain)
-        covered[rows] = True
-    return GreedyResult(
-        selected=selected, coverage=sum(gains), gains=gains, evaluations=evaluations
+    gains = (
+        _ColumnGains(num_sets, set_ids, elements) if kernel is None else _KernelGains(kernel)
     )
+    return _select(gains, max_sets=k, target_coverage=None, forbidden=forbidden)
 
 
 def greedy_set_cover(
@@ -271,15 +306,12 @@ def greedy_set_cover(
     with a nonempty exclusion the remaining family may no longer cover the
     ground set, so pair it with ``allow_partial`` when that is acceptable.
     """
-    blocked = frozenset(forbidden)
-    if kernel is not None:
-        result = _kernel_greedy(
-            kernel, max_sets=None, target_coverage=graph.num_elements, forbidden=blocked
-        )
-    else:
-        result = _lazy_greedy(
-            graph, max_sets=None, target_coverage=graph.num_elements, forbidden=blocked
-        )
+    result = _select(
+        _gains(graph, kernel),
+        max_sets=None,
+        target_coverage=graph.num_elements,
+        forbidden=forbidden,
+    )
     if result.coverage < graph.num_elements and not allow_partial:
         raise InfeasibleError(
             f"the family covers only {result.coverage} of {graph.num_elements} elements"
@@ -302,15 +334,9 @@ def greedy_partial_cover(
     check_fraction(target_fraction, "target_fraction")
     target = math.ceil(target_fraction * graph.num_elements - 1e-9)
     target = min(graph.num_elements, max(0, target))
-    blocked = frozenset(forbidden)
-    if kernel is not None:
-        result = _kernel_greedy(
-            kernel, max_sets=None, target_coverage=target, forbidden=blocked
-        )
-    else:
-        result = _lazy_greedy(
-            graph, max_sets=None, target_coverage=target, forbidden=blocked
-        )
+    result = _select(
+        _gains(graph, kernel), max_sets=None, target_coverage=target, forbidden=forbidden
+    )
     if result.coverage < target:
         raise InfeasibleError(
             f"cannot cover {target} elements; maximum achievable is {result.coverage}"
@@ -320,6 +346,4 @@ def greedy_partial_cover(
 
 def greedy_order(graph: BipartiteGraph, *, kernel: "BitsetCoverage | None" = None) -> list[int]:
     """The full greedy selection order (all sets with positive gain)."""
-    if kernel is not None:
-        return _kernel_greedy(kernel, max_sets=None, target_coverage=None).selected
-    return _lazy_greedy(graph, max_sets=None, target_coverage=None).selected
+    return _select(_gains(graph, kernel), max_sets=None, target_coverage=None).selected

@@ -20,10 +20,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bipartite import BipartiteGraph, check_set_column
 from repro.offline.greedy import greedy_k_cover
 from repro.utils.rng import spawn_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard import
     from repro.coverage.bitset import BitsetCoverage
@@ -75,10 +75,12 @@ def local_search_k_cover(
         runs vectorised on its bit rows.
     """
     check_positive_int(k, "k")
+    check_non_negative_int(max_iterations, "max_iterations")
     n = graph.num_sets
     k = min(k, n)
     if initial is not None:
         current = list(dict.fromkeys(int(s) for s in initial))[:k]
+        check_set_column(np.asarray(current), n)
     elif start_from_greedy:
         current = greedy_k_cover(graph, k, kernel=kernel).selected
     else:

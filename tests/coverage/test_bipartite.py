@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.coverage.bipartite import BipartiteGraph
-from repro.errors import InvalidInstanceError, ReproError
+from repro.coverage.bitset import BitsetCoverage
+from repro.errors import InvalidInstanceError, ReproError, SpecError
+from repro.offline.greedy import greedy_k_cover_columns
 from repro.utils.rng import spawn_rng
 
 
@@ -114,6 +116,13 @@ class TestQueries:
 
     def test_uncovered_elements(self, tiny_graph):
         assert tiny_graph.uncovered_elements([0]) == {3, 4, 5}
+
+    def test_marginal_gain(self, tiny_graph):
+        covered = tiny_graph.neighbors([0])
+        assert [tiny_graph.marginal_gain(s, covered) for s in range(4)] == [0, 1, 3, 1]
+        assert tiny_graph.marginal_gain(2, frozenset()) == 3
+        with pytest.raises(InvalidInstanceError):
+            tiny_graph.marginal_gain(4, covered)
 
     def test_set_ids(self, tiny_graph):
         assert list(tiny_graph.set_ids()) == [0, 1, 2, 3]
@@ -233,6 +242,30 @@ class TestFromColumns:
             BipartiteGraph.from_columns(2, np.array([0]), np.array([-4]))
         with pytest.raises(TypeError):
             BipartiteGraph.from_columns(2, np.array([0.0]), np.array([4]))
+
+
+#: Every reader of ``(set_id, element)`` columns, as ``(num_sets, set_ids,
+#: elements) -> result``.
+_COLUMN_READERS = {
+    "graph": BipartiteGraph.from_columns,
+    "kernel": BitsetCoverage.from_columns,
+    "greedy": lambda num_sets, set_ids, elements: greedy_k_cover_columns(
+        set_ids, elements, num_sets, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_COLUMN_READERS))
+@pytest.mark.parametrize(
+    "set_ids, elements",
+    [([0, 1], [1]), ([0], [1, 2]), ([], [1]), ([[0, 1]], [[1, 2]])],
+    ids=["more-set-ids", "more-elements", "no-set-ids", "two-dimensional"],
+)
+def test_ragged_columns_are_a_spec_error(reader, set_ids, elements):
+    with pytest.raises(SpecError, match="parallel 1-d columns"):
+        _COLUMN_READERS[reader](
+            3, np.array(set_ids, dtype=np.int64), np.array(elements, dtype=np.int64)
+        )
 
 
 class TestAddColumns:

@@ -16,7 +16,7 @@ from repro.coverage.bitset import (
 )
 from repro.datasets import uniform_random_instance, zipf_instance
 from repro.errors import SpecError
-from repro.offline.greedy import greedy_k_cover
+from repro.offline.greedy import greedy_k_cover, greedy_partial_cover
 from repro.utils.rng import spawn_rng
 
 
@@ -25,8 +25,7 @@ class TestBasics:
         fast = BitsetCoverage(tiny_graph)
         assert fast.num_sets == 4
         assert fast.num_elements == 6
-        assert fast.set_size(0) == 3
-        assert fast.set_size(3) == 1
+        assert fast.set_sizes.tolist() == [3, 2, 3, 1]
 
     def test_coverage_matches_graph(self, tiny_graph):
         fast = BitsetCoverage(tiny_graph)
@@ -125,55 +124,59 @@ class TestAgreementOnRandomInstances:
 
 
 class TestVectorisedGreedy:
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_matches_reference_greedy(self, lazy):
+    """``greedy_k_cover(graph, k, kernel=...)``: the shared loop on packed rows."""
+
+    def test_matches_reference_greedy(self):
         for seed in range(3):
             instance = zipf_instance(30, 400, edges_per_set=25, k=5, seed=seed)
-            fast = BitsetCoverage(instance.graph)
-            selection, coverage = fast.greedy_k_cover(5, lazy=lazy)
+            result = greedy_k_cover(instance.graph, 5, kernel=BitsetCoverage(instance.graph))
             reference = greedy_k_cover(instance.graph, 5)
-            assert selection == reference.selected
-            assert coverage == reference.coverage
-            assert instance.graph.coverage(selection) == coverage
+            assert result.selected == reference.selected
+            assert result.coverage == reference.coverage
+            assert instance.graph.coverage(result.selected) == result.coverage
 
-    def test_lazy_matches_eager_gains_and_evaluates_less(self):
-        instance = zipf_instance(60, 900, edges_per_set=40, k=8, seed=11)
-        fast = BitsetCoverage(instance.graph)
-        eager_sel, eager_cov, eager_gains, eager_evals = fast.greedy(max_sets=8, lazy=False)
-        lazy_sel, lazy_cov, lazy_gains, lazy_evals = fast.greedy(max_sets=8, lazy=True)
-        assert lazy_cov == eager_cov
-        assert lazy_gains == eager_gains  # greedy gain profile is tie-invariant
-        assert lazy_evals < eager_evals
+    def test_refresh_width_sets_the_evaluation_count(self):
+        # Both runs take the same steps; the kernel refreshes up to 32 stale
+        # tops per vectorised call and the graph one, so their counts differ
+        # and are pinned (an eager rescan would have counted 8 * 60 = 480).
+        graph = zipf_instance(60, 900, edges_per_set=40, k=8, seed=11).graph
+        kernel_run = greedy_k_cover(graph, 8, kernel=BitsetCoverage(graph))
+        graph_run = greedy_k_cover(graph, 8)
+        assert kernel_run.gains == graph_run.gains == [58, 39, 34, 32, 29, 26, 25, 25]
+        assert (graph_run.evaluations, kernel_run.evaluations) == (182, 301)
 
     def test_forbidden_sets_are_skipped(self, tiny_graph):
-        fast = BitsetCoverage(tiny_graph)
-        selection, coverage = fast.greedy_k_cover(4, forbidden=[2])
-        assert 2 not in selection
-        reference = greedy_k_cover(tiny_graph, 4, forbidden=[2])
-        assert coverage == reference.coverage
+        result = greedy_k_cover(tiny_graph, 4, forbidden=[2], kernel=BitsetCoverage(tiny_graph))
+        assert 2 not in result.selected
+        assert result.coverage == greedy_k_cover(tiny_graph, 4, forbidden=[2]).coverage
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_out_of_range_forbidden_ids_are_ignored(self, tiny_graph, lazy):
+    def test_out_of_range_forbidden_ids_are_ignored(self, tiny_graph):
         # The graph greedy treats unselectable forbidden ids as no-ops; the
-        # kernel paths must too (no negative-index masking, no IndexError).
-        fast = BitsetCoverage(tiny_graph)
-        plain = fast.greedy_k_cover(4, lazy=lazy)
-        assert fast.greedy_k_cover(4, lazy=lazy, forbidden=[-1, 99]) == plain
+        # kernel must too (no negative-index masking, no IndexError).
+        kernel = BitsetCoverage(tiny_graph)
+        plain = greedy_k_cover(tiny_graph, 4, kernel=kernel)
+        assert greedy_k_cover(tiny_graph, 4, forbidden=[-1, 99], kernel=kernel) == plain
 
     def test_target_coverage_stops_early(self, tiny_graph):
-        selection, coverage, gains, _ = BitsetCoverage(tiny_graph).greedy(target_coverage=3)
-        assert coverage >= 3
-        assert len(selection) == 1
+        result = greedy_partial_cover(tiny_graph, 0.5, kernel=BitsetCoverage(tiny_graph))
+        assert result.coverage >= 3
+        assert result.size == 1
 
     def test_stops_when_saturated(self, tiny_graph):
-        fast = BitsetCoverage(tiny_graph)
-        selection, coverage = fast.greedy_k_cover(4)
-        assert coverage == 6
-        assert len(selection) <= 3
+        result = greedy_k_cover(tiny_graph, 4, kernel=BitsetCoverage(tiny_graph))
+        assert result.coverage == 6
+        assert result.size <= 3
 
     def test_invalid_k(self, tiny_graph):
         with pytest.raises(ValueError):
-            BitsetCoverage(tiny_graph).greedy_k_cover(0)
+            greedy_k_cover(tiny_graph, 0, kernel=BitsetCoverage(tiny_graph))
+
+    def test_kernel_is_read_only(self, tiny_graph):
+        kernel = BitsetCoverage(tiny_graph)
+        greedy_k_cover(tiny_graph, 4, kernel=kernel)
+        for array in (kernel.row(0), kernel.set_sizes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestPackedRows:
@@ -185,7 +188,7 @@ class TestPackedRows:
         monkeypatch.setattr(bitset_module, "_HAS_BITWISE_COUNT", False)
         assert [fast.coverage(f) for f in families] == native
         gains = fast.marginal_gains(fast.empty_bits())
-        assert gains.tolist() == [fast.set_size(s) for s in range(fast.num_sets)]
+        assert gains.tolist() == fast.set_sizes.tolist()
 
     def test_rows_are_whole_uint64_words(self):
         instance = uniform_random_instance(10, 640, density=0.05, seed=1)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.coverage.bitset import BitsetCoverage
 from repro.datasets import uniform_random_instance
+from repro.errors import InvalidInstanceError
 from repro.offline.exact import exact_k_cover
 from repro.offline.greedy import greedy_k_cover
 from repro.offline.local_search import local_search_k_cover
@@ -43,3 +45,19 @@ class TestLocalSearch:
     def test_k_capped_at_n(self, tiny_graph):
         result = local_search_k_cover(tiny_graph, 10, seed=1)
         assert len(result.selected) <= tiny_graph.num_sets
+
+
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        ({"initial": [-1]}, InvalidInstanceError),
+        ({"initial": [7]}, InvalidInstanceError),
+        ({"initial": [0, 2**70]}, InvalidInstanceError),
+        ({"max_iterations": -3}, ValueError),
+    ],
+    ids=["negative-id", "id-past-the-end", "huge-id", "negative-iterations"],
+)
+def test_bad_arguments_fail_alike_on_both_paths(tiny_graph, options, error):
+    for kernel in (None, BitsetCoverage(tiny_graph)):
+        with pytest.raises(error, match="out of range|max_iterations"):
+            local_search_k_cover(tiny_graph, 2, kernel=kernel, **options)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.bitset import BitsetCoverage
+from repro.offline.greedy import greedy_k_cover
 
 set_systems = st.lists(
     st.frozensets(st.integers(min_value=0, max_value=40), max_size=12),
@@ -49,18 +50,15 @@ def test_marginal_gains_agree_with_graph(sets, covered):
 @given(sets=set_systems, k=st.integers(min_value=1, max_value=4))
 @settings(max_examples=50, deadline=None)
 def test_vectorised_greedy_satisfies_greedy_guarantee(sets, k):
-    # Different (equally valid) tie-breaking can make the two greedy
-    # implementations end at different values, so the shared invariant is the
-    # 1 − 1/e guarantee against the true optimum, plus feasibility.
+    # The 1 − 1/e guarantee against the true optimum, plus feasibility.
     from repro.offline.exact import exact_k_cover
 
     graph = _graph(sets)
-    fast = BitsetCoverage(graph)
-    selection, coverage = fast.greedy_k_cover(k)
-    assert graph.coverage(selection) == coverage
-    assert len(selection) <= k
+    result = greedy_k_cover(graph, k, kernel=BitsetCoverage(graph))
+    assert graph.coverage(result.selected) == result.coverage
+    assert len(result.selected) <= k
     _, optimum = exact_k_cover(graph, k)
-    assert coverage >= (1 - 1 / 2.718281828) * optimum - 1e-9
+    assert result.coverage >= (1 - 1 / 2.718281828) * optimum - 1e-9
 
 
 @given(
@@ -85,7 +83,8 @@ def test_from_columns_packs_what_the_graph_packs(sets, extra_rows):
     from_columns = BitsetCoverage.from_columns(graph.num_sets, set_ids, elements)
     assert np.array_equal(from_columns._packed, from_graph._packed)
     assert from_columns.num_elements == from_graph.num_elements == graph.num_elements
-    assert [from_columns.set_size(s) for s in graph.set_ids()] == [
-        graph.set_degree(s) for s in graph.set_ids()
-    ]
-    assert from_columns.greedy() == from_graph.greedy()
+    assert from_columns.set_sizes.tolist() == [graph.set_degree(s) for s in graph.set_ids()]
+    n = graph.num_sets
+    assert greedy_k_cover(graph, n, kernel=from_columns) == greedy_k_cover(
+        graph, n, kernel=from_graph
+    )

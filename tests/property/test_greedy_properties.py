@@ -9,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import BitsetCoverage
 from repro.offline.exact import exact_k_cover, exact_set_cover
-from repro.offline.greedy import greedy_k_cover, greedy_k_cover_columns, greedy_set_cover
+from repro.offline.greedy import (
+    _ColumnGains,
+    _GraphGains,
+    _KernelGains,
+    _select,
+    greedy_k_cover,
+    greedy_k_cover_columns,
+    greedy_set_cover,
+)
 
 set_systems = st.lists(
     st.frozensets(st.integers(min_value=0, max_value=25), min_size=0, max_size=8),
@@ -113,3 +122,61 @@ def test_column_greedy_breaks_ties_to_the_smallest_set_id():
     assert result.selected == [1, 3]
     assert result.gains == [2, 2]
     assert result.coverage == 4
+
+
+def _eager_greedy(members, *, max_sets, target_coverage, forbidden):
+    """Reference greedy over Python sets: every step rescans every gain and
+    takes the first (smallest) set id of maximal positive gain."""
+    covered: set[int] = set()
+    selected: list[int] = []
+    gains: list[int] = []
+    while (max_sets is None or len(selected) < max_sets) and (
+        target_coverage is None or len(covered) < target_coverage
+    ):
+        best, best_gain = None, 0
+        for set_id, elements in enumerate(members):
+            gain = len(elements - covered)
+            if gain > best_gain and set_id not in forbidden:
+                best, best_gain = set_id, gain
+        if best is None:
+            break
+        selected.append(best)
+        gains.append(best_gain)
+        covered |= members[best]
+    return selected, len(covered), gains
+
+
+@given(
+    columns=edge_columns,
+    max_sets=st.none() | st.integers(min_value=1, max_value=10),
+    target_coverage=st.none() | st.integers(min_value=0, max_value=9),
+    forbidden=st.frozensets(st.integers(min_value=-2, max_value=10), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_evaluator_selects_like_the_eager_reference(
+    columns, max_sets, target_coverage, forbidden
+):
+    """The one lazy loop, over the graph, column and both kernel evaluators,
+    equals an eager argmax rescan in selection, coverage and gains — under
+    every stop rule, with forbidden ids inside and outside the sets' range."""
+    num_sets, rows = columns
+    set_ids = np.array([s for s, _ in rows], dtype=np.uint64)
+    elements = np.array([e for _, e in rows], dtype=np.uint64)
+    members: list[set[int]] = [set() for _ in range(num_sets)]
+    for set_id, element in rows:
+        members[set_id].add(element)
+    expected = _eager_greedy(
+        members, max_sets=max_sets, target_coverage=target_coverage, forbidden=forbidden
+    )
+    graph = BipartiteGraph.from_columns(num_sets, set_ids, elements)
+    evaluators = [
+        _GraphGains(graph),
+        _ColumnGains(num_sets, set_ids, elements),
+        _KernelGains(BitsetCoverage(graph)),
+        _KernelGains(BitsetCoverage.from_columns(num_sets, set_ids, elements)),
+    ]
+    for gains in evaluators:
+        got = _select(
+            gains, max_sets=max_sets, target_coverage=target_coverage, forbidden=forbidden
+        )
+        assert (got.selected, got.coverage, got.gains) == expected

@@ -1,14 +1,11 @@
 """Property tests for the packed coverage kernel and the columnar format.
 
-Three contracts from the perf pass:
+Two contracts from the perf pass:
 
 * the packed kernel is bit-for-bit identical to the set-based evaluation on
-  every query (coverage, marginal gains, subset gains) and its greedy
-  selects exactly the sets the set-based greedy selects, on random *and*
-  adversarial instances;
-* the lazy (CELF) greedy matches the eager full-rescan greedy — on one fixed
-  kernel the two select identical sequences, because a fresh heap top
-  dominates every stale upper bound;
+  every query (coverage, marginal gains, subset gains) and the greedy run
+  on it selects exactly the sets the set-based greedy selects, on random
+  *and* adversarial instances;
 * a columnar round-trip preserves an edge list exactly (same pairs, same
   order), including through the text edge-list format.
 """
@@ -75,25 +72,8 @@ def test_kernel_queries_match_set_based(sets, family):
 def test_kernel_greedy_selects_like_set_based_greedy(sets, k):
     graph = _graph(sets)
     reference = greedy_k_cover(graph, k)
-    assert BitsetCoverage(graph).greedy_k_cover(k) == (
-        list(reference.selected),
-        reference.coverage,
-    )
-
-
-@given(sets=set_systems, k=st.integers(min_value=1, max_value=5))
-@settings(max_examples=50, deadline=None)
-def test_lazy_greedy_matches_eager_greedy(sets, k):
-    graph = _graph(sets)
-    kernel = BitsetCoverage(graph)
-    lazy_sel, lazy_cov = kernel.greedy_k_cover(k, lazy=True)
-    eager_sel, eager_cov = kernel.greedy_k_cover(k, lazy=False)
-    # A fresh heap top dominates every remaining upper bound, so lazy
-    # resolves ties exactly like argmax: identical selections, not just
-    # identical coverage.
-    assert lazy_sel == eager_sel
-    assert lazy_cov == eager_cov
-    assert graph.coverage(lazy_sel) == lazy_cov
+    result = greedy_k_cover(graph, k, kernel=BitsetCoverage(graph))
+    assert (result.selected, result.coverage) == (reference.selected, reference.coverage)
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -101,9 +81,8 @@ def test_kernel_matches_set_based_on_adversarial_instances(k):
     for graph in _adversarial_graphs():
         kernel = BitsetCoverage(graph)
         reference = greedy_k_cover(graph, k)
-        expected = (list(reference.selected), reference.coverage)
-        assert kernel.greedy_k_cover(k) == expected
-        assert kernel.greedy_k_cover(k, lazy=False) == expected
+        result = greedy_k_cover(graph, k, kernel=kernel)
+        assert (result.selected, result.coverage) == (reference.selected, reference.coverage)
         assert kernel.marginal_gains(kernel.empty_bits()).tolist() == _set_gains(graph, [])
 
 
