@@ -21,6 +21,16 @@ element is never re-admitted after losing edges), which is what makes the
 streaming sketch equivalent to the offline one; the unit tests verify this
 equivalence on random inputs.
 
+While streaming, the builder holds no graph.  It stores each tracked
+element's rank and the ids of its stored sets (two dicts, both in order of
+first admission), the elements that hit the degree cap, and, from the first
+eviction on, a max-heap of the tracked ranks.  An eviction is one heap pop and
+one pop from each dict.  Rows admitted in bulk wait as numpy columns until the
+per-edge path or a reader needs them in the dicts.  The graph is built only by
+:meth:`~StreamingSketchBuilder.sketch`;
+:meth:`~StreamingSketchBuilder.columns` reads the dicts straight into
+rank-sorted columns.
+
 Two rank sources are supported, mirroring the paper's discussion of
 randomness:
 
@@ -36,12 +46,19 @@ randomness:
 from __future__ import annotations
 
 import heapq
+import operator
 from itertools import chain, compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph, first_occurrences, run_starts
+from repro.coverage.bipartite import (
+    BipartiteGraph,
+    check_set_id,
+    extend_adjacency,
+    first_occurrences,
+    run_starts,
+)
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
@@ -50,12 +67,18 @@ from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
 from repro.utils.rng import spawn_rng
+from repro.utils.validation import check_non_negative_int
 
 __all__ = ["StreamingSketchBuilder"]
 
 
 class StreamingSketchBuilder:
     """Incrementally builds a :class:`CoverageSketch` from edge arrivals.
+
+    The stored edges live in an element → set ids map next to the element
+    ranks, so admitting an edge is a set insert and evicting an element is a
+    dict pop; the :class:`BipartiteGraph` of the sketch is built only by
+    :meth:`sketch`.
 
     Parameters
     ----------
@@ -89,14 +112,17 @@ class StreamingSketchBuilder:
         self.rank_source = rank_source
         self.seed = seed
         self.space = space if space is not None else SpaceMeter(unit="edges")
-        self._graph = BipartiteGraph(params.num_sets)
-        # Rows stored by _admit_bulk but not yet inserted into _graph, as
-        # (set_ids, elements, element_ids) columns.  _flush inserts them in
-        # one add_columns call before anything reads the adjacency, so a
-        # sketch that is never read never builds its graph.
-        self._pending: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
-        self._pending_edges = 0
+        # Tracked element → its rank, and → the ids of its stored sets, both
+        # in order of first admission.  An eviction pops the element from
+        # both; _num_edges counts the stored edges.
         self._ranks: dict[int, float] = {}
+        self._owners: dict[int, set[int]] = {}
+        self._num_edges = 0
+        # Rows stored by _admit_bulk but not yet in _owners, as (set_ids,
+        # elements, element_ids) columns.  _flush moves them before anything
+        # reads _owners, so a builder whose sketch is never read (most
+        # Algorithm 5 guesses) never turns its bulk rows into Python sets.
+        self._pending: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
         # Max-heap over (negated rank, element) of currently tracked elements,
         # built by one heapify of _ranks at the first eviction, so a sketch
         # that never evicts never holds it.  The keys are unique, so the pop
@@ -129,11 +155,11 @@ class StreamingSketchBuilder:
         replacement from the ground set ``0 .. m-1``; the rank of a sampled
         element is its (normalised) position in a random permutation of Π.
         The result is ``(elements, ranks)``: the sampled element ids sorted
-        ascending plus their aligned ranks — ``O(|Π|)`` space, preserving
-        the sketch's sublinear-space story — so both the scalar and the
-        batched path rank by binary search (``np.searchsorted``) instead of
-        dict lookups; unsampled elements rank ``inf`` and are always
-        discarded.
+        ascending plus their aligned ranks, ``O(|Π|)`` space, preserving the
+        sketch's sublinear-space story.  The batched path ranks a column by
+        binary search in these arrays (``np.searchsorted``); the scalar path
+        looks ranks up in their dict twin built by ``__init__``.  Unsampled
+        elements rank ``inf`` and are always discarded.
         """
         rng = spawn_rng(self.seed, "algorithm2-permutation")
         population = self.params.num_elements
@@ -177,7 +203,7 @@ class StreamingSketchBuilder:
     @property
     def stored_edges(self) -> int:
         """Number of edges currently stored."""
-        return self._graph.num_edges + self._pending_edges
+        return self._num_edges
 
     @property
     def evictions(self) -> int:
@@ -200,34 +226,84 @@ class StreamingSketchBuilder:
         return self._admission_threshold
 
     def add_edge(self, set_id: int, element: int) -> bool:
-        """Process one membership edge; returns whether it was stored."""
-        self._edges_seen += 1
-        return self._admit(set_id, element, self._rank(element))
+        """Process one membership edge; returns whether it was stored.
 
-    def _admit(self, set_id: int, element: int, rank: float) -> bool:
-        """Admission decision for one edge whose rank is already computed."""
-        if rank >= self._admission_threshold:
-            self._edges_discarded += 1
-            return False
-        self._flush()
-        tracked = element in self._ranks
-        if tracked:
-            if self._graph.element_degree(element) >= self.params.degree_cap:
+        An edge that would be stored is validated first, raising what
+        :meth:`BipartiteGraph.add_edge` raises for a bad set id or element.
+        """
+        self._edges_seen += 1
+        return self._admit_rows((set_id,), (element,), (self._rank(element),), checked=False) == 1
+
+    def _admit_rows(
+        self,
+        set_ids: Sequence[int],
+        elements: Sequence[int],
+        ranks: Sequence[float],
+        *,
+        checked: bool,
+    ) -> int:
+        """Admit rows one at a time, in order; return how many were stored.
+
+        Per row: the threshold check, the degree cap (an arrival at the cap
+        marks the element truncated), the row's validation unless the
+        caller ``checked`` it, the ``(set, element)`` dedup, then the add,
+        its charge and any eviction it makes necessary.
+        """
+        if self._pending:
+            self._flush()
+        owners_of = self._owners
+        cap = self.params.degree_cap
+        limit = self.params.max_stored_edges
+        charge = self.space.charge
+        threshold = self._admission_threshold
+        stored = 0
+        for set_id, element, rank in zip(set_ids, elements, ranks):
+            if rank >= threshold:
+                self._edges_discarded += 1
+                continue
+            owners = owners_of.get(element)
+            if owners is not None and len(owners) >= cap:
                 self._truncated.add(element)
                 self._edges_discarded += 1
-                return False
-            if not self._graph.add_edge(set_id, element):
+                continue
+            if not checked:
+                check_set_id(set_id, self.params.num_sets)
+                check_non_negative_int(element, "element")
+            if owners is None:
+                self._ranks[element] = rank
+                owners_of[element] = {set_id}
+                if self._heap is not None:
+                    heapq.heappush(self._heap, (-rank, element))
+            elif set_id in owners:
                 self._edges_discarded += 1
-                return False
-            self.space.charge(1)
-        else:
-            self._ranks[element] = rank
-            if self._heap is not None:
-                heapq.heappush(self._heap, (-rank, element))
-            self._graph.add_edge(set_id, element)
-            self.space.charge(1)
-        self._evict_if_needed()
-        return True
+                continue
+            else:
+                owners.add(set_id)
+            self._num_edges += 1
+            stored += 1
+            charge(1)
+            if self._num_edges > limit:
+                self._evict(limit)
+                threshold = self._admission_threshold
+        return stored
+
+    def _evict(self, limit: int) -> None:
+        """Evict highest-ranked elements while more than ``limit`` edges are stored."""
+        ranks = self._ranks
+        while self._num_edges > limit and len(ranks) > 1:
+            if self._heap is None:
+                self._heap = [(-rank, element) for element, rank in ranks.items()]
+                heapq.heapify(self._heap)
+            # The heap holds exactly the tracked elements: each admission
+            # pushes, each eviction pops, and nothing else leaves _ranks.
+            neg_rank, element = heapq.heappop(self._heap)
+            del ranks[element]
+            removed = len(self._owners.pop(element))
+            self._num_edges -= removed
+            self.space.release(removed)
+            self._truncated.discard(element)
+            self._admission_threshold = min(self._admission_threshold, -neg_rank)
+            self._evictions += 1
 
     def fits_in_bulk(self, edges: int) -> bool:
         """Whether ``edges`` more stored edges can never trigger an eviction.
@@ -240,7 +316,7 @@ class StreamingSketchBuilder:
         """
         return (
             self.space.budget is None
-            and self.stored_edges + edges <= self.params.max_stored_edges
+            and self._num_edges + edges <= self.params.max_stored_edges
         )
 
     def process(self, event: EdgeArrival) -> bool:
@@ -257,9 +333,9 @@ class StreamingSketchBuilder:
         threshold only ever decreases, the scalar path would reject every
         one of them too.  When the survivors fit (:meth:`fits_in_bulk`) they
         are admitted in bulk by array work; otherwise they go through the
-        ordinary per-edge admission (threshold re-check, degree cap, dedup,
-        eviction).  Either way the builder state after a batch is
-        byte-identical to feeding the same edges one at a time.
+        sequential admission of :meth:`add_edge` (threshold re-check, degree
+        cap, dedup, eviction).  Either way the builder state after a batch
+        is byte-identical to feeding the same edges one at a time.
         """
         if batch.offsets is not None:
             raise TypeError("StreamingSketchBuilder consumes edge batches, got a set batch")
@@ -281,18 +357,17 @@ class StreamingSketchBuilder:
         set_ids, elements = batch.set_ids, batch.elements
         if len(survivors) < count:
             set_ids, elements, ranks = set_ids[survivors], elements[survivors], ranks[survivors]
-        # An out-of-range set id takes the per-edge path, which raises at
-        # exactly the row the scalar stream would.
-        if self.fits_in_bulk(len(survivors)) and set_ids.max() < self.params.num_sets:
+        # A batch with an out-of-range set id is admitted row by row with
+        # validation, so it raises at exactly the row the scalar stream would.
+        checked = bool(set_ids.max() < self.params.num_sets)
+        if checked and self.fits_in_bulk(len(survivors)):
             element_ids = _pick(batch.element_ids, survivors)
             stored = self._admit_bulk(set_ids, elements, ranks, element_ids)
             self._edges_discarded += len(survivors) - stored
             return stored
-        stored = 0
-        for set_id, element, rank in zip(set_ids.tolist(), elements.tolist(), ranks.tolist()):
-            if self._admit(set_id, element, rank):
-                stored += 1
-        return stored
+        return self._admit_rows(
+            set_ids.tolist(), elements.tolist(), ranks.tolist(), checked=checked
+        )
 
     def _admit_bulk(
         self,
@@ -311,7 +386,8 @@ class StreamingSketchBuilder:
         degree before a row is its stored degree plus the new pairs among
         its earlier rows, so the cap is a cumulative count per element.
         ``element_ids`` holds the rows' elements as the batch's shared ints.
-        The stored rows join the pending list; :meth:`_flush` inserts them.
+        The stored rows join the pending list; :meth:`_flush` moves them
+        into the owners store.
         """
         cap = self.params.degree_cap
         # Rows grouped by element, each group in row order.
@@ -329,10 +405,16 @@ class StreamingSketchBuilder:
         if known.any():
             # Only an already tracked element can have stored pairs.
             self._flush()
+            owners_of = self._owners
             rows = np.flatnonzero(known[group])
-            new[rows] &= ~self._graph.has_edges(set_ids[rows], elements[rows])
+            owners = map(owners_of.__getitem__, _pick(element_ids, rows))
+            new[rows] &= ~np.fromiter(
+                map(operator.contains, owners, set_ids[rows].tolist()),
+                dtype=bool,
+                count=len(rows),
+            )
             degree[known] = np.fromiter(
-                map(self._graph.element_degree, compress(keys, known.tolist())),
+                map(len, map(owners_of.__getitem__, compress(keys, known.tolist()))),
                 dtype=np.int64,
                 count=int(known.sum()),
             )
@@ -356,23 +438,26 @@ class StreamingSketchBuilder:
         rows = np.flatnonzero(stored)
         if len(rows):
             self._pending.append((set_ids[rows], elements[rows], _pick(element_ids, rows)))
-            self._pending_edges += len(rows)
+            self._num_edges += len(rows)
         self.space.charge(len(rows))
         return len(rows)
 
     def _flush(self) -> None:
-        """Insert the rows pending from bulk admissions into the graph.
+        """Move the rows pending from bulk admissions into the owners store.
 
-        One :meth:`BipartiteGraph.add_columns` call over their concatenation
-        equals the per-batch calls it replaces, down to iteration order.
+        The element half of :meth:`BipartiteGraph.add_columns`
+        (:func:`extend_adjacency`): new elements join ``_owners`` in order
+        of their first row, which is the order they joined ``_ranks``.
         """
         if not self._pending:
             return
         set_ids, elements, element_ids = zip(*self._pending)
         self._pending = []
-        self._pending_edges = 0
-        self._graph.add_columns(
-            np.concatenate(set_ids), np.concatenate(elements), list(chain(*element_ids))
+        extend_adjacency(
+            self._owners,
+            np.concatenate(elements),
+            np.concatenate(set_ids),
+            list(chain.from_iterable(element_ids)),
         )
 
     def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
@@ -384,55 +469,36 @@ class StreamingSketchBuilder:
                 set_id, element = event
                 self.add_edge(set_id, element)
 
-    def _evict_if_needed(self) -> None:
-        """Evict highest-ranked elements while over the transient edge limit.
-
-        Runs only after :meth:`_admit`, which has flushed the pending rows.
-        """
-        limit = self.params.max_stored_edges
-        while self._graph.num_edges > limit and len(self._ranks) > 1:
-            if self._heap is None:
-                self._heap = [(-rank, element) for element, rank in self._ranks.items()]
-                heapq.heapify(self._heap)
-            # The heap holds exactly the tracked elements: each admission
-            # pushes, each eviction pops, and nothing else leaves _ranks.
-            neg_rank, element = heapq.heappop(self._heap)
-            rank = -neg_rank
-            del self._ranks[element]
-            removed = self._graph.remove_element(element)
-            self.space.release(removed)
-            self._truncated.discard(element)
-            self._admission_threshold = min(self._admission_threshold, rank)
-            self._evictions += 1
-
     # ------------------------------------------------------------------ #
     # result
     # ------------------------------------------------------------------ #
-    def sketch(self) -> CoverageSketch:
-        """Finalize and return the sketch built so far.
+    def _threshold(self) -> float:
+        """``p*``: the largest retained rank once anything was rejected
+        (evicted, or ranked above the lowered admission threshold), 1.0 when
+        the whole stream fit — mirroring the offline convention."""
+        if not self._ranks:
+            return self._admission_threshold
+        if self._evictions > 0 or self._admission_threshold < 1.0:
+            return max(self._ranks.values())
+        return 1.0
 
-        The threshold ``p*`` is the largest rank among retained elements when
-        any eviction (or admission rejection) occurred, and 1.0 when the
-        whole stream fit in the budget — mirroring the offline convention.
+    def sketch(self) -> CoverageSketch:
+        """The sketch built so far, with its graph built from the stored rows.
+
+        The pending rows are flushed first, so each adjacency set of the
+        graph is filled in the order the per-edge stream would fill it.
         """
         self._flush()
-        saw_rejection = self._evictions > 0 or self._admission_threshold < 1.0
-        if self._ranks and saw_rejection:
-            threshold = max(self._ranks.values())
-        elif self._ranks:
-            threshold = 1.0
-        else:
-            threshold = self._admission_threshold
         return CoverageSketch(
-            graph=self._graph.copy(),
+            graph=BipartiteGraph.from_element_sets(self.params.num_sets, self._owners),
             params=self.params,
-            threshold=threshold,
+            threshold=self._threshold(),
             element_hashes=dict(self._ranks),
             truncated_elements=frozenset(self._truncated),
         )
 
     def columns(self) -> SketchColumns:
-        """The sketch built so far as rank-sorted columns, with no graph copy.
+        """The sketch built so far as rank-sorted columns, with no graph built.
 
         Holds what :meth:`sketch` holds — rows, ranks, threshold ``p*`` and
         truncation flags, so ``columns().to_sketch(params)`` equals
@@ -440,24 +506,17 @@ class StreamingSketchBuilder:
         ships home (no Python sets to pickle).
         """
         self._flush()
-        set_ids, elements = self._graph.to_columns()
-        tracked = np.fromiter(self._ranks, dtype=np.uint64, count=len(self._ranks))
-        by_id = np.argsort(tracked)
-        tracked_ranks = np.fromiter(
-            self._ranks.values(), dtype=np.float64, count=len(self._ranks)
-        )[by_id]
-        ranks = tracked_ranks[np.searchsorted(tracked[by_id], elements)]
-        # p*, by the rule of sketch(): the largest retained rank once
-        # anything was rejected, 1.0 when the whole stream fit.
-        saw_rejection = self._evictions > 0 or self._admission_threshold < 1.0
-        if len(tracked_ranks) and saw_rejection:
-            threshold = float(tracked_ranks.max())
-        elif len(tracked_ranks):
-            threshold = 1.0
-        else:
-            threshold = self._admission_threshold
+        owners = self._owners
+        count = len(owners)
+        degrees = np.fromiter(map(len, owners.values()), dtype=np.intp, count=count)
+        set_ids = np.fromiter(
+            chain.from_iterable(owners.values()), dtype=np.uint64, count=self._num_edges
+        )
+        elements = np.repeat(np.fromiter(owners, dtype=np.uint64, count=count), degrees)
+        # Once flushed, _owners and _ranks hold the same keys in the same order.
+        ranks = np.repeat(np.fromiter(self._ranks.values(), dtype=np.float64, count=count), degrees)
         truncated = np.fromiter(self._truncated, dtype=np.uint64, count=len(self._truncated))
-        return SketchColumns.from_rows(ranks, elements, set_ids, threshold, truncated)
+        return SketchColumns.from_rows(ranks, elements, set_ids, self._threshold(), truncated)
 
     def describe(self) -> dict[str, float | int | str]:
         """Diagnostics for logging and tests."""
@@ -478,3 +537,4 @@ def _pick(values: list[int], rows: np.ndarray) -> list[int]:
     if len(rows) == len(values):
         return values
     return list(map(values.__getitem__, rows.tolist()))
+

@@ -28,6 +28,8 @@ __all__ = [
     "BipartiteGraph",
     "check_parallel_columns",
     "check_set_column",
+    "check_set_id",
+    "extend_adjacency",
     "first_occurrences",
     "run_starts",
 ]
@@ -36,9 +38,10 @@ __all__ = [
 class BipartiteGraph:
     """Adjacency structure between ``num_sets`` sets and integer elements.
 
-    The structure is mutable (edges can be added and elements removed) so the
-    same class backs both full input instances and the paper's sketches,
+    The same class backs both full input instances and the paper's sketches,
     which are themselves subgraphs with some elements and edges discarded.
+    Edges can be added but not removed: a sketch drops elements before its
+    graph is built (see :mod:`repro.core.streaming_sketch`).
 
     Parameters
     ----------
@@ -103,6 +106,26 @@ class BipartiteGraph:
         """
         graph = cls(num_sets)
         graph.add_columns(set_ids, elements)
+        return graph
+
+    @classmethod
+    def from_element_sets(
+        cls, num_sets: int, owners: Mapping[int, AbstractSet[int]]
+    ) -> "BipartiteGraph":
+        """Build a graph from a mapping element → ids of the sets containing it.
+
+        The element-keyed twin of :meth:`from_sets`.  The mapping's order
+        becomes :meth:`elements` order and each element's set is copied as
+        it is; the set side is filled in element order.  The set ids must be
+        in range: they are not validated.
+        """
+        graph = cls(num_sets)
+        graph._elem_adj = {element: set(sets) for element, sets in owners.items()}
+        set_adj = graph._set_adj
+        for element, sets in graph._elem_adj.items():
+            for set_id in sets:
+                set_adj[set_id].add(element)
+        graph._num_edges = sum(map(len, graph._elem_adj.values()))
         return graph
 
     def to_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -212,27 +235,7 @@ class BipartiteGraph:
             members.update(chunk)
         added = sum(map(len, targets)) - before
         self._num_edges += added
-        # Element side: the same grouping by element, with the groups taken
-        # in order of each element's first row, so new elements join the
-        # dict in the order an add_edge loop would insert them.
-        by_element = np.argsort(elements, kind="stable")
-        grouped = elements[by_element]
-        starts, stops = _runs(grouped)
-        appearance = np.argsort(by_element[starts])
-        starts, stops = starts[appearance], stops[appearance]
-        keys = list(map(element_ids.__getitem__, by_element[starts].tolist()))
-        chunks = _slices(set_ids[by_element].tolist(), starts, stops)
-        if self._elem_adj:
-            chunks = list(chunks)
-            known = list(map(self._elem_adj.__contains__, keys))
-            for members, chunk in zip(
-                map(self._elem_adj.__getitem__, compress(keys, known)),
-                compress(chunks, known),
-            ):
-                members.update(chunk)
-            absent = list(map(operator.not_, known))
-            keys, chunks = list(compress(keys, absent)), compress(chunks, absent)
-        self._elem_adj.update(zip(keys, map(set, chunks)))
+        extend_adjacency(self._elem_adj, elements, set_ids, element_ids)
 
         if added == rows:
             return np.ones(rows, dtype=bool)
@@ -251,31 +254,6 @@ class BipartiteGraph:
         return np.fromiter(
             map(operator.contains, members, elements), dtype=bool, count=len(set_ids)
         )
-
-    def remove_element(self, element: int) -> int:
-        """Remove an element vertex and all its edges; return #edges removed."""
-        owners = self._elem_adj.pop(element, None)
-        if owners is None:
-            return 0
-        for set_id in owners:
-            self._set_adj[set_id].discard(element)
-        removed = len(owners)
-        self._num_edges -= removed
-        return removed
-
-    def remove_edge(self, set_id: int, element: int) -> bool:
-        """Remove one membership edge; returns ``True`` if it was present."""
-        self._check_set_id(set_id)
-        members = self._set_adj[set_id]
-        if element not in members:
-            return False
-        members.discard(element)
-        owners = self._elem_adj[element]
-        owners.discard(set_id)
-        if not owners:
-            del self._elem_adj[element]
-        self._num_edges -= 1
-        return True
 
     # ------------------------------------------------------------------ #
     # queries
@@ -410,18 +388,7 @@ class BipartiteGraph:
         )
 
     def _check_set_id(self, set_id: int) -> None:
-        if isinstance(set_id, bool):
-            raise TypeError("set_id must be an integer, got bool")
-        try:
-            set_id = operator.index(set_id)
-        except TypeError as exc:
-            raise TypeError(
-                f"set_id must be an integer, got {type(set_id).__name__}"
-            ) from exc
-        if not 0 <= set_id < self._num_sets:
-            raise InvalidInstanceError(
-                f"set id {set_id} out of range [0, {self._num_sets})"
-            )
+        check_set_id(set_id, self._num_sets)
 
 
 def run_starts(grouped: np.ndarray) -> np.ndarray:
@@ -458,6 +425,53 @@ def first_occurrences(set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
     first = np.ones(len(order), dtype=bool)
     first[order[1:][repeat]] = False
     return first
+
+
+def extend_adjacency(
+    adjacency: dict[int, set[int]],
+    keys: np.ndarray,
+    values: np.ndarray,
+    key_ids: list[int],
+) -> None:
+    """Add ``values[i]`` to ``adjacency[keys[i]]`` for every row, in bulk.
+
+    Equal to a loop over the rows that adds each value to its key's set,
+    creating the set on a key's first row, down to iteration order: the
+    rows are grouped by key, in row order inside each group, and the
+    groups taken in order of each key's first row, so new keys join the
+    dict in loop order.  ``key_ids`` is ``keys.tolist()`` (or the shared
+    int objects of the same values); the dict is keyed by those objects.
+    """
+    by_key = np.argsort(keys, kind="stable")
+    starts, stops = _runs(keys[by_key])
+    appearance = np.argsort(by_key[starts])
+    starts, stops = starts[appearance], stops[appearance]
+    new_keys = list(map(key_ids.__getitem__, by_key[starts].tolist()))
+    chunks = _slices(values[by_key].tolist(), starts, stops)
+    if adjacency:
+        chunks = list(chunks)
+        known = list(map(adjacency.__contains__, new_keys))
+        for members, chunk in zip(
+            map(adjacency.__getitem__, compress(new_keys, known)), compress(chunks, known)
+        ):
+            members.update(chunk)
+        absent = list(map(operator.not_, known))
+        new_keys, chunks = list(compress(new_keys, absent)), compress(chunks, absent)
+    adjacency.update(zip(new_keys, map(set, chunks)))
+
+
+def check_set_id(set_id: int, num_sets: int) -> None:
+    """Raise what :meth:`BipartiteGraph.add_edge` raises for a bad set id:
+    :class:`TypeError` unless it is an integer (``bool`` excluded), and
+    :class:`~repro.errors.InvalidInstanceError` outside ``[0, num_sets)``."""
+    if isinstance(set_id, bool):
+        raise TypeError("set_id must be an integer, got bool")
+    try:
+        set_id = operator.index(set_id)
+    except TypeError as exc:
+        raise TypeError(f"set_id must be an integer, got {type(set_id).__name__}") from exc
+    if not 0 <= set_id < num_sets:
+        raise InvalidInstanceError(f"set id {set_id} out of range [0, {num_sets})")
 
 
 def check_set_column(set_ids: np.ndarray, num_sets: int) -> None:

@@ -72,7 +72,7 @@ class CoverageFunction:
         """``C(current ∪ {candidate}) − C(current)``."""
         current = set(current)
         covered = self._graph.neighbors(current)
-        gain = len(self._graph.elements_of(candidate) - covered)
+        gain = self._graph.marginal_gain(candidate, covered)
         self._queries += 2
         if self._normalize:
             total = self._graph.num_elements

@@ -117,7 +117,7 @@ def local_search_k_cover(
                 base_covered = graph.neighbors(base)
                 base_value = len(base_covered)
                 for candidate in outside:
-                    gain = len(graph.elements_of(candidate) - base_covered)
+                    gain = graph.marginal_gain(candidate, base_covered)
                     if base_value + gain > value:
                         current[position] = candidate
                         value = base_value + gain

@@ -228,15 +228,15 @@ class TestLazyCascade:
 
     def test_unchecked_guesses_never_build_a_graph(self, planted_setcover, monkeypatch):
         inserts = []
-        add_columns = BipartiteGraph.add_columns
+        from_element_sets = BipartiteGraph.from_element_sets
 
-        def counted(graph, *args, **kwargs):
-            inserts.append(len(args[0]))
-            return add_columns(graph, *args, **kwargs)
+        def counted(num_sets, owners):
+            inserts.append(len(owners))
+            return from_element_sets(num_sets, owners)
 
-        monkeypatch.setattr(BipartiteGraph, "add_columns", counted)
+        monkeypatch.setattr(BipartiteGraph, "from_element_sets", counted)
         # One batch holds the whole instance, so each guess admits it in bulk
-        # and its graph is built by one insert when its check reads it.
+        # and its graph is built by one call when its check reads it.
         algo = self._run(planted_setcover, batch_size=4096)  # reads result()
         checked = algo.describe()["guesses_checked"]
         assert len(inserts) == checked < len(algo.guesses())

@@ -64,25 +64,6 @@ class TestEdges:
         with pytest.raises(ValueError):
             tiny_graph.add_edge(0, -1)
 
-    def test_remove_edge(self, tiny_graph):
-        assert tiny_graph.remove_edge(0, 0) is True
-        assert tiny_graph.remove_edge(0, 0) is False
-        assert tiny_graph.num_edges == 8
-
-    def test_remove_edge_drops_isolated_element(self, tiny_graph):
-        tiny_graph.remove_edge(3, 5)
-        tiny_graph.remove_edge(2, 5)
-        assert not tiny_graph.has_element(5)
-
-    def test_remove_element(self, tiny_graph):
-        removed = tiny_graph.remove_element(2)
-        assert removed == 2  # element 2 belongs to sets 0 and 1
-        assert tiny_graph.num_edges == 7
-        assert not tiny_graph.has_element(2)
-
-    def test_remove_absent_element(self, tiny_graph):
-        assert tiny_graph.remove_element(99) == 0
-
     def test_edges_iterator_complete(self, tiny_graph):
         edges = set(tiny_graph.edges())
         assert (0, 0) in edges and (2, 5) in edges
@@ -183,6 +164,36 @@ def _assert_identical(graph, reference):
         assert built.tolist() == expected.tolist()
     set_ids, elements = graph.to_set_columns()
     assert list(zip(set_ids.tolist(), elements.tolist())) == list(reference.edges())
+
+
+class TestFromElementSets:
+    """``from_element_sets`` builds the graph of an element → owners map."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_maps_match_add_edge_loop(self, seed):
+        rng = spawn_rng(seed, "from-element-sets")
+        num_sets = int(rng.integers(1, 40))
+        owners = {
+            int(element): set(rng.integers(0, num_sets, int(rng.integers(1, 6))).tolist())
+            for element in rng.integers(0, 10**9, int(rng.integers(0, 300)))
+        }
+        graph = BipartiteGraph.from_element_sets(num_sets, owners)
+        rows = [(set_id, element) for element, sets in owners.items() for set_id in sets]
+        reference = BipartiteGraph(num_sets)
+        for set_id, element in rows:
+            reference.add_edge(set_id, element)
+        assert graph == reference
+        assert graph.num_edges == reference.num_edges == len(rows)
+        assert list(graph.elements()) == list(owners)
+        assert all(graph.sets_of(element) == sets for element, sets in owners.items())
+
+    def test_the_map_is_copied(self):
+        owners = {5: {0, 2}, 3: {1}}
+        graph = BipartiteGraph.from_element_sets(3, owners)
+        owners[5].add(1)
+        del owners[3]
+        assert graph.as_dict() == {0: {5}, 1: {3}, 2: {5}}
+        assert graph.sets_of(5) == {0, 2}
 
 
 class TestFromColumns:

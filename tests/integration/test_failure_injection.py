@@ -11,10 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import solve
 from repro.core import StreamingKCover, StreamingSketchBuilder
 from repro.core.params import SketchParams
 from repro.core.setcover import StreamingSetCover
 from repro.core.setcover_outliers import StreamingSetCoverOutliers
+from repro.distributed.worker import MachineShardJob
 from repro.errors import InvalidInstanceError, PassBudgetExceeded, SpaceBudgetExceeded
 from repro.streaming import EdgeStream, SetStream, SpaceMeter, StreamingRunner
 from repro.streaming.batches import EventBatch
@@ -194,3 +196,50 @@ class TestPassBudgetEnforcement:
         assert excinfo.value.budget == 1
         assert excinfo.value.used == 2
         assert stream.passes_taken == 1
+
+
+class _MapJobFailure(RuntimeError):
+    """The fault one injected map job raises."""
+
+
+class TestMapJobFailure:
+    """A map job that raises inside ``solve(..., "kcover/distributed")``
+    surfaces its own exception, is not retried, and leaves nothing behind
+    that changes the next solve of the same instance."""
+
+    OPTIONS = {"num_machines": 4, "scale": 0.3}
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_job_exception_surfaces_unretried(self, planted_kcover, monkeypatch, executor):
+        expected = solve(
+            planted_kcover, "kcover/distributed", seed=5, options=self.OPTIONS, executor=executor
+        )
+        attempts = []
+        run = MachineShardJob.run
+
+        def failing(job):
+            attempts.append(job.machine_id)
+            if job.machine_id == 2:
+                raise _MapJobFailure("machine 2 failed")
+            return run(job)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MachineShardJob, "run", failing)
+            with pytest.raises(_MapJobFailure, match="machine 2 failed"):
+                solve(
+                    planted_kcover,
+                    "kcover/distributed",
+                    seed=5,
+                    options=self.OPTIONS,
+                    executor=executor,
+                )
+        assert attempts.count(2) == 1
+        again = solve(
+            planted_kcover, "kcover/distributed", seed=5, options=self.OPTIONS, executor=executor
+        )
+        assert (again.solution, again.coverage, again.space_peak, again.extra) == (
+            expected.solution,
+            expected.coverage,
+            expected.space_peak,
+            expected.extra,
+        )

@@ -23,21 +23,22 @@ from repro.streaming.batches import EventBatch
 from repro.utils.rng import spawn_rng
 
 
-class _RecordingGraph(BipartiteGraph):
-    """A graph that remembers the order in which elements were evicted."""
+class _RecordingOwners(dict):
+    """A builder's element → owners store that remembers the order in which
+    elements were evicted (an eviction pops the element's entry)."""
 
-    def __init__(self, num_sets: int) -> None:
-        super().__init__(num_sets)
+    def __init__(self) -> None:
+        super().__init__()
         self.evicted: list[int] = []
 
-    def remove_element(self, element: int) -> int:
+    def pop(self, element, *default):
         self.evicted.append(element)
-        return super().remove_element(element)
+        return super().pop(element, *default)
 
 
 def _builder(params, *, seed=0, rank_source="hash"):
     builder = StreamingSketchBuilder(params, seed=seed, rank_source=rank_source)
-    builder._graph = _RecordingGraph(params.num_sets)
+    builder._owners = _RecordingOwners()
     return builder
 
 
@@ -55,8 +56,7 @@ def _count_bulk(builder, monkeypatch):
 
 
 def _state(builder):
-    builder._flush()  # insert the rows that bulk admission left pending
-    graph = builder._graph
+    graph = builder.sketch().graph
     return {
         "edges_by_set": list(graph.edges()),
         "edges_by_element": [column.tolist() for column in graph.to_columns()],
@@ -70,7 +70,7 @@ def _state(builder):
         "evictions": builder.evictions,
         "space_peak": builder.space.peak,
         "space_current": builder.space.current,
-        "evicted": list(graph.evicted),
+        "evicted": list(builder._owners.evicted),
     }
 
 
@@ -138,7 +138,7 @@ def test_random_batches_match_per_edge_admission(seed):
 
 @pytest.mark.parametrize("seed", range(300))
 def test_random_batches_match_when_read_only_at_the_end(seed):
-    # Nothing reads the graph between batches, so the rows of one bulk
+    # Nothing reads the sketch between batches, so the rows of one bulk
     # batch are still pending when a later batch probes its elements.
     params, batches, rank_source = _random_case(seed)
     bulk = _builder(params, seed=seed, rank_source=rank_source)
@@ -174,7 +174,7 @@ class TestBulkBoundary:
         batches = [self._distinct(15), self._distinct(30, offset=15)]
         bulk = _assert_same_after_each_batch(params, batches, seed=8)
         assert bulk.evictions > 0
-        assert bulk._graph.evicted  # the eviction order was compared
+        assert bulk._owners.evicted  # the eviction order was compared
         builder = _builder(params, seed=8)
         calls = _count_bulk(builder, monkeypatch)
         for set_ids, elements in batches:
@@ -201,13 +201,14 @@ class TestPendingRows:
         batches = [(set_ids, elements + 100 * b) for b, (set_ids, elements) in enumerate(batches)]
         bulk, scalar = _builder(params, seed=6), _builder(params, seed=6)
         inserts = []
-        add_columns = bulk._graph.add_columns
+        flush = bulk._flush
 
-        def counted(*args):
-            inserts.append(len(args[0]))
-            return add_columns(*args)
+        def counted():
+            if bulk._pending:
+                inserts.append(sum(len(rows[0]) for rows in bulk._pending))
+            return flush()
 
-        monkeypatch.setattr(bulk._graph, "add_columns", counted)
+        monkeypatch.setattr(bulk, "_flush", counted)
         for set_ids, elements in batches:
             bulk.process_batch(EventBatch(set_ids, elements))
             for set_id, element in zip(set_ids.tolist(), elements.tolist()):
@@ -240,7 +241,7 @@ class TestBulkCases:
         )
         bulk = _assert_same_after_each_batch(params, [first, second], seed=3)
         assert bulk._truncated == {5, 6, 7}
-        assert all(bulk._graph.element_degree(e) == 1 for e in (5, 6, 7))
+        assert all(bulk.sketch().graph.element_degree(e) == 1 for e in (5, 6, 7))
 
     def test_permutation_rank_source(self):
         rng = spawn_rng(0, "bulk-permutation")
@@ -264,4 +265,4 @@ class TestBulkFailurePaths:
         with pytest.raises(InvalidInstanceError) as got:
             bulk.process_batch(EventBatch(set_ids, elements))
         assert str(got.value) == str(expected.value) == "set id 5 out of range [0, 3)"
-        assert list(bulk._graph.edges()) == list(scalar._graph.edges())
+        assert list(bulk.sketch().graph.edges()) == list(scalar.sketch().graph.edges())
