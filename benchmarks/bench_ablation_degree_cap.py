@@ -26,6 +26,7 @@ from repro.core.params import SketchParams
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.datasets import zipf_instance
 from repro.offline.greedy import greedy_k_cover
+from repro.streaming import DEFAULT_BATCH_SIZE, EdgeStream
 from repro.utils.tables import Table
 
 K = 20
@@ -39,6 +40,9 @@ def _run() -> Table:
         100, 5000, edges_per_set=120, zipf_exponent=1.6, k=K, seed=700
     )
     reference = greedy_k_cover(instance.graph, K).coverage
+    # graph.edges() order, in columnar batches.
+    stream = EdgeStream.from_graph(instance.graph, order="given")
+    batches = list(stream.iter_batches(DEFAULT_BATCH_SIZE))
     paper_cap = SketchParams.theoretical_degree_cap(instance.n, K, EPSILON)
     variants = {
         "paper-cap": paper_cap,
@@ -61,7 +65,8 @@ def _run() -> Table:
             instance.n, instance.m, K, EPSILON, edge_budget=8 * instance.n, degree_cap=cap
         )
         builder = StreamingSketchBuilder(params, seed=701)
-        builder.consume(instance.graph.edges())
+        for batch in batches:
+            builder.process_batch(batch)
         sketch = builder.sketch()
         solution = greedy_k_cover(sketch.graph, K).selected
         achieved = instance.graph.coverage(solution)

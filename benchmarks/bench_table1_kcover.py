@@ -85,19 +85,22 @@ def test_table1_kcover_rows(benchmark, kcover_planted, kcover_zipf, kcover_blogw
 @pytest.mark.benchmark(group="table1-kcover")
 def test_table1_kcover_streaming_throughput(benchmark, kcover_planted):
     """Update-time microbenchmark: edges/second through the sketch builder."""
-    from repro.streaming import EdgeStream
+    from repro.streaming import DEFAULT_BATCH_SIZE, EdgeStream
 
     instance = kcover_planted
     params = SketchParams.explicit(
         instance.n, instance.m, K, 0.2, edge_budget=6 * instance.n, degree_cap=40
     )
-    edges = [e.as_tuple() for e in EdgeStream.from_graph(instance.graph, order="random", seed=3)]
+    # One pass of the stream (each pass of a random order is a new shuffle).
+    stream = EdgeStream.from_graph(instance.graph, order="random", seed=3)
+    batches = list(stream.iter_batches(DEFAULT_BATCH_SIZE))
 
     def build_once():
         from repro.core import StreamingSketchBuilder
 
         builder = StreamingSketchBuilder(params, seed=3)
-        builder.consume(edges)
+        for batch in batches:
+            builder.process_batch(batch)
         return builder.sketch()
 
     sketch = benchmark(build_once)

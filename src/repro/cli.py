@@ -376,13 +376,16 @@ def _cmd_generate(args: argparse.Namespace, out) -> int:
 def _cmd_sketch(args: argparse.Namespace, out) -> int:
     from repro.core import StreamingSketchBuilder
     from repro.core.params import SketchParams
+    from repro.streaming import DEFAULT_BATCH_SIZE, EdgeStream
 
     graph = _load_graph(args)
     params = SketchParams.scaled(
         graph.num_sets, max(1, graph.num_elements), args.k, args.epsilon, scale=args.scale
     )
     builder = StreamingSketchBuilder(params, seed=args.seed)
-    builder.consume(graph.edges())
+    # graph.edges() order, in columnar batches.
+    for batch in EdgeStream.from_graph(graph, order="given").iter_batches(DEFAULT_BATCH_SIZE):
+        builder.process_batch(batch)
     sketch = builder.sketch()
     table = Table(["quantity", "value"])
     table.add_row(quantity="input edges", value=graph.num_edges)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bipartite import BipartiteGraph, run_starts
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 
@@ -102,7 +102,5 @@ class SketchColumns:
 
 def element_starts(elements: np.ndarray) -> np.ndarray:
     """Row index where each run of equal elements begins."""
-    if len(elements) == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(np.r_[True, elements[1:] != elements[:-1]])
+    return np.flatnonzero(run_starts(elements))
 

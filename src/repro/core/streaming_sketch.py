@@ -19,17 +19,49 @@ elements whose rank is below the final threshold keep all their (capped)
 edges, elements above it keep none.  Rule 4 guarantees monotonicity (an
 element is never re-admitted after losing edges), which is what makes the
 streaming sketch equivalent to the offline one; the unit tests verify this
-equivalence on random inputs.
+equivalence on random inputs.  Equal ranks are evicted smallest element
+first.
 
-While streaming, the builder holds no graph.  It stores each tracked
-element's rank and the ids of its stored sets (two dicts, both in order of
-first admission), the elements that hit the degree cap, and, from the first
-eviction on, a max-heap of the tracked ranks.  An eviction is one heap pop and
-one pop from each dict.  Rows admitted in bulk wait as numpy columns until the
-per-edge path or a reader needs them in the dicts.  The graph is built only by
-:meth:`~StreamingSketchBuilder.sketch`;
-:meth:`~StreamingSketchBuilder.columns` reads the dicts straight into
-rank-sorted columns.
+While streaming, the builder holds no graph.  The stored edges are four
+parallel columns — rank, element, set id and an arrival stamp — sorted by
+``(rank, element, set)``: each element's rows are contiguous, the next
+eviction victims sit at the end, and :meth:`~StreamingSketchBuilder.columns`
+returns the columns as they are.  The stamps record the order in which the
+edges were admitted, which :meth:`~StreamingSketchBuilder.sketch` replays to
+build its graph.
+
+A batch is admitted by array work.  A row *contributes* an edge when its
+``(set, element)`` pair is new (neither stored nor on an earlier row) and
+its element's degree is below the cap; that depends only on the element's
+own rows, so the whole batch is classified at once.  Rule 4 then has an
+exact closed form.  Let the *prefix* of a rank ``ρ`` after row ``t`` be the
+stored edges of the elements ranked at most ``ρ`` plus the contributions of
+rows ``<= t`` ranked at most ``ρ``, and ``A_ρ`` the first row at which it
+exceeds the limit.  After a row the eviction loop pops ranks from the top
+until the edges fit, so it reaches rank ``ρ`` exactly when the prefix of
+``ρ`` exceeds the limit; before ``A_ρ`` no element ranked at most ``ρ`` has
+lost an edge, so the prefix is a plain count.  Hence:
+
+* a row ranked ``ρ`` is admitted if and only if it comes at or before
+  ``A_ρ``;
+* the smallest rank ``ρ0`` with a finite ``A`` is the new threshold; every
+  element ranked above it that stored an edge is evicted, and so are the
+  smallest elements of rank ``ρ0`` until the edges fit;
+* the evictions leave in ``(rank descending, element ascending)`` order, and
+  the store keeps the rows below the cut.
+
+So a row ranked ``ρ`` at or above the cut is admitted exactly when the
+contributions before it ranked at most ``ρ`` number fewer than the limit
+leaves rank ``ρ`` (``limit + 1`` minus the stored edges ranked at most
+``ρ``); one merge-sort count gives that number for every row at once, in
+``O(n log n)`` however many ranks the cut leaves above it.  A batch that
+fits the limit skips all of this.  Only
+:meth:`~StreamingSketchBuilder.add_edge` runs the rules one edge at a time:
+its first call moves the columns into per-element dicts with a max-heap of
+the ranks, and the next batch or read moves them back.  A batch goes that
+way only when the vectorised form does not apply — a rank source without
+``value_many``, an out-of-range set id (to raise at the right row), a
+degree cap above the limit, or a space meter enforcing a budget.
 
 Two rank sources are supported, mirroring the paper's discussion of
 randomness:
@@ -46,24 +78,23 @@ randomness:
 from __future__ import annotations
 
 import heapq
-import operator
-from itertools import chain, compress
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.coverage.bipartite import (
     BipartiteGraph,
     check_set_id,
-    extend_adjacency,
-    first_occurrences,
     run_starts,
 )
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.sketch_columns import SketchColumns
-from repro.streaming.batches import EventBatch
+from repro.core.sketch_columns import SketchColumns, element_starts
+from repro.streaming.batches import DEFAULT_BATCH_SIZE, EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
 from repro.utils.rng import spawn_rng
@@ -72,13 +103,66 @@ from repro.utils.validation import check_non_negative_int
 __all__ = ["StreamingSketchBuilder"]
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """Stored edges as parallel columns sorted by ``(rank, element, set)``.
+
+    ``arrivals`` stamps each row with its admission order.  The columns are
+    never written in place: every update builds new arrays, so a
+    :class:`SketchColumns` may share them.
+    """
+
+    ranks: np.ndarray
+    elements: np.ndarray
+    set_ids: np.ndarray
+    arrivals: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "_Rows":
+        return cls(
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=np.uint64),
+            np.empty(0, dtype=np.uint64),
+            np.empty(0, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def take(self, index: np.ndarray | slice) -> "_Rows":
+        return _Rows(
+            self.ranks[index], self.elements[index], self.set_ids[index], self.arrivals[index]
+        )
+
+    def insert(self, positions: np.ndarray, rows: "_Rows") -> "_Rows":
+        """These rows with ``rows`` inserted before ``positions`` (ascending)."""
+        if not len(rows):
+            return self
+        if not len(self):
+            return rows
+        slots = positions + np.arange(len(rows))
+        old = np.ones(len(self) + len(rows), dtype=bool)
+        old[slots] = False
+        columns = []
+        for mine, theirs in zip(
+            (self.ranks, self.elements, self.set_ids, self.arrivals),
+            (rows.ranks, rows.elements, rows.set_ids, rows.arrivals),
+        ):
+            merged = np.empty(len(old), dtype=mine.dtype)
+            merged[old] = mine
+            merged[slots] = theirs
+            columns.append(merged)
+        return _Rows(*columns)
+
+
 class StreamingSketchBuilder:
     """Incrementally builds a :class:`CoverageSketch` from edge arrivals.
 
-    The stored edges live in an element → set ids map next to the element
-    ranks, so admitting an edge is a set insert and evicting an element is a
-    dict pop; the :class:`BipartiteGraph` of the sketch is built only by
-    :meth:`sketch`.
+    The stored edges are rank-sorted columns: a batch is admitted, cut and
+    counted on them by array work (see the module docstring for why that is
+    exactly Algorithm 2), and the :class:`BipartiteGraph` of the sketch is
+    built only by :meth:`sketch`.  The per-edge :meth:`add_edge` works on
+    element → set ids dicts built from the columns on its first call.
 
     Parameters
     ----------
@@ -112,21 +196,18 @@ class StreamingSketchBuilder:
         self.rank_source = rank_source
         self.seed = seed
         self.space = space if space is not None else SpaceMeter(unit="edges")
-        # Tracked element → its rank, and → the ids of its stored sets, both
-        # in order of first admission.  An eviction pops the element from
-        # both; _num_edges counts the stored edges.
-        self._ranks: dict[int, float] = {}
-        self._owners: dict[int, set[int]] = {}
+        # The store: rank-sorted columns, and the next arrival stamp.
+        self._rows = _Rows.empty()
+        self._arrivals = 0
         self._num_edges = 0
-        # Rows stored by _admit_bulk but not yet in _owners, as (set_ids,
-        # elements, element_ids) columns.  _flush moves them before anything
-        # reads _owners, so a builder whose sketch is never read (most
-        # Algorithm 5 guesses) never turns its bulk rows into Python sets.
-        self._pending: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
-        # Max-heap over (negated rank, element) of currently tracked elements,
-        # built by one heapify of _ranks at the first eviction, so a sketch
-        # that never evicts never holds it.  The keys are unique, so the pop
+        # The per-edge form of the store, None unless add_edge holds it:
+        # tracked element → rank, and → its set ids (a dict used as an
+        # insertion-ordered set), both in order of first admission.  The
+        # max-heap over (negated rank, element) is built by one heapify at
+        # the first eviction in this form; the keys are unique, so the pop
         # order is the same as pushing on every admission.
+        self._ranks: dict[int, float] | None = None
+        self._owners: dict[int, dict[int, None]] | None = None
         self._heap: list[tuple[float, int]] | None = None
         self._truncated: set[int] = set()
         self._admission_threshold = 1.0
@@ -249,8 +330,7 @@ class StreamingSketchBuilder:
         caller ``checked`` it, the ``(set, element)`` dedup, then the add,
         its charge and any eviction it makes necessary.
         """
-        if self._pending:
-            self._flush()
+        self._use_dicts()
         owners_of = self._owners
         cap = self.params.degree_cap
         limit = self.params.max_stored_edges
@@ -271,14 +351,14 @@ class StreamingSketchBuilder:
                 check_non_negative_int(element, "element")
             if owners is None:
                 self._ranks[element] = rank
-                owners_of[element] = {set_id}
+                owners_of[element] = {set_id: None}
                 if self._heap is not None:
                     heapq.heappush(self._heap, (-rank, element))
             elif set_id in owners:
                 self._edges_discarded += 1
                 continue
             else:
-                owners.add(set_id)
+                owners[set_id] = None
             self._num_edges += 1
             stored += 1
             charge(1)
@@ -290,6 +370,7 @@ class StreamingSketchBuilder:
     def _evict(self, limit: int) -> None:
         """Evict highest-ranked elements while more than ``limit`` edges are stored."""
         ranks = self._ranks
+        evicted = []
         while self._num_edges > limit and len(ranks) > 1:
             if self._heap is None:
                 self._heap = [(-rank, element) for element, rank in ranks.items()]
@@ -301,9 +382,15 @@ class StreamingSketchBuilder:
             removed = len(self._owners.pop(element))
             self._num_edges -= removed
             self.space.release(removed)
-            self._truncated.discard(element)
             self._admission_threshold = min(self._admission_threshold, -neg_rank)
-            self._evictions += 1
+            evicted.append(element)
+        self._forget(evicted)
+
+    def _forget(self, evicted: list[int]) -> None:
+        """Count the ``evicted`` elements, given in eviction order, and drop
+        their truncation flags (an evicted element never returns)."""
+        self._evictions += len(evicted)
+        self._truncated.difference_update(evicted)
 
     def fits_in_bulk(self, edges: int) -> bool:
         """Whether ``edges`` more stored edges can never trigger an eviction.
@@ -331,17 +418,26 @@ class StreamingSketchBuilder:
         ``value_many`` otherwise — and edges whose rank already clears the
         current admission threshold are rejected wholesale; since the
         threshold only ever decreases, the scalar path would reject every
-        one of them too.  When the survivors fit (:meth:`fits_in_bulk`) they
-        are admitted in bulk by array work; otherwise they go through the
-        sequential admission of :meth:`add_edge` (threshold re-check, degree
-        cap, dedup, eviction).  Either way the builder state after a batch
-        is byte-identical to feeding the same edges one at a time.
+        one of them too.  The survivors are admitted on the columnar store:
+        by :meth:`_admit_bulk` when they fit (:meth:`fits_in_bulk`), else
+        by :meth:`_admit_overflow`, which decides from the contributions
+        which rows come by their rank's eviction row and cuts the store once
+        (the module docstring gives the characterisation that makes this
+        exact).  A batch longer than ``DEFAULT_BATCH_SIZE`` that may overflow
+        is admitted in pieces of that size.  Either way the builder state
+        after a batch is byte-identical to feeding the same edges one at a
+        time.
         """
         if batch.offsets is not None:
             raise TypeError("StreamingSketchBuilder consumes edge batches, got a set batch")
         count = len(batch)
         if count == 0:
             return 0
+        if count > DEFAULT_BATCH_SIZE and not self.fits_in_bulk(count):
+            # A long batch that may overflow goes in pieces: the threshold
+            # each piece leaves filters the next before any array work,
+            # where the rows ranked above the cut would cost O(n log n).
+            return sum(map(self.process_batch, batch.chunks(DEFAULT_BATCH_SIZE)))
         ranks = self._rank_batch(batch.elements)
         if ranks is None:
             stored = 0
@@ -349,7 +445,7 @@ class StreamingSketchBuilder:
                 if self.process(event):
                     stored += 1
             return stored
-        survivors = np.flatnonzero(ranks < self._admission_threshold)
+        survivors = (ranks < self._admission_threshold).nonzero()[0]
         self._edges_seen += count
         self._edges_discarded += count - len(survivors)
         if not len(survivors):
@@ -361,104 +457,188 @@ class StreamingSketchBuilder:
         # validation, so it raises at exactly the row the scalar stream would.
         checked = bool(set_ids.max() < self.params.num_sets)
         if checked and self.fits_in_bulk(len(survivors)):
-            element_ids = _pick(batch.element_ids, survivors)
-            stored = self._admit_bulk(set_ids, elements, ranks, element_ids)
-            self._edges_discarded += len(survivors) - stored
-            return stored
+            return self._admit_bulk(set_ids, elements, ranks)
+        if checked and self._cuts_in_bulk():
+            return self._admit_overflow(set_ids, elements, ranks)
         return self._admit_rows(
             set_ids.tolist(), elements.tolist(), ranks.tolist(), checked=checked
         )
 
-    def _admit_bulk(
-        self,
-        set_ids: np.ndarray,
-        elements: np.ndarray,
-        ranks: np.ndarray,
-        element_ids: list[int],
-    ) -> int:
+    def _cuts_in_bulk(self) -> bool:
+        """Whether an overflowing batch can be admitted by :meth:`_admit_overflow`.
+
+        Every eviction must end with the edges within the limit, which holds
+        when one element's capped degree fits it (so the one-element guard
+        of :meth:`_evict` never fires), and the meter must have no budget to
+        enforce mid-batch.
+        """
+        return (
+            self.space.budget is None
+            and self.params.degree_cap <= self.params.max_stored_edges
+        )
+
+    def _admit_bulk(self, set_ids: np.ndarray, elements: np.ndarray, ranks: np.ndarray) -> int:
         """Admit below-threshold rows that fit the edge limit; return #stored.
 
         No eviction can happen inside such a batch, so the threshold stays
-        fixed and each row's fate depends only on the rows before it.  A
-        row is stored when its ``(set, element)`` pair is new (not stored
-        yet, not an earlier row) and its element's degree is below the cap;
-        any arrival at the cap marks the element truncated.  The element's
-        degree before a row is its stored degree plus the new pairs among
-        its earlier rows, so the cap is a cumulative count per element.
-        ``element_ids`` holds the rows' elements as the batch's shared ints.
-        The stored rows join the pending list; :meth:`_flush` moves them
-        into the owners store.
+        fixed and every contributing row is stored.
         """
-        cap = self.params.degree_cap
-        # Rows grouped by element, each group in row order.
-        order = np.argsort(elements, kind="stable")
-        grouped = elements[order]
-        boundary = run_starts(grouped)
-        starts = boundary.nonzero()[0]
-        sorted_group = np.cumsum(boundary) - 1
-        group = np.empty_like(sorted_group)
-        group[order] = sorted_group
-        keys = grouped[starts].tolist()
-        known = np.fromiter(map(self._ranks.__contains__, keys), dtype=bool, count=len(keys))
-        new = first_occurrences(set_ids, elements)
-        degree = np.zeros(len(keys), dtype=np.int64)
-        if known.any():
-            # Only an already tracked element can have stored pairs.
-            self._flush()
-            owners_of = self._owners
-            rows = np.flatnonzero(known[group])
-            owners = map(owners_of.__getitem__, _pick(element_ids, rows))
-            new[rows] &= ~np.fromiter(
-                map(operator.contains, owners, set_ids[rows].tolist()),
-                dtype=bool,
-                count=len(rows),
-            )
-            degree[known] = np.fromiter(
-                map(len, map(owners_of.__getitem__, compress(keys, known.tolist()))),
-                dtype=np.int64,
-                count=int(known.sum()),
-            )
-        # Degree before each row: stored degree plus new pairs on earlier
-        # rows of the same element (exclusive running count per group).
-        new_sorted = new[order].astype(np.int64)
-        running = np.cumsum(new_sorted) - new_sorted
-        before = np.empty(len(order), dtype=np.int64)
-        before[order] = running - running[starts][sorted_group]
-        level = degree[group] + before
-        stored = new & (level < cap)
-        self._truncated.update(_pick(element_ids, np.flatnonzero(level >= cap)))
-        # New elements enter _ranks in order of their first row.
-        fresh = np.sort(order[starts][~known])
-        fresh_elements = _pick(element_ids, fresh)
-        fresh_ranks = ranks[fresh].tolist()
-        self._ranks.update(zip(fresh_elements, fresh_ranks))
-        if self._heap is not None:
-            for rank, element in zip(fresh_ranks, fresh_elements):
-                heapq.heappush(self._heap, (-rank, element))
-        rows = np.flatnonzero(stored)
-        if len(rows):
-            self._pending.append((set_ids[rows], elements[rows], _pick(element_ids, rows)))
-            self._num_edges += len(rows)
-        self.space.charge(len(rows))
-        return len(rows)
+        batch = _Admission(self._use_columns(), set_ids, elements, ranks, self.params)
+        return self._commit(batch, None, None)
 
-    def _flush(self) -> None:
-        """Move the rows pending from bulk admissions into the owners store.
+    def _admit_overflow(
+        self, set_ids: np.ndarray, elements: np.ndarray, ranks: np.ndarray
+    ) -> int:
+        """Admit below-threshold rows that may evict; return #stored.
 
-        The element half of :meth:`BipartiteGraph.add_columns`
-        (:func:`extend_adjacency`): new elements join ``_owners`` in order
-        of their first row, which is the order they joined ``_ranks``.
+        The cut ``ρ0`` is the smallest rank whose prefix exceeds the limit
+        once every contribution is counted.  Rows ranked below it are
+        admitted; a row ranked ``ρ >= ρ0`` is admitted up to the eviction
+        row ``A_ρ`` of its rank, the contributing row at which the prefix of
+        ``ρ`` first exceeds the limit.
         """
-        if not self._pending:
-            return
-        set_ids, elements, element_ids = zip(*self._pending)
-        self._pending = []
-        extend_adjacency(
-            self._owners,
-            np.concatenate(elements),
-            np.concatenate(set_ids),
-            list(chain.from_iterable(element_ids)),
+        batch = _Admission(self._use_columns(), set_ids, elements, ranks, self.params)
+        limit = self.params.max_stored_edges
+        cut = batch.cut(limit)
+        if cut is None:
+            return self._commit(batch, None, None)
+        runs = batch.rank_runs
+        first = int(runs.searchsorted(cut))
+        need = limit + 1 - batch.rows.ranks.searchsorted(runs[first:], "right")
+        # A row ranked at or above the cut comes by its rank's A while the
+        # contributions before it, ranked at most its rank, number fewer
+        # than the rank's need.  Those ranked below the cut count for every
+        # rank: a running count.  The rest are counted among the rows at
+        # or above the cut alone.
+        run_of = batch.key_runs[batch.group] - first
+        high = (run_of >= 0).nonzero()[0]
+        below = (batch.contributing & (run_of < 0)).cumsum()[high]
+        earlier = below + _earlier_points(run_of[high], batch.contributing[high])
+        admitted = np.ones(len(ranks), dtype=bool)
+        admitted[high] = earlier < need[run_of[high]]
+        return self._commit(batch, admitted, cut)
+
+    def _commit(
+        self, batch: "_Admission", admitted: np.ndarray | None, cut: float | None
+    ) -> int:
+        """Apply a batch's outcome; return how many of its rows were stored.
+
+        ``admitted`` marks the rows that pass the threshold when they
+        arrive (None: all of them); the admitted contributing rows are
+        stored.  With a ``cut`` the evictions run (:meth:`_cut`) and only
+        the rows below the cut join the store.  Then the truncation flags of
+        admitted rows at the cap, the threshold, the counters and the space
+        meter follow.
+        """
+        stored, capped = batch.contributing, batch.capped
+        if admitted is not None:
+            stored, capped = stored & admitted, capped & admitted
+        if capped.any():
+            self._truncated.update(batch.elements[capped].tolist())
+        stored_so_far = stored.cumsum()
+        count = int(stored_so_far[-1])
+        arrivals = self._arrivals - 1 + stored_so_far
+        self._arrivals += count
+        kept, joining, evicted, (start, removed) = batch.rows, stored, [], (0, 0)
+        if cut is not None:
+            kept, joining, evicted, (start, removed) = self._cut(batch, stored, cut)
+        new = joining.nonzero()[0]
+        order = new[batch.pairs[new].argsort()]
+        positions = batch.positions[order]
+        if removed:
+            positions[positions >= start] -= removed
+        # The id columns join as views with numpy's own uint64 dtype: a
+        # column of an unpickled batch carries an equal dtype object that
+        # pickles apart from it.
+        self._rows = kept.insert(
+            positions,
+            _Rows(
+                batch.ranks[order],
+                batch.elements[order].view(np.uint64),
+                batch.set_ids[order].view(np.uint64),
+                arrivals[order],
+            ),
         )
+        before, self._num_edges = self._num_edges, len(self._rows)
+        if evicted:
+            self._admission_threshold = min(self._admission_threshold, cut)
+            self._forget(evicted)
+        # Anything evicted means the stored edges reached limit + 1: every
+        # eviction follows the row that first passes the limit.
+        high = self.params.max_stored_edges + 1 - before if evicted else count
+        self.space.apply(count, before + count - self._num_edges, high)
+        self._edges_discarded += len(stored) - count
+        return count
+
+    def _cut(
+        self, batch: "_Admission", stored: np.ndarray, cut: float
+    ) -> tuple[_Rows, np.ndarray, list[int], tuple[int, int]]:
+        """Evict at the cut rank: ``(kept store rows, batch rows that join
+        the store, evicted elements in eviction order, (start, removed))``.
+
+        Every element ranked above ``cut`` that stored an edge is evicted,
+        and so is the element ranked ``cut`` (:meth:`_split_tie` when
+        several share it).  The kept store rows are the ones below the cut;
+        batch positions at or after ``start`` move down by ``removed`` rows.
+        """
+        rows = batch.rows
+        low, top = (int(rows.ranks.searchsorted(cut, side)) for side in ("left", "right"))
+        first, past = (int(batch.key_ranks.searchsorted(cut, side)) for side in ("left", "right"))
+        degrees = batch.key_degrees + np.bincount(
+            batch.group[stored], minlength=len(batch.key_elements)
+        )
+        tied = np.concatenate([rows.elements[low:top], batch.key_elements[first:past]])
+        if (tied == tied[0]).all():
+            # One element has the cut rank; it stored an edge, since the
+            # prefix first exceeds the limit there.
+            gone, survivors = tied[:1], top
+        else:
+            gone, survivors = self._split_tie(batch, stored, degrees, low, top, first, past)
+        last = gone[-1]
+        # Above the cut: the store's elements and the batch's new ones.
+        above = element_starts(rows.elements[top:]) + top
+        fresh = past + ((batch.key_degrees[past:] == 0) & (degrees[past:] > 0)).nonzero()[0]
+        ranks = np.concatenate([rows.ranks[above], batch.key_ranks[fresh]])
+        elements = np.concatenate([rows.elements[above], batch.key_elements[fresh]])
+        evicted = elements[np.lexsort((elements, -ranks))].tolist() + gone.tolist()
+        joins = np.zeros(len(degrees), dtype=bool)
+        joins[:first] = True
+        joins[first:past] = batch.key_elements[first:past] > last
+        keep = slice(0, low)
+        if survivors < top:
+            keep = np.concatenate([np.arange(low), np.arange(survivors, top)])
+        return rows.take(keep), stored & joins[batch.group], evicted, (survivors, survivors - low)
+
+    def _split_tie(
+        self,
+        batch: "_Admission",
+        stored: np.ndarray,
+        degrees: np.ndarray,
+        low: int,
+        top: int,
+        first: int,
+        past: int,
+    ) -> tuple[np.ndarray, int]:
+        """The evicted elements of a cut rank that several elements share,
+        ascending, and the store row where its survivors start.
+
+        The store's rows ``[low, top)`` and the batch's keys
+        ``[first, past)`` hold the rank; ``degrees`` are the keys' final
+        degrees.  The elements leave smallest first while the edges ranked
+        below the rank plus those of the element and of the larger elements
+        of the rank exceed the limit.
+        """
+        rows = batch.rows
+        below = low + int(degrees[:first].sum() - batch.key_degrees[:first].sum())
+        run = rows.elements[low:top]
+        starts = element_starts(run)
+        members = np.union1d(run[starts], batch.key_elements[first:past])
+        member_degrees = np.zeros(len(members), dtype=np.int64)
+        member_degrees[members.searchsorted(run[starts])] = np.diff(starts, append=len(run))
+        member_degrees[members.searchsorted(batch.key_elements[first:past])] = degrees[first:past]
+        over = below + member_degrees[::-1].cumsum()[::-1] > self.params.max_stored_edges
+        gone = members[over & (member_degrees > 0)]
+        return gone, low + int(run.searchsorted(gone[-1], "right"))
 
     def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
         """Feed a whole iterable of edges / events through the builder."""
@@ -470,30 +650,81 @@ class StreamingSketchBuilder:
                 self.add_edge(set_id, element)
 
     # ------------------------------------------------------------------ #
+    # the two forms of the store
+    # ------------------------------------------------------------------ #
+    def _use_columns(self) -> _Rows:
+        """The columnar store, moving the per-edge dicts into it if they hold
+        the edges.  Each element's set ids keep their admission order."""
+        owners = self._owners
+        if owners is not None:
+            count = len(owners)
+            degrees = np.fromiter(map(len, owners.values()), dtype=np.intp, count=count)
+            elements = np.repeat(np.fromiter(owners, dtype=np.uint64, count=count), degrees)
+            ranks = np.repeat(
+                np.fromiter(self._ranks.values(), dtype=np.float64, count=count), degrees
+            )
+            set_ids = np.fromiter(
+                chain.from_iterable(owners.values()), dtype=np.uint64, count=self._num_edges
+            )
+            order = np.lexsort((set_ids, elements, ranks))
+            self._rows = _Rows(ranks, elements, set_ids, np.arange(len(set_ids))).take(order)
+            self._arrivals = len(set_ids)
+            self._ranks = self._owners = self._heap = None
+        return self._rows
+
+    def _use_dicts(self) -> None:
+        """Move the columnar store into the per-edge dicts (if not there yet)."""
+        if self._owners is None:
+            elements, ranks, set_ids = self._by_admission()
+            self._ranks = dict(zip(elements, ranks))
+            self._owners = dict(zip(elements, map(dict.fromkeys, set_ids)))
+            self._rows = _Rows.empty()
+
+    def _by_admission(self) -> tuple[list[int], list[float], Iterator[list[int]]]:
+        """The stored elements in order of first admission, their ranks, and
+        each one's set ids in admission order."""
+        rows = self._rows
+        starts = element_starts(rows.elements)
+        first = np.minimum.reduceat(rows.arrivals, starts) if len(rows) else starts
+        degrees = np.diff(starts, append=len(rows))
+        by_row = np.lexsort((rows.arrivals, np.repeat(first, degrees)))
+        appearance = np.argsort(first)
+        bounds = np.cumsum(degrees[appearance]).tolist()
+        set_ids = rows.set_ids[by_row].tolist()
+        chunks = map(set_ids.__getitem__, map(slice, [0] + bounds[:-1], bounds))
+        firsts = starts[appearance]
+        return rows.elements[firsts].tolist(), rows.ranks[firsts].tolist(), chunks
+
+    # ------------------------------------------------------------------ #
     # result
     # ------------------------------------------------------------------ #
     def _threshold(self) -> float:
         """``p*``: the largest retained rank once anything was rejected
         (evicted, or ranked above the lowered admission threshold), 1.0 when
         the whole stream fit — mirroring the offline convention."""
-        if not self._ranks:
+        rows = self._use_columns()
+        if not len(rows):
             return self._admission_threshold
         if self._evictions > 0 or self._admission_threshold < 1.0:
-            return max(self._ranks.values())
+            return float(rows.ranks[-1])
         return 1.0
 
     def sketch(self) -> CoverageSketch:
-        """The sketch built so far, with its graph built from the stored rows.
+        """The sketch built so far, with its graph built from the store.
 
-        The pending rows are flushed first, so each adjacency set of the
-        graph is filled in the order the per-edge stream would fill it.
+        The stored rows are replayed in admission order, so the graph's
+        :meth:`~BipartiteGraph.elements` and each adjacency set come out as
+        the per-edge stream would fill them.
         """
-        self._flush()
+        self._use_columns()
+        elements, ranks, set_ids = self._by_admission()
         return CoverageSketch(
-            graph=BipartiteGraph.from_element_sets(self.params.num_sets, self._owners),
+            graph=BipartiteGraph.from_element_sets(
+                self.params.num_sets, dict(zip(elements, map(set, set_ids)))
+            ),
             params=self.params,
             threshold=self._threshold(),
-            element_hashes=dict(self._ranks),
+            element_hashes=dict(zip(elements, ranks)),
             truncated_elements=frozenset(self._truncated),
         )
 
@@ -503,27 +734,31 @@ class StreamingSketchBuilder:
         Holds what :meth:`sketch` holds — rows, ranks, threshold ``p*`` and
         truncation flags, so ``columns().to_sketch(params)`` equals
         ``sketch()`` — as flat numpy columns: the form a distributed map job
-        ships home (no Python sets to pickle).
+        ships home (no Python sets to pickle).  The store is already sorted
+        the way :class:`SketchColumns` is, so its columns are shared as
+        they are.
         """
-        self._flush()
-        owners = self._owners
-        count = len(owners)
-        degrees = np.fromiter(map(len, owners.values()), dtype=np.intp, count=count)
-        set_ids = np.fromiter(
-            chain.from_iterable(owners.values()), dtype=np.uint64, count=self._num_edges
-        )
-        elements = np.repeat(np.fromiter(owners, dtype=np.uint64, count=count), degrees)
-        # Once flushed, _owners and _ranks hold the same keys in the same order.
-        ranks = np.repeat(np.fromiter(self._ranks.values(), dtype=np.float64, count=count), degrees)
+        rows = self._use_columns()
         truncated = np.fromiter(self._truncated, dtype=np.uint64, count=len(self._truncated))
-        return SketchColumns.from_rows(ranks, elements, set_ids, self._threshold(), truncated)
+        return SketchColumns(
+            ranks=rows.ranks,
+            elements=rows.elements,
+            set_ids=rows.set_ids,
+            threshold=self._threshold(),
+            truncated=np.unique(truncated),
+        )
 
     def describe(self) -> dict[str, float | int | str]:
         """Diagnostics for logging and tests."""
+        tracked = (
+            len(self._ranks)
+            if self._ranks is not None
+            else len(element_starts(self._rows.elements))
+        )
         return {
             "rank_source": self.rank_source,
             "stored_edges": self.stored_edges,
-            "tracked_elements": len(self._ranks),
+            "tracked_elements": tracked,
             "edges_seen": self._edges_seen,
             "edges_discarded": self._edges_discarded,
             "evictions": self._evictions,
@@ -532,9 +767,179 @@ class StreamingSketchBuilder:
         }
 
 
-def _pick(values: list[int], rows: np.ndarray) -> list[int]:
-    """``values`` at ascending distinct ``rows``, sharing the int objects."""
-    if len(rows) == len(values):
-        return values
-    return list(map(values.__getitem__, rows.tolist()))
+class _Admission:
+    """One batch's rows classified against the columnar store.
 
+    The batch's distinct elements are its *keys*, sorted like the store by
+    ``(rank, element)``.  Per row: ``group`` (its key's index),
+    ``contributing`` (a new pair below the degree cap: the row stores an
+    edge if it is admitted), ``capped`` (its element is at the cap: an
+    admitted row marks it truncated), ``pairs`` (``group * num_sets + set
+    id``, which sorts rows like the store) and ``positions`` (where the row
+    would enter the store).  Per key: ``key_ranks``, ``key_elements``,
+    ``key_degrees`` (its stored edges) and ``key_runs`` (the index of its
+    rank in ``rank_runs``, the batch's distinct ranks ascending).
+    """
+
+    def __init__(
+        self,
+        rows: _Rows,
+        set_ids: np.ndarray,
+        elements: np.ndarray,
+        ranks: np.ndarray,
+        params: SketchParams,
+    ) -> None:
+        self.rows, self.set_ids, self.elements, self.ranks = rows, set_ids, elements, ranks
+        # Rows grouped by key, each group in row order.  A rank names one
+        # element unless hashes tie; only then does the element join the sort.
+        order = ranks.argsort(kind="stable")
+        grouped = elements[order]
+        boundary = run_starts(grouped)
+        rank_starts = run_starts(ranks[order])
+        if (boundary > rank_starts).any():
+            order = np.lexsort((elements, ranks))
+            grouped = elements[order]
+            boundary = run_starts(grouped)
+            rank_starts = run_starts(ranks[order])
+        starts = boundary.nonzero()[0]
+        sorted_group = boundary.cumsum() - 1
+        group = self.group = np.empty_like(sorted_group)
+        group[order] = sorted_group
+        self.key_elements = grouped[starts]
+        self.key_ranks = ranks[order[starts]]
+        self.rank_starts = rank_starts[starts]
+        lo = rows.ranks.searchsorted(self.key_ranks, "left")
+        hi = rows.ranks.searchsorted(self.key_ranks, "right")
+        _settle_ties(rows, self.key_elements, lo, hi)
+        degrees = self.key_degrees = hi - lo
+        self.positions = lo[group]
+        width = params.num_sets
+        self.pairs = group * width + set_ids.astype(np.int64)
+        # First rows of each pair: runs of the stably sorted pairs.
+        by_pair = self.pairs.argsort(kind="stable")
+        new = np.zeros(len(ranks), dtype=bool)
+        new[by_pair[run_starts(self.pairs[by_pair])]] = True
+        row_degrees = degrees[group]
+        touched = row_degrees.nonzero()[0]
+        if len(touched):
+            # The stored set ids of the batch's stored elements, one sorted
+            # run each and keyed (run, set id): a row's probe finds whether
+            # its pair is stored and how many of its element's sets sort
+            # below it.
+            stored_keys = degrees.nonzero()[0]
+            lengths = degrees[stored_keys]
+            ends = lengths.cumsum()
+            offsets = ends - lengths
+            gather = np.repeat(lo[stored_keys] - offsets, lengths) + np.arange(ends[-1])
+            runs = np.repeat(np.arange(len(stored_keys)), lengths)
+            stored_pairs = runs * width + rows.set_ids[gather].astype(np.int64)
+            run_of = (degrees > 0).cumsum()[group[touched]] - 1
+            probes = run_of * width + set_ids[touched].astype(np.int64)
+            at = stored_pairs.searchsorted(probes)
+            new[touched] &= stored_pairs[np.minimum(at, ends[-1] - 1)] != probes
+            self.positions[touched] += at - offsets[run_of]
+        # Degree before each row: stored degree plus new pairs on earlier
+        # rows of the same element (exclusive running count per group).
+        new_sorted = new[order]
+        running = new_sorted.cumsum() - new_sorted
+        level = np.empty(len(order), dtype=np.int64)
+        level[order] = running - running[starts][sorted_group]
+        level += row_degrees
+        self.contributing = new & (level < params.degree_cap)
+        self.capped = level >= params.degree_cap
+
+    @cached_property
+    def rank_runs(self) -> np.ndarray:
+        """The batch's distinct ranks, ascending."""
+        return self.key_ranks[self.rank_starts]
+
+    @cached_property
+    def key_runs(self) -> np.ndarray:
+        """Per key, the index of its rank in :attr:`rank_runs`."""
+        return self.rank_starts.cumsum() - 1
+
+    def cut(self, limit: int) -> float | None:
+        """The smallest rank whose prefix exceeds ``limit`` once every
+        contributing row is counted (None when no prefix does).
+
+        Prefixes are checked at the batch's ranks and, in each gap between
+        them, at the store row where the count crosses: with the
+        contributions below the gap fixed, that is row
+        ``limit - contributions``.
+        """
+        runs, rows = self.rank_runs, self.rows
+        counts = np.bincount(
+            self.key_runs[self.group[self.contributing]], minlength=len(runs)
+        )
+        prefix = np.cumsum(counts)
+        over = np.flatnonzero(np.searchsorted(rows.ranks, runs, "right") + prefix > limit)
+        first = int(over[0]) if len(over) else len(runs)
+        row = limit - (int(prefix[first - 1]) if first else 0)
+        if row < len(rows) and (first == len(runs) or rows.ranks[row] < runs[first]):
+            return float(rows.ranks[row])
+        return float(runs[first]) if first < len(runs) else None
+
+
+def _settle_ties(rows: _Rows, elements: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Narrow each key's rank run ``[lo, hi)`` in the store to its element's
+    rows (an absent key gets ``lo == hi`` at its insertion point).
+
+    A rank names one element unless hashes tie, so a run is either empty or
+    the element's own; only a run shared with other elements, which is
+    sorted by element, needs a search.
+    """
+    shared = (hi > lo).nonzero()[0]
+    if len(shared):
+        own = (rows.elements[lo[shared]] == elements[shared]) & (
+            rows.elements[hi[shared] - 1] == elements[shared]
+        )
+        for key in shared[~own].tolist():
+            run = rows.elements[lo[key] : hi[key]]
+            lo[key], hi[key] = (
+                lo[key] + np.searchsorted(run, elements[key], "left"),
+                lo[key] + np.searchsorted(run, elements[key], "right"),
+            )
+
+
+#: Rows per tile that :func:`_earlier_points` counts densely before merging.
+_TILE = 32
+
+
+def _earlier_points(kappa: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """For each row ``t``, how many rows ``i < t`` with ``points[i]`` have
+    ``kappa[i] <= kappa[t]``.
+
+    A bottom-up merge sort over the row order.  Tiles of ``_TILE`` rows are
+    counted densely; then each level merges neighbouring runs, each sorted
+    by ``kappa``, and adds to every row of a right run the points of its
+    left run at or below the row's ``kappa`` (one binary search for all
+    runs of the level).  ``O(n log n)`` work in ``O(log n)`` numpy passes,
+    however many distinct ``kappa`` there are.
+    """
+    count = len(kappa)
+    kappa = kappa.astype(np.int64)
+    top = int(kappa.max(initial=0)) + 1
+    tiles = -(-count // _TILE)
+    padded = np.full(tiles * _TILE, top, dtype=np.int64)
+    padded[:count] = kappa
+    marks = np.zeros(tiles * _TILE, dtype=bool)
+    marks[:count] = points
+    padded, marks = padded.reshape(tiles, _TILE), marks.reshape(tiles, _TILE)
+    below = (padded[:, None, :] <= padded[:, :, None]) & marks[:, None, :]
+    earlier = below & np.tri(_TILE, k=-1, dtype=bool)
+    counts = earlier.sum(axis=2).ravel()[:count]
+    order = ((np.arange(count) // _TILE) * top + kappa).argsort(kind="stable")
+    width = _TILE
+    while width < count:
+        pair = order // (2 * width)
+        right = (order & width) != 0
+        keys = pair * top + kappa[order]
+        left_keys = keys[~right]
+        sums = np.concatenate(([0], points[order[~right]].cumsum()))
+        hit = right.nonzero()[0]
+        upto = left_keys.searchsorted(keys[hit], "right")
+        start = left_keys.searchsorted(pair[hit] * top, "left")
+        counts[order[hit]] += sums[upto] - sums[start]
+        order = order[keys.argsort(kind="stable")]
+        width *= 2
+    return counts

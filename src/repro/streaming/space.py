@@ -10,7 +10,7 @@ is how the lower-bound experiments constrain their competitors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SpaceBudgetExceeded
 
@@ -40,7 +40,6 @@ class SpaceMeter:
     peak: int = 0
     total_charged: int = 0
     violations: int = 0
-    _checkpoints: dict[str, int] = field(default_factory=dict)
 
     def charge(self, amount: int = 1) -> None:
         """Record that ``amount`` additional items are now stored."""
@@ -61,24 +60,25 @@ class SpaceMeter:
             raise ValueError("amount must be non-negative")
         self.current = max(0, self.current - amount)
 
-    def set_current(self, value: int) -> None:
-        """Set the current usage directly (peak is updated accordingly)."""
-        if value < 0:
-            raise ValueError("value must be non-negative")
-        delta = value - self.current
-        if delta > 0:
-            self.charge(delta)
-        else:
-            self.release(-delta)
+    def apply(self, charged: int, released: int, high: int) -> None:
+        """Record a whole sequence of charges and releases in one step.
 
-    def checkpoint(self, name: str) -> None:
-        """Record the current usage under a name (e.g. per streaming pass)."""
-        self._checkpoints[name] = self.current
-
-    @property
-    def checkpoints(self) -> dict[str, int]:
-        """Mapping of checkpoint name → recorded usage."""
-        return dict(self._checkpoints)
+        ``charged`` and ``released`` are the sequence's totals and ``high``
+        its high-water mark: the most the usage rose above its starting
+        value at any point.  The result is what the ``charge``/``release``
+        calls of the sequence would leave, as long as no release floors the
+        usage at zero.  A meter with a budget checks every charge, so it
+        takes the calls one by one instead.
+        """
+        if self.budget is not None:
+            raise ValueError("a meter with a budget checks each charge; use charge()")
+        if min(charged, released) < 0 or not max(0, charged - released) <= high <= charged:
+            raise ValueError(
+                f"inconsistent totals: charged={charged}, released={released}, high={high}"
+            )
+        self.peak = max(self.peak, self.current + high)
+        self.current = max(0, self.current + charged - released)
+        self.total_charged += charged
 
     @property
     def within_budget(self) -> bool:

@@ -1,12 +1,13 @@
 """Bulk admission equals per-edge admission, down to iteration order.
 
-``StreamingSketchBuilder.process_batch`` admits a batch whose threshold
-survivors fit ``edge_budget + eviction_slack`` by array work, and sends any
-other batch through the per-edge path.  These seeded trials feed the same
-edges to one builder batch by batch and to another one edge at a time
-(``add_edge``), and after every batch compare all of the builder's state:
-the graph with its ``elements()`` and per-set iteration orders, ``_ranks``
-in insertion order, the truncation flags, the threshold, the counters, the
+``StreamingSketchBuilder.process_batch`` admits a batch by array work on
+its columnar store: in bulk when the threshold survivors fit
+``edge_budget + eviction_slack``, by the overflow path otherwise.  These
+seeded trials feed the same edges to one builder batch by batch and to
+another one edge at a time (``add_edge``, the dict-and-heap path), and
+after every batch compare all of the builder's state:
+the graph with its ``elements()`` and per-set iteration orders, the ranks
+in admission order, the truncation flags, the threshold, the counters, the
 space meter and the sequence of evicted elements.
 """
 
@@ -23,22 +24,22 @@ from repro.streaming.batches import EventBatch
 from repro.utils.rng import spawn_rng
 
 
-class _RecordingOwners(dict):
-    """A builder's element → owners store that remembers the order in which
-    elements were evicted (an eviction pops the element's entry)."""
+class _RecordingForget:
+    """Wraps a builder's eviction step, which is called with the evicted
+    elements in eviction order, and remembers the elements."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, forget) -> None:
+        self.forget = forget
         self.evicted: list[int] = []
 
-    def pop(self, element, *default):
-        self.evicted.append(element)
-        return super().pop(element, *default)
+    def __call__(self, evicted):
+        self.evicted.extend(evicted)
+        return self.forget(evicted)
 
 
 def _builder(params, *, seed=0, rank_source="hash"):
     builder = StreamingSketchBuilder(params, seed=seed, rank_source=rank_source)
-    builder._owners = _RecordingOwners()
+    builder._forget = _RecordingForget(builder._forget)
     return builder
 
 
@@ -56,21 +57,22 @@ def _count_bulk(builder, monkeypatch):
 
 
 def _state(builder):
-    graph = builder.sketch().graph
+    sketch = builder.sketch()
+    graph = sketch.graph
     return {
         "edges_by_set": list(graph.edges()),
         "edges_by_element": [column.tolist() for column in graph.to_columns()],
         "elements": list(graph.elements()),
         "num_edges": graph.num_edges,
-        "ranks": list(builder._ranks.items()),
-        "truncated": list(builder._truncated),
+        "ranks": list(sketch.element_hashes.items()),
+        "truncated": sorted(sketch.truncated_elements),
         "threshold": builder.admission_threshold,
         "edges_seen": builder.edges_seen,
         "edges_discarded": builder.edges_discarded,
         "evictions": builder.evictions,
         "space_peak": builder.space.peak,
         "space_current": builder.space.current,
-        "evicted": list(builder._owners.evicted),
+        "evicted": list(builder._forget.evicted),
     }
 
 
@@ -174,7 +176,7 @@ class TestBulkBoundary:
         batches = [self._distinct(15), self._distinct(30, offset=15)]
         bulk = _assert_same_after_each_batch(params, batches, seed=8)
         assert bulk.evictions > 0
-        assert bulk._owners.evicted  # the eviction order was compared
+        assert bulk._forget.evicted  # the eviction order was compared
         builder = _builder(params, seed=8)
         calls = _count_bulk(builder, monkeypatch)
         for set_ids, elements in batches:
@@ -186,7 +188,8 @@ class TestBulkBoundary:
         builder = _builder(params, seed=8)
         builder.process_batch(EventBatch(*self._distinct(15)))
         assert builder._heap is None
-        builder.process_batch(EventBatch(*self._distinct(30, offset=15)))
+        for set_id, element in zip(*(c.tolist() for c in self._distinct(30, offset=15))):
+            builder.add_edge(set_id, element)
         assert builder._heap is not None
         assert sorted(element for _, element in builder._heap) == sorted(builder._ranks)
 
@@ -201,14 +204,13 @@ class TestPendingRows:
         batches = [(set_ids, elements + 100 * b) for b, (set_ids, elements) in enumerate(batches)]
         bulk, scalar = _builder(params, seed=6), _builder(params, seed=6)
         inserts = []
-        flush = bulk._flush
+        by_admission = bulk._by_admission
 
         def counted():
-            if bulk._pending:
-                inserts.append(sum(len(rows[0]) for rows in bulk._pending))
-            return flush()
+            inserts.append(bulk.stored_edges)
+            return by_admission()
 
-        monkeypatch.setattr(bulk, "_flush", counted)
+        monkeypatch.setattr(bulk, "_by_admission", counted)
         for set_ids, elements in batches:
             bulk.process_batch(EventBatch(set_ids, elements))
             for set_id, element in zip(set_ids.tolist(), elements.tolist()):
@@ -249,7 +251,7 @@ class TestBulkCases:
         batches = [_rows(rng, 25, 6, 40) for _ in range(4)]
         bulk = _assert_same_after_each_batch(params, batches, seed=5, rank_source="permutation")
         # Unsampled elements rank inf and never enter.
-        assert all(rank < 1.0 for rank in bulk._ranks.values())
+        assert all(rank < 1.0 for rank in bulk.sketch().element_hashes.values())
 
 
 class TestBulkFailurePaths:

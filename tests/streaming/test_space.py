@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SpaceBudgetExceeded
 from repro.streaming.space import SpaceMeter
+from repro.utils.rng import spawn_rng
 
 
 class TestCharging:
@@ -32,14 +33,58 @@ class TestCharging:
         with pytest.raises(ValueError):
             SpaceMeter().release(-1)
 
-    def test_set_current(self):
+
+class TestApply:
+    """``apply`` records a whole charge/release sequence in one step."""
+
+    @staticmethod
+    def _totals(steps):
+        charged = released = rise = high = 0
+        for step in steps:
+            if step > 0:
+                charged += step
+            else:
+                released -= step
+            rise += step
+            high = max(high, rise)
+        return charged, released, high
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_sequence_it_summarises(self, seed):
+        rng = spawn_rng(seed, "space-apply")
+        one_by_one, in_bulk = SpaceMeter(), SpaceMeter()
+        for _ in range(6):
+            # Another user of the meter moves it between the sequences.
+            for meter in (one_by_one, in_bulk):
+                meter.charge(3)
+            steps, level = [], 0
+            for _ in range(int(rng.integers(0, 12))):
+                step = max(int(rng.choice([1, 1, 2, -1, -3])), -level)
+                level += step
+                steps.append(step)
+            for step in steps:
+                if step > 0:
+                    one_by_one.charge(step)
+                elif step < 0:
+                    one_by_one.release(-step)
+            in_bulk.apply(*self._totals(steps))
+            assert in_bulk.as_dict() == one_by_one.as_dict()
+
+    def test_peak_counts_from_the_current_usage(self):
         meter = SpaceMeter()
-        meter.set_current(7)
-        assert meter.current == 7 and meter.peak == 7
-        meter.set_current(2)
-        assert meter.current == 2 and meter.peak == 7
+        meter.charge(10)
+        meter.release(6)
+        meter.apply(5, 7, 3)
+        assert (meter.current, meter.peak, meter.total_charged) == (2, 10, 15)
+        meter.apply(9, 0, 9)
+        assert (meter.current, meter.peak) == (11, 11)
+
+    def test_rejects_a_budget_and_inconsistent_totals(self):
         with pytest.raises(ValueError):
-            meter.set_current(-1)
+            SpaceMeter(budget=5).apply(1, 0, 1)
+        for totals in [(-1, 0, 0), (1, -1, 1), (3, 1, 1), (2, 0, 3)]:
+            with pytest.raises(ValueError):
+                SpaceMeter().apply(*totals)
 
 
 class TestBudget:
@@ -64,14 +109,6 @@ class TestBudget:
 
 
 class TestReporting:
-    def test_checkpoints(self):
-        meter = SpaceMeter()
-        meter.charge(4)
-        meter.checkpoint("pass1")
-        meter.charge(2)
-        meter.checkpoint("pass2")
-        assert meter.checkpoints == {"pass1": 4, "pass2": 6}
-
     def test_as_dict_keys(self):
         meter = SpaceMeter(budget=10, unit="words")
         meter.charge(1)
