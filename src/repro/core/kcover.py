@@ -17,12 +17,11 @@ import math
 from typing import Callable, Iterable
 
 from repro.coverage.bipartite import BipartiteGraph
-from repro.coverage.bitset import check_coverage_backend, kernel_for
+from repro.coverage.bitset import check_coverage_backend
 from repro.core.hashing import HashFamily
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.streaming_sketch import StreamingSketchBuilder
-from repro.offline.greedy import greedy_k_cover
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
@@ -93,9 +92,10 @@ class StreamingKCover:
     coverage_backend:
         ``"words"`` (the one packed layout) or ``None``.  The default
         solver then packs a :class:`~repro.coverage.bitset.BitsetCoverage`
-        of the *sketch* and the one greedy loop reads its gains from the
-        packed rows — identical selections (property-tested), much faster
-        on dense sketches.  Ignored when an explicit ``solver`` is given.
+        of the *sketch's columns* and the one greedy loop reads its gains
+        from the packed rows — identical selections (property-tested), much
+        faster on dense sketches.  Ignored when an explicit ``solver`` is
+        given.
     forbidden:
         Set ids the offline phase may not select.  The sketch construction is
         unaffected (the stream pass is oblivious to the constraint — that is
@@ -147,18 +147,9 @@ class StreamingKCover:
             rank_source=rank_source,
             space=self.space,
         )
-        self._solver = solver or self._kernel_greedy_solver
+        self._solver = solver
         self._finished = False
         self._solution: list[int] | None = None
-
-    def _kernel_greedy_solver(self, graph: BipartiteGraph, k: int) -> list[int]:
-        """Default offline phase: greedy on the sketch, kernel-backed on request."""
-        return greedy_k_cover(
-            graph,
-            k,
-            forbidden=self.forbidden,
-            kernel=kernel_for(graph, self.coverage_backend),
-        ).selected
 
     # ------------------------------------------------------------------ #
     # StreamingAlgorithm protocol
@@ -185,10 +176,24 @@ class StreamingKCover:
         return False
 
     def result(self) -> list[int]:
-        """Run the offline solver on the sketch and return the chosen sets."""
+        """Run the offline solver on the sketch and return the chosen sets.
+
+        The default greedy reads the builder's rank-sorted columns
+        (:meth:`~repro.core.sketch_columns.SketchColumns.greedy_k_cover`),
+        so no sketch graph is built; only an explicit ``solver`` callable is
+        handed :meth:`sketch`'s graph.
+        """
         if self._solution is None:
-            sketch = self.sketch()
-            self._solution = list(self._solver(sketch.graph, self.k))[: self.k]
+            if self._solver is None:
+                selection = self._builder.columns().greedy_k_cover(
+                    self.params.num_sets,
+                    self.k,
+                    forbidden=self.forbidden,
+                    coverage_backend=self.coverage_backend,
+                ).selected
+            else:
+                selection = self._solver(self.sketch().graph, self.k)
+            self._solution = list(selection)[: self.k]
         return self._solution
 
     # ------------------------------------------------------------------ #

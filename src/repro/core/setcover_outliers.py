@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.hashing import HashFamily, UniformHash
-from repro.coverage.bitset import KernelCache, check_coverage_backend, kernel_for
+from repro.coverage.bitset import KernelCache, check_coverage_backend
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.streaming_sketch import StreamingSketchBuilder
@@ -166,10 +166,10 @@ class GuessChecker:
     def finalize(self) -> CoverageSketch:
         """Freeze the post-stream sketch (plus a kernel cache) for queries.
 
-        Before finalization every :meth:`check` re-snapshots the builder (the
-        pre-existing behaviour, correct while the stream is still being fed);
-        after it, checks and queries share one immutable sketch and one
-        packed kernel — the serving layer's repeat-query path.
+        Before finalization every :meth:`check` reads the builder's current
+        columns (correct while the stream is still being fed, and no graph
+        is built); after it, checks and queries share one immutable sketch
+        and one packed kernel — the serving layer's repeat-query path.
         """
         if self._final_sketch is None:
             self._final_sketch = self.builder.sketch()
@@ -194,17 +194,26 @@ class GuessChecker:
         )
         if self._final_sketch is not None and self._kernel is not None:
             sketch = self._final_sketch
-            kernel = self._kernel.get(backend)  # type: ignore[arg-type]
+            result = greedy_k_cover(
+                sketch.graph,
+                self.budget_k,
+                forbidden=forbidden,
+                kernel=self._kernel.get(backend),  # type: ignore[arg-type]
+            )
+            fraction = sketch.coverage_fraction(result.selected)
+            edges = sketch.num_edges
         else:
-            sketch = self.builder.sketch()
-            kernel = kernel_for(sketch.graph, backend)  # type: ignore[arg-type]
-        result = greedy_k_cover(
-            sketch.graph,
-            self.budget_k,
-            forbidden=forbidden,
-            kernel=kernel,
-        )
-        fraction = sketch.coverage_fraction(result.selected)
+            columns = self.builder.columns()
+            result = columns.greedy_k_cover(
+                self.params.num_sets,
+                self.budget_k,
+                forbidden=forbidden,
+                coverage_backend=backend,  # type: ignore[arg-type]
+            )
+            # The greedy's coverage is its selection's coverage on the sketch.
+            total = columns.num_elements
+            fraction = result.coverage / total if total else 1.0
+            edges = columns.num_edges
         required = 1.0 - self.lambda_prime - self.epsilon * math.log(1.0 / self.lambda_prime)
         accepted = fraction >= required - 1e-12
         return GuessOutcome(
@@ -213,7 +222,7 @@ class GuessChecker:
             solution=result.selected,
             sketch_fraction=fraction,
             required_fraction=required,
-            sketch_edges=sketch.num_edges,
+            sketch_edges=edges,
         )
 
 
@@ -225,7 +234,8 @@ class StreamingSetCoverOutliers:
     these in parallel" in the paper's pseudocode); afterwards the guesses
     are checked in increasing order and the first accepted solution wins.
     :meth:`result` stops checking at that first accept, so the guesses after
-    it are never checked and their sketches never build a graph.
+    it are never checked.  A check reads its guess's builder columns, so no
+    guess sketch builds a graph unless :meth:`query` freezes it.
 
     Parameters
     ----------

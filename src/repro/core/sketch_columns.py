@@ -8,19 +8,26 @@ the union of their rows.  :class:`SketchColumns` holds exactly that state as
 three parallel numpy columns kept sorted by ``(rank, element, set)``
 (Algorithm 1's admission order), so a process pool pickles it as a few flat
 buffers and a fold is pure array work with no re-hash.
-:meth:`SketchColumns.to_sketch` builds the :class:`CoverageSketch` a
-consumer needs in one bulk :meth:`BipartiteGraph.from_columns` call.
+:meth:`SketchColumns.greedy_k_cover` runs the offline greedy on the rows
+themselves, which is how the streaming k-cover, each Algorithm 4 guess check
+and the distributed round 2 read their sketches;
+:meth:`SketchColumns.to_sketch` builds the :class:`CoverageSketch` a consumer
+that wants a graph needs, in one bulk :meth:`BipartiteGraph.from_columns`
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from repro.coverage.bipartite import BipartiteGraph, run_starts
+from repro.coverage.bitset import BitsetCoverage, check_coverage_backend
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
+from repro.offline.greedy import GreedyResult, greedy_k_cover_columns
 
 __all__ = ["SketchColumns", "element_starts"]
 
@@ -78,6 +85,38 @@ class SketchColumns:
     def num_edges(self) -> int:
         """Stored edges (rows)."""
         return len(self.ranks)
+
+    @property
+    def num_elements(self) -> int:
+        """Distinct elements stored (each element's rows are contiguous)."""
+        return len(element_starts(self.elements))
+
+    def greedy_k_cover(
+        self,
+        num_sets: int,
+        k: int,
+        *,
+        forbidden: Iterable[int] = (),
+        coverage_backend: str | None = None,
+    ) -> GreedyResult:
+        """The offline greedy on these rows, building no graph.
+
+        Returns what ``greedy_k_cover(self.to_sketch(params).graph, k,
+        forbidden=forbidden, kernel=kernel_for(graph, coverage_backend))``
+        returns for ``params.num_sets == num_sets``: with a backend and at
+        least one row the gains come from a kernel packed by
+        :meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`, else
+        from the rows' CSR by set.
+        """
+        check_coverage_backend(coverage_backend)
+        kernel = (
+            BitsetCoverage.from_columns(num_sets, self.set_ids, self.elements)
+            if coverage_backend is not None and self.num_edges > 0
+            else None
+        )
+        return greedy_k_cover_columns(
+            self.set_ids, self.elements, num_sets, k, forbidden=forbidden, kernel=kernel
+        )
 
     def to_sketch(self, params: SketchParams) -> CoverageSketch:
         """The :class:`CoverageSketch` of these rows, built in one bulk pass.

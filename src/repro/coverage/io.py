@@ -26,7 +26,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph, check_set_column
+from repro.coverage.bipartite import BipartiteGraph, check_set_column, count_distinct
 from repro.coverage.setsystem import SetSystem
 from repro.errors import CorruptInputError
 
@@ -168,7 +168,7 @@ class ColumnarEdges:
         Unlike the ``num_elements`` metadata, which a writer may override,
         this is what :meth:`to_graph` would count.
         """
-        return len(np.unique(self.elements))
+        return count_distinct(self.elements)
 
     @cached_property
     def num_distinct_edges(self) -> int:
@@ -189,7 +189,7 @@ class ColumnarEdges:
         on the columns.
         """
         chosen = np.asarray(list(set_ids), dtype=np.uint64)
-        return len(np.unique(self.elements[np.isin(self.set_ids, chosen)]))
+        return count_distinct(self.elements[np.isin(self.set_ids, chosen)])
 
     def to_graph(self) -> BipartiteGraph:
         """Materialise the columns as a :class:`BipartiteGraph`.
@@ -271,7 +271,7 @@ def _default_dimension(
     if labels is not None:
         return len(labels)
     if distinct:
-        return len(np.unique(ids))
+        return count_distinct(ids)
     return int(ids.max()) + 1 if len(ids) else 0
 
 

@@ -51,8 +51,8 @@ concatenates two such runs, filters them by the global threshold, restores
 the order with one ``(rank, element, set)`` lexsort and runs the dedup /
 degree-cap / budget prefix as array operations on the carried ranks, with
 no re-hash and no graph.  Round 2 reads the root's columns too:
-:func:`~repro.offline.greedy.greedy_k_cover_columns` picks the sets (with
-``coverage_backend``, on a kernel packed by
+:meth:`~repro.core.sketch_columns.SketchColumns.greedy_k_cover` picks the
+sets (with ``coverage_backend``, on a kernel packed by
 :meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`) and the greedy's
 sketch coverage gives the estimate, so a
 :class:`DistributedKCover` run builds no
@@ -72,7 +72,7 @@ from repro import obs
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.sketch_columns import SketchColumns, element_starts
-from repro.coverage.bitset import LAYOUT, BitsetCoverage, check_coverage_backend
+from repro.coverage.bitset import LAYOUT, check_coverage_backend
 from repro.distributed.partition import PARTITION_STRATEGIES, EdgePartitioner
 from repro.distributed.worker import (
     DEFAULT_MAP_BATCH,
@@ -83,7 +83,6 @@ from repro.distributed.worker import (
     execute_map_job,
 )
 from repro.errors import SpecError
-from repro.offline.greedy import greedy_k_cover_columns
 from repro.parallel import ExecutorBackend, ParallelMapper, as_mapper
 from repro.streaming.batches import EventBatch
 from repro.streaming.stream import EdgeStream
@@ -598,13 +597,8 @@ class DistributedKCover:
         execution = self.mapper.last_execution
         with obs.span("distributed.greedy", k=self.k, rows=root.num_edges):
             packed = self.coverage_backend is not None and root.num_edges > 0
-            kernel = (
-                BitsetCoverage.from_columns(self.params.num_sets, root.set_ids, root.elements)
-                if packed
-                else None
-            )
-            result = greedy_k_cover_columns(
-                root.set_ids, root.elements, self.params.num_sets, self.k, kernel=kernel
+            result = root.greedy_k_cover(
+                self.params.num_sets, self.k, coverage_backend=self.coverage_backend
             )
             solution, sketch_coverage = result.selected, result.coverage
         # Theorem 2.7's estimate |Γ(H, S)| / p*, as CoverageSketch computes it.

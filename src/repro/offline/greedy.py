@@ -17,8 +17,14 @@ a set — comes from a small evaluator.  :class:`_GraphGains` reads a
 :class:`BipartiteGraph` (a full instance or one of the paper's sketches —
 that composability is precisely Theorem 2.7's point);
 :class:`_ColumnGains` reads ``(set_id, element)`` columns through a CSR by
-set, for callers that hold edges as arrays (the distributed coordinator's
-merged sketch, :func:`greedy_k_cover_columns`); :class:`_KernelGains` reads
+set, for callers that hold edges as arrays (:func:`greedy_k_cover_columns`).
+The sketch solves reach it through
+:meth:`~repro.core.sketch_columns.SketchColumns.greedy_k_cover`: the
+distributed coordinator on its merged sketch,
+:meth:`~repro.core.kcover.StreamingKCover.result` on the streaming k-cover
+builder's columns, and
+:meth:`~repro.core.setcover_outliers.GuessChecker.check` on each unfrozen
+Algorithm 4 guess of the set-cover solvers.  :class:`_KernelGains` reads
 a :class:`repro.coverage.bitset.BitsetCoverage` snapshot passed as
 ``kernel=``, refreshing up to ``_LAZY_CHUNK`` stale tops per vectorised
 call, which is substantially faster on dense instances.  Every evaluator
@@ -99,7 +105,7 @@ class _GraphGains:
     def __init__(self, graph: BipartiteGraph) -> None:
         self._graph = graph
         self._covered: set[int] = set()
-        self.sizes = [graph.set_degree(set_id) for set_id in graph.set_ids()]
+        self.sizes = graph.set_degrees()
 
     def refresh(self, stale: list[int]) -> list[int]:
         return [self._graph.marginal_gain(set_id, self._covered) for set_id in stale]

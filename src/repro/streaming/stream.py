@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bipartite import BipartiteGraph, count_distinct
 from repro.errors import InvalidInstanceError, SpecError
 from repro.streaming.batches import EventBatch, check_batch_size, id_column
 from repro.streaming.events import EdgeArrival, SetArrival
@@ -227,7 +227,7 @@ class EdgeStream(_ReplayableStream):
     def num_elements_hint(self) -> int:
         """Upper bound on the number of distinct elements ``m``."""
         if self._num_elements_hint is None:
-            self._num_elements_hint = len(np.unique(self._batch.elements))
+            self._num_elements_hint = count_distinct(self._batch.elements)
         return self._num_elements_hint
 
     @property

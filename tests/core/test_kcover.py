@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.kcover import StreamingKCover, default_kcover_params
 from repro.core.params import SketchParams
+from repro.coverage.bitset import kernel_for
 from repro.datasets import planted_kcover_instance, zipf_instance
 from repro.offline.greedy import greedy_k_cover
 from repro.streaming.runner import StreamingRunner
@@ -146,3 +147,69 @@ class TestStreamingKCover:
         info = algo.describe()
         assert info["algorithm"] == "bateni-sketch-kcover"
         assert "edge_budget" in info and "stored_edges" in info
+
+
+class TestResultReadsColumns:
+    """``result()`` runs the greedy on the builder's columns; it must select
+    exactly what the greedy on ``sketch().graph`` selects."""
+
+    @staticmethod
+    def _graph_path(algo: StreamingKCover, forbidden, backend) -> list[int]:
+        graph = algo.sketch().graph
+        selected = greedy_k_cover(
+            graph, algo.k, forbidden=forbidden, kernel=kernel_for(graph, backend)
+        ).selected
+        return selected[: algo.k]
+
+    @pytest.mark.parametrize("backend", [None, "words"])
+    @pytest.mark.parametrize("forbidden", [(), (0, 3, 7), tuple(range(0, 60, 2))])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_evicting_stream_matches_graph_greedy(self, backend, forbidden, seed):
+        instance = zipf_instance(60, 2000, edges_per_set=50, k=5, seed=seed)
+        params = SketchParams.explicit(
+            instance.n, instance.m, 5, 0.2, edge_budget=300, degree_cap=8
+        )
+        algo = StreamingKCover(
+            instance.n,
+            instance.m,
+            k=5,
+            params=params,
+            seed=seed,
+            coverage_backend=backend,
+            forbidden=forbidden,
+        )
+        StreamingRunner(instance.graph).run(
+            algo, EdgeStream.from_graph(instance.graph, order="random", seed=seed)
+        )
+        assert algo.describe()["evictions"] > 0
+        assert algo.result() == self._graph_path(algo, forbidden, backend)
+
+    @pytest.mark.parametrize("backend", [None, "words"])
+    def test_full_sketch_matches_graph_greedy(self, planted_kcover, backend):
+        algo = StreamingKCover(
+            planted_kcover.n, planted_kcover.m, k=4, seed=5, coverage_backend=backend
+        )
+        StreamingRunner(planted_kcover.graph).run(
+            algo, EdgeStream.from_graph(planted_kcover.graph, order="random", seed=5)
+        )
+        assert algo.result() == self._graph_path(algo, (), backend)
+
+    @pytest.mark.parametrize("backend", [None, "words"])
+    def test_empty_sketch(self, backend):
+        algo = StreamingKCover(10, 100, k=3, coverage_backend=backend, forbidden=[1])
+        algo.finish_pass(0)
+        assert algo.result() == self._graph_path(algo, [1], backend) == []
+
+    def test_result_builds_no_graph(self, planted_kcover, monkeypatch):
+        algo = StreamingKCover(planted_kcover.n, planted_kcover.m, k=4, seed=1)
+        StreamingRunner(planted_kcover.graph).run(
+            algo, EdgeStream.from_graph(planted_kcover.graph, order="random", seed=1)
+        )
+        solution = list(algo.result())
+        algo._solution = None
+
+        def no_sketch():
+            raise AssertionError("result() built the sketch graph")
+
+        monkeypatch.setattr(algo, "sketch", no_sketch)
+        assert algo.result() == solution

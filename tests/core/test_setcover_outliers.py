@@ -9,12 +9,17 @@ import pytest
 
 from repro.core.setcover_outliers import (
     GuessChecker,
+    GuessOutcome,
     StreamingSetCoverOutliers,
     guess_schedule,
 )
+from repro.core.params import SketchParams
 from repro.core.setcover import StreamingSetCover
+from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import kernel_for
 from repro.datasets import planted_setcover_instance
+from repro.offline.greedy import greedy_k_cover
 from repro.streaming.events import EdgeArrival
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import EdgeStream
@@ -235,8 +240,96 @@ class TestLazyCascade:
             return from_element_sets(num_sets, owners)
 
         monkeypatch.setattr(BipartiteGraph, "from_element_sets", counted)
-        # One batch holds the whole instance, so each guess admits it in bulk
-        # and its graph is built by one call when its check reads it.
+        # One batch holds the whole instance, so each guess admits it in bulk;
+        # a check reads its builder's columns, so no guess builds a graph.
         algo = self._run(planted_setcover, batch_size=4096)  # reads result()
         checked = algo.describe()["guesses_checked"]
-        assert len(inserts) == checked < len(algo.guesses())
+        assert checked < len(algo.guesses())
+        algo.outcomes()
+        assert inserts == []
+
+
+def _graph_path_outcome(checker: GuessChecker, forbidden, backend) -> GuessOutcome:
+    """Algorithm 4 on ``sketch().graph``: the check before it read columns."""
+    sketch = checker.builder.sketch()
+    result = greedy_k_cover(
+        sketch.graph,
+        checker.budget_k,
+        forbidden=forbidden,
+        kernel=kernel_for(sketch.graph, backend),
+    )
+    fraction = sketch.coverage_fraction(result.selected)
+    required = 1.0 - checker.lambda_prime - checker.epsilon * math.log(
+        1.0 / checker.lambda_prime
+    )
+    return GuessOutcome(
+        guess=checker.guess,
+        accepted=fraction >= required - 1e-12,
+        solution=result.selected,
+        sketch_fraction=fraction,
+        required_fraction=required,
+        sketch_edges=sketch.num_edges,
+    )
+
+
+class TestCheckReadsColumns:
+    """Every ``GuessOutcome`` field, down to the exact float fraction, equals
+    what the check computed on the sketch graph."""
+
+    @pytest.mark.parametrize("backend", [None, "words"])
+    @pytest.mark.parametrize("forbidden", [(), (0, 2, 5)])
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_every_guess_matches_graph_path(self, backend, forbidden, seed):
+        instance = planted_setcover_instance(40, 900, cover_size=6, seed=seed)
+        algo = StreamingSetCoverOutliers(
+            instance.n,
+            instance.m,
+            outlier_fraction=0.1,
+            epsilon=0.5,
+            seed=seed,
+            coverage_backend=backend,
+            forbidden=forbidden,
+        )
+        StreamingRunner(instance.graph).run(
+            algo, EdgeStream.from_graph(instance.graph, order="random", seed=seed)
+        )
+        checkers = algo._checkers
+        for checker, outcome in zip(checkers, algo.outcomes(), strict=True):
+            assert outcome == _graph_path_outcome(checker, forbidden, backend)
+            for other in ((), [1, 3]):
+                assert checker.check(forbidden=other) == _graph_path_outcome(
+                    checker, other, backend
+                )
+
+    @pytest.mark.parametrize("backend", [None, "words"])
+    @pytest.mark.parametrize("guess", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_evicting_sketch_matches_graph_path(self, backend, guess, seed):
+        # Scaled guess sketches keep a slack far above these instances, so
+        # an evicting sketch needs explicit budgets.
+        instance = planted_setcover_instance(40, 3000, cover_size=6, seed=seed)
+        checker = GuessChecker(
+            guess=guess, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
+            num_sets=instance.n, num_elements=instance.m, coverage_backend=backend,
+        )
+        checker.params = SketchParams.explicit(
+            instance.n, instance.m, checker.budget_k, 0.2, edge_budget=250, degree_cap=6
+        )
+        checker.builder = StreamingSketchBuilder(checker.params, seed=seed)
+        stream = EdgeStream.from_graph(instance.graph, order="random", seed=seed)
+        for batch in stream.iter_batches(512):
+            checker.process_batch(batch)
+            outcome = checker.check(forbidden=[0])
+            assert outcome == _graph_path_outcome(checker, [0], backend)
+        assert checker.builder.evictions > 0
+        assert outcome.sketch_edges < instance.graph.num_edges
+
+    @pytest.mark.parametrize("backend", [None, "words"])
+    def test_empty_sketch(self, backend):
+        checker = GuessChecker(
+            guess=2, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
+            num_sets=10, num_elements=100, coverage_backend=backend,
+        )
+        outcome = checker.check()
+        assert outcome == _graph_path_outcome(checker, (), backend)
+        assert (outcome.sketch_fraction, outcome.sketch_edges) == (1.0, 0)

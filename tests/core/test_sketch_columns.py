@@ -21,6 +21,7 @@ from repro.core.params import SketchParams
 from repro.core.sketch_columns import SketchColumns
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.coverage.bipartite import BipartiteGraph
+from repro.coverage.bitset import kernel_for
 from repro.datasets import planted_kcover_instance
 from repro.distributed import (
     PARTITION_STRATEGIES,
@@ -30,6 +31,7 @@ from repro.distributed import (
     partition_edges,
 )
 from repro.errors import ReproError, SpecError
+from repro.offline.greedy import greedy_k_cover
 
 SEED = 21
 
@@ -152,6 +154,32 @@ class TestMachineSketchColumns:
         assert columns.num_edges == 0
         assert columns.to_sketch(params).graph == builder.sketch().graph
         assert columns.threshold == builder.sketch().threshold
+
+
+class TestGreedyOnColumns:
+    @pytest.mark.parametrize("backend", [None, "words"])
+    @pytest.mark.parametrize("budget", BUDGETS, ids=list(BUDGETS))
+    def test_greedy_and_counts_match_the_sketch_graph(self, instance, budget, backend):
+        params = _params(instance, *BUDGETS[budget])
+        builder = StreamingSketchBuilder(params, seed=SEED)
+        builder.consume(instance.graph.edges())
+        columns, graph = builder.columns(), builder.sketch().graph
+        assert columns.num_elements == graph.num_elements
+        for forbidden in ((), (0, 1, 2)):
+            got = columns.greedy_k_cover(
+                params.num_sets, 4, forbidden=forbidden, coverage_backend=backend
+            )
+            expected = greedy_k_cover(
+                graph, 4, forbidden=forbidden, kernel=kernel_for(graph, backend)
+            )
+            assert got == expected
+            assert got.coverage == graph.coverage(got.selected)
+
+    def test_unknown_backend_is_rejected(self, instance):
+        columns = StreamingSketchBuilder(_params(instance, 10, 10), seed=SEED).columns()
+        assert columns.num_elements == 0
+        with pytest.raises(SpecError):
+            columns.greedy_k_cover(instance.n, 2, coverage_backend="bytes")
 
 
 class TestFromRows:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.coverage import bipartite
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.bitset import BitsetCoverage
 from repro.errors import InvalidInstanceError, ReproError, SpecError
@@ -74,6 +77,7 @@ class TestQueries:
     def test_degrees(self, tiny_graph):
         assert tiny_graph.set_degree(0) == 3
         assert tiny_graph.set_degree(3) == 1
+        assert tiny_graph.set_degrees() == [3, 2, 3, 1]
         assert tiny_graph.element_degree(5) == 2
         assert tiny_graph.element_degree(99) == 0
 
@@ -323,3 +327,128 @@ class TestAddColumns:
         set_ids = np.array([0, 0, 3, 3], dtype=np.uint64)
         elements = np.array([0, 5, 5, 0], dtype=np.uint64)
         assert tiny_graph.has_edges(set_ids, elements).tolist() == [True, False, True, False]
+
+
+class TestSetLayoutMemo:
+    """``to_set_columns`` and ``coverage`` read one memoised set-major
+    layout, cleared by every mutation."""
+
+    @staticmethod
+    def _random_graph(seed: int) -> tuple[BipartiteGraph, list[tuple[int, int]]]:
+        rng = spawn_rng(seed, "set-layout-memo")
+        num_sets = int(rng.integers(1, 30))
+        rows = list(
+            zip(
+                rng.integers(0, num_sets, 400).tolist(),
+                rng.integers(0, 150, 400).tolist(),
+            )
+        )
+        graph = BipartiteGraph(num_sets)
+        for set_id, element in rows:
+            graph.add_edge(set_id, element)
+        return graph, rows
+
+    @staticmethod
+    def _fresh(num_sets: int, rows: list[tuple[int, int]]) -> BipartiteGraph:
+        graph = BipartiteGraph(num_sets)
+        for set_id, element in rows:
+            graph.add_edge(set_id, element)
+        return graph
+
+    @staticmethod
+    def _assert_same_columns(graph: BipartiteGraph, reference: BipartiteGraph) -> None:
+        for got, expected in zip(graph.to_set_columns(), reference.to_set_columns()):
+            assert got.dtype == expected.dtype == np.uint64
+            assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_columns_after_add_edge_match_a_fresh_graph(self, seed, path):
+        graph, rows = self._random_graph(seed)
+        graph.to_set_columns()
+        graph.coverage(range(graph.num_sets))
+        for element in (10**6, 10**6 + 1, 3):
+            graph.add_edge(0, element)
+            rows.append((0, element))
+            self._assert_same_columns(graph, self._fresh(graph.num_sets, rows))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_columns_after_add_columns_match_a_fresh_graph(self, seed, path):
+        graph, rows = self._random_graph(seed)
+        graph.to_set_columns()
+        set_ids = np.arange(graph.num_sets, dtype=np.uint64)
+        elements = np.full(graph.num_sets, 10**7, dtype=np.uint64)
+        graph.add_columns(set_ids, elements)
+        rows += list(zip(set_ids.tolist(), elements.tolist()))
+        self._assert_same_columns(graph, self._fresh(graph.num_sets, rows))
+        assert graph.coverage(range(graph.num_sets)) == graph.num_elements
+
+    def test_memo_is_reused_and_read_only(self, tiny_graph):
+        set_ids, elements = tiny_graph.to_set_columns()
+        again_ids, again = tiny_graph.to_set_columns()
+        assert again is elements
+        assert again_ids is not set_ids
+        assert not elements.flags.writeable
+        with pytest.raises(ValueError):
+            elements[0] = 99
+
+    @pytest.fixture(params=["sorted", "sets"])
+    def path(self, request, monkeypatch):
+        """Run a test on the sorted layout (every family with a member) and
+        on set unions."""
+        if request.param == "sorted":
+            monkeypatch.setattr(bipartite, "_SORTED_COVERAGE_MIN_MEMBERS", 1)
+        return request.param
+
+    def test_small_families_take_the_set_union(self, tiny_graph):
+        assert tiny_graph.coverage([0, 1, 2]) == 6
+        assert tiny_graph._layout is None  # np.sort would release the GIL
+
+    def test_large_families_take_the_sorted_layout(self):
+        size = bipartite._SORTED_COVERAGE_MIN_MEMBERS
+        elements = np.concatenate([np.arange(size), np.arange(size) + size // 2])
+        graph = BipartiteGraph.from_columns(
+            2, np.repeat(np.arange(2, dtype=np.uint64), size), elements
+        )
+        assert graph.coverage([0]) == size
+        assert graph._layout is not None
+        assert graph.coverage([0, 1, 1]) == len(graph.neighbors([0, 1])) == size + size // 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coverage_matches_neighbors(self, seed, path):
+        graph, _ = self._random_graph(seed)
+        rng = spawn_rng(seed, "set-layout-memo-families")
+        families = [[], [0], [0, 0]]
+        for _ in range(30):
+            size = int(rng.integers(0, 2 * graph.num_sets + 1))
+            families.append(rng.integers(0, graph.num_sets, size).tolist())
+        families.append(np.arange(graph.num_sets, dtype=np.uint64))
+        for family in families:
+            assert graph.coverage(family) == len(graph.neighbors(family))
+            assert graph.coverage(iter(list(family))) == len(graph.neighbors(family))
+
+    def test_coverage_of_an_empty_graph(self, path):
+        graph = BipartiteGraph(3)
+        assert graph.coverage([0, 1, 2]) == 0
+        assert graph.coverage([]) == 0
+        assert graph.coverage_fraction([0]) == 1.0
+
+    @pytest.mark.parametrize("bad", [4, -1, 100])
+    def test_out_of_range_id_still_raises(self, tiny_graph, bad, path):
+        tiny_graph.coverage([0])
+        with pytest.raises(InvalidInstanceError, match=f"set id {bad} out of range"):
+            tiny_graph.coverage([0, bad])
+
+    def test_non_integer_ids_still_raise(self, tiny_graph, path):
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(TypeError):
+                tiny_graph.coverage([bad])
+
+    def test_memo_is_not_pickled_and_not_compared(self, tiny_graph):
+        reference = tiny_graph.copy()
+        tiny_graph.to_set_columns()
+        assert tiny_graph == reference
+        clone = pickle.loads(pickle.dumps(tiny_graph))
+        assert clone._layout is None
+        assert clone == tiny_graph
+        self._assert_same_columns(clone, reference)
+        assert len(pickle.dumps(tiny_graph)) == len(pickle.dumps(reference))

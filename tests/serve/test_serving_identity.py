@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import QuerySpec, Session, StreamSpec, solve
+from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.coverage.bitset import COVERAGE_BACKENDS
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
 from repro.errors import SpecError
@@ -105,6 +106,22 @@ class TestKCoverServing:
         # degree caps here, so each k built its own entry — but backends and
         # forbidden sets were answered from those three builds alone.
         assert engine.store.stats()["builds"] == 3
+
+    def test_a_store_miss_reads_the_sketch_once(self, kcover_instance, monkeypatch):
+        reads = []
+        by_admission = StreamingSketchBuilder._by_admission
+
+        def counted(builder):
+            reads.append(builder)
+            return by_admission(builder)
+
+        monkeypatch.setattr(StreamingSketchBuilder, "_by_admission", counted)
+        engine = QueryEngine(kcover_instance.graph, seed=SEED, batch_size=BATCH)
+        for misses, k in enumerate((2, 5), start=1):
+            engine.query(QuerySpec(problem="k_cover", k=k, options=dict(KCOVER_OPTIONS)))
+            assert len(reads) == engine.store.stats()["misses"] == misses
+        engine.query(QuerySpec(problem="k_cover", k=5, options=dict(KCOVER_OPTIONS)))
+        assert len(reads) == 2  # a hit reads nothing
 
     def test_varying_budgets_key_separate_entries(self, kcover_instance):
         engine = QueryEngine(kcover_instance.graph, seed=SEED, batch_size=BATCH)
