@@ -31,7 +31,7 @@ from repro.coverage.bitset import check_coverage_backend, kernel_for
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.core.streaming_sketch import BatchGrouping, StreamingSketchBuilder
 from repro.offline.greedy import greedy_k_cover
 from repro.parallel import ExecutorBackend, ParallelMapper, as_mapper
 from repro.streaming.batches import EventBatch
@@ -118,10 +118,19 @@ class SketchEnsemble:
         self.add_edge(event.set_id, event.element)
 
     def process_batch(self, batch: EventBatch) -> None:
-        """Feed a columnar edge batch to every replica (vectorised per replica)."""
+        """Feed a columnar edge batch to every replica, one after another.
+
+        The batch is grouped by element and pair once
+        (:class:`BatchGrouping`); each replica ranks only its distinct
+        elements with its own hash and admits on its own store, exactly as
+        its own :meth:`StreamingSketchBuilder.process_batch` would.  A batch
+        the grouping does not cover (a set id out of range) goes to each
+        replica's own path.
+        """
         self._sketches = None
+        grouping = BatchGrouping.of(batch, self.params.num_sets)
         for builder in self._builders:
-            builder.process_batch(batch)
+            builder.process_batch(batch, grouping=grouping)
 
     def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
         """Feed a whole stream of edges."""

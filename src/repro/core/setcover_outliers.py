@@ -31,7 +31,7 @@ from repro.core.hashing import HashFamily, UniformHash
 from repro.coverage.bitset import KernelCache, check_coverage_backend
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.core.streaming_sketch import BatchGrouping, StreamingSketchBuilder
 from repro.offline.greedy import greedy_k_cover
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
@@ -159,9 +159,10 @@ class GuessChecker:
         """Feed one edge into this guess's sketch."""
         self.builder.process(event)
 
-    def process_batch(self, batch: EventBatch) -> None:
-        """Feed a columnar edge batch into this guess's sketch."""
-        self.builder.process_batch(batch)
+    def process_batch(self, batch: EventBatch, *, grouping: BatchGrouping | None = None) -> None:
+        """Feed a columnar edge batch into this guess's sketch (``grouping``:
+        the batch's grouping, shared with the other guesses)."""
+        self.builder.process_batch(batch, grouping=grouping)
 
     def finalize(self) -> CoverageSketch:
         """Freeze the post-stream sketch (plus a kernel cache) for queries.
@@ -334,7 +335,10 @@ class StreamingSetCoverOutliers:
         their admissions and evictions interleave.  When every guess can take
         the whole batch without an eviction, each one's stored-edge count
         only grows, so feeding the guesses one after another ends at the
-        scalar path's peak.  Otherwise the batch is fed edge by edge to all
+        scalar path's peak.  Then the batch is grouped by element and pair
+        once (:class:`BatchGrouping`), and every guess ranks only the
+        batch's distinct elements with its own hash: the guesses differ in
+        nothing else.  Otherwise the batch is fed edge by edge to all
         guesses in turn, exactly as the scalar stream does; so is a batch
         with an out-of-range set id, which then raises at the row (and
         guess) the scalar stream raises at.
@@ -343,8 +347,9 @@ class StreamingSetCoverOutliers:
         if in_range and all(
             checker.builder.fits_in_bulk(len(batch)) for checker in self._checkers
         ):
+            grouping = BatchGrouping.of(batch, self.num_sets)
             for checker in self._checkers:
-                checker.process_batch(batch)
+                checker.process_batch(batch, grouping=grouping)
             return
         for event in batch.iter_events():
             self.process(event)

@@ -55,7 +55,20 @@ contributions before it ranked at most ``ρ`` number fewer than the limit
 leaves rank ``ρ`` (``limit + 1`` minus the stored edges ranked at most
 ``ρ``); one merge-sort count gives that number for every row at once, in
 ``O(n log n)`` however many ranks the cut leaves above it.  A batch that
-fits the limit skips all of this.  Only
+fits the limit skips all of this.
+
+The classification has two parts.  A :class:`BatchGrouping` holds what
+does not depend on the ranks: the batch's rows sorted by ``(element, set,
+row)``, its distinct elements (the *keys*), which row is the first of its
+``(set, element)`` pair, and how many first rows of its element come before
+each row.  The builder's part ranks the keys only, sorts them by ``(rank,
+element)``, gathers their row blocks into the store's order and probes the
+store.  The threshold filter keeps or drops all the rows of an element
+together, so the grouping of a whole batch, restricted to one builder's
+kept keys, is exactly the grouping of that builder's survivors: builders
+that differ only in their hash and budgets — Algorithm 5's guesses, an
+ensemble's replicas — share one grouping per batch.  A builder fed alone
+ranks every row, filters, and groups only its survivors.  Only
 :meth:`~StreamingSketchBuilder.add_edge` runs the rules one edge at a time:
 its first call moves the columns into per-element dicts with a max-heap of
 the ranks, and the next batch or read moves them back.  A batch goes that
@@ -410,23 +423,27 @@ class StreamingSketchBuilder:
         """Process an :class:`EdgeArrival` event (same as :meth:`add_edge`)."""
         return self.add_edge(event.set_id, event.element)
 
-    def process_batch(self, batch: EventBatch) -> int:
+    def process_batch(self, batch: EventBatch, *, grouping: BatchGrouping | None = None) -> int:
         """Process a whole columnar edge batch; returns the edges stored.
 
-        The batch's elements are ranked in one vectorised call — a dense
-        table gather for ``rank_source="permutation"``, the hash family's
-        ``value_many`` otherwise — and edges whose rank already clears the
-        current admission threshold are rejected wholesale; since the
-        threshold only ever decreases, the scalar path would reject every
-        one of them too.  The survivors are admitted on the columnar store:
-        by :meth:`_admit_bulk` when they fit (:meth:`fits_in_bulk`), else
-        by :meth:`_admit_overflow`, which decides from the contributions
-        which rows come by their rank's eviction row and cuts the store once
-        (the module docstring gives the characterisation that makes this
-        exact).  A batch longer than ``DEFAULT_BATCH_SIZE`` that may overflow
-        is admitted in pieces of that size.  Either way the builder state
-        after a batch is byte-identical to feeding the same edges one at a
-        time.
+        The batch's elements are ranked in one vectorised call — a
+        ``searchsorted`` gather for ``rank_source="permutation"``, the hash
+        family's ``value_many`` otherwise — and edges whose rank already
+        clears the current admission threshold are rejected wholesale; since
+        the threshold only ever decreases, the scalar path would reject every
+        one of them too.  The survivors are grouped by element and pair
+        (:class:`BatchGrouping`) and admitted on the columnar store: by
+        :meth:`_admit_bulk` when they fit (:meth:`fits_in_bulk`), else by
+        :meth:`_admit_overflow`, which decides from the contributions which
+        rows come by their rank's eviction row and cuts the store once (the
+        module docstring gives the characterisation that makes this exact).
+        A batch longer than ``DEFAULT_BATCH_SIZE`` that may overflow is
+        admitted in pieces of that size.  Either way the builder state after
+        a batch is byte-identical to feeding the same edges one at a time.
+
+        ``grouping`` is the batch's own grouping, shared by several builders
+        fed the same batch: then only its distinct elements are ranked, and
+        its rows whose element clears the threshold are dropped from it.
         """
         if batch.offsets is not None:
             raise TypeError("StreamingSketchBuilder consumes edge batches, got a set batch")
@@ -438,28 +455,40 @@ class StreamingSketchBuilder:
             # each piece leaves filters the next before any array work,
             # where the rows ranked above the cut would cost O(n log n).
             return sum(map(self.process_batch, batch.chunks(DEFAULT_BATCH_SIZE)))
-        ranks = self._rank_batch(batch.elements)
-        if ranks is None:
-            stored = 0
-            for event in batch.iter_events():
-                if self.process(event):
-                    stored += 1
-            return stored
-        survivors = (ranks < self._admission_threshold).nonzero()[0]
+        threshold = self._admission_threshold
+        if grouping is None:
+            ranks = self._rank_batch(batch.elements)
+            if ranks is None:
+                return sum(map(self.process, batch.iter_events()))
+            survivors = (ranks < threshold).nonzero()[0]
+            set_ids, elements = batch.set_ids, batch.elements
+            if len(survivors) < count:
+                set_ids, elements, ranks = set_ids[survivors], elements[survivors], ranks[survivors]
+        else:
+            key_ranks = self._rank_batch(grouping.key_elements)
+            if key_ranks is None:
+                return sum(map(self.process, batch.iter_events()))
+            keep = key_ranks < threshold
+            if not keep.all():
+                grouping, key_ranks = grouping.restrict(keep), key_ranks[keep]
+            set_ids, elements, ranks = grouping.set_ids, grouping.elements, None
+        kept = len(elements)
         self._edges_seen += count
-        self._edges_discarded += count - len(survivors)
-        if not len(survivors):
+        self._edges_discarded += count - kept
+        if not kept:
             return 0
-        set_ids, elements = batch.set_ids, batch.elements
-        if len(survivors) < count:
-            set_ids, elements, ranks = set_ids[survivors], elements[survivors], ranks[survivors]
         # A batch with an out-of-range set id is admitted row by row with
         # validation, so it raises at exactly the row the scalar stream would.
         checked = bool(set_ids.max() < self.params.num_sets)
-        if checked and self.fits_in_bulk(len(survivors)):
-            return self._admit_bulk(set_ids, elements, ranks)
-        if checked and self._cuts_in_bulk():
-            return self._admit_overflow(set_ids, elements, ranks)
+        bulk = checked and self.fits_in_bulk(kept)
+        if bulk or (checked and self._cuts_in_bulk()):
+            if grouping is None:
+                grouping = BatchGrouping.of_rows(set_ids, elements, self.params.num_sets)
+                key_ranks = ranks[grouping.by_element[grouping.starts]]
+            admit = self._admit_bulk if bulk else self._admit_overflow
+            return admit(grouping, key_ranks)
+        if ranks is None:
+            ranks = key_ranks[grouping.key_of]
         return self._admit_rows(
             set_ids.tolist(), elements.tolist(), ranks.tolist(), checked=checked
         )
@@ -477,18 +506,16 @@ class StreamingSketchBuilder:
             and self.params.degree_cap <= self.params.max_stored_edges
         )
 
-    def _admit_bulk(self, set_ids: np.ndarray, elements: np.ndarray, ranks: np.ndarray) -> int:
+    def _admit_bulk(self, grouping: BatchGrouping, key_ranks: np.ndarray) -> int:
         """Admit below-threshold rows that fit the edge limit; return #stored.
 
         No eviction can happen inside such a batch, so the threshold stays
         fixed and every contributing row is stored.
         """
-        batch = _Admission(self._use_columns(), set_ids, elements, ranks, self.params)
+        batch = _Admission(self._use_columns(), grouping, key_ranks, self.params)
         return self._commit(batch, None, None)
 
-    def _admit_overflow(
-        self, set_ids: np.ndarray, elements: np.ndarray, ranks: np.ndarray
-    ) -> int:
+    def _admit_overflow(self, grouping: BatchGrouping, key_ranks: np.ndarray) -> int:
         """Admit below-threshold rows that may evict; return #stored.
 
         The cut ``ρ0`` is the smallest rank whose prefix exceeds the limit
@@ -497,7 +524,7 @@ class StreamingSketchBuilder:
         row ``A_ρ`` of its rank, the contributing row at which the prefix of
         ``ρ`` first exceeds the limit.
         """
-        batch = _Admission(self._use_columns(), set_ids, elements, ranks, self.params)
+        batch = _Admission(self._use_columns(), grouping, key_ranks, self.params)
         limit = self.params.max_stored_edges
         cut = batch.cut(limit)
         if cut is None:
@@ -514,7 +541,7 @@ class StreamingSketchBuilder:
         high = (run_of >= 0).nonzero()[0]
         below = (batch.contributing & (run_of < 0)).cumsum()[high]
         earlier = below + _earlier_points(run_of[high], batch.contributing[high])
-        admitted = np.ones(len(ranks), dtype=bool)
+        admitted = np.ones(len(batch), dtype=bool)
         admitted[high] = earlier < need[run_of[high]]
         return self._commit(batch, admitted, cut)
 
@@ -542,8 +569,7 @@ class StreamingSketchBuilder:
         kept, joining, evicted, (start, removed) = batch.rows, stored, [], (0, 0)
         if cut is not None:
             kept, joining, evicted, (start, removed) = self._cut(batch, stored, cut)
-        new = joining.nonzero()[0]
-        order = new[batch.pairs[new].argsort()]
+        order = batch.in_store_order(joining)
         positions = batch.positions[order]
         if removed:
             positions[positions >= start] -= removed
@@ -553,7 +579,7 @@ class StreamingSketchBuilder:
         self._rows = kept.insert(
             positions,
             _Rows(
-                batch.ranks[order],
+                batch.key_ranks[batch.group[order]],
                 batch.elements[order].view(np.uint64),
                 batch.set_ids[order].view(np.uint64),
                 arrivals[order],
@@ -767,16 +793,117 @@ class StreamingSketchBuilder:
         }
 
 
-class _Admission:
-    """One batch's rows classified against the columnar store.
+@dataclass(frozen=True)
+class BatchGrouping:
+    """A batch's rows grouped by element and pair: the rank-free half of an
+    admission, computed once and shared by every builder fed the batch.
 
-    The batch's distinct elements are its *keys*, sorted like the store by
-    ``(rank, element)``.  Per row: ``group`` (its key's index),
-    ``contributing`` (a new pair below the degree cap: the row stores an
-    edge if it is admitted), ``capped`` (its element is at the cap: an
-    admitted row marks it truncated), ``pairs`` (``group * num_sets + set
-    id``, which sorts rows like the store) and ``positions`` (where the row
-    would enter the store).  Per key: ``key_ranks``, ``key_elements``,
+    The batch's distinct elements are its *keys*, ascending.  ``order``
+    lists the rows by ``(element, set, row)`` and ``by_element`` by
+    ``(element, row)``: both hold each key's rows as one block of
+    ``lengths[key]`` rows starting at ``starts[key]``.  Per row: ``key_of``
+    (its key's index), ``first`` (the first row of its ``(set, element)``
+    pair) and :attr:`earlier` (how many first rows of its element come
+    before it).
+
+    A builder's rank filter keeps or drops an element's rows together, so
+    :meth:`restrict` to the kept keys is exactly the grouping of the kept
+    rows; that is why one grouping serves builders of any threshold.
+    """
+
+    set_ids: np.ndarray
+    elements: np.ndarray
+    key_elements: np.ndarray
+    key_of: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    order: np.ndarray
+    by_element: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def of(cls, batch: EventBatch, num_sets: int) -> "BatchGrouping | None":
+        """The grouping of an edge batch whose set ids are all below
+        ``num_sets``; None for any other batch, which each builder then
+        admits on its own (and raises on, at the row the scalar stream
+        would)."""
+        if batch.offsets is not None or not len(batch):
+            return None
+        if int(batch.set_ids.max()) >= num_sets:
+            return None
+        return cls.of_rows(batch.set_ids, batch.elements, num_sets)
+
+    @classmethod
+    def of_rows(cls, set_ids: np.ndarray, elements: np.ndarray, num_sets: int) -> "BatchGrouping":
+        """The grouping of rows whose set ids are all below ``num_sets``."""
+        by_element = elements.argsort(kind="stable")
+        grouped = elements[by_element]
+        boundary = run_starts(grouped)
+        starts = boundary.nonzero()[0]
+        sorted_key = boundary.cumsum() - 1
+        key_of = np.empty_like(sorted_key)
+        key_of[by_element] = sorted_key
+        # The pairs are already key-major, so this stable sort, which puts
+        # each key's rows in (set, row) order, is near-linear.
+        pairs = sorted_key * num_sets + set_ids[by_element].astype(np.int64)
+        by_pair = pairs.argsort(kind="stable")
+        order = by_element[by_pair]
+        first = np.zeros(len(elements), dtype=bool)
+        first[order[run_starts(pairs[by_pair])]] = True
+        lengths = np.bincount(sorted_key, minlength=len(starts))
+        return cls(
+            set_ids, elements, grouped[starts], key_of, starts, lengths, order, by_element, first
+        )
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def earlier(self) -> np.ndarray:
+        """Per row, how many first rows of its element come before it."""
+        return self.earlier_of(self.first)
+
+    def earlier_of(self, flags: np.ndarray) -> np.ndarray:
+        """Per row, how many flagged rows of its element come before it."""
+        flagged = flags[self.by_element]
+        running = flagged.cumsum() - flagged
+        earlier = np.empty(len(flags), dtype=np.int64)
+        earlier[self.by_element] = running - running[self.starts].repeat(self.lengths)
+        return earlier
+
+    def restrict(self, keep: np.ndarray) -> "BatchGrouping":
+        """The grouping of the rows whose key ``keep`` marks, renumbered."""
+        rows = keep[self.key_of]
+        local = rows.cumsum() - 1
+        kept = keep.nonzero()[0]
+        lengths = self.lengths[kept]
+        survivors = rows.nonzero()[0]
+        return BatchGrouping(
+            self.set_ids[survivors],
+            self.elements[survivors],
+            self.key_elements[kept],
+            (keep.cumsum() - 1)[self.key_of[survivors]],
+            lengths.cumsum() - lengths,
+            lengths,
+            local[self.order[rows[self.order]]],
+            local[self.by_element[rows[self.by_element]]],
+            self.first[survivors],
+        )
+
+
+class _Admission:
+    """One batch's rows classified against one builder's columnar store.
+
+    The rank-free part comes from a :class:`BatchGrouping` of the rows;
+    this class adds what depends on the builder: the keys' ranks and their
+    order, the store's rows, and so which pairs are new and where they
+    would enter.  The keys are sorted like the store by ``(rank, element)``
+    (one sort of the keys; ranks tie only when hashes do, and then the
+    smaller element comes first).  Per row: ``group`` (its key's index in
+    that order), ``contributing`` (a new pair below the degree cap: the row
+    stores an edge if it is admitted), ``capped`` (its element is at the
+    cap: an admitted row marks it truncated) and ``positions`` (where the
+    row would enter the store).  Per key: ``key_ranks``, ``key_elements``,
     ``key_degrees`` (its stored edges) and ``key_runs`` (the index of its
     rank in ``rank_runs``, the batch's distinct ranks ascending).
     """
@@ -784,48 +911,39 @@ class _Admission:
     def __init__(
         self,
         rows: _Rows,
-        set_ids: np.ndarray,
-        elements: np.ndarray,
-        ranks: np.ndarray,
+        grouping: BatchGrouping,
+        key_ranks: np.ndarray,
         params: SketchParams,
     ) -> None:
-        self.rows, self.set_ids, self.elements, self.ranks = rows, set_ids, elements, ranks
-        # Rows grouped by key, each group in row order.  A rank names one
-        # element unless hashes tie; only then does the element join the sort.
-        order = ranks.argsort(kind="stable")
-        grouped = elements[order]
-        boundary = run_starts(grouped)
-        rank_starts = run_starts(ranks[order])
-        if (boundary > rank_starts).any():
-            order = np.lexsort((elements, ranks))
-            grouped = elements[order]
-            boundary = run_starts(grouped)
-            rank_starts = run_starts(ranks[order])
-        starts = boundary.nonzero()[0]
-        sorted_group = boundary.cumsum() - 1
-        group = self.group = np.empty_like(sorted_group)
-        group[order] = sorted_group
-        self.key_elements = grouped[starts]
-        self.key_ranks = ranks[order[starts]]
-        self.rank_starts = rank_starts[starts]
+        self.rows, self.grouping = rows, grouping
+        self.set_ids, self.elements = grouping.set_ids, grouping.elements
+        # The keys ascend by element, so a stable sort by rank breaks ties by
+        # element; ranks tie only when hashes do, so the cheaper unstable
+        # sort usually gives the same order.
+        by_rank = key_ranks.argsort()
+        rank_starts = run_starts(key_ranks[by_rank])
+        if not rank_starts.all():
+            by_rank = key_ranks.argsort(kind="stable")
+        self.by_rank, self.rank_starts = by_rank, rank_starts
+        self.key_ranks = key_ranks[by_rank]
+        self.key_elements = grouping.key_elements[by_rank]
+        rank_order = np.empty_like(by_rank)
+        rank_order[by_rank] = np.arange(len(by_rank))
+        group = self.group = rank_order[grouping.key_of]
         lo = rows.ranks.searchsorted(self.key_ranks, "left")
         hi = rows.ranks.searchsorted(self.key_ranks, "right")
         _settle_ties(rows, self.key_elements, lo, hi)
         degrees = self.key_degrees = hi - lo
         self.positions = lo[group]
-        width = params.num_sets
-        self.pairs = group * width + set_ids.astype(np.int64)
-        # First rows of each pair: runs of the stably sorted pairs.
-        by_pair = self.pairs.argsort(kind="stable")
-        new = np.zeros(len(ranks), dtype=bool)
-        new[by_pair[run_starts(self.pairs[by_pair])]] = True
         row_degrees = degrees[group]
+        new, earlier = grouping.first, grouping.earlier
         touched = row_degrees.nonzero()[0]
         if len(touched):
             # The stored set ids of the batch's stored elements, one sorted
             # run each and keyed (run, set id): a row's probe finds whether
             # its pair is stored and how many of its element's sets sort
             # below it.
+            width = params.num_sets
             stored_keys = degrees.nonzero()[0]
             lengths = degrees[stored_keys]
             ends = lengths.cumsum()
@@ -834,19 +952,32 @@ class _Admission:
             runs = np.repeat(np.arange(len(stored_keys)), lengths)
             stored_pairs = runs * width + rows.set_ids[gather].astype(np.int64)
             run_of = (degrees > 0).cumsum()[group[touched]] - 1
-            probes = run_of * width + set_ids[touched].astype(np.int64)
+            probes = run_of * width + self.set_ids[touched].astype(np.int64)
             at = stored_pairs.searchsorted(probes)
-            new[touched] &= stored_pairs[np.minimum(at, ends[-1] - 1)] != probes
             self.positions[touched] += at - offsets[run_of]
+            stale = touched[stored_pairs[np.minimum(at, ends[-1] - 1)] == probes]
+            if len(stale):
+                # A stored pair is not new: recount the earlier new pairs.
+                new = new.copy()
+                new[stale] = False
+                earlier = grouping.earlier_of(new)
         # Degree before each row: stored degree plus new pairs on earlier
-        # rows of the same element (exclusive running count per group).
-        new_sorted = new[order]
-        running = new_sorted.cumsum() - new_sorted
-        level = np.empty(len(order), dtype=np.int64)
-        level[order] = running - running[starts][sorted_group]
-        level += row_degrees
+        # rows of the same element.
+        level = earlier + row_degrees
         self.contributing = new & (level < params.degree_cap)
         self.capped = level >= params.degree_cap
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def in_store_order(self, flags: np.ndarray) -> np.ndarray:
+        """The flagged rows in the store's order, ``(rank, element, set,
+        row)``: the grouping's element blocks, gathered in key order."""
+        lengths = self.grouping.lengths[self.by_rank]
+        ends = lengths.cumsum()
+        index = (self.grouping.starts[self.by_rank] - ends + lengths).repeat(lengths)
+        order = self.grouping.order[index + np.arange(len(self))]
+        return order[flags[order]]
 
     @cached_property
     def rank_runs(self) -> np.ndarray:
