@@ -106,7 +106,7 @@ from repro.coverage.bipartite import (
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.sketch_columns import SketchColumns, element_starts
+from repro.core.sketch_columns import SketchColumns, admission_order, element_starts
 from repro.streaming.batches import DEFAULT_BATCH_SIZE, EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
@@ -692,7 +692,7 @@ class StreamingSketchBuilder:
             set_ids = np.fromiter(
                 chain.from_iterable(owners.values()), dtype=np.uint64, count=self._num_edges
             )
-            order = np.lexsort((set_ids, elements, ranks))
+            order = admission_order(ranks, elements, set_ids)
             self._rows = _Rows(ranks, elements, set_ids, np.arange(len(set_ids))).take(order)
             self._arrivals = len(set_ids)
             self._ranks = self._owners = self._heap = None

@@ -37,7 +37,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.coverage.bipartite import BipartiteGraph, check_parallel_columns, check_set_column
+from repro.coverage.bipartite import (
+    BipartiteGraph,
+    check_parallel_columns,
+    check_set_column,
+    dense_ids,
+)
 from repro.errors import SpecError
 from repro.obs import clock
 
@@ -183,11 +188,11 @@ class BitsetCoverage:
         ``s`` holds the element of rank ``r`` among the distinct elements."""
         set_ids, elements = check_parallel_columns(set_ids, elements)
         check_set_column(set_ids, num_sets)
-        distinct, ranks = np.unique(elements, return_inverse=True)
-        dense = np.zeros((num_sets, max(1, len(distinct))), dtype=bool)
+        ranks, num_elements = dense_ids(elements)
+        dense = np.zeros((num_sets, max(1, num_elements)), dtype=bool)
         dense[set_ids.astype(np.intp), ranks] = True
         self._num_sets = num_sets
-        self._num_elements = len(distinct)
+        self._num_elements = num_elements
         # Rows are packed along the element axis: shape (n, words), uint64.
         # Both arrays are read-only: one kernel serves concurrent queries.
         self._packed = pack_rows(dense)

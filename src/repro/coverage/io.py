@@ -26,7 +26,12 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.coverage.bipartite import BipartiteGraph, check_set_column, count_distinct
+from repro.coverage.bipartite import (
+    BipartiteGraph,
+    check_set_column,
+    count_distinct,
+    dense_ids,
+)
 from repro.coverage.setsystem import SetSystem
 from repro.errors import CorruptInputError
 
@@ -172,9 +177,19 @@ class ColumnarEdges:
 
     @cached_property
     def num_distinct_edges(self) -> int:
-        """Distinct ``(set_id, element)`` rows (the graph's ``num_edges``)."""
-        rows = np.stack([self.set_ids, self.elements], axis=1)
-        return len(np.unique(rows, axis=0))
+        """Distinct ``(set_id, element)`` rows (the graph's ``num_edges``).
+
+        Counted on one packed ``int64`` key per row, ``set × width + element
+        rank`` over :func:`~repro.coverage.bipartite.dense_ids`.  Set ids too
+        large to pack are ranked the same way, which bounds the key by the
+        square of the row count.
+        """
+        elements, width = dense_ids(self.elements)
+        width = max(1, width)
+        set_ids = self.set_ids
+        if len(set_ids) and (int(set_ids.max()) + 1) * width > np.iinfo(np.int64).max:
+            set_ids = dense_ids(set_ids)[0]
+        return count_distinct(set_ids.astype(np.int64) * width + elements)
 
     def check_set_ids(self) -> None:
         """Raise the :class:`~repro.errors.InvalidInstanceError` that

@@ -48,9 +48,12 @@ path and ships its sketch home as
 rows sorted in Algorithm 1's admission order, plus threshold and truncation
 flags — flat numpy buffers, no Python sets.  Each fold of the tree
 concatenates two such runs, filters them by the global threshold, restores
-the order with one ``(rank, element, set)`` lexsort and runs the dedup /
-degree-cap / budget prefix as array operations on the carried ranks, with
-no re-hash and no graph.  Round 2 reads the root's columns too:
+the ``(rank, element, set)`` order with
+:func:`~repro.core.sketch_columns.admission_order` — a stable sort by rank
+that merges the two sorted runs, then one sort of packed ``(rank group,
+set)`` keys — and runs the dedup / degree-cap / budget prefix as array
+operations on the carried ranks, with no re-hash and no graph.  Round 2
+reads the root's columns too:
 :meth:`~repro.core.sketch_columns.SketchColumns.greedy_k_cover` picks the
 sets (with ``coverage_backend``, on a kernel packed by
 :meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`) and the greedy's
@@ -71,7 +74,7 @@ import numpy as np
 from repro import obs
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.sketch_columns import SketchColumns, element_starts
+from repro.core.sketch_columns import SketchColumns, admission_order, element_starts
 from repro.coverage.bitset import LAYOUT, check_coverage_backend
 from repro.distributed.partition import PARTITION_STRATEGIES, EdgePartitioner
 from repro.distributed.worker import (
@@ -178,53 +181,62 @@ def _fold(runs: Sequence[SketchColumns], params: SketchParams) -> SketchColumns:
     exceeded the cap at a lower level.  The output therefore carries
     ``computed ∪ (input flags ∩ admitted)``, which restores exactly the
     flags of one flat fold over the leaves (leaves enter with none).
+
+    The order comes from :func:`admission_order`, which merges the sorted
+    runs by rank in linear time.  A step that keeps every row (the
+    threshold filter, the dedup, the cap and budget) skips its gather, and
+    the flag intersection runs only when some run carries flags.
     """
     global_threshold = min(run.threshold for run in runs)
     ranks = np.concatenate([run.ranks for run in runs])
     elements = np.concatenate([run.elements for run in runs])
     set_ids = np.concatenate([run.set_ids for run in runs])
     keep = ranks <= global_threshold
-    ranks, elements, set_ids = ranks[keep], elements[keep], set_ids[keep]
+    if not keep.all():
+        ranks, elements, set_ids = ranks[keep], elements[keep], set_ids[keep]
 
     # Algorithm 1's admission order: elements by (rank, id), each element's
     # owners by ascending set id — so the degree cap keeps the same
     # smallest-id owners the offline builder keeps.
-    order = np.lexsort((set_ids, elements, ranks))
+    order = admission_order(ranks, elements, set_ids)
     ranks, elements, set_ids = ranks[order], elements[order], set_ids[order]
     # Drop duplicate edges (the same input edge can only live in one shard,
     # but duplicate input edges may land in different shards).
     fresh = np.ones(len(ranks), dtype=bool)
     fresh[1:] = (elements[1:] != elements[:-1]) | (set_ids[1:] != set_ids[:-1])
-    ranks, elements, set_ids = ranks[fresh], elements[fresh], set_ids[fresh]
+    if not fresh.all():
+        ranks, elements, set_ids = ranks[fresh], elements[fresh], set_ids[fresh]
     if len(ranks) == 0:
         return SketchColumns(ranks, elements, set_ids, global_threshold)
 
-    # Element runs are contiguous after the sort; cap each run's degree and
-    # admit runs while the stored-edge prefix is below the budget.
-    run_starts = element_starts(elements)
-    degrees = np.diff(np.r_[run_starts, len(elements)])
-    run_id = np.repeat(np.arange(len(run_starts)), degrees)
-    within_run = np.arange(len(elements)) - run_starts[run_id]
+    # Element runs are contiguous after the sort.  Runs are admitted while
+    # the capped stored-edge prefix is below the budget, so the admitted
+    # runs are a prefix; each keeps its first degree_cap rows.
+    starts = element_starts(elements)
+    degrees = np.diff(starts, append=len(elements))
     capped_degrees = np.minimum(degrees, params.degree_cap)
     edges_before = np.cumsum(capped_degrees) - capped_degrees
-    admitted_runs = edges_before < params.edge_budget
-    stored = (within_run < params.degree_cap) & admitted_runs[run_id]
+    admitted = int(np.count_nonzero(edges_before < params.edge_budget))
+    over_cap = degrees[:admitted] > params.degree_cap
 
-    admitted = elements[run_starts[admitted_runs]]
+    truncated = np.unique(elements[starts[:admitted][over_cap]])
     carried = np.concatenate([run.truncated for run in runs])
-    truncated = np.union1d(
-        elements[run_starts[admitted_runs & (degrees > params.degree_cap)]],
-        carried[np.isin(carried, admitted)],
-    )
-    if bool(admitted_runs.all()):
+    if len(carried):
+        admitted_elements = elements[starts[:admitted]]
+        truncated = np.union1d(truncated, carried[np.isin(carried, admitted_elements)])
+    if admitted == len(starts):
         threshold = global_threshold
     else:
         # Algorithm 1's convention: p* is the hash of the last admitted
         # element (ranks are sorted, so that is the last admitted run).
-        threshold = float(ranks[run_starts[admitted_runs][-1]])
-    return SketchColumns(
-        ranks[stored], elements[stored], set_ids[stored], threshold, truncated
-    )
+        threshold = float(ranks[starts[admitted - 1]])
+    if admitted < len(starts) or over_cap.any():
+        run_start = np.repeat(starts[:admitted], degrees[:admitted])
+        stored = np.arange(len(run_start)) - run_start < params.degree_cap
+        ranks, elements, set_ids = (
+            column[: len(stored)][stored] for column in (ranks, elements, set_ids)
+        )
+    return SketchColumns(ranks, elements, set_ids, threshold, truncated)
 
 
 def _materialize(columns: SketchColumns, params: SketchParams) -> CoverageSketch:

@@ -44,9 +44,10 @@ from repro.coverage.bipartite import (
     BipartiteGraph,
     check_parallel_columns,
     check_set_column,
+    dense_ids,
     run_starts,
 )
-from repro.errors import InfeasibleError
+from repro.errors import InfeasibleError, SpecError
 from repro.utils.validation import check_fraction, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard import
@@ -259,18 +260,25 @@ def _set_major_csr(
     Returns ``(offsets, ranks, num_elements)``: the members of set ``s`` are
     ``ranks[offsets[s]:offsets[s + 1]]``, ascending and without repeats, and
     ``num_elements`` is the number of distinct elements.  Columns of unequal
-    length raise :class:`~repro.errors.SpecError`, and a set id outside
-    ``[0, num_sets)`` :class:`~repro.errors.InvalidInstanceError`.
+    length, or ``num_sets × num_elements`` past ``int64`` (the packed sort
+    key's range), raise :class:`~repro.errors.SpecError`, and a set id
+    outside ``[0, num_sets)`` :class:`~repro.errors.InvalidInstanceError`.
     """
     set_ids, elements = check_parallel_columns(set_ids, elements)
     check_set_column(set_ids, num_sets)
-    distinct, ranks = np.unique(elements, return_inverse=True)
-    order = np.lexsort((ranks, set_ids))
-    owners, ranks = set_ids[order].astype(np.intp), ranks[order]
-    fresh = run_starts(owners) | run_starts(ranks)
+    ranks, num_elements = dense_ids(elements)
+    width = max(1, num_elements)
+    if num_sets * width > np.iinfo(np.int64).max:
+        raise SpecError(
+            f"{num_sets} sets x {num_elements} elements do not pack into int64 keys"
+        )
+    # One sort of packed (set, rank) keys; divmod decodes the distinct ones.
+    pairs = set_ids.astype(np.int64) * width + ranks
+    pairs.sort()
+    owners, ranks = np.divmod(pairs[run_starts(pairs)], width)
     offsets = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners[fresh], minlength=num_sets), out=offsets[1:])
-    return offsets, ranks[fresh], len(distinct)
+    np.cumsum(np.bincount(owners, minlength=num_sets), out=offsets[1:])
+    return offsets, ranks, num_elements
 
 
 def greedy_k_cover_columns(

@@ -24,6 +24,7 @@ from repro.coverage.io import (
     write_edge_list,
 )
 from repro.coverage.setsystem import SetSystem
+from repro.utils.rng import spawn_rng
 
 
 @pytest.fixture
@@ -188,6 +189,21 @@ class TestColumnarColumns:
             write_columnar_columns(
                 np.zeros(3, dtype=np.uint64), np.zeros(2, dtype=np.uint64), tmp_path / "c"
             )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_num_distinct_edges_counts_unique_rows(self, tmp_path, seed):
+        # Odd seeds give half the rows set ids past 2**63, too large to pack
+        # beside the element ranks, so the count also ranks the set ids.
+        rng = spawn_rng(seed, "distinct-edges")
+        n = int(rng.integers(0, 400))
+        set_ids = rng.integers(0, 20, n, dtype=np.uint64)
+        if seed % 2:
+            set_ids[::2] += np.uint64(2**63)
+        elements = rng.integers(0, 2**40, int(rng.integers(1, 60)), dtype=np.uint64)
+        elements = elements[rng.integers(0, len(elements), n)]
+        write_columnar_columns(set_ids, elements, tmp_path / "c")
+        rows = np.stack([set_ids, elements], axis=1)
+        assert open_columnar(tmp_path / "c").num_distinct_edges == len(np.unique(rows, axis=0))
 
 
 class TestColumnarSets:
