@@ -1,4 +1,4 @@
-"""Distributed map-phase throughput — batched columnar engine vs edge tuples.
+"""Distributed map-phase throughput — batched columnar engine vs per-edge feed.
 
 The two-round simulation's round 1 (shard the edges, build one ``H_{<=n}``
 sketch per machine) used to run on per-edge Python tuples.  It now routes
@@ -6,9 +6,9 @@ whole ``EventBatch`` columns through one vectorised shard assignment and the
 sketch builder's native ``process_batch``.  This benchmark times both map
 phases on the same workload:
 
-* **scalar edge-list path** — shards as tuple lists, workers consume one
-  edge per Python call (the historical pipeline, still reachable through the
-  public pieces);
+* **scalar edge-list path** — :func:`partition_edges` tuple shards, each fed
+  to its machine's builder with one ``add_edge`` call per edge (the
+  historical pipeline's per-edge work, driven here by the benchmark);
 * **batched columnar path** — :meth:`DistributedKCover.run_from_columnar`
   over a memory-mapped columnar directory, no per-edge objects anywhere
   (serial mapper — the reference pipeline);
@@ -36,12 +36,14 @@ import time
 import pytest
 
 from benchmarks.common import RESULTS_DIR, print_table, write_table
+from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
+from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.coverage.io import write_columnar
 from repro.datasets import planted_kcover_instance
 from repro.distributed import (
     DistributedKCover,
-    build_machine_sketch,
+    MachineSketch,
     merge_machine_sketches,
     partition_edges,
 )
@@ -61,14 +63,24 @@ MIN_SPEEDUP = 3.0
 
 
 def _scalar_map_phase(edges, params, machines: int):
-    """The historical tuple-based map phase: per-edge sharding, then one
-    ``add_edge`` call per edge (a tuple shard takes the builder's scalar
-    path)."""
+    """The per-edge baseline: per-edge sharding, then one ``add_edge`` call
+    per edge on each machine's builder, exported as the worker would."""
+    sketches = []
     shards = partition_edges(edges, machines, strategy=STRATEGY, seed=SEED)
-    return [
-        build_machine_sketch(machine_id, shard, params, hash_seed=SEED)
-        for machine_id, shard in enumerate(shards)
-    ]
+    for machine_id, shard in enumerate(shards):
+        builder = StreamingSketchBuilder(params, hash_fn=UniformHash(SEED))
+        for set_id, element in shard:
+            builder.add_edge(set_id, element)
+        sketches.append(
+            MachineSketch(
+                machine_id=machine_id,
+                columns=builder.columns(),
+                params=params,
+                edges_processed=builder.edges_seen,
+                hash_seed=SEED,
+            )
+        )
+    return sketches
 
 
 def _throughput_table(tmp_path) -> Table:

@@ -21,7 +21,7 @@ from repro.core.l0 import L0CoverageOracle, l0_greedy_k_cover
 from repro.core.params import SketchParams
 from repro.datasets import planted_kcover_instance
 from repro.offline.greedy import greedy_k_cover
-from repro.streaming import EdgeStream, StreamingRunner
+from repro.streaming import DEFAULT_BATCH_SIZE, EdgeStream, StreamingRunner
 from repro.utils.tables import Table
 
 K_SWEEP = (4, 8, 16)
@@ -45,7 +45,8 @@ def _run() -> Table:
 
         capacity = L0CoverageOracle.capacity_for_union_bound(instance.n, k, EPSILON)
         l0_oracle = L0CoverageOracle(instance.n, EPSILON, capacity=capacity, seed=index)
-        l0_oracle.consume(instance.graph.edges())
+        for batch in EdgeStream.from_graph(instance.graph).iter_batches(DEFAULT_BATCH_SIZE):
+            l0_oracle.process_batch(batch)
         l0_solution, _ = l0_greedy_k_cover(l0_oracle, k)
         l0_value = instance.graph.coverage(l0_solution)
 

@@ -4,7 +4,7 @@ Bateni, Esfandiari, Mirrokni (SPAA 2017, arXiv:1610.08096).
 
 The package is organised as:
 
-* :mod:`repro.coverage` — set systems, bipartite graphs, coverage functions.
+* :mod:`repro.coverage` — set systems, bipartite graphs, coverage evaluation.
 * :mod:`repro.streaming` — edge/set-arrival streams, space metering, passes.
 * :mod:`repro.core` — the paper's contribution: the ``H_{<=n}`` sketch and
   the streaming algorithms for k-cover, set cover with outliers and set
@@ -56,7 +56,7 @@ from repro.core import (
     StreamingSketchBuilder,
     build_h_leq_n,
 )
-from repro.coverage import BipartiteGraph, CoverageFunction, CoverageInstance, SetSystem
+from repro.coverage import BipartiteGraph, CoverageInstance, SetSystem
 from repro.errors import (
     CorruptInputError,
     InfeasibleError,
@@ -109,7 +109,6 @@ __all__ = [
     "RunSpec",
     # most-used classes re-exported at top level
     "BipartiteGraph",
-    "CoverageFunction",
     "CoverageInstance",
     "SetSystem",
     "CoverageSketch",

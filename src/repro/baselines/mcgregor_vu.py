@@ -114,12 +114,7 @@ class McGregorVuKCover:
         """
         if batch.offsets is not None:
             raise TypeError("McGregorVuKCover consumes edge batches, got a set batch")
-        value_many = getattr(self._hash, "value_many", None)
-        if value_many is None or len(batch) == 0:
-            for event in batch.iter_events():
-                self.process(event)
-            return
-        values = value_many(batch.elements)
+        values = self._hash.value_many(batch.elements)
         max_rate = max((s.rate for s in self._guesses if not s.overflowed), default=0.0)
         survivors = np.flatnonzero(values <= max_rate)
         if not len(survivors):

@@ -24,7 +24,7 @@ makes that pattern a first-class object:
 from __future__ import annotations
 
 import statistics
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.bitset import check_coverage_backend, kernel_for
@@ -131,14 +131,6 @@ class SketchEnsemble:
         grouping = BatchGrouping.of(batch, self.params.num_sets)
         for builder in self._builders:
             builder.process_batch(batch, grouping=grouping)
-
-    def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
-        """Feed a whole stream of edges."""
-        for event in events:
-            if isinstance(event, EdgeArrival):
-                self.add_edge(event.set_id, event.element)
-            else:
-                self.add_edge(event[0], event[1])
 
     # ------------------------------------------------------------------ #
     # aggregation

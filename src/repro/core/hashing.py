@@ -14,8 +14,9 @@ families with deterministic, seed-controlled behaviour:
 Both return floats in ``[0, 1)`` and expose ``rank`` (the raw 64-bit value)
 for exact tie-breaking where float precision would be a concern.  Both also
 expose vectorised ``rank_many`` / ``value_many`` over whole ``uint64`` arrays
-(bit-for-bit identical to the scalar forms), which the batched streaming path
-uses to hash an entire event batch in a few array operations.
+(bit-for-bit identical to the scalar forms); ``value_many`` is part of the
+:class:`HashFamily` protocol, because the batched streaming path hashes an
+entire event batch with it in a few array operations.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ _INV_2_64 = 1.0 / float(1 << 64)
 class HashFamily(Protocol):
     """Protocol for element hash functions used by the sketches.
 
-    ``rank_many`` / ``value_many`` are optional accelerations: consumers
-    (e.g. the batched sketch builder) feature-detect them with ``getattr``
-    and fall back to the scalar methods, so third-party hash families only
-    need ``value`` and ``rank``.
+    ``value_many`` is required: the streaming sketch builder, the ℓ0 oracle
+    and the sampling baseline rank every batch with one call to it, and
+    :class:`~repro.core.streaming_sketch.StreamingSketchBuilder` rejects a
+    family without it when it is constructed.  It must be bit-identical to
+    ``value`` per element.
     """
 
     def value(self, element: int) -> float:
@@ -46,6 +48,9 @@ class HashFamily(Protocol):
 
     def rank(self, element: int) -> int:
         """Hash of the element as an integer in ``[0, 2^64)``."""
+
+    def value_many(self, elements: np.ndarray) -> np.ndarray:
+        """:meth:`value` of every element of a ``uint64`` array, as ``float64``."""
 
 
 class UniformHash:

@@ -91,18 +91,10 @@ class KMVSketch:
             self._members.add(value)
 
     def update_many(self, items: Iterable[int]) -> None:
-        """Insert many items."""
-        value_many = getattr(self._hash, "value_many", None)
-        if value_many is not None:
-            items = list(items)
-            if not items:
-                return
-            values = value_many(np.asarray(items, dtype=np.uint64))
-            for value in values.tolist():
-                self.add_hashed(value)
-            return
-        for item in items:
-            self.add(item)
+        """Insert many items, hashed in one ``value_many`` call."""
+        values = self._hash.value_many(np.asarray(list(items), dtype=np.uint64))
+        for value in values.tolist():
+            self.add_hashed(value)
 
     @property
     def size(self) -> int:
@@ -228,14 +220,6 @@ class L0CoverageOracle:
         # repro-lint: disable=hot-path-hygiene -- KMV heap insertion is inherently per-event; hashing above is the batched part
         for set_id, value in zip(batch.set_ids.tolist(), values.tolist()):
             sketches[set_id].add_hashed(value)
-
-    def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
-        """Feed a whole stream of edges."""
-        for event in events:
-            if isinstance(event, EdgeArrival):
-                self.add_edge(event.set_id, event.element)
-            else:
-                self.add_edge(event[0], event[1])
 
     def sketch_of(self, set_id: int) -> KMVSketch:
         """The per-set sketch (read-only use)."""

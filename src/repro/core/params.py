@@ -29,7 +29,7 @@ this substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.utils.validation import check_open_unit, check_positive_int
 
@@ -234,19 +234,6 @@ class SketchParams:
     def sample_size(self) -> int:
         """Number of elements Algorithm 2 pre-samples (budget + degree cap edges)."""
         return self.edge_budget + self.degree_cap
-
-    def with_k(self, k: int) -> "SketchParams":
-        """Copy of the parameters for a different ``k``.
-
-        The degree cap is recomputed (it depends on ``k``); the edge budget
-        is kept, matching how Algorithm 5 reuses one budget across guesses.
-        """
-        check_positive_int(k, "k")
-        return replace(
-            self,
-            k=k,
-            degree_cap=self.theoretical_degree_cap(self.num_sets, k, self.epsilon),
-        )
 
     def describe(self) -> dict[str, float | int | str]:
         """Summary dict for logs and reports."""

@@ -107,24 +107,6 @@ class CoverageSketch:
         """
         return self.graph.coverage_fraction(set_ids)
 
-    def restrict_to_threshold(self, p: float) -> "CoverageSketch":
-        """Return the sub-sketch of elements with hash at most ``p``.
-
-        This realises the nesting ``H'_{p_j} ⊆ H'_{p*} ⊆ H'_{p_{j+1}}`` used
-        in the proof of Theorem 2.7 and is handy for ablations.
-        """
-        check_open_unit(p, "p")
-        keep = [e for e, h in self.element_hashes.items() if h <= p]
-        sub = self.graph.induced_on_elements(keep)
-        hashes = {e: self.element_hashes[e] for e in keep}
-        return CoverageSketch(
-            graph=sub,
-            params=self.params,
-            threshold=min(p, self.threshold),
-            element_hashes=hashes,
-            truncated_elements=frozenset(t for t in self.truncated_elements if t in hashes),
-        )
-
     def describe(self) -> Mapping[str, float | int]:
         """Summary dict for reports."""
         return {

@@ -72,15 +72,16 @@ ranks every row, filters, and groups only its survivors.  Only
 :meth:`~StreamingSketchBuilder.add_edge` runs the rules one edge at a time:
 its first call moves the columns into per-element dicts with a max-heap of
 the ranks, and the next batch or read moves them back.  A batch goes that
-way only when the vectorised form does not apply — a rank source without
-``value_many``, an out-of-range set id (to raise at the right row), a
-degree cap above the limit, or a space meter enforcing a budget.
+way only when the vectorised form does not apply — an out-of-range set id
+(to raise at the right row), a degree cap above the limit, or a space meter
+enforcing a budget.
 
 Two rank sources are supported, mirroring the paper's discussion of
 randomness:
 
 * ``"hash"`` (default): ranks come from a :class:`UniformHash`, requiring no
-  knowledge of the ground set.
+  knowledge of the ground set.  Any other :class:`HashFamily` may stand in;
+  its ``value_many`` ranks each batch in one call.
 * ``"permutation"``: the ground set size ``m`` is known; Algorithm 2's
   explicit trick of pre-sampling ``edge_budget + degree_cap`` elements and
   ranking them by a random permutation is used, and *unsampled* elements are
@@ -94,7 +95,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,6 +108,7 @@ from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.sketch_columns import SketchColumns, admission_order, element_starts
+from repro.errors import SpecError
 from repro.streaming.batches import DEFAULT_BATCH_SIZE, EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
@@ -183,7 +185,8 @@ class StreamingSketchBuilder:
         The sketch budgets (edge budget, degree cap, eviction slack).
     hash_fn:
         Rank source for the ``"hash"`` mode; defaults to
-        :class:`UniformHash` seeded with ``seed``.
+        :class:`UniformHash` seeded with ``seed``.  A family without
+        ``value_many`` raises :class:`~repro.errors.SpecError`.
     seed:
         Seed for the default hash function / the permutation sampling.
     rank_source:
@@ -204,8 +207,13 @@ class StreamingSketchBuilder:
     ) -> None:
         if rank_source not in ("hash", "permutation"):
             raise ValueError("rank_source must be 'hash' or 'permutation'")
-        self.params = params
         self.hash_fn = hash_fn or UniformHash(seed)
+        if not callable(getattr(self.hash_fn, "value_many", None)):
+            raise SpecError(
+                f"hash family {type(self.hash_fn).__name__} has no value_many; "
+                "the builder ranks whole batches with it"
+            )
+        self.params = params
         self.rank_source = rank_source
         self.seed = seed
         self.space = space if space is not None else SpaceMeter(unit="edges")
@@ -269,13 +277,12 @@ class StreamingSketchBuilder:
             return self._permutation_rank_of.get(element, float("inf"))
         return self.hash_fn.value(element)
 
-    def _rank_batch(self, elements: np.ndarray) -> np.ndarray | None:
-        """Vectorised ranks of a whole element column (None if unavailable).
+    def _rank_batch(self, elements: np.ndarray) -> np.ndarray:
+        """Vectorised ranks of a whole element column.
 
         Bit-identical to calling :meth:`_rank` per element: the sorted
         permutation sample is probed with one ``searchsorted`` gather, and
-        the hash path defers to the hash family's ``value_many`` when it
-        exposes one.
+        the hash path calls the hash family's ``value_many``.
         """
         if self._permutation_ranks is not None:
             sampled, sample_ranks = self._permutation_ranks
@@ -286,10 +293,7 @@ class StreamingSketchBuilder:
                 hit = (index < len(sampled)) & (sampled[index_clipped] == elements)
                 out[hit] = sample_ranks[index_clipped[hit]]
             return out
-        value_many = getattr(self.hash_fn, "value_many", None)
-        if value_many is None:
-            return None
-        return value_many(elements)
+        return self.hash_fn.value_many(elements)
 
     # ------------------------------------------------------------------ #
     # stream interface
@@ -458,16 +462,12 @@ class StreamingSketchBuilder:
         threshold = self._admission_threshold
         if grouping is None:
             ranks = self._rank_batch(batch.elements)
-            if ranks is None:
-                return sum(map(self.process, batch.iter_events()))
             survivors = (ranks < threshold).nonzero()[0]
             set_ids, elements = batch.set_ids, batch.elements
             if len(survivors) < count:
                 set_ids, elements, ranks = set_ids[survivors], elements[survivors], ranks[survivors]
         else:
             key_ranks = self._rank_batch(grouping.key_elements)
-            if key_ranks is None:
-                return sum(map(self.process, batch.iter_events()))
             keep = key_ranks < threshold
             if not keep.all():
                 grouping, key_ranks = grouping.restrict(keep), key_ranks[keep]
@@ -665,15 +665,6 @@ class StreamingSketchBuilder:
         over = below + member_degrees[::-1].cumsum()[::-1] > self.params.max_stored_edges
         gone = members[over & (member_degrees > 0)]
         return gone, low + int(run.searchsorted(gone[-1], "right"))
-
-    def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
-        """Feed a whole iterable of edges / events through the builder."""
-        for event in events:
-            if isinstance(event, EdgeArrival):
-                self.add_edge(event.set_id, event.element)
-            else:
-                set_id, element = event
-                self.add_edge(set_id, element)
 
     # ------------------------------------------------------------------ #
     # the two forms of the store

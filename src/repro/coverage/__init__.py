@@ -1,8 +1,7 @@
-"""Coverage substrate: set systems, bipartite graphs, coverage functions."""
+"""Coverage substrate: set systems, bipartite graphs, coverage evaluation."""
 
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.bitset import BitsetCoverage
-from repro.coverage.coverage_fn import CoverageFunction
 from repro.coverage.instance import CoverageInstance, ProblemKind
 from repro.coverage.io import (
     ColumnarEdges,
@@ -22,7 +21,6 @@ __all__ = [
     "BipartiteGraph",
     "BitsetCoverage",
     "ColumnarEdges",
-    "CoverageFunction",
     "CoverageInstance",
     "ProblemKind",
     "SetSystem",

@@ -281,13 +281,6 @@ class BipartiteGraph:
         new = first_occurrences(set_ids, elements)
         return new if stored is None else new & ~stored
 
-    def has_edges(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
-        """Boolean mask of the ``(set_id, element)`` rows stored in the graph.
-
-        The set ids must be in range: the probe is not validated.
-        """
-        return self._stored(np.asarray(set_ids).tolist(), np.asarray(elements).tolist())
-
     def _stored(self, set_ids: list[int], elements: list[int]) -> np.ndarray:
         members = map(self._set_adj.__getitem__, set_ids)
         return np.fromiter(
@@ -398,11 +391,6 @@ class BipartiteGraph:
             return 1.0
         return self.coverage(set_ids) / total
 
-    def uncovered_elements(self, set_ids: Iterable[int]) -> set[int]:
-        """Elements not covered by the given sets."""
-        covered = self.neighbors(set_ids)
-        return {element for element in self._elem_adj if element not in covered}
-
     # ------------------------------------------------------------------ #
     # derived graphs
     # ------------------------------------------------------------------ #
@@ -416,21 +404,6 @@ class BipartiteGraph:
         sub = BipartiteGraph(self._num_sets)
         for element in keep:
             for set_id in self._elem_adj.get(element, ()):
-                sub.add_edge(set_id, element)
-        return sub
-
-    def without_elements(self, elements: Iterable[int]) -> "BipartiteGraph":
-        """Subgraph with the given elements removed (residual instance).
-
-        Algorithm 6 peels covered elements off between passes; this helper
-        builds the residual graph ``G_{i+1}``.
-        """
-        drop = set(elements)
-        sub = BipartiteGraph(self._num_sets)
-        for element, owners in self._elem_adj.items():
-            if element in drop:
-                continue
-            for set_id in owners:
                 sub.add_edge(set_id, element)
         return sub
 

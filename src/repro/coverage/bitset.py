@@ -266,16 +266,6 @@ class BitsetCoverage:
             return 1.0
         return self.coverage(set_ids) / self._num_elements
 
-    def marginal_gains(self, covered_bits: np.ndarray) -> np.ndarray:
-        """Marginal gain of *every* set against an already-covered bit-row.
-
-        One call evaluates all ``n`` candidates.  ``covered_bits`` must be a
-        packed row from this evaluator (:meth:`union_bits` /
-        :meth:`empty_bits`).
-        """
-        remaining = np.bitwise_and(self._packed, np.bitwise_not(covered_bits))
-        return popcount_rows(remaining, 1)
-
     def gains_for(
         self, set_ids: Iterable[int] | np.ndarray, covered_bits: np.ndarray
     ) -> np.ndarray:

@@ -109,38 +109,9 @@ class CoverageInstance:
         """Covered fraction of the ground set."""
         return self.graph.coverage_fraction(set_ids)
 
-    def is_full_cover(self, set_ids: Iterable[int]) -> bool:
-        """Whether the sets cover every element."""
-        return self.graph.coverage(set_ids) == self.graph.num_elements
-
-    def satisfies_outliers(self, set_ids: Iterable[int], lam: float | None = None) -> bool:
-        """Whether the sets cover at least a ``1 − λ`` fraction of elements."""
-        lam = self.outlier_fraction if lam is None else lam
-        return self.coverage_fraction(set_ids) >= 1.0 - lam - 1e-12
-
     def reference_value(self) -> int | None:
         """Best known objective value: the planted value when available."""
         return self.planted_value
-
-    def with_kind(
-        self,
-        kind: ProblemKind,
-        *,
-        k: int | None = None,
-        outlier_fraction: float | None = None,
-    ) -> "CoverageInstance":
-        """Return a copy of the instance posing a different problem."""
-        return CoverageInstance(
-            graph=self.graph,
-            kind=kind,
-            k=self.k if k is None else k,
-            outlier_fraction=(
-                self.outlier_fraction if outlier_fraction is None else outlier_fraction
-            ),
-            planted_solution=self.planted_solution,
-            planted_value=self.planted_value,
-            metadata=dict(self.metadata),
-        )
 
     def describe(self) -> Mapping[str, Any]:
         """Summary dict used by reports and logs."""

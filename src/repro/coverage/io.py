@@ -223,21 +223,6 @@ class ColumnarEdges:
             object.__setattr__(self, "_graph_cache", graph)
         return self._graph_cache
 
-    def labelled_pairs(self) -> Iterator[tuple[str, str]]:
-        """Yield ``(set, element)`` label pairs, matching the source labels.
-
-        Integer-labelled columns render their ids as decimal strings, so a
-        columnar file converted from a text edge list round-trips to exactly
-        the pairs :func:`read_edge_list` returns.
-        """
-        sets = self.set_labels
-        elements = self.element_labels
-        for set_id, element in self.pairs():
-            yield (
-                sets[set_id] if sets is not None else str(set_id),
-                elements[element] if elements is not None else str(element),
-            )
-
 
 def _encode_column(labels: list) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Encode a label column as uint64 ids, keeping integer labels verbatim.

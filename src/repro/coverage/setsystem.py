@@ -48,14 +48,6 @@ class SetSystem:
         return system
 
     @classmethod
-    def from_lists(cls, families: Iterable[Iterable[Hashable]]) -> "SetSystem":
-        """Build a system from a list of member lists; set labels are indices."""
-        system = cls()
-        for index, members in enumerate(families):
-            system.add_set(index, members)
-        return system
-
-    @classmethod
     def from_edges(cls, edges: Iterable[tuple[Hashable, Hashable]]) -> "SetSystem":
         """Build a system from (set_label, element_label) pairs."""
         system = cls()
@@ -154,12 +146,6 @@ class SetSystem:
         set_id = self.set_id(set_label)
         return {self._element_labels[e] for e in self._memberships[set_id]}
 
-    def members_by_id(self, set_id: int) -> frozenset[int]:
-        """Member element ids of one set (looked up by id)."""
-        if not 0 <= set_id < self.n:
-            raise InvalidInstanceError(f"set id {set_id} out of range [0, {self.n})")
-        return frozenset(self._memberships[set_id])
-
     def labels_for(self, set_ids: Iterable[int]) -> list[Hashable]:
         """Convert internal set ids back to their labels."""
         return [self._set_labels[set_id] for set_id in set_ids]
@@ -169,11 +155,6 @@ class SetSystem:
         for set_id, members in enumerate(self._memberships):
             for element_id in members:
                 yield set_id, element_id
-
-    def labeled_edges(self) -> Iterator[tuple[Hashable, Hashable]]:
-        """Iterate over all (set_label, element_label) membership edges."""
-        for set_id, element_id in self.edges():
-            yield self._set_labels[set_id], self._element_labels[element_id]
 
     # ------------------------------------------------------------------ #
     # conversion

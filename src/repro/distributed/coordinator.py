@@ -488,8 +488,8 @@ class DistributedKCover:
         """Execute the two distributed rounds on an in-memory edge set.
 
         The edges are packed into one columnar batch up front and routed by
-        :meth:`run_batched` (identical results to per-edge sharding plus
-        scalar workers, property-tested).
+        :meth:`run_batched` (the same shards :func:`partition_edges` cuts
+        from the flat list, property-tested).
         """
         batch = edges if isinstance(edges, EventBatch) else EventBatch.from_edges(edges)
         return self.run_batched([batch], total_edges=len(batch))

@@ -7,16 +7,15 @@ sketches composable: an element's rank is a global property, so the
 coordinator can merge shard sketches by taking unions and re-applying the
 global threshold/budget.
 
-A shard can be fed to a worker in any of three shapes:
-
-* a plain sequence of ``(set_id, element)`` tuples or
-  :class:`~repro.streaming.events.EdgeArrival` events, fed one edge at a time;
-* an :class:`~repro.streaming.batches.EventBatch` or an iterable of batches —
-  each batch goes through the sketch builder's native vectorised
-  ``process_batch`` (byte-identical to the per-edge feed, much faster);
-* an :class:`~repro.streaming.stream.EdgeStream` — one pass is consumed as
-  the stream's own batches, so a memory-mapped columnar slice flows from
-  disk pages into the sketch with no per-edge Python objects anywhere.
+A shard reaches a worker as edge batches, and every batch goes through the
+sketch builder's vectorised ``process_batch``.  The shard may be one
+:class:`~repro.streaming.batches.EventBatch`, an iterable of batches, or an
+:class:`~repro.streaming.stream.EdgeStream`, whose one pass is read as the
+stream's own batches, so a memory-mapped columnar slice flows from disk
+pages into the sketch with no per-edge Python objects anywhere.  Edge
+tuples become a batch with
+:meth:`~repro.streaming.batches.EventBatch.from_edges`; any other item is
+rejected with a :class:`~repro.errors.SpecError` that names these shapes.
 
 The map jobs below cut their shard columns into batches with
 :meth:`~repro.streaming.batches.EventBatch.chunks`, the same helper the
@@ -59,10 +58,10 @@ per stored edge) instead of a dict of Python sets.  A
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,8 +71,8 @@ from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
 from repro.core.sketch_columns import SketchColumns
 from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.errors import SpecError
 from repro.streaming.batches import EventBatch
-from repro.streaming.events import EdgeArrival
 from repro.streaming.stream import EdgeStream
 
 __all__ = [
@@ -92,14 +91,9 @@ __all__ = [
 #: enough that one batch of two uint64 columns stays cache-friendly.
 DEFAULT_MAP_BATCH = 65_536
 
-#: A worker input: edge tuples or events (fed one edge at a time), one batch,
-#: an iterable of batches, or an :class:`EdgeStream` (fed as its batches).
-Shard = (
-    Sequence[tuple[int, int]]
-    | Iterable[tuple[int, int] | EdgeArrival | EventBatch]
-    | EventBatch
-    | EdgeStream
-)
+#: A worker input, always edge batches: one batch, an iterable of batches,
+#: or an :class:`EdgeStream` (one pass, read as its own batches).
+Shard = EventBatch | Iterable[EventBatch] | EdgeStream
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,22 +140,21 @@ class MachineSketch:
 
 
 def _feed(builder: StreamingSketchBuilder, shard: Shard, batch_size: int) -> None:
-    """Drain a shard of any supported shape through the builder."""
+    """Drain a shard's batches through the builder."""
     if isinstance(shard, EdgeStream):
-        for batch in shard.iter_batches(batch_size):
-            builder.process_batch(batch)
-        return
-    if isinstance(shard, EventBatch):
-        builder.process_batch(shard)
-        return
-    for item in shard:
-        if isinstance(item, EventBatch):
-            builder.process_batch(item)
-        elif isinstance(item, EdgeArrival):
-            builder.add_edge(item.set_id, item.element)
-        else:
-            set_id, element = item
-            builder.add_edge(set_id, element)
+        batches = shard.iter_batches(batch_size)
+    elif isinstance(shard, Iterable):
+        batches = shard
+    else:  # one batch, or a shard of no accepted shape
+        batches = (shard,)
+    for batch in batches:
+        if not isinstance(batch, EventBatch):
+            raise SpecError(
+                "a shard is an EventBatch, an iterable of EventBatch or an "
+                f"EdgeStream, got an item of type {type(batch).__name__} "
+                "(EventBatch.from_edges makes a batch of edge tuples)"
+            )
+        builder.process_batch(batch)
 
 
 def build_machine_sketch(
@@ -174,11 +167,9 @@ def build_machine_sketch(
 ) -> MachineSketch:
     """Build one machine's sketch of its shard (single local pass).
 
-    ``shard`` may be an edge-tuple sequence, an
-    :class:`~repro.streaming.batches.EventBatch` (or iterable of batches), or
-    an :class:`~repro.streaming.stream.EdgeStream`; batch-shaped inputs run
-    through the builder's native vectorised path and produce byte-identical
-    sketches to the scalar feed.
+    ``shard`` is an :class:`~repro.streaming.batches.EventBatch`, an
+    iterable of batches, or an :class:`~repro.streaming.stream.EdgeStream`;
+    anything else raises :class:`~repro.errors.SpecError`.
     """
     builder = StreamingSketchBuilder(params, hash_fn=UniformHash(hash_seed))
     _feed(builder, shard, batch_size)

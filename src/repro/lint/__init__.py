@@ -8,10 +8,8 @@ single module's AST can decide *statically*, before a single test runs:
 
 * ``no-raw-rng`` — randomness flows through :mod:`repro.utils.rng`;
 * ``raw-timing`` — library timing reads flow through :mod:`repro.obs.clock`;
-* ``spec-roundtrip`` — frozen spec dataclasses serialize every field;
 * ``hot-path-hygiene`` — ``process_batch``, the kernels and the distributed
   reduce stay vectorised;
-* ``registry-literal-names`` — registry keys are greppable literals;
 * ``no-silent-except`` — no handler swallows executor/mmap errors;
 * ``suppression-hygiene`` — suppressions name real rules and say why.
 

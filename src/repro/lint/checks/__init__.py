@@ -10,9 +10,7 @@ from repro.lint.checks import (  # noqa: F401  (imported for registration)
     hot_path,
     raw_rng,
     raw_timing,
-    registry_names,
     silent_except,
-    spec_roundtrip,
     suppressions,
 )
 
@@ -20,8 +18,6 @@ __all__ = [
     "hot_path",
     "raw_rng",
     "raw_timing",
-    "registry_names",
     "silent_except",
-    "spec_roundtrip",
     "suppressions",
 ]

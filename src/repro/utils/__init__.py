@@ -10,7 +10,7 @@ from repro.utils.rng import (
     spawn_rng,
 )
 from repro.utils.tables import Table, render_grid, render_markdown
-from repro.utils.timer import Stopwatch, Timer, timed
+from repro.utils.timer import Stopwatch
 from repro.utils.validation import (
     check_fraction,
     check_in_range,
@@ -35,8 +35,6 @@ __all__ = [
     "render_grid",
     "render_markdown",
     "Stopwatch",
-    "Timer",
-    "timed",
     "check_fraction",
     "check_in_range",
     "check_non_negative_int",

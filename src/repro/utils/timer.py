@@ -1,73 +1,20 @@
-"""Timing helpers used by the benchmark harness and the examples.
+"""Named-section wall-clock timing.
 
-Following the HPC guidance of "no optimisation without measuring", every
-experiment records wall-clock timings through :class:`Timer` /
-:func:`timed` so results include how long each stage took.
+:class:`Stopwatch` records how long each stage of a run took:
+:class:`~repro.streaming.runner.StreamingRunner` times its ``stream`` and
+``solve`` stages with it, and :func:`repro.api.solve` its ``solve`` stage.
+Every reading goes through :mod:`repro.obs.clock`, so tests can pin the
+durations with a fake clock.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.obs import clock
 
-__all__ = ["Timer", "timed", "Stopwatch"]
-
-
-@dataclass
-class Timer:
-    """Accumulating timer: measures total elapsed time across activations.
-
-    Example
-    -------
-    >>> t = Timer()
-    >>> with t:
-    ...     do_work()          # doctest: +SKIP
-    >>> t.elapsed > 0
-    True
-    """
-
-    elapsed: float = 0.0
-    activations: int = 0
-    _start: float | None = field(default=None, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self._start = clock.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._start is not None
-        self.elapsed += clock.perf_counter() - self._start
-        self.activations += 1
-        self._start = None
-
-    def reset(self) -> None:
-        """Reset the accumulated time and activation count."""
-        self.elapsed = 0.0
-        self.activations = 0
-        self._start = None
-
-    @property
-    def mean(self) -> float:
-        """Mean elapsed time per activation (0.0 if never activated)."""
-        if self.activations == 0:
-            return 0.0
-        return self.elapsed / self.activations
-
-
-@contextmanager
-def timed(callback: Callable[[float], None] | None = None) -> Iterator[Timer]:
-    """Context manager yielding a one-shot :class:`Timer`.
-
-    If ``callback`` is given it is invoked with the elapsed seconds on exit.
-    """
-    timer = Timer()
-    with timer:
-        yield timer
-    if callback is not None:
-        callback(timer.elapsed)
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
@@ -83,23 +30,26 @@ class Stopwatch:
     """
 
     def __init__(self) -> None:
-        self._timers: dict[str, Timer] = {}
+        self._elapsed: dict[str, float] = {}
 
     @contextmanager
-    def section(self, name: str) -> Iterator[Timer]:
-        timer = self._timers.setdefault(name, Timer())
-        with timer:
-            yield timer
+    def section(self, name: str) -> Iterator[None]:
+        """Time the body, adding its seconds to the section's total."""
+        self._elapsed.setdefault(name, 0.0)
+        start = clock.perf_counter()
+        try:
+            yield
+        finally:
+            self._elapsed[name] += clock.perf_counter() - start
 
     def sections(self) -> list[str]:
         """Names of all sections timed so far."""
-        return list(self._timers)
+        return list(self._elapsed)
 
     def elapsed(self, name: str) -> float:
         """Total elapsed time of a section (0.0 if the section never ran)."""
-        timer = self._timers.get(name)
-        return timer.elapsed if timer is not None else 0.0
+        return self._elapsed.get(name, 0.0)
 
     def as_dict(self) -> dict[str, float]:
         """Mapping from section name to elapsed seconds."""
-        return {name: timer.elapsed for name, timer in self._timers.items()}
+        return dict(self._elapsed)

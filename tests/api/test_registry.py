@@ -12,6 +12,7 @@ from repro.api import (
     register_solver,
     unregister_solver,
 )
+from repro.datasets import list_datasets
 from repro.errors import SpecError, UnknownSolverError
 
 #: Every solver family the tentpole requires to be registered out of the box.
@@ -69,6 +70,30 @@ class TestBuiltinRegistry:
     def test_unknown_solver_is_value_error(self):
         with pytest.raises(ValueError):
             get_solver("no/such-solver")
+
+
+def unclean_names(names) -> list:
+    """The registry names that are not a non-empty string without whitespace.
+
+    Registry names feed CLI choices, spec validation and did-you-mean hints,
+    so each must be a single clean token.
+    """
+    return [
+        name
+        for name in names
+        if not isinstance(name, str) or not name or any(ch.isspace() for ch in name)
+    ]
+
+
+@pytest.mark.parametrize("names", [list_solvers, list_datasets], ids=["solver", "dataset"])
+def test_every_registered_name_is_clean(names):
+    assert names()
+    assert unclean_names(names()) == []
+
+
+def test_an_unclean_name_is_caught():
+    seeded = ["kcover/sketch", "", "kcover/ sieve", "tab\tname", "line\n", 7, None]
+    assert unclean_names(seeded) == seeded[1:]
 
 
 class TestRegistration:

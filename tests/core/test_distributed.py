@@ -12,6 +12,7 @@ from repro.distributed import (
     DistributedKCover,
     EdgePartitioner,
     build_all_machine_sketches,
+    build_machine_sketch,
     merge_machine_sketches,
     partition_edges,
     row_range_bounds,
@@ -20,6 +21,8 @@ from repro.distributed import (
 from repro.errors import SpecError
 from repro.offline.greedy import greedy_k_cover
 from repro.streaming.batches import EventBatch
+from repro.streaming.events import EdgeArrival
+from repro.streaming.stream import EdgeStream
 
 
 class TestPartition:
@@ -100,7 +103,9 @@ class TestMerge:
     def test_merge_respects_budgets(self, planted_kcover):
         params = self._params(planted_kcover)
         shards = partition_edges(list(planted_kcover.graph.edges()), 4, seed=5)
-        machines = build_all_machine_sketches(shards, params, hash_seed=5)
+        machines = build_all_machine_sketches(
+            map(EventBatch.from_edges, shards), params, hash_seed=5
+        )
         merged = merge_machine_sketches(machines, params, hash_seed=5)
         assert merged.num_edges <= params.edge_budget + params.degree_cap
         assert all(
@@ -113,7 +118,9 @@ class TestMerge:
         params = self._params(planted_kcover)
         hash_fn = UniformHash(6)
         shards = partition_edges(list(planted_kcover.graph.edges()), 3, seed=6)
-        machines = build_all_machine_sketches(shards, params, hash_seed=6)
+        machines = build_all_machine_sketches(
+            map(EventBatch.from_edges, shards), params, hash_seed=6
+        )
         merged = merge_machine_sketches(machines, params, hash_seed=6)
         for element in merged.graph.elements():
             if hash_fn.value(element) < merged.threshold:
@@ -125,7 +132,9 @@ class TestMerge:
     def test_merge_of_single_machine_equals_central_sketch(self, planted_kcover):
         params = self._params(planted_kcover)
         shards = [list(planted_kcover.graph.edges())]
-        machines = build_all_machine_sketches(shards, params, hash_seed=7)
+        machines = build_all_machine_sketches(
+            map(EventBatch.from_edges, shards), params, hash_seed=7
+        )
         merged = merge_machine_sketches(machines, params, hash_seed=7)
         central = build_h_leq_n(planted_kcover.graph, params, UniformHash(7))
         assert set(merged.graph.elements()) <= set(machines[0].sketch.graph.elements())
@@ -150,7 +159,9 @@ class TestMerge:
         shards = partition_edges(
             list(planted_kcover.graph.edges()), machines, seed=12
         )
-        machine_sketches = build_all_machine_sketches(shards, params, hash_seed=12)
+        machine_sketches = build_all_machine_sketches(
+            map(EventBatch.from_edges, shards), params, hash_seed=12
+        )
         merged = merge_machine_sketches(machine_sketches, params, hash_seed=12)
         central = build_h_leq_n(planted_kcover.graph, params, UniformHash(12))
         assert central.threshold < 1.0  # the budget truly truncates
@@ -164,12 +175,47 @@ class TestMerge:
     def test_merge_without_truncation_keeps_global_threshold(self, planted_kcover):
         params = self._params(planted_kcover, budget=10**6, cap=10**6)
         shards = partition_edges(list(planted_kcover.graph.edges()), 2, seed=13)
-        machine_sketches = build_all_machine_sketches(shards, params, hash_seed=13)
+        machine_sketches = build_all_machine_sketches(
+            map(EventBatch.from_edges, shards), params, hash_seed=13
+        )
         merged = merge_machine_sketches(machine_sketches, params, hash_seed=13)
         assert merged.threshold == min(
             ms.sketch.threshold for ms in machine_sketches
         )
         assert merged.graph.as_dict() == planted_kcover.graph.as_dict()
+
+
+class TestWorkerShards:
+    """A worker takes edge batches only; any other shard item is a SpecError."""
+
+    @pytest.mark.parametrize(
+        "shard",
+        [
+            [(0, 1), (1, 2)],
+            [EdgeArrival(0, 1)],
+            [EventBatch.from_edges([(0, 1)]), (1, 2)],
+            7,
+        ],
+        ids=["tuples", "arrivals", "batch-then-tuple", "not-iterable"],
+    )
+    def test_non_batch_shard_rejected(self, shard):
+        params = SketchParams.explicit(3, 10, 1, 0.5, edge_budget=20, degree_cap=3)
+        with pytest.raises(SpecError, match="iterable of EventBatch or an EdgeStream"):
+            build_machine_sketch(0, shard, params)
+
+    def test_batch_shapes_agree(self, planted_kcover):
+        params = SketchParams.explicit(
+            planted_kcover.n, planted_kcover.m, 4, 0.2, edge_budget=300, degree_cap=10
+        )
+        stream = EdgeStream.from_graph(planted_kcover.graph, order="given")
+        whole = EventBatch.from_edges(planted_kcover.graph.edges())
+        sketches = [
+            build_machine_sketch(0, shard, params, hash_seed=3, batch_size=97)
+            for shard in (whole, whole.chunks(97), stream)
+        ]
+        for sketch in sketches[1:]:
+            assert sketch.columns.to_sketch(params) == sketches[0].columns.to_sketch(params)
+            assert sketch.edges_processed == whole.num_edges
 
 
 class TestDistributedKCover:

@@ -7,6 +7,7 @@ import pytest
 from repro.core.ensemble import EnsembleKCover, SketchEnsemble
 from repro.core.params import SketchParams
 from repro.offline.greedy import greedy_k_cover
+from repro.streaming.batches import EventBatch
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import EdgeStream
 
@@ -20,7 +21,7 @@ def _params(instance, budget=800, cap=30):
 class TestSketchEnsemble:
     def test_replica_count_and_space(self, planted_kcover):
         ensemble = SketchEnsemble(_params(planted_kcover), replicas=3, seed=1)
-        ensemble.consume(planted_kcover.graph.edges())
+        ensemble.process_batch(EventBatch.from_edges(planted_kcover.graph.edges()))
         sketches = ensemble.sketches()
         assert len(sketches) == 3
         assert ensemble.space.peak == pytest.approx(
@@ -29,13 +30,13 @@ class TestSketchEnsemble:
 
     def test_replicas_use_independent_hashes(self, planted_kcover):
         ensemble = SketchEnsemble(_params(planted_kcover, budget=300), replicas=3, seed=1)
-        ensemble.consume(planted_kcover.graph.edges())
+        ensemble.process_batch(EventBatch.from_edges(planted_kcover.graph.edges()))
         element_sets = [frozenset(s.graph.elements()) for s in ensemble.sketches()]
         assert len(set(element_sets)) > 1  # different replicas sample different elements
 
     def test_median_estimate_close_to_truth(self, planted_kcover):
         ensemble = SketchEnsemble(_params(planted_kcover), replicas=5, seed=2)
-        ensemble.consume(planted_kcover.graph.edges())
+        ensemble.process_batch(EventBatch.from_edges(planted_kcover.graph.edges()))
         family = list(range(4))
         truth = planted_kcover.graph.coverage(family)
         assert ensemble.estimate_coverage(family) == pytest.approx(truth, rel=0.3)
@@ -43,7 +44,7 @@ class TestSketchEnsemble:
 
     def test_best_k_cover_quality(self, planted_kcover):
         ensemble = SketchEnsemble(_params(planted_kcover), replicas=3, seed=3)
-        ensemble.consume(planted_kcover.graph.edges())
+        ensemble.process_batch(EventBatch.from_edges(planted_kcover.graph.edges()))
         solution, estimate = ensemble.best_k_cover(4)
         achieved = planted_kcover.graph.coverage(solution)
         reference = greedy_k_cover(planted_kcover.graph, 4).coverage
@@ -53,14 +54,14 @@ class TestSketchEnsemble:
     def test_sketches_cache_invalidated_on_new_edge(self, planted_kcover):
         ensemble = SketchEnsemble(_params(planted_kcover), replicas=2, seed=4)
         edges = list(planted_kcover.graph.edges())
-        ensemble.consume(edges[:10])
+        ensemble.process_batch(EventBatch.from_edges(edges[:10]))
         first = ensemble.sketches()
         ensemble.add_edge(*edges[10])
         assert ensemble.sketches() is not first
 
     def test_describe(self, planted_kcover):
         ensemble = SketchEnsemble(_params(planted_kcover), replicas=2, seed=5)
-        ensemble.consume(planted_kcover.graph.edges())
+        ensemble.process_batch(EventBatch.from_edges(planted_kcover.graph.edges()))
         info = ensemble.describe()
         assert info["replicas"] == 2
         assert len(info["thresholds"]) == 2

@@ -14,6 +14,7 @@ from repro.core.l0 import (
 from repro.datasets import planted_kcover_instance
 from repro.offline.exact import exact_k_cover
 from repro.offline.greedy import greedy_k_cover
+from repro.streaming.batches import EventBatch
 
 
 class TestKMVSize:
@@ -87,7 +88,7 @@ class TestL0CoverageOracle:
     @pytest.fixture
     def oracle(self, instance):
         oracle = L0CoverageOracle(instance.n, epsilon=0.15, seed=3)
-        oracle.consume(instance.graph.edges())
+        oracle.process_batch(EventBatch.from_edges(instance.graph.edges()))
         return oracle
 
     def test_union_estimate_accuracy(self, instance, oracle):
@@ -125,7 +126,7 @@ class TestL0KCover:
     def test_exhaustive_matches_optimum_on_tiny(self):
         instance = planted_kcover_instance(8, 200, k=3, seed=5)
         oracle = L0CoverageOracle(instance.n, epsilon=0.1, seed=5)
-        oracle.consume(instance.graph.edges())
+        oracle.process_batch(EventBatch.from_edges(instance.graph.edges()))
         selection, estimate = l0_exhaustive_k_cover(oracle, 3)
         _, optimum = exact_k_cover(instance.graph, 3)
         achieved = instance.graph.coverage(selection)
@@ -135,7 +136,7 @@ class TestL0KCover:
     def test_greedy_close_to_plain_greedy(self):
         instance = planted_kcover_instance(15, 600, k=4, seed=6)
         oracle = L0CoverageOracle(instance.n, epsilon=0.1, seed=6)
-        oracle.consume(instance.graph.edges())
+        oracle.process_batch(EventBatch.from_edges(instance.graph.edges()))
         selection, _ = l0_greedy_k_cover(oracle, 4)
         achieved = instance.graph.coverage(selection)
         reference = greedy_k_cover(instance.graph, 4).coverage

@@ -100,14 +100,6 @@ class TestExplicit:
 
 
 class TestDerived:
-    def test_with_k_recomputes_degree_cap(self):
-        params = SketchParams.scaled(200, 2_000, 4, 0.3)
-        other = params.with_k(8)
-        assert other.k == 8
-        assert other.edge_budget == params.edge_budget
-        assert other.degree_cap == SketchParams.theoretical_degree_cap(200, 8, 0.3)
-        assert other.degree_cap <= params.degree_cap
-
     def test_describe_keys(self):
         params = SketchParams.scaled(10, 100, 2, 0.5)
         info = params.describe()

@@ -180,13 +180,6 @@ class TestCoverageSketchMethods:
         assert 0.0 <= sketch.coverage_fraction([0]) <= 1.0
         assert sketch.coverage_fraction(list(sketch.graph.set_ids())) == pytest.approx(1.0)
 
-    def test_restrict_to_threshold_nested(self, sketch):
-        smaller = sketch.restrict_to_threshold(sketch.threshold / 2)
-        assert set(smaller.graph.elements()) <= set(sketch.graph.elements())
-        assert smaller.threshold <= sketch.threshold
-        for element, value in smaller.element_hashes.items():
-            assert value <= sketch.threshold / 2
-
     def test_describe(self, sketch):
         info = sketch.describe()
         assert info["edges"] == sketch.num_edges

@@ -32,6 +32,9 @@ from repro.distributed import (
 )
 from repro.errors import ReproError, SpecError
 from repro.offline.greedy import greedy_k_cover
+from repro.streaming.batches import EventBatch
+
+from per_event import add_edges
 
 SEED = 21
 
@@ -93,7 +96,9 @@ class TestMachineSketchColumns:
     def test_lazy_sketch_equals_builder_sketch(self, instance, strategy, budget):
         params = _params(instance, *BUDGETS[budget])
         for machine_id, shard in enumerate(_shards(instance, strategy)):
-            machine = build_machine_sketch(machine_id, shard, params, hash_seed=SEED)
+            machine = build_machine_sketch(
+                machine_id, EventBatch.from_edges(shard), params, hash_seed=SEED
+            )
             expected = _builder_sketch(shard, params)
             view = machine.sketch
             assert view.graph == expected.graph
@@ -116,7 +121,9 @@ class TestMachineSketchColumns:
     def test_pickle_ships_flat_columns_only(self, instance, strategy, budget):
         params = _params(instance, *BUDGETS[budget])
         for machine_id, shard in enumerate(_shards(instance, strategy)):
-            machine = build_machine_sketch(machine_id, shard, params, hash_seed=SEED)
+            machine = build_machine_sketch(
+                machine_id, EventBatch.from_edges(shard), params, hash_seed=SEED
+            )
             machine.sketch  # a built view must not ride along either
             payload = pickle.dumps(machine)
             restored = pickle.loads(payload)
@@ -129,7 +136,8 @@ class TestMachineSketchColumns:
 
     def test_columns_are_rank_sorted(self, instance):
         params = _params(instance, *BUDGETS["budget-overflow"])
-        columns = build_machine_sketch(0, _shards(instance, "random")[0], params).columns
+        shard = EventBatch.from_edges(_shards(instance, "random")[0])
+        columns = build_machine_sketch(0, shard, params).columns
         order = np.lexsort((columns.set_ids, columns.elements, columns.ranks))
         assert order.tolist() == list(range(columns.num_edges))
         assert columns.ranks.dtype == np.float64
@@ -139,7 +147,7 @@ class TestMachineSketchColumns:
     def test_builder_columns_round_trip(self, instance, rank_source):
         params = _params(instance, *BUDGETS["budget-overflow"])
         builder = StreamingSketchBuilder(params, seed=SEED, rank_source=rank_source)
-        builder.consume(instance.graph.edges())
+        add_edges(builder, instance.graph.edges())
         expected = builder.sketch()
         rebuilt = builder.columns().to_sketch(params)
         assert rebuilt.graph == expected.graph
@@ -162,7 +170,7 @@ class TestGreedyOnColumns:
     def test_greedy_and_counts_match_the_sketch_graph(self, instance, budget, backend):
         params = _params(instance, *BUDGETS[budget])
         builder = StreamingSketchBuilder(params, seed=SEED)
-        builder.consume(instance.graph.edges())
+        add_edges(builder, instance.graph.edges())
         columns, graph = builder.columns(), builder.sketch().graph
         assert columns.num_elements == graph.num_elements
         for forbidden in ((), (0, 1, 2)):
@@ -201,7 +209,7 @@ class TestHashSeedGuard:
         params = _params(instance, *BUDGETS["fits"])
         shards = _shards(instance, "random")
         machines = [
-            build_machine_sketch(i, shard, params, hash_seed=SEED)
+            build_machine_sketch(i, EventBatch.from_edges(shard), params, hash_seed=SEED)
             for i, shard in enumerate(shards)
         ]
         with pytest.raises(SpecError, match="hash seed"):

@@ -8,8 +8,11 @@ from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import build_h_leq_n
 from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.errors import SpecError
 from repro.streaming.events import EdgeArrival
 from repro.streaming.stream import EdgeStream
+
+from per_event import add_edges
 
 
 def _params(instance, *, edge_budget, degree_cap, slack=None):
@@ -28,7 +31,7 @@ class TestBasicStreaming:
     def test_whole_input_fits(self, figure1_graph):
         params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=1000, degree_cap=100)
         builder = StreamingSketchBuilder(params, seed=1)
-        builder.consume(figure1_graph.edges())
+        add_edges(builder, figure1_graph.edges())
         sketch = builder.sketch()
         assert sketch.graph == figure1_graph
         assert sketch.threshold == 1.0
@@ -38,13 +41,13 @@ class TestBasicStreaming:
         params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=1000, degree_cap=100)
         builder = StreamingSketchBuilder(params, seed=1)
         edges = list(figure1_graph.edges())
-        builder.consume(edges + edges)
+        add_edges(builder, edges + edges)
         assert builder.sketch().num_edges == figure1_graph.num_edges
 
     def test_degree_cap_enforced(self, figure1_graph):
         params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=1000, degree_cap=1)
         builder = StreamingSketchBuilder(params, seed=1)
-        builder.consume(figure1_graph.edges())
+        add_edges(builder, figure1_graph.edges())
         sketch = builder.sketch()
         assert all(sketch.graph.element_degree(e) <= 1 for e in sketch.graph.elements())
 
@@ -58,13 +61,26 @@ class TestBasicStreaming:
     def test_space_meter_charged(self, figure1_graph):
         params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=1000, degree_cap=100)
         builder = StreamingSketchBuilder(params, seed=1)
-        builder.consume(figure1_graph.edges())
+        add_edges(builder, figure1_graph.edges())
         assert builder.space.peak == figure1_graph.num_edges
 
     def test_invalid_rank_source(self, figure1_graph):
         params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=10, degree_cap=3)
         with pytest.raises(ValueError):
             StreamingSketchBuilder(params, rank_source="oracle")
+
+    @pytest.mark.parametrize("rank_source", ["hash", "permutation"])
+    def test_hash_family_without_value_many_rejected(self, rank_source):
+        class ScalarHash:
+            def value(self, element):
+                return 0.5
+
+            def rank(self, element):
+                return 1 << 63
+
+        params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=10, degree_cap=3)
+        with pytest.raises(SpecError, match="ScalarHash has no value_many"):
+            StreamingSketchBuilder(params, hash_fn=ScalarHash(), rank_source=rank_source)
 
 
 class TestEviction:
@@ -95,8 +111,8 @@ class TestEviction:
         # Stream every edge twice in different orders: any evicted element
         # must stay out (its hash is >= the admission threshold).
         edges = list(planted_kcover.graph.edges())
-        builder.consume(edges)
-        builder.consume(reversed(edges))
+        add_edges(builder, edges)
+        add_edges(builder, reversed(edges))
         sketch = builder.sketch()
         for element in sketch.graph.elements():
             assert hash_fn.value(element) <= sketch.threshold
@@ -106,7 +122,7 @@ class TestEviction:
         params = _params(planted_kcover, edge_budget=200, degree_cap=5)
         hash_fn = UniformHash(13)
         builder = StreamingSketchBuilder(params, hash_fn=hash_fn, seed=13)
-        builder.consume(planted_kcover.graph.edges())
+        add_edges(builder, planted_kcover.graph.edges())
         sketch = builder.sketch()
         threshold = max(sketch.element_hashes.values())
         for element in sketch.graph.elements():
@@ -136,7 +152,7 @@ class TestEviction:
         hash_fn = UniformHash(31)
         offline = build_h_leq_n(planted_kcover.graph, params, hash_fn)
         builder = StreamingSketchBuilder(params, hash_fn=hash_fn)
-        builder.consume(planted_kcover.graph.edges())
+        add_edges(builder, planted_kcover.graph.edges())
         streaming = builder.sketch()
         offline_elements = set(offline.graph.elements())
         streaming_elements = set(streaming.graph.elements())
@@ -153,7 +169,7 @@ class TestPermutationRankSource:
     def test_permutation_mode_respects_budget(self, planted_kcover):
         params = _params(planted_kcover, edge_budget=150, degree_cap=8)
         builder = StreamingSketchBuilder(params, seed=5, rank_source="permutation")
-        builder.consume(planted_kcover.graph.edges())
+        add_edges(builder, planted_kcover.graph.edges())
         sketch = builder.sketch()
         assert sketch.num_edges <= params.edge_budget + params.eviction_slack
 
@@ -209,7 +225,6 @@ class TestBatchProcessing:
         # fallback): one gather ranks a whole element column.
         column = np.array([0, 1, 2, 10**9], dtype=np.uint64)
         ranks = batched._rank_batch(column)
-        assert ranks is not None
         assert ranks.tolist() == [batched._rank(int(e)) for e in column]
         self._drain(scalar, planted_kcover)
         self._drain(batched, planted_kcover, batch_size=batch_size)

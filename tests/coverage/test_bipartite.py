@@ -99,9 +99,6 @@ class TestQueries:
         graph = BipartiteGraph(2)
         assert graph.coverage_fraction([0]) == 1.0
 
-    def test_uncovered_elements(self, tiny_graph):
-        assert tiny_graph.uncovered_elements([0]) == {3, 4, 5}
-
     def test_marginal_gain(self, tiny_graph):
         covered = tiny_graph.neighbors([0])
         assert [tiny_graph.marginal_gain(s, covered) for s in range(4)] == [0, 1, 3, 1]
@@ -124,11 +121,6 @@ class TestDerivedGraphs:
     def test_induced_on_unknown_elements(self, tiny_graph):
         sub = tiny_graph.induced_on_elements([99])
         assert sub.num_edges == 0
-
-    def test_without_elements(self, tiny_graph):
-        residual = tiny_graph.without_elements(tiny_graph.neighbors([0]))
-        assert residual.num_elements == 3
-        assert set(residual.elements()) == {3, 4, 5}
 
     def test_copy_independent(self, tiny_graph):
         clone = tiny_graph.copy()
@@ -322,11 +314,6 @@ class TestAddColumns:
         with pytest.raises(InvalidInstanceError, match="set id 7 out of range"):
             graph.add_columns(np.array([1, 7, 9]), np.array([2, 3, 4]))
         assert graph.num_edges == 1  # validated before anything is inserted
-
-    def test_has_edges(self, tiny_graph):
-        set_ids = np.array([0, 0, 3, 3], dtype=np.uint64)
-        elements = np.array([0, 5, 5, 0], dtype=np.uint64)
-        assert tiny_graph.has_edges(set_ids, elements).tolist() == [True, False, True, False]
 
 
 class TestSetLayoutMemo:

@@ -100,12 +100,12 @@ class TestAgreementOnRandomInstances:
             family = list(rng.choice(25, size=size, replace=False)) if size else []
             assert fast.coverage(family) == instance.graph.coverage(family)
 
-    def test_marginal_gains_vector(self):
+    def test_gains_of_every_set(self):
         instance = uniform_random_instance(15, 80, density=0.15, seed=3)
         fast = BitsetCoverage(instance.graph)
         covered_sets = [0, 1]
         covered_bits = fast.union_bits(covered_sets)
-        gains = fast.marginal_gains(covered_bits)
+        gains = fast.gains_for(range(15), covered_bits)
         covered = instance.graph.neighbors(covered_sets)
         for set_id in range(15):
             expected = len(instance.graph.elements_of(set_id) - covered)
@@ -115,7 +115,7 @@ class TestAgreementOnRandomInstances:
         instance = uniform_random_instance(20, 100, density=0.12, seed=5)
         fast = BitsetCoverage(instance.graph)
         covered_bits = fast.union_bits(np.array([4, 9]))
-        gains = fast.marginal_gains(covered_bits)
+        gains = fast.gains_for(range(20), covered_bits)
         subset = np.array([0, 7, 13, 19], dtype=np.intp)
         assert fast.gains_for(subset, covered_bits).tolist() == gains[subset].tolist()
         assert fast.gains_for(np.array([], dtype=np.intp), covered_bits).tolist() == []
@@ -187,7 +187,7 @@ class TestPackedRows:
         native = [fast.coverage(f) for f in families]
         monkeypatch.setattr(bitset_module, "_HAS_BITWISE_COUNT", False)
         assert [fast.coverage(f) for f in families] == native
-        gains = fast.marginal_gains(fast.empty_bits())
+        gains = fast.gains_for(range(fast.num_sets), fast.empty_bits())
         assert gains.tolist() == fast.set_sizes.tolist()
 
     def test_rows_are_whole_uint64_words(self):

@@ -48,25 +48,6 @@ class TestEvaluation:
         instance = CoverageInstance(graph=tiny_graph, k=2)
         assert instance.coverage([0]) == 3
         assert instance.coverage_fraction([0]) == pytest.approx(0.5)
-        assert instance.is_full_cover([0, 2]) is True
-        assert instance.is_full_cover([0, 1]) is False
-
-    def test_satisfies_outliers(self, tiny_graph):
-        instance = CoverageInstance(
-            graph=tiny_graph, kind=ProblemKind.SET_COVER_OUTLIERS, k=2, outlier_fraction=0.2
-        )
-        assert instance.satisfies_outliers([0, 2])
-        # covering 5/6 = 0.833 >= 1 - 0.2
-        assert instance.satisfies_outliers([0, 1, 3])
-        assert not instance.satisfies_outliers([1])
-
-    def test_with_kind(self, tiny_graph):
-        instance = CoverageInstance(graph=tiny_graph, k=2)
-        other = instance.with_kind(ProblemKind.SET_COVER_OUTLIERS, outlier_fraction=0.1)
-        assert other.kind is ProblemKind.SET_COVER_OUTLIERS
-        assert other.outlier_fraction == 0.1
-        assert other.graph is instance.graph
-        assert instance.kind is ProblemKind.K_COVER
 
     def test_describe_contains_sizes(self, tiny_graph):
         instance = CoverageInstance(graph=tiny_graph, k=2, metadata={"seed": 3})

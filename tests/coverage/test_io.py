@@ -35,12 +35,10 @@ def system() -> SetSystem:
 class TestEdgeList:
     def test_roundtrip(self, tmp_path, system):
         path = tmp_path / "edges.tsv"
-        count = write_edge_list(system.labeled_edges(), path)
+        labelled = [(s, e) for s in system.set_labels() for e in sorted(system.members(s))]
+        count = write_edge_list(labelled, path)
         assert count == 4
-        edges = read_edge_list(path)
-        assert sorted(edges) == sorted(
-            (str(s), str(e)) for s, e in system.labeled_edges()
-        )
+        assert read_edge_list(path) == labelled
 
     def test_read_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "edges.tsv"
@@ -111,7 +109,8 @@ class TestColumnar:
         edges = [("alpha", "x"), ("beta", "x"), ("alpha", "y")]
         write_columnar(edges, tmp_path / "cols")
         columns = open_columnar(tmp_path / "cols")
-        assert list(columns.labelled_pairs()) == edges
+        sets, elements = columns.set_labels, columns.element_labels
+        assert [(sets[s], elements[e]) for s, e in columns.pairs()] == edges
         assert columns.set_labels == ("alpha", "beta")
         assert columns.element_labels == ("x", "y")
         assert columns.num_sets == 2 and columns.num_elements == 2
@@ -130,7 +129,8 @@ class TestColumnar:
         write_columnar(edges, tmp_path / "cols")
         columns = open_columnar(tmp_path / "cols")
         assert columns.set_labels == ("01", "1", "+2")
-        assert list(columns.labelled_pairs()) == edges
+        sets, elements = columns.set_labels, columns.element_labels
+        assert [(sets[s], elements[e]) for s, e in columns.pairs()] == edges
 
     def test_explicit_size_overrides(self, tmp_path):
         write_columnar([(0, 1)], tmp_path / "cols", num_sets=10, num_elements=50)
@@ -150,7 +150,7 @@ class TestColumnar:
         count = columnar_from_edge_list(text, tmp_path / "cols")
         assert count == tiny_graph.num_edges
         columns = open_columnar(tmp_path / "cols")
-        assert list(columns.labelled_pairs()) == read_edge_list(text)
+        assert [(str(s), str(e)) for s, e in columns.pairs()] == read_edge_list(text)
 
     def test_open_rejects_non_columnar_directories(self, tmp_path):
         with pytest.raises(ValueError, match="no meta.json"):

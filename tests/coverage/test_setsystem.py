@@ -21,11 +21,6 @@ class TestConstruction:
         assert system.m == 4
         assert system.num_edges == 5
 
-    def test_from_lists(self):
-        system = SetSystem.from_lists([[1, 2], [2, 3]])
-        assert system.n == 2
-        assert system.m == 3
-
     def test_from_edges(self):
         system = SetSystem.from_edges([("s1", "e1"), ("s1", "e2"), ("s2", "e2")])
         assert system.n == 2
@@ -56,21 +51,12 @@ class TestLookups:
         with pytest.raises(KeyError):
             system.element_id("nope")
 
-    def test_members_by_id(self, system):
-        member_ids = system.members_by_id(system.set_id("a"))
-        labels = {system.element_label(e) for e in member_ids}
-        assert labels == {"x", "y", "z"}
-
-    def test_members_by_id_out_of_range(self, system):
-        with pytest.raises(InvalidInstanceError):
-            system.members_by_id(99)
-
     def test_labels_for(self, system):
         assert system.labels_for([0, 1]) == ["a", "b"]
 
     def test_edge_iterators_consistent(self, system):
         assert len(list(system.edges())) == system.num_edges
-        labeled = set(system.labeled_edges())
+        labeled = {(system.set_label(s), system.element_label(e)) for s, e in system.edges()}
         assert ("a", "x") in labeled and ("b", "w") in labeled
 
 

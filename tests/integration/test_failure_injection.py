@@ -21,6 +21,8 @@ from repro.errors import InvalidInstanceError, PassBudgetExceeded, SpaceBudgetEx
 from repro.streaming import EdgeStream, SetStream, SpaceMeter, StreamingRunner
 from repro.streaming.batches import EventBatch
 
+from per_event import add_edges
+
 
 class TestSpaceBudgetEnforcement:
     def test_builder_with_enforcing_meter_raises_when_budget_too_small(self, planted_kcover):
@@ -31,7 +33,7 @@ class TestSpaceBudgetEnforcement:
         meter = SpaceMeter(budget=50, enforce=True, unit="edges")
         builder = StreamingSketchBuilder(params, seed=1, space=meter)
         with pytest.raises(SpaceBudgetExceeded) as excinfo:
-            builder.consume(planted_kcover.graph.edges())
+            add_edges(builder, planted_kcover.graph.edges())
         assert excinfo.value.budget == 50
         assert excinfo.value.used == 51
 
@@ -41,7 +43,7 @@ class TestSpaceBudgetEnforcement:
         )
         meter = SpaceMeter(budget=params.max_stored_edges + 1, enforce=True, unit="edges")
         builder = StreamingSketchBuilder(params, seed=1, space=meter)
-        builder.consume(planted_kcover.graph.edges())
+        add_edges(builder, planted_kcover.graph.edges())
         assert meter.within_budget
 
     def test_non_enforcing_meter_records_violations(self, planted_kcover):
@@ -50,7 +52,7 @@ class TestSpaceBudgetEnforcement:
         )
         meter = SpaceMeter(budget=100, enforce=False, unit="edges")
         builder = StreamingSketchBuilder(params, seed=2, space=meter)
-        builder.consume(planted_kcover.graph.edges())
+        add_edges(builder, planted_kcover.graph.edges())
         assert meter.violations > 0
         assert not meter.within_budget
 
@@ -91,8 +93,8 @@ class TestSpaceBudgetEnforcementBatched:
             planted_kcover.n, planted_kcover.m, 4, 0.2, edge_budget=400, degree_cap=20
         )
         scalar_meter = SpaceMeter(budget=100, enforce=False, unit="edges")
-        StreamingSketchBuilder(params, seed=2, space=scalar_meter).consume(
-            planted_kcover.graph.edges()
+        add_edges(
+            StreamingSketchBuilder(params, seed=2, space=scalar_meter), planted_kcover.graph.edges()
         )
         meter = SpaceMeter(budget=100, enforce=False, unit="edges")
         _feed_batches(StreamingSketchBuilder(params, seed=2, space=meter), planted_kcover.graph)

@@ -17,6 +17,7 @@ from repro.datasets import planted_kcover_instance, zipf_instance
 from repro.offline.exact import exact_k_cover
 from repro.offline.greedy import greedy_k_cover
 from repro.offline.local_search import local_search_k_cover
+from repro.streaming.batches import EventBatch
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ def _sketch(instance, budget, cap, seed=1):
         instance.n, instance.m, instance.k, 0.2, edge_budget=budget, degree_cap=cap
     )
     builder = StreamingSketchBuilder(params, seed=seed)
-    builder.consume(instance.graph.edges())
+    builder.process_batch(EventBatch.from_edges(instance.graph.edges()))
     return builder.sketch()
 
 
@@ -76,7 +77,7 @@ class TestCompositionProperty:
         )
         offline = build_h_leq_n(medium_instance.graph, params, seed=5)
         builder = StreamingSketchBuilder(params, seed=5)
-        builder.consume(medium_instance.graph.edges())
+        builder.process_batch(EventBatch.from_edges(medium_instance.graph.edges()))
         streaming = builder.sketch()
         value_offline = medium_instance.graph.coverage(greedy_k_cover(offline.graph, 5).selected)
         value_streaming = medium_instance.graph.coverage(
@@ -89,7 +90,7 @@ class TestCompositionProperty:
         reference = greedy_k_cover(instance.graph, 5).coverage
         qualities = []
         for budget in (150, 600, 2400):
-            sketch = _sketch(instance.with_kind(instance.kind, k=5), budget=budget, cap=25, seed=7)
+            sketch = _sketch(instance, budget=budget, cap=25, seed=7)
             solution = greedy_k_cover(sketch.graph, 5).selected
             qualities.append(instance.graph.coverage(solution) / reference)
         # Larger budgets should never hurt much and the largest should be best.

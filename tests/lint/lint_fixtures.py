@@ -132,96 +132,6 @@ SUPPRESSED_RAW_TIMING = clean(
 
 
 # --------------------------------------------------------------------- #
-# spec-roundtrip
-# --------------------------------------------------------------------- #
-BAD_SPEC_DROPPED_FIELD = clean(
-    """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class MiniSpec:
-        alpha: int
-        beta: int
-
-        def to_dict(self):
-            return {"alpha": self.alpha}
-
-        @classmethod
-        def from_dict(cls, data):
-            return cls(alpha=data["alpha"], beta=data["beta"])
-    """
-)
-
-BAD_SPEC_ONE_DIRECTION = clean(
-    """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class MiniSpec:
-        alpha: int
-
-        def to_dict(self):
-            return {"alpha": self.alpha}
-    """
-)
-
-BAD_SPEC_FROM_DICT_MISSES = clean(
-    """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class MiniSpec:
-        alpha: int
-        beta: int
-
-        def to_dict(self):
-            return {"alpha": self.alpha, "beta": self.beta}
-
-        @classmethod
-        def from_dict(cls, data):
-            return cls(alpha=data["alpha"])
-    """
-)
-
-GOOD_SPEC = clean(
-    """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class MiniSpec:
-        alpha: int
-        beta: int
-
-        def to_dict(self):
-            return {"alpha": self.alpha, "beta": self.beta}
-
-        @classmethod
-        def from_dict(cls, data):
-            return cls(**data)
-    """
-)
-
-SUPPRESSED_SPEC = clean(
-    """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class MiniSpec:
-        alpha: int
-        beta: int
-
-        # repro-lint: disable=spec-roundtrip -- beta is derived, reconstructed by __post_init__
-        def to_dict(self):
-            return {"alpha": self.alpha}
-
-        @classmethod
-        def from_dict(cls, data):
-            return cls(**data)
-    """
-)
-
-
-# --------------------------------------------------------------------- #
 # hot-path-hygiene
 # --------------------------------------------------------------------- #
 BAD_HOT_PATH_TOLIST = clean(
@@ -312,48 +222,6 @@ SUPPRESSED_REDUCE_ADD_EDGE = clean(
             # repro-lint: disable=hot-path-hygiene -- a handful of rows in an error path
             graph.add_edge(set_id, element)
         return graph
-    """
-)
-
-
-# --------------------------------------------------------------------- #
-# registry-literal-names
-# --------------------------------------------------------------------- #
-BAD_REGISTRY_COMPUTED = clean(
-    """
-    PREFIX = "kcover"
-
-    @register_solver(PREFIX + "/mine", problems=("k_cover",), arrival="edge")
-    def _build(ctx):
-        return None
-    """
-)
-
-BAD_REGISTRY_WHITESPACE = clean(
-    """
-    @register_solver("kcover/my solver", problems=("k_cover",), arrival="edge")
-    def _build(ctx):
-        return None
-    """
-)
-
-GOOD_REGISTRY = clean(
-    """
-    @register_solver("kcover/mine", problems=("k_cover",), arrival="edge")
-    def _build(ctx):
-        return None
-
-    @register_dataset("mine", summary="a fixture workload")
-    def _make(seed):
-        return None
-    """
-)
-
-SUPPRESSED_REGISTRY = clean(
-    """
-    @register_solver(PREFIX + "/mine", problems=("k_cover",), arrival="edge")  # repro-lint: disable=registry-literal-names -- plugin namespace computed at import, validated by its own tests
-    def _build(ctx):
-        return None
     """
 )
 

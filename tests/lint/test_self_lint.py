@@ -1,9 +1,9 @@
 """Tier-1 dogfood tests: the repository lints itself clean, and the README
 tables document exactly what the registries hold.
 
-Every contract the per-file rules defend (determinism, spec round-trips,
-hot-path vectorisation, clock and registry-literal hygiene) is enforced
-over the entire tree — any new violation, or any suppression without a
+Every contract the per-file rules defend (determinism, hot-path
+vectorisation, clock hygiene, no silent excepts) is enforced over the
+entire tree — any new violation, or any suppression without a
 justification, fails here.  The registry tables are checked against the
 live registries, in both directions.
 """
@@ -30,7 +30,7 @@ def test_repository_lints_clean():
     assert report.clean, "\n" + render_text(report)
     # Sanity: the walk really covered the tree, with every rule active.
     assert report.files_scanned > 100
-    assert len(report.rules) >= 7
+    assert len(report.rules) >= 5
 
 
 def _cells(line: str) -> list[str]:

@@ -7,7 +7,8 @@ algorithm and forwards every attribute except ``process_batch``, so
 through the same runner.  :func:`drive` is ``StreamingRunner.run`` with
 ``batch_size=None`` meaning that reference, and :func:`per_event_twin`
 registers such a wrapper around a registry solver, so ``solve()`` itself can
-produce the reference run.
+produce the reference run.  :func:`add_edges` is the same reference for the
+sketches fed directly, which take batches through ``process_batch``.
 """
 
 from __future__ import annotations
@@ -59,3 +60,10 @@ def per_event_twin(name: str) -> Iterator[str]:
         yield "test/per-event"
     finally:
         unregister_solver("test/per-event")
+
+
+def add_edges(target: Any, edges: Any) -> None:
+    """Feed ``(set_id, element)`` pairs to ``target.add_edge`` one at a time:
+    the per-edge reference for a sketch builder, an ensemble or an oracle."""
+    for set_id, element in edges:
+        target.add_edge(set_id, element)

@@ -37,12 +37,12 @@ def test_coverage_agrees_with_graph(sets, family):
 
 @given(sets=set_systems, covered=families)
 @settings(max_examples=60, deadline=None)
-def test_marginal_gains_agree_with_graph(sets, covered):
+def test_gains_of_every_set_agree_with_graph(sets, covered):
     graph = _graph(sets)
     fast = BitsetCoverage(graph)
     covered = [c % len(sets) for c in covered]
     covered_elements = graph.neighbors(covered)
-    gains = fast.marginal_gains(fast.union_bits(covered))
+    gains = fast.gains_for(range(graph.num_sets), fast.union_bits(covered))
     for set_id in range(graph.num_sets):
         assert gains[set_id] == len(graph.elements_of(set_id) - covered_elements)
 

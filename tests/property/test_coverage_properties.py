@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coverage.bipartite import BipartiteGraph
-from repro.coverage.coverage_fn import CoverageFunction
 
 # Strategy: a small random set system as a list of frozensets of element ids.
 set_systems = st.lists(
@@ -52,12 +51,13 @@ def test_monotonicity_of_coverage(sets, family):
 @settings(max_examples=60, deadline=None)
 def test_submodularity_of_marginal_gains(sets, family, extra):
     graph = _graph(sets)
-    cover = CoverageFunction(graph)
     family = [f % len(sets) for f in family]
     extra = extra % len(sets)
     prefix = family[: len(family) // 2]
     # Diminishing returns: gain on the prefix >= gain on the full family.
-    assert cover.marginal_gain(prefix, extra) >= cover.marginal_gain(family, extra)
+    assert graph.marginal_gain(extra, graph.neighbors(prefix)) >= graph.marginal_gain(
+        extra, graph.neighbors(family)
+    )
 
 
 @given(sets=set_systems)
@@ -67,7 +67,7 @@ def test_induced_plus_removed_partition_edges(sets):
     elements = list(graph.elements())
     keep = elements[::2]
     kept = graph.induced_on_elements(keep)
-    dropped = graph.without_elements(keep)
+    dropped = graph.induced_on_elements(set(elements) - set(keep))
     assert kept.num_edges + dropped.num_edges == graph.num_edges
 
 

@@ -113,7 +113,7 @@ def test_round_robin_matches_single_machine_streaming(instance, edges, machines)
     """
     params = _params(instance)
     builder = StreamingSketchBuilder(params, hash_fn=UniformHash(SEED))
-    builder.consume(edges)
+    builder.process_batch(EventBatch.from_edges(edges))
     sketch = builder.sketch()
     streaming_solution = greedy_k_cover(sketch.graph, K).selected
     report = DistributedKCover(

@@ -62,7 +62,7 @@ def test_kernel_queries_match_set_based(sets, family):
     assert kernel.coverage(family) == graph.coverage(family.tolist())
     bits = kernel.union_bits(family)
     expected = _set_gains(graph, family.tolist())
-    assert kernel.marginal_gains(bits).tolist() == expected
+    assert kernel.gains_for(range(kernel.num_sets), bits).tolist() == expected
     subset = np.arange(graph.num_sets, dtype=np.intp)[::2]
     assert kernel.gains_for(subset, bits).tolist() == expected[::2]
 
@@ -83,7 +83,8 @@ def test_kernel_matches_set_based_on_adversarial_instances(k):
         reference = greedy_k_cover(graph, k)
         result = greedy_k_cover(graph, k, kernel=kernel)
         assert (result.selected, result.coverage) == (reference.selected, reference.coverage)
-        assert kernel.marginal_gains(kernel.empty_bits()).tolist() == _set_gains(graph, [])
+        all_sets = range(kernel.num_sets)
+        assert kernel.gains_for(all_sets, kernel.empty_bits()).tolist() == _set_gains(graph, [])
 
 
 edge_lists = st.lists(
@@ -112,4 +113,4 @@ def test_columnar_conversion_equals_read_edge_list(edges, tmp_path_factory):
     write_edge_list(edges, text)
     columnar_from_edge_list(text, base / "cols")
     columns = open_columnar(base / "cols")
-    assert list(columns.labelled_pairs()) == read_edge_list(text)
+    assert [(str(s), str(e)) for s, e in columns.pairs()] == read_edge_list(text)

@@ -26,6 +26,7 @@ from repro.core.params import SketchParams
 from repro.coverage.io import write_columnar
 from repro.datasets import planted_kcover_instance, zipf_instance
 from repro.distributed import DistributedKCover
+from repro.streaming.batches import EventBatch
 
 EXECUTORS = ("serial", "thread", "process")
 K = 4
@@ -101,7 +102,7 @@ def test_ensemble_best_of_r_is_executor_invariant(executor):
         ensemble = SketchEnsemble(
             _params(instance), replicas=4, seed=5, executor=backend, max_workers=4
         )
-        ensemble.consume(instance.graph.edges())
+        ensemble.process_batch(EventBatch.from_edges(instance.graph.edges()))
         results.append(ensemble.best_k_cover(K))
     assert results[0] == results[1]
 

@@ -12,6 +12,8 @@ from repro.core.sketch import apply_degree_cap, build_h_leq_n, build_hp
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.utils.rng import random_permutation, spawn_rng
 
+from per_event import add_edges
+
 set_systems = st.lists(
     st.frozensets(st.integers(min_value=0, max_value=40), min_size=0, max_size=12),
     min_size=2,
@@ -99,7 +101,7 @@ def test_streaming_sketch_invariants(sets, budget, cap, seed, order_seed):
     edges = random_permutation(
         sorted(graph.edges()), spawn_rng(order_seed, "sketch-property-order")
     )
-    builder.consume(edges)
+    add_edges(builder, edges)
     sketch = builder.sketch()
     # 1. Degree cap everywhere.
     assert all(sketch.graph.element_degree(e) <= cap for e in sketch.graph.elements())
@@ -137,5 +139,5 @@ def test_streaming_equals_offline_when_budget_is_large(sets, seed):
     hash_fn = UniformHash(seed)
     offline = build_h_leq_n(graph, params, hash_fn)
     builder = StreamingSketchBuilder(params, hash_fn=hash_fn)
-    builder.consume(graph.edges())
+    add_edges(builder, graph.edges())
     assert builder.sketch().graph == offline.graph == graph

@@ -43,6 +43,7 @@ from repro.distributed import (
     partition_edges,
 )
 from repro.offline.greedy import greedy_k_cover
+from repro.streaming.batches import EventBatch
 
 EXECUTORS = ("serial", "thread", "process")
 K = 4
@@ -73,7 +74,9 @@ def _reference_key(instance, edges, *, machines, strategy, seed=11):
     """The run key rebuilt from the public pieces, one-shot merge included."""
     params = _params(instance)
     shards = partition_edges(edges, machines, strategy=strategy, seed=seed)
-    sketches = build_all_machine_sketches(shards, params, hash_seed=seed)
+    sketches = build_all_machine_sketches(
+        map(EventBatch.from_edges, shards), params, hash_seed=seed
+    )
     merged = merge_machine_sketches(sketches, params, hash_seed=seed)
     solution = greedy_k_cover(merged.graph, K).selected
     return (
@@ -166,7 +169,7 @@ class TestMergeTreeArrivalOrders:
         edges = list(instance.graph.edges())
         shards = [edges[i::machines] for i in range(machines)]
         return params, [
-            build_machine_sketch(i, shard, params, hash_seed=seed)
+            build_machine_sketch(i, EventBatch.from_edges(shard), params, hash_seed=seed)
             for i, shard in enumerate(shards)
         ]
 

@@ -4,43 +4,10 @@ from __future__ import annotations
 
 import time
 
-from repro.utils.timer import Stopwatch, Timer, timed
+import pytest
 
-
-class TestTimer:
-    def test_accumulates_elapsed(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.002)
-        with timer:
-            time.sleep(0.002)
-        assert timer.elapsed >= 0.003
-        assert timer.activations == 2
-
-    def test_mean(self):
-        timer = Timer()
-        assert timer.mean == 0.0
-        with timer:
-            pass
-        assert timer.mean >= 0.0
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0
-        assert timer.activations == 0
-
-
-class TestTimed:
-    def test_yields_timer_and_calls_callback(self):
-        seen = []
-        with timed(callback=seen.append) as t:
-            time.sleep(0.001)
-        assert t.elapsed > 0
-        assert len(seen) == 1
-        assert seen[0] == t.elapsed
+from repro.obs.clock import fake_clock
+from repro.utils.timer import Stopwatch
 
 
 class TestStopwatch:
@@ -60,3 +27,10 @@ class TestStopwatch:
             with sw.section("loop"):
                 time.sleep(0.001)
         assert sw.as_dict()["loop"] >= 0.002
+
+    def test_a_raising_section_still_counts(self):
+        sw = Stopwatch()
+        with fake_clock(tick=0.5), pytest.raises(RuntimeError):
+            with sw.section("fail"):
+                raise RuntimeError("boom")
+        assert sw.as_dict() == {"fail": 0.5}
