@@ -34,3 +34,38 @@ class TestStopwatch:
             with sw.section("fail"):
                 raise RuntimeError("boom")
         assert sw.as_dict() == {"fail": 0.5}
+
+    def test_reentry_sums_exact_durations(self):
+        sw = Stopwatch()
+        with fake_clock() as clock:
+            for seconds in (0.5, 1.25, 2.0):
+                with sw.section("loop"):
+                    clock.advance(seconds)
+        assert sw.elapsed("loop") == 3.75
+        assert sw.sections() == ["loop"]
+
+    def test_sections_are_timed_separately_and_nest(self):
+        sw = Stopwatch()
+        with fake_clock() as clock:
+            with sw.section("outer"):
+                clock.advance(1.0)
+                with sw.section("inner"):
+                    clock.advance(2.0)
+        assert sw.as_dict() == {"outer": 3.0, "inner": 2.0}
+
+    def test_reading_a_missing_section_records_nothing(self):
+        sw = Stopwatch()
+        assert sw.elapsed("never") == 0.0
+        assert sw.sections() == []
+        assert sw.as_dict() == {}
+
+    def test_as_dict_is_a_copy(self):
+        sw = Stopwatch()
+        with fake_clock(tick=1.0):
+            with sw.section("build"):
+                pass
+        snapshot = sw.as_dict()
+        snapshot["build"] = 99.0
+        snapshot["solve"] = 1.0
+        assert sw.as_dict() == {"build": 1.0}
+        assert sw.sections() == ["build"]
