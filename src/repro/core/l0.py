@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.hashing import HashFamily, UniformHash
+from repro.errors import InvalidInstanceError
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
@@ -191,7 +192,7 @@ class L0CoverageOracle:
     def add_edge(self, set_id: int, element: int) -> None:
         """Process one membership edge."""
         if not 0 <= set_id < self.num_sets:
-            raise ValueError(f"set id {set_id} out of range")
+            raise InvalidInstanceError(f"set id {set_id} out of range [0, {self.num_sets})")
         self._sketches[set_id].add(element)
 
     def process(self, event: EdgeArrival) -> None:
@@ -210,8 +211,8 @@ class L0CoverageOracle:
         if len(batch) == 0:
             return
         if len(batch.set_ids) and int(batch.set_ids.max()) >= self.num_sets:
-            raise ValueError(
-                f"set id {int(batch.set_ids.max())} out of range"
+            raise InvalidInstanceError(
+                f"set id {int(batch.set_ids.max())} out of range [0, {self.num_sets})"
             )
         values = self._hash.value_many(batch.elements)
         sketches = self._sketches

@@ -584,8 +584,9 @@ class DistributedKCover:
     def _map_reduce(self, jobs: Sequence[MapJob]) -> DistributedRunReport:
         """Fan the map jobs over the executor, fold each sketch in, solve.
 
-        One :meth:`~repro.parallel.ParallelMapper.pool_scope` wraps the
-        gather, so the whole map phase shares a single pool.  Sketches flow
+        On the process backend the gather runs on the interpreter's live
+        pool, so a solve pays no worker start-up once the first process map
+        has started it (see :mod:`repro.parallel.mapper`).  Sketches flow
         from :meth:`~repro.parallel.ParallelMapper.map_unordered` straight
         into the :class:`StreamingMergeTree` as they complete — the reduce
         overlaps the slowest mappers and holds O(log num_machines) sketches.
@@ -596,13 +597,12 @@ class DistributedKCover:
         """
         tree = StreamingMergeTree(self.params, hash_seed=self.seed)
         loads: dict[int, tuple[int, int]] = {}
-        with self.mapper.pool_scope():
-            for _, machine in self.mapper.map_unordered(execute_map_job, jobs):
-                loads[machine.machine_id] = (
-                    machine.edges_processed,
-                    machine.edges_stored,
-                )
-                tree.add(machine)
+        for _, machine in self.mapper.map_unordered(execute_map_job, jobs):
+            loads[machine.machine_id] = (
+                machine.edges_processed,
+                machine.edges_stored,
+            )
+            tree.add(machine)
         root = tree.result_columns()
         machine_ids = sorted(loads)
         machine_stored_edges = [loads[i][1] for i in machine_ids]

@@ -66,8 +66,9 @@ class ExecutorBackend:
         used by callers to skip fan-out set-up costs).
     make_pool:
         ``max_workers -> Executor`` factory, or ``None`` for backends that
-        run inline (serial).  Pools are created per :meth:`ParallelMapper.map
-        <repro.parallel.mapper.ParallelMapper.map>` call and always closed.
+        run inline (serial).  :class:`~repro.parallel.mapper.ParallelMapper`
+        keeps the process pool it makes live for the whole interpreter, one
+        per worker count, and makes a thread pool per map call.
     """
 
     name: str

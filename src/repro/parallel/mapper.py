@@ -13,12 +13,17 @@ as-completed variant: it yields ``(index, result)`` pairs the moment each
 job finishes, for callers whose gather is order-independent (an associative
 reduce can start merging while the slowest mapper is still running).
 
-Pool lifecycle: by default every map call owns its pool (create, use, shut
-down).  A caller that issues several maps back to back — or wants the pool
-warm while it consumes an unordered gather — wraps them in
-:meth:`ParallelMapper.pool_scope`, which creates the pool lazily on first
-use and keeps it alive until the scope exits, so one distributed run pays
-worker start-up once instead of per call.
+Pool lifecycle: the process backend keeps one live pool per worker count
+for the whole interpreter.  The first process map that needs ``w`` workers
+starts the pool (traced as a ``parallel.pool_start`` span), and every later
+process map of ``w`` workers, from any mapper or solve, reuses it, so a
+solve pays worker start-up once per process instead of once per call.  A
+pool that breaks mid-map (a killed worker) is dropped and its map reruns
+serially; the next map starts a fresh pool.  A forked child starts with no
+pools, so a map run inside a pool worker never submits to its parent's
+pool, and an exit hook shuts every pool down.  Thread pools stay one per
+map call: they start without a fork, and a shared thread pool could
+deadlock under nested maps (a job waiting on a map queued behind it).
 
 Robustness: pool creation can fail in restricted sandboxes (no ``/dev/shm``,
 seccomp-filtered ``fork``); the mapper degrades to the serial loop in that
@@ -31,17 +36,25 @@ any pool is created.
 
 from __future__ import annotations
 
+import os
 import pickle
+import threading
 from concurrent.futures import BrokenExecutor, Executor, Future, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing import util as mp_util
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro import obs
 from repro.errors import SpecError
 from repro.obs import clock
-from repro.parallel.executors import ExecutorBackend, resolve_executor, usable_cpus
+from repro.parallel.executors import (
+    EXECUTORS,
+    ExecutorBackend,
+    resolve_executor,
+    usable_cpus,
+)
 from repro.utils.validation import check_optional_positive_int
 
 __all__ = ["ParallelMapper", "as_mapper"]
@@ -106,6 +119,81 @@ def _check_picklable(fn: Callable[..., Any]) -> None:
         ) from error
 
 
+#: The live process pools by worker count, shared by every mapper in this
+#: process.  ``_POOLS_LOCK`` guards both; a forked child rebinds them.
+_POOLS: dict[int, Executor] = {}
+_POOLS_LOCK = threading.Lock()
+#: Pool tables a forked child inherited from its parents.  They are kept
+#: referenced, never used: collecting a pool runs a callback that takes a
+#: lock some parent thread may have held at the instant of the fork.
+_INHERITED: list[dict[int, Executor]] = []
+#: Whether this process has registered :func:`_shutdown_pools` to run at exit.
+_exit_hook_armed = False
+
+
+def _start_pool(backend: ExecutorBackend, workers: int) -> Executor:
+    """Start a pool and its workers, under a ``parallel.pool_start`` span.
+
+    A process pool forks its workers on its first submit, so one no-op job
+    makes the span time the real start-up, and a sandbox that forbids
+    ``fork`` fails here (as :class:`OSError`) instead of mid-map.
+    """
+    with obs.span("parallel.pool_start", workers=workers):
+        pool = backend.make_pool(workers)
+        try:
+            pool.submit(os.getpid).result()
+        except (OSError, RuntimeError, BrokenExecutor) as error:  # pragma: no cover
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise OSError(f"the {backend.name} pool could not start") from error
+    return pool
+
+
+def _live_pool(backend: ExecutorBackend, workers: int) -> Executor:
+    """The live pool of ``workers`` workers, started on first use."""
+    global _exit_hook_armed
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = _start_pool(backend, workers)
+            if not _exit_hook_armed:
+                # multiprocessing runs its finalizers from its atexit hook in
+                # the main interpreter, and in a pool worker (where atexit
+                # never runs) before the worker waits for its own children,
+                # which a live pool would otherwise keep waiting forever.
+                mp_util.Finalize(None, _shutdown_pools, exitpriority=100)
+                _exit_hook_armed = True
+        return pool
+
+
+def _retire_pool(workers: int, pool: Executor) -> None:
+    """Drop a broken live pool, unless another map has already replaced it."""
+    with _POOLS_LOCK:
+        if _POOLS.get(workers) is pool:
+            del _POOLS[workers]
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _shutdown_pools() -> None:
+    """Shut every live pool of this process down (the exit hook)."""
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _forget_pools() -> None:
+    """In a forked child: start from no pools; the parent's are not ours."""
+    global _POOLS, _POOLS_LOCK, _exit_hook_armed
+    _INHERITED.append(_POOLS)
+    _POOLS = {}
+    _POOLS_LOCK = threading.Lock()
+    _exit_hook_armed = False
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
 class ParallelMapper:
     """Maps a function over independent jobs through an executor backend.
 
@@ -146,13 +234,9 @@ class ParallelMapper:
         #: run the jobs serially, so reports can record the truth instead of
         #: the plan.
         self.last_execution: tuple[str, int] = (self.backend.name, 1)
-        # pool_scope state: a scope keeps one lazily-created pool alive
-        # across the maps issued inside it.  ``_scope_broken`` remembers a
-        # failed creation so the rest of the scope goes straight to the
-        # serial loop instead of re-attempting a doomed pool per call.
-        self._scope_depth = 0
-        self._scope_pool: Executor | None = None
-        self._scope_broken = False
+        #: Whether maps run on the process-wide live pool rather than on a
+        #: pool made for the call.
+        self._live = self.backend is EXECUTORS["process"]
 
     @property
     def is_serial(self) -> bool:
@@ -177,60 +261,32 @@ class ParallelMapper:
     # ------------------------------------------------------------------ #
     @contextmanager
     def pool_scope(self) -> Iterator["ParallelMapper"]:
-        """Reuse one pool across every map issued inside the ``with`` body.
+        """Yield this mapper unchanged.
 
-        The pool is created lazily by the first parallel map in the scope
-        (and sized for it; later maps reuse it as-is) and shut down when the
-        outermost scope exits, so a multi-call pipeline — e.g. a distributed
-        run's map fan-out plus its streaming reduce — pays worker start-up
-        once.  Scopes nest: inner scopes share the outer scope's pool.  A
-        pool-creation failure inside a scope marks the whole scope broken
-        (serial loop for its remaining maps); pool *breakage* mid-map
-        discards the scoped pool so later maps in the scope fall back
-        cleanly rather than resubmitting to a dead pool.  Serial mappers
-        pass through unchanged.
+        Process maps already share the live pool, so a scope has nothing
+        left to keep alive; it stays only for callers written against it.
         """
-        self._scope_depth += 1
-        try:
-            yield self
-        finally:
-            self._scope_depth -= 1
-            if self._scope_depth == 0:
-                pool, self._scope_pool = self._scope_pool, None
-                self._scope_broken = False
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
+        yield self
 
-    def _acquire_pool(self, workers: int) -> tuple[Executor | None, bool]:
-        """A pool for one map call: ``(pool, owned)``; ``(None, False)`` = serial.
+    def _acquire_pool(self, workers: int) -> Executor | None:
+        """The pool one map runs on; ``None`` sends it to the serial loop.
 
-        Inside a :meth:`pool_scope` the scoped pool is created on first use
-        and returned un-owned (the scope exit shuts it down); outside, the
-        caller owns the fresh pool and must release it.
+        The process backend hands out the live pool of ``workers`` workers;
+        any other backend makes a pool for this call.
         """
-        if self._scope_depth > 0:
-            if self._scope_broken:
-                return None, False
-            if self._scope_pool is None:
-                try:
-                    self._scope_pool = self.backend.make_pool(workers)
-                except OSError:  # pragma: no cover - sandbox fallback
-                    self._scope_broken = True
-                    return None, False
-            return self._scope_pool, False
         try:
-            return self.backend.make_pool(workers), True
+            if self._live:
+                return _live_pool(self.backend, workers)
+            return self.backend.make_pool(workers)
         except OSError:  # pragma: no cover - sandbox fallback
-            return None, False
+            return None
 
-    def _release_pool(self, pool: Executor, owned: bool, broken: bool) -> None:
-        """Close an owned pool; drop a scoped pool only if it broke mid-map."""
-        if owned:
+    def _release_pool(self, pool: Executor, workers: int, broken: bool) -> None:
+        """Close a per-call pool; retire the live pool only if it broke."""
+        if not self._live:
             pool.shutdown(wait=True, cancel_futures=True)
         elif broken:
-            pool.shutdown(wait=True, cancel_futures=True)
-            self._scope_pool = None
-            self._scope_broken = True
+            _retire_pool(workers, pool)
 
     # ------------------------------------------------------------------ #
     # ordered gather
@@ -281,13 +337,14 @@ class ParallelMapper:
         list is independent of scheduling.
 
         A backend whose pool cannot be used in the current environment falls
-        back to the serial loop.  Workers are spawned lazily, so the guard
-        covers construction *and* submission (a seccomp-blocked ``fork``
-        surfaces as ``OSError``/``RuntimeError`` from ``submit``, not from
-        the constructor) plus :class:`BrokenExecutor` from the gather (a
-        worker killed by the environment).  Exceptions raised by a *job*
-        come out of ``future.result()`` with their own types and propagate
-        untouched — never swallowed, never retried.  Jobs are pure
+        back to the serial loop.  The guard covers pool start *and*
+        submission (a seccomp-blocked ``fork`` surfaces as
+        ``OSError``/``RuntimeError`` from ``submit``, not from the
+        constructor) plus :class:`BrokenExecutor` from the gather (a worker
+        killed by the environment, after which the live process pool is
+        retired and the next map starts a fresh one).  Exceptions raised by
+        a *job* come out of ``future.result()`` with their own types and
+        propagate untouched — never swallowed, never retried.  Jobs are pure
         descriptions of work, so the serial retry after a pool-level
         failure recomputes, never double-applies.  ``last_execution``
         records what actually ran — ``("serial", 1)`` after a fallback —
@@ -301,7 +358,7 @@ class ParallelMapper:
         if self.backend.name == "process":
             _check_picklable(fn)
         self.last_execution = (self.backend.name, workers)
-        pool, owned = self._acquire_pool(workers)
+        pool = self._acquire_pool(workers)
         if pool is None:
             return self._fallback(fn, jobs)
         # On a pool-level failure, fall through WITHOUT rescuing yet: the
@@ -323,7 +380,7 @@ class ParallelMapper:
         finally:
             for future in futures:
                 future.cancel()
-            self._release_pool(pool, owned, broken)
+            self._release_pool(pool, workers, broken)
         return self._fallback(fn, jobs)
 
     # ------------------------------------------------------------------ #
@@ -363,7 +420,8 @@ class ParallelMapper:
         or breaks mid-run is drained, then the jobs not yet yielded rerun
         serially (``last_execution`` records ``("serial", 1)``).  Job
         exceptions propagate untouched.  Abandoning the generator early
-        cancels the pending futures and releases the pool.
+        cancels the pending futures and closes a per-call pool; the live
+        process pool stays up for the next map.
         """
         jobs = list(jobs)
         workers = self.workers_for(len(jobs))
@@ -375,7 +433,7 @@ class ParallelMapper:
         if self.backend.name == "process":
             _check_picklable(fn)
         self.last_execution = (self.backend.name, workers)
-        pool, owned = self._acquire_pool(workers)
+        pool = self._acquire_pool(workers)
         if pool is None:
             yield from self._fallback_unordered(fn, jobs, frozenset())
             return
@@ -399,7 +457,7 @@ class ParallelMapper:
         finally:
             for future in futures:
                 future.cancel()
-            self._release_pool(pool, owned, broken)
+            self._release_pool(pool, workers, broken)
         if broken:
             yield from self._fallback_unordered(fn, jobs, done)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.coverage.bipartite import BipartiteGraph
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
+from repro.parallel import mapper
 from repro.utils.rng import spawn_rng
 
 
@@ -55,3 +56,13 @@ def planted_kcover():
 def planted_setcover():
     """A moderate planted set cover instance with a known minimum cover."""
     return planted_setcover_instance(40, 600, cover_size=6, seed=11)
+
+
+@pytest.fixture
+def fresh_process_pools():
+    """Shut the live process pools down, so the test's first process map
+    starts its pool; yields the table of live pools to inspect, and shuts
+    down the pools the test started."""
+    mapper._shutdown_pools()
+    yield mapper._POOLS
+    mapper._shutdown_pools()

@@ -12,6 +12,7 @@ from repro.core.l0 import (
     l0_greedy_k_cover,
 )
 from repro.datasets import planted_kcover_instance
+from repro.errors import InvalidInstanceError
 from repro.offline.exact import exact_k_cover
 from repro.offline.greedy import greedy_k_cover
 from repro.streaming.batches import EventBatch
@@ -118,7 +119,7 @@ class TestL0CoverageOracle:
         assert bigger >= 5 * base  # grows at least linearly with k
 
     def test_out_of_range_set_rejected(self, oracle):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInstanceError, match="set id 9999 out of range"):
             oracle.add_edge(9999, 1)
 
 
@@ -186,8 +187,14 @@ class TestOracleBatchProcessing:
         from repro.streaming.batches import EventBatch
 
         oracle = L0CoverageOracle(4, epsilon=0.3)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(InvalidInstanceError, match="set id 9 out of range"):
             oracle.process_batch(EventBatch.from_edges([(9, 1)]))
+
+    @pytest.mark.parametrize("set_id", [-1, 4, 9])
+    def test_add_edge_range_check(self, set_id):
+        oracle = L0CoverageOracle(4, epsilon=0.3)
+        with pytest.raises(InvalidInstanceError, match=f"set id {set_id} out of range"):
+            oracle.add_edge(set_id, 1)
 
 
 class TestKMVVectorisedUpdate:

@@ -5,7 +5,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from test_live_pool import _pool_starts
 
+from repro import obs
 from repro.parallel import ExecutorBackend, ParallelMapper
 
 
@@ -20,7 +22,7 @@ def _boom(x: int) -> int:
 
 
 def _counting_thread_backend(counter: list[int]) -> ExecutorBackend:
-    """A thread backend whose pool creations are counted (for scope tests)."""
+    """A thread backend whose pool creations are counted."""
 
     def make_pool(max_workers: int):
         counter.append(max_workers)
@@ -75,42 +77,61 @@ class TestMapUnordered:
 
 
 class TestPoolScope:
-    def test_scope_reuses_one_pool_across_maps(self):
-        counter: list[int] = []
-        mapper = ParallelMapper(_counting_thread_backend(counter), max_workers=2)
-        with mapper.pool_scope():
+    """``pool_scope`` yields the mapper unchanged: every process map shares
+    the interpreter's live pool for its worker count, inside a scope or not."""
+
+    def test_scope_reuses_one_pool_across_maps(self, fresh_process_pools):
+        mapper = ParallelMapper("process", max_workers=2)
+        with obs.tracing() as tracer, mapper.pool_scope():
             mapper.map(_square, range(4))
             list(mapper.map_unordered(_square, range(4)))
             mapper.map(_square, range(4))
-        assert len(counter) == 1
+        assert _pool_starts(tracer) == [2]
+        assert list(fresh_process_pools) == [2]
 
-    def test_without_scope_each_map_owns_a_pool(self):
-        counter: list[int] = []
-        mapper = ParallelMapper(_counting_thread_backend(counter), max_workers=2)
+    def test_without_scope_process_maps_share_the_live_pool(self, fresh_process_pools):
+        mapper = ParallelMapper("process", max_workers=2)
         mapper.map(_square, range(4))
+        live = fresh_process_pools[2]
         mapper.map(_square, range(4))
-        assert len(counter) == 2
+        assert fresh_process_pools[2] is live
 
-    def test_nested_scopes_share_the_outer_pool(self):
+    def test_thread_maps_still_make_a_pool_each(self):
         counter: list[int] = []
         mapper = ParallelMapper(_counting_thread_backend(counter), max_workers=2)
         with mapper.pool_scope():
             mapper.map(_square, range(4))
-            with mapper.pool_scope():
-                mapper.map(_square, range(4))
             mapper.map(_square, range(4))
-        assert len(counter) == 1
+        assert counter == [2, 2]
 
-    def test_scope_exit_resets_state(self):
-        counter: list[int] = []
-        mapper = ParallelMapper(_counting_thread_backend(counter), max_workers=2)
+    def test_nested_scopes_share_the_outer_pool(self, fresh_process_pools):
+        outer = ParallelMapper("process", max_workers=2)
+        inner = ParallelMapper("process", max_workers=2)
+        with obs.tracing() as tracer, outer.pool_scope():
+            outer.map(_square, range(4))
+            with inner.pool_scope():
+                inner.map(_square, range(4))
+            outer.map(_square, range(4))
+        assert _pool_starts(tracer) == [2]
+
+    def test_scope_exit_keeps_the_live_pool(self, fresh_process_pools):
+        mapper = ParallelMapper("process", max_workers=2)
         with mapper.pool_scope():
             mapper.map(_square, range(4))
-        with mapper.pool_scope():
+        live = fresh_process_pools[2]
+        with obs.tracing() as tracer, mapper.pool_scope():
             mapper.map(_square, range(4))
-        assert len(counter) == 2
-        assert mapper._scope_pool is None
-        assert mapper._scope_depth == 0
+        assert _pool_starts(tracer) == []
+        assert fresh_process_pools[2] is live
+        assert mapper.last_execution == ("process", 2)
+
+    def test_each_worker_count_has_its_own_pool(self, fresh_process_pools):
+        with obs.tracing() as tracer:
+            ParallelMapper("process", max_workers=2).map(_square, range(4))
+            ParallelMapper("process", max_workers=3).map(_square, range(4))
+            ParallelMapper("process", max_workers=2).map(_square, range(4))
+        assert _pool_starts(tracer) == [2, 3]
+        assert sorted(fresh_process_pools) == [2, 3]
 
     def test_serial_mapper_passes_through(self):
         mapper = ParallelMapper("serial")
@@ -118,8 +139,9 @@ class TestPoolScope:
             assert scoped is mapper
             assert scoped.map(_square, range(3)) == [0, 1, 4]
 
-    def test_results_identical_inside_and_outside_scope(self):
-        mapper = ParallelMapper("thread", max_workers=2)
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_results_identical_inside_and_outside_scope(self, executor):
+        mapper = ParallelMapper(executor, max_workers=2)
         outside = mapper.map(_square, range(10))
         with mapper.pool_scope():
             inside = mapper.map(_square, range(10))

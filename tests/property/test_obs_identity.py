@@ -131,8 +131,34 @@ class TestProcessStitching:
     def test_worker_spans_stitch_to_the_serial_tree(self, instances, executor):
         instance = instances["kcover"]
         serial = self._traced_tree(instance, "serial")
+        # The first process solve may start the live pool; the one after it
+        # runs on that pool, so its tree is the solve's alone.
+        self._traced_tree(instance, executor)
         parallel = self._traced_tree(instance, executor)
         assert parallel == serial
+
+    def test_the_solve_that_starts_the_pool_shows_it_once(
+        self, instances, fresh_process_pools
+    ):
+        instance = instances["kcover"]
+        serial = self._traced_tree(instance, "serial")
+        first = self._traced_tree(instance, "process")
+        starts = []
+
+        def without_pool_start(nodes):
+            kept = []
+            for node in nodes:
+                if node["name"] == "parallel.pool_start":
+                    starts.append(node)
+                else:
+                    kept.append({**node, "children": without_pool_start(node["children"])})
+            return kept
+
+        assert without_pool_start(first) == serial
+        assert starts == [
+            {"name": "parallel.pool_start", "attrs": {"workers": 3}, "children": []}
+        ]
+        assert self._traced_tree(instance, "process") == serial
 
     def test_one_stitched_trace_covers_map_reduce_and_greedy(self, instances):
         tree = self._traced_tree(instances["kcover"], "process")
