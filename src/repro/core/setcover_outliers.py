@@ -303,11 +303,11 @@ class StreamingSetCoverOutliers:
                 num_elements,
                 mode=mode,
                 scale=scale,
-                seed=seed + 1000 * index,
+                seed=seed,
                 space=self.space,
                 coverage_backend=coverage_backend,
             )
-            for index, guess in enumerate(guesses)
+            for guess in guesses
         ]
         self.coverage_backend = coverage_backend
         self.forbidden = frozenset(int(s) for s in forbidden)
