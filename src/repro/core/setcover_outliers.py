@@ -24,7 +24,7 @@ Structure, exactly as in the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.hashing import HashFamily, UniformHash
@@ -143,11 +143,17 @@ class GuessChecker:
                 delta_prime=delta_prime,
                 scale=scale,
             )
-        self.params = params
+        # No element has edges to more than num_sets sets, so a larger cap
+        # or slack stores nothing more; clamped, a scaled guess can evict.
+        self.params = replace(
+            params,
+            degree_cap=min(params.degree_cap, num_sets),
+            eviction_slack=min(params.eviction_slack, num_sets),
+        )
         self.coverage_backend = coverage_backend
         self.space = space if space is not None else SpaceMeter(unit="edges")
         self.builder = StreamingSketchBuilder(
-            params,
+            self.params,
             hash_fn=hash_fn or UniformHash(seed),
             seed=seed,
             space=self.space,

@@ -305,8 +305,7 @@ class TestCheckReadsColumns:
     @pytest.mark.parametrize("guess", [1, 3, 8])
     @pytest.mark.parametrize("seed", [2, 5])
     def test_evicting_sketch_matches_graph_path(self, backend, guess, seed):
-        # Scaled guess sketches keep a slack far above these instances, so
-        # an evicting sketch needs explicit budgets.
+        # Explicit budgets, with a degree cap far below num_sets.
         instance = planted_setcover_instance(40, 3000, cover_size=6, seed=seed)
         checker = GuessChecker(
             guess=guess, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
@@ -333,3 +332,34 @@ class TestCheckReadsColumns:
         outcome = checker.check()
         assert outcome == _graph_path_outcome(checker, (), backend)
         assert (outcome.sketch_fraction, outcome.sketch_edges) == (1.0, 0)
+
+
+class TestScaledGuessesSubsample:
+    """Algorithm 4 clamps its degree cap and eviction slack to ``num_sets``,
+    so a scaled guess sketch evicts instead of keeping the whole input."""
+
+    def test_clamped_params(self):
+        checker = GuessChecker(
+            guess=3, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
+            num_sets=40, num_elements=3000,
+        )
+        unclamped = SketchParams.scaled(
+            40, 3000, checker.budget_k, max(checker.epsilon, 1e-3),
+            delta_prime=checker.params.delta_prime,
+        )
+        assert unclamped.degree_cap > 40
+        assert checker.params.degree_cap == checker.params.eviction_slack == 40
+        assert checker.params.edge_budget == unclamped.edge_budget
+
+    def test_small_scale_evicts(self):
+        instance = planted_setcover_instance(40, 3000, cover_size=6, seed=1)
+        algo = StreamingSetCoverOutliers(40, 3000, 0.1, scale=0.002, seed=1)
+        report = StreamingRunner(instance.graph).run(
+            algo, EdgeStream.from_graph(instance.graph, order="random", seed=1)
+        )
+        for checker in algo._checkers:
+            params = checker.params
+            assert checker.builder.evictions > 0
+            assert checker.builder.stored_edges < instance.graph.num_edges
+            assert checker.builder.stored_edges <= params.edge_budget + params.eviction_slack
+        assert report.coverage_fraction >= 1 - 0.1 - 0.05
