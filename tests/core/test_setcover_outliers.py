@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.setcover_outliers import (
@@ -362,4 +363,123 @@ class TestScaledGuessesSubsample:
             assert checker.builder.evictions > 0
             assert checker.builder.stored_edges < instance.graph.num_edges
             assert checker.builder.stored_edges <= params.edge_budget + params.eviction_slack
+        # One builder serves every guess, so the meter peaks at one store.
+        assert algo.describe()["sketch_builders"] == 1
+        assert algo.space.peak <= algo._checkers[0].params.edge_budget + 40 + 1
         assert report.coverage_fraction >= 1 - 0.1 - 0.05
+
+
+def _feed(algorithm, graph, seed, batch_size):
+    """One pass of ``graph``'s random-order stream (``batch_size=None``: per
+    event); returns the stream's length."""
+    stream = EdgeStream.from_graph(graph, order="random", seed=seed)
+    drive(StreamingRunner(graph), algorithm, stream, batch_size=batch_size)
+    return stream.num_events
+
+
+def _sketch(builder):
+    """A builder's columns and counters."""
+    columns = builder.columns()
+    return (
+        columns.ranks.tolist(),
+        columns.elements.tolist(),
+        columns.set_ids.tolist(),
+        columns.threshold,
+        columns.truncated.tolist(),
+        builder.describe(),
+    )
+
+
+def _state(algorithm):
+    """Every guess's sketch, and the meter's peak."""
+    return [_sketch(checker.builder) for checker in algorithm._checkers], algorithm.space.peak
+
+
+class TestSharedBuilders:
+    """Guesses whose sketch budgets agree share one builder."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        """The ``setcover-multipass`` instance: 100 sets, 2000 elements."""
+        return planted_setcover_instance(100, 2000, cover_size=6, seed=1)
+
+    @pytest.mark.parametrize("batch_size", [None, 4096])
+    def test_one_builder_stores_the_input_once(self, workload, batch_size):
+        graph = workload.graph
+        algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, seed=1)
+        events = _feed(algo, graph, 1, batch_size)
+        assert len(algo.guesses()) == 35
+        assert len({id(checker.builder) for checker in algo._checkers}) == 1
+        assert algo.space.peak == graph.num_edges == events
+        info = algo.describe()
+        assert (info["sketch_builders"], info["stored_edges"]) == (1, graph.num_edges)
+        # Fed per event, each edge reaches the shared builder once.
+        assert algo._checkers[0].builder.describe()["edges_seen"] == events
+
+    @pytest.mark.parametrize("scale", [1.0, 0.002])
+    def test_each_guess_equals_a_standalone_checker(self, workload, scale):
+        graph = workload.graph
+        algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, scale=scale, seed=2)
+        _feed(algo, graph, 2, 1024)
+        for forbidden in ((), (0, 3, 7)):
+            outcomes = algo.query(forbidden=forbidden)[1]
+            for checker, outcome in zip(algo._checkers, outcomes, strict=True):
+                alone = GuessChecker(
+                    checker.guess,
+                    max(algo.epsilon_prime, 1e-4),
+                    algo.lambda_prime,
+                    algo.confidence_prime,
+                    100,
+                    2000,
+                    scale=scale,
+                    seed=2,
+                )
+                stream = EdgeStream.from_graph(graph, order="random", seed=2)
+                for batch in stream.iter_batches(1024):
+                    alone.process_batch(batch)
+                assert alone.check(forbidden=forbidden) == outcome
+                # One builder alone on the meter: even the peaks agree.
+                assert _sketch(alone.builder) == _sketch(checker.builder)
+        assert (algo._checkers[0].builder.evictions > 0) == (scale < 1.0)
+
+    def test_binding_caps_split_the_guesses_into_groups(self):
+        algo = StreamingSetCoverOutliers(4000, 20_000, 0.1, seed=5)
+        builders = algo._builders()
+        assert len(builders) > 1
+        groups = [
+            [index for index, checker in enumerate(algo._checkers) if checker.builder is b]
+            for b in builders
+        ]
+        # Contiguous in guess order, and in guess order of their first member.
+        assert [index for group in groups for index in group] == list(
+            range(len(algo._checkers))
+        )
+        for group, builder in zip(groups, builders):
+            budgets = {
+                (p.edge_budget, p.degree_cap, p.eviction_slack)
+                for p in (algo._checkers[index].params for index in group)
+            }
+            assert budgets == {
+                (builder.params.edge_budget, builder.params.degree_cap,
+                 builder.params.eviction_slack)
+            }
+        caps = [builder.params.degree_cap for builder in builders]
+        assert caps[0] == 4000 and all(a > b for a, b in zip(caps, caps[1:]))
+
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    def test_several_builders_batch_equals_per_event(self, batch_size):
+        n, m = 4000, 20_000
+        rng = np.random.default_rng(6)
+        graph = BipartiteGraph.from_element_sets(
+            n, {element: set(rng.choice(n, size=5, replace=False).tolist())
+                for element in rng.choice(m, size=300, replace=False).tolist()}
+        )
+
+        def run(batch_size):
+            algo = StreamingSetCoverOutliers(n, m, 0.1, seed=6)
+            _feed(algo, graph, 6, batch_size)
+            return len(algo._builders()), _state(algo), algo.result()
+
+        scalar = run(None)
+        assert scalar[0] > 1
+        assert run(batch_size) == scalar

@@ -133,9 +133,10 @@ class TestOutOfRangeSetIdBatched:
         self._same_error(lambda: StreamingSetCoverOutliers(n, m, 0.1, seed=3), n)
 
     def test_setcover_outliers_when_one_guess_discards_the_bad_row(self, planted_setcover):
-        """Guess 0's threshold has dropped: it discards the first bad row and
-        keeps the second.  The scalar stream fails at the first bad row,
-        through guess 1, and so must the batch."""
+        """Guess 0 has a builder of its own whose threshold has dropped: it
+        discards the first bad row and keeps the second.  The scalar stream
+        fails at the first bad row, through the builder the other guesses
+        share, and so must the batch."""
         n, m = planted_setcover.n, planted_setcover.m
         probe = StreamingSetCoverOutliers(n, m, 0.1, seed=3)._checkers[0].builder
         by_rank = sorted(range(100), key=probe._rank)
@@ -144,7 +145,10 @@ class TestOutOfRangeSetIdBatched:
 
         def make():
             algorithm = StreamingSetCoverOutliers(n, m, 0.1, seed=3)
-            algorithm._checkers[0].builder._admission_threshold = threshold
+            first = algorithm._checkers[0]
+            first.builder = StreamingSketchBuilder(first.params, seed=3, space=algorithm.space)
+            first.builder._admission_threshold = threshold
+            assert len(algorithm._builders()) == 2
             return algorithm
 
         batch = EventBatch(
