@@ -180,8 +180,8 @@ class GuessChecker:
             )
         self.builder = builder
         self.space = builder.space
-        self._final_sketch: CoverageSketch | None = None
-        self._kernel: KernelCache | None = None
+        # The frozen sketch and its kernel cache, once finalized.
+        self._frozen: tuple[CoverageSketch, KernelCache] | None = None
 
     def process(self, event: EdgeArrival) -> None:
         """Feed one edge into this guess's sketch."""
@@ -200,10 +200,10 @@ class GuessChecker:
         is built); after it, checks and queries share one immutable sketch
         and one packed kernel — the serving layer's repeat-query path.
         """
-        if self._final_sketch is None:
-            self._final_sketch = self.builder.sketch()
-            self._kernel = KernelCache(self._final_sketch.graph)
-        return self._final_sketch
+        if self._frozen is None:
+            sketch = self.builder.sketch()
+            self._frozen = sketch, KernelCache(sketch.graph)
+        return self._frozen[0]
 
     def check(
         self,
@@ -221,13 +221,13 @@ class GuessChecker:
         backend = (
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
-        if self._final_sketch is not None and self._kernel is not None:
-            sketch = self._final_sketch
+        if self._frozen is not None:
+            sketch, kernel = self._frozen
             result = greedy_k_cover(
                 sketch.graph,
                 self.budget_k,
                 forbidden=forbidden,
-                kernel=self._kernel.get(backend),  # type: ignore[arg-type]
+                kernel=kernel.get(backend),  # type: ignore[arg-type]
             )
             fraction = sketch.coverage_fraction(result.selected)
             edges = sketch.num_edges
@@ -439,7 +439,8 @@ class StreamingSetCoverOutliers:
         forbidden: Iterable[int] = (),
         coverage_backend: object = _UNSET,
     ) -> tuple[list[int], list[GuessOutcome]]:
-        """Re-run the accept/reject cascade against the frozen sketches.
+        """Re-run the accept/reject cascade against the frozen sketches
+        (one per builder, frozen by the first query).
 
         Unlike :meth:`result`/:meth:`outcomes` this never touches the cached
         state, so a long-lived instance can answer many differently
@@ -450,15 +451,23 @@ class StreamingSetCoverOutliers:
         backend = (
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
-        outcomes: list[GuessOutcome] = []
-        for checker in self._checkers:
-            checker.finalize()
-            outcomes.append(
-                checker.check(forbidden=forbidden, coverage_backend=backend)
-            )
+        self._finalize()
+        outcomes = [
+            checker.check(forbidden=forbidden, coverage_backend=backend)
+            for checker in self._checkers
+        ]
         accepted = next((o for o in outcomes if o.accepted), None)
         chosen = accepted if accepted is not None else outcomes[-1]
         return list(dict.fromkeys(chosen.solution)), outcomes
+
+    def _finalize(self) -> None:
+        """Freeze one sketch and kernel cache per builder, shared by the
+        builder's guesses (:meth:`GuessChecker.finalize`)."""
+        first_of: dict[StreamingSketchBuilder, GuessChecker] = {}
+        for checker in self._checkers:
+            first = first_of.setdefault(checker.builder, checker)
+            first.finalize()
+            checker._frozen = first._frozen
 
     def guesses(self) -> Sequence[int]:
         """The guessed cover sizes, in increasing order."""

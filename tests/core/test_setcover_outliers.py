@@ -442,6 +442,30 @@ class TestSharedBuilders:
                 assert _sketch(alone.builder) == _sketch(checker.builder)
         assert (algo._checkers[0].builder.evictions > 0) == (scale < 1.0)
 
+    @pytest.mark.parametrize("own", [0, 3])
+    def test_query_freezes_one_sketch_per_builder(self, workload, monkeypatch, own):
+        """``own``: how many of the last guesses get a builder of their own."""
+        graph = workload.graph
+        algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, seed=3)
+        for checker in algo._checkers[len(algo._checkers) - own:]:
+            checker.builder = StreamingSketchBuilder(checker.params, seed=3, space=algo.space)
+        _feed(algo, graph, 3, 4096)
+        frozen = []
+        sketch = StreamingSketchBuilder.sketch
+
+        def counted(builder):
+            frozen.append(builder)
+            return sketch(builder)
+
+        monkeypatch.setattr(StreamingSketchBuilder, "sketch", counted)
+        first = algo.query()
+        algo.query(forbidden=[1])
+        assert frozen == algo._builders() and len(frozen) == 1 + own
+        assert algo.query() == first
+        by_builder = {}
+        for checker in algo._checkers:
+            assert by_builder.setdefault(checker.builder, checker.finalize()) is checker.finalize()
+
     def test_binding_caps_split_the_guesses_into_groups(self):
         algo = StreamingSetCoverOutliers(4000, 20_000, 0.1, seed=5)
         builders = algo._builders()
