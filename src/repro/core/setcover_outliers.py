@@ -372,12 +372,11 @@ class StreamingSetCoverOutliers:
         """Feed a columnar edge batch into every guess's sketch.
 
         Usually one builder serves every guess (see the module docstring),
-        and it takes the batch as it is.  Several
-        builders charge one shared space meter, whose peak depends on how
-        their admissions and evictions interleave.  When every builder can
-        take the whole batch without an eviction, each one's stored-edge
-        count only grows, so feeding them one after another ends at the
-        scalar path's peak.  Then the batch is grouped by element and pair
+        and it takes the batch as it is.  Several builders charge one shared
+        space meter, whose peak depends on how their admissions and
+        evictions interleave.  When every builder can take the whole batch
+        without an eviction, each one's stored-edge count only grows, so
+        feeding them one after another ends at the scalar path's peak.  Then the batch is grouped by element and pair
         once (:class:`BatchGrouping`), and every builder ranks only the
         batch's distinct elements.  Otherwise the batch is fed edge by edge
         to all builders in turn, exactly as the scalar stream does; so is a

@@ -66,9 +66,10 @@ element)``, gathers their row blocks into the store's order and probes the
 store.  The threshold filter keeps or drops all the rows of an element
 together, so the grouping of a whole batch, restricted to one builder's
 kept keys, is exactly the grouping of that builder's survivors: builders
-that differ only in their hash and budgets — Algorithm 5's guesses, an
-ensemble's replicas — share one grouping per batch.  A builder fed alone
-ranks every row, filters, and groups only its survivors.  Only
+that differ only in their hash and budgets — an ensemble's replicas, and
+Algorithm 5's builders once its guesses' degree caps differ — share one
+grouping per batch.  A builder fed alone ranks every row, filters, and
+groups only its survivors.  Only
 :meth:`~StreamingSketchBuilder.add_edge` runs the rules one edge at a time:
 its first call moves the columns into per-element dicts with a max-heap of
 the ranks, and the next batch or read moves them back.  A batch goes that

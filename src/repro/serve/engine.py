@@ -24,8 +24,9 @@ with the same configuration return the memoized report without touching
 the stream.
 
 **set cover with outliers** (``outliers/sketch``).  The stream pass builds
-per-guess sketches; acceptance checks are offline.  The cache holds the
-post-stream algorithm with its guess sketches finalized
+the guesses' sketches, one per group of guesses with equal budgets (a
+single one below a thousand or so sets); acceptance checks are offline.
+The cache holds the post-stream algorithm with each sketch finalized once
 (:meth:`~repro.core.setcover_outliers.StreamingSetCoverOutliers.query`),
 so varying ``forbidden`` and the backend re-runs only the offline checks.
 The backend is *excluded* from the set-cover and outliers keys: kernel

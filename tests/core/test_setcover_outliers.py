@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.core.setcover_outliers import (
@@ -24,6 +23,7 @@ from repro.offline.greedy import greedy_k_cover
 from repro.streaming.events import EdgeArrival
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import EdgeStream
+from repro.utils.rng import spawn_rng
 
 from per_event import drive
 
@@ -493,7 +493,7 @@ class TestSharedBuilders:
     @pytest.mark.parametrize("batch_size", [7, 256])
     def test_several_builders_batch_equals_per_event(self, batch_size):
         n, m = 4000, 20_000
-        rng = np.random.default_rng(6)
+        rng = spawn_rng(6, "several-builders")
         graph = BipartiteGraph.from_element_sets(
             n, {element: set(rng.choice(n, size=5, replace=False).tolist())
                 for element in rng.choice(m, size=300, replace=False).tolist()}
