@@ -1,14 +1,10 @@
-"""Distributed map-phase throughput — batched columnar engine vs per-edge feed.
+"""Distributed throughput — the columnar map phase and the streaming merge tree.
 
 The two-round simulation's round 1 (shard the edges, build one ``H_{<=n}``
-sketch per machine) used to run on per-edge Python tuples.  It now routes
-whole ``EventBatch`` columns through one vectorised shard assignment and the
-sketch builder's native ``process_batch``.  This benchmark times both map
-phases on the same workload:
+sketch per machine) routes whole ``EventBatch`` columns through one
+vectorised shard assignment and the sketch builder's native
+``process_batch``.  This benchmark times two drives of the same workload:
 
-* **scalar edge-list path** — :func:`partition_edges` tuple shards, each fed
-  to its machine's builder with one ``add_edge`` call per edge (the
-  historical pipeline's per-edge work, driven here by the benchmark);
 * **batched columnar path** — :meth:`DistributedKCover.run_from_columnar`
   over a memory-mapped columnar directory, no per-edge objects anywhere
   (serial mapper — the reference pipeline);
@@ -18,14 +14,13 @@ phases on the same workload:
   thread and the coordinator folds sketches into the incremental merge tree
   as they complete, holding only O(log machines) sketches resident.
 
-All paths produce byte-identical runs (asserted here and property-tested in
+Both drives, and machine sketches built from :func:`partition_edges` tuple
+shards, produce byte-identical runs (asserted here and property-tested in
 ``tests/property/test_distributed_batching.py`` /
-``tests/property/test_streaming_reduce.py``).  CI gates: the batched map
-phase must process edges at least ``MIN_SPEEDUP`` times faster than the
-scalar one; the merge tree must run ``machines - 1`` pairwise merges, and
-its peak resident sketch count must stay below the machine count once there
-are enough machines for the logarithm to bite (>= 4; a binary counter over
-2 leaves still holds 2).
+``tests/property/test_streaming_reduce.py``).  CI gates: the merge tree must
+run ``machines - 1`` pairwise merges, and its peak resident sketch count
+must stay below the machine count once there are enough machines for the
+logarithm to bite (>= 4; a binary counter over 2 leaves still holds 2).
 """
 
 from __future__ import annotations
@@ -48,6 +43,7 @@ from repro.distributed import (
     partition_edges,
 )
 from repro.offline.greedy import greedy_k_cover
+from repro.streaming.batches import EventBatch
 from repro.utils.tables import Table
 
 K = 10
@@ -56,21 +52,17 @@ M = 150_000
 MACHINES = (2, 4, 8)
 STRATEGY = "random"
 SEED = 1700
-#: Minimum batched-over-scalar map-phase edges/sec ratio on the largest
-#: machine count.  Measured well above this on a laptop; 3x is the
-#: acceptance bar with CI headroom.
-MIN_SPEEDUP = 3.0
 
 
-def _scalar_map_phase(edges, params, machines: int):
-    """The per-edge baseline: per-edge sharding, then one ``add_edge`` call
-    per edge on each machine's builder, exported as the worker would."""
+def _tuple_shard_sketches(edges, params, machines: int):
+    """The reference the drives must match, untimed: :func:`partition_edges`
+    tuple shards, each fed to its machine's builder as one batch and
+    exported as the worker would."""
     sketches = []
     shards = partition_edges(edges, machines, strategy=STRATEGY, seed=SEED)
     for machine_id, shard in enumerate(shards):
         builder = StreamingSketchBuilder(params, hash_fn=UniformHash(SEED))
-        for set_id, element in shard:
-            builder.add_edge(set_id, element)
+        builder.process_batch(EventBatch.from_edges(shard))
         sketches.append(
             MachineSketch(
                 machine_id=machine_id,
@@ -96,9 +88,7 @@ def _throughput_table(tmp_path) -> Table:
         [
             "machines",
             "input_edges",
-            "scalar_edges_per_sec",
             "batched_edges_per_sec",
-            "speedup",
             "streaming_edges_per_sec",
             "peak_resident_sketches",
             "merge_count",
@@ -106,10 +96,6 @@ def _throughput_table(tmp_path) -> Table:
         ]
     )
     for machines in MACHINES:
-        start = time.perf_counter()
-        scalar_sketches = _scalar_map_phase(edges, params, machines)
-        scalar_seconds = time.perf_counter() - start
-
         runner = DistributedKCover(
             instance.n, instance.m, k=K, num_machines=machines,
             strategy=STRATEGY, params=params, seed=SEED,
@@ -131,22 +117,19 @@ def _throughput_table(tmp_path) -> Table:
         streaming_seconds = time.perf_counter() - start
 
         # Identical outcomes: both batched runs must land on the very greedy
-        # solution the scalar map phase leads to.
-        merged = merge_machine_sketches(scalar_sketches, params, hash_seed=SEED)
+        # solution the tuple shards lead to.
+        reference = _tuple_shard_sketches(edges, params, machines)
+        merged = merge_machine_sketches(reference, params, hash_seed=SEED)
         assert greedy_k_cover(merged.graph, K).selected == report.solution
-        assert [ms.edges_stored for ms in scalar_sketches] == report.machine_stored_edges
+        assert [ms.edges_stored for ms in reference] == report.machine_stored_edges
         assert streaming_report.solution == report.solution
         assert streaming_report.merged_threshold == report.merged_threshold
         assert streaming_report.machine_stored_edges == report.machine_stored_edges
         assert streaming_report.shard_edges == report.shard_edges
-        # The batched timings also cover merge + greedy, so the measured
-        # speedups understate the pure map-phase gap — fine for a floor.
         table.add_row(
             machines=machines,
             input_edges=len(edges),
-            scalar_edges_per_sec=len(edges) / scalar_seconds,
             batched_edges_per_sec=len(edges) / batched_seconds,
-            speedup=scalar_seconds / batched_seconds,
             streaming_edges_per_sec=len(edges) / streaming_seconds,
             peak_resident_sketches=streaming_report.peak_resident_sketches,
             merge_count=streaming_report.merge_count,
@@ -156,20 +139,20 @@ def _throughput_table(tmp_path) -> Table:
 
 
 @pytest.mark.benchmark(group="distributed-throughput")
-def test_batched_map_phase_beats_scalar(benchmark, tmp_path):
-    """The columnar map phase processes edges >= 3x faster than tuples."""
+def test_batched_map_phase_and_merge_tree(benchmark, tmp_path):
+    """The columnar drives match the tuple shards; the merge tree stays
+    O(log machines) resident."""
     table = benchmark.pedantic(_throughput_table, args=(tmp_path,), rounds=1, iterations=1)
-    print_table("Distributed map phase — scalar tuples vs batched columns", table)
+    print_table("Distributed map phase — columnar batches", table)
     write_table(
         "distributed_throughput",
-        "Distributed map-phase throughput, scalar edge lists vs columnar batches",
+        "Distributed throughput, columnar batches and the streaming merge tree",
         table,
         notes=[
             f"planted k-cover, n = {N}, ~{M} edges, sketch budget 6·n per machine, "
             f"'{STRATEGY}' sharding.",
             "The batched columns time a full run_from_columnar (sharding, map, "
-            "merge, greedy) against the scalar map phase alone, so the reported "
-            "speedups are lower bounds on the map-phase gap.",
+            "merge, greedy).",
             "The streaming columns run the zero-ship ShardRecomputeJobs "
             "under a thread executor; peak_resident_sketches is the merge "
             "tree's sketch high-water mark (O(log machines)).",
@@ -187,7 +170,7 @@ def test_batched_map_phase_beats_scalar(benchmark, tmp_path):
                 "rows": table.rows,
                 # Top-level scalars (collect_results folds these into the
                 # trajectory), all at the largest machine count.
-                "batched_speedup": float(table.column("speedup")[-1]),
+                "batched_edges_per_sec": float(table.column("batched_edges_per_sec")[-1]),
                 "streaming_peak_resident_sketches": int(peaks[-1]),
                 "streaming_merge_count": int(merges[-1]),
             },
@@ -195,7 +178,6 @@ def test_batched_map_phase_beats_scalar(benchmark, tmp_path):
         ),
         encoding="utf-8",
     )
-    assert table.column("speedup")[-1] >= MIN_SPEEDUP
     # O(log M) residency: below the machine count wherever log2 can bite
     # (a binary counter over 2 leaves still holds both before carrying).
     for machines, peak, merge_count in zip(MACHINES, peaks, merges):

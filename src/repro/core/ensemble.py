@@ -126,6 +126,12 @@ class SketchEnsemble:
         its own :meth:`StreamingSketchBuilder.process_batch` would.  A batch
         the grouping does not cover (a set id out of range) goes to each
         replica's own path.
+
+        Every replica ends as the per-event feed (:meth:`add_edge`) leaves
+        it, but the shared space meter records the replicas fed one after
+        another: its peak is that of feeding each replica the batch's edges
+        in turn, where the per-event feed hands every edge to all of them.
+        Once the replicas evict, the two peaks may differ by a few edges.
         """
         self._sketches = None
         grouping = BatchGrouping.of(batch, self.params.num_sets)

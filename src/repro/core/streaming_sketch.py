@@ -69,13 +69,17 @@ kept keys, is exactly the grouping of that builder's survivors: builders
 that differ only in their hash and budgets — an ensemble's replicas, and
 Algorithm 5's builders once its guesses' degree caps differ — share one
 grouping per batch.  A builder fed alone ranks every row, filters, and
-groups only its survivors.  Only
-:meth:`~StreamingSketchBuilder.add_edge` runs the rules one edge at a time:
-its first call moves the columns into per-element dicts with a max-heap of
-the ranks, and the next batch or read moves them back.  A batch goes that
-way only when the vectorised form does not apply — an out-of-range set id
-(to raise at the right row), a degree cap above the limit, or a space meter
-enforcing a budget.
+groups only its survivors.
+
+A batch of one row, which is what :meth:`~StreamingSketchBuilder.add_edge`
+feeds, is added to the store as it is, and if the edges then exceed the
+limit the store alone is cut: its top elements leave, in eviction order,
+until the edges fit, but the last tracked element never does.  A batch of
+several rows that the closed form cannot take whole goes through that same
+path one row at a time: the rows from an out-of-range set id on (to raise
+at the row the per-edge stream would), and every row when the degree cap is
+above the limit (one element alone may then exceed it) or a space meter
+enforces a budget (it must see each charge).
 
 Two rank sources are supported, mirroring the paper's discussion of
 randomness:
@@ -92,11 +96,9 @@ randomness:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -108,13 +110,12 @@ from repro.coverage.bipartite import (
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.sketch_columns import SketchColumns, admission_order, element_starts
+from repro.core.sketch_columns import SketchColumns, element_starts
 from repro.errors import SpecError
 from repro.streaming.batches import DEFAULT_BATCH_SIZE, EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
 from repro.utils.rng import spawn_rng
-from repro.utils.validation import check_non_negative_int
 
 __all__ = ["StreamingSketchBuilder"]
 
@@ -145,10 +146,11 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.ranks)
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.ranks, self.elements, self.set_ids, self.arrivals
+
     def take(self, index: np.ndarray | slice) -> "_Rows":
-        return _Rows(
-            self.ranks[index], self.elements[index], self.set_ids[index], self.arrivals[index]
-        )
+        return _Rows(*(column[index] for column in self.columns()))
 
     def insert(self, positions: np.ndarray, rows: "_Rows") -> "_Rows":
         """These rows with ``rows`` inserted before ``positions`` (ascending)."""
@@ -156,14 +158,16 @@ class _Rows:
             return self
         if not len(self):
             return rows
+        pairs = zip(self.columns(), rows.columns())
+        if len(rows) == 1:
+            # One row: copying the slices around it beats a mask scatter.
+            at = int(positions[0])
+            return _Rows(*(np.concatenate((mine[:at], theirs, mine[at:])) for mine, theirs in pairs))
         slots = positions + np.arange(len(rows))
         old = np.ones(len(self) + len(rows), dtype=bool)
         old[slots] = False
         columns = []
-        for mine, theirs in zip(
-            (self.ranks, self.elements, self.set_ids, self.arrivals),
-            (rows.ranks, rows.elements, rows.set_ids, rows.arrivals),
-        ):
+        for mine, theirs in pairs:
             merged = np.empty(len(old), dtype=mine.dtype)
             merged[old] = mine
             merged[slots] = theirs
@@ -177,8 +181,8 @@ class StreamingSketchBuilder:
     The stored edges are rank-sorted columns: a batch is admitted, cut and
     counted on them by array work (see the module docstring for why that is
     exactly Algorithm 2), and the :class:`BipartiteGraph` of the sketch is
-    built only by :meth:`sketch`.  The per-edge :meth:`add_edge` works on
-    element → set ids dicts built from the columns on its first call.
+    built only by :meth:`sketch`.  The per-edge :meth:`add_edge` is a
+    one-row batch.
 
     Parameters
     ----------
@@ -222,31 +226,14 @@ class StreamingSketchBuilder:
         self._rows = _Rows.empty()
         self._arrivals = 0
         self._num_edges = 0
-        # The per-edge form of the store, None unless add_edge holds it:
-        # tracked element → rank, and → its set ids (a dict used as an
-        # insertion-ordered set), both in order of first admission.  The
-        # max-heap over (negated rank, element) is built by one heapify at
-        # the first eviction in this form; the keys are unique, so the pop
-        # order is the same as pushing on every admission.
-        self._ranks: dict[int, float] | None = None
-        self._owners: dict[int, dict[int, None]] | None = None
-        self._heap: list[tuple[float, int]] | None = None
         self._truncated: set[int] = set()
         self._admission_threshold = 1.0
         self._edges_seen = 0
         self._edges_discarded = 0
         self._evictions = 0
         self._permutation_ranks: tuple[np.ndarray, np.ndarray] | None = None
-        self._permutation_rank_of: dict[int, float] | None = None
         if rank_source == "permutation":
             self._permutation_ranks = self._sample_permutation()
-            sampled, ranks = self._permutation_ranks
-            # Dict twin of the sorted arrays for the scalar per-edge path
-            # (a dict probe is ~10x cheaper than a searchsorted call); both
-            # structures are O(|Π|).
-            self._permutation_rank_of = {
-                int(element): float(rank) for element, rank in zip(sampled, ranks)
-            }
 
     # ------------------------------------------------------------------ #
     # rank handling
@@ -259,10 +246,9 @@ class StreamingSketchBuilder:
         element is its (normalised) position in a random permutation of Π.
         The result is ``(elements, ranks)``: the sampled element ids sorted
         ascending plus their aligned ranks, ``O(|Π|)`` space, preserving the
-        sketch's sublinear-space story.  The batched path ranks a column by
-        binary search in these arrays (``np.searchsorted``); the scalar path
-        looks ranks up in their dict twin built by ``__init__``.  Unsampled
-        elements rank ``inf`` and are always discarded.
+        sketch's sublinear-space story.  A column is ranked by binary search
+        in these arrays (``np.searchsorted``).  Unsampled elements rank
+        ``inf`` and are always discarded.
         """
         rng = spawn_rng(self.seed, "algorithm2-permutation")
         population = self.params.num_elements
@@ -274,16 +260,14 @@ class StreamingSketchBuilder:
         return sample[order].astype(np.uint64), ranks[order]
 
     def _rank(self, element: int) -> float:
-        if self._permutation_rank_of is not None:
-            return self._permutation_rank_of.get(element, float("inf"))
-        return self.hash_fn.value(element)
+        """The rank of one element."""
+        return float(self._rank_batch(np.array([element], dtype=np.uint64))[0])
 
     def _rank_batch(self, elements: np.ndarray) -> np.ndarray:
         """Vectorised ranks of a whole element column.
 
-        Bit-identical to calling :meth:`_rank` per element: the sorted
-        permutation sample is probed with one ``searchsorted`` gather, and
-        the hash path calls the hash family's ``value_many``.
+        The sorted permutation sample is probed with one ``searchsorted``
+        gather, and the hash path calls the hash family's ``value_many``.
         """
         if self._permutation_ranks is not None:
             sampled, sample_ranks = self._permutation_ranks
@@ -327,82 +311,12 @@ class StreamingSketchBuilder:
     def add_edge(self, set_id: int, element: int) -> bool:
         """Process one membership edge; returns whether it was stored.
 
-        An edge that would be stored is validated first, raising what
-        :meth:`BipartiteGraph.add_edge` raises for a bad set id or element.
+        The edge is a one-row :meth:`process_batch`, so its ids convert as a
+        batch's columns do.  A set id out of range raises what
+        :meth:`BipartiteGraph.add_edge` raises, unless the threshold or the
+        degree cap discards the edge first.
         """
-        self._edges_seen += 1
-        return self._admit_rows((set_id,), (element,), (self._rank(element),), checked=False) == 1
-
-    def _admit_rows(
-        self,
-        set_ids: Sequence[int],
-        elements: Sequence[int],
-        ranks: Sequence[float],
-        *,
-        checked: bool,
-    ) -> int:
-        """Admit rows one at a time, in order; return how many were stored.
-
-        Per row: the threshold check, the degree cap (an arrival at the cap
-        marks the element truncated), the row's validation unless the
-        caller ``checked`` it, the ``(set, element)`` dedup, then the add,
-        its charge and any eviction it makes necessary.
-        """
-        self._use_dicts()
-        owners_of = self._owners
-        cap = self.params.degree_cap
-        limit = self.params.max_stored_edges
-        charge = self.space.charge
-        threshold = self._admission_threshold
-        stored = 0
-        for set_id, element, rank in zip(set_ids, elements, ranks):
-            if rank >= threshold:
-                self._edges_discarded += 1
-                continue
-            owners = owners_of.get(element)
-            if owners is not None and len(owners) >= cap:
-                self._truncated.add(element)
-                self._edges_discarded += 1
-                continue
-            if not checked:
-                check_set_id(set_id, self.params.num_sets)
-                check_non_negative_int(element, "element")
-            if owners is None:
-                self._ranks[element] = rank
-                owners_of[element] = {set_id: None}
-                if self._heap is not None:
-                    heapq.heappush(self._heap, (-rank, element))
-            elif set_id in owners:
-                self._edges_discarded += 1
-                continue
-            else:
-                owners[set_id] = None
-            self._num_edges += 1
-            stored += 1
-            charge(1)
-            if self._num_edges > limit:
-                self._evict(limit)
-                threshold = self._admission_threshold
-        return stored
-
-    def _evict(self, limit: int) -> None:
-        """Evict highest-ranked elements while more than ``limit`` edges are stored."""
-        ranks = self._ranks
-        evicted = []
-        while self._num_edges > limit and len(ranks) > 1:
-            if self._heap is None:
-                self._heap = [(-rank, element) for element, rank in ranks.items()]
-                heapq.heapify(self._heap)
-            # The heap holds exactly the tracked elements: each admission
-            # pushes, each eviction pops, and nothing else leaves _ranks.
-            neg_rank, element = heapq.heappop(self._heap)
-            del ranks[element]
-            removed = len(self._owners.pop(element))
-            self._num_edges -= removed
-            self.space.release(removed)
-            self._admission_threshold = min(self._admission_threshold, -neg_rank)
-            evicted.append(element)
-        self._forget(evicted)
+        return self.process_batch(EventBatch((set_id,), (element,))) == 1
 
     def _forget(self, evicted: list[int]) -> None:
         """Count the ``evicted`` elements, given in eviction order, and drop
@@ -435,16 +349,14 @@ class StreamingSketchBuilder:
         ``searchsorted`` gather for ``rank_source="permutation"``, the hash
         family's ``value_many`` otherwise — and edges whose rank already
         clears the current admission threshold are rejected wholesale; since
-        the threshold only ever decreases, the scalar path would reject every
-        one of them too.  The survivors are grouped by element and pair
-        (:class:`BatchGrouping`) and admitted on the columnar store: by
-        :meth:`_admit_bulk` when they fit (:meth:`fits_in_bulk`), else by
-        :meth:`_admit_overflow`, which decides from the contributions which
-        rows come by their rank's eviction row and cuts the store once (the
-        module docstring gives the characterisation that makes this exact).
-        A batch longer than ``DEFAULT_BATCH_SIZE`` that may overflow is
-        admitted in pieces of that size.  Either way the builder state after
-        a batch is byte-identical to feeding the same edges one at a time.
+        the threshold only ever decreases, the per-edge stream would reject
+        every one of them too.  The survivors are grouped by element and
+        pair (:class:`BatchGrouping`) and admitted on the columnar store by
+        :meth:`_admit`.  A batch the closed form cannot take whole goes to
+        it one row at a time (:meth:`_rows_one_at_a_time`), and a batch
+        longer than ``DEFAULT_BATCH_SIZE`` that may overflow in pieces of
+        that size.  Either way the builder state after a batch is
+        byte-identical to feeding the same edges one at a time.
 
         ``grouping`` is the batch's own grouping, shared by several builders
         fed the same batch: then only its distinct elements are ranked, and
@@ -460,6 +372,14 @@ class StreamingSketchBuilder:
             # each piece leaves filters the next before any array work,
             # where the rows ranked above the cut would cost O(n log n).
             return sum(map(self.process_batch, batch.chunks(DEFAULT_BATCH_SIZE)))
+        num_sets = self.params.num_sets
+        if count > 1 and batch.set_ids.max() >= num_sets:
+            # The rows before the first out-of-range set id are a batch; the
+            # rest go one at a time, to raise at the row the stream would.
+            bad = int((batch.set_ids >= num_sets).argmax())
+            return self.process_batch(batch.take(np.arange(bad))) + self._rows_one_at_a_time(
+                batch, bad
+            )
         threshold = self._admission_threshold
         if grouping is None:
             ranks = self._rank_batch(batch.elements)
@@ -472,62 +392,56 @@ class StreamingSketchBuilder:
             keep = key_ranks < threshold
             if not keep.all():
                 grouping, key_ranks = grouping.restrict(keep), key_ranks[keep]
-            set_ids, elements, ranks = grouping.set_ids, grouping.elements, None
+            elements = grouping.elements
         kept = len(elements)
+        # The closed form needs every eviction to end within the limit,
+        # which holds when one element's capped degree fits it, and a meter
+        # without a budget to check mid-batch.
+        closed_form = (
+            self.space.budget is None
+            and self.params.degree_cap <= self.params.max_stored_edges
+        )
+        if count > 1 and not (closed_form or self.fits_in_bulk(kept)):
+            return self._rows_one_at_a_time(batch, 0)
         self._edges_seen += count
         self._edges_discarded += count - kept
         if not kept:
             return 0
-        # A batch with an out-of-range set id is admitted row by row with
-        # validation, so it raises at exactly the row the scalar stream would.
-        checked = bool(set_ids.max() < self.params.num_sets)
-        bulk = checked and self.fits_in_bulk(kept)
-        if bulk or (checked and self._cuts_in_bulk()):
-            if grouping is None:
-                grouping = BatchGrouping.of_rows(set_ids, elements, self.params.num_sets)
-                key_ranks = ranks[grouping.by_element[grouping.starts]]
-            admit = self._admit_bulk if bulk else self._admit_overflow
-            return admit(grouping, key_ranks)
-        if ranks is None:
-            ranks = key_ranks[grouping.key_of]
-        return self._admit_rows(
-            set_ids.tolist(), elements.tolist(), ranks.tolist(), checked=checked
-        )
+        if grouping is None:
+            grouping = BatchGrouping.of_rows(set_ids, elements, num_sets)
+            key_ranks = ranks[grouping.by_element[grouping.starts]]
+        return self._admit(grouping, key_ranks)
 
-    def _cuts_in_bulk(self) -> bool:
-        """Whether an overflowing batch can be admitted by :meth:`_admit_overflow`.
+    def _rows_one_at_a_time(self, batch: EventBatch, start: int) -> int:
+        """Feed the batch's rows from ``start`` on as one-row batches; return
+        how many were stored."""
+        rest = EventBatch(batch.set_ids[start:], batch.elements[start:])
+        return sum(map(self.process_batch, rest.chunks(1)))
 
-        Every eviction must end with the edges within the limit, which holds
-        when one element's capped degree fits it (so the one-element guard
-        of :meth:`_evict` never fires), and the meter must have no budget to
-        enforce mid-batch.
+    def _admit(self, grouping: BatchGrouping, key_ranks: np.ndarray) -> int:
+        """Admit below-threshold rows on the store; return how many were stored.
+
+        One row is added as it is, in the per-edge stream's order: the
+        degree cap (an arrival at the cap marks the element truncated), the
+        set id's validation, the ``(set, element)`` dedup, then the add and
+        its charge; if the edges then exceed the limit, :meth:`_shed`
+        evicts.  Several rows are all stored when they fit the limit.
+        Otherwise the cut ``ρ0`` is the smallest rank whose prefix exceeds
+        the limit once every contribution is counted.  Rows ranked below it
+        are admitted; a row ranked ``ρ >= ρ0`` is admitted up to the
+        eviction row ``A_ρ`` of its rank, the contributing row at which the
+        prefix of ``ρ`` first exceeds the limit.
         """
-        return (
-            self.space.budget is None
-            and self.params.degree_cap <= self.params.max_stored_edges
-        )
-
-    def _admit_bulk(self, grouping: BatchGrouping, key_ranks: np.ndarray) -> int:
-        """Admit below-threshold rows that fit the edge limit; return #stored.
-
-        No eviction can happen inside such a batch, so the threshold stays
-        fixed and every contributing row is stored.
-        """
-        batch = _Admission(self._use_columns(), grouping, key_ranks, self.params)
-        return self._commit(batch, None, None)
-
-    def _admit_overflow(self, grouping: BatchGrouping, key_ranks: np.ndarray) -> int:
-        """Admit below-threshold rows that may evict; return #stored.
-
-        The cut ``ρ0`` is the smallest rank whose prefix exceeds the limit
-        once every contribution is counted.  Rows ranked below it are
-        admitted; a row ranked ``ρ >= ρ0`` is admitted up to the eviction
-        row ``A_ρ`` of its rank, the contributing row at which the prefix of
-        ``ρ`` first exceeds the limit.
-        """
-        batch = _Admission(self._use_columns(), grouping, key_ranks, self.params)
+        batch = _Admission(self._rows, grouping, key_ranks, self.params)
         limit = self.params.max_stored_edges
-        cut = batch.cut(limit)
+        if len(batch) == 1:
+            if not batch.capped[0]:
+                check_set_id(int(batch.set_ids[0]), self.params.num_sets)
+            stored = self._commit(batch, None, None)
+            if self._num_edges > limit:
+                self._shed()
+            return stored
+        cut = None if self.fits_in_bulk(len(batch)) else batch.cut(limit)
         if cut is None:
             return self._commit(batch, None, None)
         runs = batch.rank_runs
@@ -545,6 +459,39 @@ class StreamingSketchBuilder:
         admitted = np.ones(len(batch), dtype=bool)
         admitted[high] = earlier < need[run_of[high]]
         return self._commit(batch, admitted, cut)
+
+    def _shed(self) -> None:
+        """Evict the top elements, in ``(rank descending, element
+        ascending)`` order, while the edges exceed the limit and another
+        element is tracked: the last one stays even when it alone exceeds
+        the limit, as it may when the degree cap does.
+
+        Only the elements ranked at or above the rank of the first row past
+        the limit can go, since the rows ranked below it fit.
+        """
+        rows, limit = self._rows, self.params.max_stored_edges
+        low = int(rows.ranks.searchsorted(rows.ranks[limit]))
+        starts = element_starts(rows.elements[low:]) + low
+        lengths = np.diff(starts, append=len(rows))
+        ranks = rows.ranks[starts]
+        order = np.lexsort((rows.elements[starts], -ranks))
+        # The shortest prefix of that order that frees enough rows, less the
+        # last tracked element if it would take them all.
+        leave = int(lengths[order].cumsum().searchsorted(len(rows) - limit)) + 1
+        if leave == len(order) and not low:
+            leave -= 1
+        if not leave:
+            return
+        victims = order[:leave]
+        gone = np.zeros(len(starts), dtype=bool)
+        gone[victims] = True
+        keep = np.ones(len(rows), dtype=bool)
+        keep[low:] = ~gone.repeat(lengths)
+        self._rows = rows.take(keep)
+        self._num_edges = len(self._rows)
+        self.space.release(len(rows) - self._num_edges)
+        self._admission_threshold = min(self._admission_threshold, float(ranks[victims[-1]]))
+        self._forget(rows.elements[starts[victims]].tolist())
 
     def _commit(
         self, batch: "_Admission", admitted: np.ndarray | None, cut: float | None
@@ -590,11 +537,17 @@ class StreamingSketchBuilder:
         if evicted:
             self._admission_threshold = min(self._admission_threshold, cut)
             self._forget(evicted)
+        self._edges_discarded += len(stored) - count
+        if self.space.budget is not None:
+            # Only one-row batches reach a meter with a budget, which checks
+            # each charge.
+            if count:
+                self.space.charge(count)
+            return count
         # Anything evicted means the stored edges reached limit + 1: every
         # eviction follows the row that first passes the limit.
         high = self.params.max_stored_edges + 1 - before if evicted else count
         self.space.apply(count, before + count - self._num_edges, high)
-        self._edges_discarded += len(stored) - count
         return count
 
     def _cut(
@@ -667,37 +620,6 @@ class StreamingSketchBuilder:
         gone = members[over & (member_degrees > 0)]
         return gone, low + int(run.searchsorted(gone[-1], "right"))
 
-    # ------------------------------------------------------------------ #
-    # the two forms of the store
-    # ------------------------------------------------------------------ #
-    def _use_columns(self) -> _Rows:
-        """The columnar store, moving the per-edge dicts into it if they hold
-        the edges.  Each element's set ids keep their admission order."""
-        owners = self._owners
-        if owners is not None:
-            count = len(owners)
-            degrees = np.fromiter(map(len, owners.values()), dtype=np.intp, count=count)
-            elements = np.repeat(np.fromiter(owners, dtype=np.uint64, count=count), degrees)
-            ranks = np.repeat(
-                np.fromiter(self._ranks.values(), dtype=np.float64, count=count), degrees
-            )
-            set_ids = np.fromiter(
-                chain.from_iterable(owners.values()), dtype=np.uint64, count=self._num_edges
-            )
-            order = admission_order(ranks, elements, set_ids)
-            self._rows = _Rows(ranks, elements, set_ids, np.arange(len(set_ids))).take(order)
-            self._arrivals = len(set_ids)
-            self._ranks = self._owners = self._heap = None
-        return self._rows
-
-    def _use_dicts(self) -> None:
-        """Move the columnar store into the per-edge dicts (if not there yet)."""
-        if self._owners is None:
-            elements, ranks, set_ids = self._by_admission()
-            self._ranks = dict(zip(elements, ranks))
-            self._owners = dict(zip(elements, map(dict.fromkeys, set_ids)))
-            self._rows = _Rows.empty()
-
     def _by_admission(self) -> tuple[list[int], list[float], Iterator[list[int]]]:
         """The stored elements in order of first admission, their ranks, and
         each one's set ids in admission order."""
@@ -720,7 +642,7 @@ class StreamingSketchBuilder:
         """``p*``: the largest retained rank once anything was rejected
         (evicted, or ranked above the lowered admission threshold), 1.0 when
         the whole stream fit — mirroring the offline convention."""
-        rows = self._use_columns()
+        rows = self._rows
         if not len(rows):
             return self._admission_threshold
         if self._evictions > 0 or self._admission_threshold < 1.0:
@@ -734,7 +656,6 @@ class StreamingSketchBuilder:
         :meth:`~BipartiteGraph.elements` and each adjacency set come out as
         the per-edge stream would fill them.
         """
-        self._use_columns()
         elements, ranks, set_ids = self._by_admission()
         return CoverageSketch(
             graph=BipartiteGraph.from_element_sets(
@@ -756,7 +677,7 @@ class StreamingSketchBuilder:
         the way :class:`SketchColumns` is, so its columns are shared as
         they are.
         """
-        rows = self._use_columns()
+        rows = self._rows
         truncated = np.fromiter(self._truncated, dtype=np.uint64, count=len(self._truncated))
         return SketchColumns(
             ranks=rows.ranks,
@@ -768,15 +689,10 @@ class StreamingSketchBuilder:
 
     def describe(self) -> dict[str, float | int | str]:
         """Diagnostics for logging and tests."""
-        tracked = (
-            len(self._ranks)
-            if self._ranks is not None
-            else len(element_starts(self._rows.elements))
-        )
         return {
             "rank_source": self.rank_source,
             "stored_edges": self.stored_edges,
-            "tracked_elements": tracked,
+            "tracked_elements": len(element_starts(self._rows.elements)),
             "edges_seen": self._edges_seen,
             "edges_discarded": self._edges_discarded,
             "evictions": self._evictions,
@@ -827,7 +743,15 @@ class BatchGrouping:
 
     @classmethod
     def of_rows(cls, set_ids: np.ndarray, elements: np.ndarray, num_sets: int) -> "BatchGrouping":
-        """The grouping of rows whose set ids are all below ``num_sets``."""
+        """The grouping of rows whose set ids are all below ``num_sets``
+        (a lone row's set id may be any)."""
+        if len(elements) == 1:
+            # One row is its own key, pair and block: nothing to sort.
+            zero = np.zeros(1, dtype=np.intp)
+            return cls(
+                set_ids, elements, elements, zero, zero, np.ones(1, dtype=np.intp),
+                zero, zero, np.ones(1, dtype=bool),
+            )
         by_element = elements.argsort(kind="stable")
         grouped = elements[by_element]
         boundary = run_starts(grouped)

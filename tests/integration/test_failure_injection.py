@@ -104,22 +104,36 @@ class TestSpaceBudgetEnforcementBatched:
         assert batched == scalar  # one violation per over-budget edge, as per edge
 
 
+def _builder_states(algorithm):
+    """``describe()`` of every sketch builder the algorithm feeds now."""
+    if isinstance(algorithm, StreamingSetCover):
+        algorithm = algorithm._current_outliers
+    if algorithm is None:
+        return []
+    if isinstance(algorithm, StreamingSketchBuilder):
+        return [algorithm.describe()]
+    return [builder.describe() for builder in algorithm._builders()]
+
+
 class TestOutOfRangeSetIdBatched:
     """An out-of-range set id in a batch raises what the scalar stream raises."""
 
     def _same_error(self, make, num_sets, batch=None):
+        """Both feeds raise the same error and leave every sketch builder
+        with the same counters: rows after the raising one are not seen."""
         if batch is None:
             batch = EventBatch(
                 np.array([0, 1, num_sets + 4, num_sets + 2, 2], dtype=np.uint64),
                 np.array([3, 4, 5, 6, 7], dtype=np.uint64),
             )
+        per_event, batch_fed = make(), make()
         with pytest.raises(InvalidInstanceError) as scalar:
-            algorithm = make()
             for event in batch.iter_events():
-                algorithm.process(event)
+                per_event.process(event)
         with pytest.raises(InvalidInstanceError) as batched:
-            make().process_batch(batch)
+            batch_fed.process_batch(batch)
         assert str(batched.value) == str(scalar.value)
+        assert _builder_states(batch_fed) == _builder_states(per_event)
         return str(scalar.value)
 
     def test_sketch_builder(self, planted_kcover):

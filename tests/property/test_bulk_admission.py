@@ -4,7 +4,7 @@
 its columnar store: in bulk when the threshold survivors fit
 ``edge_budget + eviction_slack``, by the overflow path otherwise.  These
 seeded trials feed the same edges to one builder batch by batch and to
-another one edge at a time (``add_edge``, the dict-and-heap path), and
+another one edge at a time (``add_edge``, a one-row batch each), and
 after every batch compare all of the builder's state:
 the graph with its ``elements()`` and per-set iteration orders, the ranks
 in admission order, the truncation flags, the threshold, the counters, the
@@ -44,15 +44,17 @@ def _builder(params, *, seed=0, rank_source="hash"):
 
 
 def _count_bulk(builder, monkeypatch):
-    """Count the builder's bulk admissions."""
+    """Count the builder's bulk admissions: batches stored with every row
+    admitted and no cut."""
     calls = []
-    admit_bulk = builder._admit_bulk
+    commit = builder._commit
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return admit_bulk(*args)
+    def counted(batch, admitted, cut):
+        if admitted is None and cut is None:
+            calls.append(len(batch))
+        return commit(batch, admitted, cut)
 
-    monkeypatch.setattr(builder, "_admit_bulk", counted)
+    monkeypatch.setattr(builder, "_commit", counted)
     return calls
 
 
@@ -182,16 +184,6 @@ class TestBulkBoundary:
         for set_ids, elements in batches:
             builder.process_batch(EventBatch(set_ids, elements))
         assert calls == [15]
-
-    def test_heap_is_built_only_by_an_eviction(self):
-        params = _params(4, 1000, edge_budget=20, degree_cap=3, slack=3)
-        builder = _builder(params, seed=8)
-        builder.process_batch(EventBatch(*self._distinct(15)))
-        assert builder._heap is None
-        for set_id, element in zip(*(c.tolist() for c in self._distinct(30, offset=15))):
-            builder.add_edge(set_id, element)
-        assert builder._heap is not None
-        assert sorted(element for _, element in builder._heap) == sorted(builder._ranks)
 
 
 class TestPendingRows:

@@ -29,6 +29,7 @@ from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import EdgeStream
 from repro.utils.rng import spawn_rng
 
+from per_event import add_edges
 from test_algorithm2_reference import _QuantisedHash, _Reference
 
 NUM_SETS, NUM_ELEMENTS = 12, 150
@@ -111,7 +112,7 @@ def test_a_shared_grouping_matches_each_builders_own_batch_and_the_reference(see
     references = [_Reference(b.params, b._rank, reference_meter) for b in shared]
     batches = list(_batches(seed, 8))
     # The first batch goes edge by edge, so the shared batches meet builders
-    # that already hold rows (in their per-edge form).
+    # that already hold rows.
     first, rest = batches[0], batches[1:]
     for builder_group in (shared, own):
         for builder in builder_group:
@@ -256,3 +257,42 @@ def test_the_ensemble_feeds_its_replicas_one_after_another(edge_budget, batch_si
     assert ensemble.space.as_dict() == meter.as_dict()
     if edge_budget is not None:
         assert all(builder.evictions for builder in builders)
+
+
+def _own_state(builder):
+    """A replica's state without the peak of the meter it shares."""
+    state = _state(builder)
+    del state["describe"]["space_peak"]
+    return state
+
+
+@pytest.mark.parametrize("edge_budget, batch_size, below", [(30, 7, 0), (60, 1024, 1)])
+def test_the_ensemble_meter_records_its_replicas_fed_in_turn(edge_budget, batch_size, below):
+    """With explicit budgets the replicas evict, and then the interleave of
+    their charges sets the shared meter's peak.  ``process_batch`` leaves
+    every replica as the per-event feed does, but its meter records the
+    replicas fed one after another per batch: each replica takes the batch's
+    edges in turn, where the per-event feed hands every edge to all of them.
+    Its peak may then be ``below`` the per-event feed's."""
+    instance = planted_kcover_instance(40, 900, k=6, seed=21)
+    params = SketchParams.explicit(40, 900, 6, 0.5, edge_budget=edge_budget, degree_cap=4)
+    batched, per_event = (SketchEnsemble(params, replicas=3, seed=2) for _ in range(2))
+    meter = SpaceMeter(unit="edges")
+    in_turn = [
+        StreamingSketchBuilder(params, hash_fn=builder.hash_fn, space=meter)
+        for builder in batched._builders
+    ]
+    stream = EdgeStream.from_graph(instance.graph, order="random", seed=2)
+    for batch in stream.iter_batches(batch_size):
+        batched.process_batch(batch)
+        edges = list(zip(batch.set_ids.tolist(), batch.elements.tolist()))
+        add_edges(per_event, edges)
+        for builder in in_turn:
+            add_edges(builder, edges)
+    assert [_own_state(b) for b in batched._builders] == [
+        _own_state(b) for b in per_event._builders
+    ]
+    assert [_own_state(b) for b in batched._builders] == [_own_state(b) for b in in_turn]
+    assert batched.space.as_dict() == meter.as_dict()
+    assert per_event.space.peak - batched.space.peak == below
+    assert all(builder.evictions for builder in in_turn)
