@@ -263,6 +263,36 @@ def test_builders_sharing_a_meter_match_the_reference(seed, batch_size):
     assert meter.peak > max(builder.space.current for builder in builders)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_the_last_element_kept_among_tied_ranks_matches_the_reference(seed):
+    """A degree cap above the limit lets one element alone exceed it, and
+    quantised ranks tie: when the evictions would empty the store, the
+    element left is the last in eviction order among the tied ones."""
+    rng = spawn_rng(seed, "algorithm2-lone-ties")
+    params = SketchParams.explicit(
+        30, 12, 2, 0.5, edge_budget=2, degree_cap=10, eviction_slack=0
+    )
+    set_ids = rng.integers(0, 30, 400).astype(np.uint64)
+    elements = rng.integers(0, 12, 400).astype(np.uint64)
+    hash_fn = _QuantisedHash(seed, 6)
+    reference = _Reference(params, hash_fn.value)
+    kept_among_ties = 0
+    for set_id, element in zip(set_ids.tolist(), elements.tolist()):
+        evicted = len(reference.evicted)
+        reference.add(set_id, element)
+        if len(reference.owners) == 1:
+            rank = next(iter(reference.ranks.values()))
+            kept_among_ties += any(
+                hash_fn.value(victim) == rank for victim in reference.evicted[evicted:]
+            )
+    assert kept_among_ties
+    for batch_size in BATCH_SIZES:
+        builder = StreamingSketchBuilder(params, hash_fn=hash_fn)
+        evicted = _record_evictions(builder)
+        _feed(builder, set_ids, elements, batch_size)
+        _assert_matches(builder, reference, evicted)
+
+
 def test_a_planted_stream_evicting_thousands_per_batch_matches_the_reference():
     instance = planted_kcover_instance(40, 7_300, k=4, seed=5)
     set_ids, elements = (np.asarray(column) for column in instance.graph.to_set_columns())
