@@ -126,6 +126,9 @@ class StreamingSetCover:
         # The covered elements as a column, for the batched sketch and
         # collect passes (which never change them); set by start_pass.
         self._covered_ids = np.empty(0, dtype=np.uint64)
+        # _chosen as a mask over the set ids, plus a last slot, never set,
+        # that the batched mark pass maps every out-of-range id to.
+        self._chosen_mask = np.zeros(num_sets + 1, dtype=bool)
         self._phases = self._build_phase_plan()
         self._phase_index = 0
         self._current_outliers: StreamingSetCoverOutliers | None = None
@@ -216,8 +219,8 @@ class StreamingSetCover:
             raise TypeError("StreamingSetCover consumes edge batches, got a set batch")
         phase, _ = self.current_phase()
         if phase == "mark":
-            chosen = np.fromiter(self._chosen, dtype=np.uint64, count=len(self._chosen))
-            rows = np.flatnonzero(np.isin(batch.set_ids, chosen))
+            slots = np.minimum(batch.set_ids, self.num_sets)
+            rows = np.flatnonzero(self._chosen_mask[slots])
             self._covered.update(batch.elements[rows].tolist())
             return
         if phase not in ("sketch", "collect"):
@@ -276,6 +279,7 @@ class StreamingSetCover:
             if set_id not in self._chosen:
                 self._solution.append(set_id)
                 self._chosen.add(set_id)
+                self._chosen_mask[set_id] = True
 
     def describe(self) -> dict[str, object]:
         """Diagnostics for reports."""

@@ -28,13 +28,28 @@ and slack to ``n`` (no element has more edges), so guesses whose three
 budgets agree share one :class:`StreamingSketchBuilder`: all of them until
 the caps fall below ``n``, which takes over a thousand sets (2,900 at
 ``λ = 0.1, ε = 0.3``).  A shared store is charged to the space meter once.
+
+Nothing else a solve sets up depends on the stream, so it is done once:
+
+* **The plan.**  A guess's step count, ``ε`` and clamped budgets are a pure
+  function of ``(k', ε', λ', C', n, m, mode, scale)``, memoised in a bounded
+  cache (``_guess_plan``), as is the schedule of guesses.  Algorithm 6 runs
+  Algorithm 5 with the same arguments in every iteration and every solve,
+  with only the seed differing, so after the first solve Algorithm 5 looks
+  its guesses' plans up, validating the arguments they share once.
+* **The CSR.**  A check runs greedy on its builder's columns through a CSR
+  by set.  :meth:`StreamingSketchBuilder.columns` returns one
+  :class:`SketchColumns` until the store next changes, and the columns keep
+  the CSR they built, so the checks of a cascade that read one builder
+  build it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.hashing import HashFamily, UniformHash
 from repro.coverage.bitset import KernelCache, check_coverage_backend
@@ -62,6 +77,12 @@ def guess_schedule(num_sets: int, epsilon: float) -> list[int]:
     """
     check_positive_int(num_sets, "num_sets")
     check_open_unit(epsilon, "epsilon")
+    return list(_guess_schedule(num_sets, epsilon))
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _guess_schedule(num_sets: int, epsilon: float) -> tuple[int, ...]:
+    """:func:`guess_schedule` of validated arguments, memoised as a tuple."""
     guesses: list[int] = []
     value = 1.0
     while True:
@@ -71,7 +92,66 @@ def guess_schedule(num_sets: int, epsilon: float) -> list[int]:
         if guess >= num_sets:
             break
         value *= 1.0 + epsilon / 3.0
-    return guesses
+    return tuple(guesses)
+
+
+class _GuessPlan(NamedTuple):
+    """What Algorithm 4 fixes for a guess before the stream: the greedy's
+    step count ``k' log(1/λ')``, the sketch accuracy ``ε`` and the sketch's
+    clamped budgets."""
+
+    budget_k: int
+    epsilon: float
+    params: SketchParams
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _guess_plan(
+    guess: int,
+    epsilon_prime: float,
+    lambda_prime: float,
+    confidence: float,
+    num_sets: int,
+    num_elements: int,
+    mode: str,
+    scale: float,
+) -> _GuessPlan:
+    """Algorithm 4's parameters for one guess, memoised (module docstring).
+
+    The caller validates ``guess``, ``ε'`` and ``λ'``; :class:`SketchParams`
+    validates the rest, and an error is never cached.  ``typed`` keeps a
+    cached ``1`` from answering for ``True``, which the validation rejects.
+    """
+    # Algorithm 4, line 1: ε = ε' / (13 log(1/λ')), δ'' = log_{1+ε} n (log(C'n)+2).
+    log_inv_lambda = math.log(1.0 / lambda_prime)
+    budget_k = max(1, math.ceil(guess * log_inv_lambda))
+    epsilon = min(1.0, epsilon_prime / (13.0 * max(1.0, log_inv_lambda)))
+    delta_prime = max(
+        1.0,
+        math.log(max(2, num_sets), 1.0 + max(epsilon, 1e-6))
+        * (math.log(max(2.0, confidence * num_sets)) + 2.0),
+    )
+    if mode == "theoretical":
+        params = SketchParams.theoretical(
+            num_sets, num_elements, budget_k, epsilon, delta_prime=delta_prime
+        )
+    else:
+        params = SketchParams.scaled(
+            num_sets,
+            num_elements,
+            budget_k,
+            max(epsilon, 1e-3),
+            delta_prime=delta_prime,
+            scale=scale,
+        )
+    # No element has edges to more than num_sets sets, so a larger cap or
+    # slack stores nothing more; clamped, a scaled guess can evict.
+    params = replace(
+        params,
+        degree_cap=min(params.degree_cap, num_sets),
+        eviction_slack=min(params.eviction_slack, num_sets),
+    )
+    return _GuessPlan(budget_k, epsilon, params)
 
 
 @dataclass
@@ -116,6 +196,12 @@ class GuessChecker:
         builder of its own when their edge budgets, degree caps and eviction
         slacks are equal (the sketch depends on nothing else but the hash),
         and then charges its space meter.
+
+    The parameters depend on the guess and the instance alone, not on the
+    stream, so they are computed once per argument tuple (``_guess_plan``)
+    and shared: :class:`SketchParams` is frozen.  Algorithm 5, which has
+    validated the arguments every guess shares, passes its guesses' plans
+    as ``_plan``.
     """
 
     def __init__(
@@ -134,42 +220,26 @@ class GuessChecker:
         space: SpaceMeter | None = None,
         coverage_backend: str | None = None,
         builder: StreamingSketchBuilder | None = None,
+        _plan: _GuessPlan | None = None,
     ) -> None:
-        check_positive_int(guess, "guess")
-        check_open_unit(epsilon_prime, "epsilon_prime")
-        check_in_range(lambda_prime, 1e-9, 1.0 / math.e, "lambda_prime")
+        if _plan is None:
+            check_positive_int(guess, "guess")
+            check_open_unit(epsilon_prime, "epsilon_prime")
+            check_in_range(lambda_prime, 1e-9, 1.0 / math.e, "lambda_prime")
+            _plan = _guess_plan(
+                guess,
+                epsilon_prime,
+                lambda_prime,
+                confidence,
+                num_sets,
+                num_elements,
+                mode,
+                scale,
+            )
         self.guess = guess
         self.lambda_prime = lambda_prime
         self.epsilon_prime = epsilon_prime
-        # Algorithm 4, line 1: ε = ε' / (13 log(1/λ')), δ'' = log_{1+ε} n (log(C'n)+2).
-        log_inv_lambda = math.log(1.0 / lambda_prime)
-        self.budget_k = max(1, math.ceil(guess * log_inv_lambda))
-        self.epsilon = min(1.0, epsilon_prime / (13.0 * max(1.0, log_inv_lambda)))
-        delta_prime = max(
-            1.0,
-            math.log(max(2, num_sets), 1.0 + max(self.epsilon, 1e-6))
-            * (math.log(max(2.0, confidence * num_sets)) + 2.0),
-        )
-        if mode == "theoretical":
-            params = SketchParams.theoretical(
-                num_sets, num_elements, self.budget_k, self.epsilon, delta_prime=delta_prime
-            )
-        else:
-            params = SketchParams.scaled(
-                num_sets,
-                num_elements,
-                self.budget_k,
-                max(self.epsilon, 1e-3),
-                delta_prime=delta_prime,
-                scale=scale,
-            )
-        # No element has edges to more than num_sets sets, so a larger cap
-        # or slack stores nothing more; clamped, a scaled guess can evict.
-        self.params = replace(
-            params,
-            degree_cap=min(params.degree_cap, num_sets),
-            eviction_slack=min(params.eviction_slack, num_sets),
-        )
+        self.budget_k, self.epsilon, self.params = _plan
         self.coverage_backend = coverage_backend
         if builder is None or _budgets(builder.params) != _budgets(self.params):
             builder = StreamingSketchBuilder(
@@ -319,9 +389,12 @@ class StreamingSetCoverOutliers:
             1.0, math.log(max(2, num_sets), 1.0 + epsilon / 3.0)
         )
         self.space = SpaceMeter(unit="edges")
-        guesses = guess_schedule(num_sets, epsilon)
+        guesses = _guess_schedule(num_sets, epsilon)
         if max_guesses is not None:
             guesses = guesses[: check_positive_int(max_guesses, "max_guesses")]
+        # What every guess's checker would validate; ε' >= 1e-4 is in (0, 1).
+        epsilon_prime = max(self.epsilon_prime, 1e-4)
+        check_in_range(self.lambda_prime, 1e-9, 1.0 / math.e, "lambda_prime")
         # Every guess ranks with UniformHash(seed).  A guess's degree cap
         # falls and its edge budget rises with k', so the guesses whose
         # budgets agree are consecutive, and each offers its builder to the
@@ -331,7 +404,7 @@ class StreamingSetCoverOutliers:
         for guess in guesses:
             checker = GuessChecker(
                 guess,
-                max(self.epsilon_prime, 1e-4),
+                epsilon_prime,
                 self.lambda_prime,
                 self.confidence_prime,
                 num_sets,
@@ -342,6 +415,16 @@ class StreamingSetCoverOutliers:
                 space=self.space,
                 coverage_backend=coverage_backend,
                 builder=builder,
+                _plan=_guess_plan(
+                    guess,
+                    epsilon_prime,
+                    self.lambda_prime,
+                    self.confidence_prime,
+                    num_sets,
+                    num_elements,
+                    mode,
+                    scale,
+                ),
             )
             self._checkers.append(checker)
             builder = checker.builder

@@ -28,7 +28,7 @@ from repro.coverage.bipartite import BipartiteGraph, run_starts
 from repro.coverage.bitset import BitsetCoverage, check_coverage_backend
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.offline.greedy import GreedyResult, greedy_k_cover_columns
+from repro.offline.greedy import GreedyResult, _set_major_csr, greedy_k_cover_columns
 
 __all__ = ["SketchColumns", "admission_order", "element_starts"]
 
@@ -59,6 +59,10 @@ class SketchColumns:
     set_ids: np.ndarray
     threshold: float
     truncated: np.ndarray = field(default_factory=_no_elements)
+    # The rows' CSR by set, per set count; the columns never change.
+    _csr: dict[int, tuple[np.ndarray, np.ndarray, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @classmethod
     def from_rows(
@@ -107,16 +111,19 @@ class SketchColumns:
         returns for ``params.num_sets == num_sets``: with a backend and at
         least one row the gains come from a kernel packed by
         :meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`, else
-        from the rows' CSR by set.
+        from the rows' CSR by set, built by the first such call and reused
+        by the next ones (the several guess checks of a set-cover solve).
         """
         check_coverage_backend(coverage_backend)
-        kernel = (
-            BitsetCoverage.from_columns(num_sets, self.set_ids, self.elements)
-            if coverage_backend is not None and self.num_edges > 0
-            else None
-        )
+        kernel = csr = None
+        if coverage_backend is not None and self.num_edges > 0:
+            kernel = BitsetCoverage.from_columns(num_sets, self.set_ids, self.elements)
+        else:
+            csr = self._csr.get(num_sets)
+            if csr is None:
+                csr = self._csr[num_sets] = _set_major_csr(num_sets, self.set_ids, self.elements)
         return greedy_k_cover_columns(
-            self.set_ids, self.elements, num_sets, k, forbidden=forbidden, kernel=kernel
+            self.set_ids, self.elements, num_sets, k, forbidden=forbidden, kernel=kernel, csr=csr
         )
 
     def to_sketch(self, params: SketchParams) -> CoverageSketch:

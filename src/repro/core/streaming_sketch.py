@@ -224,6 +224,9 @@ class StreamingSketchBuilder:
         self.space = space if space is not None else SpaceMeter(unit="edges")
         # The store: rank-sorted columns, and the next arrival stamp.
         self._rows = _Rows.empty()
+        # columns() of the current store; _admit, through which every
+        # change to the store goes, drops it.
+        self._columns: SketchColumns | None = None
         self._arrivals = 0
         self._num_edges = 0
         self._truncated: set[int] = set()
@@ -314,8 +317,14 @@ class StreamingSketchBuilder:
         The edge is a one-row :meth:`process_batch`, so its ids convert as a
         batch's columns do.  A set id out of range raises what
         :meth:`BipartiteGraph.add_edge` raises, unless the threshold or the
-        degree cap discards the edge first.
+        degree cap discards the edge first; a ``bool`` id raises its
+        :class:`TypeError` before anything is counted, where the batch
+        columns would read it as 0 or 1.
         """
+        if isinstance(set_id, bool):
+            raise TypeError("set_id must be an integer, got bool")
+        if isinstance(element, bool):
+            raise TypeError("element must be an int, got bool")
         return self.process_batch(EventBatch((set_id,), (element,))) == 1
 
     def _forget(self, evicted: list[int]) -> None:
@@ -432,6 +441,7 @@ class StreamingSketchBuilder:
         eviction row ``A_ρ`` of its rank, the contributing row at which the
         prefix of ``ρ`` first exceeds the limit.
         """
+        self._columns = None
         batch = _Admission(self._rows, grouping, key_ranks, self.params)
         limit = self.params.max_stored_edges
         if len(batch) == 1:
@@ -675,17 +685,23 @@ class StreamingSketchBuilder:
         ``sketch()`` — as flat numpy columns: the form a distributed map job
         ships home (no Python sets to pickle).  The store is already sorted
         the way :class:`SketchColumns` is, so its columns are shared as
-        they are.
+        they are, and the same object returns until the store next changes:
+        the Algorithm 4 checks of one builder's guesses share it, and with
+        it its CSR by set.
         """
-        rows = self._rows
-        truncated = np.fromiter(self._truncated, dtype=np.uint64, count=len(self._truncated))
-        return SketchColumns(
-            ranks=rows.ranks,
-            elements=rows.elements,
-            set_ids=rows.set_ids,
-            threshold=self._threshold(),
-            truncated=np.unique(truncated),
-        )
+        if self._columns is None:
+            rows = self._rows
+            truncated = np.fromiter(
+                self._truncated, dtype=np.uint64, count=len(self._truncated)
+            )
+            self._columns = SketchColumns(
+                ranks=rows.ranks,
+                elements=rows.elements,
+                set_ids=rows.set_ids,
+                threshold=self._threshold(),
+                truncated=np.unique(truncated),
+            )
+        return self._columns
 
     def describe(self) -> dict[str, float | int | str]:
         """Diagnostics for logging and tests."""

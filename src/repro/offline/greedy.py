@@ -117,12 +117,21 @@ class _GraphGains:
 
 class _ColumnGains:
     """Gains over ``(set_id, element)`` columns: a CSR by set and a boolean
-    mask of the covered element ranks, one stale set per refresh."""
+    mask of the covered element ranks, one stale set per refresh.  ``csr``
+    is the columns' :func:`_set_major_csr` when the caller has it."""
 
     width = 1
 
-    def __init__(self, num_sets: int, set_ids: np.ndarray, elements: np.ndarray) -> None:
-        offsets, self._members, num_elements = _set_major_csr(num_sets, set_ids, elements)
+    def __init__(
+        self,
+        num_sets: int,
+        set_ids: np.ndarray,
+        elements: np.ndarray,
+        csr: tuple[np.ndarray, np.ndarray, int] | None = None,
+    ) -> None:
+        if csr is None:
+            csr = _set_major_csr(num_sets, set_ids, elements)
+        offsets, self._members, num_elements = csr
         self._bounds = offsets.tolist()
         self._covered = np.zeros(num_elements, dtype=bool)
         self.sizes = np.diff(offsets).tolist()
@@ -289,6 +298,7 @@ def greedy_k_cover_columns(
     *,
     forbidden: Iterable[int] = (),
     kernel: "BitsetCoverage | None" = None,
+    csr: tuple[np.ndarray, np.ndarray, int] | None = None,
 ) -> GreedyResult:
     """:func:`greedy_k_cover` on the graph of ``(set_id, element)`` columns.
 
@@ -296,11 +306,15 @@ def greedy_k_cover_columns(
     set_ids, elements), k, kernel=kernel)`` returns — same selection,
     coverage, gains and evaluation count — without building the graph.
     ``kernel`` is an optional packed snapshot of the same columns
-    (:meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`).
+    (:meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`), and
+    ``csr`` their ``_set_major_csr(num_sets, set_ids, elements)`` for a
+    caller that keeps it; the greedy only reads either.
     """
     check_positive_int(k, "k")
     gains = (
-        _ColumnGains(num_sets, set_ids, elements) if kernel is None else _KernelGains(kernel)
+        _ColumnGains(num_sets, set_ids, elements, csr)
+        if kernel is None
+        else _KernelGains(kernel)
     )
     return _select(gains, max_sets=k, target_coverage=None, forbidden=forbidden)
 

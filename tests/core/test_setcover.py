@@ -9,6 +9,7 @@ import pytest
 from repro.core.setcover import StreamingSetCover, outlier_rate_for_passes
 from repro.datasets import planted_setcover_instance
 from repro.offline.greedy import greedy_set_cover
+from repro.streaming.batches import EventBatch
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import EdgeStream
 
@@ -105,3 +106,21 @@ class TestStreamingSetCover:
     def test_space_reported(self, planted_setcover):
         algo, report = self._run(planted_setcover)
         assert report.space_peak > 0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_mark_pass_matches_no_out_of_range_set(self, batched):
+        """The batched mark pass looks set ids up in a mask of the chosen
+        sets; an id at or past ``num_sets`` matches nothing, as per event."""
+        algo = StreamingSetCover(5, 20, rounds=3)
+        algo._extend_solution([0, 4])
+        algo._phase_index = 1
+        assert algo.current_phase() == ("mark", 2)
+        algo.start_pass(1)
+        set_ids = [0, 5, 4, 2**63, 2**64 - 1, 6, 1, 4, 2]
+        batch = EventBatch(set_ids, range(len(set_ids)))
+        if batched:
+            algo.process_batch(batch)
+        else:
+            for event in batch.iter_events():
+                algo.process(event)
+        assert algo._covered == {0, 2, 7}

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import sketch_columns
 from repro.core.setcover_outliers import (
     GuessChecker,
     GuessOutcome,
     StreamingSetCoverOutliers,
+    _guess_plan,
     guess_schedule,
 )
 from repro.core.params import SketchParams
@@ -53,6 +55,23 @@ class TestGuessSchedule:
             guess_schedule(0, 0.5)
         with pytest.raises(ValueError):
             guess_schedule(10, 0.0)
+
+    def test_each_call_returns_a_fresh_list(self):
+        schedule = guess_schedule(100, 0.3)
+        expected = list(schedule)
+        schedule.append(1000)
+        schedule[0] = 7
+        assert guess_schedule(100, 0.3) == expected
+        assert guess_schedule(100, 0.3) is not guess_schedule(100, 0.3)
+        assert StreamingSetCoverOutliers(100, 2000, 0.1, 0.3).guesses() == expected
+
+    def test_invalid_arguments_raise_after_a_valid_call(self):
+        assert guess_schedule(1, 0.5) == [1]
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                guess_schedule(True, 0.5)
+            with pytest.raises(ValueError):
+                guess_schedule(1, 1.5)
 
 
 class TestGuessChecker:
@@ -104,6 +123,19 @@ class TestGuessChecker:
                 guess=2, epsilon_prime=0.2, lambda_prime=0.9, confidence=1.0,
                 num_sets=10, num_elements=100,
             )
+
+    def test_invalid_arguments_raise_after_a_valid_call(self):
+        """The memoised plan caches no error, and ``True`` is no ``1``."""
+        GuessChecker(1, 0.2, 0.1, 1.0, 10, 1)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                GuessChecker(True, 0.2, 0.1, 1.0, 10, 1)
+            with pytest.raises(TypeError):
+                GuessChecker(1, 0.2, 0.1, 1.0, 10, True)
+            with pytest.raises(ValueError, match="num_elements"):
+                GuessChecker(1, 0.2, 0.1, 1.0, 10, 0)
+            with pytest.raises(ValueError, match="scale"):
+                GuessChecker(1, 0.2, 0.1, 1.0, 10, 1, scale=0.0)
 
 
 class TestStreamingSetCoverOutliers:
@@ -464,6 +496,117 @@ class TestSharedBuilders:
         by_builder = {}
         for checker in algo._checkers:
             assert by_builder.setdefault(checker.builder, checker.finalize()) is checker.finalize()
+
+    @pytest.mark.parametrize(
+        "mode,scale", [("scaled", 1.0), ("scaled", 0.002), ("theoretical", 1.0)]
+    )
+    def test_the_plan_equals_a_standalone_checker(self, mode, scale):
+        """Algorithm 5 takes each guess's parameters from the memoised plan;
+        a checker built alone, with the memo cleared, computes the same."""
+        algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, mode=mode, scale=scale, seed=2)
+        _guess_plan.cache_clear()
+        alone = [
+            GuessChecker(
+                checker.guess,
+                max(algo.epsilon_prime, 1e-4),
+                algo.lambda_prime,
+                algo.confidence_prime,
+                100,
+                2000,
+                mode=mode,
+                scale=scale,
+            )
+            for checker in algo._checkers
+        ]
+        for checker, twin in zip(algo._checkers, alone, strict=True):
+            assert twin.params is not checker.params
+            assert (twin.budget_k, twin.epsilon, twin.params) == (
+                checker.budget_k,
+                checker.epsilon,
+                checker.params,
+            )
+        # Another solve, with another seed, shares the plan.
+        again = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, mode=mode, scale=scale, seed=9)
+        for mine, theirs in zip(alone, again._checkers, strict=True):
+            assert mine.params is theirs.params
+
+    def test_invalid_arguments_raise_after_a_valid_call(self):
+        StreamingSetCoverOutliers(10, 1, 0.1)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                StreamingSetCoverOutliers(10, True, 0.1)
+            with pytest.raises(ValueError, match="num_elements"):
+                StreamingSetCoverOutliers(10, 0, 0.1)
+            with pytest.raises(ValueError, match="scale"):
+                StreamingSetCoverOutliers(10, 1, 0.1, scale=-1.0)
+            with pytest.raises(ValueError, match="lambda_prime"):
+                StreamingSetCoverOutliers(10, 1, 1e-9)
+            with pytest.raises(ValueError, match="max_guesses"):
+                StreamingSetCoverOutliers(10, 1, 0.1, max_guesses=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.002])
+    def test_a_check_between_batches_reads_the_new_store(self, workload, scale):
+        """A check before the stream ends reads the store as it is then; a
+        check after the next batch must not reuse those columns."""
+        batches = list(
+            EdgeStream.from_graph(workload.graph, order="random", seed=4).iter_batches(1024)
+        )
+
+        def fed(count):
+            algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, scale=scale, seed=4)
+            for batch in batches[:count]:
+                algo.process_batch(batch)
+            return algo
+
+        algo = fed(1)
+        for index, checker in enumerate(algo._checkers):
+            early = checker.check()
+            assert early == fed(1)._checkers[index].check()
+        for batch in batches[1:]:
+            algo.process_batch(batch)
+        fresh = fed(len(batches))
+        for checker, twin in zip(algo._checkers, fresh._checkers, strict=True):
+            assert checker.check() == twin.check()
+            assert checker.check(forbidden=(0, 1)) == twin.check(forbidden=(0, 1))
+        assert algo.outcomes() == fresh.outcomes()
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The arguments of every CSR by set that sketch columns build."""
+        calls = []
+        csr = sketch_columns._set_major_csr
+        monkeypatch.setattr(
+            sketch_columns, "_set_major_csr", lambda *args: calls.append(args) or csr(*args)
+        )
+        return calls
+
+    @pytest.mark.parametrize("num_sets", [100, 4000])
+    def test_one_csr_per_builder_state(self, workload, built, num_sets):
+        """Every check of a cascade reads its builder's columns, and the
+        CSR by set is built once per builder and store state."""
+        graph = workload.graph
+        if num_sets != 100:
+            graph = BipartiteGraph.from_element_sets(
+                num_sets, {e: {e % num_sets, (7 * e) % num_sets} for e in range(3000)}
+            )
+        algo = StreamingSetCoverOutliers(num_sets, 3000, 0.1, 0.3, seed=5)
+        batches = list(EdgeStream.from_graph(graph, order="random", seed=5).iter_batches(1024))
+        for batch in batches[:-1]:
+            algo.process_batch(batch)
+        assert len(algo.outcomes()) == len(algo._checkers) > len(algo._builders())
+        assert len(built) == len(algo._builders()) == (1 if num_sets == 100 else 6)
+        # Another batch changes every store: one more CSR per builder.
+        algo.process_batch(batches[-1])
+        for checker in algo._checkers:
+            checker.check()
+            checker.check(forbidden=(2,))
+        assert len(built) == 2 * len(algo._builders())
+
+    def test_algorithm_6_builds_one_csr_per_iteration(self, workload, built):
+        algo = StreamingSetCover(100, 2000, rounds=3, seed=1)
+        stream = EdgeStream.from_graph(workload.graph, order="random", seed=1)
+        StreamingRunner(workload.graph).run(algo, stream)
+        assert len(built) == 2
 
     def test_binding_caps_split_the_guesses_into_groups(self):
         algo = StreamingSetCoverOutliers(4000, 20_000, 0.1, seed=5)

@@ -8,11 +8,23 @@ from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import build_h_leq_n
 from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.coverage.bipartite import BipartiteGraph
 from repro.errors import SpecError
 from repro.streaming.events import EdgeArrival
 from repro.streaming.stream import EdgeStream
 
 from per_event import add_edges
+
+
+def _columns(columns):
+    """What a :class:`SketchColumns` holds, as plain values."""
+    return (
+        columns.ranks.tolist(),
+        columns.elements.tolist(),
+        columns.set_ids.tolist(),
+        columns.threshold,
+        columns.truncated.tolist(),
+    )
 
 
 def _params(instance, *, edge_budget, degree_cap, slack=None):
@@ -63,6 +75,32 @@ class TestBasicStreaming:
         builder = StreamingSketchBuilder(params, seed=1)
         add_edges(builder, figure1_graph.edges())
         assert builder.space.peak == figure1_graph.num_edges
+
+    @pytest.mark.parametrize("edge", [(True, 2), (1, True)], ids=["set", "element"])
+    def test_bool_ids_raise_what_the_graph_raises(self, edge):
+        with pytest.raises(TypeError) as expected:
+            BipartiteGraph(4).add_edge(*edge)
+        params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=1000, degree_cap=100)
+        builder = StreamingSketchBuilder(params, seed=1)
+        with pytest.raises(TypeError, match=str(expected.value)):
+            builder.add_edge(*edge)
+        assert builder.describe() == StreamingSketchBuilder(params, seed=1).describe()
+
+    def test_columns_are_shared_until_the_store_changes(self, figure1_graph):
+        params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=3, degree_cap=2)
+        builder = StreamingSketchBuilder(params, seed=1)
+        edges = list(figure1_graph.edges())
+        for count, edge in enumerate(edges, 1):
+            before = builder.columns()
+            assert builder.columns() is before
+            builder.add_edge(*edge)
+            after = builder.columns()
+            fresh = StreamingSketchBuilder(params, seed=1)
+            add_edges(fresh, edges[:count])
+            assert _columns(after) == _columns(fresh.columns())
+            if _columns(after) != _columns(before):
+                assert after is not before
+        assert builder.evictions > 0
 
     def test_invalid_rank_source(self, figure1_graph):
         params = SketchParams.explicit(4, 8, 2, 0.5, edge_budget=10, degree_cap=3)
