@@ -12,9 +12,10 @@ makes that pattern a first-class object:
   - a **median-of-estimates** coverage estimator (the standard way to turn
     per-sketch ``1 ± ε`` estimates with constant failure probability into a
     high-probability estimate), and
-  - a **best-of-R** k-cover solver: run greedy on every sketch and keep the
-    candidate whose *median estimated* coverage is largest, so the selection
-    rule itself never touches the original graph.
+  - a **best-of-R** k-cover solver: run greedy on every replica's columns
+    (:meth:`~repro.core.sketch_columns.SketchColumns.greedy_k_cover`) and
+    keep the candidate whose *median estimated* coverage is largest, so the
+    selection rule itself never touches the original graph.
 
 * :class:`EnsembleKCover` — drop-in replacement for
   :class:`repro.core.kcover.StreamingKCover` that uses an ensemble instead of
@@ -26,13 +27,12 @@ from __future__ import annotations
 import statistics
 from typing import Sequence
 
-from repro.coverage.bipartite import BipartiteGraph
-from repro.coverage.bitset import check_coverage_backend, kernel_for
+from repro.coverage.bitset import check_coverage_backend
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
+from repro.core.sketch_columns import SketchColumns
 from repro.core.streaming_sketch import BatchGrouping, StreamingSketchBuilder
-from repro.offline.greedy import greedy_k_cover
 from repro.parallel import ExecutorBackend, ParallelMapper, as_mapper
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
@@ -43,10 +43,10 @@ from repro.utils.validation import check_positive_int
 __all__ = ["SketchEnsemble", "EnsembleKCover"]
 
 
-def _replica_greedy_job(job: tuple[BipartiteGraph, int, str | None]) -> list[int]:
-    """Greedy on one replica sketch (top-level so process pools can ship it)."""
-    graph, k, coverage_backend = job
-    return greedy_k_cover(graph, k, kernel=kernel_for(graph, coverage_backend)).selected
+def _replica_greedy_job(job: tuple[SketchColumns, int, int, str | None]) -> list[int]:
+    """Greedy on one replica's columns (top-level so process pools can ship it)."""
+    columns, num_sets, k, coverage_backend = job
+    return columns.greedy_k_cover(num_sets, k, coverage_backend=coverage_backend).selected
 
 
 class SketchEnsemble:
@@ -170,9 +170,13 @@ class SketchEnsemble:
         Returns the chosen set ids and their median estimated coverage.
         """
         check_positive_int(k, "k")
+        num_sets = self.params.num_sets
         candidates = self.mapper.map(
             _replica_greedy_job,
-            [(sketch.graph, k, self.coverage_backend) for sketch in self.sketches()],
+            [
+                (builder.columns(), num_sets, k, self.coverage_backend)
+                for builder in self._builders
+            ],
         )
         best_solution: list[int] = []
         best_estimate = -1.0

@@ -21,6 +21,7 @@ from repro.coverage.bitset import check_coverage_backend
 from repro.core.hashing import HashFamily
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
+from repro.core.sketch_columns import SketchColumns
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
@@ -202,6 +203,10 @@ class StreamingKCover:
     def sketch(self) -> CoverageSketch:
         """The sketch built from the stream seen so far."""
         return self._builder.sketch()
+
+    def columns(self) -> SketchColumns:
+        """The sketch built so far as rank-sorted columns, with no graph built."""
+        return self._builder.columns()
 
     def estimated_coverage(self) -> float:
         """Lemma 2.2 estimate of the chosen solution's true coverage."""

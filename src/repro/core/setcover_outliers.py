@@ -37,11 +37,13 @@ Nothing else a solve sets up depends on the stream, so it is done once:
   Algorithm 5 with the same arguments in every iteration and every solve,
   with only the seed differing, so after the first solve Algorithm 5 looks
   its guesses' plans up, validating the arguments they share once.
-* **The CSR.**  A check runs greedy on its builder's columns through a CSR
-  by set.  :meth:`StreamingSketchBuilder.columns` returns one
-  :class:`SketchColumns` until the store next changes, and the columns keep
-  the CSR they built, so the checks of a cascade that read one builder
-  build it once.
+* **The CSR and the kernel.**  A check runs greedy on its builder's
+  columns through a CSR by set, or a packed kernel with a backend.
+  :meth:`StreamingSketchBuilder.columns` returns one :class:`SketchColumns`
+  until the store next changes, and the columns keep the CSR and kernel
+  they built, so the checks of a cascade, and of every later
+  :meth:`~StreamingSetCoverOutliers.query`, that read one builder build
+  each once.  No check builds a sketch graph.
 """
 
 from __future__ import annotations
@@ -52,11 +54,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.hashing import HashFamily, UniformHash
-from repro.coverage.bitset import KernelCache, check_coverage_backend
+from repro.coverage.bitset import check_coverage_backend
 from repro.core.params import SketchParams
-from repro.core.sketch import CoverageSketch
 from repro.core.streaming_sketch import BatchGrouping, StreamingSketchBuilder
-from repro.offline.greedy import greedy_k_cover
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
@@ -250,8 +250,6 @@ class GuessChecker:
             )
         self.builder = builder
         self.space = builder.space
-        # The frozen sketch and its kernel cache, once finalized.
-        self._frozen: tuple[CoverageSketch, KernelCache] | None = None
 
     def process(self, event: EdgeArrival) -> None:
         """Feed one edge into this guess's sketch."""
@@ -262,19 +260,6 @@ class GuessChecker:
         the batch's grouping, shared with the other guesses)."""
         self.builder.process_batch(batch, grouping=grouping)
 
-    def finalize(self) -> CoverageSketch:
-        """Freeze the post-stream sketch (plus a kernel cache) for queries.
-
-        Before finalization every :meth:`check` reads the builder's current
-        columns (correct while the stream is still being fed, and no graph
-        is built); after it, checks and queries share one immutable sketch
-        and one packed kernel — the serving layer's repeat-query path.
-        """
-        if self._frozen is None:
-            sketch = self.builder.sketch()
-            self._frozen = sketch, KernelCache(sketch.graph)
-        return self._frozen[0]
-
     def check(
         self,
         *,
@@ -283,6 +268,8 @@ class GuessChecker:
     ) -> GuessOutcome:
         """Run greedy on the sketch and apply the acceptance test (Algorithm 4).
 
+        The greedy reads the builder's current columns, so a check is
+        correct while the stream is still being fed and builds no graph.
         ``forbidden`` excludes set ids from the greedy; ``coverage_backend``
         overrides the configured kernel backend for this call only.  Neither
         affects the sketch itself, so one stream pass supports arbitrarily
@@ -291,28 +278,16 @@ class GuessChecker:
         backend = (
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
-        if self._frozen is not None:
-            sketch, kernel = self._frozen
-            result = greedy_k_cover(
-                sketch.graph,
-                self.budget_k,
-                forbidden=forbidden,
-                kernel=kernel.get(backend),  # type: ignore[arg-type]
-            )
-            fraction = sketch.coverage_fraction(result.selected)
-            edges = sketch.num_edges
-        else:
-            columns = self.builder.columns()
-            result = columns.greedy_k_cover(
-                self.params.num_sets,
-                self.budget_k,
-                forbidden=forbidden,
-                coverage_backend=backend,  # type: ignore[arg-type]
-            )
-            # The greedy's coverage is its selection's coverage on the sketch.
-            total = columns.num_elements
-            fraction = result.coverage / total if total else 1.0
-            edges = columns.num_edges
+        columns = self.builder.columns()
+        result = columns.greedy_k_cover(
+            self.params.num_sets,
+            self.budget_k,
+            forbidden=forbidden,
+            coverage_backend=backend,  # type: ignore[arg-type]
+        )
+        # The greedy's coverage is its selection's coverage on the sketch.
+        total = columns.num_elements
+        fraction = result.coverage / total if total else 1.0
         required = 1.0 - self.lambda_prime - self.epsilon * math.log(1.0 / self.lambda_prime)
         accepted = fraction >= required - 1e-12
         return GuessOutcome(
@@ -321,7 +296,7 @@ class GuessChecker:
             solution=result.selected,
             sketch_fraction=fraction,
             required_fraction=required,
-            sketch_edges=edges,
+            sketch_edges=columns.num_edges,
         )
 
 
@@ -335,7 +310,7 @@ class StreamingSetCoverOutliers:
     increasing order and the first accepted solution wins.
     :meth:`result` stops checking at that first accept, so the guesses after
     it are never checked.  A check reads its guess's builder columns, so no
-    guess sketch builds a graph unless :meth:`query` freezes it.
+    guess sketch builds a graph.
 
     Parameters
     ----------
@@ -521,19 +496,20 @@ class StreamingSetCoverOutliers:
         forbidden: Iterable[int] = (),
         coverage_backend: object = _UNSET,
     ) -> tuple[list[int], list[GuessOutcome]]:
-        """Re-run the accept/reject cascade against the frozen sketches
-        (one per builder, frozen by the first query).
+        """Re-run the accept/reject cascade against the post-stream sketches.
 
-        Unlike :meth:`result`/:meth:`outcomes` this never touches the cached
-        state, so a long-lived instance can answer many differently
-        constrained queries (new forbidden sets, another kernel backend)
-        after its single stream pass.  Returns ``(solution, outcomes)`` with
-        the same first-accepted-else-last selection rule as :meth:`result`.
+        Every check reads its builder's columns, one object per builder
+        until the store next changes, with the CSR and kernel the first
+        check built.  Unlike :meth:`result`/:meth:`outcomes` this never
+        touches the cached state, so a long-lived instance can answer many
+        differently constrained queries (new forbidden sets, another kernel
+        backend) after its single stream pass.  Returns ``(solution,
+        outcomes)`` with the same first-accepted-else-last selection rule as
+        :meth:`result`.
         """
         backend = (
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
-        self._finalize()
         outcomes = [
             checker.check(forbidden=forbidden, coverage_backend=backend)
             for checker in self._checkers
@@ -541,15 +517,6 @@ class StreamingSetCoverOutliers:
         accepted = next((o for o in outcomes if o.accepted), None)
         chosen = accepted if accepted is not None else outcomes[-1]
         return list(dict.fromkeys(chosen.solution)), outcomes
-
-    def _finalize(self) -> None:
-        """Freeze one sketch and kernel cache per builder, shared by the
-        builder's guesses (:meth:`GuessChecker.finalize`)."""
-        first_of: dict[StreamingSketchBuilder, GuessChecker] = {}
-        for checker in self._checkers:
-            first = first_of.setdefault(checker.builder, checker)
-            first.finalize()
-            checker._frozen = first._frozen
 
     def guesses(self) -> Sequence[int]:
         """The guessed cover sizes, in increasing order."""

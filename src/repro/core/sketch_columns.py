@@ -10,8 +10,13 @@ three parallel numpy columns kept sorted by ``(rank, element, set)``
 a process pool pickles it as a few flat buffers and a fold is pure array
 work with no re-hash.
 :meth:`SketchColumns.greedy_k_cover` runs the offline greedy on the rows
-themselves, which is how the streaming k-cover, each Algorithm 4 guess check
-and the distributed round 2 read their sketches;
+themselves, which is how every post-stream greedy reads its sketch: the
+streaming k-cover's result, each Algorithm 4 guess check (Algorithm 5's
+:meth:`~repro.core.setcover_outliers.StreamingSetCoverOutliers.query`
+included), the ensemble's best-of-R, the serve store's k-cover hits and the
+distributed round 2.  The columns never change, so they keep the CSR by set
+and the packed kernel the greedy reads, built by the first call that needs
+them; concurrent calls share both read-only.
 :meth:`SketchColumns.to_sketch` builds the :class:`CoverageSketch` a consumer
 that wants a graph needs, in one bulk :meth:`BipartiteGraph.from_columns`
 call.
@@ -59,32 +64,14 @@ class SketchColumns:
     set_ids: np.ndarray
     threshold: float
     truncated: np.ndarray = field(default_factory=_no_elements)
-    # The rows' CSR by set, per set count; the columns never change.
+    # The rows' CSR by set per set count, and their packed kernel per
+    # (set count, backend); the columns never change.
     _csr: dict[int, tuple[np.ndarray, np.ndarray, int]] = field(
         default_factory=dict, init=False, repr=False
     )
-
-    @classmethod
-    def from_rows(
-        cls,
-        ranks: np.ndarray,
-        elements: np.ndarray,
-        set_ids: np.ndarray,
-        threshold: float,
-        truncated: np.ndarray,
-    ) -> "SketchColumns":
-        """Columns from rows in any order, put in :func:`admission_order`."""
-        ranks = np.asarray(ranks, dtype=np.float64)
-        elements = np.asarray(elements, dtype=np.uint64)
-        set_ids = np.asarray(set_ids, dtype=np.uint64)
-        order = admission_order(ranks, elements, set_ids)
-        return cls(
-            ranks=ranks[order],
-            elements=elements[order],
-            set_ids=set_ids[order],
-            threshold=float(threshold),
-            truncated=np.unique(np.asarray(truncated, dtype=np.uint64)),
-        )
+    _kernels: dict[tuple[int, str], BitsetCoverage] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def num_edges(self) -> int:
@@ -111,13 +98,20 @@ class SketchColumns:
         returns for ``params.num_sets == num_sets``: with a backend and at
         least one row the gains come from a kernel packed by
         :meth:`~repro.coverage.bitset.BitsetCoverage.from_columns`, else
-        from the rows' CSR by set, built by the first such call and reused
-        by the next ones (the several guess checks of a set-cover solve).
+        from the rows' CSR by set.  Either is built by the first call that
+        needs it and reused by the next ones (the guess checks and queries
+        of a set-cover solve, the hits of a served sketch).  Two threads
+        may race to build one; both results are read-only and equal, and
+        the last assignment wins.
         """
         check_coverage_backend(coverage_backend)
         kernel = csr = None
         if coverage_backend is not None and self.num_edges > 0:
-            kernel = BitsetCoverage.from_columns(num_sets, self.set_ids, self.elements)
+            kernel = self._kernels.get((num_sets, coverage_backend))
+            if kernel is None:
+                kernel = self._kernels[num_sets, coverage_backend] = (
+                    BitsetCoverage.from_columns(num_sets, self.set_ids, self.elements)
+                )
         else:
             csr = self._csr.get(num_sets)
             if csr is None:

@@ -50,7 +50,6 @@ __all__ = [
     "COVERAGE_BACKENDS",
     "LAYOUT",
     "BitsetCoverage",
-    "KernelCache",
     "check_coverage_backend",
     "kernel_for",
     "pack_rows",
@@ -305,31 +304,3 @@ class BitsetCoverage:
             return popcount_rows(unions, 1).tolist()
         return [self.coverage(row) for row in rows]
 
-
-class KernelCache:
-    """Per-graph cache of the packed kernel.
-
-    The packing step is the expensive part of answering a query against an
-    already-built sketch, and the packed rows are immutable — so a sketch
-    held by the serving layer keeps one :class:`BitsetCoverage` and every
-    subsequent query (any ``k``, any forbidden set) reuses it.
-
-    Mirrors :func:`kernel_for`: ``backend=None`` and empty graphs yield
-    ``None`` (the set-based path / nothing to evaluate).  Concurrent lookups
-    from the thread executor are safe — at worst two threads both pack the
-    graph once and one assignment wins; both objects are read-only and
-    bit-identical.
-    """
-
-    def __init__(self, graph: BipartiteGraph) -> None:
-        self._graph = graph
-        self._kernel: BitsetCoverage | None = None
-
-    def get(self, backend: str | None) -> "BitsetCoverage | None":
-        """The cached kernel, packing on first use."""
-        check_coverage_backend(backend)
-        if backend is None or self._graph.num_edges == 0:
-            return None
-        if self._kernel is None:
-            self._kernel = BitsetCoverage(self._graph)
-        return self._kernel

@@ -6,11 +6,12 @@ The serving story is only real under load, so this module drives a batch of
 mapper and reports per-query latencies plus p50/p99/QPS.
 
 Only the ``serial`` and ``thread`` backends are accepted: the whole point
-of warm serving is that every client shares the *same* resident sketch and
-packed kernel arrays, and a process pool would pickle a private copy of
-the engine into each worker — silently measuring N cold caches instead of
-one warm one.  Threads are the honest model for this workload anyway; the
-hot path is dominated by NumPy kernel reductions, which release the GIL.
+of warm serving is that every client shares the *same* resident sketch
+columns, with the CSR by set and packed kernel their first query built, and
+a process pool would pickle a private copy of the engine into each worker —
+silently measuring N cold caches instead of one warm one.  Threads are the
+honest model for this workload anyway: the hot path is a greedy that only
+reads those shared arrays.
 """
 
 from __future__ import annotations

@@ -12,10 +12,13 @@ set or the coverage backend; only the derived space budgets
 (``edge_budget``, ``degree_cap``, ``eviction_slack``), the rank source and
 the seeds shape its content.  The cache therefore keys on exactly those,
 and a query for any ``k``/``forbidden``/backend whose derived budgets
-coincide re-runs just the offline greedy on the cached sketch — through
-the same :func:`~repro.offline.greedy.greedy_k_cover` the solver's own
-offline phase uses, with a :class:`~repro.coverage.bitset.KernelCache`
-sharing one packed kernel across queries.
+coincide re-runs just the offline greedy on the cached sketch.  The entry
+holds the build's rank-sorted columns
+(:class:`~repro.core.sketch_columns.SketchColumns`), and a query runs the
+same :meth:`~repro.core.sketch_columns.SketchColumns.greedy_k_cover` the
+solver's own offline phase runs; the columns keep the CSR by set and the
+packed kernel their first query built, shared by every later one.  Neither
+a build nor a query builds a sketch graph.
 
 **set cover** (``setcover/sketch``).  Genuinely multi-pass: every option
 (including ``forbidden``, which constrains each iteration's selection)
@@ -26,9 +29,10 @@ the stream.
 **set cover with outliers** (``outliers/sketch``).  The stream pass builds
 the guesses' sketches, one per group of guesses with equal budgets (a
 single one below a thousand or so sets); acceptance checks are offline.
-The cache holds the post-stream algorithm with each sketch finalized once
-(:meth:`~repro.core.setcover_outliers.StreamingSetCoverOutliers.query`),
-so varying ``forbidden`` and the backend re-runs only the offline checks.
+The cache holds the post-stream algorithm, and
+:meth:`~repro.core.setcover_outliers.StreamingSetCoverOutliers.query`
+re-runs only the offline checks on its builders' columns, so varying
+``forbidden`` and the backend costs no stream pass.
 The backend is *excluded* from the set-cover and outliers keys: kernel
 and set-based evaluation select identically (a property the test suite
 enforces for every accepted backend value), so one entry serves them all.
@@ -51,13 +55,11 @@ from repro import obs
 from repro.api import ProblemContext, get_solver
 from repro.api.specs import QuerySpec
 from repro.coverage.bipartite import BipartiteGraph
-from repro.coverage.bitset import KernelCache
 from repro.coverage.instance import CoverageInstance
 from repro.coverage.io import ColumnarEdges, open_columnar
-from repro.core.sketch import CoverageSketch
+from repro.core.sketch_columns import SketchColumns
 from repro.errors import SpecError
 from repro.obs import clock
-from repro.offline.greedy import greedy_k_cover
 from repro.serve.fingerprint import fingerprint_problem
 from repro.serve.store import SketchKey, SketchStore
 from repro.streaming.batches import DEFAULT_BATCH_SIZE, check_batch_size
@@ -87,10 +89,11 @@ _RESERVED_OPTIONS = ("forbidden", "coverage_backend")
 
 @dataclass
 class _CachedSketch:
-    """k-cover entry: the built sketch, its shared kernel, and the build report."""
+    """k-cover entry: the built sketch's columns, its set count, and the
+    build report."""
 
-    sketch: CoverageSketch
-    kernel: KernelCache
+    columns: SketchColumns
+    num_sets: int
     base: StreamingReport
 
 
@@ -272,17 +275,16 @@ class QueryEngine:
                 probe if rank_source == "hash" else info.builder(ctx, **options)
             )
             base = self._drive(algorithm)
-            sketch = algorithm.sketch()
             return _CachedSketch(
-                sketch=sketch, kernel=KernelCache(sketch.graph), base=base
+                columns=algorithm.columns(), num_sets=params.num_sets, base=base
             )
 
         entry, hit = self.store.get_or_build(key, build)
-        result = greedy_k_cover(
-            entry.sketch.graph,
+        result = entry.columns.greedy_k_cover(
+            entry.num_sets,
             spec.k,
             forbidden=spec.forbidden,
-            kernel=entry.kernel.get(spec.coverage_backend),
+            coverage_backend=spec.coverage_backend,
         )
         # Mirror StreamingKCover.result()'s normalization exactly.
         selection = list(result.selected)[: spec.k]

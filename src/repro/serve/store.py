@@ -4,8 +4,8 @@ One :class:`SketchStore` can back any number of
 :class:`~repro.serve.engine.QueryEngine` instances — every key carries the
 dataset's content fingerprint, so engines over different datasets never
 collide.  Entries hold whatever the engine needs to answer queries without
-re-ingesting the stream: the built sketch, its packed coverage kernels and
-the build run's report.
+re-ingesting the stream: the built sketch's columns (or the post-stream
+algorithm) and the build run's report.
 
 Concurrency model: a single lock is held across lookup *and* build.  Builds
 are rare (one stream pass per distinct build configuration) while hits are

@@ -19,7 +19,7 @@ from repro.core.params import SketchParams
 from repro.core.setcover import StreamingSetCover
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.coverage.bipartite import BipartiteGraph
-from repro.coverage.bitset import kernel_for
+from repro.coverage.bitset import BitsetCoverage, kernel_for
 from repro.datasets import planted_setcover_instance
 from repro.offline.greedy import greedy_k_cover
 from repro.streaming.events import EdgeArrival
@@ -474,28 +474,69 @@ class TestSharedBuilders:
         assert (algo._checkers[0].builder.evictions > 0) == (scale < 1.0)
 
     @pytest.mark.parametrize("own", [0, 3])
-    def test_query_freezes_one_sketch_per_builder(self, workload, monkeypatch, own):
-        """``own``: how many of the last guesses get a builder of their own."""
+    def test_query_reads_one_columns_object_per_builder(self, workload, monkeypatch, own):
+        """``own``: how many of the last guesses get a builder of their own.
+        ``query()`` builds no sketch: each builder's guesses read one
+        :class:`SketchColumns`."""
         graph = workload.graph
         algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, seed=3)
         for checker in algo._checkers[len(algo._checkers) - own:]:
             checker.builder = StreamingSketchBuilder(checker.params, seed=3, space=algo.space)
         _feed(algo, graph, 3, 4096)
-        frozen = []
-        sketch = StreamingSketchBuilder.sketch
+        sketched, read = [], {}
+        columns = StreamingSketchBuilder.columns
 
         def counted(builder):
-            frozen.append(builder)
-            return sketch(builder)
+            result = columns(builder)
+            read.setdefault(builder, set()).add(id(result))
+            return result
 
-        monkeypatch.setattr(StreamingSketchBuilder, "sketch", counted)
+        monkeypatch.setattr(StreamingSketchBuilder, "sketch", lambda b: sketched.append(b))
+        monkeypatch.setattr(StreamingSketchBuilder, "columns", counted)
         first = algo.query()
         algo.query(forbidden=[1])
-        assert frozen == algo._builders() and len(frozen) == 1 + own
+        assert sketched == []
+        assert list(read) == algo._builders() and len(read) == 1 + own
+        assert all(len(objects) == 1 for objects in read.values())
         assert algo.query() == first
-        by_builder = {}
-        for checker in algo._checkers:
-            assert by_builder.setdefault(checker.builder, checker.finalize()) is checker.finalize()
+
+    @pytest.mark.parametrize("backend", [None, "words"])
+    def test_query_builds_no_graph(self, workload, monkeypatch, backend):
+        algo = StreamingSetCoverOutliers(100, 2000, 0.1, coverage_backend=backend, seed=1)
+        _feed(algo, workload.graph, 1, 4096)
+        graphs = []
+        init = BipartiteGraph.__init__
+        monkeypatch.setattr(
+            BipartiteGraph,
+            "__init__",
+            lambda graph, *args: graphs.append(args) or init(graph, *args),
+        )
+        first = algo.query()
+        algo.query(forbidden=(0, 3), coverage_backend=None)
+        assert algo.query() == first
+        assert graphs == []
+
+    def test_one_kernel_per_builder(self, workload, monkeypatch):
+        """A builder's columns pack their kernel once, for the cascade and
+        every later query."""
+        packed = []
+        from_columns = BitsetCoverage.from_columns
+        monkeypatch.setattr(
+            BitsetCoverage, "from_columns", lambda *args: packed.append(args) or from_columns(*args)
+        )
+        algo = StreamingSetCoverOutliers(100, 2000, 0.1, coverage_backend="words", seed=1)
+        _feed(algo, workload.graph, 1, 4096)
+        assert len(algo._builders()) == 1
+        outcomes = algo.outcomes()
+        assert algo.query()[1] == outcomes
+        algo.query(forbidden=(0, 3))
+        assert len(packed) == 1
+        columns = algo._builders()[0].columns()
+        first = columns.greedy_k_cover(100, 5, coverage_backend="words")
+        assert columns.greedy_k_cover(100, 5, coverage_backend="words") == first
+        graph = algo._builders()[0].sketch().graph
+        assert first == greedy_k_cover(graph, 5, kernel=kernel_for(graph, "words"))
+        assert len(packed) == 1
 
     @pytest.mark.parametrize(
         "mode,scale", [("scaled", 1.0), ("scaled", 0.002), ("theoretical", 1.0)]

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
-from repro.core.sketch_columns import SketchColumns
+from repro.core.sketch_columns import SketchColumns, admission_order
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.bitset import kernel_for
@@ -190,18 +190,18 @@ class TestGreedyOnColumns:
             columns.greedy_k_cover(instance.n, 2, coverage_backend="bytes")
 
 
-class TestFromRows:
-    def test_from_rows_sorts_and_dedups_flags(self):
-        columns = SketchColumns.from_rows(
-            np.array([0.7, 0.2, 0.7]),
-            np.array([5, 3, 5]),
-            np.array([1, 0, 0]),
-            threshold=0.9,
-            truncated=np.array([5, 5]),
-        )
+class TestRowsInAdmissionOrder:
+    def test_admission_order_sorts_rows_for_the_constructor(self):
+        ranks = np.array([0.7, 0.2, 0.7])
+        elements = np.array([5, 3, 5], dtype=np.uint64)
+        set_ids = np.array([1, 0, 0], dtype=np.uint64)
+        order = admission_order(ranks, elements, set_ids)
+        columns = SketchColumns(ranks[order], elements[order], set_ids[order], threshold=0.9)
+        assert columns.ranks.tolist() == [0.2, 0.7, 0.7]
         assert columns.elements.tolist() == [3, 5, 5]
         assert columns.set_ids.tolist() == [0, 0, 1]
-        assert columns.truncated.tolist() == [5]
+        assert (columns.num_edges, columns.num_elements) == (3, 2)
+        assert columns.truncated.dtype == np.uint64 and columns.truncated.size == 0
 
 
 class TestHashSeedGuard:

@@ -10,10 +10,10 @@ from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.bitset import (
     COVERAGE_BACKENDS,
     BitsetCoverage,
-    KernelCache,
     check_coverage_backend,
     kernel_for,
 )
+from repro.core.sketch_columns import SketchColumns, admission_order
 from repro.datasets import uniform_random_instance, zipf_instance
 from repro.errors import SpecError
 from repro.offline.greedy import greedy_k_cover, greedy_partial_cover
@@ -60,6 +60,14 @@ class TestBasics:
             assert fast.count_bits(fast.union_bits(family)) == tiny_graph.coverage(family)
 
 
+def _columns_of(graph):
+    """A graph's edges as sketch columns, each element ranked by its id."""
+    set_ids, elements = graph.to_columns()
+    ranks = elements.astype(np.float64)
+    order = admission_order(ranks, elements, set_ids)
+    return SketchColumns(ranks[order], elements[order], set_ids[order], threshold=1.0)
+
+
 class TestBackendChoices:
     def test_accepted_values(self):
         assert COVERAGE_BACKENDS == ("words",)
@@ -73,20 +81,35 @@ class TestBackendChoices:
         with pytest.raises(SpecError, match="unknown coverage_backend"):
             kernel_for(tiny_graph, bad)
         with pytest.raises(SpecError, match="unknown coverage_backend"):
-            KernelCache(tiny_graph).get(bad)
+            _columns_of(tiny_graph).greedy_k_cover(tiny_graph.num_sets, 2, coverage_backend=bad)
 
     def test_kernel_for_skips_none_and_empty_graphs(self, tiny_graph):
         assert kernel_for(tiny_graph, None) is None
         assert kernel_for(BipartiteGraph(num_sets=3), "words") is None
         assert isinstance(kernel_for(tiny_graph, "words"), BitsetCoverage)
 
-    def test_cache_packs_once(self, tiny_graph):
-        cache = KernelCache(tiny_graph)
-        assert cache.get(None) is None
-        kernel = cache.get("words")
-        assert isinstance(kernel, BitsetCoverage)
-        assert cache.get("words") is kernel
-        assert KernelCache(BipartiteGraph(num_sets=2)).get("words") is None
+    def test_cache_packs_once(self, tiny_graph, monkeypatch):
+        """Sketch columns keep the kernel they pack; no backend and no rows
+        pack none."""
+        packed = []
+        from_columns = BitsetCoverage.from_columns
+        monkeypatch.setattr(
+            BitsetCoverage, "from_columns", lambda *args: packed.append(args) or from_columns(*args)
+        )
+        columns = _columns_of(tiny_graph)
+        assert columns.greedy_k_cover(4, 2) == greedy_k_cover(tiny_graph, 2)
+        assert packed == []
+        kernel = kernel_for(tiny_graph, "words")
+        first = columns.greedy_k_cover(4, 2, coverage_backend="words")
+        assert first == greedy_k_cover(tiny_graph, 2, kernel=kernel)
+        assert columns.greedy_k_cover(4, 2, forbidden=[0], coverage_backend="words") == (
+            greedy_k_cover(tiny_graph, 2, forbidden=[0], kernel=kernel)
+        )
+        assert columns.greedy_k_cover(4, 2, coverage_backend="words") == first
+        assert len(packed) == 1
+        empty = _columns_of(BipartiteGraph(num_sets=2))
+        assert empty.greedy_k_cover(2, 1, coverage_backend="words").selected == []
+        assert len(packed) == 1
 
 
 class TestAgreementOnRandomInstances:

@@ -174,7 +174,12 @@ def _fold_runs(rng, *, tied, flagged, filtered):
             if flagged
             else np.empty(0, dtype=np.uint64)
         )
-        runs.append(SketchColumns.from_rows(ranks, elements, set_ids, threshold, truncated))
+        order = admission_order(ranks, elements, set_ids)
+        runs.append(
+            SketchColumns(
+                ranks[order], elements[order], set_ids[order], threshold, np.unique(truncated)
+            )
+        )
     return runs
 
 

@@ -51,6 +51,29 @@ class TestDriveQueries:
         assert len(load.latencies) == 12
         assert all(latency >= 0.0 for latency in load.latencies)
 
+    def test_a_cold_store_under_threads_matches_sequential_queries(self):
+        """Concurrent hits on a fresh store share the columns' lazily built
+        CSR and kernel; every answer equals a sequential one."""
+        instance = planted_kcover_instance(40, 800, k=5, seed=17)
+        specs = [
+            QuerySpec(
+                problem="k_cover",
+                k=1 + (i % 4),
+                forbidden=(0, 3) if i % 3 == 0 else (),
+                coverage_backend="words" if i % 2 else None,
+                options={"scale": 0.1},
+            )
+            for i in range(24)
+        ]
+        sequential = QueryEngine(instance.graph, seed=0, batch_size=256)
+        expected = [sequential.query(spec) for spec in specs]
+        cold = QueryEngine(instance.graph, seed=0, batch_size=256)
+        load = drive_queries(cold, specs, clients=4, executor="thread")
+        assert [(r.solution, r.coverage) for r in load.reports] == [
+            (r.solution, r.coverage) for r in expected
+        ]
+        assert cold.store.stats()["builds"] == sequential.store.stats()["builds"]
+
     def test_accepts_dict_specs(self, engine):
         specs = [
             {"problem": "k_cover", "k": 2, "options": {"scale": 0.1}},

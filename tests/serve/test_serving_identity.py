@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import QuerySpec, Session, StreamSpec, solve
-from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.bitset import COVERAGE_BACKENDS
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
 from repro.errors import SpecError
@@ -107,21 +107,34 @@ class TestKCoverServing:
         # forbidden sets were answered from those three builds alone.
         assert engine.store.stats()["builds"] == 3
 
-    def test_a_store_miss_reads_the_sketch_once(self, kcover_instance, monkeypatch):
-        reads = []
-        by_admission = StreamingSketchBuilder._by_admission
-
-        def counted(builder):
-            reads.append(builder)
-            return by_admission(builder)
-
-        monkeypatch.setattr(StreamingSketchBuilder, "_by_admission", counted)
+    def test_no_sketch_graph_on_a_miss_or_a_hit(self, kcover_instance, monkeypatch):
+        """The store keeps the build's columns: neither a miss nor a hit
+        builds a graph, with or without a backend or forbidden sets."""
+        graphs = []
+        init = BipartiteGraph.__init__
+        monkeypatch.setattr(
+            BipartiteGraph,
+            "__init__",
+            lambda graph, *args: graphs.append(args) or init(graph, *args),
+        )
         engine = QueryEngine(kcover_instance.graph, seed=SEED, batch_size=BATCH)
         for misses, k in enumerate((2, 5), start=1):
             engine.query(QuerySpec(problem="k_cover", k=k, options=dict(KCOVER_OPTIONS)))
-            assert len(reads) == engine.store.stats()["misses"] == misses
-        engine.query(QuerySpec(problem="k_cover", k=5, options=dict(KCOVER_OPTIONS)))
-        assert len(reads) == 2  # a hit reads nothing
+            assert engine.store.stats()["misses"] == misses
+        for backend in BACKENDS:
+            for forbidden in ((), (1, 3)):
+                served = engine.query(
+                    QuerySpec(
+                        problem="k_cover",
+                        k=5,
+                        forbidden=forbidden,
+                        coverage_backend=backend,
+                        options=dict(KCOVER_OPTIONS),
+                    )
+                )
+                assert served.extra["cache_hit"]
+        assert engine.store.stats()["misses"] == 2
+        assert graphs == []
 
     def test_varying_budgets_key_separate_entries(self, kcover_instance):
         engine = QueryEngine(kcover_instance.graph, seed=SEED, batch_size=BATCH)
