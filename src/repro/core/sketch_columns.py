@@ -64,12 +64,12 @@ class SketchColumns:
     set_ids: np.ndarray
     threshold: float
     truncated: np.ndarray = field(default_factory=_no_elements)
-    # The rows' CSR by set per set count, and their packed kernel per
-    # (set count, backend); the columns never change.
+    # The rows' CSR by set and their packed kernel, per set count; the
+    # columns never change.
     _csr: dict[int, tuple[np.ndarray, np.ndarray, int]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _kernels: dict[tuple[int, str], BitsetCoverage] = field(
+    _kernels: dict[int, BitsetCoverage] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -107,10 +107,10 @@ class SketchColumns:
         check_coverage_backend(coverage_backend)
         kernel = csr = None
         if coverage_backend is not None and self.num_edges > 0:
-            kernel = self._kernels.get((num_sets, coverage_backend))
+            kernel = self._kernels.get(num_sets)
             if kernel is None:
-                kernel = self._kernels[num_sets, coverage_backend] = (
-                    BitsetCoverage.from_columns(num_sets, self.set_ids, self.elements)
+                kernel = self._kernels[num_sets] = BitsetCoverage.from_columns(
+                    num_sets, self.set_ids, self.elements
                 )
         else:
             csr = self._csr.get(num_sets)

@@ -509,7 +509,7 @@ class TestSharedBuilders:
         monkeypatch.setattr(
             BipartiteGraph,
             "__init__",
-            lambda graph, *args: graphs.append(args) or init(graph, *args),
+            lambda graph, *args, **kwargs: graphs.append(args) or init(graph, *args, **kwargs),
         )
         first = algo.query()
         algo.query(forbidden=(0, 3), coverage_backend=None)

@@ -115,7 +115,7 @@ class TestKCoverServing:
         monkeypatch.setattr(
             BipartiteGraph,
             "__init__",
-            lambda graph, *args: graphs.append(args) or init(graph, *args),
+            lambda graph, *args, **kwargs: graphs.append(args) or init(graph, *args, **kwargs),
         )
         engine = QueryEngine(kcover_instance.graph, seed=SEED, batch_size=BATCH)
         for misses, k in enumerate((2, 5), start=1):
