@@ -33,9 +33,9 @@ from repro.core.purification import (
 )
 from repro.core.setcover import StreamingSetCover, outlier_rate_for_passes
 from repro.core.setcover_outliers import (
-    GuessChecker,
     GuessOutcome,
     StreamingSetCoverOutliers,
+    check_guess,
     guess_schedule,
 )
 from repro.core.sketch import (
@@ -64,8 +64,8 @@ __all__ = [
     "StreamingKCover",
     "default_kcover_params",
     "StreamingSetCoverOutliers",
-    "GuessChecker",
     "GuessOutcome",
+    "check_guess",
     "guess_schedule",
     "StreamingSetCover",
     "outlier_rate_for_passes",

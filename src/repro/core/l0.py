@@ -106,16 +106,6 @@ class KMVSketch:
         """The retained hash values (unsorted)."""
         return [-v for v in self._heap]
 
-    def merge(self, other: "KMVSketch") -> "KMVSketch":
-        """Return the sketch of the union of the two underlying sets."""
-        if other.capacity != self.capacity:
-            raise ValueError("can only merge sketches with equal capacity")
-        merged = KMVSketch(self.capacity, self._hash)
-        for value in sorted(set(self.values()) | set(other.values()))[: self.capacity]:
-            heapq.heappush(merged._heap, -value)
-            merged._members.add(value)
-        return merged
-
     @staticmethod
     def merge_all(sketches: Sequence["KMVSketch"]) -> "KMVSketch":
         """Merge any number of sketches (at least one required)."""

@@ -122,12 +122,11 @@ class StreamingSetCover:
 
         self._covered: set[int] = set()
         self._solution: list[int] = []
-        self._chosen: set[int] = set()
         # The covered elements as a column, for the batched sketch and
         # collect passes (which never change them); set by start_pass.
         self._covered_ids = np.empty(0, dtype=np.uint64)
-        # _chosen as a mask over the set ids, plus a last slot, never set,
-        # that the batched mark pass maps every out-of-range id to.
+        # The chosen sets as a mask over the set ids, plus a last slot, never
+        # set, that both mark passes map every out-of-range id to.
         self._chosen_mask = np.zeros(num_sets + 1, dtype=bool)
         self._phases = self._build_phase_plan()
         self._phase_index = 0
@@ -194,7 +193,9 @@ class StreamingSetCover:
         phase, _ = self.current_phase()
         element_covered = event.element in self._covered
         if phase == "mark":
-            if not element_covered and event.set_id in self._chosen:
+            set_id = event.set_id
+            slot = set_id if 0 <= set_id < self.num_sets else self.num_sets
+            if not element_covered and self._chosen_mask[slot]:
                 self._covered.add(event.element)
         elif phase == "sketch":
             if not element_covered:
@@ -276,9 +277,8 @@ class StreamingSetCover:
     # ------------------------------------------------------------------ #
     def _extend_solution(self, selection: list[int]) -> None:
         for set_id in map(int, selection):
-            if set_id not in self._chosen:
+            if not self._chosen_mask[set_id]:
                 self._solution.append(set_id)
-                self._chosen.add(set_id)
                 self._chosen_mask[set_id] = True
 
     def describe(self) -> dict[str, object]:

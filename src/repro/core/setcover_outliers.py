@@ -7,8 +7,8 @@ edge arrivals.
 
 Structure, exactly as in the paper:
 
-* **Algorithm 4** (:class:`GuessChecker`) — for a guessed cover size ``k'``
-  build the sketch ``H_{<=n}(k' log(1/λ'), ε, δ'')`` with
+* **Algorithm 4** (``_guess_plan`` and :func:`check_guess`) — for a guessed
+  cover size ``k'`` build the sketch ``H_{<=n}(k' log(1/λ'), ε, δ'')`` with
   ``ε = ε'/(13 log(1/λ'))``, run greedy for ``k' log(1/λ')`` steps on the
   sketch, and accept iff the selection covers at least a
   ``1 − λ' − ε log(1/λ')`` fraction of the sketch's elements.  Lemma 3.2: it
@@ -18,7 +18,7 @@ Structure, exactly as in the paper:
 * **Algorithm 5** (:class:`StreamingSetCoverOutliers`) — run Algorithm 4 for
   geometrically increasing guesses ``k' = 1, (1+ε/3), (1+ε/3)², ...`` (all
   sketches maintained in the same single pass) and return the first guess
-  whose checker accepts.
+  that :func:`check_guess` accepts.
 
 Every guess ranks elements with the same hash, so the guesses' sketches are
 nested rather than independent; the analysis only takes a union bound over
@@ -31,12 +31,14 @@ the caps fall below ``n``, which takes over a thousand sets (2,900 at
 
 Nothing else a solve sets up depends on the stream, so it is done once:
 
-* **The plan.**  A guess's step count, ``ε`` and clamped budgets are a pure
-  function of ``(k', ε', λ', C', n, m, mode, scale)``, memoised in a bounded
-  cache (``_guess_plan``), as is the schedule of guesses.  Algorithm 6 runs
-  Algorithm 5 with the same arguments in every iteration and every solve,
-  with only the seed differing, so after the first solve Algorithm 5 looks
-  its guesses' plans up, validating the arguments they share once.
+* **The guess table.**  A guess's step count, ``ε``, clamped budgets and
+  acceptance target are a pure function of ``(k', ε', λ', C', n, m, mode,
+  scale)`` (``_guess_plan``), and the guesses, their plans and which builder
+  each guess reads are a pure function of the solve's arguments
+  (``_guess_table``).  Both are memoised in bounded caches.  Algorithm 6
+  runs Algorithm 5 with the same arguments in every iteration and every
+  solve, with only the seed differing, so after the first solve Algorithm 5
+  looks its table up and builds only its builders.
 * **The CSR and the kernel.**  A check runs greedy on its builder's
   columns through a CSR by set, or a packed kernel with a backend.
   :meth:`StreamingSketchBuilder.columns` returns one :class:`SketchColumns`
@@ -53,16 +55,16 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from repro.core.hashing import HashFamily, UniformHash
 from repro.coverage.bitset import check_coverage_backend
 from repro.core.params import SketchParams
+from repro.core.sketch_columns import SketchColumns
 from repro.core.streaming_sketch import BatchGrouping, StreamingSketchBuilder
 from repro.streaming.batches import EventBatch
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
 from repro.utils.validation import check_in_range, check_open_unit, check_positive_int
 
-__all__ = ["GuessChecker", "GuessOutcome", "StreamingSetCoverOutliers", "guess_schedule"]
+__all__ = ["GuessOutcome", "StreamingSetCoverOutliers", "check_guess", "guess_schedule"]
 
 #: Sentinel distinguishing "use the instance's configured backend" from an
 #: explicit per-query override (which may legitimately be ``None``).
@@ -97,12 +99,13 @@ def _guess_schedule(num_sets: int, epsilon: float) -> tuple[int, ...]:
 
 class _GuessPlan(NamedTuple):
     """What Algorithm 4 fixes for a guess before the stream: the greedy's
-    step count ``k' log(1/λ')``, the sketch accuracy ``ε`` and the sketch's
-    clamped budgets."""
+    step count ``k' log(1/λ')``, the sketch accuracy ``ε``, the sketch's
+    clamped budgets and the acceptance target ``1 − λ' − ε log(1/λ')``."""
 
     budget_k: int
     epsilon: float
     params: SketchParams
+    required: float
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -118,10 +121,13 @@ def _guess_plan(
 ) -> _GuessPlan:
     """Algorithm 4's parameters for one guess, memoised (module docstring).
 
-    The caller validates ``guess``, ``ε'`` and ``λ'``; :class:`SketchParams`
-    validates the rest, and an error is never cached.  ``typed`` keeps a
+    It validates ``guess``, ``ε'`` and ``λ'``, and :class:`SketchParams` the
+    rest, on a cache miss; an error is never cached.  ``typed`` keeps a
     cached ``1`` from answering for ``True``, which the validation rejects.
     """
+    check_positive_int(guess, "guess")
+    check_open_unit(epsilon_prime, "epsilon_prime")
+    check_in_range(lambda_prime, 1e-9, 1.0 / math.e, "lambda_prime")
     # Algorithm 4, line 1: ε = ε' / (13 log(1/λ')), δ'' = log_{1+ε} n (log(C'n)+2).
     log_inv_lambda = math.log(1.0 / lambda_prime)
     budget_k = max(1, math.ceil(guess * log_inv_lambda))
@@ -151,7 +157,79 @@ def _guess_plan(
         degree_cap=min(params.degree_cap, num_sets),
         eviction_slack=min(params.eviction_slack, num_sets),
     )
-    return _GuessPlan(budget_k, epsilon, params)
+    required = 1.0 - lambda_prime - epsilon * log_inv_lambda
+    return _GuessPlan(budget_k, epsilon, params, required)
+
+
+class _GuessTable(NamedTuple):
+    """Everything Algorithm 5 fixes before the stream.
+
+    ``builder_of[i]`` indexes the builder guess ``i`` feeds and reads, and
+    ``builder_params`` holds each builder's parameters, its first guess's.
+    A guess's degree cap falls and its edge budget rises with ``k'``, so the
+    guesses whose budgets agree are consecutive: the index moves on wherever
+    the edge budget, degree cap or eviction slack changes.
+    """
+
+    epsilon_prime: float
+    lambda_prime: float
+    confidence_prime: float
+    guesses: tuple[int, ...]
+    plans: tuple[_GuessPlan, ...]
+    builder_of: tuple[int, ...]
+    builder_params: tuple[SketchParams, ...]
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _guess_table(
+    num_sets: int,
+    num_elements: int,
+    outlier_fraction: float,
+    epsilon: float,
+    confidence: float,
+    mode: str,
+    scale: float,
+    max_guesses: int | None,
+) -> _GuessTable:
+    """Algorithm 5's guess table for validated solve arguments, memoised
+    (module docstring).  ``_guess_plan`` and :class:`SketchParams` validate
+    the rest on a miss, and an error is never cached."""
+    # Algorithm 5, line 1.
+    epsilon_prime = outlier_fraction * (1.0 - math.exp(-epsilon / 2.0))
+    lambda_prime = outlier_fraction * math.exp(-epsilon / 2.0)
+    confidence_prime = confidence * max(1.0, math.log(max(2, num_sets), 1.0 + epsilon / 3.0))
+    guesses = _guess_schedule(num_sets, epsilon)[:max_guesses]
+    plans = tuple(
+        _guess_plan(
+            guess,
+            max(epsilon_prime, 1e-4),
+            lambda_prime,
+            confidence_prime,
+            num_sets,
+            num_elements,
+            mode,
+            scale,
+        )
+        for guess in guesses
+    )
+    builder_of: list[int] = []
+    builder_params: list[SketchParams] = []
+    budgets = None
+    for plan in plans:
+        params = plan.params
+        if (params.edge_budget, params.degree_cap, params.eviction_slack) != budgets:
+            budgets = params.edge_budget, params.degree_cap, params.eviction_slack
+            builder_params.append(params)
+        builder_of.append(len(builder_params) - 1)
+    return _GuessTable(
+        epsilon_prime,
+        lambda_prime,
+        confidence_prime,
+        guesses,
+        plans,
+        tuple(builder_of),
+        tuple(builder_params),
+    )
 
 
 @dataclass
@@ -166,138 +244,42 @@ class GuessOutcome:
     sketch_edges: int
 
 
-def _budgets(params: SketchParams) -> tuple[int, int, int]:
-    """What an Algorithm 4 sketch's contents depend on besides its hash."""
-    return params.edge_budget, params.degree_cap, params.eviction_slack
+def check_guess(
+    guess: int,
+    plan: _GuessPlan,
+    columns: SketchColumns,
+    *,
+    forbidden: Iterable[int] = (),
+    coverage_backend: str | None = None,
+) -> GuessOutcome:
+    """Algorithm 4's test of guess ``k'``: run greedy for the plan's
+    ``budget_k`` steps on the sketch's columns and accept iff the selection
+    covers the plan's target fraction of the sketch's elements.
 
-
-class GuessChecker:
-    """Algorithm 4: the per-guess submodule of the outlier set cover.
-
-    Parameters
-    ----------
-    guess:
-        The guessed minimum cover size ``k'``.
-    epsilon_prime:
-        The outer accuracy ``ε'`` (the paper's Algorithm 4 input).
-    lambda_prime:
-        The per-call outlier fraction ``λ'``.
-    confidence:
-        The paper's ``C'`` (enters only through ``δ''``).
-    num_sets, num_elements:
-        Instance dimensions.
-    mode, scale, seed, hash_fn:
-        Sketch parameterisation, as in :class:`StreamingKCover`.
-    coverage_backend:
-        Optional packed-bitset kernel backend; :meth:`check` then runs its
-        greedy on a kernel of the guess's sketch (identical selections).
-    builder:
-        Another guess's builder.  This guess feeds and reads it instead of a
-        builder of its own when their edge budgets, degree caps and eviction
-        slacks are equal (the sketch depends on nothing else but the hash),
-        and then charges its space meter.
-
-    The parameters depend on the guess and the instance alone, not on the
-    stream, so they are computed once per argument tuple (``_guess_plan``)
-    and shared: :class:`SketchParams` is frozen.  Algorithm 5, which has
-    validated the arguments every guess shares, passes its guesses' plans
-    as ``_plan``.
+    ``plan`` is the guess's Algorithm 4 plan and ``columns`` its sketch
+    builder's current columns, so a check is correct while the stream is
+    still being fed and builds no graph.  ``forbidden`` excludes set ids from
+    the greedy and ``coverage_backend`` runs it on a packed kernel
+    (identical selections).  Neither affects the sketch itself, so one
+    stream pass supports arbitrarily many differently-constrained checks.
     """
-
-    def __init__(
-        self,
-        guess: int,
-        epsilon_prime: float,
-        lambda_prime: float,
-        confidence: float,
-        num_sets: int,
-        num_elements: int,
-        *,
-        mode: str = "scaled",
-        scale: float = 1.0,
-        seed: int = 0,
-        hash_fn: HashFamily | None = None,
-        space: SpaceMeter | None = None,
-        coverage_backend: str | None = None,
-        builder: StreamingSketchBuilder | None = None,
-        _plan: _GuessPlan | None = None,
-    ) -> None:
-        if _plan is None:
-            check_positive_int(guess, "guess")
-            check_open_unit(epsilon_prime, "epsilon_prime")
-            check_in_range(lambda_prime, 1e-9, 1.0 / math.e, "lambda_prime")
-            _plan = _guess_plan(
-                guess,
-                epsilon_prime,
-                lambda_prime,
-                confidence,
-                num_sets,
-                num_elements,
-                mode,
-                scale,
-            )
-        self.guess = guess
-        self.lambda_prime = lambda_prime
-        self.epsilon_prime = epsilon_prime
-        self.budget_k, self.epsilon, self.params = _plan
-        self.coverage_backend = coverage_backend
-        if builder is None or _budgets(builder.params) != _budgets(self.params):
-            builder = StreamingSketchBuilder(
-                self.params,
-                hash_fn=hash_fn or UniformHash(seed),
-                seed=seed,
-                space=space if space is not None else SpaceMeter(unit="edges"),
-            )
-        self.builder = builder
-        self.space = builder.space
-
-    def process(self, event: EdgeArrival) -> None:
-        """Feed one edge into this guess's sketch."""
-        self.builder.process(event)
-
-    def process_batch(self, batch: EventBatch, *, grouping: BatchGrouping | None = None) -> None:
-        """Feed a columnar edge batch into this guess's sketch (``grouping``:
-        the batch's grouping, shared with the other guesses)."""
-        self.builder.process_batch(batch, grouping=grouping)
-
-    def check(
-        self,
-        *,
-        forbidden: Iterable[int] = (),
-        coverage_backend: object = _UNSET,
-    ) -> GuessOutcome:
-        """Run greedy on the sketch and apply the acceptance test (Algorithm 4).
-
-        The greedy reads the builder's current columns, so a check is
-        correct while the stream is still being fed and builds no graph.
-        ``forbidden`` excludes set ids from the greedy; ``coverage_backend``
-        overrides the configured kernel backend for this call only.  Neither
-        affects the sketch itself, so one stream pass supports arbitrarily
-        many differently-constrained checks.
-        """
-        backend = (
-            self.coverage_backend if coverage_backend is _UNSET else coverage_backend
-        )
-        columns = self.builder.columns()
-        result = columns.greedy_k_cover(
-            self.params.num_sets,
-            self.budget_k,
-            forbidden=forbidden,
-            coverage_backend=backend,  # type: ignore[arg-type]
-        )
-        # The greedy's coverage is its selection's coverage on the sketch.
-        total = columns.num_elements
-        fraction = result.coverage / total if total else 1.0
-        required = 1.0 - self.lambda_prime - self.epsilon * math.log(1.0 / self.lambda_prime)
-        accepted = fraction >= required - 1e-12
-        return GuessOutcome(
-            guess=self.guess,
-            accepted=accepted,
-            solution=result.selected,
-            sketch_fraction=fraction,
-            required_fraction=required,
-            sketch_edges=columns.num_edges,
-        )
+    result = columns.greedy_k_cover(
+        plan.params.num_sets,
+        plan.budget_k,
+        forbidden=forbidden,
+        coverage_backend=coverage_backend,
+    )
+    # The greedy's coverage is its selection's coverage on the sketch.
+    total = columns.num_elements
+    fraction = result.coverage / total if total else 1.0
+    return GuessOutcome(
+        guess=guess,
+        accepted=fraction >= plan.required - 1e-12,
+        solution=result.selected,
+        sketch_fraction=fraction,
+        required_fraction=plan.required,
+        sketch_edges=columns.num_edges,
+    )
 
 
 class StreamingSetCoverOutliers:
@@ -350,59 +332,32 @@ class StreamingSetCoverOutliers:
         check_positive_int(num_sets, "num_sets")
         check_open_unit(epsilon, "epsilon")
         check_in_range(outlier_fraction, 1e-9, 1.0 / math.e, "outlier_fraction")
+        if max_guesses is not None:
+            check_positive_int(max_guesses, "max_guesses")
         check_coverage_backend(coverage_backend)
+        table = self._table = _guess_table(
+            num_sets,
+            num_elements,
+            outlier_fraction,
+            epsilon,
+            confidence,
+            mode,
+            scale,
+            max_guesses,
+        )
         self.name = "bateni-sketch-setcover-outliers"
         self.arrival_model = "edge"
         self.num_sets = num_sets
         self.num_elements = num_elements
         self.outlier_fraction = outlier_fraction
         self.epsilon = epsilon
-        # Algorithm 5, line 1.
-        self.epsilon_prime = outlier_fraction * (1.0 - math.exp(-epsilon / 2.0))
-        self.lambda_prime = outlier_fraction * math.exp(-epsilon / 2.0)
-        self.confidence_prime = confidence * max(
-            1.0, math.log(max(2, num_sets), 1.0 + epsilon / 3.0)
-        )
+        self.epsilon_prime, self.lambda_prime, self.confidence_prime = table[:3]
         self.space = SpaceMeter(unit="edges")
-        guesses = _guess_schedule(num_sets, epsilon)
-        if max_guesses is not None:
-            guesses = guesses[: check_positive_int(max_guesses, "max_guesses")]
-        # What every guess's checker would validate; ε' >= 1e-4 is in (0, 1).
-        epsilon_prime = max(self.epsilon_prime, 1e-4)
-        check_in_range(self.lambda_prime, 1e-9, 1.0 / math.e, "lambda_prime")
-        # Every guess ranks with UniformHash(seed).  A guess's degree cap
-        # falls and its edge budget rises with k', so the guesses whose
-        # budgets agree are consecutive, and each offers its builder to the
-        # next.
-        self._checkers: list[GuessChecker] = []
-        builder = None
-        for guess in guesses:
-            checker = GuessChecker(
-                guess,
-                epsilon_prime,
-                self.lambda_prime,
-                self.confidence_prime,
-                num_sets,
-                num_elements,
-                mode=mode,
-                scale=scale,
-                seed=seed,
-                space=self.space,
-                coverage_backend=coverage_backend,
-                builder=builder,
-                _plan=_guess_plan(
-                    guess,
-                    epsilon_prime,
-                    self.lambda_prime,
-                    self.confidence_prime,
-                    num_sets,
-                    num_elements,
-                    mode,
-                    scale,
-                ),
-            )
-            self._checkers.append(checker)
-            builder = checker.builder
+        # Every builder ranks with UniformHash(seed) and charges one meter.
+        self._builders = [
+            StreamingSketchBuilder(params, seed=seed, space=self.space)
+            for params in table.builder_params
+        ]
         self.coverage_backend = coverage_backend
         self.forbidden = frozenset(int(s) for s in forbidden)
         # Outcomes of the guesses checked so far, a prefix of the schedule.
@@ -417,13 +372,9 @@ class StreamingSetCoverOutliers:
         if pass_index > 0:  # pragma: no cover - defensive
             raise RuntimeError("StreamingSetCoverOutliers is a single-pass algorithm")
 
-    def _builders(self) -> list[StreamingSketchBuilder]:
-        """The guesses' distinct builders, in guess order."""
-        return list(dict.fromkeys(checker.builder for checker in self._checkers))
-
     def process(self, event: EdgeArrival) -> None:
         """Feed one edge into every guess's sketch (each builder once)."""
-        for builder in self._builders():
+        for builder in self._builders:
             builder.process(event)
 
     def process_batch(self, batch: EventBatch) -> None:
@@ -441,7 +392,7 @@ class StreamingSetCoverOutliers:
         batch with an out-of-range set id, which then raises at the row (and
         builder) the scalar stream raises at.
         """
-        builders = self._builders()
+        builders = self._builders
         if len(builders) == 1:
             builders[0].process_batch(batch)
             return
@@ -470,11 +421,22 @@ class StreamingSetCoverOutliers:
             self._solution = list(dict.fromkeys(chosen.solution))
         return self._solution
 
+    def _check(self, index: int, forbidden: Iterable[int], backend: object) -> GuessOutcome:
+        """:func:`check_guess` of the ``index``-th guess on its builder's columns."""
+        table = self._table
+        return check_guess(
+            table.guesses[index],
+            table.plans[index],
+            self._builders[table.builder_of[index]].columns(),
+            forbidden=forbidden,
+            coverage_backend=backend,  # type: ignore[arg-type]
+        )
+
     def _cascade(self) -> Iterator[GuessOutcome]:
         """Outcomes in guess order, checking each guess once, on demand."""
-        for index, checker in enumerate(self._checkers):
+        for index in range(len(self._table.guesses)):
             if index == len(self._checked):
-                self._checked.append(checker.check(forbidden=self.forbidden))
+                self._checked.append(self._check(index, self.forbidden, self.coverage_backend))
             yield self._checked[index]
 
     def _first_accepted(self) -> GuessOutcome | None:
@@ -511,8 +473,7 @@ class StreamingSetCoverOutliers:
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
         outcomes = [
-            checker.check(forbidden=forbidden, coverage_backend=backend)
-            for checker in self._checkers
+            self._check(index, forbidden, backend) for index in range(len(self._table.guesses))
         ]
         accepted = next((o for o in outcomes if o.accepted), None)
         chosen = accepted if accepted is not None else outcomes[-1]
@@ -520,7 +481,7 @@ class StreamingSetCoverOutliers:
 
     def guesses(self) -> Sequence[int]:
         """The guessed cover sizes, in increasing order."""
-        return [checker.guess for checker in self._checkers]
+        return list(self._table.guesses)
 
     def accepted_guess(self) -> int | None:
         """The smallest accepted guess (``None`` if every guess was rejected)."""
@@ -530,14 +491,13 @@ class StreamingSetCoverOutliers:
     def describe(self) -> dict[str, object]:
         """Diagnostics for reports."""
         accepted_guess = self.accepted_guess()
-        builders = self._builders()
         return {
             "algorithm": self.name,
             "lambda": self.outlier_fraction,
             "epsilon": self.epsilon,
-            "num_guesses": len(self._checkers),
-            "sketch_builders": len(builders),
-            "stored_edges": sum(builder.stored_edges for builder in builders),
+            "num_guesses": len(self._table.guesses),
+            "sketch_builders": len(self._builders),
+            "stored_edges": sum(builder.stored_edges for builder in self._builders),
             "space_peak": self.space.peak,
             "accepted_guess": accepted_guess,
             "guesses_checked": len(self._checked),

@@ -23,8 +23,8 @@ The sketch solves reach it through
 distributed coordinator on its merged sketch,
 :meth:`~repro.core.kcover.StreamingKCover.result` on the streaming k-cover
 builder's columns, and
-:meth:`~repro.core.setcover_outliers.GuessChecker.check` on each unfrozen
-Algorithm 4 guess of the set-cover solvers.  :class:`_KernelGains` reads
+:func:`~repro.core.setcover_outliers.check_guess` on each Algorithm 4 guess
+of the set-cover solvers.  :class:`_KernelGains` reads
 a :class:`repro.coverage.bitset.BitsetCoverage` snapshot passed as
 ``kernel=``, refreshing up to ``_LAZY_CHUNK`` stale tops per vectorised
 call, which is substantially faster on dense instances.  Every evaluator

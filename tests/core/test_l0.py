@@ -56,12 +56,12 @@ class TestKMVSketch:
         a, b = KMVSketch(128, seed=4), KMVSketch(128, seed=4)
         a.update_many(range(0, 3000))
         b.update_many(range(1500, 4500))
-        merged = a.merge(b)
+        merged = KMVSketch.merge_all([a, b])
         assert merged.estimate() == pytest.approx(4500, rel=0.2)
 
     def test_merge_capacity_mismatch(self):
         with pytest.raises(ValueError):
-            KMVSketch(8).merge(KMVSketch(16))
+            KMVSketch.merge_all([KMVSketch(8), KMVSketch(16)])
 
     def test_merge_all(self):
         sketches = []

@@ -10,6 +10,7 @@ from repro.core.setcover import StreamingSetCover, outlier_rate_for_passes
 from repro.datasets import planted_setcover_instance
 from repro.offline.greedy import greedy_set_cover
 from repro.streaming.batches import EventBatch
+from repro.streaming.events import EdgeArrival
 from repro.streaming.runner import StreamingRunner
 from repro.streaming.stream import EdgeStream
 
@@ -109,8 +110,12 @@ class TestStreamingSetCover:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_mark_pass_matches_no_out_of_range_set(self, batched):
-        """The batched mark pass looks set ids up in a mask of the chosen
-        sets; an id at or past ``num_sets`` matches nothing, as per event."""
+        """Both mark passes look set ids up in a mask of the chosen sets
+        whose last slot is never set, so an id at or past ``num_sets``
+        matches nothing.  ``EdgeArrival`` does not validate ids, so a
+        negative id reaches the per-event pass (a batch's ``uint64`` column
+        cannot hold one); it must not index the mask from its end, where -2
+        would read set 4 and -6 set 0."""
         algo = StreamingSetCover(5, 20, rounds=3)
         algo._extend_solution([0, 4])
         algo._phase_index = 1
@@ -123,4 +128,6 @@ class TestStreamingSetCover:
         else:
             for event in batch.iter_events():
                 algo.process(event)
+            for set_id in (-2, -6):
+                algo.process(EdgeArrival(set_id, 9))
         assert algo._covered == {0, 2, 7}

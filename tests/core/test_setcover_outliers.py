@@ -7,12 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import sketch_columns
+from repro.core import setcover_outliers, sketch_columns
 from repro.core.setcover_outliers import (
-    GuessChecker,
     GuessOutcome,
     StreamingSetCoverOutliers,
     _guess_plan,
+    check_guess,
     guess_schedule,
 )
 from repro.core.params import SketchParams
@@ -74,68 +74,62 @@ class TestGuessSchedule:
                 guess_schedule(1, 1.5)
 
 
-class TestGuessChecker:
-    def _feed(self, checker: GuessChecker, graph) -> None:
-        for set_id, element in graph.edges():
-            checker.process(EdgeArrival(set_id, element))
+def _plan(guess, lambda_prime=0.1, num_sets=10, num_elements=100, *, mode="scaled", scale=1.0):
+    """Algorithm 4's plan of ``guess`` at ``ε' = 0.2`` and ``C' = 1``."""
+    return _guess_plan(guess, 0.2, lambda_prime, 1.0, num_sets, num_elements, mode, scale)
+
+
+def _guess_rows(algorithm):
+    """``(guess, plan, builder)`` of every guess of ``algorithm``'s table."""
+    table = algorithm._table
+    return [
+        (guess, plan, algorithm._builders[index])
+        for guess, plan, index in zip(table.guesses, table.plans, table.builder_of)
+    ]
+
+
+class TestCheckGuess:
+    def _check(self, instance, guess, lambda_prime):
+        plan = _plan(guess, lambda_prime, instance.n, instance.m)
+        builder = StreamingSketchBuilder(plan.params, seed=1)
+        for set_id, element in instance.graph.edges():
+            builder.process(EdgeArrival(set_id, element))
+        return plan, check_guess(guess, plan, builder.columns())
 
     def test_accepts_when_guess_is_large_enough(self, planted_setcover):
-        checker = GuessChecker(
-            guess=len(planted_setcover.planted_solution),
-            epsilon_prime=0.2,
-            lambda_prime=0.1,
-            confidence=1.0,
-            num_sets=planted_setcover.n,
-            num_elements=planted_setcover.m,
-            seed=1,
+        plan, outcome = self._check(
+            planted_setcover, len(planted_setcover.planted_solution), 0.1
         )
-        self._feed(checker, planted_setcover.graph)
-        outcome = checker.check()
         assert outcome.accepted
-        assert len(outcome.solution) <= checker.budget_k
+        assert len(outcome.solution) <= plan.budget_k
         assert outcome.sketch_fraction >= outcome.required_fraction - 1e-12
 
     def test_rejects_hopeless_guess(self, planted_setcover):
-        checker = GuessChecker(
-            guess=1,
-            epsilon_prime=0.2,
-            lambda_prime=0.05,
-            confidence=1.0,
-            num_sets=planted_setcover.n,
-            num_elements=planted_setcover.m,
-            seed=1,
-        )
-        self._feed(checker, planted_setcover.graph)
-        outcome = checker.check()
+        _, outcome = self._check(planted_setcover, 1, 0.05)
         # One set (plus log(1/λ') slack) cannot cover 95% of a 6-set partition.
         assert not outcome.accepted
 
     def test_budget_k_is_guess_times_log(self):
-        checker = GuessChecker(
-            guess=4, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
-            num_sets=50, num_elements=500, seed=0,
-        )
-        assert checker.budget_k == math.ceil(4 * math.log(10))
+        plan = _plan(4, num_sets=50, num_elements=500)
+        assert plan.budget_k == math.ceil(4 * math.log(10))
+        assert plan.required == 1.0 - 0.1 - plan.epsilon * math.log(10)
 
     def test_invalid_lambda(self):
-        with pytest.raises(ValueError):
-            GuessChecker(
-                guess=2, epsilon_prime=0.2, lambda_prime=0.9, confidence=1.0,
-                num_sets=10, num_elements=100,
-            )
+        with pytest.raises(ValueError, match="lambda_prime"):
+            _plan(2, 0.9)
 
     def test_invalid_arguments_raise_after_a_valid_call(self):
         """The memoised plan caches no error, and ``True`` is no ``1``."""
-        GuessChecker(1, 0.2, 0.1, 1.0, 10, 1)
+        _plan(1, num_elements=1)
         for _ in range(2):
             with pytest.raises(TypeError):
-                GuessChecker(True, 0.2, 0.1, 1.0, 10, 1)
+                _plan(True, num_elements=1)
             with pytest.raises(TypeError):
-                GuessChecker(1, 0.2, 0.1, 1.0, 10, True)
+                _plan(1, num_elements=True)
             with pytest.raises(ValueError, match="num_elements"):
-                GuessChecker(1, 0.2, 0.1, 1.0, 10, 0)
+                _plan(1, num_elements=0)
             with pytest.raises(ValueError, match="scale"):
-                GuessChecker(1, 0.2, 0.1, 1.0, 10, 1, scale=0.0)
+                _plan(1, num_elements=1, scale=0.0)
 
 
 class TestStreamingSetCoverOutliers:
@@ -251,13 +245,13 @@ class TestLazyCascade:
 
     def test_checks_stop_at_the_first_accept(self, planted_setcover, monkeypatch):
         checks = []
-        check = GuessChecker.check
+        check = setcover_outliers.check_guess
 
-        def counted(checker, **kwargs):
-            checks.append(checker.guess)
-            return check(checker, **kwargs)
+        def counted(guess, *args, **kwargs):
+            checks.append(guess)
+            return check(guess, *args, **kwargs)
 
-        monkeypatch.setattr(GuessChecker, "check", counted)
+        monkeypatch.setattr(setcover_outliers, "check_guess", counted)
         algo = self._run(planted_setcover)  # the runner reads result()
         accepted_index = list(algo.guesses()).index(algo.accepted_guess())
         assert len(checks) == accepted_index + 1 < len(algo.guesses())
@@ -282,21 +276,19 @@ class TestLazyCascade:
         assert inserts == []
 
 
-def _graph_path_outcome(checker: GuessChecker, forbidden, backend) -> GuessOutcome:
+def _graph_path_outcome(guess, plan, builder, lambda_prime, forbidden, backend) -> GuessOutcome:
     """Algorithm 4 on ``sketch().graph``: the check before it read columns."""
-    sketch = checker.builder.sketch()
+    sketch = builder.sketch()
     result = greedy_k_cover(
         sketch.graph,
-        checker.budget_k,
+        plan.budget_k,
         forbidden=forbidden,
         kernel=kernel_for(sketch.graph, backend),
     )
     fraction = sketch.coverage_fraction(result.selected)
-    required = 1.0 - checker.lambda_prime - checker.epsilon * math.log(
-        1.0 / checker.lambda_prime
-    )
+    required = 1.0 - lambda_prime - plan.epsilon * math.log(1.0 / lambda_prime)
     return GuessOutcome(
-        guess=checker.guess,
+        guess=guess,
         accepted=fraction >= required - 1e-12,
         solution=result.selected,
         sketch_fraction=fraction,
@@ -326,13 +318,15 @@ class TestCheckReadsColumns:
         StreamingRunner(instance.graph).run(
             algo, EdgeStream.from_graph(instance.graph, order="random", seed=seed)
         )
-        checkers = algo._checkers
-        for checker, outcome in zip(checkers, algo.outcomes(), strict=True):
-            assert outcome == _graph_path_outcome(checker, forbidden, backend)
+        lam = algo.lambda_prime
+        for (guess, plan, builder), outcome in zip(
+            _guess_rows(algo), algo.outcomes(), strict=True
+        ):
+            assert outcome == _graph_path_outcome(guess, plan, builder, lam, forbidden, backend)
             for other in ((), [1, 3]):
-                assert checker.check(forbidden=other) == _graph_path_outcome(
-                    checker, other, backend
-                )
+                assert check_guess(
+                    guess, plan, builder.columns(), forbidden=other, coverage_backend=backend
+                ) == _graph_path_outcome(guess, plan, builder, lam, other, backend)
 
     @pytest.mark.parametrize("backend", [None, "words"])
     @pytest.mark.parametrize("guess", [1, 3, 8])
@@ -340,30 +334,29 @@ class TestCheckReadsColumns:
     def test_evicting_sketch_matches_graph_path(self, backend, guess, seed):
         # Explicit budgets, with a degree cap far below num_sets.
         instance = planted_setcover_instance(40, 3000, cover_size=6, seed=seed)
-        checker = GuessChecker(
-            guess=guess, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
-            num_sets=instance.n, num_elements=instance.m, coverage_backend=backend,
+        plan = _plan(guess, num_sets=instance.n, num_elements=instance.m)
+        plan = plan._replace(
+            params=SketchParams.explicit(
+                instance.n, instance.m, plan.budget_k, 0.2, edge_budget=250, degree_cap=6
+            )
         )
-        checker.params = SketchParams.explicit(
-            instance.n, instance.m, checker.budget_k, 0.2, edge_budget=250, degree_cap=6
-        )
-        checker.builder = StreamingSketchBuilder(checker.params, seed=seed)
+        builder = StreamingSketchBuilder(plan.params, seed=seed)
         stream = EdgeStream.from_graph(instance.graph, order="random", seed=seed)
         for batch in stream.iter_batches(512):
-            checker.process_batch(batch)
-            outcome = checker.check(forbidden=[0])
-            assert outcome == _graph_path_outcome(checker, [0], backend)
-        assert checker.builder.evictions > 0
+            builder.process_batch(batch)
+            outcome = check_guess(
+                guess, plan, builder.columns(), forbidden=[0], coverage_backend=backend
+            )
+            assert outcome == _graph_path_outcome(guess, plan, builder, 0.1, [0], backend)
+        assert builder.evictions > 0
         assert outcome.sketch_edges < instance.graph.num_edges
 
     @pytest.mark.parametrize("backend", [None, "words"])
     def test_empty_sketch(self, backend):
-        checker = GuessChecker(
-            guess=2, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
-            num_sets=10, num_elements=100, coverage_backend=backend,
-        )
-        outcome = checker.check()
-        assert outcome == _graph_path_outcome(checker, (), backend)
+        plan = _plan(2)
+        builder = StreamingSketchBuilder(plan.params)
+        outcome = check_guess(2, plan, builder.columns(), coverage_backend=backend)
+        assert outcome == _graph_path_outcome(2, plan, builder, 0.1, (), backend)
         assert (outcome.sketch_fraction, outcome.sketch_edges) == (1.0, 0)
 
 
@@ -372,17 +365,14 @@ class TestScaledGuessesSubsample:
     so a scaled guess sketch evicts instead of keeping the whole input."""
 
     def test_clamped_params(self):
-        checker = GuessChecker(
-            guess=3, epsilon_prime=0.2, lambda_prime=0.1, confidence=1.0,
-            num_sets=40, num_elements=3000,
-        )
+        plan = _plan(3, num_sets=40, num_elements=3000)
         unclamped = SketchParams.scaled(
-            40, 3000, checker.budget_k, max(checker.epsilon, 1e-3),
-            delta_prime=checker.params.delta_prime,
+            40, 3000, plan.budget_k, max(plan.epsilon, 1e-3),
+            delta_prime=plan.params.delta_prime,
         )
         assert unclamped.degree_cap > 40
-        assert checker.params.degree_cap == checker.params.eviction_slack == 40
-        assert checker.params.edge_budget == unclamped.edge_budget
+        assert plan.params.degree_cap == plan.params.eviction_slack == 40
+        assert plan.params.edge_budget == unclamped.edge_budget
 
     def test_small_scale_evicts(self):
         instance = planted_setcover_instance(40, 3000, cover_size=6, seed=1)
@@ -390,14 +380,14 @@ class TestScaledGuessesSubsample:
         report = StreamingRunner(instance.graph).run(
             algo, EdgeStream.from_graph(instance.graph, order="random", seed=1)
         )
-        for checker in algo._checkers:
-            params = checker.params
-            assert checker.builder.evictions > 0
-            assert checker.builder.stored_edges < instance.graph.num_edges
-            assert checker.builder.stored_edges <= params.edge_budget + params.eviction_slack
+        for _, plan, builder in _guess_rows(algo):
+            params = plan.params
+            assert builder.evictions > 0
+            assert builder.stored_edges < instance.graph.num_edges
+            assert builder.stored_edges <= params.edge_budget + params.eviction_slack
         # One builder serves every guess, so the meter peaks at one store.
         assert algo.describe()["sketch_builders"] == 1
-        assert algo.space.peak <= algo._checkers[0].params.edge_budget + 40 + 1
+        assert algo.space.peak <= algo._table.plans[0].params.edge_budget + 40 + 1
         assert report.coverage_fraction >= 1 - 0.1 - 0.05
 
 
@@ -424,7 +414,7 @@ def _sketch(builder):
 
 def _state(algorithm):
     """Every guess's sketch, and the meter's peak."""
-    return [_sketch(checker.builder) for checker in algorithm._checkers], algorithm.space.peak
+    return [_sketch(builder) for _, _, builder in _guess_rows(algorithm)], algorithm.space.peak
 
 
 class TestSharedBuilders:
@@ -445,33 +435,34 @@ class TestSharedBuilders:
         info = algo.describe()
         assert (info["sketch_builders"], info["stored_edges"]) == (1, graph.num_edges)
         # Fed per event, each edge reaches the shared builder once.
-        assert algo._checkers[0].builder.describe()["edges_seen"] == events
+        assert algo._builders[0].describe()["edges_seen"] == events
 
     @pytest.mark.parametrize("scale", [1.0, 0.002])
-    def test_each_guess_equals_a_standalone_checker(self, workload, scale):
+    def test_each_guess_equals_a_standalone_check(self, workload, scale):
         graph = workload.graph
         algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, scale=scale, seed=2)
         _feed(algo, graph, 2, 1024)
         for forbidden in ((), (0, 3, 7)):
             outcomes = algo.query(forbidden=forbidden)[1]
-            for checker, outcome in zip(algo._checkers, outcomes, strict=True):
-                alone = GuessChecker(
-                    checker.guess,
+            for (guess, _, builder), outcome in zip(_guess_rows(algo), outcomes, strict=True):
+                plan = _guess_plan(
+                    guess,
                     max(algo.epsilon_prime, 1e-4),
                     algo.lambda_prime,
                     algo.confidence_prime,
                     100,
                     2000,
-                    scale=scale,
-                    seed=2,
+                    "scaled",
+                    scale,
                 )
+                alone = StreamingSketchBuilder(plan.params, seed=2)
                 stream = EdgeStream.from_graph(graph, order="random", seed=2)
                 for batch in stream.iter_batches(1024):
                     alone.process_batch(batch)
-                assert alone.check(forbidden=forbidden) == outcome
+                assert check_guess(guess, plan, alone.columns(), forbidden=forbidden) == outcome
                 # One builder alone on the meter: even the peaks agree.
-                assert _sketch(alone.builder) == _sketch(checker.builder)
-        assert (algo._checkers[0].builder.evictions > 0) == (scale < 1.0)
+                assert _sketch(alone) == _sketch(builder)
+        assert (algo._builders[0].evictions > 0) == (scale < 1.0)
 
     @pytest.mark.parametrize("own", [0, 3])
     def test_query_reads_one_columns_object_per_builder(self, workload, monkeypatch, own):
@@ -480,8 +471,14 @@ class TestSharedBuilders:
         :class:`SketchColumns`."""
         graph = workload.graph
         algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, seed=3)
-        for checker in algo._checkers[len(algo._checkers) - own:]:
-            checker.builder = StreamingSketchBuilder(checker.params, seed=3, space=algo.space)
+        table = algo._table
+        builder_of = list(table.builder_of)
+        for index in range(len(builder_of) - own, len(builder_of)):
+            builder_of[index] = len(algo._builders)
+            algo._builders.append(
+                StreamingSketchBuilder(table.plans[index].params, seed=3, space=algo.space)
+            )
+        algo._table = table._replace(builder_of=tuple(builder_of))
         _feed(algo, graph, 3, 4096)
         sketched, read = [], {}
         columns = StreamingSketchBuilder.columns
@@ -496,7 +493,7 @@ class TestSharedBuilders:
         first = algo.query()
         algo.query(forbidden=[1])
         assert sketched == []
-        assert list(read) == algo._builders() and len(read) == 1 + own
+        assert list(read) == algo._builders and len(read) == 1 + own
         assert all(len(objects) == 1 for objects in read.values())
         assert algo.query() == first
 
@@ -526,50 +523,50 @@ class TestSharedBuilders:
         )
         algo = StreamingSetCoverOutliers(100, 2000, 0.1, coverage_backend="words", seed=1)
         _feed(algo, workload.graph, 1, 4096)
-        assert len(algo._builders()) == 1
+        assert len(algo._builders) == 1
         outcomes = algo.outcomes()
         assert algo.query()[1] == outcomes
         algo.query(forbidden=(0, 3))
         assert len(packed) == 1
-        columns = algo._builders()[0].columns()
+        columns = algo._builders[0].columns()
         first = columns.greedy_k_cover(100, 5, coverage_backend="words")
         assert columns.greedy_k_cover(100, 5, coverage_backend="words") == first
-        graph = algo._builders()[0].sketch().graph
+        graph = algo._builders[0].sketch().graph
         assert first == greedy_k_cover(graph, 5, kernel=kernel_for(graph, "words"))
         assert len(packed) == 1
 
     @pytest.mark.parametrize(
         "mode,scale", [("scaled", 1.0), ("scaled", 0.002), ("theoretical", 1.0)]
     )
-    def test_the_plan_equals_a_standalone_checker(self, mode, scale):
-        """Algorithm 5 takes each guess's parameters from the memoised plan;
-        a checker built alone, with the memo cleared, computes the same."""
+    def test_the_table_equals_standalone_plans(self, mode, scale):
+        """Algorithm 5 takes each guess's parameters from the memoised
+        table; a plan computed alone, with the memo cleared, is the same."""
         algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, mode=mode, scale=scale, seed=2)
         _guess_plan.cache_clear()
-        alone = [
-            GuessChecker(
-                checker.guess,
+        for guess, plan, _ in _guess_rows(algo):
+            alone = _guess_plan(
+                guess,
                 max(algo.epsilon_prime, 1e-4),
                 algo.lambda_prime,
                 algo.confidence_prime,
                 100,
                 2000,
-                mode=mode,
-                scale=scale,
+                mode,
+                scale,
             )
-            for checker in algo._checkers
-        ]
-        for checker, twin in zip(algo._checkers, alone, strict=True):
-            assert twin.params is not checker.params
-            assert (twin.budget_k, twin.epsilon, twin.params) == (
-                checker.budget_k,
-                checker.epsilon,
-                checker.params,
-            )
-        # Another solve, with another seed, shares the plan.
-        again = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, mode=mode, scale=scale, seed=9)
-        for mine, theirs in zip(alone, again._checkers, strict=True):
-            assert mine.params is theirs.params
+            assert alone is not plan and alone == plan
+
+    def test_solves_differing_in_seed_share_one_table(self, workload):
+        """The table is looked up, not rebuilt; the builders are each
+        solve's own."""
+        algo = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, seed=2)
+        again = StreamingSetCoverOutliers(100, 2000, 0.1, 0.3, seed=9)
+        assert again._table is algo._table
+        assert len(again._builders) == len(algo._builders) == 1
+        assert again._builders[0] is not algo._builders[0]
+        assert again._builders[0].space is again.space is not algo.space
+        _feed(algo, workload.graph, 2, 4096)
+        assert again.describe()["stored_edges"] == 0
 
     def test_invalid_arguments_raise_after_a_valid_call(self):
         StreamingSetCoverOutliers(10, 1, 0.1)
@@ -584,6 +581,9 @@ class TestSharedBuilders:
                 StreamingSetCoverOutliers(10, 1, 1e-9)
             with pytest.raises(ValueError, match="max_guesses"):
                 StreamingSetCoverOutliers(10, 1, 0.1, max_guesses=0)
+            StreamingSetCoverOutliers(10, 1, 0.1, max_guesses=1)
+            with pytest.raises(TypeError, match="max_guesses"):
+                StreamingSetCoverOutliers(10, 1, 0.1, max_guesses=True)
 
     @pytest.mark.parametrize("scale", [1.0, 0.002])
     def test_a_check_between_batches_reads_the_new_store(self, workload, scale):
@@ -599,16 +599,19 @@ class TestSharedBuilders:
                 algo.process_batch(batch)
             return algo
 
+        def checks(algo, forbidden=()):
+            return [
+                check_guess(guess, plan, builder.columns(), forbidden=forbidden)
+                for guess, plan, builder in _guess_rows(algo)
+            ]
+
         algo = fed(1)
-        for index, checker in enumerate(algo._checkers):
-            early = checker.check()
-            assert early == fed(1)._checkers[index].check()
+        assert checks(algo) == checks(fed(1))
         for batch in batches[1:]:
             algo.process_batch(batch)
         fresh = fed(len(batches))
-        for checker, twin in zip(algo._checkers, fresh._checkers, strict=True):
-            assert checker.check() == twin.check()
-            assert checker.check(forbidden=(0, 1)) == twin.check(forbidden=(0, 1))
+        assert checks(algo) == checks(fresh)
+        assert checks(algo, (0, 1)) == checks(fresh, (0, 1))
         assert algo.outcomes() == fresh.outcomes()
 
     @pytest.fixture
@@ -634,14 +637,17 @@ class TestSharedBuilders:
         batches = list(EdgeStream.from_graph(graph, order="random", seed=5).iter_batches(1024))
         for batch in batches[:-1]:
             algo.process_batch(batch)
-        assert len(algo.outcomes()) == len(algo._checkers) > len(algo._builders())
-        assert len(built) == len(algo._builders()) == (1 if num_sets == 100 else 6)
+        assert len(algo.outcomes()) == len(algo.guesses()) > len(algo._builders)
+        assert len(built) == len(algo._builders) == (1 if num_sets == 100 else 6)
+        # One builder per distinct index of the table.
+        assert algo.describe()["sketch_builders"] == len(set(algo._table.builder_of))
+        assert algo.describe()["sketch_builders"] == len(algo._builders)
         # Another batch changes every store: one more CSR per builder.
         algo.process_batch(batches[-1])
-        for checker in algo._checkers:
-            checker.check()
-            checker.check(forbidden=(2,))
-        assert len(built) == 2 * len(algo._builders())
+        for guess, plan, builder in _guess_rows(algo):
+            check_guess(guess, plan, builder.columns())
+            check_guess(guess, plan, builder.columns(), forbidden=(2,))
+        assert len(built) == 2 * len(algo._builders)
 
     def test_algorithm_6_builds_one_csr_per_iteration(self, workload, built):
         algo = StreamingSetCover(100, 2000, rounds=3, seed=1)
@@ -651,20 +657,17 @@ class TestSharedBuilders:
 
     def test_binding_caps_split_the_guesses_into_groups(self):
         algo = StreamingSetCoverOutliers(4000, 20_000, 0.1, seed=5)
-        builders = algo._builders()
+        table, builders = algo._table, algo._builders
         assert len(builders) > 1
-        groups = [
-            [index for index, checker in enumerate(algo._checkers) if checker.builder is b]
-            for b in builders
-        ]
-        # Contiguous in guess order, and in guess order of their first member.
-        assert [index for group in groups for index in group] == list(
-            range(len(algo._checkers))
-        )
-        for group, builder in zip(groups, builders):
+        # Contiguous in guess order, numbered in guess order of their first
+        # member, one builder each.
+        assert list(table.builder_of) == sorted(table.builder_of)
+        assert sorted(set(table.builder_of)) == list(range(len(builders)))
+        for index, builder in enumerate(builders):
             budgets = {
                 (p.edge_budget, p.degree_cap, p.eviction_slack)
-                for p in (algo._checkers[index].params for index in group)
+                for p, b in zip((plan.params for plan in table.plans), table.builder_of)
+                if b == index
             }
             assert budgets == {
                 (builder.params.edge_budget, builder.params.degree_cap,
@@ -685,7 +688,7 @@ class TestSharedBuilders:
         def run(batch_size):
             algo = StreamingSetCoverOutliers(n, m, 0.1, seed=6)
             _feed(algo, graph, 6, batch_size)
-            return len(algo._builders()), _state(algo), algo.result()
+            return len(algo._builders), _state(algo), algo.result()
 
         scalar = run(None)
         assert scalar[0] > 1

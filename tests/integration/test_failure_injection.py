@@ -112,7 +112,7 @@ def _builder_states(algorithm):
         return []
     if isinstance(algorithm, StreamingSketchBuilder):
         return [algorithm.describe()]
-    return [builder.describe() for builder in algorithm._builders()]
+    return [builder.describe() for builder in algorithm._builders]
 
 
 class TestOutOfRangeSetIdBatched:
@@ -152,17 +152,22 @@ class TestOutOfRangeSetIdBatched:
         fails at the first bad row, through the builder the other guesses
         share, and so must the batch."""
         n, m = planted_setcover.n, planted_setcover.m
-        probe = StreamingSetCoverOutliers(n, m, 0.1, seed=3)._checkers[0].builder
+        probe = StreamingSetCoverOutliers(n, m, 0.1, seed=3)._builders[0]
         by_rank = sorted(range(100), key=probe._rank)
         kept, dropped = by_rank[0], by_rank[-1]
         threshold = (probe._rank(kept) + probe._rank(dropped)) / 2
 
         def make():
             algorithm = StreamingSetCoverOutliers(n, m, 0.1, seed=3)
-            first = algorithm._checkers[0]
-            first.builder = StreamingSketchBuilder(first.params, seed=3, space=algorithm.space)
-            first.builder._admission_threshold = threshold
-            assert len(algorithm._builders()) == 2
+            table = algorithm._table
+            first = StreamingSketchBuilder(table.plans[0].params, seed=3, space=algorithm.space)
+            first._admission_threshold = threshold
+            # Guess 0's own builder is fed first, before the shared one.
+            algorithm._builders.insert(0, first)
+            algorithm._table = table._replace(
+                builder_of=(0,) + tuple(index + 1 for index in table.builder_of[1:])
+            )
+            assert len(algorithm._builders) == 2
             return algorithm
 
         batch = EventBatch(

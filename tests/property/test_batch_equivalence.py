@@ -118,10 +118,11 @@ def _guess_sketches(outliers):
             columns.set_ids.tolist(),
             columns.threshold,
             columns.truncated.tolist(),
-            checker.builder.describe(),
+            builder.describe(),
         )
-        for checker in outliers._checkers
-        for columns in [checker.builder.columns()]
+        for index in outliers._table.builder_of
+        for builder in [outliers._builders[index]]
+        for columns in [builder.columns()]
     ]
 
 
@@ -162,13 +163,19 @@ def test_outliers_sketch_state_is_batch_invariant(evicting):
     def run(batch_size):
         algorithm = StreamingSetCoverOutliers(n, m, 0.1, seed=4)
         if evicting:
-            for index, checker in enumerate(algorithm._checkers[-3:]):
+            # The last three guesses get builders of their own, fed after
+            # the shared one.
+            table = algorithm._table
+            for index in range(3):
                 params = SketchParams.explicit(
                     n, m, 2, 0.5, edge_budget=40 + 20 * index, degree_cap=4
                 )
-                checker.builder = StreamingSketchBuilder(
-                    params, seed=index, space=algorithm.space
+                algorithm._builders.append(
+                    StreamingSketchBuilder(params, seed=index, space=algorithm.space)
                 )
+            algorithm._table = table._replace(
+                builder_of=table.builder_of[:-3] + (1, 2, 3)
+            )
         report = _run(algorithm, instance, 4, batch_size)
         return report, _guess_sketches(algorithm), algorithm.space.peak
 

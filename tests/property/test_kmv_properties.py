@@ -45,7 +45,7 @@ def test_merge_equals_inserting_union(left, right, capacity, seed):
     b = KMVSketch(capacity, seed=seed)
     a.update_many(left)
     b.update_many(right)
-    merged = a.merge(b)
+    merged = KMVSketch.merge_all([a, b])
     direct = KMVSketch(capacity, seed=seed)
     direct.update_many(left | right)
     assert sorted(merged.values()) == sorted(direct.values())
